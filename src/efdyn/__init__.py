@@ -29,9 +29,9 @@ from .energies import (CriticalCurve, EnergyKind, EnergySpec, ExistenceVerdict,
                        Position, ScalarPhaseState, ScalarRadialState, Verdict,
                        classify_region, cubic_barrier, energy_derivative,
                        energy_value, predict_asymptotics, predict_existence)
-from .scalar import (ScalarBehavior, ScalarParams, ScalarReport, scalar_classify,
-                     scalar_fixed_points, scalar_integrate, scalar_integrate_radial,
-                     scalar_to_phase, scalar_vector_field)
+from .scalar import (ScalarBehavior, ScalarParams, ScalarReport, diagonal_trajectory,
+                     scalar_classify, scalar_fixed_points, scalar_to_phase,
+                     scalar_vector_field)
 from .dynamics import (BoxBounds, DirichletSearch, EventSpec, GroundStateSearch,
                        MClass, RadialTrajectory, SClass, ShotOutcome, Termination,
                        Trajectory, classify_shot, integrate_m, integrate_radial,

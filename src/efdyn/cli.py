@@ -29,8 +29,8 @@ from .errors import ConfigError, EfdynError
 from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
                     validate_params)
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
-from .scalar import (ScalarParams, scalar_classify, scalar_fixed_points,
-                     scalar_integrate, scalar_vector_field, regular_seed)
+from .scalar import (ScalarParams, diagonal_trajectory, regular_seed, scalar_classify,
+                     scalar_fixed_points, scalar_vector_field)
 
 COMMANDS = ("analyze", "integrate", "shoot", "sweep", "scalar", "portrait")
 
@@ -384,9 +384,9 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
         t_span = block.get("t_span", [0.0, cfg.t_end])
         trows = [["trajectory", "t", "X", "Z"]]
         for i, st in enumerate(starts):
-            traj = scalar_integrate(sp, st, tuple(t_span), cfg)
+            traj = diagonal_trajectory(sp, st, t_span, cfg)
             for t, row in zip(traj.t, traj.states):
-                trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[1])])
+                trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
         csvs["trajectories.csv"] = trows
         report = {"command": "portrait", "scalar": sp.to_dict(),
                   "fixed_points": {k: list(v) for k, v in fps.items()}}

@@ -14,7 +14,6 @@ the (X, Y) projection reaches first (S1 / S2 / S3) or whether it never leaves
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -29,13 +28,12 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     normalized_regular_data, regular_initial_values, to_phase,
                     vector_field_arr)
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
-from .scalar import scalar_classify  # re-exported: scalar runs live beside the 4D ones
 
 __all__ = [
     "Termination", "Trajectory", "RadialTrajectory", "BoxBounds", "EventSpec",
     "integrate_m", "integrate_radial", "launch_regular", "classify_shot",
     "ShotOutcome", "SClass", "MClass", "search_ground_state", "search_dirichlet",
-    "GroundStateSearch", "DirichletSearch", "scalar_classify", "sweep_angles",
+    "GroundStateSearch", "DirichletSearch", "sweep_angles",
 ]
 
 
@@ -134,18 +132,30 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class EventSpec:
+    """A named event; scipy reads `terminal` and `direction` off the spec itself."""
+
     name: str
     fn: Callable[[float, np.ndarray], float]
     terminal: bool = False
     direction: float = 0.0
 
+    def __call__(self, t, y):
+        return self.fn(t, y)
 
-def _make_event(spec: EventSpec):
-    def ev(t, y):
-        return spec.fn(t, y)
-    ev.terminal = spec.terminal
-    ev.direction = spec.direction
-    return ev
+
+def _solve(rhs, span, y0, events: Sequence[EventSpec], cfg: NumericsConfig,
+           dense: bool = False):
+    """The package's one DOP853 call: returns the solution and its events as
+    time-sorted (t, name) pairs; a collapsed step size raises."""
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.ode_rtol,
+                    atol=cfg.ode_atol, events=list(events), dense_output=dense)
+    if sol.status == -1:
+        partial = Trajectory(t=sol.t, states=sol.y.T,
+                             termination=Termination(kind="failed"))
+        raise StepSizeUnderflow(sol.message, trajectory=partial)
+    named = sorted((float(t), spec.name)
+                   for spec, ts in zip(events, sol.t_events) for t in ts)
+    return sol, named
 
 
 def _detect_convergence(params, t, states, cfg) -> Termination | None:
@@ -179,32 +189,15 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     if not np.all(np.isfinite(y0)):
         raise PreconditionViolated("initial state must be finite")
 
-    def blow_x(t, y):
-        return abs(y[0]) - cfg.blow_up
-    blow_x.terminal = True
-
-    def blow_y(t, y):
-        return abs(y[1]) - cfg.blow_up
-    blow_y.terminal = True
-
-    ev_list = [blow_x, blow_y] + [_make_event(s) for s in events]
-    sol = solve_ivp(lambda t, y: vector_field_arr(params, y), horizon, y0,
-                    method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                    events=ev_list, dense_output=dense)
-    if sol.status == -1:
-        partial = Trajectory(t=sol.t, states=sol.y.T,
-                             termination=Termination(kind="failed"))
-        raise StepSizeUnderflow(sol.message, trajectory=partial)
-
-    named = []
-    for idx, spec in enumerate(events):
-        for te in sol.t_events[idx + 2]:
-            named.append((float(te), spec.name))
-    named.sort()
+    blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - cfg.blow_up, terminal=True),
+            EventSpec("blow-up-y", lambda t, y: abs(y[1]) - cfg.blow_up, terminal=True))
+    sol, named = _solve(lambda t, y: vector_field_arr(params, y), horizon, y0,
+                        blow + tuple(events), cfg, dense)
+    hit_x = len(sol.t_events[0]) > 0
+    hit_y = len(sol.t_events[1]) > 0
+    named = [ev for ev in named if ev[1] not in ("blow-up-x", "blow-up-y")]
 
     if sol.status == 1:
-        hit_x = len(sol.t_events[0]) > 0
-        hit_y = len(sol.t_events[1]) > 0
         if hit_x and hit_y:
             term = Termination(kind="blow-up-both")
         elif hit_x:
@@ -245,8 +238,9 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     """Regular solution of the radial system with data (u0, v0), in log-radius.
 
     Startup at r0 uses the first-order series: the flux potentials start as
-    U = -r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V), which is exact
-    to the order needed at r0 ~ 1e-6. Integration stops at u = 0, v = 0 or r_max.
+    U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V), which is
+    exact to the order needed at r0 ~ 1e-6. Integration stops once neither
+    profile is positive, when |u| or |v| exceeds cfg.blow_up, or at r_max.
     """
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
@@ -256,36 +250,23 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     r0 = cfg.radial_r0 if r0 is None else r0
     cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
     cv = (u0 ** P.mu * v0 ** P.m / (P.N + P.b)) ** (1 / (P.q - 1))
-    u_init = u0 - cu * (P.p - 1) / (P.p + P.a) * r0 ** ((P.p + P.a) / (P.p - 1))
-    v_init = v0 - cv * (P.q - 1) / (P.q + P.b) * r0 ** ((P.q + P.b) / (P.q - 1))
-    U_init = -r0 ** (1 + P.a) * u0 ** P.s * v0 ** P.delta / (P.N + P.a)
-    V_init = -r0 ** (1 + P.b) * u0 ** P.mu * v0 ** P.m / (P.N + P.b)
+    u_init = u0 - P.eps1 * cu * (P.p - 1) / (P.p + P.a) * r0 ** ((P.p + P.a) / (P.p - 1))
+    v_init = v0 - P.eps2 * cv * (P.q - 1) / (P.q + P.b) * r0 ** ((P.q + P.b) / (P.q - 1))
+    U_init = -P.eps1 * r0 ** (1 + P.a) * u0 ** P.s * v0 ** P.delta / (P.N + P.a)
+    V_init = -P.eps2 * r0 ** (1 + P.b) * u0 ** P.mu * v0 ** P.m / (P.N + P.b)
 
-    def u_zero(t, y):
-        return y[0]
-    u_zero.terminal = False
-    u_zero.direction = -1.0
-
-    def v_zero(t, y):
-        return y[1]
-    v_zero.terminal = False
-    v_zero.direction = -1.0
-
-    def both_gone(t, y):
-        return max(y[0], y[1])
-    both_gone.terminal = True
-    both_gone.direction = -1.0
-
-    sol = solve_ivp(lambda t, y: _radial_rhs(params, t, y),
-                    (math.log(r0), math.log(r_max)),
-                    [u_init, v_init, U_init, V_init],
-                    method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                    events=[u_zero, v_zero, both_gone], dense_output=dense)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    events = [(float(t), "u-zero") for t in sol.t_events[0]]
-    events += [(float(t), "v-zero") for t in sol.t_events[1]]
-    events.sort()
+    # u-zero, v-zero: sign changes; both-zero: neither profile positive any
+    # more; blow-up: a profile that diverges (absorption, or past its zero)
+    evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
+           EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
+           EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
+                     direction=-1.0),
+           EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - cfg.blow_up,
+                     terminal=True, direction=1.0))
+    sol, named = _solve(lambda t, y: _radial_rhs(params, t, y),
+                        (math.log(r0), math.log(r_max)),
+                        [u_init, v_init, U_init, V_init], evs, cfg, dense)
+    events = [ev for ev in named if ev[1] != "both-zero"]
     if events:
         term = Termination(kind="event", event=events[0][1])
     else:
@@ -313,9 +294,9 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     """
     from scipy.optimize import brentq
 
+    u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho, cfg)
     ph = integrate_m(params, seed, horizon=(0.0, cfg.t_end), cfg=cfg, dense=True)
-    u0h, v0h, tau = normalized_regular_data(params, x, y)
     rad = integrate_radial(params, u0h, v0h, r_max=math.exp(cfg.t_end), cfg=cfg,
                            dense=True)
 
@@ -352,19 +333,6 @@ def oracle_compare(params: SystemParams, x: float, y: float,
         got = np.asarray(ph.dense(t))
         worst = max(worst, float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref)))))
     return worst
-
-
-def radial_to_phase_arrays(params: SystemParams, rad: RadialTrajectory):
-    """Map a radial trajectory through the chart; returns (t, states) arrays,
-    dropping samples outside the chart (u, v <= 0 or vanishing derivatives)."""
-    ts, rows = [], []
-    for i in range(len(rad.r)):
-        if rad.u[i] <= 0 or rad.v[i] <= 0 or rad.du[i] == 0 or rad.dv[i] == 0:
-            continue
-        st = to_phase(params, rad.state(i))
-        ts.append(st.t)
-        rows.append([st.X, st.Y, st.Z, st.W])
-    return np.array(ts), np.array(rows)
 
 
 # -- regular-manifold seeding --------------------------------------------------
@@ -520,22 +488,10 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
 def sweep_angles(params: SystemParams, n_angles: int = 33,
                  rho: float | None = None,
                  cfg: NumericsConfig = DEFAULT_NUMERICS) -> tuple[tuple[float, ...], list[ShotOutcome]]:
-    """Classify seeds on a uniform angle grid over (0, pi/2); parallel across
-    seeds when EFDYN_THREADS > 1, results ordered by angle either way."""
+    """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle."""
     rho = cfg.manifold_rho if rho is None else rho
     thetas = tuple(np.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
-    workers = int(os.environ.get("EFDYN_THREADS", "1") or "1")
-
-    def job(th):
-        x, y = _seed(th, rho)
-        return classify_shot(params, x, y, rho, cfg)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, thetas))
-    else:
-        outcomes = [job(th) for th in thetas]
+    outcomes = [classify_shot(params, *_seed(th, rho), rho, cfg) for th in thetas]
     return thetas, outcomes
 
 

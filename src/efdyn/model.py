@@ -320,6 +320,17 @@ def from_phase(params: SystemParams, state: PhaseState) -> tuple[float, float]:
     return math.exp(ln_u), math.exp(ln_v)
 
 
+def _regular_log_data(P: SystemParams, x: float, y: float) -> tuple[float, float]:
+    """(ln u0, ln v0) of the regular solution through chart point (x, y) at t = 0;
+    D != 0 is the caller's to check."""
+    if x <= 0.0 or y <= 0.0:
+        raise PreconditionViolated("x and y must be positive")
+    lx = math.log(P.N + P.a) + (P.p - 1) * math.log(x)
+    ly = math.log(P.N + P.b) + (P.q - 1) * math.log(y)
+    return (((P.q - 1 - P.m) * lx + P.delta * ly) / P.D,
+            (P.mu * lx + (P.p - 1 - P.s) * ly) / P.D)
+
+
 def regular_initial_values(params: SystemParams, x: float, y: float) -> tuple[float, float]:
     """Initial data (u0, v0) of the regular solution whose trajectory passes,
     at t = 0, through the point of the regular manifold with X = x, Y = y.
@@ -327,17 +338,10 @@ def regular_initial_values(params: SystemParams, x: float, y: float) -> tuple[fl
     Inverts the startup asymptotics X ~ (u0^{s+1-p} v0^delta/(N+a))^{1/(p-1)} r^{(p+a)/(p-1)}
     (and its v-counterpart) at r = 1.
     """
-    P = params
-    if x <= 0.0 or y <= 0.0:
-        raise PreconditionViolated("x and y must be positive")
-    D = P.D
-    if D == 0.0:
+    if params.D == 0.0:
         raise ZeroDiscriminant("D = 0")
-    lx = math.log(P.N + P.a) + (P.p - 1) * math.log(x)
-    ly = math.log(P.N + P.b) + (P.q - 1) * math.log(y)
-    u0 = math.exp(((P.q - 1 - P.m) * lx + P.delta * ly) / D)
-    v0 = math.exp((P.mu * lx + (P.p - 1 - P.s) * ly) / D)
-    return u0, v0
+    ln_u0, ln_v0 = _regular_log_data(params, x, y)
+    return math.exp(ln_u0), math.exp(ln_v0)
 
 
 def normalized_regular_data(params: SystemParams, x: float, y: float) -> tuple[float, float, float]:
@@ -348,12 +352,13 @@ def normalized_regular_data(params: SystemParams, x: float, y: float) -> tuple[f
     regular solution through chart point (x, y), time-shifted: a phase sample
     at log-radius t on the seed's curve sits at t - tau on the normalized one.
     Keeping the data at unit scale keeps the radial integration's absolute
-    error control meaningful for arbitrarily small seeds.
+    error control meaningful for arbitrarily small seeds. Works in log space
+    throughout, since u0 and v0 themselves leave double range near D = 0.
     """
     ex = derive_exponents(params)
-    u0, v0 = regular_initial_values(params, x, y)
-    ln_theta = -math.log(u0) / ex.gamma
-    return 1.0, v0 * math.exp(ex.xi * ln_theta), ln_theta
+    ln_u0, ln_v0 = _regular_log_data(params, x, y)
+    ln_theta = -ln_u0 / ex.gamma
+    return 1.0, math.exp(ln_v0 + ex.xi * ln_theta), ln_theta
 
 
 # -- rescaling (p = q, a = b) ------------------------------------------------

@@ -1,7 +1,7 @@
 """Global numerics configuration.
 
-Every tolerance used for identity checks, integration, event location and
-classification lives here so runs are reproducible from a single record.
+Every tolerance used for identity checks, integration and classification
+lives here so runs are reproducible from a single record.
 """
 
 from __future__ import annotations
@@ -13,18 +13,13 @@ from dataclasses import dataclass, replace
 class NumericsConfig:
     # identity / algebra checks
     identity_rtol: float = 1e-10        # exact identities, slack covers roundoff only
-    fixed_point_atol: float = 1e-12     # |vector field| at catalog points
-    spectrum_rtol: float = 1e-8         # closed-form vs numeric eigenvalues
     center_tol: float = 1e-9            # |Re lambda| < center_tol*(1+|lambda|) counts as center
-    root_residual_tol: float = 1e-9     # polynomial root residual scale
     degeneracy_band: float = 1e-8       # near-zero denominator warning band
 
     # integration
     ode_rtol: float = 1e-10
     ode_atol: float = 1e-12
     blow_up: float = 1e6                # coordinate value declared "infinite"
-    event_ttol: float = 1e-10           # event location tolerance in t
-    t_start: float = -20.0
     t_end: float = 40.0
     max_horizon_extensions: int = 2
 

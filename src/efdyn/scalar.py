@@ -13,6 +13,10 @@ the sign of X Z distinguishing them (source: quadrants 1 and 3; absorption:
 
 and at Q = Q2 the segment joining N0 = (0, N+a) to A0 = ((N-p)/(p-1), 0) is
 invariant, carrying the explicit ground states.
+
+The plane is the diagonal (X, X, Z, Z) of the symmetric system
+`symmetric_scalar_embedding`, which `vector_field_arr` keeps bitwise invariant;
+scalar runs integrate that system (phase or radial) and read columns 0 and 2.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
+from .model import PhaseState, SystemParams, symmetric_scalar_embedding
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 
@@ -61,6 +66,11 @@ class ScalarParams:
     @property
     def x_bound(self) -> float:
         return (self.N - self.p) / (self.p - 1)
+
+    @property
+    def system(self) -> SystemParams:
+        """The symmetric system whose diagonal solutions (u, u) solve this equation."""
+        return symmetric_scalar_embedding(self.N, self.p, self.Q, self.a, self.eps)
 
     def to_dict(self) -> dict:
         return {"N": self.N, "p": self.p, "a": self.a, "Q": self.Q, "eps": self.eps}
@@ -141,48 +151,29 @@ def explicit_critical_solution(sp: ScalarParams, c: float = 1.0):
     return u, du
 
 
-# -- integration -------------------------------------------------------------
+# -- integration on the diagonal ---------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarTrajectory:
-    t: np.ndarray
-    states: np.ndarray          # shape (n, 2)
-    termination: str            # "max-time", "blow-up", "converged:<name>"
-    events: tuple[tuple[float, str], ...] = ()
+def diagonal_trajectory(sp: ScalarParams, start, t_span,
+                        cfg: NumericsConfig = DEFAULT_NUMERICS,
+                        events=(), dense: bool = False) -> Trajectory:
+    """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
+    system; columns 0 and 2 of the states are (X, Z). Besides the blow-up of X
+    that integrate_m watches, a blow-up of Z (absorption quadrants) stops it."""
+    X, Z = start
+    blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - cfg.blow_up, terminal=True)
+    return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
+                       horizon=tuple(t_span), events=(blow_z, *events), cfg=cfg,
+                       dense=dense)
 
 
-def scalar_integrate(sp: ScalarParams, init, t_span,
-                     cfg: NumericsConfig = DEFAULT_NUMERICS,
-                     stop_x: float | None = None) -> ScalarTrajectory:
-    blow = cfg.blow_up
-
-    def hit_blow(t, y):
-        return np.max(np.abs(y)) - blow
-    hit_blow.terminal = True
-
-    events = [hit_blow]
-    if stop_x is not None:
-        def hit_x(t, y):
-            return y[0] - stop_x
-        hit_x.terminal = True
-        hit_x.direction = 1.0
-        events.append(hit_x)
-
-    sol = solve_ivp(lambda t, y: scalar_vector_field(sp, y), t_span, np.asarray(init, float),
-                    method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                    events=events, dense_output=False)
-    if sol.status == 1:
-        term = "stopped:x" if stop_x is not None and len(sol.t_events[1]) else "blow-up"
-    else:
-        term = "max-time" if sol.status == 0 else "failed"
-    states = sol.y.T
-    # convergence detection against the fixed points
-    for name, pt in scalar_fixed_points(sp).items():
-        d = np.hypot(states[:, 0] - pt[0], states[:, 1] - pt[1])
-        if len(d) >= cfg.capture_steps and np.all(d[-cfg.capture_steps:] < cfg.capture_dist):
-            term = f"converged:{name}"
-            break
-    return ScalarTrajectory(t=sol.t, states=states, termination=term)
+def _termination(term: Termination) -> str:
+    """Evidence string of a diagonal run: "blow-up", "max-time", "u-zero",
+    "stopped:x" or "converged:<label>"."""
+    if term.kind == "converged":
+        return f"converged:{term.label.value}"
+    if term.kind.startswith("blow-up"):
+        return "blow-up"
+    return term.event or term.kind
 
 
 def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
@@ -197,55 +188,6 @@ def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
     return x, sp.N + sp.a + slope * x
 
 
-def _radial_rhs(sp: ScalarParams, t, y):
-    # y = (u, U) with U = |u'|^{p-2} u', in t = ln r
-    u, U = y
-    r = math.exp(t)
-    du = math.copysign(abs(U) ** (1 / (sp.p - 1)), U) if U != 0.0 else 0.0
-    return [r * du, -sp.eps * r ** (1 + sp.a) * abs(u) ** (sp.Q - 1) * u - (sp.N - 1) * U]
-
-
-@dataclass(frozen=True)
-class ScalarRadialTrajectory:
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    termination: str
-    zero_radius: float | None = None
-
-
-def scalar_integrate_radial(sp: ScalarParams, u0: float, r_max: float,
-                            cfg: NumericsConfig = DEFAULT_NUMERICS) -> ScalarRadialTrajectory:
-    """Regular solution with u(0) = u0, integrated from the startup series."""
-    r0 = cfg.radial_r0
-    cu = (u0 ** sp.Q / (sp.N + sp.a)) ** (1 / (sp.p - 1))
-    kappa = (sp.p + sp.a) / (sp.p - 1)
-    u_init = u0 - sp.eps * cu * (sp.p - 1) / (sp.p + sp.a) * r0 ** kappa
-    U_init = -sp.eps * r0 ** (1 + sp.a) * u0 ** sp.Q / (sp.N + sp.a)
-
-    def u_zero(t, y):
-        return y[0]
-    u_zero.terminal = True
-
-    def u_blow(t, y):
-        return abs(y[0]) - cfg.blow_up
-    u_blow.terminal = True
-
-    sol = solve_ivp(lambda t, y: _radial_rhs(sp, t, y), (math.log(r0), math.log(r_max)),
-                    [u_init, U_init], method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                    events=[u_zero, u_blow])
-    r = np.exp(sol.t)
-    u = sol.y[0]
-    du = np.sign(sol.y[1]) * np.abs(sol.y[1]) ** (1 / (sp.p - 1))
-    if sol.status == 1 and len(sol.t_events[0]):
-        term, zero = "u-zero", float(np.exp(sol.t_events[0][0]))
-    elif sol.status == 1:
-        term, zero = "blow-up", None
-    else:
-        term, zero = "max-time", None
-    return ScalarRadialTrajectory(r=r, u=u, du=du, termination=term, zero_radius=zero)
-
-
 # -- Poincare-return sampling (limit-cycle evidence) --------------------------
 
 def poincare_returns(sp: ScalarParams, start_offset: float = 0.05, max_returns: int = 6,
@@ -257,23 +199,14 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05, max_returns: 
     at Q = Q2 (a center) the offsets stall instead.
     """
     X0, Z0 = scalar_fixed_points(sp)["M0"]
-
-    def section(t, y):
-        return y[0] - X0
-    section.terminal = False
-    section.direction = 1.0
-
-    def hit_blow(t, y):
-        return np.max(np.abs(y)) - cfg.blow_up
-    hit_blow.terminal = True
-
-    sol = solve_ivp(lambda t, y: scalar_vector_field(sp, y), (0.0, horizon),
-                    [X0, Z0 + start_offset], method="DOP853",
-                    rtol=cfg.ode_rtol, atol=cfg.ode_atol, events=[section, hit_blow])
+    section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
+    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, horizon), cfg,
+                               events=[section], dense=True)
     offsets = []
-    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-        if t_ev > 1e-9 and y_ev[1] > Z0:
-            offsets.append(float(y_ev[1] - Z0))
+    for t_ev in (t for t, name in traj.events if name == "section"):
+        z_ev = traj.state_at(t_ev)[2]
+        if t_ev > 1e-9 and z_ev > Z0:
+            offsets.append(float(z_ev - Z0))
         if len(offsets) >= max_returns:
             break
     return offsets
@@ -324,6 +257,9 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
     tol = 1e-12 * (1 + abs(Q))
     evidence: dict = {}
 
+    def radial():       # the regular solution with u(0) = 1
+        return integrate_radial(sp.system, 1.0, 1.0, r_max, cfg)
+
     # Poincare-return sampling whenever M0 sits in the source quadrant
     if eps == 1 and Q > sp.Q1 + tol and abs(Q - sp.Q2) > tol:
         offs = poincare_returns(sp, cfg=cfg)
@@ -336,9 +272,10 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
         if abs(Q - sp.Q1) <= tol:
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma, ScalarBehavior.THRESHOLD_Q1, evidence)
         if Q < sp.Q2 - tol:
-            rad = scalar_integrate_radial(sp, 1.0, r_max, cfg)
-            evidence["zero_radius"] = rad.zero_radius
-            evidence["termination"] = rad.termination
+            rad = radial()
+            t_zero = rad.first_event("u-zero")
+            evidence["zero_radius"] = math.exp(t_zero) if t_zero is not None else None
+            evidence["termination"] = _termination(rad.termination)
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.SIGN_CHANGING, evidence)
         if abs(Q - sp.Q2) <= tol:
@@ -346,15 +283,16 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
             # the connecting trajectory runs along the invariant segment; stop
             # just short of its endpoint, where the outgoing axis direction
             # starts amplifying roundoff
-            traj = scalar_integrate(sp, (x0, z0), (0.0, cfg.t_end), cfg,
-                                    stop_x=0.98 * sp.x_bound)
-            drift = max(abs(line_quantity(sp, X, Z)) for X, Z in traj.states)
+            stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * sp.x_bound,
+                             terminal=True, direction=1.0)
+            traj = diagonal_trajectory(sp, (x0, z0), (0.0, cfg.t_end), cfg, events=[stop])
+            drift = max(abs(line_quantity(sp, X, Z)) for X, Z in traj.states[:, [0, 2]])
             evidence["line_drift"] = drift
-            evidence["termination"] = traj.termination
+            evidence["termination"] = _termination(traj.termination)
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
-        rad = scalar_integrate_radial(sp, 1.0, r_max, cfg)
+        rad = radial()
         mask = rad.r > 0.3 * r_max
         fit_A = float(np.exp(np.mean(np.log(rad.u[mask]) + sp.gamma * np.log(rad.r[mask]))))
         evidence["amplitude_fit"] = fit_A
@@ -362,14 +300,13 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
             evidence["amplitude_exact"] = particular_amplitude(sp)
         except NotApplicable:
             pass
-        evidence["termination"] = rad.termination
+        evidence["termination"] = _termination(rad.termination)
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                             ScalarBehavior.ALL_REGULAR_ARE_GS, evidence)
 
     # absorption sign
     if Q > sp.Q1 + tol:
-        rad = scalar_integrate_radial(sp, 1.0, r_max, cfg)
-        evidence["termination"] = rad.termination
+        evidence["termination"] = _termination(radial().termination)
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                             ScalarBehavior.ABSORPTION_ALL_REGULAR, evidence)
     if abs(Q - sp.Q1) <= tol:
@@ -385,9 +322,9 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
     if v[0] > 0:        # the branch with X between (N-p)/(p-1) and X0 has X < X0
         v = -v
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
-    traj = scalar_integrate(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0), cfg)
+    traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0), cfg)
     # map to u(r) and fit both end slopes of ln u vs ln r
-    ts, Xs, Zs = traj.t, traj.states[:, 0], traj.states[:, 1]
+    ts, Xs, Zs = traj.t, traj.states[:, 0], traj.states[:, 2]
     lu = np.array([math.log(scalar_profile_from_phase(sp, t, X, Z))
                    for t, X, Z in zip(ts, Xs, Zs)])
     n = len(ts)
@@ -395,6 +332,6 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
     head = slice(0, max(5, n // 5))                  # start near M0: r -> infinity
     evidence["slope_origin"] = _fit_slope(ts[tail], lu[tail])
     evidence["slope_infinity"] = _fit_slope(ts[head], lu[head])
-    evidence["termination"] = traj.termination
+    evidence["termination"] = _termination(traj.termination)
     return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                         ScalarBehavior.ABSORPTION_CONNECTION, evidence)

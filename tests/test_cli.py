@@ -13,6 +13,10 @@ HAM_CONFIG = {
 }
 
 
+REMOVED_NUMERICS = ("fixed_point_atol", "spectrum_rtol", "root_residual_tol",
+                    "event_ttol", "t_start")
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -45,6 +49,11 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(raw, "sweep")
         assert err.value.path == "sweep.kindz"
+        # numerics fields that nothing read were removed; setting one is an error
+        for key in REMOVED_NUMERICS:
+            with pytest.raises(ConfigError) as err:
+                parse_config(dict(HAM_CONFIG, numerics={key: 1e-10}), "analyze")
+            assert err.value.path == f"numerics.{key}"
 
     def test_numerics_override(self):
         raw = dict(HAM_CONFIG, numerics={"ode_rtol": 1e-8})
@@ -176,6 +185,8 @@ class TestCommands:
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"paramz": 1})
+        assert main(["analyze", "--config", cfg]) == 2
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, numerics={"event_ttol": 1e-10}))
         assert main(["analyze", "--config", cfg]) == 2
 
     def test_missing_file_exit_2(self, tmp_path):

@@ -1,15 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efdyn
 from efdyn import (BoxBounds, MClass, PhaseState, PreconditionViolated, SClass,
-                   classify_shot, derive_exponents, hamiltonian_params, integrate_m,
-                   integrate_radial, launch_regular, nonvariational_params,
+                   ScalarParams, classify_shot, derive_exponents, hamiltonian_params,
+                   integrate_m, integrate_radial, launch_regular, nonvariational_params,
                    potential_params, search_dirichlet, search_ground_state,
-                   to_phase, vector_field_arr)
+                   symmetric_scalar_embedding, to_phase, vector_field_arr)
+from efdyn.scalar import regular_seed
 from efdyn.dynamics import EventSpec, oracle_compare, sweep_angles
-from efdyn.errors import SeriesInvalid
+from efdyn.errors import SeriesInvalid, ZeroDiscriminant
 from efdyn.numerics import DEFAULT_NUMERICS as CFG
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
@@ -64,6 +68,21 @@ class TestIntegrateM:
         assert d[i_min] < 1e-6
         assert np.all(np.diff(d[:i_min + 1]) < 1e-12)   # monotone shrink to the dip
 
+    @pytest.mark.parametrize("N,p,Q,a,eps", [
+        (3.0, 2.0, 5.0, 0.0, 1),      # critical: runs along the invariant line to A0
+        (3.0, 2.0, 6.0, 0.0, 1),      # supercritical: spirals into M0
+        (3.6, 2.1, 2.5, 0.1, 1),      # subcritical, p != 2, weighted: blows up
+        (3.0, 2.0, 4.0, 0.0, -1),     # absorption: Z leaves through its own quadrant
+    ])
+    def test_symmetric_diagonal_is_bitwise_invariant(self, N, p, Q, a, eps):
+        # the scalar plane is run as this diagonal, so it must hold exactly
+        x, z = regular_seed(ScalarParams(N=N, p=p, a=a, Q=Q, eps=eps), RHO)
+        traj = integrate_m(symmetric_scalar_embedding(N, p, Q, a, eps),
+                           PhaseState(0.0, x, x, z, z), horizon=(0.0, 30.0))
+        assert len(traj.t) > 10
+        assert np.array_equal(traj.states[:, 0], traj.states[:, 1])
+        assert np.array_equal(traj.states[:, 2], traj.states[:, 3])
+
     def test_critical_diagonal_approaches_decay_corner(self):
         seed = launch_regular(HAM6, RHO / math.sqrt(2), RHO / math.sqrt(2))
         traj = integrate_m(HAM6, seed, horizon=(0.0, 12.0))
@@ -114,6 +133,13 @@ class TestRadialOracle:
             fd = (rad.phase_at(t + h).coords - rad.phase_at(t - h).coords) / (2 * h)
             assert fd == pytest.approx(vector_field_arr(HAM6, st.coords),
                                        rel=1e-6, abs=1e-7)
+
+    def test_absorption_profile_stops_at_blow_up(self):
+        P = symmetric_scalar_embedding(3.0, 2.0, 4.0, eps=-1)
+        rad = integrate_radial(P, 1.0, 1.0, 1e5)
+        assert rad.termination.event == "blow-up"
+        assert rad.u[-1] >= CFG.blow_up * (1 - 1e-9)
+        assert np.all(np.diff(rad.u) > 0)    # the startup series carries the sign eps
 
     def test_subcritical_zero_detected(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
@@ -234,21 +260,64 @@ class TestSearches:
         assert len(thetas) == 9 and len(outs) == 9
         assert all(o.s_class in SClass for o in outs)
 
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        P = hamiltonian_params(6.0, 1.5, 1.5)
-        _, serial = sweep_angles(P, n_angles=7)
-        monkeypatch.setenv("EFDYN_THREADS", "4")
-        _, threaded = sweep_angles(P, n_angles=7)
-        assert [o.to_dict() for o in serial] == [o.to_dict() for o in threaded]
-
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("params,xy", [
         (HAM6, (0.6, 0.4)),
         (hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4), (0.5, 0.5)),
         (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.4, 0.7)),
+        # near D = 0 (here 0.032, 0.070 and -0.054) the initial data u0, v0
+        # leave double range; only their logarithms are formed
+        (potential_params(5.350404552187802, 2.345939444167901, 2.38074873144643,
+                          0.20977012392888117, 0.16656921132007008,
+                          0.14384398027404183), (0.5, 0.5)),
+        (potential_params(4.883675070236009, 2.78114947700686, 1.974149213310221,
+                          0.2972472837474833, 0.07838028640472636,
+                          -0.12308269187401276), (0.5, 0.5)),
+        (potential_params(4.675269347129845, 2.526885955901273, 2.583325213813164,
+                          0.3754511934459322, 0.1557762313195418,
+                          -0.14261052586043746), (0.5, 0.5)),
     ])
     def test_routes_agree(self, params, xy):
         rho = 1e-6
         err = oracle_compare(params, xy[0] * rho, xy[1] * rho, rho)
         assert err < 1e-5
+
+    def test_zero_discriminant_rejected(self):
+        P = potential_params(6.0, 2.0, 2.0, 0.0, 0.0)
+        assert P.D == 0.0
+        with pytest.raises(ZeroDiscriminant):
+            oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
+
+
+def _solve_ivp_callers(path: Path) -> list[str]:
+    """Innermost enclosing function of every solve_ivp call in one module."""
+    callers, stack = [], []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            stack.append(node.name)
+            self.generic_visit(node)
+            stack.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            f = node.func
+            if getattr(f, "id", None) == "solve_ivp" or getattr(f, "attr", None) == "solve_ivp":
+                callers.append(f"{path.stem}.{stack[-1] if stack else '<module>'}")
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                assert alias.name != "solve_ivp" or alias.asname is None, path
+
+    Visitor().visit(ast.parse(path.read_text()))
+    return callers
+
+
+def test_one_function_calls_solve_ivp():
+    # every integration (phase, radial, scalar plane) runs through one kernel
+    src = Path(efdyn.__file__).parent
+    callers = {c for path in sorted(src.glob("*.py")) for c in _solve_ivp_callers(path)}
+    assert callers == {"dynamics._solve"}

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from efdyn import NotApplicable, ScalarBehavior, ScalarParams, scalar_classify
-from efdyn.scalar import (explicit_critical_solution, line_quantity,
-                          particular_amplitude, poincare_returns, regular_seed,
-                          scalar_fixed_points, scalar_integrate,
-                          scalar_integrate_radial, scalar_to_phase,
+from efdyn import (EventSpec, NotApplicable, ScalarBehavior, ScalarParams,
+                   integrate_radial, scalar_classify)
+from efdyn.scalar import (diagonal_trajectory, explicit_critical_solution,
+                          line_quantity, particular_amplitude, poincare_returns,
+                          regular_seed, scalar_fixed_points, scalar_to_phase,
                           scalar_vector_field)
 
 SC = ScalarParams(N=3.0, p=2.0, a=0.0, Q=5.0)
@@ -38,10 +38,11 @@ class TestExplicitCriticalSolution:
         c = 3.0 ** 0.25
         u, du = explicit_critical_solution(SC, c=c)
         assert u(1.0) == pytest.approx(c / math.sqrt(2.0), rel=1e-13)
-        rad = scalar_integrate_radial(SC, u0=u(0.0), r_max=100.0)
+        # the scalar profile is the diagonal (u, u) of the symmetric system
+        rad = integrate_radial(SC.system, u(0.0), u(0.0), r_max=100.0)
         for i in range(0, len(rad.r), 4):
             assert rad.u[i] == pytest.approx(u(rad.r[i]), rel=1e-8)
-        assert rad.termination == "max-time"
+        assert rad.termination.kind == "max-time"
 
     def test_on_invariant_line(self):
         c = 1.7
@@ -55,8 +56,10 @@ class TestExplicitCriticalSolution:
         # stop short of the endpoint, where the outgoing axis direction of the
         # saddle amplifies roundoff off the segment
         x0, z0 = regular_seed(SC, 1e-4)
-        traj = scalar_integrate(SC, (x0, z0), (0.0, 40.0), stop_x=0.98 * SC.x_bound)
-        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in traj.states)
+        stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * SC.x_bound,
+                         terminal=True, direction=1.0)
+        traj = diagonal_trajectory(SC, (x0, z0), (0.0, 40.0), events=[stop])
+        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in traj.states[:, [0, 2]])
         assert drift < 1e-8
 
 
