@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energies, equilibria, spectra
-from .dynamics import (classify_shot, integrate_m, integrate_radial,
+from .dynamics import (EventSpec, classify_shot, integrate_m, integrate_radial,
                        search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError
 from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
@@ -382,9 +382,15 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
         if starts is None:
             starts = [list(regular_seed(sp, cfg.manifold_rho))]
         t_span = block.get("t_span", [0.0, cfg.t_end])
+        # an orbit ends once it comes within capture_dist of a fixed point:
+        # past a saddle such as A0, which way it leaves is decided by roundoff
+        capture = [EventSpec(f"capture:{name}",
+                             lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
+                             - cfg.capture_dist, terminal=True, direction=-1.0)
+                   for name, pt in fps.items()]
         trows = [["trajectory", "t", "X", "Z"]]
         for i, st in enumerate(starts):
-            traj = diagonal_trajectory(sp, st, t_span, cfg)
+            traj = diagonal_trajectory(sp, st, t_span, cfg, events=capture)
             for t, row in zip(traj.t, traj.states):
                 trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
         csvs["trajectories.csv"] = trows

@@ -19,14 +19,14 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
 from .equilibria import FixedPointLabel, fixed_point_catalog
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
-                    normalized_regular_data, regular_initial_values, to_phase,
-                    vector_field_arr)
+                    normalized_regular_data, phase_rhs, regular_initial_values,
+                    to_phase)
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
@@ -132,29 +132,28 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A named event; scipy reads `terminal` and `direction` off the spec itself."""
+    """A named event g(t, y) = 0: `direction` > 0 counts upward zero crossings
+    only, < 0 downward only, 0 both; a `terminal` event ends the integration."""
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, Sequence[float]], float]
     terminal: bool = False
     direction: float = 0.0
-
-    def __call__(self, t, y):
-        return self.fn(t, y)
 
 
 def _solve(rhs, span, y0, events: Sequence[EventSpec], cfg: NumericsConfig,
            dense: bool = False):
-    """The package's one DOP853 call: returns the solution and its events as
-    time-sorted (t, name) pairs; a collapsed step size raises."""
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.ode_rtol,
-                    atol=cfg.ode_atol, events=list(events), dense_output=dense)
+    """The package's one integration call (`dop853.solve`): returns the
+    solution and its events as time-sorted (t, name) pairs; a collapsed step
+    size raises."""
+    sol = dop853.solve(rhs, span[0], y0, span[1], cfg.ode_rtol, cfg.ode_atol,
+                       events, dense)
     if sol.status == -1:
-        partial = Trajectory(t=sol.t, states=sol.y.T,
+        partial = Trajectory(t=np.array(sol.t), states=np.array(sol.y),
                              termination=Termination(kind="failed"))
-        raise StepSizeUnderflow(sol.message, trajectory=partial)
-    named = sorted((float(t), spec.name)
-                   for spec, ts in zip(events, sol.t_events) for t in ts)
+        raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
+                                trajectory=partial)
+    named = sorted((t, spec.name) for spec, ts in zip(events, sol.t_events) for t in ts)
     return sol, named
 
 
@@ -178,8 +177,8 @@ def integrate_m(params: SystemParams, initial: PhaseState,
                 dense: bool = False) -> Trajectory:
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
 
-    Blow-up (any coordinate beyond cfg.blow_up) terminates; scipy locates all
-    event roots by sign-change bisection on the dense interpolant. A
+    Blow-up (X or Y beyond cfg.blow_up) terminates; every event root is located
+    by Brent's method on the step's interpolant (`dop853.find_root`). A
     convergence termination is reported when the accepted steps sit within
     cfg.capture_dist of a catalog point for cfg.capture_steps steps.
     """
@@ -191,45 +190,53 @@ def integrate_m(params: SystemParams, initial: PhaseState,
 
     blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - cfg.blow_up, terminal=True),
             EventSpec("blow-up-y", lambda t, y: abs(y[1]) - cfg.blow_up, terminal=True))
-    sol, named = _solve(lambda t, y: vector_field_arr(params, y), horizon, y0,
-                        blow + tuple(events), cfg, dense)
+    sol, named = _solve(phase_rhs(params), horizon, y0, blow + tuple(events), cfg, dense)
     hit_x = len(sol.t_events[0]) > 0
     hit_y = len(sol.t_events[1]) > 0
     named = [ev for ev in named if ev[1] not in ("blow-up-x", "blow-up-y")]
+    t, states = np.array(sol.t), np.array(sol.y)
 
     if sol.status == 1:
         if hit_x and hit_y:
             term = Termination(kind="blow-up-both")
         elif hit_x:
             # the companion coordinate may be effectively blown up as well
-            ratio = abs(sol.y[1, -1]) / cfg.blow_up
+            ratio = abs(states[-1, 1]) / cfg.blow_up
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-x")
         elif hit_y:
-            ratio = abs(sol.y[0, -1]) / cfg.blow_up
+            ratio = abs(states[-1, 0]) / cfg.blow_up
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-y")
         else:
             # terminated by a user event
             term = Termination(kind="event", event=named[-1][1] if named else None)
     else:
-        term = _detect_convergence(params, sol.t, sol.y.T, cfg) \
+        term = _detect_convergence(params, t, states, cfg) \
             or Termination(kind="max-time")
-    return Trajectory(t=sol.t, states=sol.y.T, termination=term,
-                      events=tuple(named), dense=sol.sol if dense else None)
+    return Trajectory(t=t, states=states, termination=term,
+                      events=tuple(named), dense=sol.sol)
 
 
 # -- radial oracle ------------------------------------------------------------
 
-def _radial_rhs(params: SystemParams, t, y):
+def _radial_rhs(params: SystemParams):
     # y = (u, v, U, V) with U = |u'|^{p-2} u', V = |v'|^{q-2} v', in t = ln r
     P = params
-    u, v, U, V = y
-    r = math.exp(t)
-    du = math.copysign(abs(U) ** (1 / (P.p - 1)), U) if U != 0.0 else 0.0
-    dv = math.copysign(abs(V) ** (1 / (P.q - 1)), V) if V != 0.0 else 0.0
-    uu, vv = max(u, 0.0), max(v, 0.0)   # powers only see the positive part
-    return [r * du, r * dv,
-            -P.eps1 * r ** (1 + P.a) * uu ** P.s * vv ** P.delta - (P.N - 1) * U,
-            -P.eps2 * r ** (1 + P.b) * uu ** P.mu * vv ** P.m - (P.N - 1) * V]
+    ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
+    ka, kb = 1 + P.a, 1 + P.b
+    c1, c2 = -P.eps1, -P.eps2
+    s, m, delta, mu, n1 = P.s, P.m, P.delta, P.mu, P.N - 1
+    exp, copysign = math.exp, math.copysign
+
+    def rhs(t, y):
+        u, v, U, V = y
+        r = exp(t)
+        du = copysign(abs(U) ** ep, U) if U != 0.0 else 0.0
+        dv = copysign(abs(V) ** eq, V) if V != 0.0 else 0.0
+        uu, vv = max(u, 0.0), max(v, 0.0)   # powers only see the positive part
+        return (r * du, r * dv,
+                c1 * r ** ka * uu ** s * vv ** delta - n1 * U,
+                c2 * r ** kb * uu ** mu * vv ** m - n1 * V)
+    return rhs
 
 
 def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
@@ -263,20 +270,19 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
                      direction=-1.0),
            EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - cfg.blow_up,
                      terminal=True, direction=1.0))
-    sol, named = _solve(lambda t, y: _radial_rhs(params, t, y),
-                        (math.log(r0), math.log(r_max)),
+    sol, named = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
                         [u_init, v_init, U_init, V_init], evs, cfg, dense)
     events = [ev for ev in named if ev[1] != "both-zero"]
     if events:
         term = Termination(kind="event", event=events[0][1])
     else:
         term = Termination(kind="max-time")
-    u, v, U, V = sol.y
+    u, v, U, V = np.array(sol.y).T
     du = np.sign(U) * np.abs(U) ** (1 / (P.p - 1))
     dv = np.sign(V) * np.abs(V) ** (1 / (P.q - 1))
     return RadialTrajectory(r=np.exp(sol.t), u=u, v=v, du=du, dv=dv,
                             termination=term, events=tuple(events),
-                            dense=sol.sol if dense else None, _params=params)
+                            dense=sol.sol, _params=params)
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
@@ -292,8 +298,6 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     X at the last comparison sample, then all four coordinates are compared
     along the stretch where the trajectory is still inside 60% of the box.
     """
-    from scipy.optimize import brentq
-
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho, cfg)
     ph = integrate_m(params, seed, horizon=(0.0, cfg.t_end), cfg=cfg, dense=True)
@@ -303,8 +307,8 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     rad_lo, rad_hi = math.log(rad.r[0]), math.log(rad.r[-1])
     t_lo = max(0.0, rad_lo + tau + 1e-9)
     t_hi = min(ph.t[-1], rad_hi + tau - 1e-9)
-    for t in np.linspace(t_lo, t_hi, 400):
-        Xp, Yp = ph.dense(t)[0], ph.dense(t)[1]
+    for t in np.linspace(t_lo, t_hi, 400).tolist():
+        Xp, Yp, _, _ = ph.dense(t)
         if Xp > 0.6 * params.x_bound or Yp > 0.6 * params.y_bound:
             t_hi = t
             break
@@ -322,7 +326,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     hi = min(hi, rad_hi - (t_hi - tau) - 1e-9)
     d_tau = 0.0
     if shift_residual(lo) * shift_residual(hi) < 0:
-        d_tau = brentq(shift_residual, lo, hi, xtol=1e-14)
+        d_tau = dop853.find_root(shift_residual, lo, hi, xtol=1e-14)
     shift = tau - d_tau
 
     worst = 0.0

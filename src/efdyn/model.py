@@ -253,21 +253,33 @@ class RadialState:
 
 # -- vector field -----------------------------------------------------------
 
-def vector_field_arr(params: SystemParams, coords) -> np.ndarray:
-    """Right-hand side of the phase system at raw coordinates [X, Y, Z, W].
+def phase_rhs(params: SystemParams):
+    """Right-hand side f(t, y) of the phase system on Python floats, with the
+    parameters folded into constants once; returns the tuple (X_t, Y_t, Z_t, W_t).
 
     The bilinear sums are grouped so that exchange-symmetric parameters acting
     on exchange-symmetric states produce bitwise-symmetric derivatives; the
     diagonal of a symmetric system is then exactly invariant in floating point.
     """
     P = params
-    X, Y, Z, W = coords
-    return np.array([
-        X * (X - P.x_bound + Z / (P.p - 1)),
-        Y * (Y - P.y_bound + W / (P.q - 1)),
-        Z * ((P.N + P.a) - (P.s * X + P.delta * Y) - Z),
-        W * ((P.N + P.b) - (P.mu * X + P.m * Y) - W),
-    ])
+    xb, yb = P.x_bound, P.y_bound
+    p1, q1 = P.p - 1, P.q - 1
+    na, nb = P.N + P.a, P.N + P.b
+    s, m, delta, mu = P.s, P.m, P.delta, P.mu
+
+    def rhs(t, y):
+        X, Y, Z, W = y
+        return (X * (X - xb + Z / p1),
+                Y * (Y - yb + W / q1),
+                Z * (na - (s * X + delta * Y) - Z),
+                W * (nb - (mu * X + m * Y) - W))
+    return rhs
+
+
+def vector_field_arr(params: SystemParams, coords) -> np.ndarray:
+    """Right-hand side of the phase system at raw coordinates [X, Y, Z, W]
+    (the formula of `phase_rhs`)."""
+    return np.array(phase_rhs(params)(0.0, coords))
 
 
 def vector_field(params: SystemParams, state: PhaseState) -> np.ndarray:

@@ -15,7 +15,7 @@ and at Q = Q2 the segment joining N0 = (0, N+a) to A0 = ((N-p)/(p-1), 0) is
 invariant, carrying the explicit ground states.
 
 The plane is the diagonal (X, X, Z, Z) of the symmetric system
-`symmetric_scalar_embedding`, which `vector_field_arr` keeps bitwise invariant;
+`symmetric_scalar_embedding`, which `phase_rhs` keeps bitwise invariant;
 scalar runs integrate that system (phase or radial) and read columns 0 and 2.
 """
 

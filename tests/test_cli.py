@@ -6,6 +6,7 @@ import pytest
 
 from efdyn.cli import main, parse_config
 from efdyn.errors import ConfigError
+from efdyn.numerics import DEFAULT_NUMERICS as CFG
 
 HAM_CONFIG = {
     "params": {"N": 6.0, "p": 2.0, "q": 2.0, "a": 0.0, "b": 0.0,
@@ -166,6 +167,19 @@ class TestCommands:
         table = {(float(r[0]), float(r[1])): (float(r[2]), float(r[3])) for r in rows}
         for pt in ((0.5, 0.5), (0.0, 3.0), (1.0, 0.0)):
             assert table[pt] == (0.0, 0.0)
+
+    def test_portrait_scalar_orbit_stops_at_saddle(self, tmp_path):
+        # the shipped critical portrait: the regular orbit runs along the
+        # invariant line into the saddle A0 = (1, 0); past it only roundoff
+        # would decide where it goes, so it ends within capture_dist of A0
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "portrait_scalar_critical.json")
+        out = str(tmp_path / "out")
+        assert main(["portrait", "--config", cfg, "--out", out]) == 0
+        last = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()[-1]
+        t, X, Z = (float(v) for v in last.split(",")[1:])
+        assert t < 16.0
+        assert max(abs(X - 1.0), abs(Z)) <= CFG.capture_dist
 
     def test_portrait_system_plane(self, tmp_path):
         raw = dict(HAM_CONFIG, portrait={"plane": ["X", "Y"],

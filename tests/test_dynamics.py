@@ -1,19 +1,24 @@
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 import efdyn
+from efdyn import dop853, dynamics
 from efdyn import (BoxBounds, MClass, PhaseState, PreconditionViolated, SClass,
                    ScalarParams, classify_shot, derive_exponents, hamiltonian_params,
                    integrate_m, integrate_radial, launch_regular, nonvariational_params,
                    potential_params, search_dirichlet, search_ground_state,
                    symmetric_scalar_embedding, to_phase, vector_field_arr)
-from efdyn.scalar import regular_seed
+from efdyn.scalar import regular_seed, scalar_classify
 from efdyn.dynamics import EventSpec, oracle_compare, sweep_angles
-from efdyn.errors import SeriesInvalid, ZeroDiscriminant
+from efdyn.errors import SeriesInvalid, StepSizeUnderflow, ZeroDiscriminant
 from efdyn.numerics import DEFAULT_NUMERICS as CFG
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
@@ -290,9 +295,94 @@ class TestOracleEquivalence:
             oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
 
 
-def _solve_ivp_callers(path: Path) -> list[str]:
-    """Innermost enclosing function of every solve_ivp call in one module."""
-    callers, stack = [], []
+class TestKernelAgainstScipy:
+    """The in-house DOP853 against scipy's solve_ivp(method="DOP853"), which
+    runs the same algorithm with numpy arithmetic."""
+
+    @staticmethod
+    def _recorded_solves(monkeypatch, run):
+        """Every problem that `run` hands to dynamics._solve."""
+        calls, real = [], dynamics._solve
+
+        def spy(rhs, span, y0, events, cfg, dense=False):
+            calls.append((rhs, span, [float(v) for v in y0], tuple(events), cfg))
+            return real(rhs, span, y0, events, cfg, dense)
+
+        monkeypatch.setattr(dynamics, "_solve", spy)
+        run()
+        return calls
+
+    @staticmethod
+    def _assert_matches_scipy(rhs, span, y0, events, cfg, dense_rtol=1e-12):
+        def scipy_event(spec):
+            def g(t, y):
+                return spec.fn(t, y)
+            g.terminal, g.direction = spec.terminal, spec.direction
+            return g
+
+        ours = dop853.solve(rhs, span[0], y0, span[1], cfg.ode_rtol, cfg.ode_atol,
+                            events, dense=True)
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.ode_rtol,
+                        atol=cfg.ode_atol, events=[scipy_event(e) for e in events],
+                        dense_output=True)
+        assert ours.status == ref.status
+        assert abs(len(ours.t) - len(ref.t)) <= 2
+        for mine, theirs in zip(ours.t_events, ref.t_events):
+            assert len(mine) == len(theirs)
+            assert np.all(np.abs(np.array(mine) - theirs) <= 1e-12)
+        ts = np.linspace(ref.t[0], ref.t[0] + 0.9 * (ref.t[-1] - ref.t[0]), 200)
+        got = np.array([ours.sol(t) for t in ts.tolist()])
+        want = ref.sol(ts).T
+        # relative to the size of the state: components far below atol (Z near
+        # A0) are only controlled in absolute terms
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= dense_rtol * scale)
+
+    @pytest.mark.parametrize("params,xy", [
+        (hamiltonian_params(6.0, 1.5, 1.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
+        (hamiltonian_params(6.0, 1.6, 2.1), (0.6 * RHO, 0.8 * RHO)),
+        (hamiltonian_params(6.0, 2.5, 2.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
+        (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.8 * RHO, 0.6 * RHO)),
+    ])
+    def test_shot_matches_scipy(self, monkeypatch, params, xy):
+        # a shot carries the four events blow-up-x/y and x/y-bound
+        calls = self._recorded_solves(monkeypatch, lambda: classify_shot(params, *xy, RHO))
+        assert calls and all(len(call[3]) == 4 for call in calls)
+        for call in calls:
+            self._assert_matches_scipy(*call)
+
+    def test_backward_absorption_connection_matches_scipy(self, monkeypatch):
+        calls = self._recorded_solves(monkeypatch, lambda: scalar_classify(3, 2, 0, 2, eps=-1))
+        assert [call[1] for call in calls] == [(0.0, -60.0)]
+        # leaving M0 backward, the orbit speeds up by orders of magnitude, and
+        # a roundoff time shift with it: moving y0 by one ulp moves scipy's own
+        # dense output by 6e-6 relative here, so only the steps and events are
+        # held to the shot bounds
+        self._assert_matches_scipy(*calls[0], dense_rtol=1e-10)
+
+    def test_tableau_is_scipys(self):
+        c = dop853_coefficients
+        A = np.zeros((c.N_STAGES_EXTENDED, c.N_STAGES_EXTENDED))
+        for i, row in enumerate(dop853.A):
+            A[i, :len(row)] = row
+        assert np.array_equal(A, c.A)
+        for ours, theirs in ((dop853.B, c.B), (dop853.C, c.C), (dop853.E3, c.E3),
+                             (dop853.E5, c.E5), (dop853.D, c.D)):
+            assert np.array_equal(np.array(ours), theirs)
+
+    def test_step_size_underflow_keeps_partial_trajectory(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1
+        with pytest.raises(StepSizeUnderflow) as err:
+            dynamics._solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0], (), CFG)
+        partial = err.value.trajectory
+        assert abs(partial.t[-1] - 1.0) < 1e-9
+        assert partial.states.shape == (len(partial.t), 1)
+
+
+def _scipy_uses(path: Path) -> list[str]:
+    """Every solve_ivp call (by innermost enclosing function) and every scipy
+    import in one module."""
+    found, stack = [], []
 
     class Visitor(ast.NodeVisitor):
         def visit_FunctionDef(self, node):
@@ -305,19 +395,30 @@ def _solve_ivp_callers(path: Path) -> list[str]:
         def visit_Call(self, node):
             f = node.func
             if getattr(f, "id", None) == "solve_ivp" or getattr(f, "attr", None) == "solve_ivp":
-                callers.append(f"{path.stem}.{stack[-1] if stack else '<module>'}")
+                found.append(f"{path.stem}.{stack[-1] if stack else '<module>'} calls solve_ivp")
             self.generic_visit(node)
 
+        def visit_Import(self, node):
+            found.extend(f"{path.stem} imports {a.name}" for a in node.names
+                         if a.name.split(".")[0] == "scipy")
+
         def visit_ImportFrom(self, node):
-            for alias in node.names:
-                assert alias.name != "solve_ivp" or alias.asname is None, path
+            if (node.module or "").split(".")[0] == "scipy":
+                found.append(f"{path.stem} imports from {node.module}")
 
     Visitor().visit(ast.parse(path.read_text()))
-    return callers
+    return found
 
 
-def test_one_function_calls_solve_ivp():
-    # every integration (phase, radial, scalar plane) runs through one kernel
+def test_no_function_calls_solve_ivp():
+    # every integration (phase, radial, scalar plane) runs on the in-house
+    # kernel; scipy is a test oracle only
     src = Path(efdyn.__file__).parent
-    callers = {c for path in sorted(src.glob("*.py")) for c in _solve_ivp_callers(path)}
-    assert callers == {"dynamics._solve"}
+    assert [u for path in sorted(src.glob("*.py")) for u in _scipy_uses(path)] == []
+
+
+def test_import_leaves_scipy_integrate_out():
+    code = "import sys, efdyn; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(Path(efdyn.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
