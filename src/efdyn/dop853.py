@@ -2,11 +2,20 @@
 
 The explicit Runge-Kutta pair of order 8(5, 3) by Dormand and Prince with its
 7th-order dense output (Hairer, Norsett and Wanner, *Solving Ordinary
-Differential Equations I*, sec. II.5-6). The step-size controller, the initial
-step, the error norm, the dense output and the event location follow
-`scipy.integrate.solve_ivp(method="DOP853")`; the states are short lists of
-floats instead of numpy arrays, which removes most of the per-step cost on the
-4-component systems integrated here. The tests hold it against scipy.
+Differential Equations I*, sec. II.5-6). As in Hairer's `dop853.f`, every stage
+is written out term by term over the nonzero coefficients of its tableau row,
+and the states are short lists of floats instead of numpy arrays; this removes
+most of the per-step cost on the 4-component systems integrated here.
+
+The step sequence is scipy's: the step-size controller, the initial step, the
+error norm, the dense output and the event location follow
+`scipy.integrate.solve_ivp(method="DOP853")`. Each tableau sum adds its nonzero
+terms in ascending stage order, as the sum over the full row did from +0.0. A
+skipped term is a signed zero, which leaves a sum unchanged unless the sum is -0.0: the
+stage sums start at +0.0, so that a zero component with -0.0 derivatives keeps
+the sign of its zero. The other sums start at their first term; they would
+round differently only if every term were -0.0, and the error sums are squared.
+The tests hold the kernel against scipy and against the full-row sums.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 __all__ = ["Solution", "DenseSolution", "solve", "find_root"]
@@ -23,126 +31,100 @@ __all__ = ["Solution", "DenseSolution", "solve", "find_root"]
 # -- tableau ---------------------------------------------------------------
 # Coefficients as in scipy/integrate/_ivp/dop853_coefficients.py (SciPy,
 # BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-# Developers), which takes them from Hairer's DOP853 Fortran code. Rows of A
-# are lower-triangular, given by their nonzero entries.
+# Developers), which takes them from Hairer's DOP853 Fortran code. Only the
+# nonzero ones are named, with scipy's 0-based indices: Ci is the node of stage
+# i, Ai_j the weight of stage j in stage i (Hairer's a21 is A1_0), Bj the weight
+# in the solution (row 12 of A), E5_j and E3_j those of the two error estimates,
+# and Dr_j those of row r of the interpolant's coefficients of powers 3..6.
 
-N_STAGES = 12
-N_STAGES_EXTENDED = 16
+C1, C2 = 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01
+C3, C4 = 0.118350341907227396726757197510, 0.281649658092772603273242802490
+C5, C6 = 0.333333333333333333333333333333, 0.25
+C7, C8 = 0.307692307692307692307692307692, 0.651282051282051282051282051282
+C9, C10 = 0.6, 0.857142857142857142857142857142
+C11, C13 = 1.0, 0.1
+C14, C15 = 0.2, 0.777777777777777777777777777778
 
-C = (0.0,
-     0.526001519587677318785587544488e-01,
-     0.789002279381515978178381316732e-01,
-     0.118350341907227396726757197510,
-     0.281649658092772603273242802490,
-     0.333333333333333333333333333333,
-     0.25,
-     0.307692307692307692307692307692,
-     0.651282051282051282051282051282,
-     0.6,
-     0.857142857142857142857142857142,
-     1.0,
-     1.0,
-     0.1,
-     0.2,
-     0.777777777777777777777777777778)
+A1_0 = 5.26001519587677318785587544488e-2
+A2_0, A2_1 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+A3_0, A3_2 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+A4_0, A4_2 = 2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1
+A4_3 = 9.24834003261792003115737966543e-1
+A5_0, A5_3 = 3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1
+A5_4 = 1.25467687566822425016691814123e-1
+A6_0, A6_3 = 3.7109375e-2, 1.70252211019544039314978060272e-1
+A6_4, A6_5 = 6.02165389804559606850219397283e-2, -1.7578125e-2
+A7_0, A7_3 = 3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1
+A7_4, A7_5 = 1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2
+A7_6 = 8.27378916381402288758473766002e-3
+A8_0, A8_3 = 6.24110958716075717114429577812e-1, -3.36089262944694129406857109825
+A8_4, A8_5 = -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1
+A8_6, A8_7 = 2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1
+A9_0, A9_3 = 4.77662536438264365890433908527e-1, -2.48811461997166764192642586468
+A9_4, A9_5 = -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1
+A9_6, A9_7 = 1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1
+A9_8 = -2.03312017085086261358222928593e-2
+A10_0, A10_3 = -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209
+A10_4, A10_5 = 1.09143734899672957818500254654, -8.14978701074692612513997267357
+A10_6, A10_7 = -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1
+A10_8, A10_9 = 2.49360555267965238987089396762, -3.0467644718982195003823669022
+A11_0, A11_3 = 2.27331014751653820792359768449, -1.05344954667372501984066689879e1
+A11_4, A11_5 = -2.00087205822486249909675718444, -1.79589318631187989172765950534e1
+A11_6, A11_7 = 2.79488845294199600508499808837e1, -2.85899827713502369474065508674
+A11_8, A11_9 = -8.87285693353062954433549289258, 1.23605671757943030647266201528e1
+A11_10 = 6.43392746015763530355970484046e-1
+B0, B5 = 5.42937341165687622380535766363e-2, 4.45031289275240888144113950566
+B6, B7 = 1.89151789931450038304281599044, -5.8012039600105847814672114227
+B8, B9 = 3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1
+B10, B11 = 2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2
 
-_A_NONZERO = (
-    {},
-    {0: 5.26001519587677318785587544488e-2},
-    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
-    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
-    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
-     3: 9.24834003261792003115737966543e-1},
-    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
-     4: 1.25467687566822425016691814123e-1},
-    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
-     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
-    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
-     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
-     6: 8.27378916381402288758473766002e-3},
-    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
-     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
-     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
-    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
-     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
-     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
-     8: -2.03312017085086261358222928593e-2},
-    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
-     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
-     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
-     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
-    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
-     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
-     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
-     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
-     10: 6.43392746015763530355970484046e-1},
-    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
-     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
-    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
-     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
-     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
-     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
-    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
-     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
-     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
-     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
-    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
-     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
-     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
-     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-)
+# the three extra stages of the dense output
+A13_0, A13_6 = 5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1
+A13_7, A13_8 = -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1
+A13_9, A13_10 = 1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3
+A13_11, A13_12 = 7.56789766054569976138603589584e-3, -8.298e-3
+A14_0, A14_5 = 3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2
+A14_6, A14_7 = 5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2
+A14_10, A14_11 = -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4
+A14_12, A14_13 = -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1
+A15_0, A15_5 = -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206
+A15_6, A15_7 = 7.68342119606259904184240953878, 4.06898981839711007970213554331
+A15_8, A15_12 = 3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3
+A15_13, A15_14 = 2.9475147891527723389556272149, -9.15095847217987001081870187138
 
+E5_0, E5_5 = 0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1
+E5_6, E5_7 = -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1
+E5_8, E5_9 = -0.3503288487499736816886487290, 0.3341791187130174790297318841
+E5_10, E5_11 = 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1
+# E3 = B - bhh, where Hairer's bhh is nonzero in stages 0, 8 and 11 only
+E3_0 = B0 - 0.244094488188976377952755905512
+E3_8 = B8 - 0.733846688281611857341361741547
+E3_11 = B11 - 0.220588235294117647058823529412e-1
 
-def _dense_row(nonzero: dict, length: int) -> tuple[float, ...]:
-    return tuple(nonzero.get(j, 0.0) for j in range(length))
-
-
-# A[i] holds the coefficients of stages 0..i-1 that build stage i
-A = tuple(_dense_row(row, i) for i, row in enumerate(_A_NONZERO))
-B = A[N_STAGES]
-
-E3 = tuple(b - c for b, c in zip(B, _dense_row({0: 0.244094488188976377952755905512,
-                                                8: 0.733846688281611857341361741547,
-                                                11: 0.220588235294117647058823529412e-1},
-                                               N_STAGES))) + (0.0,)
-E5 = _dense_row({0: 0.1312004499419488073250102996e-1,
-                 5: -0.1225156446376204440720569753e+1,
-                 6: -0.4957589496572501915214079952,
-                 7: 0.1664377182454986536961530415e+1,
-                 8: -0.3503288487499736816886487290,
-                 9: 0.3341791187130174790297318841,
-                 10: 0.8192320648511571246570742613e-1,
-                 11: -0.2235530786388629525884427845e-1}, N_STAGES + 1)
-
-# the interpolant's coefficients of powers 3..6, over all 16 stages
-D = tuple(_dense_row(row, N_STAGES_EXTENDED) for row in (
-    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
-     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
-     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
-     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
-     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
-     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
-    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
-     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
-     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
-     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
-     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
-     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
-    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
-     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
-     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
-     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
-     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
-     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
-    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
-     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
-     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
-     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
-     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
-     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
-))
+D0_0, D0_5 = -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590
+D0_6, D0_7 = -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1
+D0_8, D0_9 = 0.21170345824450282767155149946e+1, -0.87139158377797299206789907490
+D0_10, D0_11 = 0.22404374302607882758541771650e+1, 0.63157877876946881815570249290
+D0_12, D0_13 = -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2
+D0_14, D0_15 = -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1
+D1_0, D1_5 = 0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3
+D1_6, D1_7 = 0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3
+D1_8, D1_9 = -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1
+D1_10, D1_11 = -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1
+D1_12, D1_13 = 0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2
+D1_14, D1_15 = -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2
+D2_0, D2_5 = 0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3
+D2_6, D2_7 = -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3
+D2_8, D2_9 = -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1
+D2_10, D2_11 = -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740
+D2_12, D2_13 = -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2
+D2_14, D2_15 = 0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2
+D3_0, D3_5 = -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3
+D3_6, D3_7 = -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3
+D3_8, D3_9 = 0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2
+D3_10, D3_11 = 0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2
+D3_12, D3_13 = -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2
+D3_14, D3_15 = -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3
 
 # -- step-size control -------------------------------------------------------
 
@@ -151,9 +133,6 @@ MIN_FACTOR = 0.2                 # largest decrease of the step size at once
 MAX_FACTOR = 10.0                # largest increase
 ERROR_EXPONENT = -1 / 8          # -1/(error estimator order + 1)
 EPS = sys.float_info.epsilon
-
-_STAGES = tuple(zip(A[1:N_STAGES], C[1:N_STAGES]))
-_EXTRA_STAGES = tuple(zip(A[N_STAGES + 1:], C[N_STAGES + 1:]))
 
 Rhs = Callable[[float, list], Sequence[float]]
 
@@ -179,22 +158,57 @@ def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction, rtol, atol) -> float
     return min(100 * h0, h1, interval)
 
 
-def _stages(fun: Rhs, t, y, h, K, stages) -> None:
-    """Append the stages `stages` to K, where K[i] lists the stage derivatives
-    of component i so far."""
-    for a, c in stages:
-        ys = [yi + sum(map(mul, ki, a)) * h for yi, ki in zip(y, K)]
-        for ki, fi in zip(K, fun(t + c * h, ys)):
-            ki.append(fi)
+def _step(fun: Rhs, t, y, k0, h):
+    """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), and
+    the new state: returns y_new and the stage derivatives (k0, k5, ..., k11)
+    that the error estimate and the interpolant read."""
+    k1 = fun(t + C1 * h, [yi + (0.0 + A1_0 * c0) * h for yi, c0 in zip(y, k0)])
+    k2 = fun(t + C2 * h, [yi + (0.0 + A2_0 * c0 + A2_1 * c1) * h
+                          for yi, c0, c1 in zip(y, k0, k1)])
+    k3 = fun(t + C3 * h, [yi + (0.0 + A3_0 * c0 + A3_2 * c2) * h
+                          for yi, c0, c2 in zip(y, k0, k2)])
+    k4 = fun(t + C4 * h, [yi + (0.0 + A4_0 * c0 + A4_2 * c2 + A4_3 * c3) * h
+                          for yi, c0, c2, c3 in zip(y, k0, k2, k3)])
+    k5 = fun(t + C5 * h, [yi + (0.0 + A5_0 * c0 + A5_3 * c3 + A5_4 * c4) * h
+                          for yi, c0, c3, c4 in zip(y, k0, k3, k4)])
+    k6 = fun(t + C6 * h, [yi + (0.0 + A6_0 * c0 + A6_3 * c3 + A6_4 * c4 + A6_5 * c5) * h
+                          for yi, c0, c3, c4, c5 in zip(y, k0, k3, k4, k5)])
+    k7 = fun(t + C7 * h, [yi + (0.0 + A7_0 * c0 + A7_3 * c3 + A7_4 * c4 + A7_5 * c5
+                                + A7_6 * c6) * h
+                          for yi, c0, c3, c4, c5, c6 in zip(y, k0, k3, k4, k5, k6)])
+    k8 = fun(t + C8 * h, [yi + (0.0 + A8_0 * c0 + A8_3 * c3 + A8_4 * c4 + A8_5 * c5
+                                + A8_6 * c6 + A8_7 * c7) * h
+                          for yi, c0, c3, c4, c5, c6, c7 in zip(y, k0, k3, k4, k5, k6, k7)])
+    k9 = fun(t + C9 * h, [yi + (0.0 + A9_0 * c0 + A9_3 * c3 + A9_4 * c4 + A9_5 * c5
+                                + A9_6 * c6 + A9_7 * c7 + A9_8 * c8) * h
+                          for yi, c0, c3, c4, c5, c6, c7, c8
+                          in zip(y, k0, k3, k4, k5, k6, k7, k8)])
+    k10 = fun(t + C10 * h, [yi + (0.0 + A10_0 * c0 + A10_3 * c3 + A10_4 * c4 + A10_5 * c5
+                                  + A10_6 * c6 + A10_7 * c7 + A10_8 * c8 + A10_9 * c9) * h
+                            for yi, c0, c3, c4, c5, c6, c7, c8, c9
+                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
+    k11 = fun(t + C11 * h, [yi + (0.0 + A11_0 * c0 + A11_3 * c3 + A11_4 * c4 + A11_5 * c5
+                                  + A11_6 * c6 + A11_7 * c7 + A11_8 * c8 + A11_9 * c9
+                                  + A11_10 * c10) * h
+                            for yi, c0, c3, c4, c5, c6, c7, c8, c9, c10
+                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
+    y_new = [yi + h * (B0 * c0 + B5 * c5 + B6 * c6 + B7 * c7 + B8 * c8 + B9 * c9
+                       + B10 * c10 + B11 * c11)
+             for yi, c0, c5, c6, c7, c8, c9, c10, c11
+             in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
+    return y_new, (k0, k5, k6, k7, k8, k9, k10, k11)
 
 
-def _error_norm(K, h, y, y_new, rtol, atol) -> float:
-    """The E5/E3 error estimate (Hairer's DOP853) in the weighted RMS norm."""
+def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
+    """The E5/E3 error estimate (Hairer's DOP853) in the weighted RMS norm.
+    Its sums need no +0.0 start: they are squared."""
     e5 = e3 = 0.0
-    for ki, a, b in zip(K, y, y_new):
+    for a, b, c0, c5, c6, c7, c8, c9, c10, c11 in zip(y, y_new, *ks):
         scale = atol + max(abs(a), abs(b)) * rtol
-        r5 = sum(map(mul, ki, E5)) / scale
-        r3 = sum(map(mul, ki, E3)) / scale
+        r5 = (E5_0 * c0 + E5_5 * c5 + E5_6 * c6 + E5_7 * c7 + E5_8 * c8 + E5_9 * c9
+              + E5_10 * c10 + E5_11 * c11) / scale
+        r3 = (E3_0 * c0 + B5 * c5 + B6 * c6 + B7 * c7 + E3_8 * c8 + B9 * c9
+              + B10 * c10 + E3_11 * c11) / scale
         e5 += r5 * r5
         e3 += r3 * r3
     if e5 == 0.0 and e3 == 0.0:
@@ -203,19 +217,48 @@ def _error_norm(K, h, y, y_new, rtol, atol) -> float:
 
 
 class StepInterpolant:
-    """The 7-term DOP853 interpolant over one accepted step."""
+    """The 7-term DOP853 interpolant over one accepted step, from the step's
+    stage derivatives ks = (k0, k5, ..., k11) and k12 = fun(t_old + h, y)."""
 
     __slots__ = ("t_old", "h", "y_old", "coeffs")
 
-    def __init__(self, fun: Rhs, t_old, h, y_old, y, f_old, f, K):
-        _stages(fun, t_old, y_old, h, K, _EXTRA_STAGES)
+    def __init__(self, fun: Rhs, t_old, h, y_old, y, ks, k12):
+        k0, k5, k6, k7, k8, k9, k10, k11 = ks
+        k13 = fun(t_old + C13 * h,
+                  [yi + (A13_0 * c0 + A13_6 * c6 + A13_7 * c7 + A13_8 * c8 + A13_9 * c9
+                         + A13_10 * c10 + A13_11 * c11 + A13_12 * c12) * h
+                   for yi, c0, c6, c7, c8, c9, c10, c11, c12
+                   in zip(y_old, k0, k6, k7, k8, k9, k10, k11, k12)])
+        k14 = fun(t_old + C14 * h,
+                  [yi + (A14_0 * c0 + A14_5 * c5 + A14_6 * c6 + A14_7 * c7
+                         + A14_10 * c10 + A14_11 * c11 + A14_12 * c12 + A14_13 * c13) * h
+                   for yi, c0, c5, c6, c7, c10, c11, c12, c13
+                   in zip(y_old, k0, k5, k6, k7, k10, k11, k12, k13)])
+        k15 = fun(t_old + C15 * h,
+                  [yi + (A15_0 * c0 + A15_5 * c5 + A15_6 * c6 + A15_7 * c7
+                         + A15_8 * c8 + A15_12 * c12 + A15_13 * c13 + A15_14 * c14) * h
+                   for yi, c0, c5, c6, c7, c8, c12, c13, c14
+                   in zip(y_old, k0, k5, k6, k7, k8, k12, k13, k14)])
         self.t_old, self.h, self.y_old = t_old, h, y_old
+        # per component, the coefficients of the powers 6..0 of the Horner scheme
         coeffs = []
-        for yo, yn, fo, fn, ki in zip(y_old, y, f_old, f, K):
+        for yo, yn, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 in zip(
+                y_old, y, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
             dy = yn - yo
-            F = [dy, h * fo - dy, 2 * dy - h * (fn + fo)]
-            F += [h * sum(map(mul, row, ki)) for row in D]
-            coeffs.append(F[::-1])
+            coeffs.append([
+                h * (D3_0 * c0 + D3_5 * c5 + D3_6 * c6 + D3_7 * c7 + D3_8 * c8
+                     + D3_9 * c9 + D3_10 * c10 + D3_11 * c11 + D3_12 * c12 + D3_13 * c13
+                     + D3_14 * c14 + D3_15 * c15),
+                h * (D2_0 * c0 + D2_5 * c5 + D2_6 * c6 + D2_7 * c7 + D2_8 * c8
+                     + D2_9 * c9 + D2_10 * c10 + D2_11 * c11 + D2_12 * c12 + D2_13 * c13
+                     + D2_14 * c14 + D2_15 * c15),
+                h * (D1_0 * c0 + D1_5 * c5 + D1_6 * c6 + D1_7 * c7 + D1_8 * c8
+                     + D1_9 * c9 + D1_10 * c10 + D1_11 * c11 + D1_12 * c12 + D1_13 * c13
+                     + D1_14 * c14 + D1_15 * c15),
+                h * (D0_0 * c0 + D0_5 * c5 + D0_6 * c6 + D0_7 * c7 + D0_8 * c8
+                     + D0_9 * c9 + D0_10 * c10 + D0_11 * c11 + D0_12 * c12 + D0_13 * c13
+                     + D0_14 * c14 + D0_15 * c15),
+                2 * dy - h * (c12 + c0), h * c0 - dy, dy])
         self.coeffs = coeffs
 
     def __call__(self, t) -> list[float]:
@@ -256,6 +299,9 @@ class Solution:
     status: int                      # 0: reached t_bound; 1: terminal event; -1: step underflow
     t_events: list[list[float]]      # per event, in integration order
     sol: DenseSolution | None = None
+    nfev: int = 0                    # right-hand side evaluations
+    n_accepted: int = 0              # accepted steps
+    n_rejected: int = 0              # rejected step attempts
 
 
 def find_root(f: Callable[[float], float], a: float, b: float,
@@ -312,14 +358,6 @@ def find_root(f: Callable[[float], float], a: float, b: float,
     raise RuntimeError("root finding did not converge in 100 iterations")
 
 
-def _crossed(g_old, g_new, direction) -> bool:
-    if direction > 0:
-        return g_old <= 0.0 <= g_new
-    if direction < 0:
-        return g_old >= 0.0 >= g_new
-    return g_old <= 0.0 <= g_new or g_old >= 0.0 >= g_new
-
-
 def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
           rtol: float, atol: float, events: Sequence = (),
           dense: bool = False) -> Solution:
@@ -347,7 +385,9 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
-    g = [ev.fn(t, y) for ev in events]
+    nfev, n_accepted, n_rejected = 2, 0, 0
+    specs = [(ev.fn, ev.direction) for ev in events]
+    g = [fn(t, y) for fn, _ in specs]
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -355,19 +395,16 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(ts, ys, -1, t_events)
+                return Solution(ts, ys, -1, t_events, None, nfev, n_accepted, n_rejected)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K = [[fi] for fi in f]
-            _stages(fun, t, y, h, K, _STAGES)
-            y_new = [yi + h * sum(map(mul, ki, B)) for yi, ki in zip(y, K)]
+            y_new, ks = _step(fun, t, y, f, h)
             f_new = fun(t_new, y_new)
-            for ki, fi in zip(K, f_new):
-                ki.append(fi)
-            err = _error_norm(K, h, y, y_new, rtol, atol)
+            nfev += 12
+            err = _error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
                                                          SAFETY * err ** ERROR_EXPONENT)
@@ -375,21 +412,31 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
+            n_rejected += 1
+        n_accepted += 1
 
-        t_old, y_old, f_old = t, y, f
+        t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        piece = StepInterpolant(fun, t_old, h, y_old, y, f_old, f, K) if dense else None
+        piece = None
+        if dense:
+            piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
+            nfev += 3
 
         if events:
-            g_new = [ev.fn(t, y) for ev in events]
-            active = [i for i, ev in enumerate(events)
-                      if _crossed(g[i], g_new[i], ev.direction)]
+            g_new, active = [], []
+            for i, (fn, d) in enumerate(specs):
+                g_old, g_i = g[i], fn(t, y)
+                g_new.append(g_i)
+                up, down = g_old <= 0.0 <= g_i, g_old >= 0.0 >= g_i
+                if up if d > 0 else down if d < 0 else up or down:
+                    active.append(i)
             if active:
                 if piece is None:
-                    piece = StepInterpolant(fun, t_old, h, y_old, y, f_old, f, K)
-                found = [(find_root(lambda s, fn=events[i].fn: fn(s, piece(s)), t_old, t), i)
+                    piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
+                    nfev += 3
+                found = [(find_root(lambda s, fn=specs[i][0]: fn(s, piece(s)), t_old, t), i)
                          for i in active]
                 if any(events[i].terminal for i in active):
                     found.sort(key=lambda ri: ri[0] * direction)
@@ -409,4 +456,5 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
         if dense:
             pieces.append(piece)
 
-    return Solution(ts, ys, status, t_events, DenseSolution(ts, pieces) if dense else None)
+    sol = DenseSolution(ts, pieces) if dense else None
+    return Solution(ts, ys, status, t_events, sol, nfev, n_accepted, n_rejected)

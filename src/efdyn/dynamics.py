@@ -188,8 +188,9 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     if not np.all(np.isfinite(y0)):
         raise PreconditionViolated("initial state must be finite")
 
-    blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - cfg.blow_up, terminal=True),
-            EventSpec("blow-up-y", lambda t, y: abs(y[1]) - cfg.blow_up, terminal=True))
+    blow_up = cfg.blow_up       # bound once: the event functions run at every step
+    blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - blow_up, terminal=True),
+            EventSpec("blow-up-y", lambda t, y: abs(y[1]) - blow_up, terminal=True))
     sol, named = _solve(phase_rhs(params), horizon, y0, blow + tuple(events), cfg, dense)
     hit_x = len(sol.t_events[0]) > 0
     hit_y = len(sol.t_events[1]) > 0
@@ -264,11 +265,12 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
 
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile that diverges (absorption, or past its zero)
+    blow_up = cfg.blow_up
     evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
            EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
            EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
                      direction=-1.0),
-           EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - cfg.blow_up,
+           EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - blow_up,
                      terminal=True, direction=1.0))
     sol, named = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
                         [u_init, v_init, U_init, V_init], evs, cfg, dense)

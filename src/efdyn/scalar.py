@@ -160,7 +160,8 @@ def diagonal_trajectory(sp: ScalarParams, start, t_span,
     system; columns 0 and 2 of the states are (X, Z). Besides the blow-up of X
     that integrate_m watches, a blow-up of Z (absorption quadrants) stops it."""
     X, Z = start
-    blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - cfg.blow_up, terminal=True)
+    blow_up = cfg.blow_up
+    blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - blow_up, terminal=True)
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
                        horizon=tuple(t_span), events=(blow_z, *events), cfg=cfg,
                        dense=dense)

@@ -1,7 +1,10 @@
 import ast
 import math
+import re
 import subprocess
 import sys
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from efdyn import (BoxBounds, MClass, PhaseState, PreconditionViolated, SClass,
                    symmetric_scalar_embedding, to_phase, vector_field_arr)
 from efdyn.scalar import regular_seed, scalar_classify
 from efdyn.dynamics import EventSpec, oracle_compare, sweep_angles
+from efdyn.model import SystemParams, phase_rhs
 from efdyn.errors import SeriesInvalid, StepSizeUnderflow, ZeroDiscriminant
 from efdyn.numerics import DEFAULT_NUMERICS as CFG
 
@@ -361,14 +365,36 @@ class TestKernelAgainstScipy:
         self._assert_matches_scipy(*calls[0], dense_rtol=1e-10)
 
     def test_tableau_is_scipys(self):
+        # every coefficient the kernel's functions read is scipy's entry, and
+        # every entry they skip is 0.0 in scipy's table
         c = dop853_coefficients
-        A = np.zeros((c.N_STAGES_EXTENDED, c.N_STAGES_EXTENDED))
-        for i, row in enumerate(dop853.A):
-            A[i, :len(row)] = row
+        used = {node.id for fn in ast.walk(ast.parse(Path(dop853.__file__).read_text()))
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        A, C = np.zeros_like(c.A), np.zeros_like(c.C)
+        B, E5, D = np.zeros_like(c.B), np.zeros_like(c.E5), np.zeros_like(c.D)
+        E3_named = {}
+        for name in used:
+            value = getattr(dop853, name, None)
+            if (m := re.fullmatch(r"A(\d+)_(\d+)", name)):
+                A[int(m[1]), int(m[2])] = value
+            elif (m := re.fullmatch(r"C(\d+)", name)):
+                C[int(m[1])] = value
+            elif (m := re.fullmatch(r"B(\d+)", name)):
+                B[int(m[1])] = value
+            elif (m := re.fullmatch(r"E5_(\d+)", name)):
+                E5[int(m[1])] = value
+            elif (m := re.fullmatch(r"E3_(\d+)", name)):
+                E3_named[int(m[1])] = value
+            elif (m := re.fullmatch(r"D(\d)_(\d+)", name)):
+                D[int(m[1]), int(m[2])] = value
+        A[c.N_STAGES, :c.N_STAGES] = B          # row 12 of A is the solution's
+        C[c.N_STAGES] = 1.0                     # stage 12 is evaluated at t_new
+        E3 = np.append(B, 0.0)                  # E3 = B - bhh, named where bhh != 0
+        E3[list(E3_named)] = list(E3_named.values())
         assert np.array_equal(A, c.A)
-        for ours, theirs in ((dop853.B, c.B), (dop853.C, c.C), (dop853.E3, c.E3),
-                             (dop853.E5, c.E5), (dop853.D, c.D)):
-            assert np.array_equal(np.array(ours), theirs)
+        for ours, theirs in ((B, c.B), (C, c.C), (E3, c.E3), (E5, c.E5), (D, c.D)):
+            assert np.array_equal(ours, theirs)
 
     def test_step_size_underflow_keeps_partial_trajectory(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
@@ -377,6 +403,164 @@ class TestKernelAgainstScipy:
         partial = err.value.trajectory
         assert abs(partial.t[-1] - 1.0) < 1e-9
         assert partial.states.shape == (len(partial.t), 1)
+
+
+# -- reference: the tableau loops that the written-out stages replaced -----------
+# Sums over the full rows of scipy's table, kept per component as the kernel
+# once did; the written-out stages must reproduce every bit of them. The kernel
+# summed with sum(), which adds left to right from 0 up to CPython 3.11; _dot
+# does the same on every version (sum() compensates from 3.12 on).
+
+_T = dop853_coefficients
+_ROWS = [tuple(_T.A[i, :i].tolist()) for i in range(_T.N_STAGES_EXTENDED)]
+_STAGES = tuple(zip(_ROWS[1:_T.N_STAGES], _T.C[1:_T.N_STAGES].tolist()))
+_EXTRA_STAGES = tuple(zip(_ROWS[_T.N_STAGES + 1:], _T.C[_T.N_STAGES + 1:].tolist()))
+_B, _E3, _E5 = _T.B.tolist(), _T.E3.tolist(), _T.E5.tolist()
+_D = _T.D.tolist()
+
+
+def _dot(a, b):
+    return reduce(add, map(mul, a, b), 0.0)
+
+
+def _reference_stages(fun, t, y, h, K, stages):
+    """Append the stages `stages` to K, where K[i] lists the stage derivatives
+    of component i so far."""
+    for a, c in stages:
+        ys = [yi + _dot(ki, a) * h for yi, ki in zip(y, K)]
+        for ki, fi in zip(K, fun(t + c * h, ys)):
+            ki.append(fi)
+
+
+def _reference_error_norm(K, h, y, y_new, rtol, atol):
+    e5 = e3 = 0.0
+    for ki, a, b in zip(K, y, y_new):
+        scale = atol + max(abs(a), abs(b)) * rtol
+        r5 = _dot(ki, _E5) / scale
+        r3 = _dot(ki, _E3) / scale
+        e5 += r5 * r5
+        e3 += r3 * r3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _reference_step(fun, t, y, h, rtol, atol):
+    """y_new, the error norm and the interpolant's coefficients of one step."""
+    f = fun(t, y)
+    K = [[fi] for fi in f]
+    _reference_stages(fun, t, y, h, K, _STAGES)
+    y_new = [yi + h * _dot(ki, _B) for yi, ki in zip(y, K)]
+    f_new = fun(t + h, y_new)
+    for ki, fi in zip(K, f_new):
+        ki.append(fi)
+    err = _reference_error_norm(K, h, y, y_new, rtol, atol)
+    _reference_stages(fun, t, y, h, K, _EXTRA_STAGES)
+    coeffs = []
+    for yo, yn, fo, fn, ki in zip(y, y_new, f, f_new, K):
+        dy = yn - yo
+        F = [dy, h * fo - dy, 2 * dy - h * (fn + fo)]
+        F += [h * _dot(row, ki) for row in _D]
+        coeffs.append(F[::-1])
+    return y_new, err, coeffs
+
+
+def _kernel_step(fun, t, y, h, rtol, atol):
+    f = fun(t, y)
+    y_new, ks = dop853._step(fun, t, y, f, h)
+    f_new = fun(t + h, y_new)
+    err = dop853._error_norm(y, y_new, ks, h, rtol, atol)
+    return y_new, err, dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new).coeffs
+
+
+def _hex(x):
+    """float.hex of every float in nested sequences, so that signed zeros count."""
+    return x.hex() if isinstance(x, float) else [_hex(v) for v in x]
+
+
+def _logged(fun, log):
+    def rhs(t, y):
+        out = fun(t, y)
+        log.append(_hex([t, list(y), list(out)]))
+        return out
+    return rhs
+
+
+# no exchange symmetry, absorption in the second equation
+_NONSYMMETRIC = SystemParams(N=5.0, p=2.2, q=1.8, a=0.3, b=0.1, s=0.2, m=0.4,
+                             delta=2.0, mu=1.5, eps2=-1)
+
+
+class TestKernelBits:
+    """The written-out stages against the reference loops, bit for bit: every
+    stage (each RHS call with its arguments), y_new, the error norm and the 7
+    interpolant coefficients per component."""
+
+    @pytest.mark.parametrize("h", [0.03, -0.03, 1e-7, -2.5])
+    @pytest.mark.parametrize("fun,t,y", [
+        # the phase system on the symmetric diagonal
+        (phase_rhs(HAM6), 0.0, [0.6, 0.6, 2.2, 2.2]),
+        (phase_rhs(HAM6), 3.0, [1e-5, 1e-5, 5.9999, 5.9999]),
+        # states with a zero coordinate, of either sign
+        (phase_rhs(HAM6), 0.0, [0.0, 0.4, 3.0, 2.0]),
+        (phase_rhs(_NONSYMMETRIC), 1.0, [0.7, -0.0, 0.0, 2.5]),
+        (phase_rhs(_NONSYMMETRIC), 1.0, [-0.0, -0.0, 4.0, 0.0]),
+        # the radial system in t = ln r, with the fluxes U, V < 0
+        (dynamics._radial_rhs(HAM6), -2.0, [0.9, 1.1, -0.05, -0.02]),
+        (dynamics._radial_rhs(_NONSYMMETRIC), 0.5, [0.3, 0.2, -0.4, 0.1]),
+        # y' = y^2
+        (lambda t, y: (y[0] ** 2,), 0.0, [1.0]),
+        (lambda t, y: (y[0] ** 2,), 0.0, [-0.0]),
+    ])
+    def test_step_matches_reference_loops(self, fun, t, y, h):
+        logs = [], []
+        ref = _reference_step(_logged(fun, logs[0]), t, y, h, CFG.ode_rtol, CFG.ode_atol)
+        got = _kernel_step(_logged(fun, logs[1]), t, y, h, CFG.ode_rtol, CFG.ode_atol)
+        assert len(logs[1]) == 16
+        assert logs[1] == logs[0]
+        assert _hex(got[0]) == _hex(ref[0])
+        assert got[1].hex() == ref[1].hex()
+        assert _hex(got[2]) == _hex(ref[2])
+
+
+class TestKernelCounts:
+    @staticmethod
+    def _counting(fun):
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return fun(t, y)
+        return rhs, calls
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_counts_without_events(self, dense):
+        # the regular radial solution of the critical Hamiltonian system
+        rhs, calls = self._counting(dynamics._radial_rhs(HAM6))
+        r0 = CFG.radial_r0
+        sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4),
+                           CFG.ode_rtol, CFG.ode_atol, dense=dense)
+        assert sol.status == 0
+        assert sol.nfev == calls[0]
+        assert sol.n_accepted == len(sol.t) - 1
+        assert sol.n_rejected > 0
+
+    def test_counts_with_events(self):
+        rhs, calls = self._counting(phase_rhs(HAM6))
+        events = [EventSpec("x", lambda t, y: y[0] - 0.25),
+                  EventSpec("blow-up-y", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
+        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, CFG.ode_rtol,
+                           CFG.ode_atol, events)
+        assert sol.status == 1 and sol.t_events[0]
+        assert sol.nfev == calls[0]
+        assert sol.n_accepted == len(sol.t) - 1
+
+    def test_counts_on_step_size_underflow(self):
+        rhs, calls = self._counting(lambda t, y: (y[0] ** 2,))
+        sol = dop853.solve(rhs, 0.0, [1.0], 2.0, CFG.ode_rtol, CFG.ode_atol)
+        assert sol.status == -1
+        assert sol.nfev == calls[0]
+        assert sol.n_accepted == len(sol.t) - 1
 
 
 def _scipy_uses(path: Path) -> list[str]:
@@ -422,3 +606,14 @@ def test_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(Path(efdyn.__file__).parents[1])})
     assert out.stdout.strip() == "False"
+
+
+def test_no_function_calls_exec_eval_or_compile():
+    # the stages are written out in the source, not generated at run time
+    src = Path(efdyn.__file__).parent
+    found = [f"{path.stem}:{node.lineno} calls {node.func.id}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert found == []
