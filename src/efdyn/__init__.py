@@ -7,11 +7,10 @@ that classifies regular solutions and locates ground states and Dirichlet
 solutions, and a CLI (`efdyn`) over all of it.
 """
 
-from .errors import (BoundaryCase, ConfigError, DegeneratePoint, DegenerateState,
-                     EfdynError, Inconclusive, NotApplicable, NotCritical,
-                     PreconditionViolated, SeriesInvalid, StepSizeUnderflow,
-                     UndefinedPoint, ZeroCoordinate, ZeroDiscriminant)
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .errors import (ConfigError, DegeneratePoint, DegenerateState, EfdynError,
+                     Inconclusive, NotApplicable, NotCritical, PreconditionViolated,
+                     SeriesInvalid, StepSizeUnderflow, UndefinedPoint, ZeroCoordinate,
+                     ZeroDiscriminant)
 from .model import (DerivedExponents, PhaseState, RadialState, SystemParams,
                     derive_exponents, exchange_params, from_phase,
                     hamiltonian_params, nonvariational_params, potential_params,
@@ -30,8 +29,7 @@ from .energies import (CriticalCurve, EnergyKind, EnergySpec, ExistenceVerdict,
                        classify_region, cubic_barrier, energy_derivative,
                        energy_value, predict_asymptotics, predict_existence)
 from .scalar import (ScalarBehavior, ScalarParams, ScalarReport, diagonal_trajectory,
-                     scalar_classify, scalar_fixed_points, scalar_to_phase,
-                     scalar_vector_field)
+                     scalar_classify, scalar_fixed_points, scalar_to_phase)
 from .dynamics import (BoxBounds, DirichletSearch, EventSpec, GroundStateSearch,
                        MClass, RadialTrajectory, SClass, ShotOutcome, Termination,
                        Trajectory, classify_shot, integrate_m, integrate_radial,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One JSON config file per run (reproducibility: configs are committable);
-flags only override the output directory and a few numeric knobs. Commands:
+the only flag besides --config is --out, which overrides the output
+directory. Tolerances are the constants of `efdyn.numerics`. Commands:
 
     efdyn analyze|integrate|shoot|sweep|scalar|portrait --config cfg.json [--out DIR]
 
@@ -27,15 +28,15 @@ from .dynamics import (EventSpec, classify_shot, integrate_m, integrate_radial,
                        search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError
 from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
-                    validate_params)
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+                    phase_rhs, validate_params)
+from .numerics import CAPTURE_DIST, MANIFOLD_RHO, T_END
 from .scalar import (ScalarParams, diagonal_trajectory, regular_seed, scalar_classify,
-                     scalar_fixed_points, scalar_vector_field)
+                     scalar_fixed_points)
 
 COMMANDS = ("analyze", "integrate", "shoot", "sweep", "scalar", "portrait")
 
-_TOP_KEYS = {"command", "params", "scalar", "numerics", "out",
-             "integrate", "shoot", "sweep", "portrait"}
+_TOP_KEYS = {"command", "params", "scalar", "out", "integrate", "shoot", "sweep",
+             "portrait"}
 _BLOCK_KEYS = {
     "integrate": {"mode", "initial", "t_span", "u0", "v0", "r_max"},
     "shoot": {"x", "y", "theta", "rho"},
@@ -43,7 +44,6 @@ _BLOCK_KEYS = {
     "portrait": {"plane", "ranges", "grid", "fixed", "trajectories", "t_span"},
 }
 _SCALAR_KEYS = {"N", "p", "a", "Q", "eps"}
-_NUMERICS_KEYS = set(NumericsConfig.__dataclass_fields__)
 
 
 def _fmt(x) -> str:
@@ -69,7 +69,6 @@ class RunConfig:
     command: str
     params: SystemParams | None
     scalar: ScalarParams | None
-    numerics: NumericsConfig
     out: str
     block: dict = field(default_factory=dict)
 
@@ -115,14 +114,6 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
         except EfdynError as exc:
             raise ConfigError("scalar", str(exc))
 
-    cfg = DEFAULT_NUMERICS
-    if "numerics" in raw:
-        nd = raw["numerics"]
-        for key in nd:
-            if key not in _NUMERICS_KEYS:
-                raise ConfigError(f"numerics.{key}", "unknown key")
-        cfg = cfg.with_(**nd)
-
     block = {}
     if command in _BLOCK_KEYS and command in raw:
         block = raw[command]
@@ -131,8 +122,7 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
                 raise ConfigError(f"{command}.{key}", "unknown key")
 
     out = out_override or raw.get("out") or "efdyn-out"
-    return RunConfig(command=command, params=params, scalar=scalar,
-                     numerics=cfg, out=out, block=block)
+    return RunConfig(command=command, params=params, scalar=scalar, out=out, block=block)
 
 
 @dataclass
@@ -169,7 +159,6 @@ def _need_params(rc: RunConfig) -> SystemParams:
 
 def _run_analyze(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
-    cfg = rc.numerics
     report: dict = {"command": "analyze", "params": P.to_dict(), "errors": []}
     report["validation"] = validate_params(P).to_dict()
     try:
@@ -179,15 +168,15 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
         report["errors"].append(str(exc))
         ex = None
 
-    catalog = equilibria.fixed_point_catalog(P, cfg)
+    catalog = equilibria.fixed_point_catalog(P)
     cat_entries = []
     for fp in catalog:
         entry = fp.to_dict()
         if fp.defined:
             try:
-                sp = spectra.spectrum_at(P, fp, cfg)
+                sp = spectra.spectrum_at(P, fp)
                 entry["spectrum"] = sp.to_dict()
-                entry["verdicts"] = [v.to_dict() for v in spectra.local_verdicts(P, fp, cfg)]
+                entry["verdicts"] = [v.to_dict() for v in spectra.local_verdicts(P, fp)]
             except EfdynError as exc:
                 report["errors"].append(f"{fp.label.value}: {exc}")
         cat_entries.append(entry)
@@ -196,23 +185,23 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
     try:
         qc = spectra.m0_characteristic(P)
         report["m0_quartic"] = {"E": qc.E, "F": qc.F, "G": qc.G, "H": qc.H}
-        report["oscillation"] = spectra.oscillation_condition(P, cfg).to_dict()
+        report["oscillation"] = spectra.oscillation_condition(P).to_dict()
     except EfdynError as exc:
         report["errors"].append(str(exc))
     try:
-        ps = equilibria.particular_solution(P, cfg)
+        ps = equilibria.particular_solution(P)
         report["power_solution"] = {"A": ps.A, "B": ps.B,
                                     "gamma": ps.gamma, "xi": ps.xi}
     except EfdynError as exc:
         report["power_solution"] = None
         report["errors"].append(f"power solution: {exc}")
 
-    region = energies.classify_region(P, cfg)
+    region = energies.classify_region(P)
     report["region"] = {k.value: v.value for k, v in region.items()}
-    verdict = energies.predict_existence(P, cfg)
+    verdict = energies.predict_existence(P)
     report["existence"] = verdict.to_dict()
     try:
-        report["critical_asymptotics"] = energies.predict_asymptotics(P, cfg).to_dict()
+        report["critical_asymptotics"] = energies.predict_asymptotics(P).to_dict()
     except EfdynError:
         report["critical_asymptotics"] = None
 
@@ -229,7 +218,6 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
 
 def _run_integrate(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
-    cfg = rc.numerics
     block = rc.block
     mode = block.get("mode", "phase")
     report = {"command": "integrate", "params": P.to_dict(), "mode": mode}
@@ -238,9 +226,8 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
         init = block.get("initial")
         if not init or len(init) != 4:
             raise ConfigError("integrate.initial", "need [X, Y, Z, W]")
-        t_span = block.get("t_span", [0.0, cfg.t_end])
-        traj = integrate_m(P, PhaseState.from_coords(t_span[0], init),
-                           horizon=tuple(t_span), cfg=cfg)
+        t_span = block.get("t_span", [0.0, T_END])
+        traj = integrate_m(P, PhaseState.from_coords(t_span[0], init), horizon=tuple(t_span))
         rows = [["t", "X", "Y", "Z", "W"]]
         for t, st in zip(traj.t, traj.states):
             rows.append([_fmt(t)] + [_fmt(c) for c in st])
@@ -253,7 +240,7 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
         u0 = float(block.get("u0", 1.0))
         v0 = float(block.get("v0", 1.0))
         r_max = float(block.get("r_max", 1e4))
-        rad = integrate_radial(P, u0, v0, r_max, cfg)
+        rad = integrate_radial(P, u0, v0, r_max)
         rows = [["r", "u", "v", "du", "dv"]]
         for i in range(len(rad.r)):
             rows.append([_fmt(rad.r[i]), _fmt(rad.u[i]), _fmt(rad.v[i]),
@@ -270,9 +257,8 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
 
 def _run_shoot(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
-    cfg = rc.numerics
     block = rc.block
-    rho = float(block.get("rho", cfg.manifold_rho))
+    rho = float(block.get("rho", MANIFOLD_RHO))
     if "theta" in block:
         th = float(block["theta"])
         x, y = rho * math.cos(th), rho * math.sin(th)
@@ -280,7 +266,7 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
         if "x" not in block or "y" not in block:
             raise ConfigError("shoot", "need x and y (or theta)")
         x, y = float(block["x"]), float(block["y"])
-    out = classify_shot(P, x, y, rho, cfg)
+    out = classify_shot(P, x, y, rho)
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]
     return ReportBundle(report=report, csv_files={}, summary=summary)
@@ -298,14 +284,13 @@ def _family_params(P: SystemParams, parameter: str, v: float) -> SystemParams:
 
 def _run_sweep(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
-    cfg = rc.numerics
     block = rc.block
     kind = block.get("kind", "angle")
     csvs = {}
     if kind == "angle":
         n = int(block.get("n", 33))
-        rho = float(block.get("rho", cfg.manifold_rho))
-        thetas, outcomes = sweep_angles(P, n, rho, cfg)
+        rho = float(block.get("rho", MANIFOLD_RHO))
+        thetas, outcomes = sweep_angles(P, n, rho)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
         for th, o in zip(thetas, outcomes):
             first = min(o.hit_times.values()) if o.hit_times else math.nan
@@ -330,8 +315,8 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         prev = None
         for v in values:
             Pv = _family_params(P, parameter, v)
-            res = search_ground_state(Pv, n_angles=n_angles, cfg=cfg)
-            pred = energies.predict_existence(Pv, cfg).verdict.value
+            res = search_ground_state(Pv, n_angles=n_angles)
+            pred = energies.predict_existence(Pv).verdict.value
             rows.append([_fmt(v), _fmt(Pv.delta), _fmt(Pv.mu), _fmt(Pv.s), _fmt(Pv.m),
                          "1" if res.found else "0", pred])
             if prev is not None and prev != res.found:
@@ -351,7 +336,7 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
     if rc.scalar is None:
         raise ConfigError("scalar", "required for this command")
     sp = rc.scalar
-    rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps, cfg=rc.numerics)
+    rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
     report = {"command": "scalar", "report": rep.to_dict()}
     summary = [f"scalar N={_fmt(sp.N)} p={_fmt(sp.p)} a={_fmt(sp.a)} Q={_fmt(sp.Q)} "
                f"eps={sp.eps}",
@@ -361,7 +346,6 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
-    cfg = rc.numerics
     block = rc.block
     grid = block.get("grid", [21, 21])
     csvs = {}
@@ -372,25 +356,27 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
                            [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]])
         xs = np.linspace(ranges[0][0], ranges[0][1], int(grid[0]))
         zs = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
+        # the plane is the diagonal (X, X, Z, Z) of the symmetric system
+        rhs = phase_rhs(sp.system)
         rows = [["X", "Z", "dX", "dZ"]]
         for xv in xs:
             for zv in zs:
-                d = scalar_vector_field(sp, (xv, zv))
-                rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[1])])
+                d = rhs(0.0, (xv, xv, zv, zv))
+                rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
         csvs["portrait.csv"] = rows
         starts = block.get("trajectories")
         if starts is None:
-            starts = [list(regular_seed(sp, cfg.manifold_rho))]
-        t_span = block.get("t_span", [0.0, cfg.t_end])
-        # an orbit ends once it comes within capture_dist of a fixed point:
+            starts = [list(regular_seed(sp, MANIFOLD_RHO))]
+        t_span = block.get("t_span", [0.0, T_END])
+        # an orbit ends once it comes within CAPTURE_DIST of a fixed point:
         # past a saddle such as A0, which way it leaves is decided by roundoff
         capture = [EventSpec(f"capture:{name}",
                              lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
-                             - cfg.capture_dist, terminal=True, direction=-1.0)
+                             - CAPTURE_DIST, terminal=True, direction=-1.0)
                    for name, pt in fps.items()]
         trows = [["trajectory", "t", "X", "Z"]]
         for i, st in enumerate(starts):
-            traj = diagonal_trajectory(sp, st, t_span, cfg, events=capture)
+            traj = diagonal_trajectory(sp, st, t_span, events=capture)
             for t, row in zip(traj.t, traj.states):
                 trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
         csvs["trajectories.csv"] = trows
@@ -416,24 +402,23 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
     ranges = block.get("ranges", [[0.0, 1.5 * P.x_bound], [0.0, 1.5 * P.y_bound]])
     xs = np.linspace(ranges[0][0], ranges[0][1], int(grid[0]))
     ys = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
-    from .model import vector_field_arr
+    rhs = phase_rhs(P)
     rows = [[plane[0], plane[1], "d" + plane[0], "d" + plane[1]]]
     for xv in xs:
         for yv in ys:
             pt = base.copy()
             pt[i1], pt[i2] = xv, yv
-            d = vector_field_arr(P, pt)
+            d = rhs(0.0, pt)
             rows.append([_fmt(xv), _fmt(yv), _fmt(d[i1]), _fmt(d[i2])])
     csvs["portrait.csv"] = rows
     starts = block.get("trajectories", [])
     if starts:
-        t_span = block.get("t_span", [0.0, cfg.t_end])
+        t_span = block.get("t_span", [0.0, T_END])
         trows = [["trajectory", "t", plane[0], plane[1]]]
         for i, st in enumerate(starts):
             if len(st) != 4:
                 raise ConfigError("portrait.trajectories", "each start needs [X, Y, Z, W]")
-            traj = integrate_m(P, PhaseState.from_coords(t_span[0], st),
-                               horizon=tuple(t_span), cfg=cfg)
+            traj = integrate_m(P, PhaseState.from_coords(t_span[0], st), horizon=tuple(t_span))
             for t, row in zip(traj.t, traj.states):
                 trows.append([str(i), _fmt(t), _fmt(row[i1]), _fmt(row[i2])])
         csvs["trajectories.csv"] = trows
@@ -459,10 +444,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(cmd)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override ODE relative tolerance")
-        sp.add_argument("--horizon", type=float, default=None,
-                        help="override forward integration horizon")
     args = parser.parse_args(argv)
     try:
         try:
@@ -473,10 +454,6 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
         rc = parse_config(raw, args.command, args.out)
-        if args.tol is not None:
-            rc.numerics = rc.numerics.with_(ode_rtol=args.tol)
-        if args.horizon is not None:
-            rc.numerics = rc.numerics.with_(t_end=args.horizon)
         bundle = run(rc)
         files = bundle.write(rc.out)
     except ConfigError as exc:

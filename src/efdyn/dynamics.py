@@ -27,7 +27,9 @@ from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     normalized_regular_data, phase_rhs, regular_initial_values,
                     to_phase)
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
+                       MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, ODE_ATOL, ODE_RTOL,
+                       RADIAL_R0, SIM_WINDOW, T_END)
 
 __all__ = [
     "Termination", "Trajectory", "RadialTrajectory", "BoxBounds", "EventSpec",
@@ -59,10 +61,10 @@ class Trajectory:
     dense: Callable | None = None               # interpolant t -> coords
 
     def state_at(self, t: float) -> np.ndarray:
-        if self.dense is not None:
-            return np.asarray(self.dense(t))
-        i = int(np.argmin(np.abs(self.t - t)))
-        return self.states[i]
+        """Interpolated state at t (needs dense output)."""
+        if self.dense is None:
+            raise PreconditionViolated("trajectory was integrated without dense output")
+        return np.asarray(self.dense(t))
 
     def first_event(self, name: str) -> float | None:
         for t, n in self.events:
@@ -141,13 +143,11 @@ class EventSpec:
     direction: float = 0.0
 
 
-def _solve(rhs, span, y0, events: Sequence[EventSpec], cfg: NumericsConfig,
-           dense: bool = False):
+def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
     """The package's one integration call (`dop853.solve`): returns the
     solution and its events as time-sorted (t, name) pairs; a collapsed step
     size raises."""
-    sol = dop853.solve(rhs, span[0], y0, span[1], cfg.ode_rtol, cfg.ode_atol,
-                       events, dense)
+    sol = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense)
     if sol.status == -1:
         partial = Trajectory(t=np.array(sol.t), states=np.array(sol.y),
                              termination=Termination(kind="failed"))
@@ -157,15 +157,15 @@ def _solve(rhs, span, y0, events: Sequence[EventSpec], cfg: NumericsConfig,
     return sol, named
 
 
-def _detect_convergence(params, t, states, cfg) -> Termination | None:
-    pts = [(fp.label, np.array(fp.coords)) for fp in fixed_point_catalog(params, cfg)
+def _detect_convergence(params, t, states) -> Termination | None:
+    pts = [(fp.label, np.array(fp.coords)) for fp in fixed_point_catalog(params)
            if fp.defined]
     n = len(t)
-    if n < cfg.capture_steps:
+    if n < CAPTURE_STEPS:
         return None
     for label, pt in pts:
         d = np.max(np.abs(states - pt), axis=1)
-        if np.all(d[-cfg.capture_steps:] < cfg.capture_dist):
+        if np.all(d[-CAPTURE_STEPS:] < CAPTURE_DIST):
             return Termination(kind="converged", label=label)
     return None
 
@@ -173,25 +173,24 @@ def _detect_convergence(params, t, states, cfg) -> Termination | None:
 def integrate_m(params: SystemParams, initial: PhaseState,
                 horizon: tuple[float, float] | None = None,
                 events: Sequence[EventSpec] = (),
-                cfg: NumericsConfig = DEFAULT_NUMERICS,
                 dense: bool = False) -> Trajectory:
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
 
-    Blow-up (X or Y beyond cfg.blow_up) terminates; every event root is located
+    Blow-up (X or Y beyond BLOW_UP) terminates; every event root is located
     by Brent's method on the step's interpolant (`dop853.find_root`). A
     convergence termination is reported when the accepted steps sit within
-    cfg.capture_dist of a catalog point for cfg.capture_steps steps.
+    CAPTURE_DIST of a catalog point for CAPTURE_STEPS steps.
     """
     if horizon is None:
-        horizon = (initial.t, cfg.t_end)
+        horizon = (initial.t, T_END)
     y0 = initial.coords
     if not np.all(np.isfinite(y0)):
         raise PreconditionViolated("initial state must be finite")
 
-    blow_up = cfg.blow_up       # bound once: the event functions run at every step
+    blow_up = BLOW_UP           # bound once: the event functions run at every step
     blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - blow_up, terminal=True),
             EventSpec("blow-up-y", lambda t, y: abs(y[1]) - blow_up, terminal=True))
-    sol, named = _solve(phase_rhs(params), horizon, y0, blow + tuple(events), cfg, dense)
+    sol, named = _solve(phase_rhs(params), horizon, y0, blow + tuple(events), dense)
     hit_x = len(sol.t_events[0]) > 0
     hit_y = len(sol.t_events[1]) > 0
     named = [ev for ev in named if ev[1] not in ("blow-up-x", "blow-up-y")]
@@ -202,17 +201,16 @@ def integrate_m(params: SystemParams, initial: PhaseState,
             term = Termination(kind="blow-up-both")
         elif hit_x:
             # the companion coordinate may be effectively blown up as well
-            ratio = abs(states[-1, 1]) / cfg.blow_up
+            ratio = abs(states[-1, 1]) / BLOW_UP
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-x")
         elif hit_y:
-            ratio = abs(states[-1, 0]) / cfg.blow_up
+            ratio = abs(states[-1, 0]) / BLOW_UP
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-y")
         else:
             # terminated by a user event
             term = Termination(kind="event", event=named[-1][1] if named else None)
     else:
-        term = _detect_convergence(params, t, states, cfg) \
-            or Termination(kind="max-time")
+        term = _detect_convergence(params, t, states) or Termination(kind="max-time")
     return Trajectory(t=t, states=states, termination=term,
                       events=tuple(named), dense=sol.sol)
 
@@ -241,21 +239,20 @@ def _radial_rhs(params: SystemParams):
 
 
 def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
-                     cfg: NumericsConfig = DEFAULT_NUMERICS,
-                     r0: float | None = None, dense: bool = False) -> RadialTrajectory:
+                     dense: bool = False) -> RadialTrajectory:
     """Regular solution of the radial system with data (u0, v0), in log-radius.
 
-    Startup at r0 uses the first-order series: the flux potentials start as
-    U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V), which is
-    exact to the order needed at r0 ~ 1e-6. Integration stops once neither
-    profile is positive, when |u| or |v| exceeds cfg.blow_up, or at r_max.
+    Startup at r0 = RADIAL_R0 uses the first-order series: the flux potentials
+    start as U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V),
+    which is exact to the order needed at r0 ~ 1e-6. Integration stops once
+    neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
     """
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
     if u0 <= 0.0 or v0 <= 0.0:
         raise PreconditionViolated("u0 and v0 must be positive")
-    r0 = cfg.radial_r0 if r0 is None else r0
+    r0 = RADIAL_R0
     cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
     cv = (u0 ** P.mu * v0 ** P.m / (P.N + P.b)) ** (1 / (P.q - 1))
     u_init = u0 - P.eps1 * cu * (P.p - 1) / (P.p + P.a) * r0 ** ((P.p + P.a) / (P.p - 1))
@@ -265,7 +262,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
 
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile that diverges (absorption, or past its zero)
-    blow_up = cfg.blow_up
+    blow_up = BLOW_UP
     evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
            EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
            EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
@@ -273,7 +270,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
            EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - blow_up,
                      terminal=True, direction=1.0))
     sol, named = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
-                        [u_init, v_init, U_init, V_init], evs, cfg, dense)
+                        [u_init, v_init, U_init, V_init], evs, dense)
     events = [ev for ev in named if ev[1] != "both-zero"]
     if events:
         term = Termination(kind="event", event=events[0][1])
@@ -288,9 +285,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
-                   rho: float | None = None,
-                   cfg: NumericsConfig = DEFAULT_NUMERICS,
-                   n_samples: int = 25) -> float:
+                   rho: float = MANIFOLD_RHO, n_samples: int = 25) -> float:
     """Max relative deviation between the two routes to the regular trajectory:
     direct radial integration mapped through the chart, versus phase-space
     integration from the manifold seed.
@@ -301,10 +296,9 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     along the stretch where the trajectory is still inside 60% of the box.
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
-    seed = launch_regular(params, x, y, rho, cfg)
-    ph = integrate_m(params, seed, horizon=(0.0, cfg.t_end), cfg=cfg, dense=True)
-    rad = integrate_radial(params, u0h, v0h, r_max=math.exp(cfg.t_end), cfg=cfg,
-                           dense=True)
+    seed = launch_regular(params, x, y, rho)
+    ph = integrate_m(params, seed, horizon=(0.0, T_END), dense=True)
+    rad = integrate_radial(params, u0h, v0h, r_max=math.exp(T_END), dense=True)
 
     rad_lo, rad_hi = math.log(rad.r[0]), math.log(rad.r[-1])
     t_lo = max(0.0, rad_lo + tau + 1e-9)
@@ -344,8 +338,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
 # -- regular-manifold seeding --------------------------------------------------
 
 def launch_regular(params: SystemParams, x: float, y: float,
-                   rho: float | None = None,
-                   cfg: NumericsConfig = DEFAULT_NUMERICS) -> PhaseState:
+                   rho: float = MANIFOLD_RHO) -> PhaseState:
     """Seed on the unstable manifold of N0 at chart point (x, y), first order.
 
     The linearization at N0 has unstable rates lam1 = (p+a)/(p-1) (X) and
@@ -355,7 +348,6 @@ def launch_regular(params: SystemParams, x: float, y: float,
         W = N + b - (N+b) [ mu x/(lam1 + N + b) + m y/(lam2 + N + b) ].
     """
     P = params
-    rho = cfg.manifold_rho if rho is None else rho
     if x < 0 or y < 0 or (x == 0.0 and y == 0.0) or x * x + y * y > rho * rho * (1 + 1e-12):
         raise PreconditionViolated("need x, y >= 0, (x, y) != 0, x^2 + y^2 <= rho^2")
     lam1 = (P.p + P.a) / (P.p - 1)
@@ -394,26 +386,23 @@ class ShotOutcome:
                 "mClass": self.m_class.value, "hitTimes": self.hit_times}
 
 
-def _shoot_once(params, x, y, rho, t_end, cfg):
-    seed = launch_regular(params, x, y, rho, cfg)
+def _shoot_once(params, x, y, rho, t_end):
+    seed = launch_regular(params, x, y, rho)
     # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
     # below, with integration noise) from registering as crossings
     cp = params.x_bound * (1 + 1e-9)
     cq = params.y_bound * (1 + 1e-9)
     evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, terminal=False, direction=1.0),
            EventSpec("y-bound", lambda t, v: v[1] - cq, terminal=False, direction=1.0)]
-    return integrate_m(params, seed, horizon=(0.0, t_end), events=evs, cfg=cfg)
+    return integrate_m(params, seed, horizon=(0.0, t_end), events=evs)
 
 
 def classify_shot(params: SystemParams, x: float, y: float,
-                  rho: float | None = None,
-                  cfg: NumericsConfig = DEFAULT_NUMERICS) -> ShotOutcome:
+                  rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed; widens the horizon (twice) when undecided."""
-    t_end = cfg.t_end
-    last = None
-    for attempt in range(cfg.max_horizon_extensions + 1):
-        traj = _shoot_once(params, x, y, rho, t_end, cfg)
-        last = traj
+    t_end = T_END
+    for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
+        traj = _shoot_once(params, x, y, rho, t_end)
         t_x = traj.first_event("x-bound")
         t_y = traj.first_event("y-bound")
         hit = {}
@@ -432,25 +421,25 @@ def classify_shot(params: SystemParams, x: float, y: float,
             final = traj.states[-1]
             near_face = (abs(final[0] - params.x_bound) < 1e-6 * (1 + params.x_bound)
                          or abs(final[1] - params.y_bound) < 1e-6 * (1 + params.y_bound))
-            if near_face and attempt < cfg.max_horizon_extensions:
+            if near_face and attempt < MAX_HORIZON_EXTENSIONS:
                 t_end *= 2
                 continue
             return ShotOutcome((x, y), SClass.S, MClass.GS, hit)
 
         if t_x is not None and t_y is not None:
-            s_class = SClass.S3 if abs(t_x - t_y) <= cfg.sim_window else \
+            s_class = SClass.S3 if abs(t_x - t_y) <= SIM_WINDOW else \
                 (SClass.S1 if t_x < t_y else SClass.S2)
         else:
             s_class = SClass.S1 if t_y is None else SClass.S2
 
         if not blew:
-            if attempt < cfg.max_horizon_extensions:
+            if attempt < MAX_HORIZON_EXTENSIONS:
                 t_end *= 2
                 continue
             raise Inconclusive(f"seed ({x}, {y}): crossed at t = {min(hit.values())} "
                                f"but no blow-up within t = {t_end}")
         X_end, Y_end = traj.states[-1, 0], traj.states[-1, 1]
-        if Y_end != 0 and abs(X_end / Y_end - 1.0) < cfg.hopf_ratio_tol:
+        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
             m_class = MClass.M3
         elif X_end >= Y_end:
             m_class = MClass.M1
@@ -492,22 +481,20 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
 
 
 def sweep_angles(params: SystemParams, n_angles: int = 33,
-                 rho: float | None = None,
-                 cfg: NumericsConfig = DEFAULT_NUMERICS) -> tuple[tuple[float, ...], list[ShotOutcome]]:
+                 rho: float = MANIFOLD_RHO) -> tuple[tuple[float, ...], list[ShotOutcome]]:
     """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle."""
-    rho = cfg.manifold_rho if rho is None else rho
     thetas = tuple(np.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
-    outcomes = [classify_shot(params, *_seed(th, rho), rho, cfg) for th in thetas]
+    outcomes = [classify_shot(params, *_seed(th, rho), rho) for th in thetas]
     return thetas, outcomes
 
 
-def _bisect_boundary(params, th_lo, th_hi, side_lo, rho, cfg) -> BoundaryHit:
-    """Shrink an S1/S2 flip interval to cfg.angle_tol and decide what sits on it."""
+def _bisect_boundary(params, th_lo, th_hi, side_lo, rho) -> BoundaryHit:
+    """Shrink an S1/S2 flip interval to ANGLE_TOL and decide what sits on it."""
     lo, hi = th_lo, th_hi
     mid_out = None
-    while hi - lo > cfg.angle_tol:
+    while hi - lo > ANGLE_TOL:
         mid = 0.5 * (lo + hi)
-        out = classify_shot(params, *_seed(mid, rho), rho, cfg)
+        out = classify_shot(params, *_seed(mid, rho), rho)
         mid_out = out
         if out.s_class in (SClass.S, SClass.S3):
             break
@@ -517,7 +504,7 @@ def _bisect_boundary(params, th_lo, th_hi, side_lo, rho, cfg) -> BoundaryHit:
             hi = mid
     mid = 0.5 * (lo + hi)
     if mid_out is None:
-        mid_out = classify_shot(params, *_seed(mid, rho), rho, cfg)
+        mid_out = classify_shot(params, *_seed(mid, rho), rho)
     if mid_out.s_class is SClass.S:
         return BoundaryHit(mid, "ground-state", mid_out)
     if mid_out.s_class is SClass.S3 or mid_out.m_class is MClass.M3:
@@ -530,16 +517,14 @@ def _bisect_boundary(params, th_lo, th_hi, side_lo, rho, cfg) -> BoundaryHit:
 
 
 def search_ground_state(params: SystemParams, n_angles: int = 33,
-                        rho: float | None = None,
-                        cfg: NumericsConfig = DEFAULT_NUMERICS) -> GroundStateSearch:
+                        rho: float = MANIFOLD_RHO) -> GroundStateSearch:
     """Angle sweep plus bisection of every S1/S2 flip.
 
     A ground state is witnessed either by a grid seed that never leaves the
     rectangle, or by a flip boundary whose limiting shot stays (or lands near
     an interior fixed point). Deterministic for fixed grid and tolerances.
     """
-    rho = cfg.manifold_rho if rho is None else rho
-    thetas, outcomes = sweep_angles(params, n_angles, rho, cfg)
+    thetas, outcomes = sweep_angles(params, n_angles, rho)
     witnesses = [th for th, o in zip(thetas, outcomes) if o.s_class is SClass.S]
     boundaries: list[BoundaryHit] = []
     for i in range(len(thetas) - 1):
@@ -547,7 +532,7 @@ def search_ground_state(params: SystemParams, n_angles: int = 33,
         flip = {a.s_class, b.s_class} == {SClass.S1, SClass.S2}
         if flip:
             boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1],
-                                               a.s_class, rho, cfg))
+                                               a.s_class, rho))
     for th, o in zip(thetas, outcomes):
         if o.s_class is SClass.S3:
             boundaries.append(BoundaryHit(th, "dirichlet", o))
@@ -580,8 +565,7 @@ class DirichletSearch:
 
 
 def search_dirichlet(params: SystemParams, u0: float | None = None,
-                     n_angles: int = 33, rho: float | None = None,
-                     cfg: NumericsConfig = DEFAULT_NUMERICS) -> DirichletSearch:
+                     n_angles: int = 33, rho: float = MANIFOLD_RHO) -> DirichletSearch:
     """Find a positive radial solution vanishing at one radius.
 
     Locates a simultaneous-vanishing seed by the angle search, maps it to
@@ -590,8 +574,7 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     exact scaling law (theta^gamma u(theta r), theta^xi v(theta r)) so that
     u(0) = u0, and the rescaled data is re-integrated.
     """
-    rho = cfg.manifold_rho if rho is None else rho
-    res = search_ground_state(params, n_angles, rho, cfg)
+    res = search_ground_state(params, n_angles, rho)
     hits = [b for b in res.boundaries if b.kind == "dirichlet"]
     # direct grid M3 outcomes also qualify
     for th, o in zip(res.angles, res.outcomes):
@@ -607,7 +590,7 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
         scale = (u0 / u0_star) ** (1.0 / ex.gamma)
         u0_star, v0_star = u0, v0_star * scale ** ex.xi
     # integrate far enough to capture both zeros
-    rad = integrate_radial(params, u0_star, v0_star, r_max=1e12, cfg=cfg)
+    rad = integrate_radial(params, u0_star, v0_star, r_max=1e12)
     tu = rad.first_event("u-zero")
     tv = rad.first_event("v-zero")
     if tu is None and tv is None:

@@ -16,7 +16,7 @@ from enum import Enum
 from .errors import DegenerateState, NotCritical, PreconditionViolated
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     effective_unweighted_dimension, exchange_params, from_phase, to_phase)
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .numerics import IDENTITY_RTOL
 from .scalar import ScalarParams, scalar_profile_from_phase
 from .spectra import AsymptoticProfile
 
@@ -362,17 +362,15 @@ class Position(str, Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-def _position(diff: float, scale: float, above_negative: bool,
-              cfg: NumericsConfig) -> Position:
-    if abs(diff) <= cfg.identity_rtol * (1.0 + scale):
+def _position(diff: float, scale: float, above_negative: bool) -> Position:
+    if abs(diff) <= IDENTITY_RTOL * (1.0 + scale):
         return Position.ON
     if above_negative:
         return Position.ABOVE if diff < 0 else Position.BELOW
     return Position.ABOVE if diff > 0 else Position.BELOW
 
 
-def classify_region(params: SystemParams,
-                    cfg: NumericsConfig = DEFAULT_NUMERICS) -> dict[CriticalCurve, Position]:
+def classify_region(params: SystemParams) -> dict[CriticalCurve, Position]:
     """Locate (delta, mu) (or (m, s), or Q) relative to every critical curve.
 
     "Above" always means the large-exponent side: for the hyperbolas the side
@@ -385,39 +383,38 @@ def classify_region(params: SystemParams,
 
     if two_lap:
         lhs = (P.N + P.a) / (P.delta + 1) + (P.N + P.b) / (P.mu + 1)
-        out[CriticalCurve.H0] = _position(lhs - (P.N - 2), abs(lhs) + P.N, True, cfg)
+        out[CriticalCurve.H0] = _position(lhs - (P.N - 2), abs(lhs) + P.N, True)
 
     if two_lap and P.s == P.m and P.a == P.b and P.D != 0.0:
         s, n = P.s, n_eff
         ex = derive_exponents(P)
         if s < n / (n - 2) and P.delta + 1 - s > 0 and P.mu + 1 - s > 0:
             diff = ex.gamma + ex.xi - (P.N - 2)
-            out[CriticalCurve.HS] = _position(diff, abs(ex.gamma) + abs(ex.xi) + P.N,
-                                              True, cfg)
+            out[CriticalCurve.HS] = _position(diff, abs(ex.gamma) + abs(ex.xi) + P.N, True)
             if min(P.delta, P.mu) > abs(s - 1):
                 lhs = 1 / (P.delta + 1) + 1 / (P.mu + 1)
                 rhs = (n - 2) / (n - (n - 2) * s)
-                out[CriticalCurve.ZS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True, cfg)
+                out[CriticalCurve.ZS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True)
         if s > 0:
             lhs = n / (P.delta + 1) + n / (P.mu + 1)
             rhs = n - 2 + (n - 2) * s / 2 * min(1 / (P.delta + 1), 1 / (P.mu + 1))
-            out[CriticalCurve.CS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True, cfg)
+            out[CriticalCurve.CS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True)
             if n - (n - 2) * s / 2 > 0:
                 lhs = 1 / (P.delta + 1) + 1 / (P.mu + 1)
                 rhs = (n - 2) / (n - (n - 2) * s / 2)
-                out[CriticalCurve.LS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True, cfg)
+                out[CriticalCurve.LS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True)
 
     if P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b:
         diff = (P.s + 1) * (P.N - P.p) / P.p + (P.m + 1) * (P.N - P.q) / P.q - (P.N + P.a)
-        out[CriticalCurve.LINE_D] = _position(diff, P.N + abs(P.a), False, cfg)
+        out[CriticalCurve.LINE_D] = _position(diff, P.N + abs(P.a), False)
 
     if P.p == P.q and P.a == P.b and abs((P.s + P.delta) - (P.m + P.mu)) \
-            <= cfg.identity_rtol * (1 + abs(P.s + P.delta)):
+            <= IDENTITY_RTOL * (1 + abs(P.s + P.delta)):
         Q = P.s + P.delta
         q1 = (P.N + P.a) * (P.p - 1) / (P.N - P.p)
         q2 = (P.N * (P.p - 1) + P.p + P.p * P.a) / (P.N - P.p)
-        out[CriticalCurve.SCALAR_Q1] = _position(Q - q1, abs(Q) + abs(q1), False, cfg)
-        out[CriticalCurve.SCALAR_Q2] = _position(Q - q2, abs(Q) + abs(q2), False, cfg)
+        out[CriticalCurve.SCALAR_Q1] = _position(Q - q1, abs(Q) + abs(q1), False)
+        out[CriticalCurve.SCALAR_Q2] = _position(Q - q2, abs(Q) + abs(q2), False)
     return out
 
 
@@ -488,8 +485,7 @@ def _comparison_blocks(P: SystemParams) -> tuple[bool, tuple]:
     return False, ()
 
 
-def predict_existence(params: SystemParams,
-                      cfg: NumericsConfig = DEFAULT_NUMERICS) -> ExistenceVerdict:
+def predict_existence(params: SystemParams) -> ExistenceVerdict:
     """Apply the strongest applicable existence/nonexistence criterion.
 
     Precedence: the two if-and-only-if families (Hamiltonian hyperbola,
@@ -498,7 +494,7 @@ def predict_existence(params: SystemParams,
     then the supercritical trap; unknown when nothing applies.
     """
     P = params
-    region = classify_region(P, cfg)
+    region = classify_region(P)
     ham = P.p == 2.0 and P.q == 2.0 and P.s == 0.0 and P.m == 0.0
     pot = P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b
     nonvar = P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.s > 0.0 and P.a == P.b
@@ -547,8 +543,7 @@ def predict_existence(params: SystemParams,
     return ExistenceVerdict(Verdict.UNKNOWN, "none", ())
 
 
-def predict_asymptotics(params: SystemParams,
-                        cfg: NumericsConfig = DEFAULT_NUMERICS) -> AsymptoticProfile:
+def predict_asymptotics(params: SystemParams) -> AsymptoticProfile:
     """Decay profile of the critical-case ground state at infinity.
 
     Hamiltonian family on the critical hyperbola: each profile decays like
@@ -558,7 +553,7 @@ def predict_asymptotics(params: SystemParams,
     v-rate switches on the sign of lambda* = N+a-(s+1)(N-p)/(p-1)-m(N-q)/(q-1).
     """
     P = params
-    region = classify_region(P, cfg)
+    region = classify_region(P)
     ham = P.p == 2.0 and P.q == 2.0 and P.s == 0.0 and P.m == 0.0
     pot = P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b
 
@@ -568,7 +563,7 @@ def predict_asymptotics(params: SystemParams,
         def side(expo, weight):
             thr = (P.N + weight) / (P.N - 2)
             d = expo - thr
-            if abs(d) <= cfg.identity_rtol * (1 + abs(thr)):
+            if abs(d) <= IDENTITY_RTOL * (1 + abs(thr)):
                 return P.N - 2.0, 1.0
             if d > 0:
                 return P.N - 2.0, 0.0
@@ -582,10 +577,10 @@ def predict_asymptotics(params: SystemParams,
         if region[CriticalCurve.LINE_D] is not Position.ON:
             raise NotCritical("not on the critical line")
         if P.q > P.p:
-            return predict_asymptotics(exchange_params(P), cfg).swapped()
+            return predict_asymptotics(exchange_params(P)).swapped()
         lam_star = P.N + P.a - (P.s + 1) * P.x_bound - P.m * P.y_bound
         ue = P.x_bound
-        if abs(lam_star) <= cfg.identity_rtol * (1 + P.N):
+        if abs(lam_star) <= IDENTITY_RTOL * (1 + P.N):
             return AsymptoticProfile(u_exponent=ue, v_exponent=P.y_bound,
                                      log_correction_power=1.0 / (P.q - 1 - P.m))
         if lam_star < 0:

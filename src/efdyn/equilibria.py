@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotApplicable, UndefinedPoint
 from .model import (SystemParams, derive_exponents, exchange_params, vector_field_arr)
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .numerics import DEGENERACY_BAND
 
 
 class FixedPointLabel(str, Enum):
@@ -99,8 +99,7 @@ def _swapped(coords):
     return (Y, X, W, Z)
 
 
-def _base_point(params: SystemParams, label: FixedPointLabel,
-                cfg: NumericsConfig) -> FixedPoint:
+def _base_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
     """Coordinates for the labels whose formulas are written out directly."""
     P = params
     N, p, q, a, b, s, m, delta, mu = (P.N, P.p, P.q, P.a, P.b, P.s, P.m, P.delta, P.mu)
@@ -111,7 +110,7 @@ def _base_point(params: SystemParams, label: FixedPointLabel,
         D = P.D
         if D == 0.0:
             return FixedPoint(label, (math.nan,) * 4, False, False)
-        near = abs(D) < cfg.degeneracy_band * (1 + abs(delta * mu))
+        near = abs(D) < DEGENERACY_BAND * (1 + abs(delta * mu))
         ex = derive_exponents(P)
         coords = (ex.gamma, ex.xi, N - p - (p - 1) * ex.gamma, N - q - (q - 1) * ex.xi)
     elif label is FixedPointLabel.O:
@@ -130,7 +129,7 @@ def _base_point(params: SystemParams, label: FixedPointLabel,
         den = q - 1 - m
         if den == 0.0:
             return FixedPoint(label, (math.nan,) * 4, False, False)
-        near = abs(den) < cfg.degeneracy_band * (1 + abs(q - 1) + abs(m))
+        near = abs(den) < DEGENERACY_BAND * (1 + abs(q - 1) + abs(m))
         w_bar = ((N + b) * (q - 1) - m * (N - q)) / den
         if label is FixedPointLabel.P0:
             coords = (cp, (cp * mu - (q + b)) / den, 0.0,
@@ -154,21 +153,19 @@ def _admissible(label: FixedPointLabel, coords, params: SystemParams) -> bool:
     return all(c >= 0.0 for c in coords)
 
 
-def fixed_point(params: SystemParams, label: FixedPointLabel,
-                cfg: NumericsConfig = DEFAULT_NUMERICS) -> FixedPoint:
+def fixed_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
     """One catalog entry; symmetric labels are derived from their exchange image."""
     if label in EXCHANGE_IMAGE:
-        base = _base_point(exchange_params(params), EXCHANGE_IMAGE[label], cfg)
+        base = _base_point(exchange_params(params), EXCHANGE_IMAGE[label])
         adm = base.defined and _admissible(label, _swapped(base.coords), params)
         return FixedPoint(label, _swapped(base.coords), base.defined, adm,
                           base.near_degenerate)
-    return _base_point(params, label, cfg)
+    return _base_point(params, label)
 
 
-def fixed_point_catalog(params: SystemParams,
-                        cfg: NumericsConfig = DEFAULT_NUMERICS) -> list[FixedPoint]:
+def fixed_point_catalog(params: SystemParams) -> list[FixedPoint]:
     """All sixteen equilibria, in stable order."""
-    return [fixed_point(params, label, cfg) for label in CATALOG_ORDER]
+    return [fixed_point(params, label) for label in CATALOG_ORDER]
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,7 @@ def admissibility(fp: FixedPoint, params: SystemParams) -> AdmissibilityReport:
     return AdmissibilityReport(fp.label, not violated, boundary, tuple(violated))
 
 
-def particular_solution(params: SystemParams,
-                        cfg: NumericsConfig = DEFAULT_NUMERICS) -> PowerSolution:
+def particular_solution(params: SystemParams) -> PowerSolution:
     """Amplitudes A, B of the exact power solution attached to M0.
 
     A^D and B^D are products of powers of eps1 X0^{p-1} Z0 and eps2 Y0^{q-1} W0;
@@ -235,11 +231,10 @@ def particular_solution(params: SystemParams,
     return PowerSolution(A=A, B=B, gamma=gamma, xi=xi)
 
 
-def catalog_residuals(params: SystemParams,
-                      cfg: NumericsConfig = DEFAULT_NUMERICS) -> dict[str, float]:
+def catalog_residuals(params: SystemParams) -> dict[str, float]:
     """Max-norm of the vector field at every defined catalog point."""
     out = {}
-    for fp in fixed_point_catalog(params, cfg):
+    for fp in fixed_point_catalog(params):
         if fp.defined:
             out[fp.label.value] = float(np.max(np.abs(vector_field_arr(params, fp.coords))))
     return out

@@ -33,10 +33,6 @@ class NotCritical(EfdynError):
     """Parameters are not on the critical curve required by the operation."""
 
 
-class BoundaryCase(EfdynError):
-    """Parameters sit exactly on an excluded equality; no verdict is defined."""
-
-
 class DegenerateState(EfdynError):
     """State is inadmissible for the requested energy evaluation."""
 

@@ -1,41 +1,33 @@
-"""Global numerics configuration.
+"""Numerical constants.
 
 Every tolerance used for identity checks, integration and classification
-lives here so runs are reproducible from a single record.
+lives here, so a run is reproducible from the source alone. Each module
+imports the constants it reads; a test that needs another value patches the
+name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
 """
 
-from __future__ import annotations
+# identity / algebra checks
+IDENTITY_RTOL = 1e-10           # exact identities, slack covers roundoff only
+CENTER_TOL = 1e-9               # |Re lambda| < CENTER_TOL*(1+|lambda|) counts as center
+DEGENERACY_BAND = 1e-8          # near-zero denominator warning band
 
-from dataclasses import dataclass, replace
+# integration
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+BLOW_UP = 1e6                   # coordinate value declared "infinite"
+T_END = 40.0
+MAX_HORIZON_EXTENSIONS = 2
 
+# shooting
+MANIFOLD_RHO = 1e-4             # seed radius on the regular manifold
+SIM_WINDOW = 1e-6               # |tX - tY| below this counts as simultaneous
+HOPF_RATIO_TOL = 0.05           # |X/Y - 1| at blow-up for simultaneous vanishing
+ANGLE_TOL = 1e-10               # bisection tolerance on the seed angle
+CAPTURE_DIST = 1e-8             # fixed-point convergence distance
+CAPTURE_STEPS = 5               # consecutive accepted steps within CAPTURE_DIST
 
-@dataclass(frozen=True)
-class NumericsConfig:
-    # identity / algebra checks
-    identity_rtol: float = 1e-10        # exact identities, slack covers roundoff only
-    center_tol: float = 1e-9            # |Re lambda| < center_tol*(1+|lambda|) counts as center
-    degeneracy_band: float = 1e-8       # near-zero denominator warning band
+# radial oracle
+RADIAL_R0 = 1e-6                # startup radius for the series initialisation
 
-    # integration
-    ode_rtol: float = 1e-10
-    ode_atol: float = 1e-12
-    blow_up: float = 1e6                # coordinate value declared "infinite"
-    t_end: float = 40.0
-    max_horizon_extensions: int = 2
-
-    # shooting
-    manifold_rho: float = 1e-4          # seed radius on the regular manifold
-    sim_window: float = 1e-6            # |tX - tY| below this counts as simultaneous
-    hopf_ratio_tol: float = 0.05        # |X/Y - 1| at blow-up for simultaneous vanishing
-    angle_tol: float = 1e-10            # bisection tolerance on the seed angle
-    capture_dist: float = 1e-8          # fixed-point convergence distance
-    capture_steps: int = 5              # consecutive accepted steps within capture_dist
-
-    # radial oracle
-    radial_r0: float = 1e-6             # startup radius for the series initialisation
-
-    def with_(self, **kw) -> "NumericsConfig":
-        return replace(self, **kw)
-
-
-DEFAULT_NUMERICS = NumericsConfig()
+# scalar classification
+SCALAR_R_MAX = 1e5              # radius the regular scalar solution is followed to

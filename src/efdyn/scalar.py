@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .numerics import BLOW_UP, MANIFOLD_RHO, SCALAR_R_MAX, T_END
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,6 @@ class ScalarParams:
 
     def to_dict(self) -> dict:
         return {"N": self.N, "p": self.p, "a": self.a, "Q": self.Q, "eps": self.eps}
-
-
-def scalar_vector_field(sp: ScalarParams, coords) -> np.ndarray:
-    X, Z = coords
-    return np.array([
-        X * (X - sp.x_bound + Z / (sp.p - 1)),
-        Z * (sp.N + sp.a - sp.Q * X - Z),
-    ])
 
 
 def scalar_jacobian(sp: ScalarParams, coords) -> np.ndarray:
@@ -154,17 +146,15 @@ def explicit_critical_solution(sp: ScalarParams, c: float = 1.0):
 # -- integration on the diagonal ---------------------------------------------
 
 def diagonal_trajectory(sp: ScalarParams, start, t_span,
-                        cfg: NumericsConfig = DEFAULT_NUMERICS,
                         events=(), dense: bool = False) -> Trajectory:
     """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
     system; columns 0 and 2 of the states are (X, Z). Besides the blow-up of X
     that integrate_m watches, a blow-up of Z (absorption quadrants) stops it."""
     X, Z = start
-    blow_up = cfg.blow_up
+    blow_up = BLOW_UP
     blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - blow_up, terminal=True)
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
-                       horizon=tuple(t_span), events=(blow_z, *events), cfg=cfg,
-                       dense=dense)
+                       horizon=tuple(t_span), events=(blow_z, *events), dense=dense)
 
 
 def _termination(term: Termination) -> str:
@@ -192,8 +182,7 @@ def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
 # -- Poincare-return sampling (limit-cycle evidence) --------------------------
 
 def poincare_returns(sp: ScalarParams, start_offset: float = 0.05, max_returns: int = 6,
-                     horizon: float = 200.0,
-                     cfg: NumericsConfig = DEFAULT_NUMERICS) -> list[float]:
+                     horizon: float = 200.0) -> list[float]:
     """Signed section offsets of successive returns to the half-line X = X0, Z > Z0.
 
     Strictly monotone |offsets| are evidence against a limit cycle around M0;
@@ -201,7 +190,7 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05, max_returns: 
     """
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
-    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, horizon), cfg,
+    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, horizon),
                                events=[section], dense=True)
     offsets = []
     for t_ev in (t for t, name in traj.events if name == "section"):
@@ -245,9 +234,7 @@ def _fit_slope(lr: np.ndarray, lu: np.ndarray) -> float:
     return float(sol[0])
 
 
-def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
-                    rho: float = 1e-4, r_max: float = 1e5,
-                    cfg: NumericsConfig = DEFAULT_NUMERICS) -> ScalarReport:
+def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> ScalarReport:
     """Classify the scalar equation's regular solutions and back it numerically.
 
     The verdict is keyed by Q against the thresholds Q1, Q2 (source sign) or Q1
@@ -259,11 +246,11 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
     evidence: dict = {}
 
     def radial():       # the regular solution with u(0) = 1
-        return integrate_radial(sp.system, 1.0, 1.0, r_max, cfg)
+        return integrate_radial(sp.system, 1.0, 1.0, SCALAR_R_MAX)
 
     # Poincare-return sampling whenever M0 sits in the source quadrant
     if eps == 1 and Q > sp.Q1 + tol and abs(Q - sp.Q2) > tol:
-        offs = poincare_returns(sp, cfg=cfg)
+        offs = poincare_returns(sp)
         evidence["poincare_offsets"] = offs
         diffs = np.diff(np.abs(offs))
         evidence["poincare_monotone"] = bool(len(offs) < 2 or
@@ -280,13 +267,13 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.SIGN_CHANGING, evidence)
         if abs(Q - sp.Q2) <= tol:
-            x0, z0 = regular_seed(sp, rho)
+            x0, z0 = regular_seed(sp, MANIFOLD_RHO)
             # the connecting trajectory runs along the invariant segment; stop
             # just short of its endpoint, where the outgoing axis direction
             # starts amplifying roundoff
             stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * sp.x_bound,
                              terminal=True, direction=1.0)
-            traj = diagonal_trajectory(sp, (x0, z0), (0.0, cfg.t_end), cfg, events=[stop])
+            traj = diagonal_trajectory(sp, (x0, z0), (0.0, T_END), events=[stop])
             drift = max(abs(line_quantity(sp, X, Z)) for X, Z in traj.states[:, [0, 2]])
             evidence["line_drift"] = drift
             evidence["termination"] = _termination(traj.termination)
@@ -294,7 +281,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
         rad = radial()
-        mask = rad.r > 0.3 * r_max
+        mask = rad.r > 0.3 * SCALAR_R_MAX
         fit_A = float(np.exp(np.mean(np.log(rad.u[mask]) + sp.gamma * np.log(rad.r[mask]))))
         evidence["amplitude_fit"] = fit_A
         try:
@@ -323,7 +310,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1,
     if v[0] > 0:        # the branch with X between (N-p)/(p-1) and X0 has X < X0
         v = -v
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
-    traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0), cfg)
+    traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
     # map to u(r) and fit both end slopes of ln u vs ln r
     ts, Xs, Zs = traj.t, traj.states[:, 0], traj.states[:, 2]
     lu = np.array([math.log(scalar_profile_from_phase(sp, t, X, Z))

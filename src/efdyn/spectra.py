@@ -21,7 +21,7 @@ import numpy as np
 from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point
 from .errors import UndefinedPoint
 from .model import PhaseState, SystemParams, derive_exponents, exchange_params
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
+from .numerics import CENTER_TOL, IDENTITY_RTOL
 
 
 def jacobian_at(params: SystemParams, state) -> np.ndarray:
@@ -137,10 +137,10 @@ class Spectrum:
                          "center": self.center_dim}}
 
 
-def _dims(values, cfg: NumericsConfig) -> tuple[int, int, int]:
+def _dims(values) -> tuple[int, int, int]:
     stable = unstable = center = 0
     for z in values:
-        if abs(z.real) < cfg.center_tol * (1 + abs(z)):
+        if abs(z.real) < CENTER_TOL * (1 + abs(z)):
             center += 1
         elif z.real < 0:
             stable += 1
@@ -194,12 +194,11 @@ def closed_form_eigenvalues(params: SystemParams, label: FixedPointLabel) -> lis
     raise UndefinedPoint(f"no closed form for {label}")
 
 
-def spectrum_at(params: SystemParams, fp: FixedPoint,
-                cfg: NumericsConfig = DEFAULT_NUMERICS) -> Spectrum:
+def spectrum_at(params: SystemParams, fp: FixedPoint) -> Spectrum:
     if not fp.defined:
         raise UndefinedPoint(f"{fp.label} is undefined for these parameters")
     vals = sort_eigs(closed_form_eigenvalues(params, fp.label))
-    st, un, ce = _dims(vals, cfg)
+    st, un, ce = _dims(vals)
     return Spectrum(eigenvalues=vals, stable_dim=st, unstable_dim=un, center_dim=ce)
 
 
@@ -216,8 +215,7 @@ class OscillationReport:
                 "on_hs": self.on_hs}
 
 
-def oscillation_condition(params: SystemParams,
-                          cfg: NumericsConfig = DEFAULT_NUMERICS) -> OscillationReport:
+def oscillation_condition(params: SystemParams) -> OscillationReport:
     """Detect a purely imaginary eigenvalue pair at M0 and name the algebraic branch.
 
     A quartic with real coefficients has a root c*i (c > 0) iff E c^2 = G and
@@ -228,7 +226,7 @@ def oscillation_condition(params: SystemParams,
     P = params
     qc = m0_characteristic(P)
     roots = polynomial_roots(qc.as_poly())
-    imag = any(abs(z.real) < cfg.center_tol * (1 + abs(z)) and z.imag != 0.0 for z in roots)
+    imag = any(abs(z.real) < CENTER_TOL * (1 + abs(z)) and z.imag != 0.0 for z in roots)
 
     ex = derive_exponents(P)
     X0, Y0 = ex.gamma, ex.xi
@@ -249,7 +247,7 @@ def oscillation_condition(params: SystemParams,
     on_hs = None
     if P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.s < P.N / (P.N - 2) \
             and P.delta + 1 - P.s > 0 and P.mu + 1 - P.s > 0:
-        on_hs = abs(X0 + Y0 - (P.N - 2)) < cfg.identity_rtol * (1 + abs(X0) + abs(Y0) + P.N)
+        on_hs = abs(X0 + Y0 - (P.N - 2)) < IDENTITY_RTOL * (1 + abs(X0) + abs(Y0) + P.N)
     return OscillationReport(imaginary_pair=imag, branch=branch, on_hs=on_hs)
 
 
@@ -314,8 +312,7 @@ def _verdict_pair(label, profile, to_inf: Existence, to_zero: Existence):
     ]
 
 
-def local_verdicts(params: SystemParams, fp: FixedPoint,
-                   cfg: NumericsConfig = DEFAULT_NUMERICS) -> list[LocalVerdict]:
+def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
     """Existence of admissible trajectories converging to `fp` in each direction,
     with the decay profile of the corresponding solutions.
 
@@ -326,9 +323,9 @@ def local_verdicts(params: SystemParams, fp: FixedPoint,
     P = params
     label = fp.label
     if label in EXCHANGE_IMAGE:
-        base_fp = fixed_point(exchange_params(P), EXCHANGE_IMAGE[label], cfg)
+        base_fp = fixed_point(exchange_params(P), EXCHANGE_IMAGE[label])
         out = []
-        for v in local_verdicts(exchange_params(P), base_fp, cfg):
+        for v in local_verdicts(exchange_params(P), base_fp):
             out.append(LocalVerdict(label, v.direction, v.exists,
                                     v.profile.swapped() if v.profile else None))
         return out

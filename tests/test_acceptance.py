@@ -19,7 +19,6 @@ from efdyn import (EnergySpec, MClass, PhaseState, RadialState, SClass,
                    to_phase)
 from efdyn.dynamics import _shoot_once, oracle_compare
 from efdyn.equilibria import catalog_residuals, particular_solution
-from efdyn.numerics import DEFAULT_NUMERICS as CFG
 from efdyn.scalar import ScalarParams, explicit_critical_solution, line_quantity, scalar_to_phase
 from efdyn.spectra import closed_form_eigenvalues, numeric_spectrum, m0_characteristic, polynomial_roots
 
@@ -126,7 +125,7 @@ def test_criterion_03_closed_form_solutions():
 
 
 def _energy_drift_along_shot(P, spec, seed, t_end=20.0):
-    traj = _shoot_once(P, seed[0], seed[1], 1e-4, t_end, CFG)
+    traj = _shoot_once(P, seed[0], seed[1], 1e-4, t_end)
     vals, scales = [], []
     for t, st in zip(traj.t, traj.states):
         if np.any(st <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:

@@ -6,7 +6,7 @@ import pytest
 
 from efdyn.cli import main, parse_config
 from efdyn.errors import ConfigError
-from efdyn.numerics import DEFAULT_NUMERICS as CFG
+from efdyn.numerics import CAPTURE_DIST
 
 HAM_CONFIG = {
     "params": {"N": 6.0, "p": 2.0, "q": 2.0, "a": 0.0, "b": 0.0,
@@ -14,8 +14,10 @@ HAM_CONFIG = {
 }
 
 
+# fields of the removed `numerics` block: some were never read, the others
+# are the constants of efdyn.numerics now
 REMOVED_NUMERICS = ("fixed_point_atol", "spectrum_rtol", "root_residual_tol",
-                    "event_ttol", "t_start")
+                    "event_ttol", "t_start", "ode_rtol", "t_end")
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -50,16 +52,11 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(raw, "sweep")
         assert err.value.path == "sweep.kindz"
-        # numerics fields that nothing read were removed; setting one is an error
+        # the numerics block is gone: whatever it sets, the whole block is rejected
         for key in REMOVED_NUMERICS:
             with pytest.raises(ConfigError) as err:
                 parse_config(dict(HAM_CONFIG, numerics={key: 1e-10}), "analyze")
-            assert err.value.path == f"numerics.{key}"
-
-    def test_numerics_override(self):
-        raw = dict(HAM_CONFIG, numerics={"ode_rtol": 1e-8})
-        rc = parse_config(raw, "analyze")
-        assert rc.numerics.ode_rtol == 1e-8
+            assert err.value.path == "numerics"
 
     def test_round_trip_idempotent(self):
         rc1 = parse_config(HAM_CONFIG, "analyze")
@@ -171,7 +168,7 @@ class TestCommands:
     def test_portrait_scalar_orbit_stops_at_saddle(self, tmp_path):
         # the shipped critical portrait: the regular orbit runs along the
         # invariant line into the saddle A0 = (1, 0); past it only roundoff
-        # would decide where it goes, so it ends within capture_dist of A0
+        # would decide where it goes, so it ends within CAPTURE_DIST of A0
         cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "portrait_scalar_critical.json")
         out = str(tmp_path / "out")
@@ -179,7 +176,7 @@ class TestCommands:
         last = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()[-1]
         t, X, Z = (float(v) for v in last.split(",")[1:])
         assert t < 16.0
-        assert max(abs(X - 1.0), abs(Z)) <= CFG.capture_dist
+        assert max(abs(X - 1.0), abs(Z)) <= CAPTURE_DIST
 
     def test_portrait_system_plane(self, tmp_path):
         raw = dict(HAM_CONFIG, portrait={"plane": ["X", "Y"],
@@ -202,6 +199,20 @@ class TestExitCodes:
         assert main(["analyze", "--config", cfg]) == 2
         cfg = write_config(tmp_path, dict(HAM_CONFIG, numerics={"event_ttol": 1e-10}))
         assert main(["analyze", "--config", cfg]) == 2
+
+    def test_numerics_block_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, numerics={"ode_rtol": 1e-8}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: numerics: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--tol", "--horizon"])
+    def test_removed_flag_exit_2(self, tmp_path, flag):
+        cfg = write_config(tmp_path, HAM_CONFIG)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--config", cfg, "--out", str(tmp_path / "out"), flag, "1e-8"])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2

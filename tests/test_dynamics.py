@@ -23,7 +23,7 @@ from efdyn.scalar import regular_seed, scalar_classify
 from efdyn.dynamics import EventSpec, oracle_compare, sweep_angles
 from efdyn.model import SystemParams, phase_rhs
 from efdyn.errors import SeriesInvalid, StepSizeUnderflow, ZeroDiscriminant
-from efdyn.numerics import DEFAULT_NUMERICS as CFG
+from efdyn.numerics import BLOW_UP, ODE_ATOL, ODE_RTOL, RADIAL_R0
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -45,7 +45,7 @@ class TestIntegrateM:
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
         assert traj.termination.kind == "blow-up-x"
-        assert abs(traj.states[-1, 0]) >= CFG.blow_up * (1 - 1e-9)
+        assert abs(traj.states[-1, 0]) >= BLOW_UP * (1 - 1e-9)
 
     def test_event_detection(self):
         seed = launch_regular(HAM6, RHO, 0.0)
@@ -54,6 +54,12 @@ class TestIntegrateM:
         t_cross = traj.first_event("x-cross")
         assert t_cross is not None
         assert abs(float(traj.state_at(t_cross)[0]) - 1.0) < 1e-9
+
+    def test_state_at_needs_dense_output(self):
+        seed = launch_regular(HAM6, RHO, 0.0)
+        traj = integrate_m(HAM6, seed, horizon=(0.0, 2.0))
+        with pytest.raises(PreconditionViolated):
+            traj.state_at(1.0)
 
     def test_monotone_departure_from_regular_corner(self):
         seed = launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO)
@@ -147,7 +153,7 @@ class TestRadialOracle:
         P = symmetric_scalar_embedding(3.0, 2.0, 4.0, eps=-1)
         rad = integrate_radial(P, 1.0, 1.0, 1e5)
         assert rad.termination.event == "blow-up"
-        assert rad.u[-1] >= CFG.blow_up * (1 - 1e-9)
+        assert rad.u[-1] >= BLOW_UP * (1 - 1e-9)
         assert np.all(np.diff(rad.u) > 0)    # the startup series carries the sign eps
 
     def test_subcritical_zero_detected(self):
@@ -308,26 +314,25 @@ class TestKernelAgainstScipy:
         """Every problem that `run` hands to dynamics._solve."""
         calls, real = [], dynamics._solve
 
-        def spy(rhs, span, y0, events, cfg, dense=False):
-            calls.append((rhs, span, [float(v) for v in y0], tuple(events), cfg))
-            return real(rhs, span, y0, events, cfg, dense)
+        def spy(rhs, span, y0, events, dense=False):
+            calls.append((rhs, span, [float(v) for v in y0], tuple(events)))
+            return real(rhs, span, y0, events, dense)
 
         monkeypatch.setattr(dynamics, "_solve", spy)
         run()
         return calls
 
     @staticmethod
-    def _assert_matches_scipy(rhs, span, y0, events, cfg, dense_rtol=1e-12):
+    def _assert_matches_scipy(rhs, span, y0, events, dense_rtol=1e-12):
         def scipy_event(spec):
             def g(t, y):
                 return spec.fn(t, y)
             g.terminal, g.direction = spec.terminal, spec.direction
             return g
 
-        ours = dop853.solve(rhs, span[0], y0, span[1], cfg.ode_rtol, cfg.ode_atol,
-                            events, dense=True)
-        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=cfg.ode_rtol,
-                        atol=cfg.ode_atol, events=[scipy_event(e) for e in events],
+        ours = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense=True)
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=ODE_RTOL,
+                        atol=ODE_ATOL, events=[scipy_event(e) for e in events],
                         dense_output=True)
         assert ours.status == ref.status
         assert abs(len(ours.t) - len(ref.t)) <= 2
@@ -399,7 +404,7 @@ class TestKernelAgainstScipy:
     def test_step_size_underflow_keeps_partial_trajectory(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
         with pytest.raises(StepSizeUnderflow) as err:
-            dynamics._solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0], (), CFG)
+            dynamics._solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0], ())
         partial = err.value.trajectory
         assert abs(partial.t[-1] - 1.0) < 1e-9
         assert partial.states.shape == (len(partial.t), 1)
@@ -514,8 +519,8 @@ class TestKernelBits:
     ])
     def test_step_matches_reference_loops(self, fun, t, y, h):
         logs = [], []
-        ref = _reference_step(_logged(fun, logs[0]), t, y, h, CFG.ode_rtol, CFG.ode_atol)
-        got = _kernel_step(_logged(fun, logs[1]), t, y, h, CFG.ode_rtol, CFG.ode_atol)
+        ref = _reference_step(_logged(fun, logs[0]), t, y, h, ODE_RTOL, ODE_ATOL)
+        got = _kernel_step(_logged(fun, logs[1]), t, y, h, ODE_RTOL, ODE_ATOL)
         assert len(logs[1]) == 16
         assert logs[1] == logs[0]
         assert _hex(got[0]) == _hex(ref[0])
@@ -537,9 +542,9 @@ class TestKernelCounts:
     def test_counts_without_events(self, dense):
         # the regular radial solution of the critical Hamiltonian system
         rhs, calls = self._counting(dynamics._radial_rhs(HAM6))
-        r0 = CFG.radial_r0
+        r0 = RADIAL_R0
         sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4),
-                           CFG.ode_rtol, CFG.ode_atol, dense=dense)
+                           ODE_RTOL, ODE_ATOL, dense=dense)
         assert sol.status == 0
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
@@ -549,15 +554,14 @@ class TestKernelCounts:
         rhs, calls = self._counting(phase_rhs(HAM6))
         events = [EventSpec("x", lambda t, y: y[0] - 0.25),
                   EventSpec("blow-up-y", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
-        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, CFG.ode_rtol,
-                           CFG.ode_atol, events)
+        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, ODE_RTOL, ODE_ATOL, events)
         assert sol.status == 1 and sol.t_events[0]
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
 
     def test_counts_on_step_size_underflow(self):
         rhs, calls = self._counting(lambda t, y: (y[0] ** 2,))
-        sol = dop853.solve(rhs, 0.0, [1.0], 2.0, CFG.ode_rtol, CFG.ode_atol)
+        sol = dop853.solve(rhs, 0.0, [1.0], 2.0, ODE_RTOL, ODE_ATOL)
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1

@@ -13,7 +13,6 @@ from efdyn.dynamics import _shoot_once
 from efdyn.energies import (diagonal_crossings, hamiltonian_derivative_coefficient,
                             potential_derivative_coefficient)
 from efdyn.model import SystemParams
-from efdyn.numerics import DEFAULT_NUMERICS as CFG
 from efdyn.scalar import scalar_to_phase
 
 from conftest import fd_derivative
@@ -110,7 +109,7 @@ class TestDerivatives:
         (EnergySpec.phi(), nonvariational_params(6.0, 0.5, 2.1, 2.4), (6e-5, 4e-5)),
     ])
     def test_matches_finite_differences_along_trajectory(self, spec, params, seed):
-        traj = _shoot_once(params, seed[0], seed[1], 1e-4, 12.0, CFG)
+        traj = _shoot_once(params, seed[0], seed[1], 1e-4, 12.0)
         sol = None
         # re-integrate densely over the in-box stretch
         from efdyn import integrate_m
@@ -344,7 +343,7 @@ class TestAsymptotics:
 class TestConservation:
     def test_critical_drift_and_offcritical_sign(self):
         spec = EnergySpec.hamiltonian()
-        traj = _shoot_once(HAM6, 7e-5, 5e-5, 1e-4, 20.0, CFG)
+        traj = _shoot_once(HAM6, 7e-5, 5e-5, 1e-4, 20.0)
         vals, scales = [], []
         for t, st in zip(traj.t, traj.states):
             if np.any(st <= 0) or st[0] > 0.95 * HAM6.x_bound or st[1] > 0.95 * HAM6.y_bound:
@@ -359,7 +358,7 @@ class TestConservation:
         assert np.max(np.abs(vals)) / np.max(scales) < 1e-6
 
         P17 = hamiltonian_params(6.0, 1.7, 1.7)
-        traj = _shoot_once(P17, 7e-5, 7e-5, 1e-4, 20.0, CFG)
+        traj = _shoot_once(P17, 7e-5, 7e-5, 1e-4, 20.0)
         vals = [energy_value(spec, P17, PhaseState.from_coords(t, st))
                 for t, st in zip(traj.t, traj.states)
                 if np.all(st > 0) and st[0] < 0.95 * P17.x_bound]

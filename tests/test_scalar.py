@@ -7,8 +7,8 @@ from efdyn import (EventSpec, NotApplicable, ScalarBehavior, ScalarParams,
                    integrate_radial, scalar_classify)
 from efdyn.scalar import (diagonal_trajectory, explicit_critical_solution,
                           line_quantity, particular_amplitude, poincare_returns,
-                          regular_seed, scalar_fixed_points, scalar_to_phase,
-                          scalar_vector_field)
+                          regular_seed, scalar_fixed_points, scalar_to_phase)
+from efdyn.model import phase_rhs
 
 SC = ScalarParams(N=3.0, p=2.0, a=0.0, Q=5.0)
 
@@ -24,8 +24,9 @@ class TestBasics:
         assert fps["M0"] == pytest.approx((0.5, 0.5))
         assert fps["N0"] == pytest.approx((0.0, 3.0))
         assert fps["A0"] == pytest.approx((1.0, 0.0))
-        for pt in fps.values():
-            assert np.max(np.abs(scalar_vector_field(SC, pt))) < 1e-14
+        rhs = phase_rhs(SC.system)      # the plane is the diagonal (X, X, Z, Z)
+        for X, Z in fps.values():
+            assert np.max(np.abs(rhs(0.0, (X, X, Z, Z)))) < 1e-14
 
     def test_power_amplitude(self):
         assert particular_amplitude(SC) == pytest.approx(0.25 ** 0.25, rel=1e-13)
