@@ -41,7 +41,7 @@ _BLOCK_KEYS = {
     "integrate": {"mode", "initial", "t_span", "u0", "v0", "r_max"},
     "shoot": {"x", "y", "theta", "rho"},
     "sweep": {"kind", "n", "rho", "parameter", "start", "stop", "step", "n_angles"},
-    "portrait": {"plane", "ranges", "grid", "fixed", "trajectories", "t_span"},
+    "portrait": {"ranges", "grid", "trajectories", "t_span"},
 }
 _SCALAR_KEYS = {"N", "p", "a", "Q", "eps"}
 
@@ -153,6 +153,12 @@ def _need_params(rc: RunConfig) -> SystemParams:
     if rc.params is None:
         raise ConfigError("params", "required for this command")
     return rc.params
+
+
+def _need_scalar(rc: RunConfig) -> ScalarParams:
+    if rc.scalar is None:
+        raise ConfigError("scalar", "required for this command")
+    return rc.scalar
 
 
 # -- command implementations ----------------------------------------------------
@@ -333,9 +339,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
 
 
 def _run_scalar(rc: RunConfig) -> ReportBundle:
-    if rc.scalar is None:
-        raise ConfigError("scalar", "required for this command")
-    sp = rc.scalar
+    sp = _need_scalar(rc)
     rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
     report = {"command": "scalar", "report": rep.to_dict()}
     summary = [f"scalar N={_fmt(sp.N)} p={_fmt(sp.p)} a={_fmt(sp.a)} Q={_fmt(sp.Q)} "
@@ -346,85 +350,44 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
+    """The scalar phase plane: the vector field on a grid plus sample orbits."""
+    sp = _need_scalar(rc)
     block = rc.block
     grid = block.get("grid", [21, 21])
     csvs = {}
-    if rc.scalar is not None:
-        sp = rc.scalar
-        fps = scalar_fixed_points(sp)
-        ranges = block.get("ranges",
-                           [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]])
-        xs = np.linspace(ranges[0][0], ranges[0][1], int(grid[0]))
-        zs = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
-        # the plane is the diagonal (X, X, Z, Z) of the symmetric system
-        rhs = phase_rhs(sp.system)
-        rows = [["X", "Z", "dX", "dZ"]]
-        for xv in xs:
-            for zv in zs:
-                d = rhs(0.0, (xv, xv, zv, zv))
-                rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
-        csvs["portrait.csv"] = rows
-        starts = block.get("trajectories")
-        if starts is None:
-            starts = [list(regular_seed(sp, MANIFOLD_RHO))]
-        t_span = block.get("t_span", [0.0, T_END])
-        # an orbit ends once it comes within CAPTURE_DIST of a fixed point:
-        # past a saddle such as A0, which way it leaves is decided by roundoff
-        capture = [EventSpec(f"capture:{name}",
-                             lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
-                             - CAPTURE_DIST, terminal=True, direction=-1.0)
-                   for name, pt in fps.items()]
-        trows = [["trajectory", "t", "X", "Z"]]
-        for i, st in enumerate(starts):
-            traj = diagonal_trajectory(sp, st, t_span, events=capture)
-            for t, row in zip(traj.t, traj.states):
-                trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
-        csvs["trajectories.csv"] = trows
-        report = {"command": "portrait", "scalar": sp.to_dict(),
-                  "fixed_points": {k: list(v) for k, v in fps.items()}}
-        summary = ["scalar portrait: fixed points " +
-                   " ".join(f"{k}=({_fmt(v[0])},{_fmt(v[1])})" for k, v in fps.items())]
-        return ReportBundle(report=report, csv_files=csvs, summary=summary)
-
-    P = _need_params(rc)
-    plane = block.get("plane", ["X", "Y"])
-    names = ["X", "Y", "Z", "W"]
-    for c in plane:
-        if c not in names:
-            raise ConfigError("portrait.plane", f"unknown coordinate {c!r}")
-    i1, i2 = names.index(plane[0]), names.index(plane[1])
-    fixed = block.get("fixed", {})
-    base = np.zeros(4)
-    for k, v in fixed.items():
-        if k not in names:
-            raise ConfigError(f"portrait.fixed.{k}", "unknown coordinate")
-        base[names.index(k)] = float(v)
-    ranges = block.get("ranges", [[0.0, 1.5 * P.x_bound], [0.0, 1.5 * P.y_bound]])
+    fps = scalar_fixed_points(sp)
+    ranges = block.get("ranges",
+                       [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]])
     xs = np.linspace(ranges[0][0], ranges[0][1], int(grid[0]))
-    ys = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
-    rhs = phase_rhs(P)
-    rows = [[plane[0], plane[1], "d" + plane[0], "d" + plane[1]]]
+    zs = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
+    # the plane is the diagonal (X, X, Z, Z) of the symmetric system
+    rhs = phase_rhs(sp.system)
+    rows = [["X", "Z", "dX", "dZ"]]
     for xv in xs:
-        for yv in ys:
-            pt = base.copy()
-            pt[i1], pt[i2] = xv, yv
-            d = rhs(0.0, pt)
-            rows.append([_fmt(xv), _fmt(yv), _fmt(d[i1]), _fmt(d[i2])])
+        for zv in zs:
+            d = rhs(0.0, (xv, xv, zv, zv))
+            rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
     csvs["portrait.csv"] = rows
-    starts = block.get("trajectories", [])
-    if starts:
-        t_span = block.get("t_span", [0.0, T_END])
-        trows = [["trajectory", "t", plane[0], plane[1]]]
-        for i, st in enumerate(starts):
-            if len(st) != 4:
-                raise ConfigError("portrait.trajectories", "each start needs [X, Y, Z, W]")
-            traj = integrate_m(P, PhaseState.from_coords(t_span[0], st), horizon=tuple(t_span))
-            for t, row in zip(traj.t, traj.states):
-                trows.append([str(i), _fmt(t), _fmt(row[i1]), _fmt(row[i2])])
-        csvs["trajectories.csv"] = trows
-    report = {"command": "portrait", "params": P.to_dict(), "plane": plane,
-              "fixed": {k: float(v) for k, v in fixed.items()}}
-    summary = [f"portrait: plane ({plane[0]}, {plane[1]}), grid {grid[0]}x{grid[1]}"]
+    starts = block.get("trajectories")
+    if starts is None:
+        starts = [list(regular_seed(sp, MANIFOLD_RHO))]
+    t_span = block.get("t_span", [0.0, T_END])
+    # an orbit ends once it comes within CAPTURE_DIST of a fixed point:
+    # past a saddle such as A0, which way it leaves is decided by roundoff
+    capture = [EventSpec(f"capture:{name}",
+                         lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
+                         - CAPTURE_DIST, terminal=True, direction=-1.0)
+               for name, pt in fps.items()]
+    trows = [["trajectory", "t", "X", "Z"]]
+    for i, st in enumerate(starts):
+        traj = diagonal_trajectory(sp, st, t_span, events=capture)
+        for t, row in zip(traj.t, traj.states):
+            trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
+    csvs["trajectories.csv"] = trows
+    report = {"command": "portrait", "scalar": sp.to_dict(),
+              "fixed_points": {k: list(v) for k, v in fps.items()}}
+    summary = ["scalar portrait: fixed points " +
+               " ".join(f"{k}=({_fmt(v[0])},{_fmt(v[1])})" for k, v in fps.items())]
     return ReportBundle(report=report, csv_files=csvs, summary=summary)
 
 

@@ -26,8 +26,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["Solution", "DenseSolution", "solve", "find_root"]
-
 # -- tableau ---------------------------------------------------------------
 # Coefficients as in scipy/integrate/_ivp/dop853_coefficients.py (SciPy,
 # BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy

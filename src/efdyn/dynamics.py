@@ -31,13 +31,6 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RAT
                        MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, ODE_ATOL, ODE_RTOL,
                        RADIAL_R0, SIM_WINDOW, T_END)
 
-__all__ = [
-    "Termination", "Trajectory", "RadialTrajectory", "BoxBounds", "EventSpec",
-    "integrate_m", "integrate_radial", "launch_regular", "classify_shot",
-    "ShotOutcome", "SClass", "MClass", "search_ground_state", "search_dirichlet",
-    "GroundStateSearch", "DirichletSearch", "sweep_angles",
-]
-
 
 @dataclass(frozen=True)
 class Termination:
@@ -91,10 +84,6 @@ class RadialTrajectory:
                 return t
         return None
 
-    def state(self, i: int) -> RadialState:
-        return RadialState(r=float(self.r[i]), u=float(self.u[i]), v=float(self.v[i]),
-                           du=float(self.du[i]), dv=float(self.dv[i]))
-
     def state_at(self, t: float) -> RadialState:
         """Interpolated radial state at t = ln r (needs dense output)."""
         if self.dense is None:
@@ -107,29 +96,6 @@ class RadialTrajectory:
 
     def phase_at(self, t: float) -> PhaseState:
         return to_phase(self._params, self.state_at(t))
-
-
-@dataclass(frozen=True)
-class BoxBounds:
-    """The open box that trajectories of global positive solutions never leave."""
-
-    x_max: float
-    y_max: float
-    z_max: float
-    w_max: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "BoxBounds":
-        return cls(params.x_bound, params.y_bound, params.z_bound, params.w_bound)
-
-    def contains(self, coords, strict: bool = True) -> bool:
-        X, Y, Z, W = coords
-        lo = 0.0
-        if strict:
-            return (lo < X < self.x_max and lo < Y < self.y_max
-                    and lo < Z < self.z_max and lo < W < self.w_max)
-        return (lo <= X <= self.x_max and lo <= Y <= self.y_max
-                and lo <= Z <= self.z_max and lo <= W <= self.w_max)
 
 
 @dataclass(frozen=True)
@@ -285,7 +251,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
-                   rho: float = MANIFOLD_RHO, n_samples: int = 25) -> float:
+                   rho: float = MANIFOLD_RHO) -> float:
     """Max relative deviation between the two routes to the regular trajectory:
     direct radial integration mapped through the chart, versus phase-space
     integration from the manifold seed.
@@ -293,7 +259,8 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     The radial route runs from scale-normalized data (the scaling law makes
     the curves agree up to a log-radius shift); the shift is pinned by matching
     X at the last comparison sample, then all four coordinates are compared
-    along the stretch where the trajectory is still inside 60% of the box.
+    at 25 points along the stretch where the trajectory is still inside 60%
+    of the box.
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
@@ -326,7 +293,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     shift = tau - d_tau
 
     worst = 0.0
-    for t in np.linspace(t_lo, t_hi, n_samples):
+    for t in np.linspace(t_lo, t_hi, 25):
         if not rad_lo + 1e-9 <= t - shift <= rad_hi - 1e-9:
             continue
         ref = rad.phase_at(t - shift).coords
@@ -466,14 +433,6 @@ class GroundStateSearch:
     boundaries: tuple[BoundaryHit, ...]
     outcomes: tuple[ShotOutcome, ...]
     angles: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"found": self.found,
-                "witness_angles": list(self.witness_angles),
-                "boundary_angles": list(self.boundary_angles),
-                "boundaries": [{"angle": b.angle, "kind": b.kind,
-                                "outcome": b.outcome.to_dict()} for b in self.boundaries],
-                "outcomes": [o.to_dict() for o in self.outcomes]}
 
 
 def _seed(theta: float, rho: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from .errors import DegenerateState, NotCritical, PreconditionViolated
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     effective_unweighted_dimension, exchange_params, from_phase, to_phase)
 from .numerics import IDENTITY_RTOL
-from .scalar import ScalarParams, scalar_profile_from_phase
+from .scalar import ScalarParams, scalar_profile_from_phase, threshold_q1, threshold_q2
 from .spectra import AsymptoticProfile
 
 
@@ -411,8 +411,8 @@ def classify_region(params: SystemParams) -> dict[CriticalCurve, Position]:
     if P.p == P.q and P.a == P.b and abs((P.s + P.delta) - (P.m + P.mu)) \
             <= IDENTITY_RTOL * (1 + abs(P.s + P.delta)):
         Q = P.s + P.delta
-        q1 = (P.N + P.a) * (P.p - 1) / (P.N - P.p)
-        q2 = (P.N * (P.p - 1) + P.p + P.p * P.a) / (P.N - P.p)
+        q1 = threshold_q1(P.N, P.p, P.a)
+        q2 = threshold_q2(P.N, P.p, P.a)
         out[CriticalCurve.SCALAR_Q1] = _position(Q - q1, abs(Q) + abs(q1), False)
         out[CriticalCurve.SCALAR_Q2] = _position(Q - q2, abs(Q) + abs(q2), False)
     return out
@@ -445,20 +445,16 @@ class ExistenceVerdict:
                 "conditions": [list(c) for c in self.conditions]}
 
 
-def _second_threshold(N, p, a) -> float:
-    return (N * (p - 1) + p + p * a) / (N - p)
-
-
 def _monotonicity_blocks(P: SystemParams) -> tuple[bool, tuple]:
     """One-sided Pohozaev monotonicity obstruction (and its exchanged twin)."""
     for Q in (P, exchange_params(P)):
         g = derive_exponents(Q).gamma
         cond1 = Q.s + 1 > Q.p or g > (Q.N - Q.p) / Q.p
         lhs = Q.s + Q.p * (Q.N - Q.q) / ((Q.q - 1) * (Q.N - Q.p)) * Q.delta
-        if cond1 and lhs < _second_threshold(Q.N, Q.p, Q.a):
+        if cond1 and lhs < threshold_q2(Q.N, Q.p, Q.a):
             return True, (("s+1>p or gamma>(N-p)/p", "true"),
                           ("s + p(N-q)delta/((q-1)(N-p)) < threshold",
-                           f"{lhs} < {_second_threshold(Q.N, Q.p, Q.a)}"))
+                           f"{lhs} < {threshold_q2(Q.N, Q.p, Q.a)}"))
     return False, ()
 
 
@@ -534,8 +530,8 @@ def predict_existence(params: SystemParams) -> ExistenceVerdict:
     if blocked:
         return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "pohozaev-monotonicity", cond)
 
-    thr_s = _second_threshold(P.N, P.p, P.a)
-    thr_m = _second_threshold(P.N, P.q, P.b)
+    thr_s = threshold_q2(P.N, P.p, P.a)
+    thr_m = threshold_q2(P.N, P.q, P.b)
     if P.s >= thr_s and P.m >= thr_m:
         return ExistenceVerdict(Verdict.ALL_REGULAR_ARE_GS, "supercritical-trap",
                                 (("s >= threshold", f"{P.s} >= {thr_s}"),

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import NotApplicable, UndefinedPoint
-from .model import (SystemParams, derive_exponents, exchange_params, vector_field_arr)
+from .model import SystemParams, derive_exponents, exchange_params
 from .numerics import DEGENERACY_BAND
 
 
 class FixedPointLabel(str, Enum):
+    """The sixteen catalog points, in catalog order."""
+
     M0 = "M0"
     O = "O"
     N0 = "N0"
@@ -50,13 +50,6 @@ EXCHANGE_IMAGE = {
     FixedPointLabel.S0: FixedPointLabel.R0,
 }
 
-CATALOG_ORDER = [
-    FixedPointLabel.M0, FixedPointLabel.O, FixedPointLabel.N0, FixedPointLabel.A0,
-    FixedPointLabel.I0, FixedPointLabel.J0, FixedPointLabel.K0, FixedPointLabel.L0,
-    FixedPointLabel.G0, FixedPointLabel.H0, FixedPointLabel.P0, FixedPointLabel.C0,
-    FixedPointLabel.R0, FixedPointLabel.Q0, FixedPointLabel.D0, FixedPointLabel.S0,
-]
-
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -81,17 +74,14 @@ class PowerSolution:
     gamma: float
     xi: float
 
-    def u(self, r: float) -> float:
-        return self.A * r ** (-self.gamma)
 
-    def v(self, r: float) -> float:
-        return self.B * r ** (-self.xi)
-
-    def radial_state(self, r: float):
-        from .model import RadialState
-        return RadialState(r=r, u=self.u(r), v=self.v(r),
-                           du=-self.gamma * self.u(r) / r,
-                           dv=-self.xi * self.v(r) / r)
+def m0_coords(params: SystemParams) -> tuple[float, float, float, float]:
+    """The interior point M0 = (gamma, xi, N-p-(p-1) gamma, N-q-(q-1) xi);
+    raises ZeroDiscriminant at D = 0."""
+    P = params
+    ex = derive_exponents(P)
+    return (ex.gamma, ex.xi, P.N - P.p - (P.p - 1) * ex.gamma,
+            P.N - P.q - (P.q - 1) * ex.xi)
 
 
 def _swapped(coords):
@@ -111,8 +101,7 @@ def _base_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
         if D == 0.0:
             return FixedPoint(label, (math.nan,) * 4, False, False)
         near = abs(D) < DEGENERACY_BAND * (1 + abs(delta * mu))
-        ex = derive_exponents(P)
-        coords = (ex.gamma, ex.xi, N - p - (p - 1) * ex.gamma, N - q - (q - 1) * ex.xi)
+        coords = m0_coords(P)
     elif label is FixedPointLabel.O:
         coords = (0.0, 0.0, 0.0, 0.0)
     elif label is FixedPointLabel.N0:
@@ -165,43 +154,7 @@ def fixed_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
 
 def fixed_point_catalog(params: SystemParams) -> list[FixedPoint]:
     """All sixteen equilibria, in stable order."""
-    return [fixed_point(params, label) for label in CATALOG_ORDER]
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    label: FixedPointLabel
-    admissible: bool
-    boundary: bool                 # some coordinate sits exactly on a face
-    violated: tuple[str, ...]      # human-readable violated inequalities
-
-    def to_dict(self) -> dict:
-        return {"label": self.label.value, "admissible": self.admissible,
-                "boundary": self.boundary, "violated": list(self.violated)}
-
-
-def admissibility(fp: FixedPoint, params: SystemParams) -> AdmissibilityReport:
-    """Detailed admissibility check; for M0 this is exactly the strict box condition."""
-    if not fp.defined:
-        raise UndefinedPoint(f"{fp.label} is undefined for these parameters")
-    names = ("X", "Y", "Z", "W")
-    violated = []
-    if fp.label is FixedPointLabel.M0:
-        gamma, xi = fp.coords[0], fp.coords[1]
-        if not 0.0 < gamma:
-            violated.append(f"0 < gamma violated (gamma = {gamma})")
-        if not gamma < params.x_bound:
-            violated.append(f"gamma < (N-p)/(p-1) violated ({gamma} >= {params.x_bound})")
-        if not 0.0 < xi:
-            violated.append(f"0 < xi violated (xi = {xi})")
-        if not xi < params.y_bound:
-            violated.append(f"xi < (N-q)/(q-1) violated ({xi} >= {params.y_bound})")
-        return AdmissibilityReport(fp.label, not violated, False, tuple(violated))
-    for name, c in zip(names, fp.coords):
-        if c < 0.0:
-            violated.append(f"{name} >= 0 violated ({name} = {c})")
-    boundary = not violated and any(c == 0.0 for c in fp.coords)
-    return AdmissibilityReport(fp.label, not violated, boundary, tuple(violated))
+    return [fixed_point(params, label) for label in FixedPointLabel]
 
 
 def particular_solution(params: SystemParams) -> PowerSolution:
@@ -214,10 +167,7 @@ def particular_solution(params: SystemParams) -> PowerSolution:
     P = params
     if P.D == 0.0:
         raise NotApplicable("D = 0: no power solution")
-    ex = derive_exponents(P)
-    gamma, xi = ex.gamma, ex.xi
-    Z0 = P.N - P.p - (P.p - 1) * gamma
-    W0 = P.N - P.q - (P.q - 1) * xi
+    gamma, xi, Z0, W0 = m0_coords(P)
     if gamma <= 0.0 or xi <= 0.0:
         raise NotApplicable(f"gamma = {gamma}, xi = {xi}: power bases need gamma, xi > 0")
     base1 = P.eps1 * gamma ** (P.p - 1) * Z0
@@ -230,11 +180,3 @@ def particular_solution(params: SystemParams) -> PowerSolution:
     B = math.exp((P.mu * l1 + (P.p - 1 - P.s) * l2) / P.D)
     return PowerSolution(A=A, B=B, gamma=gamma, xi=xi)
 
-
-def catalog_residuals(params: SystemParams) -> dict[str, float]:
-    """Max-norm of the vector field at every defined catalog point."""
-    out = {}
-    for fp in fixed_point_catalog(params):
-        if fp.defined:
-            out[fp.label.value] = float(np.max(np.abs(vector_field_arr(params, fp.coords))))
-    return out

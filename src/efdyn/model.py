@@ -39,8 +39,8 @@ PARAM_KEYS = ("N", "p", "q", "a", "b", "s", "m", "delta", "mu", "eps1", "eps2")
 class SystemParams:
     """The nine real exponents plus the two signs defining the system.
 
-    N is deliberately a *real* parameter: the rescaling of `rescale_system`
-    moves between non-integer effective dimensions.
+    N is a real parameter; weighted systems reduce to non-integer effective
+    dimensions (`effective_unweighted_dimension`).
     """
 
     N: float
@@ -145,46 +145,34 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def failures(self) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
     def to_dict(self) -> dict:
         return {"ok": self.ok,
                 "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                            for c in self.checks]}
 
 
-def validate_params(params: SystemParams, regime: str = "source") -> ValidationReport:
-    """Report-style constraint check; names the violated inequality, never raises.
-
-    regime="source" enforces the standing assumptions for the source system:
-    1 < p, q < N, min(p+a, q+b) > 0, delta, mu > 0, s, m >= 0 and D > 0.
-    regime="none" only checks p, q != 1 and D != 0.
+def validate_params(params: SystemParams) -> ValidationReport:
+    """Report-style check of the standing assumptions for the source system,
+    1 < p, q < N, min(p+a, q+b) > 0, delta, mu > 0, s, m >= 0 and D > 0;
+    names the violated inequality, never raises.
     """
     P = params
-    checks = [
+    return ValidationReport((
         ConstraintCheck("p != 1", P.p != 1.0, f"p = {P.p}"),
         ConstraintCheck("q != 1", P.q != 1.0, f"q = {P.q}"),
         ConstraintCheck("D != 0", P.D != 0.0, f"D = {P.D}"),
-    ]
-    if regime == "source":
-        checks += [
-            ConstraintCheck("1 < p < N", 1.0 < P.p < P.N, f"p = {P.p}, N = {P.N}"),
-            ConstraintCheck("1 < q < N", 1.0 < P.q < P.N, f"q = {P.q}, N = {P.N}"),
-            ConstraintCheck("p + a > 0", P.p + P.a > 0.0, f"p + a = {P.p + P.a}"),
-            ConstraintCheck("q + b > 0", P.q + P.b > 0.0, f"q + b = {P.q + P.b}"),
-            ConstraintCheck("delta > 0", P.delta > 0.0, f"delta = {P.delta}"),
-            ConstraintCheck("mu > 0", P.mu > 0.0, f"mu = {P.mu}"),
-            ConstraintCheck("s >= 0", P.s >= 0.0, f"s = {P.s}"),
-            ConstraintCheck("m >= 0", P.m >= 0.0, f"m = {P.m}"),
-            ConstraintCheck("D > 0", P.D > 0.0, f"D = {P.D}"),
-            ConstraintCheck("eps1 = eps2 = +1", P.eps1 == 1 and P.eps2 == 1,
-                            f"eps = ({P.eps1}, {P.eps2})"),
-        ]
-    elif regime != "none":
-        raise PreconditionViolated(f"unknown regime {regime!r}")
-    return ValidationReport(tuple(checks))
+        ConstraintCheck("1 < p < N", 1.0 < P.p < P.N, f"p = {P.p}, N = {P.N}"),
+        ConstraintCheck("1 < q < N", 1.0 < P.q < P.N, f"q = {P.q}, N = {P.N}"),
+        ConstraintCheck("p + a > 0", P.p + P.a > 0.0, f"p + a = {P.p + P.a}"),
+        ConstraintCheck("q + b > 0", P.q + P.b > 0.0, f"q + b = {P.q + P.b}"),
+        ConstraintCheck("delta > 0", P.delta > 0.0, f"delta = {P.delta}"),
+        ConstraintCheck("mu > 0", P.mu > 0.0, f"mu = {P.mu}"),
+        ConstraintCheck("s >= 0", P.s >= 0.0, f"s = {P.s}"),
+        ConstraintCheck("m >= 0", P.m >= 0.0, f"m = {P.m}"),
+        ConstraintCheck("D > 0", P.D > 0.0, f"D = {P.D}"),
+        ConstraintCheck("eps1 = eps2 = +1", P.eps1 == 1 and P.eps2 == 1,
+                        f"eps = ({P.eps1}, {P.eps2})"),
+    ))
 
 
 # -- derived exponents ------------------------------------------------------
@@ -194,8 +182,6 @@ class DerivedExponents:
     D: float
     gamma: float
     xi: float
-    p_conj: float   # p/(p-1)
-    q_conj: float   # q/(q-1)
 
 
 def derive_exponents(params: SystemParams) -> DerivedExponents:
@@ -210,8 +196,7 @@ def derive_exponents(params: SystemParams) -> DerivedExponents:
         raise ZeroDiscriminant("delta*mu = (p-1-s)(q-1-m): exponents undefined")
     gamma = ((P.p + P.a) * (P.q - 1 - P.m) + (P.q + P.b) * P.delta) / D
     xi = ((P.q + P.b) * (P.p - 1 - P.s) + (P.p + P.a) * P.mu) / D
-    return DerivedExponents(D=D, gamma=gamma, xi=xi,
-                            p_conj=P.p / (P.p - 1), q_conj=P.q / (P.q - 1))
+    return DerivedExponents(D=D, gamma=gamma, xi=xi)
 
 
 # -- states -----------------------------------------------------------------
@@ -274,18 +259,6 @@ def phase_rhs(params: SystemParams):
                 Z * (na - (s * X + delta * Y) - Z),
                 W * (nb - (mu * X + m * Y) - W))
     return rhs
-
-
-def vector_field_arr(params: SystemParams, coords) -> np.ndarray:
-    """Right-hand side of the phase system at raw coordinates [X, Y, Z, W]
-    (the formula of `phase_rhs`)."""
-    return np.array(phase_rhs(params)(0.0, coords))
-
-
-def vector_field(params: SystemParams, state: PhaseState) -> np.ndarray:
-    """Time derivatives (X_t, Y_t, Z_t, W_t); each component carries its own
-    coordinate as a factor, so coordinate hyperplanes are exactly invariant."""
-    return vector_field_arr(params, state.coords)
 
 
 # -- chart maps -------------------------------------------------------------
@@ -371,43 +344,6 @@ def normalized_regular_data(params: SystemParams, x: float, y: float) -> tuple[f
     ln_u0, ln_v0 = _regular_log_data(params, x, y)
     ln_theta = -ln_u0 / ex.gamma
     return 1.0, math.exp(ln_v0 + ex.xi * ln_theta), ln_theta
-
-
-# -- rescaling (p = q, a = b) ------------------------------------------------
-
-@dataclass(frozen=True)
-class RescaleMap:
-    """Coordinate change t = k t_hat, (X,Y,Z,W) -> k (X,Y,Z,W) between the
-    original system and the one with (N_hat, a_hat)."""
-
-    k: float
-
-    def apply(self, state: PhaseState) -> PhaseState:
-        return PhaseState(t=state.t / self.k, X=self.k * state.X, Y=self.k * state.Y,
-                          Z=self.k * state.Z, W=self.k * state.W)
-
-
-def rescale_system(params: SystemParams, k: float) -> tuple[SystemParams, RescaleMap]:
-    """Trade dimension against weight: requires p = q and a = b, k != 0.
-
-    Returns parameters with N_hat = p + k(N-p) and a_hat = k(p+a) - p, so that
-    (N_hat - p)/(N - p) = k = (N_hat + a_hat)/(N + a), together with the phase
-    map. gamma and xi rescale by k.
-    """
-    P = params
-    if P.p != P.q or P.a != P.b:
-        raise PreconditionViolated("rescaling needs p = q and a = b")
-    if k == 0.0:
-        raise PreconditionViolated("k must be nonzero")
-    n_hat = P.p + k * (P.N - P.p)
-    a_hat = k * (P.p + P.a) - P.p
-    new = P.replace(N=n_hat, a=a_hat, b=a_hat)
-    return new, RescaleMap(k=k)
-
-
-def rescale_to_unweighted(params: SystemParams) -> tuple[SystemParams, RescaleMap]:
-    """Remove the radial weight (a_hat = 0) via k = p/(p+a)."""
-    return rescale_system(params, params.p / (params.p + params.a))
 
 
 def effective_unweighted_dimension(params: SystemParams) -> float:

@@ -33,6 +33,16 @@ from .model import PhaseState, SystemParams, symmetric_scalar_embedding
 from .numerics import BLOW_UP, MANIFOLD_RHO, SCALAR_R_MAX, T_END
 
 
+def threshold_q1(N, p, a) -> float:
+    """Q1 = (N+a)(p-1)/(N-p), the Serrin exponent."""
+    return (N + a) * (p - 1) / (N - p)
+
+
+def threshold_q2(N, p, a) -> float:
+    """Q2 = (N(p-1) + p + pa)/(N-p), the critical (Sobolev) exponent."""
+    return (N * (p - 1) + p + p * a) / (N - p)
+
+
 @dataclass(frozen=True)
 class ScalarParams:
     N: float
@@ -53,11 +63,11 @@ class ScalarParams:
 
     @property
     def Q1(self) -> float:
-        return (self.N + self.a) * (self.p - 1) / (self.N - self.p)
+        return threshold_q1(self.N, self.p, self.a)
 
     @property
     def Q2(self) -> float:
-        return (self.N * (self.p - 1) + self.p + self.p * self.a) / (self.N - self.p)
+        return threshold_q2(self.N, self.p, self.a)
 
     @property
     def gamma(self) -> float:
@@ -93,12 +103,6 @@ def scalar_fixed_points(sp: ScalarParams) -> dict[str, tuple[float, float]]:
         "A0": (sp.x_bound, 0.0),
     }
 
-
-def scalar_to_phase(sp: ScalarParams, r: float, u: float, du: float) -> tuple[float, float]:
-    X = -r * du / u
-    Z = -sp.eps * r ** (1 + sp.a) * abs(u) ** (sp.Q - 1) * u \
-        * math.copysign(abs(du) ** (1 - sp.p), du)
-    return X, Z
 
 def scalar_profile_from_phase(sp: ScalarParams, t: float, X: float, Z: float) -> float:
     """|u| at r = e^t from the phase point."""
@@ -181,23 +185,23 @@ def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
 
 # -- Poincare-return sampling (limit-cycle evidence) --------------------------
 
-def poincare_returns(sp: ScalarParams, start_offset: float = 0.05, max_returns: int = 6,
-                     horizon: float = 200.0) -> list[float]:
-    """Signed section offsets of successive returns to the half-line X = X0, Z > Z0.
+def poincare_returns(sp: ScalarParams, start_offset: float = 0.05) -> list[float]:
+    """Signed section offsets of the first six returns, up to t = 200, to the
+    half-line X = X0, Z > Z0.
 
     Strictly monotone |offsets| are evidence against a limit cycle around M0;
     at Q = Q2 (a center) the offsets stall instead.
     """
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
-    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, horizon),
+    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0),
                                events=[section], dense=True)
     offsets = []
     for t_ev in (t for t, name in traj.events if name == "section"):
         z_ev = traj.state_at(t_ev)[2]
         if t_ev > 1e-9 and z_ev > Z0:
             offsets.append(float(z_ev - Z0))
-        if len(offsets) >= max_returns:
+        if len(offsets) >= 6:
             break
     return offsets
 

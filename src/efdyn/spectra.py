@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point
+from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point, m0_coords
 from .errors import UndefinedPoint
 from .model import PhaseState, SystemParams, derive_exponents, exchange_params
 from .numerics import CENTER_TOL, IDENTITY_RTOL
@@ -35,10 +35,6 @@ def jacobian_at(params: SystemParams, state) -> np.ndarray:
         [-P.s * Z, -P.delta * Z, P.N + P.a - P.s * X - P.delta * Y - 2 * Z, 0.0],
         [-P.mu * W, -P.m * W, 0.0, P.N + P.b - P.mu * X - P.m * Y - 2 * W],
     ])
-
-
-def numeric_spectrum(params: SystemParams, coords) -> np.ndarray:
-    return np.linalg.eigvals(jacobian_at(params, coords))
 
 
 # -- polynomial machinery -----------------------------------------------------
@@ -87,38 +83,18 @@ class QuarticCoeffs:
         return np.array([1.0, self.E, self.F, self.G, -self.H])
 
 
-def m0_quadratic_factors(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two decoupled quadratics whose product is the M0 quartic without
-    the delta*mu coupling constant."""
-    P = params
-    ex = derive_exponents(P)
-    X0, Y0 = ex.gamma, ex.xi
-    Z0 = P.N - P.p - (P.p - 1) * X0
-    W0 = P.N - P.q - (P.q - 1) * Y0
-    f1 = np.array([1.0, Z0 - X0, X0 * Z0 * (P.s - P.p + 1) / (P.p - 1)])
-    f2 = np.array([1.0, W0 - Y0, Y0 * W0 * (P.m - P.q + 1) / (P.q - 1)])
-    return f1, f2
-
-
-def m0_characteristic(params: SystemParams, include_coupling: bool = True) -> QuarticCoeffs:
-    """Quartic coefficients at M0.
-
-    With include_coupling=False the delta*mu cross constant is dropped and the
-    quartic factors exactly into the two decoupled quadratics.
-    """
+def m0_characteristic(params: SystemParams) -> QuarticCoeffs:
+    """Quartic coefficients at M0. Without the delta*mu part of the constant
+    term H the quartic is the product of the two decoupled quadratics."""
     P = params
     if P.D == 0.0:
         raise UndefinedPoint("M0 undefined: D = 0")
-    ex = derive_exponents(P)
-    X0, Y0 = ex.gamma, ex.xi
-    Z0 = P.N - P.p - (P.p - 1) * X0
-    W0 = P.N - P.q - (P.q - 1) * Y0
+    X0, Y0, Z0, W0 = m0_coords(P)
     p1, q1 = P.p - 1, P.q - 1
     E = Z0 - X0 + W0 - Y0
     F = (Z0 - X0) * (W0 - Y0) - (p1 - P.s) / p1 * X0 * Z0 - (q1 - P.m) / q1 * Y0 * W0
     G = -(q1 - P.m) / q1 * Y0 * W0 * (Z0 - X0) - (p1 - P.s) / p1 * X0 * Z0 * (W0 - Y0)
-    D_eff = P.D if include_coupling else -(p1 - P.s) * (q1 - P.m)
-    H = D_eff / (p1 * q1) * X0 * Y0 * Z0 * W0
+    H = P.D / (p1 * q1) * X0 * Y0 * Z0 * W0
     return QuarticCoeffs(E=E, F=F, G=G, H=H)
 
 
@@ -228,10 +204,7 @@ def oscillation_condition(params: SystemParams) -> OscillationReport:
     roots = polynomial_roots(qc.as_poly())
     imag = any(abs(z.real) < CENTER_TOL * (1 + abs(z)) and z.imag != 0.0 for z in roots)
 
-    ex = derive_exponents(P)
-    X0, Y0 = ex.gamma, ex.xi
-    Z0 = P.N - P.p - (P.p - 1) * X0
-    W0 = P.N - P.q - (P.q - 1) * Y0
+    X0, Y0, Z0, W0 = m0_coords(P)
     scale = 1.0 + abs(X0) + abs(Y0) + abs(Z0) + abs(W0)
     tol = 1e-9
     branch = None

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from efdyn import SystemParams
+from efdyn.equilibria import fixed_point_catalog
+from efdyn.model import RadialState, SystemParams, phase_rhs
 
 
 def draw_params(rng, eps1=1, eps2=1, max_coord=15.0, min_D=0.5,
@@ -13,8 +14,6 @@ def draw_params(rng, eps1=1, eps2=1, max_coord=15.0, min_D=0.5,
     Keeps |D| bounded below and every defined catalog coordinate at desk scale
     so identity residuals stay at roundoff level.
     """
-    from efdyn import fixed_point_catalog
-
     while True:
         N = rng.uniform(3.5, 7.5)
         p = rng.uniform(1.4, min(3.0, N - 0.5))
@@ -36,6 +35,31 @@ def draw_params(rng, eps1=1, eps2=1, max_coord=15.0, min_D=0.5,
         if max(abs(c) for c in coords) > max_coord:
             continue
         return P
+
+
+def field(params, coords):
+    """The phase vector field at raw coordinates [X, Y, Z, W], as an array."""
+    return np.array(phase_rhs(params)(0.0, coords))
+
+
+def catalog_residuals(params):
+    """Max-norm of the vector field at every defined catalog point."""
+    return {fp.label.value: float(np.max(np.abs(field(params, fp.coords))))
+            for fp in fixed_point_catalog(params) if fp.defined}
+
+
+def power_radial_state(ps, r):
+    """Radial state at r of the exact power pair (A r^-gamma, B r^-xi)."""
+    u, v = ps.A * r ** -ps.gamma, ps.B * r ** -ps.xi
+    return RadialState(r=r, u=u, v=v, du=-ps.gamma * u / r, dv=-ps.xi * v / r)
+
+
+def scalar_to_phase(sp, r, u, du):
+    """Chart image (X, Z) of a scalar radial state (r, u, u')."""
+    X = -r * du / u
+    Z = -sp.eps * r ** (1 + sp.a) * abs(u) ** (sp.Q - 1) * u \
+        * math.copysign(abs(du) ** (1 - sp.p), du)
+    return X, Z
 
 
 def fd_derivative(f, x, h):

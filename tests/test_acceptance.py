@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from efdyn import (EnergySpec, MClass, PhaseState, RadialState, SClass,
-                   ScalarBehavior, classify_shot, cubic_barrier, derive_exponents,
-                   energy_value, fixed_point_catalog, from_phase, hamiltonian_params,
-                   integrate_m, integrate_radial, launch_regular,
-                   nonvariational_params, potential_params, scalar_classify,
-                   search_dirichlet, search_ground_state, symmetric_scalar_embedding,
-                   to_phase)
-from efdyn.dynamics import _shoot_once, oracle_compare
-from efdyn.equilibria import catalog_residuals, particular_solution
-from efdyn.scalar import ScalarParams, explicit_critical_solution, line_quantity, scalar_to_phase
-from efdyn.spectra import closed_form_eigenvalues, numeric_spectrum, m0_characteristic, polynomial_roots
+from efdyn.dynamics import (MClass, _shoot_once, classify_shot, integrate_radial,
+                            oracle_compare, search_dirichlet, search_ground_state)
+from efdyn.energies import EnergySpec, cubic_barrier, energy_value
+from efdyn.equilibria import fixed_point_catalog, particular_solution
+from efdyn.model import (PhaseState, RadialState, derive_exponents, from_phase,
+                         hamiltonian_params, nonvariational_params, potential_params,
+                         to_phase)
+from efdyn.scalar import (ScalarBehavior, ScalarParams, explicit_critical_solution,
+                          scalar_classify)
+from efdyn.spectra import (closed_form_eigenvalues, jacobian_at, m0_characteristic,
+                           polynomial_roots)
 
-from conftest import draw_params, radial_system_residual
+from conftest import catalog_residuals, draw_params, radial_system_residual, scalar_to_phase
 
 
 def _match(a, b):
@@ -69,7 +69,7 @@ def test_criterion_02_spectrum_cross_validation():
             scale = max(1.0, float(np.max(np.abs(cf))))
             if _min_gap(cf) < 1e-3 * scale:
                 continue          # numerically defective: eigensolver loses digits
-            num = numeric_spectrum(P, fp.coords)
+            num = np.linalg.eigvals(jacobian_at(P, fp.coords))
             err = _match(cf, num) / scale
             worst = max(worst, err)
             assert err < 1e-8, (fp.label, err)

@@ -178,20 +178,6 @@ class TestCommands:
         assert t < 16.0
         assert max(abs(X - 1.0), abs(Z)) <= CAPTURE_DIST
 
-    def test_portrait_system_plane(self, tmp_path):
-        raw = dict(HAM_CONFIG, portrait={"plane": ["X", "Y"],
-                                         "fixed": {"Z": 2.0, "W": 2.0},
-                                         "ranges": [[0.0, 4.0], [0.0, 4.0]],
-                                         "grid": [5, 5]})
-        cfg = write_config(tmp_path, raw)
-        out = str(tmp_path / "out")
-        assert main(["portrait", "--config", cfg, "--out", out]) == 0
-        lines = (tmp_path / "out" / "portrait.csv").read_text().splitlines()
-        assert lines[0] == "X,Y,dX,dY"
-        # the interior point (2, 2) with Z = W = 2 is the main equilibrium
-        rows = {tuple(map(float, ln.split(",")[:2])): ln.split(",")[2:] for ln in lines[1:]}
-        assert [float(v) for v in rows[(2.0, 2.0)]] == [0.0, 0.0]
-
 
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path):
@@ -212,6 +198,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--config", cfg, "--out", str(tmp_path / "out"), flag, "1e-8"])
         assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_portrait_without_scalar_exit_2(self, tmp_path, capsys):
+        # portrait draws the scalar plane only; system parameters alone do not do
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, portrait={"grid": [5, 5]}))
+        assert main(["portrait", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: scalar: required for this command" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["plane", "fixed"])
+    def test_removed_portrait_key_exit_2(self, tmp_path, capsys, key):
+        raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},
+               "portrait": {key: ["X", "Y"] if key == "plane" else {"Z": 2.0}}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["portrait", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: portrait.{key}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):

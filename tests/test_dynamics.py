@@ -14,16 +14,18 @@ from scipy.integrate._ivp import dop853_coefficients
 
 import efdyn
 from efdyn import dop853, dynamics
-from efdyn import (BoxBounds, MClass, PhaseState, PreconditionViolated, SClass,
-                   ScalarParams, classify_shot, derive_exponents, hamiltonian_params,
-                   integrate_m, integrate_radial, launch_regular, nonvariational_params,
-                   potential_params, search_dirichlet, search_ground_state,
-                   symmetric_scalar_embedding, to_phase, vector_field_arr)
-from efdyn.scalar import regular_seed, scalar_classify
-from efdyn.dynamics import EventSpec, oracle_compare, sweep_angles
-from efdyn.model import SystemParams, phase_rhs
-from efdyn.errors import SeriesInvalid, StepSizeUnderflow, ZeroDiscriminant
+from efdyn.dynamics import (EventSpec, MClass, SClass, classify_shot, integrate_m,
+                            integrate_radial, launch_regular, oracle_compare,
+                            search_dirichlet, search_ground_state, sweep_angles)
+from efdyn.errors import (PreconditionViolated, SeriesInvalid, StepSizeUnderflow,
+                          ZeroDiscriminant)
+from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
+                         nonvariational_params, phase_rhs, potential_params,
+                         symmetric_scalar_embedding)
 from efdyn.numerics import BLOW_UP, ODE_ATOL, ODE_RTOL, RADIAL_R0
+from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
+
+from conftest import field
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -146,7 +148,7 @@ class TestRadialOracle:
             st = rad.phase_at(t)
             h = 1e-5
             fd = (rad.phase_at(t + h).coords - rad.phase_at(t - h).coords) / (2 * h)
-            assert fd == pytest.approx(vector_field_arr(HAM6, st.coords),
+            assert fd == pytest.approx(field(HAM6, st.coords),
                                        rel=1e-6, abs=1e-7)
 
     def test_absorption_profile_stops_at_blow_up(self):
@@ -206,9 +208,9 @@ class TestClassification:
         P = hamiltonian_params(6.0, 2.5, 2.5)
         seed = launch_regular(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
         traj = integrate_m(P, seed, horizon=(0.0, 40.0))
-        box = BoxBounds.from_params(P)
-        for st in traj.states:
-            assert box.contains(st, strict=True)
+        for X, Y, Z, W in traj.states:
+            assert 0.0 < X < P.x_bound and 0.0 < Y < P.y_bound
+            assert 0.0 < Z < P.z_bound and 0.0 < W < P.w_bound
 
     def test_derived_profile_bounds_along_global_solution(self):
         # u^{s-p+1} v^delta <= (N+a) ((N-p)/(p-1))^{p-1} r^{-(p+a)} pointwise
@@ -264,7 +266,6 @@ class TestSearches:
     def test_dirichlet_for_symmetric_scalar_embedding(self):
         # N=3, Q=4 sits between the scalar thresholds: regular profiles change
         # sign, so a vanishing radius exists for the symmetric system
-        from efdyn import symmetric_scalar_embedding
         P = symmetric_scalar_embedding(3.0, 2.0, 4.0)
         d = search_dirichlet(P, n_angles=9)
         assert d.found and d.radius is not None

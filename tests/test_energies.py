@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from efdyn import (CriticalCurve, EnergyKind, EnergySpec, NotCritical, PhaseState,
-                   Position, PreconditionViolated, RadialState, ScalarPhaseState,
-                   ScalarRadialState, ScalarParams, Verdict, classify_region,
-                   cubic_barrier, energy_derivative, energy_value, hamiltonian_params,
-                   nonvariational_params, potential_params, predict_asymptotics,
-                   predict_existence, to_phase)
-from efdyn.dynamics import _shoot_once
-from efdyn.energies import (diagonal_crossings, hamiltonian_derivative_coefficient,
-                            potential_derivative_coefficient)
-from efdyn.model import SystemParams
-from efdyn.scalar import scalar_to_phase
+from efdyn.dynamics import _shoot_once, integrate_m, integrate_radial, launch_regular
+from efdyn.energies import (CriticalCurve, EnergySpec, Position,
+                            ScalarPhaseState, ScalarRadialState, Verdict, classify_region,
+                            cubic_barrier, diagonal_crossings, energy_derivative,
+                            energy_value, hamiltonian_derivative_coefficient,
+                            potential_derivative_coefficient, predict_asymptotics,
+                            predict_existence)
+from efdyn.equilibria import particular_solution
+from efdyn.errors import NotCritical, PreconditionViolated
+from efdyn.model import (PhaseState, RadialState, SystemParams, derive_exponents,
+                         exchange_params, from_phase, hamiltonian_params,
+                         nonvariational_params, potential_params,
+                         symmetric_scalar_embedding, to_phase)
+from efdyn.scalar import ScalarParams
 
-from conftest import fd_derivative
+from conftest import fd_derivative, power_radial_state, scalar_to_phase
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 POT6 = potential_params(6.0, 2.0, 2.0, 0.5, 0.5)
@@ -74,17 +77,16 @@ class TestDualForms:
 
 class TestValues:
     def test_power_solution_energy_is_constant(self):
-        from efdyn import particular_solution
         ps = particular_solution(HAM6)
         spec = EnergySpec.hamiltonian()
         for r in (0.25, 1.0, 4.0):
-            e = energy_value(spec, HAM6, ps.radial_state(r))
+            e = energy_value(spec, HAM6, power_radial_state(ps, r))
             assert e == pytest.approx(-64.0 / 3.0, rel=1e-12)
 
     def test_regular_energy_starts_at_zero(self):
-        from efdyn import integrate_radial
         rad = integrate_radial(HAM6, 1.0, 1.0, r_max=1.0)
-        st = rad.state(0)
+        st = RadialState(float(rad.r[0]), float(rad.u[0]), float(rad.v[0]),
+                         float(rad.du[0]), float(rad.dv[0]))
         e = energy_value(EnergySpec.hamiltonian(), HAM6, st)
         assert abs(e) < 1e-20   # r^N factor at r = 1e-6 crushes everything
 
@@ -112,13 +114,11 @@ class TestDerivatives:
         traj = _shoot_once(params, seed[0], seed[1], 1e-4, 12.0)
         sol = None
         # re-integrate densely over the in-box stretch
-        from efdyn import integrate_m
         t_end = traj.t[-1]
         for t, st in zip(traj.t, traj.states):
             if np.any(st <= 0) or st[0] > 0.9 * params.x_bound or st[1] > 0.9 * params.y_bound:
                 t_end = t
                 break
-        from efdyn import launch_regular
         dense = integrate_m(params, launch_regular(params, *seed, 1e-4),
                             horizon=(0.0, t_end), dense=True)
 
@@ -209,7 +209,6 @@ class TestRegions:
 
     def test_scalar_thresholds(self):
         # symmetric embedding: Q = 4 between the two thresholds (3 and 5)
-        from efdyn import symmetric_scalar_embedding
         P = symmetric_scalar_embedding(3.0, 2.0, 4.0)
         reg = classify_region(P)
         assert reg[CriticalCurve.SCALAR_Q1] is Position.ABOVE
@@ -278,7 +277,6 @@ class TestExistence:
     def test_comparison_blocks(self):
         # p > s+1, q > m+1 with gamma >= (N-p)/(p-1): nonexistence by comparison
         P = SystemParams(N=6.0, p=2.2, q=2.4, s=0.0, m=0.0, delta=1.4, mu=1.3)
-        from efdyn import derive_exponents
         ex = derive_exponents(P)
         assert max(ex.gamma - P.x_bound, ex.xi - P.y_bound) >= 0
         v = predict_existence(P)
@@ -328,7 +326,6 @@ class TestAsymptotics:
         P = on_line(2.0, 1.8, 0.4)
         assert classify_region(P)[CriticalCurve.LINE_D] is Position.ON
         prof = predict_asymptotics(P)
-        from efdyn.model import exchange_params
         prof_m = predict_asymptotics(exchange_params(P))
         assert prof.u_exponent == pytest.approx(prof_m.v_exponent)
         assert prof.v_exponent == pytest.approx(prof_m.u_exponent)
@@ -350,7 +347,6 @@ class TestConservation:
                 break
             ph = PhaseState.from_coords(t, st)
             vals.append(energy_value(spec, HAM6, ph))
-            from efdyn import from_phase
             u, v = from_phase(HAM6, ph)
             X, Y, Z, W = st
             br = (abs(X * Y) + abs(Y * (HAM6.N - W) / 3) + abs((HAM6.N - Z) * X / 3))

@@ -1,16 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from efdyn import (FixedPointLabel, NotApplicable, UndefinedPoint, admissibility,
-                   derive_exponents, fixed_point, fixed_point_catalog,
-                   hamiltonian_params, particular_solution, symmetric_scalar_embedding,
-                   to_phase, vector_field_arr)
-from efdyn.equilibria import CATALOG_ORDER, catalog_residuals
-from efdyn.model import SystemParams, exchange_params
+from efdyn.equilibria import (FixedPointLabel, fixed_point, fixed_point_catalog,
+                              particular_solution)
+from efdyn.errors import NotApplicable
+from efdyn.model import (SystemParams, exchange_params, hamiltonian_params,
+                         symmetric_scalar_embedding, to_phase)
 
-from conftest import draw_params, radial_system_residual
+from conftest import (catalog_residuals, draw_params, field, power_radial_state,
+                      radial_system_residual)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 
@@ -23,12 +21,13 @@ class TestCatalog:
         assert cat[FixedPointLabel.N0].coords == pytest.approx((0, 0, 6, 6))
         # direct substitution into the P0 formulas (the vector field vanishes there)
         assert cat[FixedPointLabel.P0].coords == pytest.approx((4, 6, 0, -2))
-        assert np.max(np.abs(vector_field_arr(HAM6, cat[FixedPointLabel.P0].coords))) < 1e-12
+        assert np.max(np.abs(field(HAM6, cat[FixedPointLabel.P0].coords))) < 1e-12
 
     def test_all_sixteen_in_stable_order(self):
         cat = fixed_point_catalog(HAM6)
-        assert [fp.label for fp in cat] == CATALOG_ORDER
-        assert len(cat) == 16
+        assert [fp.label.value for fp in cat] == [
+            "M0", "O", "N0", "A0", "I0", "J0", "K0", "L0",
+            "G0", "H0", "P0", "C0", "R0", "Q0", "D0", "S0"]
 
     def test_degenerate_denominator_flags(self):
         # m = q-1 kills the P0/C0/R0 formulas
@@ -64,29 +63,32 @@ class TestCatalog:
 
 class TestAdmissibility:
     def test_main_point_interior(self):
-        fp = fixed_point(HAM6, FixedPointLabel.M0)
-        rep = admissibility(fp, HAM6)
-        assert rep.admissible and not rep.violated
+        assert fixed_point(HAM6, FixedPointLabel.M0).admissible
+
+    def test_main_point_outside_box(self):
+        # delta = mu = 1.5, N = 6: M0 = (4, 4, 0, 0) sits on the faces X = Y = 4,
+        # not strictly inside, although no coordinate is negative
+        fp = fixed_point(hamiltonian_params(6.0, 1.5, 1.5), FixedPointLabel.M0)
+        assert fp.coords == (4.0, 4.0, 0.0, 0.0)
+        assert not fp.admissible
 
     def test_biharmonic_q0_on_boundary(self):
         # N=5, delta=1, mu=9 (the fourth-order critical case): Q0 = (1, 3, 2, 0)
         P = hamiltonian_params(5.0, 1.0, 9.0)
         fp = fixed_point(P, FixedPointLabel.Q0)
         assert fp.coords == pytest.approx((1.0, 3.0, 2.0, 0.0))
-        rep = admissibility(fp, P)
-        assert rep.admissible and rep.boundary
+        assert fp.coords[3] == 0.0
+        assert fp.admissible
 
     def test_negative_coordinate_is_named(self):
         fp = fixed_point(HAM6, FixedPointLabel.P0)   # W = -2 here
-        rep = admissibility(fp, HAM6)
-        assert not rep.admissible
-        assert any("W" in v for v in rep.violated)
+        assert fp.coords[3] < 0.0
+        assert not fp.admissible
 
-    def test_undefined_raises(self):
+    def test_undefined_not_admissible(self):
         P = SystemParams(N=6, p=2, q=2, s=0.0, m=1.0, delta=2.0, mu=2.0)
         fp = fixed_point(P, FixedPointLabel.P0)
-        with pytest.raises(UndefinedPoint):
-            admissibility(fp, P)
+        assert not fp.defined and not fp.admissible
 
 
 class TestPowerSolution:
@@ -157,6 +159,6 @@ class TestPowerSolution:
             except NotApplicable:
                 continue
             fp = fixed_point(P, FixedPointLabel.M0)
-            st = to_phase(P, ps.radial_state(1.7))
+            st = to_phase(P, power_radial_state(ps, 1.7))
             assert st.coords == pytest.approx(fp.coords, rel=1e-10, abs=1e-12)
             done += 1

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efdyn import (DegeneratePoint, PhaseState, PreconditionViolated, RadialState,
-                   SystemParams, ZeroCoordinate, ZeroDiscriminant, derive_exponents,
-                   from_phase, hamiltonian_params, potential_params, rescale_system,
-                   rescale_to_unweighted, symmetric_scalar_embedding, to_phase,
-                   validate_params, vector_field, vector_field_arr)
-from efdyn.model import PARAM_KEYS, exchange_params, normalized_regular_data
+from efdyn.equilibria import particular_solution
+from efdyn.errors import DegeneratePoint, NotApplicable, ZeroCoordinate, ZeroDiscriminant
+from efdyn.model import (PARAM_KEYS, PhaseState, RadialState, SystemParams,
+                         derive_exponents, effective_unweighted_dimension, exchange_params,
+                         from_phase, hamiltonian_params, normalized_regular_data,
+                         potential_params, regular_initial_values,
+                         symmetric_scalar_embedding, to_phase, validate_params)
 
-from conftest import draw_params
+from conftest import draw_params, field, power_radial_state
 
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
@@ -28,13 +29,13 @@ class TestValidation:
         P = SystemParams(N=3, p=2, q=2, delta=1.0, mu=1.0)
         rep = validate_params(P)
         assert not rep.ok
-        assert any("D" in c.name for c in rep.failures)
+        assert any("D" in c.name for c in rep.checks if not c.ok)
 
     def test_weight_positivity_named(self):
         P = SystemParams(N=4, p=2, q=2, a=-3.0, delta=2.0, mu=2.0)
         rep = validate_params(P)
         assert not rep.ok
-        assert any(c.name == "p + a > 0" for c in rep.failures)
+        assert any(c.name == "p + a > 0" for c in rep.checks if not c.ok)
 
     def test_never_mutates(self):
         P = HAM6
@@ -86,11 +87,11 @@ class TestExponents:
 
 class TestVectorField:
     def test_equilibria_annihilate(self):
-        assert np.all(vector_field_arr(HAM6, (4.0, 4.0, 0.0, 0.0)) == 0.0)
-        assert np.all(vector_field_arr(HAM6, (0.0, 0.0, 6.0, 6.0)) == 0.0)
+        assert np.all(field(HAM6, (4.0, 4.0, 0.0, 0.0)) == 0.0)
+        assert np.all(field(HAM6, (0.0, 0.0, 6.0, 6.0)) == 0.0)
 
     def test_unit_point(self):
-        f = vector_field_arr(HAM6, (1.0, 1.0, 1.0, 1.0))
+        f = field(HAM6, (1.0, 1.0, 1.0, 1.0))
         assert f == pytest.approx([-2.0, -2.0, 3.0, 3.0], abs=1e-15)
 
     @given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
@@ -100,12 +101,7 @@ class TestVectorField:
         P = draw_params(rng)
         coords = rng.uniform(-3.0, 8.0, size=4)
         coords[axis] = 0.0
-        assert vector_field_arr(P, coords)[axis] == 0.0
-
-
-def _power_radial_state(P, r):
-    from efdyn import particular_solution
-    return particular_solution(P).radial_state(r)
+        assert field(P, coords)[axis] == 0.0
 
 
 class TestChartMaps:
@@ -122,7 +118,6 @@ class TestChartMaps:
         assert 3 * st.X + st.Z == pytest.approx(3.0, rel=1e-13)
 
     def test_power_solution_maps_to_main_fixed_point(self, rng):
-        from efdyn import NotApplicable, particular_solution
         done = 0
         while done < 20:
             P = draw_params(rng)
@@ -132,7 +127,7 @@ class TestChartMaps:
                 continue
             ex = derive_exponents(P)
             for r in (0.5, 1.0, 3.0):
-                stt = to_phase(P, ps.radial_state(r))
+                stt = to_phase(P, power_radial_state(ps, r))
                 expect = (ex.gamma, ex.xi, P.N - P.p - (P.p - 1) * ex.gamma,
                           P.N - P.q - (P.q - 1) * ex.xi)
                 for got, want in zip((stt.X, stt.Y, stt.Z, stt.W), expect):
@@ -192,43 +187,52 @@ class TestChartMaps:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def rescale_system(P, k):
+    """Trade dimension against weight (p = q, a = b, k != 0): N_hat = p + k(N-p),
+    a_hat = k(p+a) - p. With t = k t_hat the phase map is (X,Y,Z,W) -> k (X,Y,Z,W)
+    and gamma, xi rescale by k."""
+    assert P.p == P.q and P.a == P.b and k != 0.0
+    a_hat = k * (P.p + P.a) - P.p
+    return P.replace(N=P.p + k * (P.N - P.p), a=a_hat, b=a_hat)
+
+
 class TestRescaling:
-    def test_eliminate_weight(self):
+    def test_eliminate_weight(self, rng):
+        # k = p/(p+a) removes the weight; the result is the effective dimension
         P = SystemParams(N=4.0, p=2.0, q=2.0, a=2.0, b=2.0, delta=2.0, mu=2.0)
-        new, mp = rescale_to_unweighted(P)
-        assert mp.k == pytest.approx(0.5)
+        k = P.p / (P.p + P.a)
+        new = rescale_system(P, k)
+        assert k == pytest.approx(0.5)
         assert new.N == pytest.approx(3.0)
         assert new.a == pytest.approx(0.0)
         ex_old, ex_new = derive_exponents(P), derive_exponents(new)
-        assert ex_new.gamma == pytest.approx(mp.k * ex_old.gamma, rel=1e-13)
+        assert ex_new.gamma == pytest.approx(k * ex_old.gamma, rel=1e-13)
+        draws = [draw_params(rng) for _ in range(50)]
+        for Q in [P] + [D.replace(q=D.p, b=D.a) for D in draws]:
+            new = rescale_system(Q, Q.p / (Q.p + Q.a))
+            assert new.a == pytest.approx(0.0, abs=1e-12)
+            assert new.N == pytest.approx(effective_unweighted_dimension(Q), rel=1e-12)
 
     def test_identity(self):
-        new, mp = rescale_system(HAM6, 1.0)
-        assert new == HAM6
-        st = PhaseState(0.5, 1.0, 2.0, 3.0, 4.0)
-        assert mp.apply(st) == st
+        assert rescale_system(HAM6, 1.0) == HAM6
 
     def test_dimension_one_reduction(self):
         P = SystemParams(N=4.0, p=2.0, q=2.0, a=0.0, b=0.0, delta=2.0, mu=2.0)
         k = -(P.p - 1) / (P.N - P.p)
-        new, mp = rescale_system(P, k)
+        new = rescale_system(P, k)
         assert k == pytest.approx(-0.5)
         assert new.N == pytest.approx(1.0)
         assert new.a == pytest.approx(-3.0)
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            rescale_system(SystemParams(N=5, p=2, q=3, delta=2, mu=2), 0.5)
 
     def test_rescaled_field_is_conjugate(self):
         # d/dt_hat of k*(X,Y,Z,W) under the new parameters equals k^2 * field
         P = SystemParams(N=5.5, p=1.8, q=1.8, a=0.4, b=0.4, s=0.3, m=0.7,
                          delta=1.2, mu=2.1)
         k = 0.7
-        new, mp = rescale_system(P, k)
+        new = rescale_system(P, k)
         coords = np.array([0.7, 1.1, 2.0, 3.0])
-        lhs = vector_field_arr(new, k * coords)      # d(k X)/d t_hat
-        rhs = k * k * vector_field_arr(P, coords)    # = k^2 dX/dt
+        lhs = field(new, k * coords)      # d(k X)/d t_hat
+        rhs = k * k * field(P, coords)    # = k^2 dX/dt
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -249,7 +253,6 @@ def test_normalized_regular_data_is_on_scaling_orbit():
     x, y = 3e-5, 5e-5
     u0, v0, tau = normalized_regular_data(P, x, y)
     assert u0 == 1.0
-    from efdyn.model import regular_initial_values
     ru, rv = regular_initial_values(P, x, y)
     ex = derive_exponents(P)
     theta = math.exp(tau)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from efdyn import (EventSpec, NotApplicable, ScalarBehavior, ScalarParams,
-                   integrate_radial, scalar_classify)
-from efdyn.scalar import (diagonal_trajectory, explicit_critical_solution,
-                          line_quantity, particular_amplitude, poincare_returns,
-                          regular_seed, scalar_fixed_points, scalar_to_phase)
+from efdyn.dynamics import EventSpec, integrate_radial
+from efdyn.errors import NotApplicable
 from efdyn.model import phase_rhs
+from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
+                          explicit_critical_solution, line_quantity, particular_amplitude,
+                          poincare_returns, regular_seed, scalar_classify,
+                          scalar_fixed_points)
+
+from conftest import scalar_to_phase
 
 SC = ScalarParams(N=3.0, p=2.0, a=0.0, Q=5.0)
 

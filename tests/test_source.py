@@ -1,8 +1,10 @@
 """Checks on the source tree itself: the numerical constants, the absence of a
-tolerance parameter, and the scripts' imports."""
+tolerance parameter, the scripts' imports and the public surface."""
 
 import ast
+import re
 import runpy
+import types
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,20 @@ import efdyn
 from efdyn import numerics
 
 SRC = Path(efdyn.__file__).parent
-SCRIPTS = sorted((SRC.parents[1] / "scripts").glob("*.py"))
+ROOT = SRC.parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the callers outside src/ that the package serves
+CLIENTS = SCRIPTS + sorted((ROOT / "perfbench").rglob("*.py"))
+README = (ROOT / "README.md").read_text()
+
+# top-level definitions with no caller yet, kept for the ROADMAP item that
+# names them as its next caller
+KEPT_FOR_ROADMAP = {
+    "energy_value": "item 4",
+    "energy_derivative": "items 4 and 7",
+    "explicit_critical_solution": "item 4",
+    "jacobian_at": "item 6",
+}
 
 # a change of tolerance is a deliberate edit of this table
 PINNED = {
@@ -45,3 +60,61 @@ def test_script_loads(path):
     # every name a script imports from efdyn resolves; main() does not run
     namespace = runpy.run_path(str(path), run_name="not_main")
     assert callable(namespace["main"])
+
+
+def _uses(tree):
+    """(identifier, line) for every name a module uses: names, attributes,
+    imported names and string constants naming an attribute (as in getattr or
+    a hook table)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value.rsplit(".", 1)[-1], node.lineno
+
+
+def _readme_code():
+    """The README's fenced blocks and inline code spans."""
+    return re.findall(r"```[a-z]*\n(.*?)```", README, re.S) + re.findall(r"`([^`\n]+)`", README)
+
+
+def test_every_definition_has_a_caller():
+    # a top-level function or class stays only if the package, a script, the
+    # benchmark or the README uses it, or a ROADMAP item names it as next caller
+    used = {name for path in CLIENTS for name, _ in _uses(ast.parse(path.read_text()))}
+    used |= {w for code in _readme_code() for w in re.findall(r"\w+", code)}
+    lines_in_src = {}              # name -> {(module, line)} of its uses in the package
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for name, line in _uses(tree):
+            lines_in_src.setdefault(name, set()).add((path.stem, line))
+        defs += [(path.stem, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{mod}.{node.name}" for mod, node in defs
+              if node.name not in used and node.name not in KEPT_FOR_ROADMAP
+              and all(m == mod and node.lineno <= line <= node.end_lineno
+                      for m, line in lines_in_src.get(node.name, ()))]
+    assert unused == []
+    assert set(KEPT_FOR_ROADMAP) <= {node.name for _, node in defs}
+
+
+def test_exports_are_what_clients_import():
+    # the package namespace is exactly what the scripts, the benchmark and the
+    # README example import from it; tests import from the submodules
+    imported = set()
+    trees = [ast.parse(path.read_text()) for path in CLIENTS]
+    trees += [ast.parse(code) for code in re.findall(r"```python\n(.*?)```", README, re.S)]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "efdyn" and not node.level:
+                imported |= {alias.name for alias in node.names}
+    exported = {k for k, v in vars(efdyn).items()
+                if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert exported == imported

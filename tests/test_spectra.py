@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from efdyn import (Direction, Existence, FixedPointLabel, fixed_point,
-                   fixed_point_catalog, hamiltonian_params, jacobian_at,
-                   local_verdicts, m0_characteristic, oscillation_condition,
-                   polynomial_roots, spectrum_at, vector_field_arr)
-from efdyn.model import PhaseState, SystemParams, derive_exponents, exchange_params
-from efdyn.spectra import closed_form_eigenvalues, m0_quadratic_factors, numeric_spectrum
+from efdyn.equilibria import FixedPointLabel, fixed_point, fixed_point_catalog, m0_coords
+from efdyn.model import SystemParams, derive_exponents, exchange_params, hamiltonian_params
+from efdyn.spectra import (Direction, Existence, closed_form_eigenvalues, jacobian_at,
+                           local_verdicts, m0_characteristic, oscillation_condition,
+                           polynomial_roots, spectrum_at)
 
-from conftest import draw_params
+from conftest import draw_params, field
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 
@@ -45,7 +44,7 @@ class TestJacobian:
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                col = (vector_field_arr(P, coords + e) - vector_field_arr(P, coords - e)) / (2 * h)
+                col = (field(P, coords + e) - field(P, coords - e)) / (2 * h)
                 assert col == pytest.approx(J[:, j], rel=1e-6, abs=1e-6)
 
 
@@ -83,20 +82,19 @@ class TestQuartic:
             assert qc.H == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_decoupled_factorization(self, rng):
-        # dropping the coupling constant, the quartic is the exact product of
-        # the two single-equation quadratics
-        for _ in range(40):
-            P = draw_params(rng)
-            f1, f2 = m0_quadratic_factors(P)
+        # the quartic is the product of the two single-equation quadratics
+        # except in its constant term, which the coupling shifts by
+        # -delta mu X0 Y0 Z0 W0/((p-1)(q-1))
+        for P in [HAM6] + [draw_params(rng) for _ in range(40)]:
+            X0, Y0, Z0, W0 = m0_coords(P)
+            f1 = [1.0, Z0 - X0, X0 * Z0 * (P.s - P.p + 1) / (P.p - 1)]
+            f2 = [1.0, W0 - Y0, Y0 * W0 * (P.m - P.q + 1) / (P.q - 1)]
             prod = np.polymul(f1, f2)
-            qc = m0_characteristic(P, include_coupling=False)
-            scale = 1 + np.max(np.abs(prod))
-            assert np.max(np.abs(prod - qc.as_poly())) < 1e-12 * scale
-
-    def test_coupling_only_shifts_constant(self):
-        full = m0_characteristic(HAM6).as_poly()
-        bare = m0_characteristic(HAM6, include_coupling=False).as_poly()
-        assert np.all(full[:4] == bare[:4])
+            shift = np.zeros(5)
+            shift[4] = -P.delta * P.mu * X0 * Y0 * Z0 * W0 / ((P.p - 1) * (P.q - 1))
+            want = prod + shift
+            scale = 1 + np.max(np.abs(prod)) + abs(shift[4])
+            assert np.max(np.abs(m0_characteristic(P).as_poly() - want)) < 1e-12 * scale
 
 
 class TestPolynomialRoots:
@@ -151,7 +149,7 @@ class TestSpectra:
                 cf = closed_form_eigenvalues(P, fp.label)
                 if min_gap(cf) < 1e-3:
                     continue
-                num = numeric_spectrum(P, fp.coords)
+                num = np.linalg.eigvals(jacobian_at(P, fp.coords))
                 scale = max(1.0, float(np.max(np.abs(num))))
                 assert match_eigs(cf, num) < 1e-8 * scale, fp.label
             checked += 1
