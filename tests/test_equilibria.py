@@ -3,9 +3,10 @@ import pytest
 
 from efdyn.equilibria import (FixedPointLabel, fixed_point, fixed_point_catalog,
                               particular_solution)
-from efdyn.errors import NotApplicable
+from efdyn.errors import NotApplicable, UndefinedPoint
 from efdyn.model import (SystemParams, exchange_params, hamiltonian_params,
                          symmetric_scalar_embedding, to_phase)
+from efdyn.spectra import spectrum_at
 
 from conftest import (catalog_residuals, draw_params, field, power_radial_state,
                       radial_system_residual)
@@ -85,10 +86,13 @@ class TestAdmissibility:
         assert fp.coords[3] < 0.0
         assert not fp.admissible
 
-    def test_undefined_not_admissible(self):
+    def test_undefined_raises(self):
+        # an undefined point is never admissible, and its local analysis raises
         P = SystemParams(N=6, p=2, q=2, s=0.0, m=1.0, delta=2.0, mu=2.0)
         fp = fixed_point(P, FixedPointLabel.P0)
         assert not fp.defined and not fp.admissible
+        with pytest.raises(UndefinedPoint):
+            spectrum_at(P, fp)
 
 
 class TestPowerSolution:

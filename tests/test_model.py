@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efdyn.equilibria import particular_solution
-from efdyn.errors import DegeneratePoint, NotApplicable, ZeroCoordinate, ZeroDiscriminant
+from efdyn.errors import (DegeneratePoint, NotApplicable, PreconditionViolated, ZeroCoordinate,
+                          ZeroDiscriminant)
 from efdyn.model import (PARAM_KEYS, PhaseState, RadialState, SystemParams,
                          derive_exponents, effective_unweighted_dimension, exchange_params,
                          from_phase, hamiltonian_params, normalized_regular_data,
@@ -191,7 +192,8 @@ def rescale_system(P, k):
     """Trade dimension against weight (p = q, a = b, k != 0): N_hat = p + k(N-p),
     a_hat = k(p+a) - p. With t = k t_hat the phase map is (X,Y,Z,W) -> k (X,Y,Z,W)
     and gamma, xi rescale by k."""
-    assert P.p == P.q and P.a == P.b and k != 0.0
+    if not (P.p == P.q and P.a == P.b and k != 0.0):
+        raise PreconditionViolated("rescaling needs p = q, a = b and k != 0")
     a_hat = k * (P.p + P.a) - P.p
     return P.replace(N=P.p + k * (P.N - P.p), a=a_hat, b=a_hat)
 
@@ -223,6 +225,10 @@ class TestRescaling:
         assert k == pytest.approx(-0.5)
         assert new.N == pytest.approx(1.0)
         assert new.a == pytest.approx(-3.0)
+
+    def test_precondition(self):
+        with pytest.raises(PreconditionViolated):
+            rescale_system(SystemParams(N=5, p=2, q=3, delta=2, mu=2), 0.5)
 
     def test_rescaled_field_is_conjugate(self):
         # d/dt_hat of k*(X,Y,Z,W) under the new parameters equals k^2 * field

@@ -81,20 +81,32 @@ class TestQuartic:
             want = P.D * ex.gamma * ex.xi * Z0 * W0 / ((P.p - 1) * (P.q - 1))
             assert qc.H == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @staticmethod
+    def _decoupled(P):
+        """Product of the two single-equation quadratics at M0, and the shift
+        -delta mu X0 Y0 Z0 W0/((p-1)(q-1)) the coupling adds to its constant term."""
+        X0, Y0, Z0, W0 = m0_coords(P)
+        f1 = [1.0, Z0 - X0, X0 * Z0 * (P.s - P.p + 1) / (P.p - 1)]
+        f2 = [1.0, W0 - Y0, Y0 * W0 * (P.m - P.q + 1) / (P.q - 1)]
+        shift = -P.delta * P.mu * X0 * Y0 * Z0 * W0 / ((P.p - 1) * (P.q - 1))
+        return np.polymul(f1, f2), shift
+
     def test_decoupled_factorization(self, rng):
-        # the quartic is the product of the two single-equation quadratics
-        # except in its constant term, which the coupling shifts by
-        # -delta mu X0 Y0 Z0 W0/((p-1)(q-1))
+        # apart from the constant term, the quartic is the exact product of
+        # the two single-equation quadratics
         for P in [HAM6] + [draw_params(rng) for _ in range(40)]:
-            X0, Y0, Z0, W0 = m0_coords(P)
-            f1 = [1.0, Z0 - X0, X0 * Z0 * (P.s - P.p + 1) / (P.p - 1)]
-            f2 = [1.0, W0 - Y0, Y0 * W0 * (P.m - P.q + 1) / (P.q - 1)]
-            prod = np.polymul(f1, f2)
-            shift = np.zeros(5)
-            shift[4] = -P.delta * P.mu * X0 * Y0 * Z0 * W0 / ((P.p - 1) * (P.q - 1))
-            want = prod + shift
-            scale = 1 + np.max(np.abs(prod)) + abs(shift[4])
-            assert np.max(np.abs(m0_characteristic(P).as_poly() - want)) < 1e-12 * scale
+            prod, shift = self._decoupled(P)
+            scale = 1 + np.max(np.abs(prod)) + abs(shift)
+            full = m0_characteristic(P).as_poly()
+            assert np.max(np.abs(full[:4] - prod[:4])) < 1e-12 * scale
+
+    def test_coupling_only_shifts_constant(self, rng):
+        # the coupling moves the constant term of the product by the shift
+        for P in [HAM6] + [draw_params(rng) for _ in range(40)]:
+            prod, shift = self._decoupled(P)
+            scale = 1 + np.max(np.abs(prod)) + abs(shift)
+            full = m0_characteristic(P).as_poly()
+            assert abs(full[4] - (prod[4] + shift)) < 1e-12 * scale
 
 
 class TestPolynomialRoots:
