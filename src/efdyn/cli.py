@@ -73,6 +73,30 @@ class RunConfig:
     block: dict = field(default_factory=dict)
 
 
+def _number(block: dict, path: str, key: str, default=None, convert=float):
+    """block[key] read by `convert` (float or int), or `default` if the key is
+    absent (None: the key is required); a value `convert` cannot read is a
+    config error at path.key."""
+    if key not in block:
+        if default is None:
+            raise ConfigError(f"{path}.{key}", "required")
+        return convert(default)
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}.{key}", f"not a number: {block[key]!r}")
+
+
+def _numbers(value, path: str, n: int, convert=float) -> list:
+    """`value` as a list of n entries, each read by `convert`."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(path, f"need a list of {n}, got {value!r}")
+    try:
+        return [convert(v) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"not numbers: {value!r}")
+
+
 def parse_config(raw: dict, command: str, out_override: str | None = None) -> RunConfig:
     """Validate the raw dict strictly: unknown keys are rejected with their path."""
     if not isinstance(raw, dict):
@@ -108,9 +132,9 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
         for key in ("N", "p", "a", "Q"):
             if key not in sd:
                 raise ConfigError(f"scalar.{key}", "required")
+        eps = _number(sd, "scalar", "eps", 1, int)
         try:
-            scalar = ScalarParams(N=sd["N"], p=sd["p"], a=sd["a"], Q=sd["Q"],
-                                  eps=int(sd.get("eps", 1)))
+            scalar = ScalarParams(N=sd["N"], p=sd["p"], a=sd["a"], Q=sd["Q"], eps=eps)
         except EfdynError as exc:
             raise ConfigError("scalar", str(exc))
 
@@ -229,10 +253,10 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
     report = {"command": "integrate", "params": P.to_dict(), "mode": mode}
     csvs = {}
     if mode == "phase":
-        init = block.get("initial")
-        if not init or len(init) != 4:
+        if "initial" not in block:
             raise ConfigError("integrate.initial", "need [X, Y, Z, W]")
-        t_span = block.get("t_span", [0.0, T_END])
+        init = _numbers(block["initial"], "integrate.initial", 4)
+        t_span = _numbers(block.get("t_span", [0.0, T_END]), "integrate.t_span", 2)
         traj = integrate_m(P, PhaseState.from_coords(t_span[0], init), horizon=tuple(t_span))
         rows = [["t", "X", "Y", "Z", "W"]]
         for t, st in zip(traj.t, traj.states):
@@ -243,9 +267,9 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
         summary = [f"integrate phase: {len(traj.t)} samples, "
                    f"termination {traj.termination.kind}"]
     elif mode == "radial":
-        u0 = float(block.get("u0", 1.0))
-        v0 = float(block.get("v0", 1.0))
-        r_max = float(block.get("r_max", 1e4))
+        u0 = _number(block, "integrate", "u0", 1.0)
+        v0 = _number(block, "integrate", "v0", 1.0)
+        r_max = _number(block, "integrate", "r_max", 1e4)
         rad = integrate_radial(P, u0, v0, r_max)
         rows = [["r", "u", "v", "du", "dv"]]
         for i in range(len(rad.r)):
@@ -264,14 +288,14 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
 def _run_shoot(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
     block = rc.block
-    rho = float(block.get("rho", MANIFOLD_RHO))
+    rho = _number(block, "shoot", "rho", MANIFOLD_RHO)
     if "theta" in block:
-        th = float(block["theta"])
+        th = _number(block, "shoot", "theta")
         x, y = rho * math.cos(th), rho * math.sin(th)
     else:
         if "x" not in block or "y" not in block:
             raise ConfigError("shoot", "need x and y (or theta)")
-        x, y = float(block["x"]), float(block["y"])
+        x, y = _number(block, "shoot", "x"), _number(block, "shoot", "y")
     out = classify_shot(P, x, y, rho)
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]
@@ -294,8 +318,8 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
     kind = block.get("kind", "angle")
     csvs = {}
     if kind == "angle":
-        n = int(block.get("n", 33))
-        rho = float(block.get("rho", MANIFOLD_RHO))
+        n = _number(block, "sweep", "n", 33, int)
+        rho = _number(block, "sweep", "rho", MANIFOLD_RHO)
         thetas, outcomes = sweep_angles(P, n, rho)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
         for th, o in zip(thetas, outcomes):
@@ -308,9 +332,9 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
                    "classes: " + " ".join(o.s_class.value for o in outcomes)]
     elif kind == "family":
         parameter = block.get("parameter", "delta=mu")
-        start, stop = float(block["start"]), float(block["stop"])
-        step = float(block.get("step", 0.1))
-        n_angles = int(block.get("n_angles", 17))
+        start, stop = _number(block, "sweep", "start"), _number(block, "sweep", "stop")
+        step = _number(block, "sweep", "step", 0.1)
+        n_angles = _number(block, "sweep", "n_angles", 17, int)
         values = []
         v = start
         while v <= stop + 1e-12:
@@ -353,13 +377,15 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
     """The scalar phase plane: the vector field on a grid plus sample orbits."""
     sp = _need_scalar(rc)
     block = rc.block
-    grid = block.get("grid", [21, 21])
+    grid = _numbers(block.get("grid", [21, 21]), "portrait.grid", 2, int)
+    if min(grid) < 0:
+        raise ConfigError("portrait.grid", f"need sizes >= 0, got {grid}")
     csvs = {}
     fps = scalar_fixed_points(sp)
-    ranges = block.get("ranges",
-                       [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]])
-    xs = np.linspace(ranges[0][0], ranges[0][1], int(grid[0]))
-    zs = np.linspace(ranges[1][0], ranges[1][1], int(grid[1]))
+    ranges = _numbers(block.get("ranges", [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]]),
+                      "portrait.ranges", 2, lambda r: _numbers(r, "portrait.ranges", 2))
+    xs = np.linspace(ranges[0][0], ranges[0][1], grid[0])
+    zs = np.linspace(ranges[1][0], ranges[1][1], grid[1])
     # the plane is the diagonal (X, X, Z, Z) of the symmetric system
     rhs = phase_rhs(sp.system)
     rows = [["X", "Z", "dX", "dZ"]]
@@ -371,7 +397,11 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
     starts = block.get("trajectories")
     if starts is None:
         starts = [list(regular_seed(sp, MANIFOLD_RHO))]
-    t_span = block.get("t_span", [0.0, T_END])
+    elif not isinstance(starts, list):
+        raise ConfigError("portrait.trajectories", f"need a list of [X, Z], got {starts!r}")
+    else:
+        starts = [_numbers(st, "portrait.trajectories", 2) for st in starts]
+    t_span = _numbers(block.get("t_span", [0.0, T_END]), "portrait.t_span", 2)
     # an orbit ends once it comes within CAPTURE_DIST of a fixed point:
     # past a saddle such as A0, which way it leaves is decided by roundoff
     capture = [EventSpec(f"capture:{name}",

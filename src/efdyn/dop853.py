@@ -24,7 +24,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 # -- tableau ---------------------------------------------------------------
 # Coefficients as in scipy/integrate/_ivp/dop853_coefficients.py (SciPy,
@@ -294,10 +294,12 @@ class DenseSolution:
 class Solution:
     t: list[float]                   # accepted step points, the last one possibly an event
     y: list[list[float]]
-    status: int                      # 0: reached t_bound; 1: terminal event; -1: step underflow
+    status: int | None               # 0: reached t_bound; 1: terminal event; -1: step underflow;
+                                     # None: the run goes on (`steps`)
     t_events: list[list[float]]      # per event, in integration order
     sol: DenseSolution | None = None
-    nfev: int = 0                    # right-hand side evaluations
+    nfev: int = 0                    # right-hand side evaluations: 11 per attempted step, 1 more
+                                     # per accepted one, 3 per interpolant, 2 to start
     n_accepted: int = 0              # accepted steps
     n_rejected: int = 0              # rejected step attempts
 
@@ -356,29 +358,38 @@ def find_root(f: Callable[[float], float], a: float, b: float,
     raise RuntimeError("root finding did not converge in 100 iterations")
 
 
-def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
+def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
           rtol: float, atol: float, events: Sequence = (),
-          dense: bool = False) -> Solution:
-    """Integrate y' = fun(t, y) from (t0, y0) toward t_bound.
+          dense: bool = False) -> Iterator[Solution]:
+    """Integrate y' = fun(t, y) from (t0, y0) toward t_bound, one accepted step
+    at a time.
+
+    Yields one `Solution` after each accepted step, the same object each time,
+    grown in place: the points, events and counts so far, with `status` None
+    while the run goes on. The last yield carries the final status; a step
+    underflow ends the run with a yield of its own. A consumer may stop after
+    any yield and resume later: the steps do not depend on when they are taken.
 
     Each event has `fn(t, y)`, `terminal` and `direction` (> 0: upward zero
     crossings only, < 0: downward only, 0: both). Its zeros are located on the
     step interpolant to 4 eps; a terminal event ends the run at its zero, which
     becomes the last point. With `dense`, `Solution.sol` evaluates the solution
-    anywhere on the integrated span; otherwise interpolants are built only for
-    steps with an event.
+    anywhere on the integrated span once the run has ended; otherwise
+    interpolants are built only for steps with an event.
     """
     t, t_bound = float(t0), float(t_bound)
     y = [float(v) for v in y0]
     events = tuple(events)
-    ts, ys = [t], [y]
+    out = Solution([t], [y], None, [[] for _ in events])
+    ts, ys, t_events = out.t, out.y, out.t_events
     pieces: list | None = [] if dense else None
-    t_events: list[list[float]] = [[] for _ in events]
     if t == t_bound:
         ts.append(t)
         ys.append(y)
-        sol = DenseSolution(ts, [lambda s: list(y)]) if dense else None
-        return Solution(ts, ys, 0, t_events, sol)
+        out.status = 0
+        out.sol = DenseSolution(ts, [lambda s: list(y)]) if dense else None
+        yield out
+        return
 
     direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y)
@@ -393,15 +404,17 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(ts, ys, -1, t_events, None, nfev, n_accepted, n_rejected)
+                out.status, out.nfev, out.n_accepted, out.n_rejected = \
+                    -1, nfev, n_accepted, n_rejected
+                yield out
+                return
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
             y_new, ks = _step(fun, t, y, f, h)
-            f_new = fun(t_new, y_new)
-            nfev += 12
+            nfev += 11
             err = _error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
@@ -412,6 +425,9 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
             rejected = True
             n_rejected += 1
         n_accepted += 1
+        # the error norm does not read f at t_new: a rejected attempt skips it
+        f_new = fun(t_new, y_new)
+        nfev += 1
 
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
@@ -447,12 +463,23 @@ def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
                     t_events[i].append(root)
             g = g_new
 
-        if dense and len(ts) > 1 and ts[-1] == t:
-            continue        # a terminal zero at the step's start adds no point
-        ts.append(t)
-        ys.append(y)
-        if dense:
-            pieces.append(piece)
+        # with dense output, a terminal zero at the step's start adds no point
+        if not (dense and len(ts) > 1 and ts[-1] == t):
+            ts.append(t)
+            ys.append(y)
+            if dense:
+                pieces.append(piece)
+        if status is not None and dense:
+            out.sol = DenseSolution(ts, pieces)
+        out.status, out.nfev, out.n_accepted, out.n_rejected = \
+            status, nfev, n_accepted, n_rejected
+        yield out
 
-    sol = DenseSolution(ts, pieces) if dense else None
-    return Solution(ts, ys, status, t_events, sol, nfev, n_accepted, n_rejected)
+
+def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
+          rtol: float, atol: float, events: Sequence = (),
+          dense: bool = False) -> Solution:
+    """`steps` run to its end: the final `Solution`."""
+    for sol in steps(fun, t0, y0, t_bound, rtol, atol, events, dense):
+        pass
+    return sol

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,18 +110,31 @@ class EventSpec:
     direction: float = 0.0
 
 
-def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
-    """The package's one integration call (`dop853.solve`): returns the
-    solution and its events as time-sorted (t, name) pairs; a collapsed step
-    size raises."""
-    sol = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense)
+def _start(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
+    """A run of the package's integrator (`dop853.steps`), started: it yields
+    its growing solution after each accepted step."""
+    return dop853.steps(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense)
+
+
+def _checked(sol):
+    """The final solution of a run; a collapsed step size raises."""
     if sol.status == -1:
-        partial = Trajectory(t=np.array(sol.t), states=np.array(sol.y),
-                             termination=Termination(kind="failed"))
+        failed = Trajectory(t=np.array(sol.t), states=np.array(sol.y),
+                            termination=Termination(kind="failed"))
         raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
-                                trajectory=partial)
-    named = sorted((t, spec.name) for spec, ts in zip(events, sol.t_events) for t in ts)
-    return sol, named
+                                trajectory=failed)
+    return sol
+
+
+def _named(names: Sequence[str], t_events) -> list[tuple[float, str]]:
+    """A run's events as time-sorted (t, name) pairs."""
+    return sorted((t, name) for name, ts in zip(names, t_events) for t in ts)
+
+
+def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
+    """A run of the package's integrator to its end (`dop853.solve`); a
+    collapsed step size raises."""
+    return _checked(dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense))
 
 
 def _detect_convergence(params, t, states) -> Termination | None:
@@ -147,6 +161,13 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     convergence termination is reported when the accepted steps sit within
     CAPTURE_DIST of a catalog point for CAPTURE_STEPS steps.
     """
+    sol = _solve(*_phase_problem(params, initial, horizon, events), dense)
+    return _finish_m(params, sol, [ev.name for ev in events])
+
+
+def _phase_problem(params, initial, horizon, events):
+    """integrate_m's (rhs, span, y0, events): the two blow-up events, then
+    `events`."""
     if horizon is None:
         horizon = (initial.t, T_END)
     y0 = initial.coords
@@ -156,10 +177,15 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     blow_up = BLOW_UP           # bound once: the event functions run at every step
     blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - blow_up, terminal=True),
             EventSpec("blow-up-y", lambda t, y: abs(y[1]) - blow_up, terminal=True))
-    sol, named = _solve(phase_rhs(params), horizon, y0, blow + tuple(events), dense)
+    return phase_rhs(params), horizon, y0, blow + tuple(events)
+
+
+def _finish_m(params, sol, names) -> Trajectory:
+    """integrate_m's trajectory from the final solution of its run; `names`
+    are those of its events after the two blow-up events."""
     hit_x = len(sol.t_events[0]) > 0
     hit_y = len(sol.t_events[1]) > 0
-    named = [ev for ev in named if ev[1] not in ("blow-up-x", "blow-up-y")]
+    named = _named(names, sol.t_events[2:])
     t, states = np.array(sol.t), np.array(sol.y)
 
     if sol.status == 1:
@@ -235,9 +261,10 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
                      direction=-1.0),
            EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - blow_up,
                      terminal=True, direction=1.0))
-    sol, named = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
-                        [u_init, v_init, U_init, V_init], evs, dense)
-    events = [ev for ev in named if ev[1] != "both-zero"]
+    sol = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
+                 [u_init, v_init, U_init, V_init], evs, dense)
+    events = [ev for ev in _named([ev.name for ev in evs], sol.t_events)
+              if ev[1] != "both-zero"]
     if events:
         term = Termination(kind="event", event=events[0][1])
     else:
@@ -343,17 +370,35 @@ class MClass(str, Enum):
 
 @dataclass(frozen=True)
 class ShotOutcome:
+    """A classified shot. Its M-class and hit times come from the run to
+    blow-up, which `classify_shot` leaves paused once the S-class is final:
+    the first read of either resumes it."""
+
     seed: tuple[float, float]
     s_class: SClass
-    m_class: MClass
-    hit_times: dict = field(default_factory=dict)
+    # the rest of the classification: (S-class, M-class, hit times)
+    _finish: Callable[[], tuple[SClass, MClass, dict]] = field(compare=False, repr=False)
+
+    @cached_property
+    def _finished(self) -> tuple[SClass, MClass, dict]:
+        return self._finish()
+
+    @property
+    def m_class(self) -> MClass:
+        return self._finished[1]
+
+    @property
+    def hit_times(self) -> dict:
+        return self._finished[2]
 
     def to_dict(self) -> dict:
         return {"seed": list(self.seed), "sClass": self.s_class.value,
                 "mClass": self.m_class.value, "hitTimes": self.hit_times}
 
 
-def _shoot_once(params, x, y, rho, t_end):
+def _shot(params, x, y, rho, t_end):
+    """The run of one regular seed to t_end, started. Its events are
+    blow-up-x, blow-up-y, x-bound and y-bound."""
     seed = launch_regular(params, x, y, rho)
     # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
     # below, with integration noise) from registering as crossings
@@ -361,15 +406,36 @@ def _shoot_once(params, x, y, rho, t_end):
     cq = params.y_bound * (1 + 1e-9)
     evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, terminal=False, direction=1.0),
            EventSpec("y-bound", lambda t, v: v[1] - cq, terminal=False, direction=1.0)]
-    return integrate_m(params, seed, horizon=(0.0, t_end), events=evs)
+    return _start(*_phase_problem(params, seed, (0.0, t_end), evs))
 
 
-def classify_shot(params: SystemParams, x: float, y: float,
-                  rho: float = MANIFOLD_RHO) -> ShotOutcome:
-    """Classify one regular seed; widens the horizon (twice) when undecided."""
+def _shoot_once(params, x, y, rho, t_end, run=None, sol=None) -> Trajectory:
+    """One shot to t_end as a trajectory. A shot started by `_shot` is passed
+    as its `run` and the run's last yield `sol`, and goes on from there."""
+    if run is None:
+        run = _shot(params, x, y, rho, t_end)
+    for sol in run:
+        pass
+    return _finish_m(params, _checked(sol), ("x-bound", "y-bound"))
+
+
+def _s_class(t_x: float | None, t_y: float | None) -> SClass:
+    """The face crossed first, from the first x- and y-bound crossing times
+    (at least one of them)."""
+    if t_x is not None and t_y is not None:
+        return SClass.S3 if abs(t_x - t_y) <= SIM_WINDOW else \
+            (SClass.S1 if t_x < t_y else SClass.S2)
+    return SClass.S1 if t_y is None else SClass.S2
+
+
+def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
+    """Classify a shot started on the horizon T_END, given its run and the
+    run's last yield: run it to its end, and widen the horizon (twice) when
+    undecided. Returns the S-class, the M-class and the hit times."""
     t_end = T_END
     for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
-        traj = _shoot_once(params, x, y, rho, t_end)
+        traj = _shoot_once(params, x, y, rho, t_end, run, sol)
+        run = sol = None
         t_x = traj.first_event("x-bound")
         t_y = traj.first_event("y-bound")
         hit = {}
@@ -391,14 +457,9 @@ def classify_shot(params: SystemParams, x: float, y: float,
             if near_face and attempt < MAX_HORIZON_EXTENSIONS:
                 t_end *= 2
                 continue
-            return ShotOutcome((x, y), SClass.S, MClass.GS, hit)
+            return SClass.S, MClass.GS, hit
 
-        if t_x is not None and t_y is not None:
-            s_class = SClass.S3 if abs(t_x - t_y) <= SIM_WINDOW else \
-                (SClass.S1 if t_x < t_y else SClass.S2)
-        else:
-            s_class = SClass.S1 if t_y is None else SClass.S2
-
+        s_class = _s_class(t_x, t_y)
         if not blew:
             if attempt < MAX_HORIZON_EXTENSIONS:
                 t_end *= 2
@@ -412,8 +473,32 @@ def classify_shot(params: SystemParams, x: float, y: float,
             m_class = MClass.M1
         else:
             m_class = MClass.M2
-        return ShotOutcome((x, y), s_class, m_class, hit)
+        return s_class, m_class, hit
     raise Inconclusive(f"seed ({x}, {y}) unresolved after extensions")
+
+
+def classify_shot(params: SystemParams, x: float, y: float,
+                  rho: float = MANIFOLD_RHO) -> ShotOutcome:
+    """Classify one regular seed by the face its (X, Y) projection crosses
+    first, or S if it stays in the box.
+
+    The S-class is final once an accepted step ends SIM_WINDOW past the first
+    crossing: a later crossing of the other face cannot make it S3. The shot
+    pauses there, on the horizon T_END. Reading its M-class or hit times
+    resumes the same run to blow-up, widening the horizon (twice) when
+    undecided; a wider horizon repeats the steps up to the pause, which all
+    end before T_END. A shot that ends before the pause is classified at once.
+    """
+    run = _shot(params, x, y, rho, T_END)
+    for sol in run:
+        xs, ys = sol.t_events[2:]           # the x-bound and y-bound crossings so far
+        t_x, t_y = (xs[0] if xs else None), (ys[0] if ys else None)
+        first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
+        if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
+            return ShotOutcome((x, y), _s_class(t_x, t_y),
+                               partial(_finish_shot, params, x, y, rho, run, sol))
+    done = _finish_shot(params, x, y, rho, run, sol)
+    return ShotOutcome((x, y), done[0], lambda: done)
 
 
 # -- searches --------------------------------------------------------------------

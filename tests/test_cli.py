@@ -216,6 +216,19 @@ class TestExitCodes:
         assert f"config error: portrait.{key}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,raw,path", [
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family"}), "sweep.start"),
+        ("portrait", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},
+                      "portrait": {"grid": [3]}}, "portrait.grid"),
+        ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0, "eps": "x"}},
+         "scalar.eps"),
+    ], ids=["family-without-start", "one-grid-size", "eps-not-a-number"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, command, raw, path):
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 

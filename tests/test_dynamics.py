@@ -17,12 +17,12 @@ from efdyn import dop853, dynamics
 from efdyn.dynamics import (EventSpec, MClass, SClass, classify_shot, integrate_m,
                             integrate_radial, launch_regular, oracle_compare,
                             search_dirichlet, search_ground_state, sweep_angles)
-from efdyn.errors import (PreconditionViolated, SeriesInvalid, StepSizeUnderflow,
-                          ZeroDiscriminant)
+from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
+                          StepSizeUnderflow, ZeroDiscriminant)
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
                          nonvariational_params, phase_rhs, potential_params,
                          symmetric_scalar_embedding)
-from efdyn.numerics import BLOW_UP, ODE_ATOL, ODE_RTOL, RADIAL_R0
+from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
 from conftest import field
@@ -306,20 +306,159 @@ class TestOracleEquivalence:
             oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
 
 
+# -- reference: the eager shot classification ----------------------------------
+# classify_shot as it ran before shots paused at their S-decision: every run is
+# integrated to its end at once by integrate_m. It reads the constants of
+# efdyn.dynamics at call time, so that a test may patch them.
+
+def _eager_classify(params, x, y, rho):
+    """The to_dict() of the shot at (x, y), every run integrated to its end."""
+    t_end = dynamics.T_END
+    for attempt in range(dynamics.MAX_HORIZON_EXTENSIONS + 1):
+        seed = launch_regular(params, x, y, rho)
+        cp = params.x_bound * (1 + 1e-9)
+        cq = params.y_bound * (1 + 1e-9)
+        evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, direction=1.0),
+               EventSpec("y-bound", lambda t, v: v[1] - cq, direction=1.0)]
+        traj = integrate_m(params, seed, horizon=(0.0, t_end), events=evs)
+        t_x = traj.first_event("x-bound")
+        t_y = traj.first_event("y-bound")
+        hit = {}
+        if t_x is not None:
+            hit["x-bound"] = t_x
+        if t_y is not None:
+            hit["y-bound"] = t_y
+        blew = traj.termination.kind.startswith("blow-up")
+        if blew:
+            hit["blow-up"] = float(traj.t[-1])
+
+        if t_x is None and t_y is None:
+            if blew:
+                t_end *= 2
+                continue
+            final = traj.states[-1]
+            near_face = (abs(final[0] - params.x_bound) < 1e-6 * (1 + params.x_bound)
+                         or abs(final[1] - params.y_bound) < 1e-6 * (1 + params.y_bound))
+            if near_face and attempt < dynamics.MAX_HORIZON_EXTENSIONS:
+                t_end *= 2
+                continue
+            return {"seed": [x, y], "sClass": "S", "mClass": "GS", "hitTimes": hit}
+
+        if t_x is not None and t_y is not None:
+            s_class = "S3" if abs(t_x - t_y) <= dynamics.SIM_WINDOW else \
+                ("S1" if t_x < t_y else "S2")
+        else:
+            s_class = "S1" if t_y is None else "S2"
+        if not blew:
+            if attempt < dynamics.MAX_HORIZON_EXTENSIONS:
+                t_end *= 2
+                continue
+            raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {t_end}")
+        X_end, Y_end = traj.states[-1, 0], traj.states[-1, 1]
+        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
+            m_class = "M3"
+        elif X_end >= Y_end:
+            m_class = "M1"
+        else:
+            m_class = "M2"
+        return {"seed": [x, y], "sClass": s_class, "mClass": m_class, "hitTimes": hit}
+    raise Inconclusive(f"seed ({x}, {y}) unresolved after extensions")
+
+
+class TestPausedShot:
+    """classify_shot pauses each shot once its S-class is final and finishes
+    the run when the M-class is read: every output equals the eager run's."""
+
+    # 9 parameter points x 5 angles = 45 seeds: diagonal S3 (subcritical
+    # Hamiltonian, potential, scalar embedding), S (supercritical, non-variational),
+    # S1/S2 off the diagonal of the seed plane, off-diagonal Hamiltonian and
+    # potential points
+    POINTS = [
+        hamiltonian_params(6.0, 1.5, 1.5),
+        hamiltonian_params(6.0, 2.5, 2.5),
+        hamiltonian_params(6.0, 1.6, 2.1),
+        hamiltonian_params(6.0, 1.8, 1.2),
+        hamiltonian_params(5.5, 3.0, 2.0),
+        nonvariational_params(6.0, 0.5, 2.5, 2.5),
+        potential_params(6.0, 2.0, 2.0, 0.3, 0.3),
+        potential_params(6.0, 2.0, 2.3, 0.4, 0.6),
+        symmetric_scalar_embedding(3.0, 2.0, 4.0),
+    ]
+    ANGLES = (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)
+
+    @pytest.mark.parametrize("t_end", [None, 5.0], ids=["horizon-40", "horizon-5"])
+    @pytest.mark.parametrize("params", POINTS)
+    def test_outcome_equals_eager_classification(self, monkeypatch, params, t_end):
+        # on the horizon 5, most shots that cross reach it before blowing up,
+        # so the resumed run widens it: the rerun must agree with the paused
+        # S-class
+        if t_end is not None:
+            monkeypatch.setattr(dynamics, "T_END", t_end)
+        for th in self.ANGLES:
+            x, y = RHO * math.cos(th), RHO * math.sin(th)
+            assert classify_shot(params, x, y, RHO).to_dict() == _eager_classify(params, x, y, RHO)
+
+    def test_s_class_covers_every_kind(self):
+        classes = {classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO).s_class
+                   for P in self.POINTS for th in self.ANGLES}
+        assert classes == set(SClass)
+
+    def test_undecided_m_class_raises_on_read(self, monkeypatch):
+        # the shot crosses x = x_bound at t = 4.85 and blows up at t = 5.06:
+        # on the horizon 5 with no extension its M-class is undecided, but its
+        # S-class is known before the horizon
+        monkeypatch.setattr(dynamics, "T_END", 5.0)
+        monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
+        out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), 0.9e-4, 0.2e-4, RHO)
+        assert out.s_class is SClass.S1
+        for _ in range(2):          # a failed read is not kept: it fails again
+            with pytest.raises(Inconclusive):
+                out.m_class
+
+    def test_search_reads_s_classes_only(self, monkeypatch):
+        calls, real = [0], dynamics.phase_rhs
+
+        def counting_phase_rhs(params):
+            rhs = real(params)
+
+            def counted(t, y):
+                calls[0] += 1
+                return rhs(t, y)
+            return counted
+
+        monkeypatch.setattr(dynamics, "phase_rhs", counting_phase_rhs)
+        res = search_ground_state(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
+        searched = calls[0]
+        for o in res.outcomes + tuple(b.outcome for b in res.boundaries):
+            o.to_dict()
+        assert searched < 0.4 * calls[0]
+
+
+# the shots that the kernel is held against scipy on, and paused on
+SCIPY_SHOTS = [
+    (hamiltonian_params(6.0, 1.5, 1.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
+    (hamiltonian_params(6.0, 1.6, 2.1), (0.6 * RHO, 0.8 * RHO)),
+    (hamiltonian_params(6.0, 2.5, 2.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
+    (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.8 * RHO, 0.6 * RHO)),
+]
+
+
 class TestKernelAgainstScipy:
     """The in-house DOP853 against scipy's solve_ivp(method="DOP853"), which
     runs the same algorithm with numpy arithmetic."""
 
     @staticmethod
-    def _recorded_solves(monkeypatch, run):
-        """Every problem that `run` hands to dynamics._solve."""
-        calls, real = [], dynamics._solve
+    def _recorded_solves(monkeypatch, run, entry="_solve"):
+        """Every problem that `run` hands to the integration entry point
+        `entry` of efdyn.dynamics: `_solve` for whole runs, `_start` for the
+        runs of shots."""
+        calls, real = [], getattr(dynamics, entry)
 
         def spy(rhs, span, y0, events, dense=False):
             calls.append((rhs, span, [float(v) for v in y0], tuple(events)))
             return real(rhs, span, y0, events, dense)
 
-        monkeypatch.setattr(dynamics, "_solve", spy)
+        monkeypatch.setattr(dynamics, entry, spy)
         run()
         return calls
 
@@ -348,15 +487,12 @@ class TestKernelAgainstScipy:
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= dense_rtol * scale)
 
-    @pytest.mark.parametrize("params,xy", [
-        (hamiltonian_params(6.0, 1.5, 1.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
-        (hamiltonian_params(6.0, 1.6, 2.1), (0.6 * RHO, 0.8 * RHO)),
-        (hamiltonian_params(6.0, 2.5, 2.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
-        (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.8 * RHO, 0.6 * RHO)),
-    ])
+    @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
     def test_shot_matches_scipy(self, monkeypatch, params, xy):
-        # a shot carries the four events blow-up-x/y and x/y-bound
-        calls = self._recorded_solves(monkeypatch, lambda: classify_shot(params, *xy, RHO))
+        # a shot carries the four events blow-up-x/y and x/y-bound; reading
+        # the whole outcome runs every integration the shot makes
+        calls = self._recorded_solves(
+            monkeypatch, lambda: classify_shot(params, *xy, RHO).to_dict(), "_start")
         assert calls and all(len(call[3]) == 4 for call in calls)
         for call in calls:
             self._assert_matches_scipy(*call)
@@ -529,6 +665,49 @@ class TestKernelBits:
         assert _hex(got[2]) == _hex(ref[2])
 
 
+class TestKernelPauseResume:
+    """dop853.steps paused after an accepted step and drained later gives
+    dop853.solve's run, bit for bit, whatever runs in between."""
+
+    @staticmethod
+    def _bits(sol):
+        return (sol.status, _hex(sol.t), _hex(sol.y), _hex(sol.t_events),
+                sol.nfev, sol.n_accepted, sol.n_rejected)
+
+    def _assert_pauses_are_invisible(self, rhs, span, y0, events):
+        ref = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events)
+        n = ref.n_accepted
+        assert n > 10
+        for pause in sorted({1, 2, n // 3, n // 2, n - 1}):
+            run = dop853.steps(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events)
+            for _ in range(pause):
+                sol = next(run)
+            # the paused run holds the first `pause` steps of the whole run
+            assert sol.status is None and sol.n_accepted == pause
+            assert _hex(sol.t) == _hex(ref.t[:pause + 1])
+            # another run in between shares no state with the paused one
+            dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 3.0, ODE_RTOL, ODE_ATOL)
+            for sol in run:
+                pass
+            assert self._bits(sol) == self._bits(ref)
+
+    @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
+    def test_paused_shot_equals_solve(self, monkeypatch, params, xy):
+        calls = TestKernelAgainstScipy._recorded_solves(
+            monkeypatch, lambda: classify_shot(params, *xy, RHO), "_start")
+        self._assert_pauses_are_invisible(*calls[0])
+
+    @pytest.mark.parametrize("rhs,span,y0", [
+        # the regular radial solution of the critical Hamiltonian system
+        (dynamics._radial_rhs(HAM6), (math.log(RADIAL_R0), math.log(1e4)),
+         [1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6]),
+        # y' = y^2, y(0) = 1 blows up at t = 1: the run ends in a step underflow
+        (lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0]),
+    ], ids=["radial", "underflow"])
+    def test_paused_run_equals_solve(self, rhs, span, y0):
+        self._assert_pauses_are_invisible(rhs, span, y0, ())
+
+
 class TestKernelCounts:
     @staticmethod
     def _counting(fun):
@@ -550,6 +729,16 @@ class TestKernelCounts:
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
         assert sol.n_rejected > 0
+
+    def test_rejected_attempts_skip_the_new_derivative(self):
+        # the error test does not read f at the step's end: 11 RHS calls per
+        # attempted step, 1 more per accepted step, 2 to start
+        rhs, calls = self._counting(dynamics._radial_rhs(HAM6))
+        r0 = RADIAL_R0
+        sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4),
+                           ODE_RTOL, ODE_ATOL)
+        assert sol.n_rejected > 0
+        assert calls[0] == 2 + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
 
     def test_counts_with_events(self):
         rhs, calls = self._counting(phase_rhs(HAM6))
