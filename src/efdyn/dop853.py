@@ -2,10 +2,13 @@
 
 The explicit Runge-Kutta pair of order 8(5, 3) by Dormand and Prince with its
 7th-order dense output (Hairer, Norsett and Wanner, *Solving Ordinary
-Differential Equations I*, sec. II.5-6). As in Hairer's `dop853.f`, every stage
-is written out term by term over the nonzero coefficients of its tableau row,
-and the states are short lists of floats instead of numpy arrays; this removes
-most of the per-step cost on the 4-component systems integrated here.
+Differential Equations I*, sec. II.5-6), for the 4-component states that the
+package integrates: the phase state (X, Y, Z, W), the radial state (u, v, U, V)
+and the scalar runs on the diagonal (X, X, Z, Z). A state is a tuple of four
+floats, not a numpy array. As in Hairer's `dop853.f`, every stage is written
+out term by term over the nonzero coefficients of its tableau row, and once
+per component: the stages, the error norm and the interpolant loop over no
+sequence. `steps` rejects a state of any other length with ValueError.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error norm, the dense output and the event location follow
@@ -15,7 +18,9 @@ skipped term is a signed zero, which leaves a sum unchanged unless the sum is -0
 stage sums start at +0.0, so that a zero component with -0.0 derivatives keeps
 the sign of its zero. The other sums start at their first term; they would
 round differently only if every term were -0.0, and the error sums are squared.
-The tests hold the kernel against scipy and against the full-row sums.
+The tests hold the kernel against scipy and against the full-row sums, which
+it matches bit for bit while the stage derivatives are finite (a full row
+meets 0 * inf = nan in the terms that the kernel skips).
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ MAX_FACTOR = 10.0                # largest increase
 ERROR_EXPONENT = -1 / 8          # -1/(error estimator order + 1)
 EPS = sys.float_info.epsilon
 
-Rhs = Callable[[float, list], Sequence[float]]
+Rhs = Callable[[float, Sequence[float]], Sequence[float]]
 
 
 def _rms(xs) -> float:
@@ -159,59 +164,150 @@ def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction, rtol, atol) -> float
 def _step(fun: Rhs, t, y, k0, h):
     """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), and
     the new state: returns y_new and the stage derivatives (k0, k5, ..., k11)
-    that the error estimate and the interpolant read."""
-    k1 = fun(t + C1 * h, [yi + (0.0 + A1_0 * c0) * h for yi, c0 in zip(y, k0)])
-    k2 = fun(t + C2 * h, [yi + (0.0 + A2_0 * c0 + A2_1 * c1) * h
-                          for yi, c0, c1 in zip(y, k0, k1)])
-    k3 = fun(t + C3 * h, [yi + (0.0 + A3_0 * c0 + A3_2 * c2) * h
-                          for yi, c0, c2 in zip(y, k0, k2)])
-    k4 = fun(t + C4 * h, [yi + (0.0 + A4_0 * c0 + A4_2 * c2 + A4_3 * c3) * h
-                          for yi, c0, c2, c3 in zip(y, k0, k2, k3)])
-    k5 = fun(t + C5 * h, [yi + (0.0 + A5_0 * c0 + A5_3 * c3 + A5_4 * c4) * h
-                          for yi, c0, c3, c4 in zip(y, k0, k3, k4)])
-    k6 = fun(t + C6 * h, [yi + (0.0 + A6_0 * c0 + A6_3 * c3 + A6_4 * c4 + A6_5 * c5) * h
-                          for yi, c0, c3, c4, c5 in zip(y, k0, k3, k4, k5)])
-    k7 = fun(t + C7 * h, [yi + (0.0 + A7_0 * c0 + A7_3 * c3 + A7_4 * c4 + A7_5 * c5
-                                + A7_6 * c6) * h
-                          for yi, c0, c3, c4, c5, c6 in zip(y, k0, k3, k4, k5, k6)])
-    k8 = fun(t + C8 * h, [yi + (0.0 + A8_0 * c0 + A8_3 * c3 + A8_4 * c4 + A8_5 * c5
-                                + A8_6 * c6 + A8_7 * c7) * h
-                          for yi, c0, c3, c4, c5, c6, c7 in zip(y, k0, k3, k4, k5, k6, k7)])
-    k9 = fun(t + C9 * h, [yi + (0.0 + A9_0 * c0 + A9_3 * c3 + A9_4 * c4 + A9_5 * c5
-                                + A9_6 * c6 + A9_7 * c7 + A9_8 * c8) * h
-                          for yi, c0, c3, c4, c5, c6, c7, c8
-                          in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-    k10 = fun(t + C10 * h, [yi + (0.0 + A10_0 * c0 + A10_3 * c3 + A10_4 * c4 + A10_5 * c5
-                                  + A10_6 * c6 + A10_7 * c7 + A10_8 * c8 + A10_9 * c9) * h
-                            for yi, c0, c3, c4, c5, c6, c7, c8, c9
-                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-    k11 = fun(t + C11 * h, [yi + (0.0 + A11_0 * c0 + A11_3 * c3 + A11_4 * c4 + A11_5 * c5
-                                  + A11_6 * c6 + A11_7 * c7 + A11_8 * c8 + A11_9 * c9
-                                  + A11_10 * c10) * h
-                            for yi, c0, c3, c4, c5, c6, c7, c8, c9, c10
-                            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-    y_new = [yi + h * (B0 * c0 + B5 * c5 + B6 * c6 + B7 * c7 + B8 * c8 + B9 * c9
-                       + B10 * c10 + B11 * c11)
-             for yi, c0, c5, c6, c7, c8, c9, c10, c11
-             in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
+    that the error estimate and the interpolant read. The components of stage
+    i's derivative are kia, kib, kic and kid."""
+    ya, yb, yc, yd = y
+    k0a, k0b, k0c, k0d = k0
+    k1a, k1b, k1c, k1d = fun(t + C1 * h, (
+        ya + (0.0 + A1_0 * k0a) * h,
+        yb + (0.0 + A1_0 * k0b) * h,
+        yc + (0.0 + A1_0 * k0c) * h,
+        yd + (0.0 + A1_0 * k0d) * h))
+    k2a, k2b, k2c, k2d = fun(t + C2 * h, (
+        ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h,
+        yb + (0.0 + A2_0 * k0b + A2_1 * k1b) * h,
+        yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h,
+        yd + (0.0 + A2_0 * k0d + A2_1 * k1d) * h))
+    k3a, k3b, k3c, k3d = fun(t + C3 * h, (
+        ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h,
+        yb + (0.0 + A3_0 * k0b + A3_2 * k2b) * h,
+        yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h,
+        yd + (0.0 + A3_0 * k0d + A3_2 * k2d) * h))
+    k4a, k4b, k4c, k4d = fun(t + C4 * h, (
+        ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h,
+        yb + (0.0 + A4_0 * k0b + A4_2 * k2b + A4_3 * k3b) * h,
+        yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h,
+        yd + (0.0 + A4_0 * k0d + A4_2 * k2d + A4_3 * k3d) * h))
+    k5a, k5b, k5c, k5d = k5 = fun(t + C5 * h, (
+        ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h,
+        yb + (0.0 + A5_0 * k0b + A5_3 * k3b + A5_4 * k4b) * h,
+        yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h,
+        yd + (0.0 + A5_0 * k0d + A5_3 * k3d + A5_4 * k4d) * h))
+    k6a, k6b, k6c, k6d = k6 = fun(t + C6 * h, (
+        ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h,
+        yb + (0.0 + A6_0 * k0b + A6_3 * k3b + A6_4 * k4b + A6_5 * k5b) * h,
+        yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h,
+        yd + (0.0 + A6_0 * k0d + A6_3 * k3d + A6_4 * k4d + A6_5 * k5d) * h))
+    k7a, k7b, k7c, k7d = k7 = fun(t + C7 * h, (
+        ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
+              + A7_6 * k6a) * h,
+        yb + (0.0 + A7_0 * k0b + A7_3 * k3b + A7_4 * k4b + A7_5 * k5b
+              + A7_6 * k6b) * h,
+        yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
+              + A7_6 * k6c) * h,
+        yd + (0.0 + A7_0 * k0d + A7_3 * k3d + A7_4 * k4d + A7_5 * k5d
+              + A7_6 * k6d) * h))
+    k8a, k8b, k8c, k8d = k8 = fun(t + C8 * h, (
+        ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
+              + A8_7 * k7a) * h,
+        yb + (0.0 + A8_0 * k0b + A8_3 * k3b + A8_4 * k4b + A8_5 * k5b + A8_6 * k6b
+              + A8_7 * k7b) * h,
+        yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
+              + A8_7 * k7c) * h,
+        yd + (0.0 + A8_0 * k0d + A8_3 * k3d + A8_4 * k4d + A8_5 * k5d + A8_6 * k6d
+              + A8_7 * k7d) * h))
+    k9a, k9b, k9c, k9d = k9 = fun(t + C9 * h, (
+        ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
+              + A9_7 * k7a + A9_8 * k8a) * h,
+        yb + (0.0 + A9_0 * k0b + A9_3 * k3b + A9_4 * k4b + A9_5 * k5b + A9_6 * k6b
+              + A9_7 * k7b + A9_8 * k8b) * h,
+        yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
+              + A9_7 * k7c + A9_8 * k8c) * h,
+        yd + (0.0 + A9_0 * k0d + A9_3 * k3d + A9_4 * k4d + A9_5 * k5d + A9_6 * k6d
+              + A9_7 * k7d + A9_8 * k8d) * h))
+    k10a, k10b, k10c, k10d = k10 = fun(t + C10 * h, (
+        ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
+              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h,
+        yb + (0.0 + A10_0 * k0b + A10_3 * k3b + A10_4 * k4b + A10_5 * k5b
+              + A10_6 * k6b + A10_7 * k7b + A10_8 * k8b + A10_9 * k9b) * h,
+        yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
+              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h,
+        yd + (0.0 + A10_0 * k0d + A10_3 * k3d + A10_4 * k4d + A10_5 * k5d
+              + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d + A10_9 * k9d) * h))
+    k11a, k11b, k11c, k11d = k11 = fun(t + C11 * h, (
+        ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
+              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h,
+        yb + (0.0 + A11_0 * k0b + A11_3 * k3b + A11_4 * k4b + A11_5 * k5b
+              + A11_6 * k6b + A11_7 * k7b + A11_8 * k8b + A11_9 * k9b + A11_10 * k10b) * h,
+        yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
+              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h,
+        yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
+              + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h))
+    y_new = (
+        ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
+                  + B10 * k10a + B11 * k11a),
+        yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
+                  + B10 * k10b + B11 * k11b),
+        yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
+                  + B10 * k10c + B11 * k11c),
+        yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
+                  + B10 * k10d + B11 * k11d))
     return y_new, (k0, k5, k6, k7, k8, k9, k10, k11)
 
 
 def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
     """The E5/E3 error estimate (Hairer's DOP853) in the weighted RMS norm.
     Its sums need no +0.0 start: they are squared."""
-    e5 = e3 = 0.0
-    for a, b, c0, c5, c6, c7, c8, c9, c10, c11 in zip(y, y_new, *ks):
-        scale = atol + max(abs(a), abs(b)) * rtol
-        r5 = (E5_0 * c0 + E5_5 * c5 + E5_6 * c6 + E5_7 * c7 + E5_8 * c8 + E5_9 * c9
-              + E5_10 * c10 + E5_11 * c11) / scale
-        r3 = (E3_0 * c0 + B5 * c5 + B6 * c6 + B7 * c7 + E3_8 * c8 + B9 * c9
-              + B10 * c10 + E3_11 * c11) / scale
-        e5 += r5 * r5
-        e3 += r3 * r3
+    ya, yb, yc, yd = y
+    na, nb, nc, nd = y_new
+    ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d), (k7a, k7b, k7c, k7d),
+     (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d), (k10a, k10b, k10c, k10d),
+     (k11a, k11b, k11c, k11d)) = ks
+    sa = atol + max(abs(ya), abs(na)) * rtol
+    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
+           + E5_10 * k10a + E5_11 * k11a) / sa
+    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
+           + E3_11 * k11a) / sa
+    sb = atol + max(abs(yb), abs(nb)) * rtol
+    r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
+           + E5_10 * k10b + E5_11 * k11b) / sb
+    r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
+           + E3_11 * k11b) / sb
+    sc = atol + max(abs(yc), abs(nc)) * rtol
+    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
+           + E5_10 * k10c + E5_11 * k11c) / sc
+    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
+           + E3_11 * k11c) / sc
+    sd = atol + max(abs(yd), abs(nd)) * rtol
+    r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
+           + E5_10 * k10d + E5_11 * k11d) / sd
+    r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
+           + E3_11 * k11d) / sd
+    e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
+    e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4)
+
+
+def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
+    """One component's coefficients of the powers 6..0 in the interpolant's
+    Horner scheme, from its increment dy over the step and its stage
+    derivatives."""
+    return (
+        h * (D3_0 * c0 + D3_5 * c5 + D3_6 * c6 + D3_7 * c7 + D3_8 * c8 + D3_9 * c9
+             + D3_10 * c10 + D3_11 * c11 + D3_12 * c12 + D3_13 * c13 + D3_14 * c14
+             + D3_15 * c15),
+        h * (D2_0 * c0 + D2_5 * c5 + D2_6 * c6 + D2_7 * c7 + D2_8 * c8 + D2_9 * c9
+             + D2_10 * c10 + D2_11 * c11 + D2_12 * c12 + D2_13 * c13 + D2_14 * c14
+             + D2_15 * c15),
+        h * (D1_0 * c0 + D1_5 * c5 + D1_6 * c6 + D1_7 * c7 + D1_8 * c8 + D1_9 * c9
+             + D1_10 * c10 + D1_11 * c11 + D1_12 * c12 + D1_13 * c13 + D1_14 * c14
+             + D1_15 * c15),
+        h * (D0_0 * c0 + D0_5 * c5 + D0_6 * c6 + D0_7 * c7 + D0_8 * c8 + D0_9 * c9
+             + D0_10 * c10 + D0_11 * c11 + D0_12 * c12 + D0_13 * c13 + D0_14 * c14
+             + D0_15 * c15),
+        2 * dy - h * (c12 + c0), h * c0 - dy, dy)
 
 
 class StepInterpolant:
@@ -221,55 +317,66 @@ class StepInterpolant:
     __slots__ = ("t_old", "h", "y_old", "coeffs")
 
     def __init__(self, fun: Rhs, t_old, h, y_old, y, ks, k12):
-        k0, k5, k6, k7, k8, k9, k10, k11 = ks
-        k13 = fun(t_old + C13 * h,
-                  [yi + (A13_0 * c0 + A13_6 * c6 + A13_7 * c7 + A13_8 * c8 + A13_9 * c9
-                         + A13_10 * c10 + A13_11 * c11 + A13_12 * c12) * h
-                   for yi, c0, c6, c7, c8, c9, c10, c11, c12
-                   in zip(y_old, k0, k6, k7, k8, k9, k10, k11, k12)])
-        k14 = fun(t_old + C14 * h,
-                  [yi + (A14_0 * c0 + A14_5 * c5 + A14_6 * c6 + A14_7 * c7
-                         + A14_10 * c10 + A14_11 * c11 + A14_12 * c12 + A14_13 * c13) * h
-                   for yi, c0, c5, c6, c7, c10, c11, c12, c13
-                   in zip(y_old, k0, k5, k6, k7, k10, k11, k12, k13)])
-        k15 = fun(t_old + C15 * h,
-                  [yi + (A15_0 * c0 + A15_5 * c5 + A15_6 * c6 + A15_7 * c7
-                         + A15_8 * c8 + A15_12 * c12 + A15_13 * c13 + A15_14 * c14) * h
-                   for yi, c0, c5, c6, c7, c8, c12, c13, c14
-                   in zip(y_old, k0, k5, k6, k7, k8, k12, k13, k14)])
+        ya, yb, yc, yd = y_old
+        ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d),
+         (k7a, k7b, k7c, k7d), (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d),
+         (k10a, k10b, k10c, k10d), (k11a, k11b, k11c, k11d)) = ks
+        k12a, k12b, k12c, k12d = k12
+        k13a, k13b, k13c, k13d = fun(t_old + C13 * h, (
+            ya + (A13_0 * k0a + A13_6 * k6a + A13_7 * k7a + A13_8 * k8a + A13_9 * k9a
+                  + A13_10 * k10a + A13_11 * k11a + A13_12 * k12a) * h,
+            yb + (A13_0 * k0b + A13_6 * k6b + A13_7 * k7b + A13_8 * k8b + A13_9 * k9b
+                  + A13_10 * k10b + A13_11 * k11b + A13_12 * k12b) * h,
+            yc + (A13_0 * k0c + A13_6 * k6c + A13_7 * k7c + A13_8 * k8c + A13_9 * k9c
+                  + A13_10 * k10c + A13_11 * k11c + A13_12 * k12c) * h,
+            yd + (A13_0 * k0d + A13_6 * k6d + A13_7 * k7d + A13_8 * k8d + A13_9 * k9d
+                  + A13_10 * k10d + A13_11 * k11d + A13_12 * k12d) * h))
+        k14a, k14b, k14c, k14d = fun(t_old + C14 * h, (
+            ya + (A14_0 * k0a + A14_5 * k5a + A14_6 * k6a + A14_7 * k7a
+                  + A14_10 * k10a + A14_11 * k11a + A14_12 * k12a + A14_13 * k13a) * h,
+            yb + (A14_0 * k0b + A14_5 * k5b + A14_6 * k6b + A14_7 * k7b
+                  + A14_10 * k10b + A14_11 * k11b + A14_12 * k12b + A14_13 * k13b) * h,
+            yc + (A14_0 * k0c + A14_5 * k5c + A14_6 * k6c + A14_7 * k7c
+                  + A14_10 * k10c + A14_11 * k11c + A14_12 * k12c + A14_13 * k13c) * h,
+            yd + (A14_0 * k0d + A14_5 * k5d + A14_6 * k6d + A14_7 * k7d
+                  + A14_10 * k10d + A14_11 * k11d + A14_12 * k12d + A14_13 * k13d) * h))
+        k15a, k15b, k15c, k15d = fun(t_old + C15 * h, (
+            ya + (A15_0 * k0a + A15_5 * k5a + A15_6 * k6a + A15_7 * k7a + A15_8 * k8a
+                  + A15_12 * k12a + A15_13 * k13a + A15_14 * k14a) * h,
+            yb + (A15_0 * k0b + A15_5 * k5b + A15_6 * k6b + A15_7 * k7b + A15_8 * k8b
+                  + A15_12 * k12b + A15_13 * k13b + A15_14 * k14b) * h,
+            yc + (A15_0 * k0c + A15_5 * k5c + A15_6 * k6c + A15_7 * k7c + A15_8 * k8c
+                  + A15_12 * k12c + A15_13 * k13c + A15_14 * k14c) * h,
+            yd + (A15_0 * k0d + A15_5 * k5d + A15_6 * k6d + A15_7 * k7d + A15_8 * k8d
+                  + A15_12 * k12d + A15_13 * k13d + A15_14 * k14d) * h))
+        na, nb, nc, nd = y
         self.t_old, self.h, self.y_old = t_old, h, y_old
         # per component, the coefficients of the powers 6..0 of the Horner scheme
-        coeffs = []
-        for yo, yn, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 in zip(
-                y_old, y, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
-            dy = yn - yo
-            coeffs.append([
-                h * (D3_0 * c0 + D3_5 * c5 + D3_6 * c6 + D3_7 * c7 + D3_8 * c8
-                     + D3_9 * c9 + D3_10 * c10 + D3_11 * c11 + D3_12 * c12 + D3_13 * c13
-                     + D3_14 * c14 + D3_15 * c15),
-                h * (D2_0 * c0 + D2_5 * c5 + D2_6 * c6 + D2_7 * c7 + D2_8 * c8
-                     + D2_9 * c9 + D2_10 * c10 + D2_11 * c11 + D2_12 * c12 + D2_13 * c13
-                     + D2_14 * c14 + D2_15 * c15),
-                h * (D1_0 * c0 + D1_5 * c5 + D1_6 * c6 + D1_7 * c7 + D1_8 * c8
-                     + D1_9 * c9 + D1_10 * c10 + D1_11 * c11 + D1_12 * c12 + D1_13 * c13
-                     + D1_14 * c14 + D1_15 * c15),
-                h * (D0_0 * c0 + D0_5 * c5 + D0_6 * c6 + D0_7 * c7 + D0_8 * c8
-                     + D0_9 * c9 + D0_10 * c10 + D0_11 * c11 + D0_12 * c12 + D0_13 * c13
-                     + D0_14 * c14 + D0_15 * c15),
-                2 * dy - h * (c12 + c0), h * c0 - dy, dy])
-        self.coeffs = coeffs
+        self.coeffs = (
+            _dense_row(h, na - ya, k0a, k5a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
+                       k14a, k15a),
+            _dense_row(h, nb - yb, k0b, k5b, k6b, k7b, k8b, k9b, k10b, k11b, k12b, k13b,
+                       k14b, k15b),
+            _dense_row(h, nc - yc, k0c, k5c, k6c, k7c, k8c, k9c, k10c, k11c, k12c, k13c,
+                       k14c, k15c),
+            _dense_row(h, nd - yd, k0d, k5d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d,
+                       k14d, k15d))
 
-    def __call__(self, t) -> list[float]:
+    def __call__(self, t) -> tuple[float, float, float, float]:
         x = (t - self.t_old) / self.h
         x1 = 1 - x
-        weights = (x, x1, x, x1, x, x1, x)
-        out = []
-        for yo, cs in zip(self.y_old, self.coeffs):
-            acc = 0.0
-            for c, w in zip(cs, weights):
-                acc = (acc + c) * w
-            out.append(acc + yo)
-        return out
+        ya, yb, yc, yd = self.y_old
+        ((a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6),
+         (c0, c1, c2, c3, c4, c5, c6), (d0, d1, d2, d3, d4, d5, d6)) = self.coeffs
+        return (
+            (((((((0.0 + a0) * x + a1) * x1 + a2) * x + a3) * x1 + a4) * x + a5) * x1
+             + a6) * x + ya,
+            (((((((0.0 + b0) * x + b1) * x1 + b2) * x + b3) * x1 + b4) * x + b5) * x1
+             + b6) * x + yb,
+            (((((((0.0 + c0) * x + c1) * x1 + c2) * x + c3) * x1 + c4) * x + c5) * x1
+             + c6) * x + yc,
+            (((((((0.0 + d0) * x + d1) * x1 + d2) * x + d3) * x1 + d4) * x + d5) * x1
+             + d6) * x + yd)
 
 
 class DenseSolution:
@@ -281,7 +388,7 @@ class DenseSolution:
         self.ts_sorted = ts if self.ascending else ts[::-1]
         self.pieces = pieces
 
-    def __call__(self, t) -> list[float]:
+    def __call__(self, t) -> tuple[float, ...]:
         n = len(self.pieces)
         if self.ascending:
             seg = min(max(bisect_left(self.ts_sorted, t) - 1, 0), n - 1)
@@ -293,7 +400,7 @@ class DenseSolution:
 @dataclass
 class Solution:
     t: list[float]                   # accepted step points, the last one possibly an event
-    y: list[list[float]]
+    y: list[tuple[float, ...]]
     status: int | None               # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
     t_events: list[list[float]]      # per event, in integration order
@@ -376,10 +483,18 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     becomes the last point. With `dense`, `Solution.sol` evaluates the solution
     anywhere on the integrated span once the run has ended; otherwise
     interpolants are built only for steps with an event.
+
+    The state has four components; a state of another length raises
+    ValueError.
     """
-    t, t_bound = float(t0), float(t_bound)
-    y = [float(v) for v in y0]
-    events = tuple(events)
+    y = tuple(float(v) for v in y0)
+    if len(y) != 4:
+        raise ValueError(f"the kernel integrates states of length 4, not {len(y)}")
+    return _run(fun, float(t0), y, float(t_bound), rtol, atol, tuple(events), dense)
+
+
+def _run(fun: Rhs, t, y, t_bound, rtol, atol, events, dense) -> Iterator[Solution]:
+    """The stepping loop of `steps`, on a checked 4-component state."""
     out = Solution([t], [y], None, [[] for _ in events])
     ts, ys, t_events = out.t, out.y, out.t_events
     pieces: list | None = [] if dense else None
@@ -387,7 +502,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
         ts.append(t)
         ys.append(y)
         out.status = 0
-        out.sol = DenseSolution(ts, [lambda s: list(y)]) if dense else None
+        out.sol = DenseSolution(ts, [lambda s: y]) if dense else None
         yield out
         return
 

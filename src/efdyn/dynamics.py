@@ -619,15 +619,20 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     u(0) = u0, and the rescaled data is re-integrated.
     """
     res = search_ground_state(params, n_angles, rho)
-    hits = [b for b in res.boundaries if b.kind == "dirichlet"]
-    # direct grid M3 outcomes also qualify
+    # the smallest Dirichlet angle: a Dirichlet boundary, or a grid shot that
+    # leaves the box with M-class M3. The grid is read in angle order, up to
+    # the first M3 and below the smallest boundary only, so that no shot above
+    # the answer is finished to blow-up.
+    angle = min((b.angle for b in res.boundaries if b.kind == "dirichlet"), default=math.inf)
     for th, o in zip(res.angles, res.outcomes):
-        if o.m_class is MClass.M3 and o.s_class is not SClass.S:
-            hits.append(BoundaryHit(th, "dirichlet", o))
-    if not hits:
+        if th >= angle:
+            break
+        if o.s_class is not SClass.S and o.m_class is MClass.M3:
+            angle = th
+            break
+    if angle == math.inf:
         return DirichletSearch(found=False)
-    hit = min(hits, key=lambda h: h.angle)
-    x, y = _seed(hit.angle, rho)
+    x, y = _seed(angle, rho)
     u0_star, v0_star = regular_initial_values(params, x, y)
     if u0 is not None:
         ex = derive_exponents(params)
@@ -639,9 +644,9 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     tv = rad.first_event("v-zero")
     if tu is None and tv is None:
         return DirichletSearch(found=False, initial_values=(u0_star, v0_star),
-                               angle=hit.angle, profile=rad)
+                               angle=angle, profile=rad)
     r_u = math.exp(tu) if tu is not None else None
     r_v = math.exp(tv) if tv is not None else None
     return DirichletSearch(found=True, radius=r_u if r_u is not None else r_v,
                            v_zero_radius=r_v, initial_values=(u0_star, v0_star),
-                           angle=hit.angle, profile=rad)
+                           angle=angle, profile=rad)

@@ -9,19 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 import efdyn
 from efdyn import dop853, dynamics
-from efdyn.dynamics import (EventSpec, MClass, SClass, classify_shot, integrate_m,
-                            integrate_radial, launch_regular, oracle_compare,
-                            search_dirichlet, search_ground_state, sweep_angles)
+from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundStateSearch,
+                            MClass, SClass, classify_shot, integrate_m, integrate_radial,
+                            launch_regular, oracle_compare, search_dirichlet,
+                            search_ground_state, sweep_angles)
 from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
                          nonvariational_params, phase_rhs, potential_params,
-                         symmetric_scalar_embedding)
+                         regular_initial_values, symmetric_scalar_embedding)
 from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
@@ -29,6 +31,15 @@ from conftest import field
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
+
+
+def _squares(t, y):
+    """y' = y^2 in each of the four components: y(0) = 1 blows up at t = 1."""
+    return (y[0] ** 2, y[1] ** 2, y[2] ** 2, y[3] ** 2)
+
+
+# the first component blows up at t = 1, the others later or never
+SQUARES_Y0 = [1.0, 0.5, -0.5, -0.0]
 
 
 class TestIntegrateM:
@@ -434,6 +445,100 @@ class TestPausedShot:
         assert searched < 0.4 * calls[0]
 
 
+# -- reference: the Dirichlet search that reads every grid M-class -------------
+
+def _full_read_dirichlet(params, u0=None, n_angles=9):
+    """search_dirichlet's to_dict() as it ran before the grid walk: the M-class
+    of every grid shot is read, then the smallest Dirichlet angle is taken."""
+    rho = dynamics.MANIFOLD_RHO
+    res = search_ground_state(params, n_angles, rho)
+    hits = [b for b in res.boundaries if b.kind == "dirichlet"]
+    for th, o in zip(res.angles, res.outcomes):
+        if o.m_class is MClass.M3 and o.s_class is not SClass.S:
+            hits.append(BoundaryHit(th, "dirichlet", o))
+    if not hits:
+        return DirichletSearch(found=False).to_dict()
+    hit = min(hits, key=lambda h: h.angle)
+    u0_star, v0_star = regular_initial_values(params, *dynamics._seed(hit.angle, rho))
+    if u0 is not None:
+        ex = derive_exponents(params)
+        scale = (u0 / u0_star) ** (1.0 / ex.gamma)
+        u0_star, v0_star = u0, v0_star * scale ** ex.xi
+    rad = integrate_radial(params, u0_star, v0_star, r_max=1e12)
+    tu, tv = rad.first_event("u-zero"), rad.first_event("v-zero")
+    if tu is None and tv is None:
+        return DirichletSearch(found=False, initial_values=(u0_star, v0_star),
+                               angle=hit.angle).to_dict()
+    r_u = math.exp(tu) if tu is not None else None
+    r_v = math.exp(tv) if tv is not None else None
+    return DirichletSearch(found=True, radius=r_u if r_u is not None else r_v,
+                           v_zero_radius=r_v, initial_values=(u0_star, v0_star),
+                           angle=hit.angle).to_dict()
+
+
+class _ReadLogged:
+    """A grid outcome whose M-class reads are logged by angle; None raises
+    Inconclusive on read."""
+
+    def __init__(self, angle, s_class, m_class, log):
+        self.angle, self.s_class, self._m_class, self._log = angle, s_class, m_class, log
+
+    @property
+    def m_class(self):
+        self._log.append(self.angle)
+        if self._m_class is None:
+            raise Inconclusive(f"undecided at {self.angle}")
+        return self._m_class
+
+
+class TestDirichletWalk:
+    """search_dirichlet reads grid M-classes in angle order, below the smallest
+    Dirichlet boundary and up to the first M3 only: its result equals the
+    search that reads them all."""
+
+    # Hamiltonian off the diagonal below and above the critical hyperbola
+    # (delta, mu) = (2, 2) at N = 6, potential off the diagonal below and above
+    # its critical line m = 0.86
+    POINTS = [hamiltonian_params(6.0, 1.6, 2.0), hamiltonian_params(6.0, 2.5, 2.1),
+              potential_params(6.0, 2.0, 2.3, 0.5, 0.6),
+              potential_params(6.0, 2.0, 2.3, 0.5, 1.15)]
+
+    @pytest.mark.parametrize("u0", [None, 0.5, 2.0])
+    @pytest.mark.parametrize("params", POINTS, ids=["ham-below", "ham-above", "pot-below",
+                                                    "pot-above"])
+    def test_search_equals_full_read(self, params, u0):
+        assert search_dirichlet(params, u0, n_angles=9).to_dict() == \
+            _full_read_dirichlet(params, u0)
+
+    @pytest.mark.parametrize("params", [hamiltonian_params(6.0, 1.5, 1.5),
+                                        symmetric_scalar_embedding(3.0, 2.0, 4.0)],
+                             ids=["ham-diagonal", "scalar-embedding"])
+    def test_diagonal_s3_grid_shot_equals_full_read(self, params):
+        # the grid shot at pi/4 is S3 and a Dirichlet boundary itself
+        assert search_dirichlet(params, n_angles=9).to_dict() == _full_read_dirichlet(params)
+
+    @pytest.mark.parametrize("boundary,answer,read", [
+        (0.9, 0.6, [0.2, 0.6]),         # a grid M3 below the boundary wins
+        (0.3, 0.3, [0.2]),              # the boundary wins: no shot above it is read
+        (None, 0.6, [0.2, 0.6]),        # no boundary: the first grid M3
+    ])
+    def test_grid_is_read_below_the_answer_only(self, monkeypatch, boundary, answer, read):
+        # the shot at 0.8 is undecided: the full read would raise on it
+        log = []
+        grid = [(0.2, SClass.S1, MClass.M1), (0.4, SClass.S, MClass.GS),
+                (0.6, SClass.S2, MClass.M3), (0.8, SClass.S1, None),
+                (1.0, SClass.S2, MClass.M3)]
+        outcomes = tuple(_ReadLogged(*shot, log) for shot in grid)
+        boundaries = () if boundary is None else (BoundaryHit(boundary, "dirichlet", None),)
+        res = GroundStateSearch(found=False, witness_angles=(),
+                                boundary_angles=tuple(b.angle for b in boundaries),
+                                boundaries=boundaries, outcomes=outcomes,
+                                angles=tuple(shot[0] for shot in grid))
+        monkeypatch.setattr(dynamics, "search_ground_state", lambda *args: res)
+        assert search_dirichlet(hamiltonian_params(6.0, 1.6, 2.0)).angle == answer
+        assert log == read
+
+
 # the shots that the kernel is held against scipy on, and paused on
 SCIPY_SHOTS = [
     (hamiltonian_params(6.0, 1.5, 1.5), (RHO / math.sqrt(2), RHO / math.sqrt(2))),
@@ -539,12 +644,11 @@ class TestKernelAgainstScipy:
             assert np.array_equal(ours, theirs)
 
     def test_step_size_underflow_keeps_partial_trajectory(self):
-        # y' = y^2, y(0) = 1 blows up at t = 1
         with pytest.raises(StepSizeUnderflow) as err:
-            dynamics._solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0], ())
+            dynamics._solve(_squares, (0.0, 2.0), SQUARES_Y0, ())
         partial = err.value.trajectory
         assert abs(partial.t[-1] - 1.0) < 1e-9
-        assert partial.states.shape == (len(partial.t), 1)
+        assert partial.states.shape == (len(partial.t), 4)
 
 
 # -- reference: the tableau loops that the written-out stages replaced -----------
@@ -587,8 +691,31 @@ def _reference_error_norm(K, h, y, y_new, rtol, atol):
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
+# where the tests evaluate a step's interpolant, as fractions of the step
+_FRACTIONS = (0.0, 0.3, 1.0)
+
+
+def _reference_values(t, h, y, coeffs):
+    """The interpolant at the fractions of the step, by the Horner loop that
+    the written-out evaluation replaced."""
+    values = []
+    for frac in _FRACTIONS:
+        x = (t + frac * h - t) / h
+        x1 = 1 - x
+        weights = (x, x1, x, x1, x, x1, x)
+        out = []
+        for yo, cs in zip(y, coeffs):
+            acc = 0.0
+            for c, w in zip(cs, weights):
+                acc = (acc + c) * w
+            out.append(acc + yo)
+        values.append(out)
+    return values
+
+
 def _reference_step(fun, t, y, h, rtol, atol):
-    """y_new, the error norm and the interpolant's coefficients of one step."""
+    """y_new, the error norm, the interpolant's coefficients and its values of
+    one step."""
     f = fun(t, y)
     K = [[fi] for fi in f]
     _reference_stages(fun, t, y, h, K, _STAGES)
@@ -604,7 +731,7 @@ def _reference_step(fun, t, y, h, rtol, atol):
         F = [dy, h * fo - dy, 2 * dy - h * (fn + fo)]
         F += [h * _dot(row, ki) for row in _D]
         coeffs.append(F[::-1])
-    return y_new, err, coeffs
+    return y_new, err, coeffs, _reference_values(t, h, y, coeffs)
 
 
 def _kernel_step(fun, t, y, h, rtol, atol):
@@ -612,7 +739,8 @@ def _kernel_step(fun, t, y, h, rtol, atol):
     y_new, ks = dop853._step(fun, t, y, f, h)
     f_new = fun(t + h, y_new)
     err = dop853._error_norm(y, y_new, ks, h, rtol, atol)
-    return y_new, err, dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new).coeffs
+    piece = dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new)
+    return y_new, err, piece.coeffs, [piece(t + frac * h) for frac in _FRACTIONS]
 
 
 def _hex(x):
@@ -635,8 +763,8 @@ _NONSYMMETRIC = SystemParams(N=5.0, p=2.2, q=1.8, a=0.3, b=0.1, s=0.2, m=0.4,
 
 class TestKernelBits:
     """The written-out stages against the reference loops, bit for bit: every
-    stage (each RHS call with its arguments), y_new, the error norm and the 7
-    interpolant coefficients per component."""
+    stage (each RHS call with its arguments), y_new, the error norm, the 7
+    interpolant coefficients per component and the interpolant's values."""
 
     @pytest.mark.parametrize("h", [0.03, -0.03, 1e-7, -2.5])
     @pytest.mark.parametrize("fun,t,y", [
@@ -650,9 +778,9 @@ class TestKernelBits:
         # the radial system in t = ln r, with the fluxes U, V < 0
         (dynamics._radial_rhs(HAM6), -2.0, [0.9, 1.1, -0.05, -0.02]),
         (dynamics._radial_rhs(_NONSYMMETRIC), 0.5, [0.3, 0.2, -0.4, 0.1]),
-        # y' = y^2
-        (lambda t, y: (y[0] ** 2,), 0.0, [1.0]),
-        (lambda t, y: (y[0] ** 2,), 0.0, [-0.0]),
+        # y' = y^2 componentwise (`_squares`), with signed zeros
+        (lambda t, y: (y[0] ** 2, y[1] ** 2, y[2] ** 2, y[3] ** 2), 0.0, SQUARES_Y0),
+        (lambda t, y: (y[0] ** 2, y[1] ** 2, y[2] ** 2, y[3] ** 2), 0.0, [-0.0] * 4),
     ])
     def test_step_matches_reference_loops(self, fun, t, y, h):
         logs = [], []
@@ -663,6 +791,36 @@ class TestKernelBits:
         assert _hex(got[0]) == _hex(ref[0])
         assert got[1].hex() == ref[1].hex()
         assert _hex(got[2]) == _hex(ref[2])
+        assert _hex(got[3]) == _hex(ref[3])
+
+    @staticmethod
+    def _outcome(step, fun, t, y, h):
+        """The step's RHS calls and results in hex, or the error it raises."""
+        log = []
+        try:
+            got = step(_logged(fun, log), t, y, h, ODE_RTOL, ODE_ATOL)
+        except OverflowError as err:           # a power in the radial RHS
+            return log, type(err).__name__
+        return log, _hex(got[0]), got[1].hex(), _hex(got[2]), _hex(got[3])
+
+    @given(st.sampled_from([phase_rhs(HAM6), phase_rhs(_NONSYMMETRIC),
+                            dynamics._radial_rhs(HAM6), dynamics._radial_rhs(_NONSYMMETRIC)]),
+           st.floats(-3.0, 3.0),
+           st.lists(st.floats(0.0, 8.0), min_size=4, max_size=4),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
+           st.floats(-8.0, math.log10(3.0)), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=250, deadline=None)
+    def test_random_steps_match_reference_loops(self, fun, t, magnitudes, signs, log_h,
+                                                h_sign):
+        # signed states, zeros of either sign included, and steps |h| from 1e-8
+        # to 3, log-uniform
+        y = [m * s for m, s in zip(magnitudes, signs)]
+        h = h_sign * 10 ** log_h
+        ref = self._outcome(_reference_step, fun, t, y, h)
+        # where a stage derivative overflows, the full-row sums meet 0 * inf =
+        # nan in terms that the kernel skips: the bits agree on finite stages
+        assume(all(math.isfinite(float.fromhex(v)) for call in ref[0] for v in call[2]))
+        assert self._outcome(_kernel_step, fun, t, y, h) == ref
 
 
 class TestKernelPauseResume:
@@ -701,8 +859,8 @@ class TestKernelPauseResume:
         # the regular radial solution of the critical Hamiltonian system
         (dynamics._radial_rhs(HAM6), (math.log(RADIAL_R0), math.log(1e4)),
          [1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6]),
-        # y' = y^2, y(0) = 1 blows up at t = 1: the run ends in a step underflow
-        (lambda t, y: (y[0] ** 2,), (0.0, 2.0), [1.0]),
+        # y' = y^2 blows up at t = 1: the run ends in a step underflow
+        (_squares, (0.0, 2.0), SQUARES_Y0),
     ], ids=["radial", "underflow"])
     def test_paused_run_equals_solve(self, rhs, span, y0):
         self._assert_pauses_are_invisible(rhs, span, y0, ())
@@ -749,9 +907,16 @@ class TestKernelCounts:
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_state_must_have_four_components(self, n):
+        with pytest.raises(ValueError, match=f"not {n}$"):
+            dop853.steps(_squares, 0.0, [1.0] * n, 2.0, ODE_RTOL, ODE_ATOL)
+        with pytest.raises(ValueError, match=f"not {n}$"):
+            dop853.solve(_squares, 0.0, [1.0] * n, 2.0, ODE_RTOL, ODE_ATOL)
+
     def test_counts_on_step_size_underflow(self):
-        rhs, calls = self._counting(lambda t, y: (y[0] ** 2,))
-        sol = dop853.solve(rhs, 0.0, [1.0], 2.0, ODE_RTOL, ODE_ATOL)
+        rhs, calls = self._counting(_squares)
+        sol = dop853.solve(rhs, 0.0, SQUARES_Y0, 2.0, ODE_RTOL, ODE_ATOL)
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
