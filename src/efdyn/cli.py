@@ -21,10 +21,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import energies, equilibria, spectra
-from .dynamics import (EventSpec, classify_shot, integrate_m, integrate_radial,
+from .dynamics import (EventSpec, classify_shot, integrate_m, integrate_radial, linspace,
                        search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError
 from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
@@ -55,10 +53,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if hasattr(obj, "tolist"):      # a numpy array or scalar
+        return _jsonable(obj.tolist())
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
@@ -384,8 +380,8 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
     fps = scalar_fixed_points(sp)
     ranges = _numbers(block.get("ranges", [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]]),
                       "portrait.ranges", 2, lambda r: _numbers(r, "portrait.ranges", 2))
-    xs = np.linspace(ranges[0][0], ranges[0][1], grid[0])
-    zs = np.linspace(ranges[1][0], ranges[1][1], grid[1])
+    xs = linspace(ranges[0][0], ranges[0][1], grid[0])
+    zs = linspace(ranges[1][0], ranges[1][1], grid[1])
     # the plane is the diagonal (X, X, Z, Z) of the symmetric system
     rhs = phase_rhs(sp.system)
     rows = [["X", "Z", "dX", "dZ"]]

@@ -19,8 +19,6 @@ from enum import Enum
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import dop853
 from .equilibria import FixedPointLabel, fixed_point_catalog
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
@@ -48,17 +46,20 @@ class Termination:
 
 @dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray
-    states: np.ndarray                          # shape (n, 4)
+    """A phase run: its accepted step points and the states there, as the
+    integrator's tuples of floats."""
+
+    t: tuple[float, ...]
+    states: tuple[tuple[float, float, float, float], ...]
     termination: Termination
     events: tuple[tuple[float, str], ...] = ()
     dense: Callable | None = None               # interpolant t -> coords
 
-    def state_at(self, t: float) -> np.ndarray:
+    def state_at(self, t: float) -> tuple[float, float, float, float]:
         """Interpolated state at t (needs dense output)."""
         if self.dense is None:
             raise PreconditionViolated("trajectory was integrated without dense output")
-        return np.asarray(self.dense(t))
+        return self.dense(t)
 
     def first_event(self, name: str) -> float | None:
         for t, n in self.events:
@@ -69,11 +70,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RadialTrajectory:
-    r: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
+    """A radial run in numpy arrays: r = exp(t) and the derivatives are
+    numpy's elementwise results, which can differ from `math`'s in the last bit."""
+
+    r: numpy.ndarray
+    u: numpy.ndarray
+    v: numpy.ndarray
+    du: numpy.ndarray
+    dv: numpy.ndarray
     termination: Termination
     events: tuple[tuple[float, str], ...] = ()   # times are t = ln r
     dense: Callable | None = None                # t -> (u, v, U, V)
@@ -119,7 +123,7 @@ def _start(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
 def _checked(sol):
     """The final solution of a run; a collapsed step size raises."""
     if sol.status == -1:
-        failed = Trajectory(t=np.array(sol.t), states=np.array(sol.y),
+        failed = Trajectory(t=tuple(sol.t), states=tuple(sol.y),
                             termination=Termination(kind="failed"))
         raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
                                 trajectory=failed)
@@ -137,16 +141,36 @@ def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
     return _checked(dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense))
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from start to stop, both included: the
+    values of `numpy.linspace(start, stop, num)`, bit for bit."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    start, stop = float(start), float(stop)
+    delta, div = stop - start, num - 1
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:     # a subnormal delta: divide the index first
+        xs = [i / div * delta + start for i in range(num)]
+    else:
+        xs = [i * step + start for i in range(num)]
+    xs[-1] = stop
+    return xs
+
+
 def _detect_convergence(params, t, states) -> Termination | None:
-    pts = [(fp.label, np.array(fp.coords)) for fp in fixed_point_catalog(params)
-           if fp.defined]
-    n = len(t)
-    if n < CAPTURE_STEPS:
+    """Converged to the first catalog point that the last CAPTURE_STEPS
+    states all lie within CAPTURE_DIST of, in the max norm."""
+    if len(t) < CAPTURE_STEPS:
         return None
-    for label, pt in pts:
-        d = np.max(np.abs(states - pt), axis=1)
-        if np.all(d[-CAPTURE_STEPS:] < CAPTURE_DIST):
-            return Termination(kind="converged", label=label)
+    tail = states[-CAPTURE_STEPS:]
+    for fp in fixed_point_catalog(params):
+        # every component below the bound: a NaN component fails, as it
+        # fails the bound on the row's maximum
+        if fp.defined and all(abs(a - b) < CAPTURE_DIST
+                              for row in tail for a, b in zip(row, fp.coords)):
+            return Termination(kind="converged", label=fp.label)
     return None
 
 
@@ -170,8 +194,8 @@ def _phase_problem(params, initial, horizon, events):
     `events`."""
     if horizon is None:
         horizon = (initial.t, T_END)
-    y0 = initial.coords
-    if not np.all(np.isfinite(y0)):
+    y0 = (initial.X, initial.Y, initial.Z, initial.W)
+    if not all(math.isfinite(c) for c in y0):
         raise PreconditionViolated("initial state must be finite")
 
     blow_up = BLOW_UP           # bound once: the event functions run at every step
@@ -186,17 +210,17 @@ def _finish_m(params, sol, names) -> Trajectory:
     hit_x = len(sol.t_events[0]) > 0
     hit_y = len(sol.t_events[1]) > 0
     named = _named(names, sol.t_events[2:])
-    t, states = np.array(sol.t), np.array(sol.y)
+    t, states = tuple(sol.t), tuple(sol.y)
 
     if sol.status == 1:
         if hit_x and hit_y:
             term = Termination(kind="blow-up-both")
         elif hit_x:
             # the companion coordinate may be effectively blown up as well
-            ratio = abs(states[-1, 1]) / BLOW_UP
+            ratio = abs(states[-1][1]) / BLOW_UP
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-x")
         elif hit_y:
-            ratio = abs(states[-1, 0]) / BLOW_UP
+            ratio = abs(states[-1][0]) / BLOW_UP
             term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-y")
         else:
             # terminated by a user event
@@ -239,6 +263,8 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
     neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
     """
+    import numpy as np
+
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -297,7 +323,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     rad_lo, rad_hi = math.log(rad.r[0]), math.log(rad.r[-1])
     t_lo = max(0.0, rad_lo + tau + 1e-9)
     t_hi = min(ph.t[-1], rad_hi + tau - 1e-9)
-    for t in np.linspace(t_lo, t_hi, 400).tolist():
+    for t in linspace(t_lo, t_hi, 400):
         Xp, Yp, _, _ = ph.dense(t)
         if Xp > 0.6 * params.x_bound or Yp > 0.6 * params.y_bound:
             t_hi = t
@@ -320,12 +346,13 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     shift = tau - d_tau
 
     worst = 0.0
-    for t in np.linspace(t_lo, t_hi, 25):
+    for t in linspace(t_lo, t_hi, 25):
         if not rad_lo + 1e-9 <= t - shift <= rad_hi - 1e-9:
             continue
         ref = rad.phase_at(t - shift).coords
-        got = np.asarray(ph.dense(t))
-        worst = max(worst, float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref)))))
+        devs = [abs(g - r) / (1.0 + abs(r)) for g, r in zip(ph.dense(t), ref)]
+        if all(d == d for d in devs):       # a sample with a NaN deviation is skipped
+            worst = max(worst, *devs)
     return worst
 
 
@@ -466,7 +493,7 @@ def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
                 continue
             raise Inconclusive(f"seed ({x}, {y}): crossed at t = {min(hit.values())} "
                                f"but no blow-up within t = {t_end}")
-        X_end, Y_end = traj.states[-1, 0], traj.states[-1, 1]
+        X_end, Y_end = traj.states[-1][0], traj.states[-1][1]
         if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
             m_class = MClass.M3
         elif X_end >= Y_end:
@@ -527,7 +554,7 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
 def sweep_angles(params: SystemParams, n_angles: int = 33,
                  rho: float = MANIFOLD_RHO) -> tuple[tuple[float, ...], list[ShotOutcome]]:
     """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle."""
-    thetas = tuple(np.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
+    thetas = tuple(linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
     outcomes = [classify_shot(params, *_seed(th, rho), rho) for th in thetas]
     return thetas, outcomes
 

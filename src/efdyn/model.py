@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DegeneratePoint, PreconditionViolated, ZeroCoordinate, ZeroDiscriminant
 
 PARAM_KEYS = ("N", "p", "q", "a", "b", "s", "m", "delta", "mu", "eps1", "eps2")
@@ -212,8 +210,8 @@ class PhaseState:
     W: float
 
     @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.X, self.Y, self.Z, self.W])
+    def coords(self) -> tuple[float, float, float, float]:
+        return (self.X, self.Y, self.Z, self.W)
 
     @property
     def r(self) -> float:

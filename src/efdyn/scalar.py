@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
@@ -86,7 +84,9 @@ class ScalarParams:
         return {"N": self.N, "p": self.p, "a": self.a, "Q": self.Q, "eps": self.eps}
 
 
-def scalar_jacobian(sp: ScalarParams, coords) -> np.ndarray:
+def scalar_jacobian(sp: ScalarParams, coords) -> numpy.ndarray:
+    import numpy as np
+
     X, Z = coords
     return np.array([
         [2 * X - sp.x_bound + Z / (sp.p - 1), X / (sp.p - 1)],
@@ -232,7 +232,9 @@ class ScalarReport:
                 "evidence": self.evidence}
 
 
-def _fit_slope(lr: np.ndarray, lu: np.ndarray) -> float:
+def _fit_slope(lr: numpy.ndarray, lu: numpy.ndarray) -> float:
+    import numpy as np
+
     A = np.vstack([lr, np.ones_like(lr)]).T
     sol, *_ = np.linalg.lstsq(A, lu, rcond=None)
     return float(sol[0])
@@ -254,6 +256,8 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
 
     # Poincare-return sampling whenever M0 sits in the source quadrant
     if eps == 1 and Q > sp.Q1 + tol and abs(Q - sp.Q2) > tol:
+        import numpy as np
+
         offs = poincare_returns(sp)
         evidence["poincare_offsets"] = offs
         diffs = np.diff(np.abs(offs))
@@ -278,12 +282,14 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * sp.x_bound,
                              terminal=True, direction=1.0)
             traj = diagonal_trajectory(sp, (x0, z0), (0.0, T_END), events=[stop])
-            drift = max(abs(line_quantity(sp, X, Z)) for X, Z in traj.states[:, [0, 2]])
+            drift = max(abs(line_quantity(sp, X, Z)) for X, _, Z, _ in traj.states)
             evidence["line_drift"] = drift
             evidence["termination"] = _termination(traj.termination)
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
+        import numpy as np
+
         rad = radial()
         mask = rad.r > 0.3 * SCALAR_R_MAX
         fit_A = float(np.exp(np.mean(np.log(rad.u[mask]) + sp.gamma * np.log(rad.r[mask]))))
@@ -306,6 +312,8 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
 
     # Q < Q1: saddle connection A0 -> M0 found by integrating the stable
     # eigendirection of M0 backwards
+    import numpy as np
+
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     J = scalar_jacobian(sp, (X0, Z0))
     w, V = np.linalg.eig(J)
@@ -316,9 +324,9 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
     traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
     # map to u(r) and fit both end slopes of ln u vs ln r
-    ts, Xs, Zs = traj.t, traj.states[:, 0], traj.states[:, 2]
+    ts = np.array(traj.t)
     lu = np.array([math.log(scalar_profile_from_phase(sp, t, X, Z))
-                   for t, X, Z in zip(ts, Xs, Zs)])
+                   for t, (X, _, Z, _) in zip(traj.t, traj.states)])
     n = len(ts)
     tail = slice(max(0, n - max(5, n // 5)), n)      # backward end: r -> 0
     head = slice(0, max(5, n // 5))                  # start near M0: r -> infinity

@@ -16,16 +16,16 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point, m0_coords
 from .errors import UndefinedPoint
 from .model import PhaseState, SystemParams, derive_exponents, exchange_params
 from .numerics import CENTER_TOL, IDENTITY_RTOL
 
 
-def jacobian_at(params: SystemParams, state) -> np.ndarray:
+def jacobian_at(params: SystemParams, state) -> numpy.ndarray:
     """Analytic Jacobian of the vector field at a phase point (or raw coords)."""
+    import numpy as np
+
     P = params
     coords = state.coords if isinstance(state, PhaseState) else np.asarray(state, dtype=float)
     X, Y, Z, W = coords
@@ -39,12 +39,14 @@ def jacobian_at(params: SystemParams, state) -> np.ndarray:
 
 # -- polynomial machinery -----------------------------------------------------
 
-def polynomial_roots(coeffs) -> np.ndarray:
+def polynomial_roots(coeffs) -> numpy.ndarray:
     """Roots of a monic real quartic via companion-matrix eigenvalues.
 
     One Newton polish step tightens each root; output sorted by (Re, Im) so
     repeated calls are deterministic.
     """
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=float)
     if c[0] != 1.0:
         raise ValueError("leading coefficient must be 1")
@@ -65,6 +67,8 @@ def polynomial_roots(coeffs) -> np.ndarray:
 
 
 def sort_eigs(values) -> tuple[complex, ...]:
+    import numpy as np
+
     vals = np.asarray(values, dtype=complex)
     order = np.lexsort((vals.imag, vals.real))
     return tuple(vals[order])
@@ -79,7 +83,9 @@ class QuarticCoeffs:
     G: float
     H: float
 
-    def as_poly(self) -> np.ndarray:
+    def as_poly(self) -> numpy.ndarray:
+        import numpy as np
+
         return np.array([1.0, self.E, self.F, self.G, -self.H])
 
 

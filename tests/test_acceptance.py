@@ -128,7 +128,7 @@ def _energy_drift_along_shot(P, spec, seed, t_end=20.0):
     traj = _shoot_once(P, seed[0], seed[1], 1e-4, t_end)
     vals, scales = [], []
     for t, st in zip(traj.t, traj.states):
-        if np.any(st <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:
+        if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:
             break
         ph = PhaseState.from_coords(t, st)
         vals.append(energy_value(spec, P, ph))

@@ -47,18 +47,18 @@ class TestIntegrateM:
         st = PhaseState(0.0, 4.0, 4.0, 0.0, 0.0)
         traj = integrate_m(HAM6, st, horizon=(0.0, 10.0))
         assert traj.termination.kind in ("max-time", "converged")
-        assert np.max(np.abs(traj.states - st.coords)) == 0.0
+        assert np.max(np.abs(np.asarray(traj.states) - st.coords)) == 0.0
 
     def test_invariant_hyperplane_exact(self):
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
-        assert np.max(np.abs(traj.states[:, 1])) < 1e-12
+        assert np.max(np.abs(np.asarray(traj.states)[:, 1])) < 1e-12
 
     def test_blow_up_termination_consistent(self):
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
         assert traj.termination.kind == "blow-up-x"
-        assert abs(traj.states[-1, 0]) >= BLOW_UP * (1 - 1e-9)
+        assert abs(np.asarray(traj.states)[-1, 0]) >= BLOW_UP * (1 - 1e-9)
 
     def test_event_detection(self):
         seed = launch_regular(HAM6, RHO, 0.0)
@@ -77,7 +77,7 @@ class TestIntegrateM:
     def test_monotone_departure_from_regular_corner(self):
         seed = launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 2.0))
-        head = traj.states[:6]
+        head = np.asarray(traj.states[:6])
         assert np.all(np.diff(head[:, 0]) > 0)
         assert np.all(np.diff(head[:, 1]) > 0)
         assert np.all(np.diff(head[:, 2]) < 0)
@@ -108,8 +108,9 @@ class TestIntegrateM:
         traj = integrate_m(symmetric_scalar_embedding(N, p, Q, a, eps),
                            PhaseState(0.0, x, x, z, z), horizon=(0.0, 30.0))
         assert len(traj.t) > 10
-        assert np.array_equal(traj.states[:, 0], traj.states[:, 1])
-        assert np.array_equal(traj.states[:, 2], traj.states[:, 3])
+        states = np.asarray(traj.states)
+        assert np.array_equal(states[:, 0], states[:, 1])
+        assert np.array_equal(states[:, 2], states[:, 3])
 
     def test_critical_diagonal_approaches_decay_corner(self):
         seed = launch_regular(HAM6, RHO / math.sqrt(2), RHO / math.sqrt(2))
@@ -158,7 +159,8 @@ class TestRadialOracle:
         for t in np.linspace(-2.0, math.log(40.0), 10):
             st = rad.phase_at(t)
             h = 1e-5
-            fd = (rad.phase_at(t + h).coords - rad.phase_at(t - h).coords) / (2 * h)
+            fd = (np.asarray(rad.phase_at(t + h).coords)
+                  - np.asarray(rad.phase_at(t - h).coords)) / (2 * h)
             assert fd == pytest.approx(field(HAM6, st.coords),
                                        rel=1e-6, abs=1e-7)
 
@@ -212,7 +214,7 @@ class TestClassification:
         P = hamiltonian_params(6.0, 1.5, 1.5)
         seed = launch_regular(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
         traj = integrate_m(P, seed, horizon=(0.0, 40.0))
-        X, Y = traj.states[-1, 0], traj.states[-1, 1]
+        X, Y = np.asarray(traj.states)[-1, 0], np.asarray(traj.states)[-1, 1]
         assert abs(X / Y - 1.0) < 0.05
 
     def test_box_invariance_of_staying_shot(self):
@@ -286,6 +288,98 @@ class TestSearches:
         thetas, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
         assert len(thetas) == 9 and len(outs) == 9
         assert all(o.s_class in SClass for o in outs)
+
+
+# -- the float replacements of numpy on the shooting path -------------------------
+
+def _np_hex(start, stop, num):
+    with np.errstate(all="ignore"):
+        return [v.hex() for v in np.linspace(start, stop, num).tolist()]
+
+
+# the grids the package builds: the angle grid of sweep_angles for every
+# n_angles up to 65, the two oracle windows and the portrait axes (shipped
+# config, CLI test and the sizes 0 and 1); then spans so small that the step
+# underflows to 0, where numpy divides the index first
+GRIDS = ([(0.0, math.pi / 2, n + 2) for n in range(1, 66)]
+         + [(lo, hi, n) for lo, hi in ((1e-9, 17.25), (0.0, 40.0), (0.3125, 6.1))
+            for n in (25, 400)]
+         + [(0.0, hi, n) for hi in (1.0, 1.5, 3.0, 4.0) for n in (0, 1, 3, 7, 31, 41)]
+         + [(0.0, 1.5e-323, n) for n in (2, 3, 4, 10)])
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("start,stop,num", GRIDS)
+    def test_grids_in_use_match_numpy(self, start, stop, num):
+        assert [v.hex() for v in dynamics.linspace(start, stop, num)] == \
+            _np_hex(start, stop, num)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 500))
+    @settings(max_examples=300, deadline=None)
+    def test_random_endpoints_match_numpy(self, start, stop, num):
+        assert [v.hex() for v in dynamics.linspace(start, stop, num)] == \
+            _np_hex(start, stop, num)
+
+    def test_negative_count_raises_as_numpy(self):
+        with pytest.raises(ValueError):
+            np.linspace(0.0, 1.0, -1)
+        with pytest.raises(ValueError):
+            dynamics.linspace(0.0, 1.0, -1)
+
+
+def _numpy_detect_convergence(params, t, states):
+    """The convergence test as it ran on numpy arrays: every row's max-norm
+    distance to a defined catalog point, the last CAPTURE_STEPS below
+    CAPTURE_DIST."""
+    pts = [(fp.label, np.array(fp.coords)) for fp in dynamics.fixed_point_catalog(params)
+           if fp.defined]
+    if len(t) < dynamics.CAPTURE_STEPS:
+        return None
+    for label, pt in pts:
+        d = np.max(np.abs(np.array(states) - pt), axis=1)
+        if np.all(d[-dynamics.CAPTURE_STEPS:] < dynamics.CAPTURE_DIST):
+            return dynamics.Termination(kind="converged", label=label)
+    return None
+
+
+# (system, initial state, horizon, converges); the scalar system's sink M0 is
+# (0.4, 0.4, 0.6, 0.6), approached on a slow spiral
+_SPIRAL = symmetric_scalar_embedding(3.0, 2.0, 6.0)
+CONVERGENCE_RUNS = [
+    (HAM6, PhaseState(0.0, 4.0, 4.0, 0.0, 0.0), (0.0, 10.0), True),
+    (_SPIRAL, PhaseState(0.0, 0.4, 0.4, 0.6, 0.6), (0.0, 40.0), True),
+    (_SPIRAL, PhaseState(0.0, 0.4 + 1e-9, 0.4 + 1e-9, 0.6 - 1e-9, 0.6 - 1e-9), (0.0, 40.0),
+     True),
+    (HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), (0.0, 2.0), False),
+    (HAM6, launch_regular(HAM6, RHO, 0.0), (0.0, 30.0), False),
+    (_SPIRAL, PhaseState(0.0, 0.45, 0.45, 0.55, 0.55), (0.0, 80.0), False),   # within 3e-5
+    (_SPIRAL, PhaseState(0.0, 0.4 + 2e-8, 0.4 + 2e-8, 0.6 - 2e-8, 0.6 - 2e-8), (0.0, 10.0),
+     False),                                                                # within 4e-8
+]
+
+
+class TestDetectConvergence:
+    @pytest.mark.parametrize("params,initial,horizon,converges", CONVERGENCE_RUNS)
+    def test_matches_numpy_version(self, params, initial, horizon, converges):
+        traj = integrate_m(params, initial, horizon=horizon)
+        got = dynamics._detect_convergence(params, traj.t, traj.states)
+        assert got == _numpy_detect_convergence(params, traj.t, traj.states)
+        assert (got is not None) == converges
+        # and on prefixes of the run, which end on other rows
+        for n in range(1, len(traj.t) + 1, max(1, len(traj.t) // 20)):
+            assert dynamics._detect_convergence(params, traj.t[:n], traj.states[:n]) == \
+                _numpy_detect_convergence(params, traj.t[:n], traj.states[:n])
+
+    def test_nan_row_is_not_converged(self):
+        params, initial, horizon, _ = CONVERGENCE_RUNS[0]
+        traj = integrate_m(params, initial, horizon=horizon)
+        for k in range(4):
+            row = list(traj.states[-1])
+            row[k] = math.nan
+            states = traj.states[:-1] + (tuple(row),)
+            assert _numpy_detect_convergence(params, traj.t, states) is None
+            assert dynamics._detect_convergence(params, traj.t, states) is None
 
 
 class TestOracleEquivalence:
@@ -365,7 +459,7 @@ def _eager_classify(params, x, y, rho):
                 t_end *= 2
                 continue
             raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {t_end}")
-        X_end, Y_end = traj.states[-1, 0], traj.states[-1, 1]
+        X_end, Y_end = np.asarray(traj.states)[-1, 0], np.asarray(traj.states)[-1, 1]
         if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
             m_class = "M3"
         elif X_end >= Y_end:
@@ -648,7 +742,7 @@ class TestKernelAgainstScipy:
             dynamics._solve(_squares, (0.0, 2.0), SQUARES_Y0, ())
         partial = err.value.trajectory
         assert abs(partial.t[-1] - 1.0) < 1e-9
-        assert partial.states.shape == (len(partial.t), 4)
+        assert np.asarray(partial.states).shape == (len(partial.t), 4)
 
 
 # -- reference: the tableau loops that the written-out stages replaced -----------

@@ -116,7 +116,8 @@ class TestDerivatives:
         # re-integrate densely over the in-box stretch
         t_end = traj.t[-1]
         for t, st in zip(traj.t, traj.states):
-            if np.any(st <= 0) or st[0] > 0.9 * params.x_bound or st[1] > 0.9 * params.y_bound:
+            if np.any(np.asarray(st) <= 0) or st[0] > 0.9 * params.x_bound \
+                    or st[1] > 0.9 * params.y_bound:
                 t_end = t
                 break
         dense = integrate_m(params, launch_regular(params, *seed, 1e-4),
@@ -343,7 +344,8 @@ class TestConservation:
         traj = _shoot_once(HAM6, 7e-5, 5e-5, 1e-4, 20.0)
         vals, scales = [], []
         for t, st in zip(traj.t, traj.states):
-            if np.any(st <= 0) or st[0] > 0.95 * HAM6.x_bound or st[1] > 0.95 * HAM6.y_bound:
+            if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * HAM6.x_bound \
+                    or st[1] > 0.95 * HAM6.y_bound:
                 break
             ph = PhaseState.from_coords(t, st)
             vals.append(energy_value(spec, HAM6, ph))
@@ -357,5 +359,5 @@ class TestConservation:
         traj = _shoot_once(P17, 7e-5, 7e-5, 1e-4, 20.0)
         vals = [energy_value(spec, P17, PhaseState.from_coords(t, st))
                 for t, st in zip(traj.t, traj.states)
-                if np.all(st > 0) and st[0] < 0.95 * P17.x_bound]
+                if np.all(np.asarray(st) > 0) and st[0] < 0.95 * P17.x_bound]
         assert np.all(np.diff(vals) > -1e-18)     # coefficient > 0: nondecreasing

@@ -63,7 +63,7 @@ class TestExplicitCriticalSolution:
         stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * SC.x_bound,
                          terminal=True, direction=1.0)
         traj = diagonal_trajectory(SC, (x0, z0), (0.0, 40.0), events=[stop])
-        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in traj.states[:, [0, 2]])
+        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in np.asarray(traj.states)[:, [0, 2]])
         assert drift < 1e-8
 
 

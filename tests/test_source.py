@@ -1,9 +1,13 @@
 """Checks on the source tree itself: the numerical constants, the absence of a
-tolerance parameter, the scripts' imports and the public surface."""
+tolerance parameter, the scripts' imports, the public surface and numpy's
+absence from the start-up path."""
 
 import ast
+import json
 import re
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -118,3 +122,45 @@ def test_exports_are_what_clients_import():
     exported = {k for k, v in vars(efdyn).items()
                 if not k.startswith("_") and not isinstance(v, types.ModuleType)}
     assert exported == imported
+
+
+# -- numpy stays off the start-up path -------------------------------------------
+# Only the code whose output bits come from numpy imports it, where it runs:
+# spectra, the radial route and the scalar fits. `import efdyn` and the
+# commands that need none of them load no numpy.
+
+NUMPY_FREE_CONFIGS = ("shoot_subcritical_diagonal", "scalar_critical",
+                      "portrait_scalar_critical", "sweep_hamiltonian_diagonal")
+
+
+@pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)
+def test_start_up_loads_no_numpy(config, tmp_path):
+    if config == "import":
+        args = ["-c", "import efdyn"]
+    else:
+        path = ROOT / "configs" / f"{config}.json"
+        command = json.loads(path.read_text())["command"]
+        args = ["-m", "efdyn.cli", command, "--config", str(path),
+                "--out", str(tmp_path / config)]
+    out = subprocess.run([sys.executable, "-X", "importtime"] + args, capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(SRC.parent)})
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "efdyn.dynamics" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+def test_numpy_is_imported_inside_functions_only():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        local = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import)
+                      and any(a.name.split(".")[0] == "numpy" for a in node.names)
+                      or isinstance(node, ast.ImportFrom)
+                      and (node.module or "").split(".")[0] == "numpy")
+                  and id(node) not in local]
+    assert found == []
