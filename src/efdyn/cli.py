@@ -315,6 +315,8 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
     csvs = {}
     if kind == "angle":
         n = _number(block, "sweep", "n", 33, int)
+        if n < 0:
+            raise ConfigError("sweep.n", f"need a count >= 0, got {n}")
         rho = _number(block, "sweep", "rho", MANIFOLD_RHO)
         thetas, outcomes = sweep_angles(P, n, rho)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
@@ -330,7 +332,11 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         parameter = block.get("parameter", "delta=mu")
         start, stop = _number(block, "sweep", "start"), _number(block, "sweep", "stop")
         step = _number(block, "sweep", "step", 0.1)
+        if not step > 0:            # NaN too: the value loop below would not end
+            raise ConfigError("sweep.step", f"need a step > 0, got {step!r}")
         n_angles = _number(block, "sweep", "n_angles", 17, int)
+        if n_angles < 0:
+            raise ConfigError("sweep.n_angles", f"need a count >= 0, got {n_angles}")
         values = []
         v = start
         while v <= stop + 1e-12:

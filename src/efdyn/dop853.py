@@ -31,6 +31,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from .numerics import ODE_ATOL, ODE_RTOL
+
 # -- tableau ---------------------------------------------------------------
 # Coefficients as in scipy/integrate/_ivp/dop853_coefficients.py (SciPy,
 # BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
@@ -144,9 +146,9 @@ def _rms(xs) -> float:
     return math.sqrt(sum(x * x for x in xs)) / len(xs) ** 0.5
 
 
-def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
+def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction) -> float:
     interval = abs(t_bound - t0)
-    scale = [atol + abs(v) * rtol for v in y0]
+    scale = [ODE_ATOL + abs(v) * ODE_RTOL for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -255,7 +257,7 @@ def _step(fun: Rhs, t, y, k0, h):
     return y_new, (k0, k5, k6, k7, k8, k9, k10, k11)
 
 
-def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
+def _error_norm(y, y_new, ks, h) -> float:
     """The E5/E3 error estimate (Hairer's DOP853) in the weighted RMS norm.
     Its sums need no +0.0 start: they are squared."""
     ya, yb, yc, yd = y
@@ -263,22 +265,22 @@ def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
     ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d), (k7a, k7b, k7c, k7d),
      (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d), (k10a, k10b, k10c, k10d),
      (k11a, k11b, k11c, k11d)) = ks
-    sa = atol + max(abs(ya), abs(na)) * rtol
+    sa = ODE_ATOL + max(abs(ya), abs(na)) * ODE_RTOL
     r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
            + E5_10 * k10a + E5_11 * k11a) / sa
     r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
            + E3_11 * k11a) / sa
-    sb = atol + max(abs(yb), abs(nb)) * rtol
+    sb = ODE_ATOL + max(abs(yb), abs(nb)) * ODE_RTOL
     r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
            + E5_10 * k10b + E5_11 * k11b) / sb
     r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
            + E3_11 * k11b) / sb
-    sc = atol + max(abs(yc), abs(nc)) * rtol
+    sc = ODE_ATOL + max(abs(yc), abs(nc)) * ODE_RTOL
     r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
            + E5_10 * k10c + E5_11 * k11c) / sc
     r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
            + E3_11 * k11c) / sc
-    sd = atol + max(abs(yd), abs(nd)) * rtol
+    sd = ODE_ATOL + max(abs(yd), abs(nd)) * ODE_RTOL
     r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
            + E5_10 * k10d + E5_11 * k11d) / sd
     r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
@@ -466,10 +468,9 @@ def find_root(f: Callable[[float], float], a: float, b: float,
 
 
 def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
-          rtol: float, atol: float, events: Sequence = (),
-          dense: bool = False) -> Iterator[Solution]:
+          events: Sequence = (), dense: bool = False) -> Iterator[Solution]:
     """Integrate y' = fun(t, y) from (t0, y0) toward t_bound, one accepted step
-    at a time.
+    at a time, to the tolerances ODE_RTOL and ODE_ATOL of `efdyn.numerics`.
 
     Yields one `Solution` after each accepted step, the same object each time,
     grown in place: the points, events and counts so far, with `status` None
@@ -490,10 +491,10 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     y = tuple(float(v) for v in y0)
     if len(y) != 4:
         raise ValueError(f"the kernel integrates states of length 4, not {len(y)}")
-    return _run(fun, float(t0), y, float(t_bound), rtol, atol, tuple(events), dense)
+    return _run(fun, float(t0), y, float(t_bound), tuple(events), dense)
 
 
-def _run(fun: Rhs, t, y, t_bound, rtol, atol, events, dense) -> Iterator[Solution]:
+def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
     """The stepping loop of `steps`, on a checked 4-component state."""
     out = Solution([t], [y], None, [[] for _ in events])
     ts, ys, t_events = out.t, out.y, out.t_events
@@ -508,7 +509,7 @@ def _run(fun: Rhs, t, y, t_bound, rtol, atol, events, dense) -> Iterator[Solutio
 
     direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction)
     nfev, n_accepted, n_rejected = 2, 0, 0
     specs = [(ev.fn, ev.direction) for ev in events]
     g = [fn(t, y) for fn, _ in specs]
@@ -530,7 +531,7 @@ def _run(fun: Rhs, t, y, t_bound, rtol, atol, events, dense) -> Iterator[Solutio
             h_abs = abs(h)
             y_new, ks = _step(fun, t, y, f, h)
             nfev += 11
-            err = _error_norm(y, y_new, ks, h, rtol, atol)
+            err = _error_norm(y, y_new, ks, h)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
                                                          SAFETY * err ** ERROR_EXPONENT)
@@ -592,9 +593,8 @@ def _run(fun: Rhs, t, y, t_bound, rtol, atol, events, dense) -> Iterator[Solutio
 
 
 def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
-          rtol: float, atol: float, events: Sequence = (),
-          dense: bool = False) -> Solution:
+          events: Sequence = (), dense: bool = False) -> Solution:
     """`steps` run to its end: the final `Solution`."""
-    for sol in steps(fun, t0, y0, t_bound, rtol, atol, events, dense):
+    for sol in steps(fun, t0, y0, t_bound, events, dense):
         pass
     return sol

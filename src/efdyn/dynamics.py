@@ -27,8 +27,7 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     normalized_regular_data, phase_rhs, regular_initial_values,
                     to_phase)
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
-                       MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, ODE_ATOL, ODE_RTOL,
-                       RADIAL_R0, SIM_WINDOW, T_END)
+                       MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, RADIAL_R0, SIM_WINDOW, T_END)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class EventSpec:
 def _start(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
     """A run of the package's integrator (`dop853.steps`), started: it yields
     its growing solution after each accepted step."""
-    return dop853.steps(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense)
+    return dop853.steps(rhs, span[0], y0, span[1], events, dense)
 
 
 def _checked(sol):
@@ -138,7 +137,7 @@ def _named(names: Sequence[str], t_events) -> list[tuple[float, str]]:
 def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
     """A run of the package's integrator to its end (`dop853.solve`); a
     collapsed step size raises."""
-    return _checked(dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense))
+    return _checked(dop853.solve(rhs, span[0], y0, span[1], events, dense))
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -175,7 +174,7 @@ def _detect_convergence(params, t, states) -> Termination | None:
 
 
 def integrate_m(params: SystemParams, initial: PhaseState,
-                horizon: tuple[float, float] | None = None,
+                horizon: tuple[float, float],
                 events: Sequence[EventSpec] = (),
                 dense: bool = False) -> Trajectory:
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
@@ -192,8 +191,6 @@ def integrate_m(params: SystemParams, initial: PhaseState,
 def _phase_problem(params, initial, horizon, events):
     """integrate_m's (rhs, span, y0, events): the two blow-up events, then
     `events`."""
-    if horizon is None:
-        horizon = (initial.t, T_END)
     y0 = (initial.X, initial.Y, initial.Z, initial.W)
     if not all(math.isfinite(c) for c in y0):
         raise PreconditionViolated("initial state must be finite")
@@ -212,16 +209,12 @@ def _finish_m(params, sol, names) -> Trajectory:
     named = _named(names, sol.t_events[2:])
     t, states = tuple(sol.t), tuple(sol.y)
 
-    if sol.status == 1:
-        if hit_x and hit_y:
-            term = Termination(kind="blow-up-both")
-        elif hit_x:
+    if sol.status == 1:         # a run records one terminal event at most
+        if hit_x or hit_y:
             # the companion coordinate may be effectively blown up as well
-            ratio = abs(states[-1][1]) / BLOW_UP
-            term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-x")
-        elif hit_y:
-            ratio = abs(states[-1][0]) / BLOW_UP
-            term = Termination(kind="blow-up-both" if ratio > 0.99 else "blow-up-y")
+            ratio = abs(states[-1][1 if hit_x else 0]) / BLOW_UP
+            term = Termination(kind="blow-up-both" if ratio > 0.99
+                               else "blow-up-x" if hit_x else "blow-up-y")
         else:
             # terminated by a user event
             term = Termination(kind="event", event=named[-1][1] if named else None)
@@ -436,14 +429,10 @@ def _shot(params, x, y, rho, t_end):
     return _start(*_phase_problem(params, seed, (0.0, t_end), evs))
 
 
-def _shoot_once(params, x, y, rho, t_end, run=None, sol=None) -> Trajectory:
-    """One shot to t_end as a trajectory. A shot started by `_shot` is passed
-    as its `run` and the run's last yield `sol`, and goes on from there."""
-    if run is None:
-        run = _shot(params, x, y, rho, t_end)
-    for sol in run:
-        pass
-    return _finish_m(params, _checked(sol), ("x-bound", "y-bound"))
+def _crossings(sol) -> tuple[float | None, float | None]:
+    """A shot's first x-bound and y-bound crossing times so far, or None."""
+    xs, ys = sol.t_events[2:]
+    return (xs[0] if xs else None), (ys[0] if ys else None)
 
 
 def _s_class(t_x: float | None, t_y: float | None) -> SClass:
@@ -457,30 +446,33 @@ def _s_class(t_x: float | None, t_y: float | None) -> SClass:
 
 def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
     """Classify a shot started on the horizon T_END, given its run and the
-    run's last yield: run it to its end, and widen the horizon (twice) when
-    undecided. Returns the S-class, the M-class and the hit times."""
+    run's last yield: run it to its end, and rerun it on a wider horizon
+    (twice) when undecided. Returns the S-class, the M-class and the hit
+    times, all read off the run's final `dop853.Solution`."""
     t_end = T_END
     for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
-        traj = _shoot_once(params, x, y, rho, t_end, run, sol)
-        run = sol = None
-        t_x = traj.first_event("x-bound")
-        t_y = traj.first_event("y-bound")
+        if attempt:
+            run = _shot(params, x, y, rho, t_end)
+        for sol in run:
+            pass
+        _checked(sol)
+        t_x, t_y = _crossings(sol)
+        X_end, Y_end = sol.y[-1][:2]
         hit = {}
         if t_x is not None:
             hit["x-bound"] = t_x
         if t_y is not None:
             hit["y-bound"] = t_y
-        blew = traj.termination.kind.startswith("blow-up")
+        blew = sol.status == 1      # the blow-up events are a shot's only terminal ones
         if blew:
-            hit["blow-up"] = float(traj.t[-1])
+            hit["blow-up"] = sol.t[-1]
 
         if t_x is None and t_y is None:
             if blew:      # left the box without crossing a face first: numerical corner case
                 t_end *= 2
                 continue
-            final = traj.states[-1]
-            near_face = (abs(final[0] - params.x_bound) < 1e-6 * (1 + params.x_bound)
-                         or abs(final[1] - params.y_bound) < 1e-6 * (1 + params.y_bound))
+            near_face = (abs(X_end - params.x_bound) < 1e-6 * (1 + params.x_bound)
+                         or abs(Y_end - params.y_bound) < 1e-6 * (1 + params.y_bound))
             if near_face and attempt < MAX_HORIZON_EXTENSIONS:
                 t_end *= 2
                 continue
@@ -493,7 +485,6 @@ def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
                 continue
             raise Inconclusive(f"seed ({x}, {y}): crossed at t = {min(hit.values())} "
                                f"but no blow-up within t = {t_end}")
-        X_end, Y_end = traj.states[-1][0], traj.states[-1][1]
         if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
             m_class = MClass.M3
         elif X_end >= Y_end:
@@ -518,8 +509,7 @@ def classify_shot(params: SystemParams, x: float, y: float,
     """
     run = _shot(params, x, y, rho, T_END)
     for sol in run:
-        xs, ys = sol.t_events[2:]           # the x-bound and y-bound crossings so far
-        t_x, t_y = (xs[0] if xs else None), (ys[0] if ys else None)
+        t_x, t_y = _crossings(sol)
         first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
         if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
             return ShotOutcome((x, y), _s_class(t_x, t_y),
@@ -540,8 +530,6 @@ class BoundaryHit:
 @dataclass(frozen=True)
 class GroundStateSearch:
     found: bool
-    witness_angles: tuple[float, ...]
-    boundary_angles: tuple[float, ...]
     boundaries: tuple[BoundaryHit, ...]
     outcomes: tuple[ShotOutcome, ...]
     angles: tuple[float, ...]
@@ -565,11 +553,10 @@ def _bisect_boundary(params, th_lo, th_hi, side_lo, rho) -> BoundaryHit:
     mid_out = None
     while hi - lo > ANGLE_TOL:
         mid = 0.5 * (lo + hi)
-        out = classify_shot(params, *_seed(mid, rho), rho)
-        mid_out = out
-        if out.s_class in (SClass.S, SClass.S3):
+        mid_out = classify_shot(params, *_seed(mid, rho), rho)
+        if mid_out.s_class in (SClass.S, SClass.S3):
             break
-        if out.s_class == side_lo:
+        if mid_out.s_class == side_lo:
             lo = mid
         else:
             hi = mid
@@ -596,23 +583,19 @@ def search_ground_state(params: SystemParams, n_angles: int = 33,
     an interior fixed point). Deterministic for fixed grid and tolerances.
     """
     thetas, outcomes = sweep_angles(params, n_angles, rho)
-    witnesses = [th for th, o in zip(thetas, outcomes) if o.s_class is SClass.S]
     boundaries: list[BoundaryHit] = []
     for i in range(len(thetas) - 1):
         a, b = outcomes[i], outcomes[i + 1]
-        flip = {a.s_class, b.s_class} == {SClass.S1, SClass.S2}
-        if flip:
+        if {a.s_class, b.s_class} == {SClass.S1, SClass.S2}:
             boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1],
                                                a.s_class, rho))
     for th, o in zip(thetas, outcomes):
         if o.s_class is SClass.S3:
             boundaries.append(BoundaryHit(th, "dirichlet", o))
-    gs_boundaries = [b for b in boundaries if b.kind == "ground-state"]
-    found = bool(witnesses or gs_boundaries)
+    found = (any(o.s_class is SClass.S for o in outcomes)
+             or any(b.kind == "ground-state" for b in boundaries))
     return GroundStateSearch(
         found=found,
-        witness_angles=tuple(witnesses + [b.angle for b in gs_boundaries]),
-        boundary_angles=tuple(b.angle for b in boundaries),
         boundaries=tuple(boundaries),
         outcomes=tuple(outcomes),
         angles=thetas,
@@ -626,7 +609,6 @@ class DirichletSearch:
     v_zero_radius: float | None = None
     initial_values: tuple[float, float] | None = None
     angle: float | None = None
-    profile: RadialTrajectory | None = None
 
     def to_dict(self) -> dict:
         return {"found": self.found, "radius": self.radius,
@@ -670,10 +652,9 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     tu = rad.first_event("u-zero")
     tv = rad.first_event("v-zero")
     if tu is None and tv is None:
-        return DirichletSearch(found=False, initial_values=(u0_star, v0_star),
-                               angle=angle, profile=rad)
+        return DirichletSearch(found=False, initial_values=(u0_star, v0_star), angle=angle)
     r_u = math.exp(tu) if tu is not None else None
     r_v = math.exp(tv) if tv is not None else None
     return DirichletSearch(found=True, radius=r_u if r_u is not None else r_v,
                            v_zero_radius=r_v, initial_values=(u0_star, v0_star),
-                           angle=angle, profile=rad)
+                           angle=angle)

@@ -92,7 +92,7 @@ class EnergySpec:
 # -- family guards -----------------------------------------------------------
 
 def _require_hamiltonian(P: SystemParams):
-    if not (P.p == 2.0 and P.q == 2.0 and P.s == 0.0 and P.m == 0.0):
+    if not P.is_hamiltonian:
         raise PreconditionViolated("hamiltonian energy needs p = q = 2, s = m = 0")
 
 
@@ -105,7 +105,7 @@ def _require_nonvariational(P: SystemParams):
 
 
 def _require_potential(P: SystemParams):
-    if not (P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b):
+    if not P.is_potential:
         raise PreconditionViolated("potential energy needs delta = m+1, mu = s+1, a = b")
 
 
@@ -282,7 +282,7 @@ def cubic_barrier(params: SystemParams, X: float, Y: float) -> float:
     in the reduced chart with the effective dimension 2(N+a)/(2+a).
     """
     P = params
-    if not (P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.s > 0.0 and P.a == P.b):
+    if not P.is_nonvariational:
         raise PreconditionViolated("cubic barrier needs p = q = 2, s = m > 0, a = b")
     n = effective_unweighted_dimension(P) if P.a != 0.0 else P.N
     alpha, beta = 1.0 / (P.mu + 1), 1.0 / (P.delta + 1)
@@ -404,7 +404,7 @@ def classify_region(params: SystemParams) -> dict[CriticalCurve, Position]:
                 rhs = (n - 2) / (n - (n - 2) * s / 2)
                 out[CriticalCurve.LS] = _position(lhs - rhs, abs(lhs) + abs(rhs), True)
 
-    if P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b:
+    if P.is_potential:
         diff = (P.s + 1) * (P.N - P.p) / P.p + (P.m + 1) * (P.N - P.q) / P.q - (P.N + P.a)
         out[CriticalCurve.LINE_D] = _position(diff, P.N + abs(P.a), False)
 
@@ -491,25 +491,22 @@ def predict_existence(params: SystemParams) -> ExistenceVerdict:
     """
     P = params
     region = classify_region(P)
-    ham = P.p == 2.0 and P.q == 2.0 and P.s == 0.0 and P.m == 0.0
-    pot = P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b
-    nonvar = P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.s > 0.0 and P.a == P.b
 
-    if ham:
+    if P.is_hamiltonian:
         pos = region[CriticalCurve.H0]
         cond = (("position vs critical hyperbola", pos.value),)
         if pos in (Position.ABOVE, Position.ON):
             return ExistenceVerdict(Verdict.GS_EXISTS, "hamiltonian-critical-hyperbola", cond)
         return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "hamiltonian-critical-hyperbola", cond)
 
-    if pot:
+    if P.is_potential:
         pos = region[CriticalCurve.LINE_D]
         cond = (("position vs critical line", pos.value),)
         if pos in (Position.ABOVE, Position.ON):
             return ExistenceVerdict(Verdict.GS_EXISTS, "potential-critical-line", cond)
         return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "potential-critical-line", cond)
 
-    if nonvar:
+    if P.is_nonvariational:
         pos = region[CriticalCurve.CS]
         if pos in (Position.ABOVE, Position.ON):
             return ExistenceVerdict(Verdict.GS_EXISTS, "nonvariational-cubic-barrier",
@@ -550,10 +547,8 @@ def predict_asymptotics(params: SystemParams) -> AsymptoticProfile:
     """
     P = params
     region = classify_region(P)
-    ham = P.p == 2.0 and P.q == 2.0 and P.s == 0.0 and P.m == 0.0
-    pot = P.delta == P.m + 1.0 and P.mu == P.s + 1.0 and P.a == P.b
 
-    if ham:
+    if P.is_hamiltonian:
         if region[CriticalCurve.H0] is not Position.ON:
             raise NotCritical("not on the critical hyperbola")
         def side(expo, weight):
@@ -569,7 +564,7 @@ def predict_asymptotics(params: SystemParams) -> AsymptoticProfile:
         return AsymptoticProfile(u_exponent=ue, v_exponent=ve,
                                  log_correction_power=ulog if ulog else vlog)
 
-    if pot:
+    if P.is_potential:
         if region[CriticalCurve.LINE_D] is not Position.ON:
             raise NotCritical("not on the critical line")
         if P.q > P.p:

@@ -81,6 +81,23 @@ class SystemParams:
     def w_bound(self) -> float:
         return self.N + self.b
 
+    # -- the named families (see the constructors below) ---------------
+    @property
+    def is_hamiltonian(self) -> bool:
+        """p = q = 2, s = m = 0 (`hamiltonian_params`)."""
+        return self.p == 2.0 and self.q == 2.0 and self.s == 0.0 and self.m == 0.0
+
+    @property
+    def is_potential(self) -> bool:
+        """delta = m+1, mu = s+1, a = b (`potential_params`)."""
+        return self.delta == self.m + 1.0 and self.mu == self.s + 1.0 and self.a == self.b
+
+    @property
+    def is_nonvariational(self) -> bool:
+        """p = q = 2, s = m > 0, a = b (`nonvariational_params`)."""
+        return (self.p == 2.0 and self.q == 2.0 and self.s == self.m and self.s > 0.0
+                and self.a == self.b)
+
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in PARAM_KEYS}
 

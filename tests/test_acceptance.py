@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from efdyn.dynamics import (MClass, _shoot_once, classify_shot, integrate_radial,
-                            oracle_compare, search_dirichlet, search_ground_state)
+from efdyn.dynamics import (MClass, classify_shot, integrate_m, integrate_radial,
+                            launch_regular, oracle_compare, search_dirichlet,
+                            search_ground_state)
 from efdyn.energies import EnergySpec, cubic_barrier, energy_value
 from efdyn.equilibria import fixed_point_catalog, particular_solution
 from efdyn.model import (PhaseState, RadialState, derive_exponents, from_phase,
@@ -125,7 +126,7 @@ def test_criterion_03_closed_form_solutions():
 
 
 def _energy_drift_along_shot(P, spec, seed, t_end=20.0):
-    traj = _shoot_once(P, seed[0], seed[1], 1e-4, t_end)
+    traj = integrate_m(P, launch_regular(P, seed[0], seed[1], 1e-4), horizon=(0.0, t_end))
     vals, scales = [], []
     for t, st in zip(traj.t, traj.states):
         if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:

@@ -222,7 +222,19 @@ class TestExitCodes:
                       "portrait": {"grid": [3]}}, "portrait.grid"),
         ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0, "eps": "x"}},
          "scalar.eps"),
-    ], ids=["family-without-start", "one-grid-size", "eps-not-a-number"])
+        # a step that is not > 0 would make the family's value loop endless
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "step": 0}), "sweep.step"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "step": -0.1}), "sweep.step"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "step": math.nan}), "sweep.step"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "angle", "n": -3}), "sweep.n"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "n_angles": -1}), "sweep.n_angles"),
+    ], ids=["family-without-start", "one-grid-size", "eps-not-a-number", "family-zero-step",
+            "family-negative-step", "family-nan-step", "angle-negative-n",
+            "family-negative-n_angles"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, raw, path):
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -256,7 +256,7 @@ class TestSearches:
         P = hamiltonian_params(6.0, 1.8, 1.2)
         r1 = search_ground_state(P, n_angles=9)
         r2 = search_ground_state(P, n_angles=9)
-        assert r1.boundary_angles == r2.boundary_angles
+        assert [b.angle for b in r1.boundaries] == [b.angle for b in r2.boundaries]
         assert [o.to_dict() for o in r1.outcomes] == [o.to_dict() for o in r2.outcomes]
 
     def test_dirichlet_zero_radii_agree(self):
@@ -624,9 +624,7 @@ class TestDirichletWalk:
                 (1.0, SClass.S2, MClass.M3)]
         outcomes = tuple(_ReadLogged(*shot, log) for shot in grid)
         boundaries = () if boundary is None else (BoundaryHit(boundary, "dirichlet", None),)
-        res = GroundStateSearch(found=False, witness_angles=(),
-                                boundary_angles=tuple(b.angle for b in boundaries),
-                                boundaries=boundaries, outcomes=outcomes,
+        res = GroundStateSearch(found=False, boundaries=boundaries, outcomes=outcomes,
                                 angles=tuple(shot[0] for shot in grid))
         monkeypatch.setattr(dynamics, "search_ground_state", lambda *args: res)
         assert search_dirichlet(hamiltonian_params(6.0, 1.6, 2.0)).angle == answer
@@ -669,7 +667,7 @@ class TestKernelAgainstScipy:
             g.terminal, g.direction = spec.terminal, spec.direction
             return g
 
-        ours = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events, dense=True)
+        ours = dop853.solve(rhs, span[0], y0, span[1], events, dense=True)
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=ODE_RTOL,
                         atol=ODE_ATOL, events=[scipy_event(e) for e in events],
                         dense_output=True)
@@ -829,10 +827,12 @@ def _reference_step(fun, t, y, h, rtol, atol):
 
 
 def _kernel_step(fun, t, y, h, rtol, atol):
+    # the kernel reads its tolerances from efdyn.numerics
+    assert (rtol, atol) == (ODE_RTOL, ODE_ATOL)
     f = fun(t, y)
     y_new, ks = dop853._step(fun, t, y, f, h)
     f_new = fun(t + h, y_new)
-    err = dop853._error_norm(y, y_new, ks, h, rtol, atol)
+    err = dop853._error_norm(y, y_new, ks, h)
     piece = dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new)
     return y_new, err, piece.coeffs, [piece(t + frac * h) for frac in _FRACTIONS]
 
@@ -927,18 +927,18 @@ class TestKernelPauseResume:
                 sol.nfev, sol.n_accepted, sol.n_rejected)
 
     def _assert_pauses_are_invisible(self, rhs, span, y0, events):
-        ref = dop853.solve(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events)
+        ref = dop853.solve(rhs, span[0], y0, span[1], events)
         n = ref.n_accepted
         assert n > 10
         for pause in sorted({1, 2, n // 3, n // 2, n - 1}):
-            run = dop853.steps(rhs, span[0], y0, span[1], ODE_RTOL, ODE_ATOL, events)
+            run = dop853.steps(rhs, span[0], y0, span[1], events)
             for _ in range(pause):
                 sol = next(run)
             # the paused run holds the first `pause` steps of the whole run
             assert sol.status is None and sol.n_accepted == pause
             assert _hex(sol.t) == _hex(ref.t[:pause + 1])
             # another run in between shares no state with the paused one
-            dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 3.0, ODE_RTOL, ODE_ATOL)
+            dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 3.0)
             for sol in run:
                 pass
             assert self._bits(sol) == self._bits(ref)
@@ -976,7 +976,7 @@ class TestKernelCounts:
         rhs, calls = self._counting(dynamics._radial_rhs(HAM6))
         r0 = RADIAL_R0
         sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4),
-                           ODE_RTOL, ODE_ATOL, dense=dense)
+                           dense=dense)
         assert sol.status == 0
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
@@ -987,8 +987,7 @@ class TestKernelCounts:
         # attempted step, 1 more per accepted step, 2 to start
         rhs, calls = self._counting(dynamics._radial_rhs(HAM6))
         r0 = RADIAL_R0
-        sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4),
-                           ODE_RTOL, ODE_ATOL)
+        sol = dop853.solve(rhs, math.log(r0), [1.0, 1.0, -r0 / 6, -r0 / 6], math.log(1e4))
         assert sol.n_rejected > 0
         assert calls[0] == 2 + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
 
@@ -996,7 +995,7 @@ class TestKernelCounts:
         rhs, calls = self._counting(phase_rhs(HAM6))
         events = [EventSpec("x", lambda t, y: y[0] - 0.25),
                   EventSpec("blow-up-y", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
-        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, ODE_RTOL, ODE_ATOL, events)
+        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events)
         assert sol.status == 1 and sol.t_events[0]
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
@@ -1004,16 +1003,33 @@ class TestKernelCounts:
     @pytest.mark.parametrize("n", [1, 5])
     def test_state_must_have_four_components(self, n):
         with pytest.raises(ValueError, match=f"not {n}$"):
-            dop853.steps(_squares, 0.0, [1.0] * n, 2.0, ODE_RTOL, ODE_ATOL)
+            dop853.steps(_squares, 0.0, [1.0] * n, 2.0)
         with pytest.raises(ValueError, match=f"not {n}$"):
-            dop853.solve(_squares, 0.0, [1.0] * n, 2.0, ODE_RTOL, ODE_ATOL)
+            dop853.solve(_squares, 0.0, [1.0] * n, 2.0)
 
     def test_counts_on_step_size_underflow(self):
         rhs, calls = self._counting(_squares)
-        sol = dop853.solve(rhs, 0.0, SQUARES_Y0, 2.0, ODE_RTOL, ODE_ATOL)
+        sol = dop853.solve(rhs, 0.0, SQUARES_Y0, 2.0)
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
+
+
+class TestKernelTerminalEvents:
+    @pytest.mark.parametrize("y0,which", [((1.0, 1.0, 0.0, 0.0), 0),
+                                          ((1.0, 1.0000001, 0.0, 0.0), 1)],
+                             ids=["same-root", "second-first"])
+    def test_run_records_one_terminal_event(self, y0, which):
+        # y' = y^2 blows up at t = 1/y(0): both terminal events fall in the
+        # last step, and only the earlier root (the first event on a tie) is
+        # recorded, so `_finish_m` never sees both blow-up events
+        events = [EventSpec("blow-up-0", lambda t, y: abs(y[0]) - 1e6, terminal=True),
+                  EventSpec("blow-up-1", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
+        sol = dop853.solve(lambda t, y: (y[0] ** 2, y[1] ** 2, 0.0, 0.0), 0.0, y0, 2.0,
+                           events)
+        assert sol.status == 1
+        assert len(sol.t_events[which]) == 1 and sol.t_events[1 - which] == []
+        assert sol.t[-1] == sol.t_events[which][0]
 
 
 def _scipy_uses(path: Path) -> list[str]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from efdyn.dynamics import _shoot_once, integrate_m, integrate_radial, launch_regular
+from efdyn.dynamics import integrate_m, integrate_radial, launch_regular
 from efdyn.energies import (CriticalCurve, EnergySpec, Position,
                             ScalarPhaseState, ScalarRadialState, Verdict, classify_region,
                             cubic_barrier, diagonal_crossings, energy_derivative,
@@ -111,7 +111,8 @@ class TestDerivatives:
         (EnergySpec.phi(), nonvariational_params(6.0, 0.5, 2.1, 2.4), (6e-5, 4e-5)),
     ])
     def test_matches_finite_differences_along_trajectory(self, spec, params, seed):
-        traj = _shoot_once(params, seed[0], seed[1], 1e-4, 12.0)
+        traj = integrate_m(params, launch_regular(params, seed[0], seed[1], 1e-4),
+                           horizon=(0.0, 12.0))
         sol = None
         # re-integrate densely over the in-box stretch
         t_end = traj.t[-1]
@@ -341,7 +342,7 @@ class TestAsymptotics:
 class TestConservation:
     def test_critical_drift_and_offcritical_sign(self):
         spec = EnergySpec.hamiltonian()
-        traj = _shoot_once(HAM6, 7e-5, 5e-5, 1e-4, 20.0)
+        traj = integrate_m(HAM6, launch_regular(HAM6, 7e-5, 5e-5, 1e-4), horizon=(0.0, 20.0))
         vals, scales = [], []
         for t, st in zip(traj.t, traj.states):
             if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * HAM6.x_bound \
@@ -356,7 +357,7 @@ class TestConservation:
         assert np.max(np.abs(vals)) / np.max(scales) < 1e-6
 
         P17 = hamiltonian_params(6.0, 1.7, 1.7)
-        traj = _shoot_once(P17, 7e-5, 7e-5, 1e-4, 20.0)
+        traj = integrate_m(P17, launch_regular(P17, 7e-5, 7e-5, 1e-4), horizon=(0.0, 20.0))
         vals = [energy_value(spec, P17, PhaseState.from_coords(t, st))
                 for t, st in zip(traj.t, traj.states)
                 if np.all(np.asarray(st) > 0) and st[0] < 0.95 * P17.x_bound]

@@ -49,13 +49,15 @@ def test_numerics_constants_are_pinned():
     assert public == PINNED
 
 
-def test_no_function_takes_cfg():
-    # tolerances are module constants; no function takes a settings object
+@pytest.mark.parametrize("name", ["cfg", "rtol", "atol"])
+def test_no_function_takes_cfg(name):
+    # tolerances are module constants; no function takes a settings object or
+    # a tolerance of its own
     found = [f"{path.stem}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-             for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "cfg"]
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == name]
     assert found == []
 
 
