@@ -24,6 +24,8 @@ def main():
     ap.add_argument("--angles", type=int, default=9)
     ap.add_argument("--out", default="results/nonvariational_region.csv")
     args = ap.parse_args()
+    if args.angles < 1:
+        ap.error(f"--angles must be >= 1, got {args.angles}")
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     print("diagonal crossings:", {k.value: round(v, 4) for k, v in

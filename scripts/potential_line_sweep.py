@@ -22,6 +22,8 @@ def main():
     ap.add_argument("--angles", type=int, default=9)
     ap.add_argument("--out", default="results/potential_line_sweep.csv")
     args = ap.parse_args()
+    if args.angles < 1:
+        ap.error(f"--angles must be >= 1, got {args.angles}")
     if not args.step > 0:
         ap.error(f"--step must be > 0, got {args.step}")
 

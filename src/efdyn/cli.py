@@ -335,8 +335,8 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         if not step > 0:            # NaN too: the value loop below would not end
             raise ConfigError("sweep.step", f"need a step > 0, got {step!r}")
         n_angles = _number(block, "sweep", "n_angles", 17, int)
-        if n_angles < 0:
-            raise ConfigError("sweep.n_angles", f"need a count >= 0, got {n_angles}")
+        if n_angles < 1:
+            raise ConfigError("sweep.n_angles", f"need a count >= 1, got {n_angles}")
         values = []
         v = start
         while v <= stop + 1e-12:

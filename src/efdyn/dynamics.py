@@ -582,6 +582,9 @@ def search_ground_state(params: SystemParams, n_angles: int = 33,
     rectangle, or by a flip boundary whose limiting shot stays (or lands near
     an interior fixed point). Deterministic for fixed grid and tolerances.
     """
+    if n_angles < 1:
+        # zero shots would report found=False as if it were an answer
+        raise PreconditionViolated(f"need n_angles >= 1, got {n_angles}")
     thetas, outcomes = sweep_angles(params, n_angles, rho)
     boundaries: list[BoundaryHit] = []
     for i in range(len(thetas) - 1):

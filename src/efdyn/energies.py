@@ -465,12 +465,10 @@ def _comparison_blocks(P: SystemParams) -> tuple[bool, tuple]:
     l3 = P.s * cp + P.delta * cq - (P.N + P.a)
     l4 = P.mu * cp + P.m * cq - (P.N + P.b)
     gg, xx = ex.gamma - cp, ex.xi - cq
-    for first in (True, False):
-        Q = P if first else exchange_params(P)
-        g = derive_exponents(Q).gamma
-        lq3 = Q.s * Q.x_bound + Q.delta * Q.y_bound - (Q.N + Q.a)
-        if Q.p < Q.s + 1 and Q.q > Q.m + 1 and (lq3 <= 0 or g - Q.x_bound > 0):
-            return True, (("p<s+1, q>m+1 with subcritical cross-decay", "true"),)
+    # the first case and its exchanged twin, (p, s, l3, gg) <-> (q, m, l4, xx)
+    if (P.p < P.s + 1 and P.q > P.m + 1 and (l3 <= 0 or gg > 0)) \
+            or (P.q < P.m + 1 and P.p > P.s + 1 and (l4 <= 0 or xx > 0)):
+        return True, (("p<s+1, q>m+1 with subcritical cross-decay", "true"),)
     if P.p < P.s + 1 and P.q < P.m + 1 and min(l3, l4) <= 0:
         return True, (("p<s+1, q<m+1, min(l3, l4) <= 0", f"min = {min(l3, l4)}"),)
     if P.p > P.s + 1 and P.q > P.m + 1 and max(gg, xx) >= 0:
@@ -492,19 +490,16 @@ def predict_existence(params: SystemParams) -> ExistenceVerdict:
     P = params
     region = classify_region(P)
 
-    if P.is_hamiltonian:
-        pos = region[CriticalCurve.H0]
-        cond = (("position vs critical hyperbola", pos.value),)
-        if pos in (Position.ABOVE, Position.ON):
-            return ExistenceVerdict(Verdict.GS_EXISTS, "hamiltonian-critical-hyperbola", cond)
-        return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "hamiltonian-critical-hyperbola", cond)
-
-    if P.is_potential:
-        pos = region[CriticalCurve.LINE_D]
-        cond = (("position vs critical line", pos.value),)
-        if pos in (Position.ABOVE, Position.ON):
-            return ExistenceVerdict(Verdict.GS_EXISTS, "potential-critical-line", cond)
-        return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "potential-critical-line", cond)
+    # the two iff theorems: a ground state on or above the critical curve, a
+    # Dirichlet solution below it
+    for family, curve, source, name in (
+            (P.is_hamiltonian, CriticalCurve.H0, "hamiltonian-critical-hyperbola", "hyperbola"),
+            (P.is_potential, CriticalCurve.LINE_D, "potential-critical-line", "line")):
+        if family:
+            pos = region[curve]
+            verdict = (Verdict.GS_EXISTS if pos in (Position.ABOVE, Position.ON)
+                       else Verdict.NO_GS_DIRICHLET)
+            return ExistenceVerdict(verdict, source, ((f"position vs critical {name}", pos.value),))
 
     if P.is_nonvariational:
         pos = region[CriticalCurve.CS]

@@ -1,9 +1,14 @@
 """Numerical constants.
 
-Every tolerance used for identity checks, integration and classification
-lives here, so a run is reproducible from the source alone. Each module
-imports the constants it reads; a test that needs another value patches the
-name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
+The tolerances and limits of identity checks, integration, shooting and the
+scalar classification, so a run is reproducible from the source alone. Each
+module imports the constants it reads; a test that needs another value
+patches the name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
+A band used at one site only is a literal there instead: `spectra._sgn`'s
+1e-12, `spectra.oscillation_condition`'s 1e-9, `scalar.scalar_classify`'s
+1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
+hysteresis of `dynamics._shot` and the 1e-6 near-face test of
+`dynamics._finish_shot`, among others.
 """
 
 # identity / algebra checks

@@ -51,14 +51,12 @@ def polynomial_roots(coeffs) -> numpy.ndarray:
     if c[0] != 1.0:
         raise ValueError("leading coefficient must be 1")
     roots = np.roots(c).astype(complex)
-    dc = np.polyder(c)
-    for _ in range(1):
-        f = np.polyval(c, roots)
-        df = np.polyval(dc, roots)
-        step = np.where(df != 0, f / np.where(df == 0, 1, df), 0)
-        polished = roots - step
-        better = np.abs(np.polyval(c, polished)) <= np.abs(f)
-        roots = np.where(better, polished, roots)
+    f = np.polyval(c, roots)
+    df = np.polyval(np.polyder(c), roots)
+    step = np.where(df != 0, f / np.where(df == 0, 1, df), 0)
+    polished = roots - step
+    better = np.abs(np.polyval(c, polished)) <= np.abs(f)
+    roots = np.where(better, polished, roots)
     # collapse numerically-real roots onto the real axis
     scale = 1.0 + np.abs(roots)
     roots = np.where(np.abs(roots.imag) < 1e-12 * scale, roots.real + 0j, roots)
@@ -164,15 +162,14 @@ def closed_form_eigenvalues(params: SystemParams, label: FixedPointLabel) -> lis
     if not pt.defined:
         raise UndefinedPoint(f"{label} undefined for these parameters")
     X, Y, Z, W = pt.coords
+    # P0, C0 and R0 share the (Y, W) block
+    yw = _quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
     if label is FixedPointLabel.P0:
-        ex = derive_exponents(P)
-        lam3 = P.D / (q - 1 - m) * (ex.gamma - cp)
-        return [cp, lam3] + _quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
+        return [cp, P.D / (q - 1 - m) * (derive_exponents(P).gamma - cp)] + yw
     if label is FixedPointLabel.C0:
-        return [-cp, N + a - delta * Y] + _quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
+        return [-cp, N + a - delta * Y] + yw
     if label is FixedPointLabel.R0:
-        lam1 = (p + a - delta * (b + q) / (m + 1 - q)) / (p - 1)
-        return [lam1, -Z] + _quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
+        return [(p + a - delta * (b + q) / (m + 1 - q)) / (p - 1), -Z] + yw
     raise UndefinedPoint(f"no closed form for {label}")
 
 
@@ -275,11 +272,25 @@ class LocalVerdict:
                 "profile": self.profile.to_dict() if self.profile else None}
 
 
-def _sgn(x: float, scale: float, tol: float = 1e-12) -> int:
-    """Sign with an equality band: 0 within tol*scale of zero."""
-    if abs(x) <= tol * (1.0 + scale):
+def _sgn(x: float, scale: float) -> int:
+    """Sign with an equality band: 0 within 1e-12*(1+scale) of zero."""
+    if abs(x) <= 1e-12 * (1.0 + scale):
         return 0
     return 1 if x > 0 else -1
+
+
+def _sign_rule(s1: int, s2: int) -> tuple[Existence, Existence]:
+    """(r -> inf, r -> 0) from the banded signs of the two eigenvalues
+    transverse to a point's invariant hyperplanes: both negative admits
+    trajectories toward infinity, both positive toward zero, a zero sign sits
+    on an excluded equality, and mixed signs admit neither."""
+    if s1 < 0 and s2 < 0:
+        return Existence.YES, Existence.NO
+    if s1 > 0 and s2 > 0:
+        return Existence.NO, Existence.YES
+    if s1 == 0 or s2 == 0:
+        return Existence.BOUNDARY, Existence.BOUNDARY
+    return Existence.NO, Existence.NO
 
 
 def _verdict_pair(label, profile, to_inf: Existence, to_zero: Existence):
@@ -337,74 +348,36 @@ def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
         return _verdict_pair(label, profile, both, both)
 
     if label is FixedPointLabel.A0:
-        lam3 = N + a - s * cp - delta * cq
-        lam4 = N + b - mu * cp - m * cq
-        s3, s4 = _sgn(lam3, scale), _sgn(lam4, scale)
-        profile = AsymptoticProfile(cp, cq)
-        if s3 < 0 and s4 < 0:
-            to_inf, to_zero = Existence.YES, Existence.NO
-        elif s3 > 0 and s4 > 0:
-            to_inf, to_zero = Existence.NO, Existence.YES
-        elif s3 == 0 or s4 == 0:
-            to_inf = to_zero = Existence.BOUNDARY
-        else:
-            to_inf = to_zero = Existence.NO
-        return _verdict_pair(label, profile, to_inf, to_zero)
+        rule = _sign_rule(_sgn(N + a - s * cp - delta * cq, scale),
+                          _sgn(N + b - mu * cp - m * cq, scale))
+        return _verdict_pair(label, AsymptoticProfile(cp, cq), *rule)
 
     if label is FixedPointLabel.I0:
-        lam3 = N + a - s * cp
-        lam4 = N + b - mu * cp
-        s3, s4 = _sgn(lam3, scale), _sgn(lam4, scale)
-        profile = AsymptoticProfile(cp, 0.0)
-        if s3 < 0 and s4 < 0:
-            to_inf = Existence.YES
-        elif s3 == 0 or s4 == 0:
-            to_inf = Existence.BOUNDARY
-        else:
-            to_inf = Existence.NO
-        return _verdict_pair(label, profile, to_inf, Existence.NO)
+        to_inf, _ = _sign_rule(_sgn(N + a - s * cp, scale), _sgn(N + b - mu * cp, scale))
+        return _verdict_pair(label, AsymptoticProfile(cp, 0.0), to_inf, Existence.NO)
 
     if label is FixedPointLabel.G0:
         adm = _sgn(N + b - cp * mu, scale)
         if adm <= 0:
-            return _verdict_pair(label, None,
-                                 Existence.NO if adm < 0 else Existence.BOUNDARY,
-                                 Existence.NO if adm < 0 else Existence.BOUNDARY)
-        lam2 = _sgn(q + b - cp * mu, scale)     # sign of (q-1) * lambda_2
-        lam3 = _sgn(N + a - s * cp, scale)
-        profile = AsymptoticProfile(cp, 0.0)
-        if lam2 < 0 and lam3 < 0:
-            to_inf, to_zero = Existence.YES, Existence.NO
-        elif lam2 > 0 and lam3 > 0:
-            to_inf, to_zero = Existence.NO, Existence.YES
-        elif lam2 == 0 or lam3 == 0:
-            to_inf = to_zero = Existence.BOUNDARY
-        else:
-            to_inf = to_zero = Existence.NO
-        return _verdict_pair(label, profile, to_inf, to_zero)
+            e = Existence.NO if adm < 0 else Existence.BOUNDARY
+            return _verdict_pair(label, None, e, e)
+        rule = _sign_rule(_sgn(q + b - cp * mu, scale),    # sign of (q-1) * lambda_2
+                          _sgn(N + a - s * cp, scale))
+        return _verdict_pair(label, AsymptoticProfile(cp, 0.0), *rule)
 
     if label is FixedPointLabel.P0:
         Ystar, Wstar = fp.coords[1], fp.coords[3]
-        kappa = Ystar
-        profile = AsymptoticProfile(cp, kappa)
+        profile = AsymptoticProfile(cp, Ystar)
         sg = _sgn(derive_exponents(P).gamma - cp, scale)
         sq_m = _sgn(q - (m + 1), scale)
         lo = _sgn(cp * mu - (q + b), scale)
         hi = _sgn(N + b - m * cq - cp * mu, scale)
         if sq_m > 0 and lo > 0 and hi > 0:        # q > m+1, P0 interior
-            if sg < 0:
-                return _verdict_pair(label, profile, Existence.YES, Existence.NO)
-            if sg > 0:
-                return _verdict_pair(label, profile, Existence.NO, Existence.YES)
-            return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
+            return _verdict_pair(label, profile, *_sign_rule(sg, sg))
         if sq_m < 0 and lo < 0 and hi < 0:        # q < m+1 branch
             if _sgn(Ystar - Wstar, scale) == 0:   # implicit real/complex split unresolved
                 return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
-            if sg < 0:
-                return _verdict_pair(label, profile, Existence.NO, Existence.YES)
-            if sg > 0:
-                return _verdict_pair(label, profile, Existence.YES, Existence.NO)
-            return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
+            return _verdict_pair(label, profile, *_sign_rule(-sg, -sg))
         if sq_m == 0 or lo == 0 or hi == 0:
             return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
         return _verdict_pair(label, None, Existence.NO, Existence.NO)
@@ -432,10 +405,6 @@ def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
             e = Existence.NO if sd < 0 else Existence.BOUNDARY
             return _verdict_pair(label, None, e, e)
         s1 = _sgn(delta - (p + a) * (m + 1 - q) / (q + b), scale)
-        if s1 > 0:
-            return _verdict_pair(label, profile, Existence.YES, Existence.NO)
-        if s1 < 0:
-            return _verdict_pair(label, profile, Existence.NO, Existence.YES)
-        return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
+        return _verdict_pair(label, profile, *_sign_rule(-s1, -s1))
 
     raise UndefinedPoint(f"no local analysis for {label}")

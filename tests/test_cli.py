@@ -133,6 +133,13 @@ class TestCommands:
         assert lines[0] == "theta,sClass,mClass,hitTime"
         assert len(lines) == 6
 
+    def test_sweep_angle_empty(self, tmp_path):
+        # an empty angle listing is a listing, not a verdict
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, sweep={"kind": "angle", "n": 0}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines == ["theta,sClass,mClass,hitTime"]
+
     def test_sweep_family(self, tmp_path):
         raw = dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "delta=mu",
                                       "start": 2.4, "stop": 2.6, "step": 0.1,
@@ -232,9 +239,12 @@ class TestExitCodes:
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "angle", "n": -3}), "sweep.n"),
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
                                           "n_angles": -1}), "sweep.n_angles"),
+        # zero shots would write every found_gs as 0
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "n_angles": 0}), "sweep.n_angles"),
     ], ids=["family-without-start", "one-grid-size", "eps-not-a-number", "family-zero-step",
             "family-negative-step", "family-nan-step", "angle-negative-n",
-            "family-negative-n_angles"])
+            "family-negative-n_angles", "family-zero-n_angles"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, raw, path):
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -284,6 +284,13 @@ class TestSearches:
         assert d.found and d.radius is not None
         assert d.radius == pytest.approx(d.v_zero_radius, rel=1e-6)
 
+    @pytest.mark.parametrize("n_angles", [0, -1, -2, -3])
+    @pytest.mark.parametrize("search", [search_ground_state, search_dirichlet])
+    def test_zero_angles_refused(self, search, n_angles):
+        # a search over no shots is no answer, even where a ground state exists
+        with pytest.raises(PreconditionViolated, match="n_angles"):
+            search(hamiltonian_params(6.0, 2.5, 2.5), n_angles=n_angles)
+
     def test_angle_sweep_shape(self):
         thetas, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
         assert len(thetas) == 9 and len(outs) == 9

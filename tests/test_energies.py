@@ -284,6 +284,13 @@ class TestExistence:
         v = predict_existence(P)
         assert v.verdict is Verdict.NO_GS_DIRICHLET
         assert v.source == "asymptotic-comparison"
+        # p < s+1, q > m+1, and its exchanged twin q < m+1, p > s+1
+        P = SystemParams(N=6.0, p=2.0, q=2.4, s=1.5, m=0.0, delta=1.0, mu=0.3)
+        for Q in (P, exchange_params(P)):
+            v = predict_existence(Q)
+            assert v.verdict is Verdict.NO_GS_DIRICHLET
+            assert v.source == "asymptotic-comparison"
+            assert v.conditions == (("p<s+1, q>m+1 with subcritical cross-decay", "true"),)
 
     def test_unknown_when_nothing_applies(self):
         P = SystemParams(N=6.0, p=2.2, q=2.4, s=0.4, m=0.3, delta=2.6, mu=2.9)

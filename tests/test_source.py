@@ -49,7 +49,7 @@ def test_numerics_constants_are_pinned():
     assert public == PINNED
 
 
-@pytest.mark.parametrize("name", ["cfg", "rtol", "atol"])
+@pytest.mark.parametrize("name", ["cfg", "rtol", "atol", "tol"])
 def test_no_function_takes_cfg(name):
     # tolerances are module constants; no function takes a settings object or
     # a tolerance of its own
@@ -66,6 +66,17 @@ def test_script_loads(path):
     # every name a script imports from efdyn resolves; main() does not run
     namespace = runpy.run_path(str(path), run_name="not_main")
     assert callable(namespace["main"])
+
+
+@pytest.mark.parametrize("path", [p for p in SCRIPTS if "--angles" in p.read_text()],
+                         ids=lambda p: p.name)
+def test_script_refuses_zero_angles(path, monkeypatch, capsys):
+    main = runpy.run_path(str(path), run_name="not_main")["main"]
+    monkeypatch.setattr(sys, "argv", [path.name, "--angles", "0"])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 2
+    assert "--angles must be >= 1" in capsys.readouterr().err
 
 
 def _uses(tree):

@@ -286,6 +286,31 @@ class TestLocalVerdicts:
                         assert a.profile.u_exponent == pytest.approx(b.profile.v_exponent)
                         assert a.profile.v_exponent == pytest.approx(b.profile.u_exponent)
 
+    # one point per verdict of each label that reads the shared sign rule, with
+    # N = 6, p = q = 2, delta = mu = 1, s = m = 0 unless stated
+    @pytest.mark.parametrize("label,changes,to_inf,to_zero", [
+        ("I0", dict(s=2.0, mu=2.0), "YES", "NO"),
+        ("I0", dict(s=1.5), "BOUNDARY", "NO"),
+        ("I0", dict(), "NO", "NO"),
+        ("G0", dict(s=2.0, mu=1.0), "YES", "NO"),
+        ("G0", dict(mu=0.25), "NO", "YES"),
+        ("G0", dict(mu=0.5), "BOUNDARY", "BOUNDARY"),
+        ("P0", dict(delta=4.0), "YES", "NO"),
+        ("P0", dict(delta=2.0), "NO", "YES"),
+        ("P0", dict(delta=3.0), "BOUNDARY", "BOUNDARY"),
+        ("P0", dict(m=2.0, mu=0.25, delta=10.0), "YES", "NO"),    # q < m+1
+        ("P0", dict(m=2.0, mu=0.25, delta=1.0), "NO", "YES"),
+        ("R0", dict(m=3.0, delta=3.0), "YES", "NO"),
+        ("R0", dict(m=3.0, delta=1.0), "NO", "YES"),
+        ("R0", dict(m=3.0, delta=2.0), "BOUNDARY", "BOUNDARY"),
+    ])
+    def test_sign_rule_points(self, label, changes, to_inf, to_zero):
+        P = SystemParams(N=6.0, p=2.0, q=2.0).replace(**changes)
+        fp = fixed_point(P, FixedPointLabel[label])
+        vs = {v.direction: v.exists for v in local_verdicts(P, fp)}
+        assert vs[Direction.TO_INFINITY] is Existence[to_inf]
+        assert vs[Direction.TO_ZERO] is Existence[to_zero]
+
     def test_interior_point_both_directions(self):
         fp = fixed_point(HAM6, FixedPointLabel.M0)
         for v in local_verdicts(HAM6, fp):
