@@ -24,8 +24,8 @@ from .equilibria import FixedPointLabel, fixed_point_catalog
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
-                    normalized_regular_data, phase_rhs, regular_initial_values,
-                    to_phase)
+                    exchange_params, normalized_regular_data, phase_rhs,
+                    regular_initial_values, to_phase)
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
                        MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, RADIAL_R0, SIM_WINDOW, T_END)
 
@@ -539,11 +539,41 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
     return rho * math.cos(theta), rho * math.sin(theta)
 
 
+# the exchange image of each class: the faces and the profiles trade places
+_EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
+              MClass.M1: MClass.M2, MClass.M2: MClass.M1}
+
+
+def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
+    """The shot at the exchange image of `outcome`'s seed, for a system with
+    exchange_params(P) == P. Its M-class and hit times are `outcome`'s,
+    swapped: reading them finishes `outcome`'s run, once for both."""
+    def finish():
+        s_class, m_class, hit = outcome._finished
+        swapped = {"x-bound": hit.get("y-bound"), "y-bound": hit.get("x-bound"),
+                   "blow-up": hit.get("blow-up")}
+        return (_EXCHANGED.get(s_class, s_class), _EXCHANGED.get(m_class, m_class),
+                {k: t for k, t in swapped.items() if t is not None})
+
+    x, y = outcome.seed
+    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class), finish)
+
+
 def sweep_angles(params: SystemParams, n_angles: int = 33,
                  rho: float = MANIFOLD_RHO) -> tuple[tuple[float, ...], list[ShotOutcome]]:
-    """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle."""
+    """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle.
+
+    When exchange_params(params) == params, the swap X <-> Y, Z <-> W maps the
+    shot at theta onto the shot at pi/2 - theta: only the first ceil(n/2)
+    angles are shot, and the outcome at each angle above them is the exchange
+    image of its partner's (`_exchanged`).
+    """
+    if n_angles < 0:
+        raise PreconditionViolated(f"need n_angles >= 0, got {n_angles}")
     thetas = tuple(linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
-    outcomes = [classify_shot(params, *_seed(th, rho), rho) for th in thetas]
+    shot = (n_angles + 1) // 2 if exchange_params(params) == params else n_angles
+    outcomes = [classify_shot(params, *_seed(th, rho), rho) for th in thetas[:shot]]
+    outcomes += [_exchanged(outcomes[n_angles - 1 - i]) for i in range(shot, n_angles)]
     return thetas, outcomes
 
 

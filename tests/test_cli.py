@@ -1,12 +1,15 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from efdyn.cli import main, parse_config
 from efdyn.errors import ConfigError
 from efdyn.numerics import CAPTURE_DIST
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 HAM_CONFIG = {
     "params": {"N": 6.0, "p": 2.0, "q": 2.0, "a": 0.0, "b": 0.0,
@@ -82,15 +85,24 @@ class TestAnalyze:
         for name in report["manifest"]["files"]:
             assert (tmp_path / "out" / name).exists()
 
-    def test_deterministic_reruns(self, tmp_path):
-        cfg = write_config(tmp_path, HAM_CONFIG)
-        outs = []
+
+class TestReruns:
+    @pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_deterministic_reruns(self, tmp_path, monkeypatch, capsys, config):
+        # two runs of a shipped config write the same bytes to every file and
+        # to stdout; each writes to "out" in its own directory, so that the
+        # path stdout names is the same too
+        path = CONFIGS / f"{config}.json"
+        command = json.loads(path.read_text())["command"]
+        runs = []
         for sub in ("o1", "o2"):
-            out = str(tmp_path / sub)
-            assert main(["analyze", "--config", cfg, "--out", out]) == 0
-            outs.append((tmp_path / sub / "report.json").read_bytes()
-                        + (tmp_path / sub / "summary.txt").read_bytes())
-        assert outs[0] == outs[1]
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            assert main([command, "--config", str(path), "--out", "out"]) == 0
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / sub / "out").iterdir())}
+            runs.append((files, capsys.readouterr().out))
+        assert "report.json" in runs[0][0]
+        assert runs[0] == runs[1]
 
 
 class TestCommands:
@@ -132,6 +144,13 @@ class TestCommands:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[0] == "theta,sClass,mClass,hitTime"
         assert len(lines) == 6
+        # delta = mu: the system is exchange-symmetric, so the row at angle
+        # pi/2 - theta is the mirror of the row at theta, hit time and all
+        rows = [ln.split(",") for ln in lines[1:]]
+        swap = {"S1": "S2", "S2": "S1", "M1": "M2", "M2": "M1"}
+        assert [r[1] for r in rows] == ["S1", "S1", "S3", "S2", "S2"]
+        for row, mirror in zip(rows, rows[::-1]):
+            assert mirror[1:] == [swap.get(row[1], row[1]), swap.get(row[2], row[2]), row[3]]
 
     def test_sweep_angle_empty(self, tmp_path):
         # an empty angle listing is a listing, not a verdict

@@ -296,6 +296,12 @@ class TestSearches:
         assert len(thetas) == 9 and len(outs) == 9
         assert all(o.s_class in SClass for o in outs)
 
+    @pytest.mark.parametrize("n_angles", [-1, -2, -3])
+    def test_negative_angle_count_refused(self, n_angles):
+        # not an empty listing (-1, -2), nor linspace's "Number of samples" (-3)
+        with pytest.raises(PreconditionViolated, match="n_angles"):
+            sweep_angles(hamiltonian_params(6.0, 2.5, 2.5), n_angles=n_angles)
+
 
 # -- the float replacements of numpy on the shooting path -------------------------
 
@@ -636,6 +642,91 @@ class TestDirichletWalk:
         monkeypatch.setattr(dynamics, "search_ground_state", lambda *args: res)
         assert search_dirichlet(hamiltonian_params(6.0, 1.6, 2.0)).angle == answer
         assert log == read
+
+
+# -- reference: the angle sweep that shoots every grid angle -------------------
+
+def _direct_sweep(params, n_angles, rho):
+    """sweep_angles as it ran before exchange-symmetric grids were mirrored:
+    every grid angle is classified by its own shot."""
+    thetas = tuple(dynamics.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
+    return thetas, [classify_shot(params, *dynamics._seed(th, rho), rho) for th in thetas]
+
+
+# the diagonals fixed by the exchange of the two equations
+SYMMETRIC_POINTS = [hamiltonian_params(6.0, 1.5, 1.5), hamiltonian_params(6.0, 2.0, 2.0),
+                    hamiltonian_params(6.0, 2.5, 2.5),
+                    nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                    potential_params(6.0, 2.0, 2.0, 0.3, 0.3),
+                    potential_params(6.0, 2.0, 2.0, 0.7, 0.7),
+                    symmetric_scalar_embedding(3.0, 2.0, 4.0)]
+SYMMETRIC_IDS = ["ham-1.5", "ham-2.0", "ham-2.5", "nonvar-1.7", "pot-0.3", "pot-0.7",
+                 "scalar-embedding"]
+
+
+class TestExchangeMirror:
+    """On a system with exchange_params(P) == P, sweep_angles shoots the first
+    ceil(n/2) grid angles and mirrors the others: every verdict equals the
+    sweep that shoots them all."""
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 33])
+    @pytest.mark.parametrize("params", SYMMETRIC_POINTS, ids=SYMMETRIC_IDS)
+    def test_searches_equal_direct_sweep(self, monkeypatch, params, n_angles):
+        res = search_ground_state(params, n_angles)
+        dirichlet = search_dirichlet(params, n_angles=n_angles).to_dict()
+        monkeypatch.setattr(dynamics, "sweep_angles", _direct_sweep)
+        ref = search_ground_state(params, n_angles)
+        assert res.found == ref.found
+        assert [(b.angle.hex(), b.kind, b.outcome.s_class) for b in res.boundaries] == \
+            [(b.angle.hex(), b.kind, b.outcome.s_class) for b in ref.boundaries]
+        assert [(o.s_class, o.m_class) for o in res.outcomes] == \
+            [(o.s_class, o.m_class) for o in ref.outcomes]
+        for o, r in zip(res.outcomes, ref.outcomes):
+            assert list(o.hit_times) == list(r.hit_times)
+            assert o.hit_times == pytest.approx(r.hit_times, rel=1e-9, abs=0.0)
+        assert dirichlet == search_dirichlet(params, n_angles=n_angles).to_dict()
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 33])
+    @pytest.mark.parametrize("params", SYMMETRIC_POINTS, ids=SYMMETRIC_IDS)
+    def test_upper_half_is_the_mirror_of_the_lower(self, params, n_angles):
+        _, outs = sweep_angles(params, n_angles)
+        swap = {"S1": "S2", "S2": "S1", "M1": "M2", "M2": "M1",
+                "x-bound": "y-bound", "y-bound": "x-bound"}
+        for o, partner in zip(outs[::-1], outs[:n_angles // 2]):
+            d, p = o.to_dict(), partner.to_dict()
+            assert d["seed"] == p["seed"][::-1]
+            assert d["sClass"] == swap.get(p["sClass"], p["sClass"])
+            assert d["mClass"] == swap.get(p["mClass"], p["mClass"])
+            assert d["hitTimes"] == {swap.get(k, k): t for k, t in p["hitTimes"].items()}
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 33])
+    @pytest.mark.parametrize("params,symmetric", [
+        *((P, True) for P in SYMMETRIC_POINTS),
+        (hamiltonian_params(6.0, 2.0, 2.0, a=0.5), False),   # delta = mu, but a != b
+        (hamiltonian_params(6.0, 1.6, 2.0), False),
+    ], ids=[*SYMMETRIC_IDS, "ham-weighted", "ham-off-diagonal"])
+    def test_shots_taken(self, monkeypatch, params, symmetric, n_angles):
+        shots, real = [], dynamics.classify_shot
+        monkeypatch.setattr(dynamics, "classify_shot",
+                            lambda *args: shots.append(args) or real(*args))
+        sweep_angles(params, n_angles)
+        assert len(shots) == ((n_angles + 1) // 2 if symmetric else n_angles)
+
+    def test_undecided_partner_raises_on_every_read(self, monkeypatch):
+        # on the horizon 5 with no extension, the two shots nearest the X axis
+        # cross x = x_bound but do not blow up: the mirrored reads of their
+        # M-classes near the Y axis raise, and name the seed that ran
+        monkeypatch.setattr(dynamics, "T_END", 5.0)
+        monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
+        _, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=7)
+        mirrored, partner = outs[-1], outs[0]
+        assert (partner.s_class, mirrored.s_class) == (SClass.S1, SClass.S2)
+        ran = re.escape(f"seed {partner.seed}")
+        for _ in range(2):          # a failed read is not kept: it fails again
+            with pytest.raises(Inconclusive, match=ran):
+                mirrored.m_class
+            with pytest.raises(Inconclusive, match=ran):
+                mirrored.hit_times
 
 
 # the shots that the kernel is held against scipy on, and paused on
