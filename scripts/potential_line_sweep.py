@@ -45,11 +45,12 @@ def main():
         / ((args.N - args.q) / args.q + (args.N - args.p) / args.p)
     P = potential_params(args.N, args.p, args.q, sc, sc)
     rad = integrate_radial(P, 1.0, 1.0, r_max=1e4)
-    mask = (rad.r > 1e2) & (rad.r < 1e3)
-    lr = np.log(rad.r[mask])
+    r, u, v = np.asarray(rad.r), np.asarray(rad.u), np.asarray(rad.v)
+    mask = (r > 1e2) & (r < 1e3)
+    lr = np.log(r[mask])
     A = np.vstack([lr, np.ones_like(lr)]).T
-    slope_u = float(np.linalg.lstsq(A, np.log(rad.u[mask]), rcond=None)[0][0])
-    slope_v = float(np.linalg.lstsq(A, np.log(rad.v[mask]), rcond=None)[0][0])
+    slope_u = float(np.linalg.lstsq(A, np.log(u[mask]), rcond=None)[0][0])
+    slope_v = float(np.linalg.lstsq(A, np.log(v[mask]), rcond=None)[0][0])
     print(f"\ncritical s = m = {sc:.4f}: fitted decay slopes u: {slope_u:.4f}, "
           f"v: {slope_v:.4f} (theory: -(N-p)/(p-1) = {-(args.N - args.p) / (args.p - 1):.4f})")
 

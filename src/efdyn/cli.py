@@ -53,8 +53,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):      # a numpy array or scalar
-        return _jsonable(obj.tolist())
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj

@@ -67,16 +67,22 @@ class Trajectory:
         return None
 
 
+def _signed_root(x: float, e: float) -> float:
+    """copysign(|x|^e, x), and 0 at x = 0: the derivative u' = |U|^(1/(p-1))
+    sign(U) from the flux U = |u'|^(p-2) u' for e = 1/(p-1)."""
+    return math.copysign(abs(x) ** e, x) if x != 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class RadialTrajectory:
-    """A radial run in numpy arrays: r = exp(t) and the derivatives are
-    numpy's elementwise results, which can differ from `math`'s in the last bit."""
+    """A radial run at the integrator's accepted steps, as tuples of floats:
+    r = exp(t) and the profiles with their derivatives."""
 
-    r: numpy.ndarray
-    u: numpy.ndarray
-    v: numpy.ndarray
-    du: numpy.ndarray
-    dv: numpy.ndarray
+    r: tuple[float, ...]
+    u: tuple[float, ...]
+    v: tuple[float, ...]
+    du: tuple[float, ...]
+    dv: tuple[float, ...]
     termination: Termination
     events: tuple[tuple[float, str], ...] = ()   # times are t = ln r
     dense: Callable | None = None                # t -> (u, v, U, V)
@@ -94,9 +100,8 @@ class RadialTrajectory:
             raise PreconditionViolated("trajectory was integrated without dense output")
         u, v, U, V = self.dense(t)
         P = self._params
-        du = math.copysign(abs(U) ** (1 / (P.p - 1)), U) if U != 0.0 else 0.0
-        dv = math.copysign(abs(V) ** (1 / (P.q - 1)), V) if V != 0.0 else 0.0
-        return RadialState(r=math.exp(t), u=float(u), v=float(v), du=du, dv=dv)
+        return RadialState(r=math.exp(t), u=u, v=v, du=_signed_root(U, 1 / (P.p - 1)),
+                           dv=_signed_root(V, 1 / (P.q - 1)))
 
     def phase_at(self, t: float) -> PhaseState:
         return to_phase(self._params, self.state_at(t))
@@ -256,8 +261,6 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
     neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
     """
-    import numpy as np
-
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -288,10 +291,11 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
         term = Termination(kind="event", event=events[0][1])
     else:
         term = Termination(kind="max-time")
-    u, v, U, V = np.array(sol.y).T
-    du = np.sign(U) * np.abs(U) ** (1 / (P.p - 1))
-    dv = np.sign(V) * np.abs(V) ** (1 / (P.q - 1))
-    return RadialTrajectory(r=np.exp(sol.t), u=u, v=v, du=du, dv=dv,
+    u, v, U, V = zip(*sol.y)
+    ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
+    return RadialTrajectory(r=tuple(math.exp(t) for t in sol.t), u=u, v=v,
+                            du=tuple(_signed_root(x, ep) for x in U),
+                            dv=tuple(_signed_root(x, eq) for x in V),
                             termination=term, events=tuple(events),
                             dense=sol.sol, _params=params)
 

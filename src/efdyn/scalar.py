@@ -291,8 +291,9 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
         import numpy as np
 
         rad = radial()
-        mask = rad.r > 0.3 * SCALAR_R_MAX
-        fit_A = float(np.exp(np.mean(np.log(rad.u[mask]) + sp.gamma * np.log(rad.r[mask]))))
+        r, u = np.asarray(rad.r), np.asarray(rad.u)
+        mask = r > 0.3 * SCALAR_R_MAX
+        fit_A = float(np.exp(np.mean(np.log(u[mask]) + sp.gamma * np.log(r[mask]))))
         evidence["amplitude_fit"] = fit_A
         try:
             evidence["amplitude_exact"] = particular_amplitude(sp)

@@ -5,14 +5,16 @@ and at M0 the characteristic polynomial is the quartic
 
     lambda^4 + E lambda^3 + F lambda^2 + G lambda - H,
 
-whose coefficients are polynomial in the M0 coordinates. Roots are extracted
-via the companion matrix rather than radicals; closed forms are cross-checked
-against the numeric Jacobian in the test suite.
+whose coefficients are polynomial in the M0 coordinates. Its roots are found
+in real arithmetic: Ferrari's resolvent cubic and Bairstow steps split it into
+two real quadratics, so complex roots come in exact conjugate pairs. Closed
+forms are cross-checked against the numeric Jacobian in the test suite.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,37 +41,138 @@ def jacobian_at(params: SystemParams, state) -> numpy.ndarray:
 
 # -- polynomial machinery -----------------------------------------------------
 
-def polynomial_roots(coeffs) -> numpy.ndarray:
-    """Roots of a monic real quartic via companion-matrix eigenvalues.
+def _polyval(c, z):
+    """c[0] z^n + ... + c[n] by Horner's rule, as `numpy.polyval` evaluates it."""
+    y = 0j
+    for a in c:
+        y = y * z + a
+    return y
 
-    One Newton polish step tightens each root; output sorted by (Re, Im) so
-    repeated calls are deterministic.
+
+def _real_quad_roots(b: float, c: float) -> list[complex]:
+    """Roots of x^2 + b x + c without cancellation: a real pair as q and c/q,
+    a complex pair as exact conjugates with a +0.0 real part when b = 0."""
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        re, im = -0.5 * b + 0.0, 0.5 * math.sqrt(-disc)
+        return [complex(re, im), complex(re, -im)]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [complex(q), complex(c / q)] if q != 0.0 else [0j, 0j]
+
+
+def _largest_cubic_root(e2: float, e1: float, e0: float) -> float:
+    """Largest real root of x^3 + e2 x^2 + e1 x + e0 (Cardano or the
+    trigonometric form), refined by Newton steps while they shrink the value."""
+    P = e1 - e2 * e2 / 3.0
+    Q = 2.0 * e2 ** 3 / 27.0 - e2 * e1 / 3.0 + e0
+    disc = 0.25 * Q * Q + P ** 3 / 27.0
+    if disc > 0.0 or P >= 0.0:
+        w = 0.5 * abs(Q) + math.sqrt(max(disc, 0.0))
+        A = -math.copysign(w ** (1.0 / 3.0), Q)
+        y = A - P / (3.0 * A) if A != 0.0 else 0.0
+    else:
+        k = math.sqrt(-P / 3.0)
+        y = 2.0 * k * math.cos(math.acos(max(-1.0, min(1.0, -0.5 * Q / k ** 3))) / 3.0)
+    x = y - e2 / 3.0
+    f = ((x + e2) * x + e1) * x + e0
+    for _ in range(4):
+        df = (3.0 * x + 2.0 * e2) * x + e1
+        if f == 0.0 or df == 0.0:
+            break
+        x_new = x - f / df
+        f_new = ((x_new + e2) * x_new + e1) * x_new + e0
+        if abs(f_new) >= abs(f):
+            break
+        x, f = x_new, f_new
+    return x
+
+
+def _quartic_factors(a3: float, a2: float, a1: float, a0: float):
+    """x^4 + a3 x^3 + a2 x^2 + a1 x + a0 as two real quadratics (b1, c1),
+    (b2, c2): Ferrari's resolvent cubic gives the start, Bairstow steps
+    (Newton on the remainder of the division by the first factor) refine it,
+    and the quotient is the second factor."""
+    u = _largest_cubic_root(-a2, a3 * a1 - 4.0 * a0, 4.0 * a2 * a0 - a3 * a3 * a0 - a1 * a1)
+    R = math.sqrt(max(0.25 * a3 * a3 - a2 + u, 0.0))
+    D = math.copysign(math.sqrt(max(0.25 * u * u - a0, 0.0)), 0.5 * a3 * u - a1)
+    b, c = 0.5 * a3 + R, 0.5 * u + D
+
+    def divide(b, c):
+        q1 = a3 - b
+        q0 = a2 - b * q1 - c
+        return q1, q0, a1 - b * q0 - c * q1, a0 - c * q0
+
+    # Newton converges linearly where the two factors share a root, so allow
+    # a few dozen steps; each one must shrink the remainder
+    q1, q0, r1, r0 = divide(b, c)
+    for _ in range(30):
+        if r1 == 0.0 and r0 == 0.0:
+            break
+        j11, j12 = b * (q1 - b) + c - q0, b - q1
+        j21, j22 = c * (q1 - b), c - q0
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            break
+        b_new = b - (r1 * j22 - r0 * j12) / det
+        c_new = c - (r0 * j11 - r1 * j21) / det
+        step = divide(b_new, c_new)
+        if abs(step[2]) + abs(step[3]) >= abs(r1) + abs(r0):
+            break
+        b, c = b_new, c_new
+        q1, q0, r1, r0 = step
+    return (b, c), (q1, q0)
+
+
+def _monic_roots(c: list[float]) -> list[complex]:
+    """Roots of the monic real polynomial c (degree at most 4)."""
+    n = len(c) - 1
+    if n == 0:
+        return []
+    if n == 1:
+        return [complex(-c[1])]
+    if n == 2:
+        return _real_quad_roots(c[1], c[2])
+    if n == 3:
+        r = _largest_cubic_root(c[1], c[2], c[3])
+        return [complex(r)] + _real_quad_roots(c[1] + r, c[2] + r * (c[1] + r))
+    (b1, c1), (b2, c2) = _quartic_factors(c[1], c[2], c[3], c[4])
+    return _real_quad_roots(b1, c1) + _real_quad_roots(b2, c2)
+
+
+def polynomial_roots(coeffs) -> tuple[complex, ...]:
+    """Roots of a monic real polynomial of degree at most 4, in real arithmetic.
+
+    Trailing zero coefficients give exact zero roots, as in `numpy.roots`; a
+    quartic splits into two real quadratics (`_quartic_factors`), so complex
+    roots come in exact conjugate pairs. One Newton polish step tightens each
+    root; output sorted by (Re, Im) so repeated calls are deterministic.
     """
-    import numpy as np
-
-    c = np.asarray(coeffs, dtype=float)
+    c = [float(x) for x in coeffs]
     if c[0] != 1.0:
         raise ValueError("leading coefficient must be 1")
-    roots = np.roots(c).astype(complex)
-    f = np.polyval(c, roots)
-    df = np.polyval(np.polyder(c), roots)
-    step = np.where(df != 0, f / np.where(df == 0, 1, df), 0)
-    polished = roots - step
-    better = np.abs(np.polyval(c, polished)) <= np.abs(f)
-    roots = np.where(better, polished, roots)
-    # collapse numerically-real roots onto the real axis
-    scale = 1.0 + np.abs(roots)
-    roots = np.where(np.abs(roots.imag) < 1e-12 * scale, roots.real + 0j, roots)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+    if len(c) > 5:
+        raise ValueError("degree above 4")
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    roots = _monic_roots(c[:n]) + [0j] * (len(c) - n)
+    dc = [a * (len(c) - 1 - i) for i, a in enumerate(c[:-1])]
+    out = []
+    for z in roots:
+        f, df = _polyval(c, z), _polyval(dc, z)
+        polished = z - f / df if df != 0 else z
+        if abs(_polyval(c, polished)) <= abs(f):
+            z = polished
+        # collapse numerically-real roots onto the real axis
+        if abs(z.imag) < 1e-12 * (1.0 + abs(z)):
+            z = complex(z.real + 0.0, 0.0)
+        out.append(z)
+    return sort_eigs(out)
 
 
 def sort_eigs(values) -> tuple[complex, ...]:
-    import numpy as np
-
-    vals = np.asarray(values, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    return tuple(vals[order])
+    """The values as complex numbers, sorted by (Re, Im); stable."""
+    return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
 
 
 @dataclass(frozen=True)
@@ -81,10 +184,8 @@ class QuarticCoeffs:
     G: float
     H: float
 
-    def as_poly(self) -> numpy.ndarray:
-        import numpy as np
-
-        return np.array([1.0, self.E, self.F, self.G, -self.H])
+    def as_poly(self) -> tuple[float, float, float, float, float]:
+        return (1.0, self.E, self.F, self.G, -self.H)
 
 
 def m0_characteristic(params: SystemParams) -> QuarticCoeffs:

@@ -250,9 +250,10 @@ def test_criterion_07_potential_line():
     # the heteroclinic beyond r ~ 1e3)
     Pd = potential_params(6.0, 2.0, 2.0, 0.5, 0.5)
     rad = integrate_radial(Pd, 1.0, 1.0, r_max=1e4)
-    mask = (rad.r > 1e2) & (rad.r < 1e3)
-    lr = np.log(rad.r[mask])
-    for profile in (rad.u[mask], rad.v[mask]):
+    r, u, v = np.asarray(rad.r), np.asarray(rad.u), np.asarray(rad.v)
+    mask = (r > 1e2) & (r < 1e3)
+    lr = np.log(r[mask])
+    for profile in (u[mask], v[mask]):
         A = np.vstack([lr, np.ones_like(lr)]).T
         slope = float(np.linalg.lstsq(A, np.log(profile), rcond=None)[0][0])
         assert abs(slope + 4.0) / 4.0 < 0.02, slope

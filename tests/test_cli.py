@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from efdyn.cli import main, parse_config
+from efdyn.cli import main, parse_config, run
 from efdyn.errors import ConfigError
 from efdyn.numerics import CAPTURE_DIST
+from efdyn.scalar import ScalarBehavior, scalar_classify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -203,6 +204,46 @@ class TestCommands:
         t, X, Z = (float(v) for v in last.split(",")[1:])
         assert t < 16.0
         assert max(abs(X - 1.0), abs(Z)) <= CAPTURE_DIST
+
+
+# (N, p, a, Q, eps) of one scalar_classify per behaviour
+SCALAR_CASES = {
+    ScalarBehavior.SIGN_CHANGING: (3.0, 2.0, 0.0, 4.0, 1),
+    ScalarBehavior.GROUND_STATE_ON_LINE: (3.0, 2.0, 0.0, 5.0, 1),
+    ScalarBehavior.ALL_REGULAR_ARE_GS: (3.0, 2.0, 0.0, 6.0, 1),
+    ScalarBehavior.THRESHOLD_Q1: (3.0, 2.0, 0.0, 3.0, 1),
+    ScalarBehavior.ABSORPTION_ALL_REGULAR: (3.0, 2.0, 0.0, 4.0, -1),
+    ScalarBehavior.ABSORPTION_CONNECTION: (3.0, 2.0, 0.0, 2.0, -1),
+}
+
+
+def non_builtin(obj, path="report"):
+    """Paths of the values in a report that are not of a builtin type the
+    JSON writer serialises (dict, list, tuple, str, int, float, bool, None
+    and complex)."""
+    if type(obj) is dict:
+        return [bad for k, v in obj.items() for bad in non_builtin(v, f"{path}.{k}")]
+    if type(obj) in (list, tuple):
+        return [bad for i, v in enumerate(obj) for bad in non_builtin(v, f"{path}[{i}]")]
+    if type(obj) in (str, int, float, bool, complex, type(None)):
+        return []
+    return [f"{path}: {type(obj).__name__}"]
+
+
+class TestReportValues:
+    # every report value is a builtin: the writer needs no numpy conversion
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_config_report(self, config, tmp_path):
+        raw = json.loads(config.read_text())
+        bundle = run(parse_config(raw, raw["command"], str(tmp_path)))
+        assert non_builtin(bundle.report) == []
+
+    @pytest.mark.parametrize("behavior", list(ScalarBehavior), ids=lambda b: b.name)
+    def test_scalar_report(self, behavior):
+        rep = scalar_classify(*SCALAR_CASES[behavior])
+        assert rep.behavior is behavior
+        assert non_builtin(rep.to_dict()) == []
 
 
 class TestExitCodes:

@@ -150,8 +150,9 @@ class TestRadialOracle:
     def test_critical_symmetric_profile_stays_positive(self):
         rad = integrate_radial(HAM6, 1.0, 1.0, r_max=1e4)
         assert rad.termination.kind == "max-time"
-        assert np.all(rad.u > 0) and np.all(rad.v > 0)
-        assert np.max(np.abs(rad.u - rad.v)) < 1e-12   # symmetric data stays symmetric
+        u, v = np.asarray(rad.u), np.asarray(rad.v)
+        assert np.all(u > 0) and np.all(v > 0)
+        assert np.max(np.abs(u - v)) < 1e-12   # symmetric data stays symmetric
 
     def test_consistency_with_phase_system(self):
         # chart image of the radial trajectory satisfies the phase ODE
@@ -231,10 +232,11 @@ class TestClassification:
         rad = integrate_radial(P, 1.0, 1.0, r_max=1e4)
         C1 = (P.N + P.a) * P.x_bound ** (P.p - 1)
         C2 = (P.N + P.b) * P.y_bound ** (P.q - 1)
-        lhs1 = rad.u ** (P.s - P.p + 1) * rad.v ** P.delta
-        lhs2 = rad.u ** P.mu * rad.v ** (P.m - P.q + 1)
-        assert np.all(lhs1 <= C1 * rad.r ** (-(P.p + P.a)) * (1 + 1e-9))
-        assert np.all(lhs2 <= C2 * rad.r ** (-(P.q + P.b)) * (1 + 1e-9))
+        r, u, v = np.asarray(rad.r), np.asarray(rad.u), np.asarray(rad.v)
+        lhs1 = u ** (P.s - P.p + 1) * v ** P.delta
+        lhs2 = u ** P.mu * v ** (P.m - P.q + 1)
+        assert np.all(lhs1 <= C1 * r ** (-(P.p + P.a)) * (1 + 1e-9))
+        assert np.all(lhs2 <= C2 * r ** (-(P.q + P.b)) * (1 + 1e-9))
 
 
 class TestSearches:

@@ -79,6 +79,27 @@ def test_script_refuses_zero_angles(path, monkeypatch, capsys):
     assert "--angles must be >= 1" in capsys.readouterr().err
 
 
+# one value of each script's grid, 3 angles: the scripts' own use of what
+# the package returns (arrays built from radial tuples, report dicts) runs
+SCRIPT_SMOKE_ARGS = {
+    "hamiltonian_dichotomy.py": ["--start", "2.5", "--stop", "2.5", "--angles", "3"],
+    "nonvariational_region.py": ["--grid", "1", "--angles", "3"],
+    "potential_line_sweep.py": ["--start", "0.5", "--stop", "0.5", "--angles", "3"],
+    "scalar_catalog.py": ["--Q", "4.0"],
+}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_runs_end_to_end(path, monkeypatch, tmp_path, capsys):
+    main = runpy.run_path(str(path), run_name="not_main")["main"]
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", [path.name] + SCRIPT_SMOKE_ARGS[path.name]
+                        + ["--out", str(out)])
+    main()
+    assert out.read_text()
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
 def _uses(tree):
     """(identifier, line) for every name a module uses: names, attributes,
     imported names and string constants naming an attribute (as in getattr or
@@ -138,12 +159,11 @@ def test_exports_are_what_clients_import():
 
 
 # -- numpy stays off the start-up path -------------------------------------------
-# Only the code whose output bits come from numpy imports it, where it runs:
-# spectra, the radial route and the scalar fits. `import efdyn` and the
-# commands that need none of them load no numpy.
+# In the package only the scalar fits and `jacobian_at` import numpy, inside
+# the functions that use it. `import efdyn` and every shipped config load
+# none: the M0 quartic is solved in real arithmetic and radial runs are tuples.
 
-NUMPY_FREE_CONFIGS = ("shoot_subcritical_diagonal", "scalar_critical",
-                      "portrait_scalar_critical", "sweep_hamiltonian_diagonal")
+NUMPY_FREE_CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
 
 
 @pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)

@@ -23,6 +23,14 @@ def match_eigs(a, b):
     return float(cost[r, c].max())
 
 
+def rel_match(a, b):
+    """Max pairing distance between two root multisets, relative to 1 + |b|."""
+    a, b = np.asarray(a, complex), np.asarray(b, complex)
+    cost = np.abs(a[:, None] - b[None, :]) / (1 + np.abs(b[None, :]))
+    r, c = linear_sum_assignment(cost)
+    return float(cost[r, c].max())
+
+
 class TestJacobian:
     def test_block_structure_at_regular_corner(self):
         J = jacobian_at(HAM6, (0.0, 0.0, 6.0, 6.0))
@@ -117,7 +125,7 @@ class TestPolynomialRoots:
         assert match_eigs(roots, want) < 1e-12
 
     def test_quadruple_zero(self):
-        assert np.all(polynomial_roots([1.0, 0, 0, 0, 0]) == 0)
+        assert np.all(np.asarray(polynomial_roots([1.0, 0, 0, 0, 0])) == 0)
 
     def test_constructed_factorization(self):
         coeffs = np.poly([1.0, 2.0, 3.0, 4.0])
@@ -136,6 +144,109 @@ class TestPolynomialRoots:
         assert np.all(r1 == r2)
         keys = [(z.real, z.imag) for z in r1]
         assert keys == sorted(keys)
+
+
+def numpy_roots(coeffs):
+    """The companion-matrix routine `polynomial_roots` replaced, kept as its
+    oracle: `np.roots`, one Newton polish step, the snap to the real axis and
+    the (Re, Im) sort."""
+    c = np.asarray(coeffs, dtype=float)
+    roots = np.roots(c).astype(complex)
+    f = np.polyval(c, roots)
+    df = np.polyval(np.polyder(c), roots)
+    step = np.where(df != 0, f / np.where(df == 0, 1, df), 0)
+    polished = roots - step
+    roots = np.where(np.abs(np.polyval(c, polished)) <= np.abs(f), polished, roots)
+    roots = np.where(np.abs(roots.imag) < 1e-12 * (1.0 + np.abs(roots)), roots.real + 0j, roots)
+    return tuple(complex(z) for z in roots[np.lexsort((roots.imag, roots.real))])
+
+
+def assert_same_zeros(got, want):
+    """Each part that is zero in the oracle's roots is the same signed zero in
+    `got`: a -0.0 for numpy's +0.0 would change the report's text. (Where
+    numpy leaves roundoff, as -6e-33 for an exact 0, `got` may be exact.)"""
+    cost = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
+    for i, j in zip(*linear_sum_assignment(cost)):
+        g, w = got[i], want[j]
+        for x, y in ((g.real, w.real), (g.imag, w.imag)):
+            if y == 0.0:
+                assert (x, math.copysign(1.0, x)) == (y, math.copysign(1.0, y)), (got, want)
+
+
+class TestAgainstNumpyRoots:
+    def test_random_quartics(self, rng):
+        for _ in range(2000):
+            c = [1.0] + list(rng.uniform(-5, 5, size=4))
+            got, want = polynomial_roots(c), numpy_roots(c)
+            assert all(type(z) is complex for z in got)
+            assert rel_match(got, want) < 1e-14, c
+            # complex roots come in exact conjugate pairs
+            cplx = [z for z in got if z.imag != 0.0]
+            assert sorted(cplx, key=lambda z: (z.real, z.imag)) == \
+                sorted((z.conjugate() for z in cplx), key=lambda z: (z.real, z.imag))
+
+    def test_biquadratics(self, rng):
+        # E = G = 0, the branch of M0's purely imaginary pairs: roots +-a or
+        # +-i a and +-i b, to numpy's accuracy
+        for _ in range(500):
+            a, b = rng.uniform(0.1, 4.0, size=2)
+            for roots in ([a, -a, 1j * b, -1j * b], [1j * a, -1j * a, 1j * b, -1j * b]):
+                c = np.real(np.poly(roots))
+                c[1] = c[3] = 0.0
+                got, want = polynomial_roots(c), numpy_roots(c)
+                assert match_eigs(got, want) < 1e-14 * (1 + max(a, b)), c
+
+    def test_double_roots(self, rng):
+        # a double root is only determined to about sqrt(eps): numpy's
+        # companion matrix is off by up to ~2e-7 on these draws
+        for _ in range(200):
+            x, y = rng.uniform(-3, 3, size=2)
+            w = rng.uniform(0.1, 3)
+            for roots in ([x, x, y, y + 1.0], [x + 1j * w, x - 1j * w] * 2,
+                          [x, x, y + 1j * w, y - 1j * w]):
+                assert rel_match(polynomial_roots(np.real(np.poly(roots))), roots) < 1e-6, roots
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 0.0, 0.0, 0.0, 0.0],    # x^4
+                                        [1.0, -1.0, 0.0, 0.0, 0.0],   # x^3 (x - 1)
+                                        [1.0, 0.0, 1.0, 0.0, 0.0],    # x^2 (x^2 + 1)
+                                        [1.0, -6.0, 11.0, -6.0, 0.0],   # x (x-1)(x-2)(x-3)
+                                        [1.0, 2.0, 1.0, 2.0, 0.0]])     # x (x+2)(x^2+1)
+    def test_exact_zero_roots(self, coeffs):
+        got = polynomial_roots(coeffs)
+        want = numpy_roots(coeffs)
+        n_zero = len(coeffs) - 1 - max(i for i, a in enumerate(coeffs) if a != 0.0)
+        assert [z for z in got if z == 0] == [0j] * n_zero
+        assert match_eigs(got, want) < 1e-15
+        assert_same_zeros(got, want)
+
+    def test_m0_verdicts_equal_the_oracle(self, rng, monkeypatch):
+        import efdyn.spectra as spectra
+        points = [draw_params(rng) for _ in range(200)]
+        points += [hamiltonian_params(N, d, d) for N in (4.0, 5.0, 6.0, 7.0)
+                   for d in (1.2, 2.0, 3.0)]     # E = G = 0 on the critical hyperbola
+
+        def m0_answers(P):
+            fp = fixed_point(P, FixedPointLabel.M0)
+            sp = spectrum_at(P, fp)
+            return (sp.eigenvalues, (sp.stable_dim, sp.unstable_dim, sp.center_dim),
+                    oscillation_condition(P), local_verdicts(P, fp))
+
+        got = [m0_answers(P) for P in points]
+        monkeypatch.setattr(spectra, "polynomial_roots", numpy_roots)
+        want = [m0_answers(P) for P in points]
+        for (eg, dg, og, vg), (ew, dw, ow, vw) in zip(got, want):
+            assert (dg, og, vg) == (dw, ow, vw)
+            assert_same_zeros(eg, ew)
+            assert match_eigs(eg, ew) < 1e-13 * (1 + max(abs(z) for z in ew))
+
+    def test_hamiltonian_critical_spectrum(self):
+        # the analyze report's M0 row: -2 sqrt(3) correctly rounded, +0.0 zeros
+        sp = spectrum_at(HAM6, fixed_point(HAM6, FixedPointLabel.M0))
+        assert sp.to_dict()["eigenvalues"] == [
+            {"re": -math.sqrt(12.0), "im": 0.0}, {"re": 0.0, "im": -2.0},
+            {"re": 0.0, "im": 2.0}, {"re": math.sqrt(12.0), "im": 0.0}]
+        assert [math.copysign(1.0, z.imag if z.imag == 0.0 else z.real)
+                for z in sp.eigenvalues] == [1.0] * 4
 
 
 class TestSpectra:
