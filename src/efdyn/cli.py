@@ -48,16 +48,6 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -160,7 +150,7 @@ class ReportBundle:
             written.append(name)
         self.report["manifest"] = {"files": written + ["report.json", "summary.txt"]}
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(_jsonable(self.report), fh, indent=2, sort_keys=True)
+            json.dump(self.report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(self.summary) + "\n")

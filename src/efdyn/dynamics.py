@@ -394,22 +394,28 @@ class MClass(str, Enum):
 
 @dataclass(frozen=True)
 class ShotOutcome:
-    """A classified shot. Its M-class and hit times come from the run to
-    blow-up, which `classify_shot` leaves paused once the S-class is final:
-    the first read of either resumes it."""
+    """A classified shot, whose run `classify_shot` leaves paused once the
+    S-class is final: reading the M-class resumes it until `_certify` proves
+    the class, or to blow-up if nothing does; reading the hit times, to blow-up."""
 
     seed: tuple[float, float]
     s_class: SClass
     # the rest of the classification: (S-class, M-class, hit times)
     _finish: Callable[[], tuple[SClass, MClass, dict]] = field(compare=False, repr=False)
+    # the M-class a trapping region proves, or None
+    _certify: Callable[[], MClass | None] = field(compare=False, repr=False)
 
     @cached_property
     def _finished(self) -> tuple[SClass, MClass, dict]:
         return self._finish()
 
+    @cached_property
+    def _certified(self) -> MClass | None:
+        return self._certify()
+
     @property
     def m_class(self) -> MClass:
-        return self._finished[1]
+        return self._finished[1] if self._certified is None else self._certified
 
     @property
     def hit_times(self) -> dict:
@@ -446,6 +452,44 @@ def _s_class(t_x: float | None, t_y: float | None) -> SClass:
         return SClass.S3 if abs(t_x - t_y) <= SIM_WINDOW else \
             (SClass.S1 if t_x < t_y else SClass.S2)
     return SClass.S1 if t_y is None else SClass.S2
+
+
+def _certify(P: SystemParams, state) -> MClass | None:
+    """M1 or M2 if `state` lies in a forward-invariant region that proves it.
+
+    With X, Y, Z, W >= 0, p, q > 1, mu > 0 and m >= 0, take R1 = {X > max(
+    x_bound, (N+b)/mu), V = Y + W/(q-1) < y_bound}. There X' = X (X - x_bound
+    + Z/(p-1)) > 0 blows X up in finite time, while V' = Y (V - y_bound) +
+    W/(q-1) (N + b - mu X - m Y - W) <= 0 keeps Y below y_bound: u vanishes
+    first, M1. The exchange image R2 proves M2. Each inequality needs a
+    margin of 1e-6 (1 + bound).
+    """
+    X, Y, Z, W = state
+    if not (min(X, Y, Z, W) >= 0.0 and P.p > 1.0 and P.q > 1.0):
+        return None
+    for m_class, grows, stays, x_bound, y_bound, n_b, mu, m in (
+            (MClass.M1, X, Y + W / (P.q - 1), P.x_bound, P.y_bound, P.N + P.b, P.mu, P.m),
+            (MClass.M2, Y, X + Z / (P.p - 1), P.y_bound, P.x_bound, P.N + P.a, P.delta, P.s)):
+        lo = max(x_bound, n_b / mu) if mu > 0.0 and m >= 0.0 else math.inf
+        if grows - lo > 1e-6 * (1 + lo) and y_bound - stays > 1e-6 * (1 + y_bound):
+            return m_class
+    return None
+
+
+def _certified_m(params, run, sol, i) -> MClass | None:
+    """The M-class `_certify` proves at the first accepted step of a paused
+    run from its pause (state i) on, resuming it as needed; None if the run
+    ends first. Its end point is never read: the answer is the same whether
+    or not the run was finished before."""
+    while i < len(sol.y) - 1 or sol.status is None:
+        if i == len(sol.y):
+            next(run)
+            continue
+        m_class = _certify(params, sol.y[i])
+        if m_class is not None:
+            return m_class
+        i += 1
+    return None
 
 
 def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
@@ -506,10 +550,11 @@ def classify_shot(params: SystemParams, x: float, y: float,
 
     The S-class is final once an accepted step ends SIM_WINDOW past the first
     crossing: a later crossing of the other face cannot make it S3. The shot
-    pauses there, on the horizon T_END. Reading its M-class or hit times
-    resumes the same run to blow-up, widening the horizon (twice) when
-    undecided; a wider horizon repeats the steps up to the pause, which all
-    end before T_END. A shot that ends before the pause is classified at once.
+    pauses there, on the horizon T_END. Reading its M-class resumes the run
+    until `_certify` proves it; reading its hit times, or an unproved M-class,
+    resumes it to blow-up, widening the horizon (twice) when undecided; a
+    wider horizon repeats the steps up to the pause, which all end before
+    T_END. A shot that ends before the pause is classified at once.
     """
     run = _shot(params, x, y, rho, T_END)
     for sol in run:
@@ -517,9 +562,10 @@ def classify_shot(params: SystemParams, x: float, y: float,
         first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
         if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
             return ShotOutcome((x, y), _s_class(t_x, t_y),
-                               partial(_finish_shot, params, x, y, rho, run, sol))
+                               partial(_finish_shot, params, x, y, rho, run, sol),
+                               partial(_certified_m, params, run, sol, len(sol.y) - 1))
     done = _finish_shot(params, x, y, rho, run, sol)
-    return ShotOutcome((x, y), done[0], lambda: done)
+    return ShotOutcome((x, y), done[0], lambda: done, lambda: None)
 
 
 # -- searches --------------------------------------------------------------------
@@ -551,7 +597,7 @@ _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
 def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
     """The shot at the exchange image of `outcome`'s seed, for a system with
     exchange_params(P) == P. Its M-class and hit times are `outcome`'s,
-    swapped: reading them finishes `outcome`'s run, once for both."""
+    swapped: reading them resumes `outcome`'s run, once for both."""
     def finish():
         s_class, m_class, hit = outcome._finished
         swapped = {"x-bound": hit.get("y-bound"), "y-bound": hit.get("x-bound"),
@@ -560,7 +606,8 @@ def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
                 {k: t for k, t in swapped.items() if t is not None})
 
     x, y = outcome.seed
-    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class), finish)
+    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class), finish,
+                       lambda: _EXCHANGED.get(outcome._certified, outcome._certified))
 
 
 def sweep_angles(params: SystemParams, n_angles: int = 33,

@@ -7,8 +7,9 @@ patches the name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
 A band used at one site only is a literal there instead: `spectra._sgn`'s
 1e-12, `spectra.oscillation_condition`'s 1e-9, `scalar.scalar_classify`'s
 1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
-hysteresis of `dynamics._shot` and the 1e-6 near-face test of
-`dynamics._finish_shot`, among others.
+hysteresis of `dynamics._shot`, the 1e-6 near-face test of
+`dynamics._finish_shot` and the 1e-6 (1 + bound) trapping-region margin of
+`dynamics._certify`, among others.
 """
 
 # identity / algebra checks
@@ -26,7 +27,7 @@ MAX_HORIZON_EXTENSIONS = 2
 # shooting
 MANIFOLD_RHO = 1e-4             # seed radius on the regular manifold
 SIM_WINDOW = 1e-6               # |tX - tY| below this counts as simultaneous
-HOPF_RATIO_TOL = 0.05           # |X/Y - 1| at blow-up for simultaneous vanishing
+HOPF_RATIO_TOL = 0.05           # |X/Y - 1| at blow-up of an uncertified shot: M3
 ANGLE_TOL = 1e-10               # bisection tolerance on the seed angle
 CAPTURE_DIST = 1e-8             # fixed-point convergence distance
 CAPTURE_STEPS = 5               # consecutive accepted steps within CAPTURE_DIST

@@ -219,13 +219,13 @@ SCALAR_CASES = {
 
 def non_builtin(obj, path="report"):
     """Paths of the values in a report that are not of a builtin type the
-    JSON writer serialises (dict, list, tuple, str, int, float, bool, None
-    and complex)."""
+    JSON writer serialises (dict, list, tuple, str, int, float, bool and
+    None)."""
     if type(obj) is dict:
         return [bad for k, v in obj.items() for bad in non_builtin(v, f"{path}.{k}")]
     if type(obj) in (list, tuple):
         return [bad for i, v in enumerate(obj) for bad in non_builtin(v, f"{path}[{i}]")]
-    if type(obj) in (str, int, float, bool, complex, type(None)):
+    if type(obj) in (str, int, float, bool, type(None)):
         return []
     return [f"{path}: {type(obj).__name__}"]
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 import re
 import subprocess
 import sys
@@ -523,17 +524,19 @@ class TestPausedShot:
                    for P in self.POINTS for th in self.ANGLES}
         assert classes == set(SClass)
 
-    def test_undecided_m_class_raises_on_read(self, monkeypatch):
+    def test_undecided_run_certifies_its_m_class(self, monkeypatch):
         # the shot crosses x = x_bound at t = 4.85 and blows up at t = 5.06:
-        # on the horizon 5 with no extension its M-class is undecided, but its
-        # S-class is known before the horizon
+        # on the horizon 5 with no extension its run ends undecided, but it
+        # enters the trapping region R1 before the horizon, which proves M1;
+        # the hit times still need the blow-up
         monkeypatch.setattr(dynamics, "T_END", 5.0)
         monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
         out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), 0.9e-4, 0.2e-4, RHO)
         assert out.s_class is SClass.S1
-        for _ in range(2):          # a failed read is not kept: it fails again
+        for _ in range(2):          # a failed hit-times read is not kept: it fails again
+            assert out.m_class is MClass.M1
             with pytest.raises(Inconclusive):
-                out.m_class
+                out.hit_times
 
     def test_search_reads_s_classes_only(self, monkeypatch):
         calls, real = [0], dynamics.phase_rhs
@@ -552,6 +555,87 @@ class TestPausedShot:
         for o in res.outcomes + tuple(b.outcome for b in res.boundaries):
             o.to_dict()
         assert searched < 0.4 * calls[0]
+
+
+def _draw_family_point(rng, family):
+    """A random point of one of the three families, at N = 6."""
+    if family == "hamiltonian":
+        return hamiltonian_params(6.0, rng.uniform(1.2, 3.5), rng.uniform(1.2, 3.5))
+    if family == "potential":
+        return potential_params(6.0, rng.uniform(1.7, 2.5), rng.uniform(1.7, 2.5),
+                                rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5))
+    return nonvariational_params(6.0, rng.uniform(0.1, 1.0), rng.uniform(1.2, 3.0),
+                                 rng.uniform(1.2, 3.0))
+
+
+FAMILIES = ["hamiltonian", "potential", "nonvariational"]
+
+
+class TestCertificate:
+    """A shot inside the trapping region R1 (or its exchange image R2) has
+    M-class M1 (M2): the M-class read stops there instead of at blow-up."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_regions_trap(self, family):
+        # R1 = {X > max(x_bound, (N+b)/mu), Y + W/(q-1) < y_bound}: there X
+        # grows and Y + W/(q-1) does not; mirrored in R2
+        rng = random.Random(f"trap:{family}")
+        for _ in range(200):
+            P = _draw_family_point(rng, family)
+            rhs = phase_rhs(P)
+            p1, q1 = P.p - 1, P.q - 1
+            lo_x = max(P.x_bound, (P.N + P.b) / P.mu) * (1.001 + 10 * rng.random())
+            lo_y = max(P.y_bound, (P.N + P.a) / P.delta) * (1.001 + 10 * rng.random())
+            f, g = rng.random(), rng.random()
+            v_y = P.y_bound * 0.999 * rng.random()      # Y + W/(q-1) in R1
+            v_x = P.x_bound * 0.999 * rng.random()      # X + Z/(p-1) in R2
+            Z, W = 10 * rng.random(), 10 * rng.random()
+            r1 = (lo_x, f * v_y, Z, (1 - f) * v_y * q1)
+            dX, dY, _, dW = rhs(0.0, r1)
+            assert dX > 0.0 and dY + dW / q1 <= 0.0
+            assert dynamics._certify(P, r1) is MClass.M1
+            # just below the bound on X the region does not prove it
+            below = max(P.x_bound, (P.N + P.b) / P.mu) * 0.999
+            assert dynamics._certify(P, (below,) + r1[1:]) is None
+            r2 = (g * v_x, lo_y, (1 - g) * v_x * p1, W)
+            dX, dY, dZ, _ = rhs(0.0, r2)
+            assert dY > 0.0 and dX + dZ / p1 <= 0.0
+            assert dynamics._certify(P, r2) is MClass.M2
+            below = max(P.y_bound, (P.N + P.a) / P.delta) * 0.999
+            assert dynamics._certify(P, r2[:1] + (below,) + r2[2:]) is None
+
+    def test_certified_class_is_the_finished_class(self):
+        # 36 random points x 3 angles: every shot that leaves the box is
+        # certified, with the M-class of its run to blow-up
+        rng = random.Random(21)
+        certified = set()
+        for family in FAMILIES:
+            for _ in range(12):
+                P = _draw_family_point(rng, family)
+                for th in (0.3, 0.8, 1.3):
+                    out = classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO)
+                    if out.s_class is SClass.S:
+                        continue
+                    assert out._certified is out._finished[1]
+                    certified.add(out._certified)
+        assert certified == {MClass.M1, MClass.M2}
+
+    def test_dirichlet_search_runs_no_shot_to_blow_up(self, monkeypatch):
+        # every phase state the search evaluates stays far below BLOW_UP
+        largest, real = [0.0], dynamics.phase_rhs
+
+        def counting_phase_rhs(params):
+            rhs = real(params)
+
+            def counted(t, y):
+                largest[0] = max(largest[0], abs(y[0]), abs(y[1]))
+                return rhs(t, y)
+            return counted
+
+        monkeypatch.setattr(dynamics, "phase_rhs", counting_phase_rhs)
+        res = search_dirichlet(hamiltonian_params(6.0, 1.6, 2.1), u0=1.0, n_angles=9)
+        assert res.found
+        assert largest[0] < 10.0
 
 
 # -- reference: the Dirichlet search that reads every grid M-class -------------
@@ -714,21 +798,22 @@ class TestExchangeMirror:
         sweep_angles(params, n_angles)
         assert len(shots) == ((n_angles + 1) // 2 if symmetric else n_angles)
 
-    def test_undecided_partner_raises_on_every_read(self, monkeypatch):
+    def test_undecided_partner_certifies_and_raises_on_hit_times(self, monkeypatch):
         # on the horizon 5 with no extension, the two shots nearest the X axis
-        # cross x = x_bound but do not blow up: the mirrored reads of their
-        # M-classes near the Y axis raise, and name the seed that ran
+        # cross x = x_bound but do not blow up. Their runs still prove M1, so
+        # the mirrored shots near the Y axis read M2; the mirrored reads of
+        # their hit times raise, and name the seed that ran
         monkeypatch.setattr(dynamics, "T_END", 5.0)
         monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
         _, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=7)
         mirrored, partner = outs[-1], outs[0]
         assert (partner.s_class, mirrored.s_class) == (SClass.S1, SClass.S2)
         ran = re.escape(f"seed {partner.seed}")
-        for _ in range(2):          # a failed read is not kept: it fails again
-            with pytest.raises(Inconclusive, match=ran):
-                mirrored.m_class
+        for _ in range(2):          # a failed hit-times read is not kept: it fails again
+            assert mirrored.m_class is MClass.M2
             with pytest.raises(Inconclusive, match=ran):
                 mirrored.hit_times
+        assert partner.m_class is MClass.M1
 
 
 # the shots that the kernel is held against scipy on, and paused on
