@@ -22,8 +22,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import energies, equilibria, spectra
-from .dynamics import (EventSpec, classify_shot, integrate_m, integrate_radial, linspace,
-                       search_ground_state, sweep_angles)
+from .dynamics import (EventSpec, _seed, classify_shot, integrate_m, integrate_radial,
+                       linspace, search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError
 from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
                     phase_rhs, validate_params)
@@ -274,8 +274,7 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
     block = rc.block
     rho = _number(block, "shoot", "rho", MANIFOLD_RHO)
     if "theta" in block:
-        th = _number(block, "shoot", "theta")
-        x, y = rho * math.cos(th), rho * math.sin(th)
+        x, y = _seed(_number(block, "shoot", "theta"), rho)
     else:
         if "x" not in block or "y" not in block:
             raise ConfigError("shoot", "need x and y (or theta)")
@@ -284,6 +283,16 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]
     return ReportBundle(report=report, csv_files={}, summary=summary)
+
+
+def family_grid(start: float, stop: float, step: float) -> list[float]:
+    """The values of a family sweep: start + k step up to stop, each rounded
+    to 12 decimals."""
+    values, v = [], start
+    while v <= stop + 1e-12:
+        values.append(round(v, 12))
+        v += step
+    return values
 
 
 def _family_params(P: SystemParams, parameter: str, v: float) -> SystemParams:
@@ -325,11 +334,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         n_angles = _number(block, "sweep", "n_angles", 17, int)
         if n_angles < 1:
             raise ConfigError("sweep.n_angles", f"need a count >= 1, got {n_angles}")
-        values = []
-        v = start
-        while v <= stop + 1e-12:
-            values.append(round(v, 12))
-            v += step
+        values = family_grid(start, stop, step)
         rows = [["value", "delta", "mu", "s", "m", "found_gs", "predicted"]]
         flips = []
         prev = None

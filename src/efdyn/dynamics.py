@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import dop853
@@ -392,40 +392,6 @@ class MClass(str, Enum):
     GS = "GS"
 
 
-@dataclass(frozen=True)
-class ShotOutcome:
-    """A classified shot, whose run `classify_shot` leaves paused once the
-    S-class is final: reading the M-class resumes it until `_certify` proves
-    the class, or to blow-up if nothing does; reading the hit times, to blow-up."""
-
-    seed: tuple[float, float]
-    s_class: SClass
-    # the rest of the classification: (S-class, M-class, hit times)
-    _finish: Callable[[], tuple[SClass, MClass, dict]] = field(compare=False, repr=False)
-    # the M-class a trapping region proves, or None
-    _certify: Callable[[], MClass | None] = field(compare=False, repr=False)
-
-    @cached_property
-    def _finished(self) -> tuple[SClass, MClass, dict]:
-        return self._finish()
-
-    @cached_property
-    def _certified(self) -> MClass | None:
-        return self._certify()
-
-    @property
-    def m_class(self) -> MClass:
-        return self._finished[1] if self._certified is None else self._certified
-
-    @property
-    def hit_times(self) -> dict:
-        return self._finished[2]
-
-    def to_dict(self) -> dict:
-        return {"seed": list(self.seed), "sClass": self.s_class.value,
-                "mClass": self.m_class.value, "hitTimes": self.hit_times}
-
-
 def _shot(params, x, y, rho, t_end):
     """The run of one regular seed to t_end, started. Its events are
     blow-up-x, blow-up-y, x-bound and y-bound."""
@@ -476,71 +442,123 @@ def _certify(P: SystemParams, state) -> MClass | None:
     return None
 
 
-def _certified_m(params, run, sol, i) -> MClass | None:
-    """The M-class `_certify` proves at the first accepted step of a paused
-    run from its pause (state i) on, resuming it as needed; None if the run
-    ends first. Its end point is never read: the answer is the same whether
-    or not the run was finished before."""
-    while i < len(sol.y) - 1 or sol.status is None:
-        if i == len(sol.y):
-            next(run)
-            continue
-        m_class = _certify(params, sol.y[i])
-        if m_class is not None:
-            return m_class
-        i += 1
-    return None
+def _hit_times(t_x: float | None, t_y: float | None, t_blow: float | None) -> dict:
+    """A shot's x-bound, y-bound and blow-up times, in that order, without
+    the events it never reached."""
+    hit = {"x-bound": t_x, "y-bound": t_y, "blow-up": t_blow}
+    return {k: t for k, t in hit.items() if t is not None}
 
 
-def _finish_shot(params, x, y, rho, run, sol) -> tuple[SClass, MClass, dict]:
-    """Classify a shot started on the horizon T_END, given its run and the
-    run's last yield: run it to its end, and rerun it on a wider horizon
-    (twice) when undecided. Returns the S-class, the M-class and the hit
-    times, all read off the run's final `dop853.Solution`."""
-    t_end = T_END
-    for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
-        if attempt:
-            run = _shot(params, x, y, rho, t_end)
-        for sol in run:
-            pass
-        _checked(sol)
-        t_x, t_y = _crossings(sol)
-        X_end, Y_end = sol.y[-1][:2]
-        hit = {}
-        if t_x is not None:
-            hit["x-bound"] = t_x
-        if t_y is not None:
-            hit["y-bound"] = t_y
-        blew = sol.status == 1      # the blow-up events are a shot's only terminal ones
-        if blew:
-            hit["blow-up"] = sol.t[-1]
+class _PausedRun:
+    """The run of one shot, stepped to its S-decision: an accepted step that
+    ends SIM_WINDOW past the first face crossing, after which a later crossing
+    of the other face cannot make the shot S3. A run that ends first is
+    finished at once.
 
-        if t_x is None and t_y is None:
-            if blew:      # left the box without crossing a face first: numerical corner case
+    `resume` moves the run on, and `_certify` reads each new accepted state
+    but the run's end point: the proved M-class, if any, is the same whatever
+    was read first."""
+
+    def __init__(self, params: SystemParams, x: float, y: float, rho: float):
+        self.params, self.seed, self.rho = params, (x, y), rho
+        self.proved: MClass | None = None
+        self._steps = _shot(params, x, y, rho, T_END)
+        for sol in self._steps:
+            t_x, t_y = _crossings(sol)
+            first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
+            if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
+                self._sol, self.s_class = sol, _s_class(t_x, t_y)
+                return
+        self._sol = sol
+        self.s_class = self.finished[0]
+
+    def resume(self, to_end: bool) -> None:
+        """Step the run until `_certify` proves its M-class or, with
+        `to_end`, until the run ends."""
+        sol = self._sol
+        while sol.status is None:
+            if self.proved is None:
+                self.proved = _certify(self.params, sol.y[-1])
+            if self.proved is not None and not to_end:
+                return
+            next(self._steps)
+
+    @property
+    def m_class(self) -> MClass:
+        self.resume(to_end=False)
+        return self.finished[1] if self.proved is None else self.proved
+
+    @cached_property
+    def finished(self) -> tuple[SClass, MClass, dict]:
+        """The S-class, M-class and hit times read off the run's end; a run
+        that ends undecided is rerun on a doubled horizon, MAX_HORIZON_EXTENSIONS
+        times at most."""
+        self.resume(to_end=True)
+        P, sol, t_end = self.params, self._sol, T_END
+        for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
+            if attempt:
                 t_end *= 2
-                continue
-            near_face = (abs(X_end - params.x_bound) < 1e-6 * (1 + params.x_bound)
-                         or abs(Y_end - params.y_bound) < 1e-6 * (1 + params.y_bound))
-            if near_face and attempt < MAX_HORIZON_EXTENSIONS:
-                t_end *= 2
-                continue
-            return SClass.S, MClass.GS, hit
+                for sol in _shot(P, *self.seed, self.rho, t_end):
+                    pass
+            _checked(sol)
+            t_x, t_y = _crossings(sol)
+            X_end, Y_end = sol.y[-1][:2]
+            blew = sol.status == 1      # the blow-up events are a shot's only terminal ones
+            hit = _hit_times(t_x, t_y, sol.t[-1] if blew else None)
+            last = attempt == MAX_HORIZON_EXTENSIONS
 
-        s_class = _s_class(t_x, t_y)
-        if not blew:
-            if attempt < MAX_HORIZON_EXTENSIONS:
-                t_end *= 2
-                continue
-            raise Inconclusive(f"seed ({x}, {y}): crossed at t = {min(hit.values())} "
-                               f"but no blow-up within t = {t_end}")
-        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
-            m_class = MClass.M3
-        elif X_end >= Y_end:
-            m_class = MClass.M1
-        else:
-            m_class = MClass.M2
-        return s_class, m_class, hit
-    raise Inconclusive(f"seed ({x}, {y}) unresolved after extensions")
+            if t_x is None and t_y is None:
+                if blew:
+                    raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
+                                       f"without crossing a face")
+                near_face = (abs(X_end - P.x_bound) < 1e-6 * (1 + P.x_bound)
+                             or abs(Y_end - P.y_bound) < 1e-6 * (1 + P.y_bound))
+                if not near_face or last:
+                    return SClass.S, MClass.GS, hit
+            elif blew:
+                if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
+                    m_class = MClass.M3
+                elif X_end >= Y_end:
+                    m_class = MClass.M1
+                else:
+                    m_class = MClass.M2
+                return _s_class(t_x, t_y), m_class, hit
+            elif last:
+                raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
+                                   f"but no blow-up within t = {t_end}")
+
+
+@dataclass(frozen=True)
+class ShotOutcome:
+    """A classified shot. Its M-class and hit times are read off its paused
+    run; a `mirrored` outcome is the exchange image of the run's shot, and
+    reads them swapped."""
+
+    seed: tuple[float, float]
+    s_class: SClass
+    _run: _PausedRun = field(compare=False, repr=False)
+    mirrored: bool = field(default=False, compare=False)
+
+    @property
+    def m_class(self) -> MClass:
+        m_class = self._run.m_class
+        return _EXCHANGED.get(m_class, m_class) if self.mirrored else m_class
+
+    @property
+    def hit_times(self) -> dict:
+        hit = self._run.finished[2]
+        if self.mirrored:
+            return _hit_times(hit.get("y-bound"), hit.get("x-bound"), hit.get("blow-up"))
+        return hit
+
+    def to_dict(self) -> dict:
+        return {"seed": list(self.seed), "sClass": self.s_class.value,
+                "mClass": self.m_class.value, "hitTimes": self.hit_times}
+
+
+# the exchange image of each class: the faces and the profiles trade places
+_EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
+              MClass.M1: MClass.M2, MClass.M2: MClass.M1}
 
 
 def classify_shot(params: SystemParams, x: float, y: float,
@@ -549,23 +567,14 @@ def classify_shot(params: SystemParams, x: float, y: float,
     first, or S if it stays in the box.
 
     The S-class is final once an accepted step ends SIM_WINDOW past the first
-    crossing: a later crossing of the other face cannot make it S3. The shot
-    pauses there, on the horizon T_END. Reading its M-class resumes the run
-    until `_certify` proves it; reading its hit times, or an unproved M-class,
-    resumes it to blow-up, widening the horizon (twice) when undecided; a
-    wider horizon repeats the steps up to the pause, which all end before
-    T_END. A shot that ends before the pause is classified at once.
+    crossing: the shot pauses there, on the horizon T_END. Reading its M-class
+    resumes the run until `_certify` proves it; reading its hit times, or an
+    unproved M-class, resumes it to its end, widening the horizon (twice) when
+    undecided; a wider horizon repeats the steps up to the pause, which all
+    end before T_END. A shot that ends before the pause is classified at once.
     """
-    run = _shot(params, x, y, rho, T_END)
-    for sol in run:
-        t_x, t_y = _crossings(sol)
-        first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
-        if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
-            return ShotOutcome((x, y), _s_class(t_x, t_y),
-                               partial(_finish_shot, params, x, y, rho, run, sol),
-                               partial(_certified_m, params, run, sol, len(sol.y) - 1))
-    done = _finish_shot(params, x, y, rho, run, sol)
-    return ShotOutcome((x, y), done[0], lambda: done, lambda: None)
+    run = _PausedRun(params, x, y, rho)
+    return ShotOutcome((x, y), run.s_class, run)
 
 
 # -- searches --------------------------------------------------------------------
@@ -589,25 +598,12 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
     return rho * math.cos(theta), rho * math.sin(theta)
 
 
-# the exchange image of each class: the faces and the profiles trade places
-_EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
-              MClass.M1: MClass.M2, MClass.M2: MClass.M1}
-
-
 def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
     """The shot at the exchange image of `outcome`'s seed, for a system with
-    exchange_params(P) == P. Its M-class and hit times are `outcome`'s,
-    swapped: reading them resumes `outcome`'s run, once for both."""
-    def finish():
-        s_class, m_class, hit = outcome._finished
-        swapped = {"x-bound": hit.get("y-bound"), "y-bound": hit.get("x-bound"),
-                   "blow-up": hit.get("blow-up")}
-        return (_EXCHANGED.get(s_class, s_class), _EXCHANGED.get(m_class, m_class),
-                {k: t for k, t in swapped.items() if t is not None})
-
+    exchange_params(P) == P: `outcome`'s run, read mirrored."""
     x, y = outcome.seed
-    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class), finish,
-                       lambda: _EXCHANGED.get(outcome._certified, outcome._certified))
+    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class),
+                       outcome._run, mirrored=True)
 
 
 def sweep_angles(params: SystemParams, n_angles: int = 33,
@@ -628,13 +624,13 @@ def sweep_angles(params: SystemParams, n_angles: int = 33,
     return thetas, outcomes
 
 
-def _bisect_boundary(params, th_lo, th_hi, side_lo, rho) -> BoundaryHit:
+def _bisect_boundary(params, th_lo, th_hi, side_lo) -> BoundaryHit:
     """Shrink an S1/S2 flip interval to ANGLE_TOL and decide what sits on it."""
     lo, hi = th_lo, th_hi
     mid_out = None
     while hi - lo > ANGLE_TOL:
         mid = 0.5 * (lo + hi)
-        mid_out = classify_shot(params, *_seed(mid, rho), rho)
+        mid_out = classify_shot(params, *_seed(mid, MANIFOLD_RHO))
         if mid_out.s_class in (SClass.S, SClass.S3):
             break
         if mid_out.s_class == side_lo:
@@ -643,7 +639,7 @@ def _bisect_boundary(params, th_lo, th_hi, side_lo, rho) -> BoundaryHit:
             hi = mid
     mid = 0.5 * (lo + hi)
     if mid_out is None:
-        mid_out = classify_shot(params, *_seed(mid, rho), rho)
+        mid_out = classify_shot(params, *_seed(mid, MANIFOLD_RHO))
     if mid_out.s_class is SClass.S:
         return BoundaryHit(mid, "ground-state", mid_out)
     if mid_out.s_class is SClass.S3 or mid_out.m_class is MClass.M3:
@@ -655,24 +651,23 @@ def _bisect_boundary(params, th_lo, th_hi, side_lo, rho) -> BoundaryHit:
     return BoundaryHit(mid, "ground-state", mid_out)
 
 
-def search_ground_state(params: SystemParams, n_angles: int = 33,
-                        rho: float = MANIFOLD_RHO) -> GroundStateSearch:
+def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundStateSearch:
     """Angle sweep plus bisection of every S1/S2 flip.
 
     A ground state is witnessed either by a grid seed that never leaves the
-    rectangle, or by a flip boundary whose limiting shot stays (or lands near
-    an interior fixed point). Deterministic for fixed grid and tolerances.
+    rectangle, or by a flip boundary whose limiting shot stays in it or
+    leaves through one face with M-class M1 or M2. Deterministic for fixed
+    grid and tolerances.
     """
     if n_angles < 1:
         # zero shots would report found=False as if it were an answer
         raise PreconditionViolated(f"need n_angles >= 1, got {n_angles}")
-    thetas, outcomes = sweep_angles(params, n_angles, rho)
+    thetas, outcomes = sweep_angles(params, n_angles, MANIFOLD_RHO)
     boundaries: list[BoundaryHit] = []
     for i in range(len(thetas) - 1):
         a, b = outcomes[i], outcomes[i + 1]
         if {a.s_class, b.s_class} == {SClass.S1, SClass.S2}:
-            boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1],
-                                               a.s_class, rho))
+            boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1], a.s_class))
     for th, o in zip(thetas, outcomes):
         if o.s_class is SClass.S3:
             boundaries.append(BoundaryHit(th, "dirichlet", o))
@@ -702,7 +697,7 @@ class DirichletSearch:
 
 
 def search_dirichlet(params: SystemParams, u0: float | None = None,
-                     n_angles: int = 33, rho: float = MANIFOLD_RHO) -> DirichletSearch:
+                     n_angles: int = 33) -> DirichletSearch:
     """Find a positive radial solution vanishing at one radius.
 
     Locates a simultaneous-vanishing seed by the angle search, maps it to
@@ -711,7 +706,7 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     exact scaling law (theta^gamma u(theta r), theta^xi v(theta r)) so that
     u(0) = u0, and the rescaled data is re-integrated.
     """
-    res = search_ground_state(params, n_angles, rho)
+    res = search_ground_state(params, n_angles)
     # the smallest Dirichlet angle: a Dirichlet boundary, or a grid shot that
     # leaves the box with M-class M3. The grid is read in angle order, up to
     # the first M3 and below the smallest boundary only, so that no shot above
@@ -725,7 +720,7 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
             break
     if angle == math.inf:
         return DirichletSearch(found=False)
-    x, y = _seed(angle, rho)
+    x, y = _seed(angle, MANIFOLD_RHO)
     u0_star, v0_star = regular_initial_values(params, x, y)
     if u0 is not None:
         ex = derive_exponents(params)

@@ -8,8 +8,8 @@ A band used at one site only is a literal there instead: `spectra._sgn`'s
 1e-12, `spectra.oscillation_condition`'s 1e-9, `scalar.scalar_classify`'s
 1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
 hysteresis of `dynamics._shot`, the 1e-6 near-face test of
-`dynamics._finish_shot` and the 1e-6 (1 + bound) trapping-region margin of
-`dynamics._certify`, among others.
+`dynamics._PausedRun.finished` and the 1e-6 (1 + bound) trapping-region margin
+of `dynamics._certify`, among others.
 """
 
 # identity / algebra checks

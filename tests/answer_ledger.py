@@ -16,7 +16,8 @@ theory's answer at each.
 Floats are written with `float.hex`, so a row is reproduced exactly or not at
 all. The points: the shipped family-sweep config, the family grids of
 perfbench's `family-sweep` seeds 1-10, the off-diagonal points of ROADMAP
-items 1 and 12, and the seven `bisect-dirichlet` points of perfbench seed 1.
+items 1 and 12, the nonvariational points of items 4(f) and 10, and the seven
+`bisect-dirichlet` points of perfbench seed 1.
 
 Run from the repository root, on the standard library alone:
 
@@ -34,9 +35,10 @@ import random
 import sys
 from pathlib import Path
 
+from efdyn.cli import family_grid
 from efdyn.dynamics import search_dirichlet, search_ground_state
 from efdyn.energies import Verdict, predict_existence
-from efdyn.model import SystemParams, hamiltonian_params, potential_params
+from efdyn.model import SystemParams, hamiltonian_params, nonvariational_params, potential_params
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = Path(__file__).resolve().parent / "answers.json"
@@ -48,15 +50,6 @@ def _hex(x: float | None) -> str | None:
     return None if x is None else float(x).hex()
 
 
-def _family_grid(start: float, stop: float, step: float) -> list[float]:
-    """The value grid of the CLI's family sweep."""
-    values, v = [], start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        v += step
-    return values
-
-
 # -- the points ---------------------------------------------------------------
 
 def _sweep_config_points() -> list[tuple[str, SystemParams, str, float | None]]:
@@ -64,7 +57,7 @@ def _sweep_config_points() -> list[tuple[str, SystemParams, str, float | None]]:
     P, sw = SystemParams.from_dict(cfg["params"]), cfg["sweep"]
     assert sw["parameter"] == "delta=mu" and sw["n_angles"] == N_ANGLES
     return [(f"sweep-config/delta=mu={v!r}", P.replace(delta=v, mu=v), "ground-state", None)
-            for v in _family_grid(sw["start"], sw["stop"], sw["step"])]
+            for v in family_grid(sw["start"], sw["stop"], sw["step"])]
 
 
 def _family_sweep_points(seed: int):
@@ -75,7 +68,7 @@ def _family_sweep_points(seed: int):
     start = (N + 2) / (N - 2) - 0.9
     return [(f"family-sweep:{seed}/delta=mu={v!r}", hamiltonian_params(N, v, v),
              "ground-state", None)
-            for v in _family_grid(start, start + 1.85, 0.1)]
+            for v in family_grid(start, start + 1.85, 0.1)]
 
 
 def _bisect_dirichlet_points(seed: int):
@@ -131,6 +124,14 @@ def points():
                 potential_params(6.0, 2.2092699244201954, 1.7124072587566603,
                                  0.6161452868609552, 0.9710089253968845),
                 "ground-state", None))
+    # ROADMAP items 4(f) and 10: the nonvariational diagonal point, and the
+    # points just below M0's Hopf curve Hs = 27/14 at (s, mu) = (0.5, 1.2)
+    pts.append(("item-4f/nonvariational-1.7-1.7", nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                "ground-state", None))
+    for gap in (0.005, 0.01, 0.02, 0.03):
+        P = nonvariational_params(6.0, 0.5, 27 / 14 - gap, 1.2)
+        name = f"item-10/nonvariational-(Hs-{gap!r})-1.2"
+        pts += [(name, P, "ground-state", None), (f"{name}/u0=1.0", P, "dirichlet", 1.0)]
     return pts + _bisect_dirichlet_points(1)
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from efdyn.cli import main, parse_config, run
+from efdyn.dynamics import _seed, classify_shot
 from efdyn.errors import ConfigError
+from efdyn.model import SystemParams
 from efdyn.numerics import CAPTURE_DIST
 from efdyn.scalar import ScalarBehavior, scalar_classify
 
@@ -135,6 +137,9 @@ class TestCommands:
         assert main(["shoot", "--config", cfg, "--out", out]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["outcome"]["sClass"] in ("S1", "S2", "S3", "S")
+        # theta is seeded as the searches seed their angles
+        P = SystemParams.from_dict(raw["params"])
+        assert report["outcome"] == classify_shot(P, *_seed(0.3, 1e-4), 1e-4).to_dict()
 
     def test_sweep_angle(self, tmp_path):
         raw = dict(HAM_CONFIG, sweep={"kind": "angle", "n": 5})

@@ -427,6 +427,23 @@ class TestOracleEquivalence:
             oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
 
 
+def _count_phase_rhs(monkeypatch) -> list[int]:
+    """A one-item list that counts the phase right-hand side evaluations of
+    the runs started from now on."""
+    calls, real = [0], dynamics.phase_rhs
+
+    def counting_phase_rhs(params):
+        rhs = real(params)
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+        return counted
+
+    monkeypatch.setattr(dynamics, "phase_rhs", counting_phase_rhs)
+    return calls
+
+
 # -- reference: the eager shot classification ----------------------------------
 # classify_shot as it ran before shots paused at their S-decision: every run is
 # integrated to its end at once by integrate_m. It reads the constants of
@@ -538,18 +555,19 @@ class TestPausedShot:
             with pytest.raises(Inconclusive):
                 out.hit_times
 
+    def test_blow_up_without_a_crossing_raises_at_once(self, monkeypatch):
+        # a run that leaves the box with no face crossing recorded is not
+        # rerun on a wider horizon: the same steps would end the same way
+        starts, real = [], dynamics._start
+        monkeypatch.setattr(dynamics, "_start", lambda *args: starts.append(args) or real(*args))
+        monkeypatch.setattr(dynamics, "_crossings", lambda sol: (None, None))
+        x, y = RHO * math.cos(0.3), RHO * math.sin(0.3)
+        with pytest.raises(Inconclusive, match=re.escape(f"seed {(x, y)}: left the box")):
+            classify_shot(hamiltonian_params(6.0, 1.6, 2.1), x, y, RHO)
+        assert len(starts) == 1
+
     def test_search_reads_s_classes_only(self, monkeypatch):
-        calls, real = [0], dynamics.phase_rhs
-
-        def counting_phase_rhs(params):
-            rhs = real(params)
-
-            def counted(t, y):
-                calls[0] += 1
-                return rhs(t, y)
-            return counted
-
-        monkeypatch.setattr(dynamics, "phase_rhs", counting_phase_rhs)
+        calls = _count_phase_rhs(monkeypatch)
         res = search_ground_state(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
         searched = calls[0]
         for o in res.outcomes + tuple(b.outcome for b in res.boundaries):
@@ -616,8 +634,9 @@ class TestCertificate:
                     out = classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO)
                     if out.s_class is SClass.S:
                         continue
-                    assert out._certified is out._finished[1]
-                    certified.add(out._certified)
+                    run = out._run
+                    assert out.m_class is run.proved is run.finished[1]
+                    certified.add(run.proved)
         assert certified == {MClass.M1, MClass.M2}
 
     def test_dirichlet_search_runs_no_shot_to_blow_up(self, monkeypatch):
@@ -643,8 +662,7 @@ class TestCertificate:
 def _full_read_dirichlet(params, u0=None, n_angles=9):
     """search_dirichlet's to_dict() as it ran before the grid walk: the M-class
     of every grid shot is read, then the smallest Dirichlet angle is taken."""
-    rho = dynamics.MANIFOLD_RHO
-    res = search_ground_state(params, n_angles, rho)
+    res = search_ground_state(params, n_angles)
     hits = [b for b in res.boundaries if b.kind == "dirichlet"]
     for th, o in zip(res.angles, res.outcomes):
         if o.m_class is MClass.M3 and o.s_class is not SClass.S:
@@ -652,7 +670,8 @@ def _full_read_dirichlet(params, u0=None, n_angles=9):
     if not hits:
         return DirichletSearch(found=False).to_dict()
     hit = min(hits, key=lambda h: h.angle)
-    u0_star, v0_star = regular_initial_values(params, *dynamics._seed(hit.angle, rho))
+    u0_star, v0_star = regular_initial_values(
+        params, *dynamics._seed(hit.angle, dynamics.MANIFOLD_RHO))
     if u0 is not None:
         ex = derive_exponents(params)
         scale = (u0 / u0_star) ** (1.0 / ex.gamma)
@@ -1143,6 +1162,44 @@ class TestKernelPauseResume:
     ], ids=["radial", "underflow"])
     def test_paused_run_equals_solve(self, rhs, span, y0):
         self._assert_pauses_are_invisible(rhs, span, y0, ())
+
+
+class TestSingleResumption:
+    """A shot's paused run is moved on by one loop, whatever is read first:
+    the M-class read and the hit-times read, in either order, give the same
+    outcome for the same right-hand side evaluations."""
+
+    CASES = [*(lambda P=P, xy=xy: [classify_shot(P, *xy, RHO)] for P, xy in SCIPY_SHOTS),
+             lambda: sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)[1]]
+
+    @pytest.mark.parametrize("shots", CASES, ids=["ham-diagonal-S3", "ham-off-diagonal",
+                                                  "ham-supercritical", "potential",
+                                                  "mirrored-grid"])
+    def test_read_order_is_invisible(self, monkeypatch, shots):
+        calls = _count_phase_rhs(monkeypatch)
+        reads = {}
+        for first, second in (("m_class", "hit_times"), ("hit_times", "m_class")):
+            calls[0] = 0
+            outs = shots()
+            for o in outs:
+                getattr(o, first)
+                getattr(o, second)
+            reads[first] = [o.to_dict() for o in outs], calls[0]
+        assert reads["m_class"] == reads["hit_times"]
+
+    def test_mirror_reads_its_partners_run(self, monkeypatch):
+        calls = _count_phase_rhs(monkeypatch)
+        P = hamiltonian_params(6.0, 1.5, 1.5)
+        _, outs = sweep_angles(P, n_angles=9)
+        calls[0] = 0
+        partner_alone = outs[0].to_dict()
+        alone = calls[0]
+        _, outs = sweep_angles(P, n_angles=9)
+        calls[0] = 0
+        mirror = outs[-1].to_dict()
+        assert outs[0].to_dict() == partner_alone
+        assert 0 < calls[0] <= alone
+        assert mirror["seed"] == partner_alone["seed"][::-1]
 
 
 class TestKernelCounts:
