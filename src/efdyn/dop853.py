@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Iterator, Sequence
 
 from .numerics import ODE_ATOL, ODE_RTOL
@@ -314,12 +315,32 @@ def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
 
 class StepInterpolant:
     """The 7-term DOP853 interpolant over one accepted step, from the step's
-    stage derivatives ks = (k0, k5, ..., k11) and k12 = fun(t_old + h, y)."""
+    stage derivatives ks = (k0, k5, ..., k11) and k12 = fun(t_old + h, y).
 
-    __slots__ = ("t_old", "h", "y_old", "coeffs")
+    It is built on first use: the constructor stores the step, and the first
+    evaluation (or the first read of `coeffs`) computes the three extra stages,
+    with 3 calls of `fun`, and the coefficients. A piece that is never
+    evaluated costs no right-hand side evaluation."""
+
+    __slots__ = ("t_old", "h", "y_old", "_step", "_coeffs")
 
     def __init__(self, fun: Rhs, t_old, h, y_old, y, ks, k12):
-        ya, yb, yc, yd = y_old
+        self.t_old, self.h, self.y_old = t_old, h, y_old
+        self._step = (fun, y, ks, k12)
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        """Per component, the coefficients of the powers 6..0 of the Horner
+        scheme."""
+        return self._coeffs or self._build()
+
+    def _build(self):
+        """The extra stages and the coefficients, once; the stored step is
+        then dropped."""
+        fun, y, ks, k12 = self._step
+        t_old, h = self.t_old, self.h
+        ya, yb, yc, yd = self.y_old
         ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d),
          (k7a, k7b, k7c, k7d), (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d),
          (k10a, k10b, k10c, k10d), (k11a, k11b, k11c, k11d)) = ks
@@ -352,9 +373,7 @@ class StepInterpolant:
             yd + (A15_0 * k0d + A15_5 * k5d + A15_6 * k6d + A15_7 * k7d + A15_8 * k8d
                   + A15_12 * k12d + A15_13 * k13d + A15_14 * k14d) * h))
         na, nb, nc, nd = y
-        self.t_old, self.h, self.y_old = t_old, h, y_old
-        # per component, the coefficients of the powers 6..0 of the Horner scheme
-        self.coeffs = (
+        self._coeffs = coeffs = (
             _dense_row(h, na - ya, k0a, k5a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
                        k14a, k15a),
             _dense_row(h, nb - yb, k0b, k5b, k6b, k7b, k8b, k9b, k10b, k11b, k12b, k13b,
@@ -363,13 +382,16 @@ class StepInterpolant:
                        k14c, k15c),
             _dense_row(h, nd - yd, k0d, k5d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d,
                        k14d, k15d))
+        self._step = None
+        return coeffs
 
     def __call__(self, t) -> tuple[float, float, float, float]:
         x = (t - self.t_old) / self.h
         x1 = 1 - x
         ya, yb, yc, yd = self.y_old
         ((a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6),
-         (c0, c1, c2, c3, c4, c5, c6), (d0, d1, d2, d3, d4, d5, d6)) = self.coeffs
+         (c0, c1, c2, c3, c4, c5, c6), (d0, d1, d2, d3, d4, d5, d6)) = \
+            self._coeffs or self._build()
         return (
             (((((((0.0 + a0) * x + a1) * x1 + a2) * x + a3) * x1 + a4) * x + a5) * x1
              + a6) * x + ya,
@@ -383,19 +405,25 @@ class StepInterpolant:
 
 class DenseSolution:
     """Piecewise interpolant over the accepted steps. At a step boundary the
-    earlier step's piece is used."""
+    earlier step's piece is used.
+
+    It reads the run's own lists of points and pieces, so on a paused run it
+    covers the steps taken so far; on that span it selects the piece that the
+    finished run selects."""
 
     def __init__(self, ts: list[float], pieces: list):
         self.ascending = ts[-1] >= ts[0]
-        self.ts_sorted = ts if self.ascending else ts[::-1]
+        self.ts = ts
         self.pieces = pieces
 
     def __call__(self, t) -> tuple[float, ...]:
-        n = len(self.pieces)
+        ts, n = self.ts, len(self.pieces)
         if self.ascending:
-            seg = min(max(bisect_left(self.ts_sorted, t) - 1, 0), n - 1)
+            seg = min(max(bisect_left(ts, t) - 1, 0), n - 1)
         else:
-            seg = n - 1 - min(max(bisect_right(self.ts_sorted, t) - 1, 0), n - 1)
+            # the number of points at or below t, counted on the descending list
+            below = len(ts) - bisect_left(ts, -t, key=neg)
+            seg = n - 1 - min(max(below - 1, 0), n - 1)
         return self.pieces[seg](t)
 
 
@@ -407,8 +435,9 @@ class Solution:
                                      # None: the run goes on (`steps`)
     t_events: list[list[float]]      # per event, in integration order
     sol: DenseSolution | None = None
-    nfev: int = 0                    # right-hand side evaluations: 11 per attempted step, 1 more
-                                     # per accepted one, 3 per interpolant, 2 to start
+    nfev: int = 0                    # the run's right-hand side evaluations: 11 per attempted
+                                     # step, 1 more per accepted one, 3 per interpolant built
+                                     # to locate an event, 2 to start
     n_accepted: int = 0              # accepted steps
     n_rejected: int = 0              # rejected step attempts
 
@@ -482,8 +511,12 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     crossings only, < 0: downward only, 0: both). Its zeros are located on the
     step interpolant to 4 eps; a terminal event ends the run at its zero, which
     becomes the last point. With `dense`, `Solution.sol` evaluates the solution
-    anywhere on the integrated span once the run has ended; otherwise
-    interpolants are built only for steps with an event.
+    at every yield, over the steps taken so far: on that span its values are
+    those of the finished run, bit for bit. Each step's interpolant is built
+    on its first evaluation (`StepInterpolant`), so output that nothing reads
+    costs nothing; `Solution.nfev` counts only the interpolants built during
+    the run, those of the steps with an event. Without `dense`, only the steps
+    with an event get an interpolant.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -549,10 +582,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        piece = None
-        if dense:
-            piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
-            nfev += 3
+        piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f) if dense else None
 
         if events:
             g_new, active = [], []
@@ -563,9 +593,10 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                 if up if d > 0 else down if d < 0 else up or down:
                     active.append(i)
             if active:
+                # locating a zero evaluates the piece: it is built here
                 if piece is None:
                     piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
-                    nfev += 3
+                nfev += 3
                 found = [(find_root(lambda s, fn=specs[i][0]: fn(s, piece(s)), t_old, t), i)
                          for i in active]
                 if any(events[i].terminal for i in active):
@@ -585,7 +616,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
             ys.append(y)
             if dense:
                 pieces.append(piece)
-        if status is not None and dense:
+        if dense and out.sol is None:
             out.sol = DenseSolution(ts, pieces)
         out.status, out.nfev, out.n_accepted, out.n_rejected = \
             status, nfev, n_accepted, n_rejected

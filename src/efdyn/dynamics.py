@@ -73,6 +73,13 @@ def _signed_root(x: float, e: float) -> float:
     return math.copysign(abs(x) ** e, x) if x != 0.0 else 0.0
 
 
+def _radial_state(P: SystemParams, t: float, y) -> RadialState:
+    """The radial state at t = ln r from the integrator's state (u, v, U, V)."""
+    u, v, U, V = y
+    return RadialState(r=math.exp(t), u=u, v=v, du=_signed_root(U, 1 / (P.p - 1)),
+                       dv=_signed_root(V, 1 / (P.q - 1)))
+
+
 @dataclass(frozen=True)
 class RadialTrajectory:
     """A radial run at the integrator's accepted steps, as tuples of floats:
@@ -98,10 +105,7 @@ class RadialTrajectory:
         """Interpolated radial state at t = ln r (needs dense output)."""
         if self.dense is None:
             raise PreconditionViolated("trajectory was integrated without dense output")
-        u, v, U, V = self.dense(t)
-        P = self._params
-        return RadialState(r=math.exp(t), u=u, v=v, du=_signed_root(U, 1 / (P.p - 1)),
-                           dv=_signed_root(V, 1 / (P.q - 1)))
+        return _radial_state(self._params, t, self.dense(t))
 
     def phase_at(self, t: float) -> PhaseState:
         return to_phase(self._params, self.state_at(t))
@@ -261,6 +265,27 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
     neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
     """
+    rhs, span, y0, evs = _radial_problem(params, u0, v0, r_max)
+    sol = _solve(rhs, span, y0, evs, dense)
+    events = [ev for ev in _named([ev.name for ev in evs], sol.t_events)
+              if ev[1] != "both-zero"]
+    if events:
+        term = Termination(kind="event", event=events[0][1])
+    else:
+        term = Termination(kind="max-time")
+    u, v, U, V = zip(*sol.y)
+    P = params
+    ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
+    return RadialTrajectory(r=tuple(math.exp(t) for t in sol.t), u=u, v=v,
+                            du=tuple(_signed_root(x, ep) for x in U),
+                            dv=tuple(_signed_root(x, eq) for x in V),
+                            termination=term, events=tuple(events),
+                            dense=sol.sol, _params=params)
+
+
+def _radial_problem(params, u0, v0, r_max):
+    """integrate_radial's (rhs, span, y0, events): the startup series at
+    RADIAL_R0, and the events u-zero, v-zero, both-zero and blow-up."""
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -283,21 +308,8 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
                      direction=-1.0),
            EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - blow_up,
                      terminal=True, direction=1.0))
-    sol = _solve(_radial_rhs(params), (math.log(r0), math.log(r_max)),
-                 [u_init, v_init, U_init, V_init], evs, dense)
-    events = [ev for ev in _named([ev.name for ev in evs], sol.t_events)
-              if ev[1] != "both-zero"]
-    if events:
-        term = Termination(kind="event", event=events[0][1])
-    else:
-        term = Termination(kind="max-time")
-    u, v, U, V = zip(*sol.y)
-    ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
-    return RadialTrajectory(r=tuple(math.exp(t) for t in sol.t), u=u, v=v,
-                            du=tuple(_signed_root(x, ep) for x in U),
-                            dv=tuple(_signed_root(x, eq) for x in V),
-                            termination=term, events=tuple(events),
-                            dense=sol.sol, _params=params)
+    return (_radial_rhs(params), (math.log(r0), math.log(r_max)),
+            [u_init, v_init, U_init, V_init], evs)
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
@@ -311,13 +323,28 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     X at the last comparison sample, then all four coordinates are compared
     at 25 points along the stretch where the trajectory is still inside 60%
     of the box.
+
+    The phase run goes to its end, which fixes the scan grid. The radial run
+    (`integrate_radial`'s problem) stops at its first point at or past
+    ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison reads lies
+    beyond ph.t[-1] - tau + 0.5, and past it the window, the shift bracket and
+    the sample filter no longer depend on where the run stops. Every value
+    read is the whole run's, bit for bit. A step underflow of the radial run
+    before that point raises StepSizeUnderflow; one after it is never reached.
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
     ph = integrate_m(params, seed, horizon=(0.0, T_END), dense=True)
-    rad = integrate_radial(params, u0h, v0h, r_max=math.exp(T_END), dense=True)
+    t_read = ph.t[-1] - tau + 0.5 + 1e-6
+    for rad in _start(*_radial_problem(params, u0h, v0h, math.exp(T_END)), dense=True):
+        if rad.t[-1] >= t_read:
+            break
+    _checked(rad)
 
-    rad_lo, rad_hi = math.log(rad.r[0]), math.log(rad.r[-1])
+    def rad_phase(t):
+        return to_phase(params, _radial_state(params, t, rad.sol(t)))
+
+    rad_lo, rad_hi = math.log(math.exp(rad.t[0])), math.log(math.exp(rad.t[-1]))
     t_lo = max(0.0, rad_lo + tau + 1e-9)
     t_hi = min(ph.t[-1], rad_hi + tau - 1e-9)
     for t in linspace(t_lo, t_hi, 400):
@@ -332,7 +359,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     x_target = float(ph.dense(t_hi)[0])
 
     def shift_residual(dt):
-        return float(rad.phase_at(t_hi - tau + dt).X) - x_target
+        return float(rad_phase(t_hi - tau + dt).X) - x_target
 
     lo, hi = -0.5, 0.5
     lo = max(lo, rad_lo - (t_hi - tau) + 1e-9)
@@ -346,7 +373,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     for t in linspace(t_lo, t_hi, 25):
         if not rad_lo + 1e-9 <= t - shift <= rad_hi - 1e-9:
             continue
-        ref = rad.phase_at(t - shift).coords
+        ref = rad_phase(t - shift).coords
         devs = [abs(g - r) / (1.0 + abs(r)) for g, r in zip(ph.dense(t), ref)]
         if all(d == d for d in devs):       # a sample with a NaN deviation is skipped
             worst = max(worst, *devs)

@@ -23,8 +23,9 @@ from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundState
 from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
-                         nonvariational_params, phase_rhs, potential_params,
-                         regular_initial_values, symmetric_scalar_embedding)
+                         nonvariational_params, normalized_regular_data, phase_rhs,
+                         potential_params, regular_initial_values,
+                         symmetric_scalar_embedding)
 from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
@@ -398,27 +399,41 @@ class TestDetectConvergence:
             assert dynamics._detect_convergence(params, traj.t, states) is None
 
 
+# the oracle's points, and the float.hex of its value at each (rho = 1e-6)
+ORACLE_POINTS = [
+    (HAM6, (0.6, 0.4)),
+    (hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4), (0.5, 0.5)),
+    (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.4, 0.7)),
+    # near D = 0 (here 0.032, 0.070 and -0.054) the initial data u0, v0
+    # leave double range; only their logarithms are formed
+    (potential_params(5.350404552187802, 2.345939444167901, 2.38074873144643,
+                      0.20977012392888117, 0.16656921132007008,
+                      0.14384398027404183), (0.5, 0.5)),
+    (potential_params(4.883675070236009, 2.78114947700686, 1.974149213310221,
+                      0.2972472837474833, 0.07838028640472636,
+                      -0.12308269187401276), (0.5, 0.5)),
+    (potential_params(4.675269347129845, 2.526885955901273, 2.583325213813164,
+                      0.3754511934459322, 0.1557762313195418,
+                      -0.14261052586043746), (0.5, 0.5)),
+]
+ORACLE_HEX = ["0x1.2778c34aef834p-21", "0x1.f9a88b17dc690p-26", "0x1.022436e673e62p-24",
+              "0x1.3f2e6cf0380a7p-27", "0x1.4507601667886p-22", "0x1.308bf1dc12805p-28"]
+
+
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("params,xy", [
-        (HAM6, (0.6, 0.4)),
-        (hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4), (0.5, 0.5)),
-        (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), (0.4, 0.7)),
-        # near D = 0 (here 0.032, 0.070 and -0.054) the initial data u0, v0
-        # leave double range; only their logarithms are formed
-        (potential_params(5.350404552187802, 2.345939444167901, 2.38074873144643,
-                          0.20977012392888117, 0.16656921132007008,
-                          0.14384398027404183), (0.5, 0.5)),
-        (potential_params(4.883675070236009, 2.78114947700686, 1.974149213310221,
-                          0.2972472837474833, 0.07838028640472636,
-                          -0.12308269187401276), (0.5, 0.5)),
-        (potential_params(4.675269347129845, 2.526885955901273, 2.583325213813164,
-                          0.3754511934459322, 0.1557762313195418,
-                          -0.14261052586043746), (0.5, 0.5)),
-    ])
+    @pytest.mark.parametrize("params,xy", ORACLE_POINTS)
     def test_routes_agree(self, params, xy):
         rho = 1e-6
         err = oracle_compare(params, xy[0] * rho, xy[1] * rho, rho)
         assert err < 1e-5
+
+    @pytest.mark.parametrize("params,xy,pinned",
+                             [(*point, h) for point, h in zip(ORACLE_POINTS, ORACLE_HEX)])
+    def test_values_are_pinned(self, params, xy, pinned):
+        # the oracle reads only the runs' own interpolants, however far its
+        # radial run goes: its values keep their bits
+        rho = 1e-6
+        assert oracle_compare(params, xy[0] * rho, xy[1] * rho, rho).hex() == pinned
 
     def test_zero_discriminant_rejected(self):
         P = potential_params(6.0, 2.0, 2.0, 0.0, 0.0)
@@ -1255,6 +1270,156 @@ class TestKernelCounts:
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
+
+
+class _EagerInterpolant(dop853.StepInterpolant):
+    """A step interpolant built when its step is taken."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.coeffs
+
+
+def _inner_points(ts, fractions=(0.0, 0.1, 0.5, 0.9, 1.0)):
+    """Points on every step of a run: its ends and some inner points."""
+    return [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in fractions]
+
+
+# a phase run to blow-up (terminal events), and the regular radial solution of
+# the critical Hamiltonian system to r = 1e4
+_DENSE_RUNS = [
+    dynamics._phase_problem(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), (0.0, 40.0), ()),
+    (dynamics._radial_rhs(HAM6), (math.log(RADIAL_R0), math.log(1e4)),
+     [1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6], ()),
+]
+
+
+class TestLazyInterpolant:
+    """Step interpolants are built on first use: the values are those of
+    interpolants built as the steps are taken, and only the pieces built
+    during the run count in `nfev`."""
+
+    @pytest.mark.parametrize("rhs,span,y0,events", _DENSE_RUNS, ids=["phase", "radial"])
+    def test_values_equal_eager_pieces(self, monkeypatch, rhs, span, y0, events):
+        lazy = dop853.solve(rhs, span[0], y0, span[1], events, dense=True)
+        monkeypatch.setattr(dop853, "StepInterpolant", _EagerInterpolant)
+        eager = dop853.solve(rhs, span[0], y0, span[1], events, dense=True)
+        assert _hex(lazy.t) == _hex(eager.t) and len(lazy.t) > 50
+        ts = _inner_points(lazy.t)
+        assert _hex([lazy.sol(t) for t in ts]) == _hex([eager.sol(t) for t in ts])
+
+    @pytest.mark.parametrize("rhs,span,y0,events", _DENSE_RUNS, ids=["phase", "radial"])
+    def test_first_evaluation_builds_the_piece(self, rhs, span, y0, events):
+        rhs, calls = TestKernelCounts._counting(rhs)
+        sol = dop853.solve(rhs, span[0], y0, span[1], events, dense=True)
+        assert sol.nfev == calls[0]
+        run = calls[0]
+        k = len(sol.t) // 2
+        a, b = sol.t[k], sol.t[k + 1]
+        sol.sol(a + 0.3 * (b - a))
+        assert calls[0] == run + 3
+        sol.sol(a + 0.8 * (b - a))
+        sol.sol(a + 0.3 * (b - a))
+        assert calls[0] == run + 3
+        assert sol.nfev == run            # the run's count does not move
+
+    def test_event_step_is_built_during_the_run(self):
+        rhs, calls = TestKernelCounts._counting(phase_rhs(HAM6))
+        events = [EventSpec("x", lambda t, y: y[0] - 0.25)]
+        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events, dense=True)
+        (t_ev,) = sol.t_events[0]
+        assert sol.nfev == calls[0] == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3
+        run = calls[0]
+        sol.sol(t_ev)
+        k = next(i for i, t in enumerate(sol.t) if t > t_ev)
+        sol.sol(0.5 * (sol.t[k - 1] + sol.t[k]))
+        assert calls[0] == run
+
+
+class TestDenseOutputOnPausedRun:
+    """With `dense`, a paused run's `sol` covers the steps taken so far, with
+    the finished run's values."""
+
+    @pytest.mark.parametrize("rhs,span,y0", [
+        (dynamics._radial_rhs(HAM6), (math.log(RADIAL_R0), math.log(1e4)),
+         [1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6]),
+        # backward in time toward N0
+        (phase_rhs(HAM6), (0.0, -8.0), [0.6, 0.6, 2.2, 2.2]),
+    ], ids=["ascending-radial", "descending-phase"])
+    def test_prefix_equals_finished_run(self, rhs, span, y0):
+        ref = dop853.solve(rhs, span[0], y0, span[1], dense=True)
+        n = ref.n_accepted
+        assert n > 30 and ref.status == 0
+        for pause in (1, n // 3, n - 1):
+            run = dop853.steps(rhs, span[0], y0, span[1], dense=True)
+            for _ in range(pause):
+                sol = next(run)
+            ts = _inner_points(sol.t, [k / 12 for k in range(13)])
+            assert len(ts) >= 100 or pause == 1
+            got = _hex([sol.sol(t) for t in ts])
+            assert got == _hex([ref.sol(t) for t in ts])
+            for sol in run:
+                pass
+            assert got == _hex([sol.sol(t) for t in ts])
+
+    def test_without_dense_there_is_no_sol(self):
+        run = dop853.steps(phase_rhs(HAM6), 0.0, [0.6, 0.6, 2.2, 2.2], -8.0)
+        sol = next(run)
+        assert sol.status is None and sol.sol is None
+        for sol in run:
+            pass
+        assert sol.sol is None
+
+
+class TestOracleStop:
+    """oracle_compare stops its radial run once it covers every time that the
+    comparison reads."""
+
+    POINT = (HAM6, 0.6e-6, 0.4e-6, 1e-6)
+
+    @staticmethod
+    def _radial_calls(monkeypatch, nan_on=(math.inf, math.inf)):
+        """A count of the radial right-hand side evaluations of the runs
+        started from now on; the right-hand side is NaN for t in [lo, hi) =
+        nan_on, which leaves the initial-step probe at the span's end alone."""
+        calls, real = [0], dynamics._radial_rhs
+
+        def radial_rhs(params):
+            rhs = real(params)
+
+            def counted(t, y):
+                calls[0] += 1
+                return (math.nan,) * 4 if nan_on[0] <= t < nan_on[1] else rhs(t, y)
+            return counted
+        monkeypatch.setattr(dynamics, "_radial_rhs", radial_rhs)
+        return calls
+
+    def test_fewer_radial_calls_than_integrate_radial(self, monkeypatch):
+        calls = self._radial_calls(monkeypatch)
+        P, x, y, rho = self.POINT
+        assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
+        oracle = calls[0]
+        calls[0] = 0
+        u0, v0, _ = normalized_regular_data(P, x, y)
+        integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END), dense=True)
+        assert 0 < oracle < calls[0]
+
+    def test_radial_failure_before_the_window_end_raises(self, monkeypatch):
+        # the comparison reads the radial run up to t = 1.87 here
+        self._radial_calls(monkeypatch, nan_on=(1.0, 1.5))
+        with pytest.raises(StepSizeUnderflow):
+            oracle_compare(*self.POINT)
+
+    def test_radial_failure_past_the_window_end_is_not_reached(self, monkeypatch):
+        # integrate_radial runs on to the u-zero at t = 8.59 and fails at 5
+        self._radial_calls(monkeypatch, nan_on=(5.0, 5.5))
+        P, x, y, rho = self.POINT
+        u0, v0, _ = normalized_regular_data(P, x, y)
+        with pytest.raises(StepSizeUnderflow):
+            integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END))
+        assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
 
 
 class TestKernelTerminalEvents:
