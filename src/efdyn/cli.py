@@ -6,10 +6,15 @@ directory. Tolerances are the constants of `efdyn.numerics`. Commands:
 
     efdyn analyze|integrate|shoot|sweep|scalar|portrait --config cfg.json [--out DIR]
 
-Exit codes: 0 success, 2 config error, 3 internal numeric failure. Recoverable
-numeric conditions (e.g. a power solution that does not exist) are recorded in
-the report, not fatal. Reruns with identical configs produce byte-identical
-outputs: floats are printed at 17 significant digits and all orderings are fixed.
+`integrate` writes the regular radial solution from (u0, v0) as a CSV (the one
+`mode` is "radial"); `shoot` classifies the manifold seed at angle `theta`.
+
+Exit codes: 0 success, 2 config error (also for a NaN or infinite number, a
+fractional count or a value out of its range), 3 internal numeric failure.
+Recoverable numeric conditions (e.g. a power solution that does not exist) are
+recorded in the report, not fatal. Reruns with identical configs produce
+byte-identical outputs: floats are printed at 17 significant digits and all
+orderings are fixed.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ import sys
 from dataclasses import dataclass, field
 
 from . import energies, equilibria, spectra
-from .dynamics import (EventSpec, _seed, classify_shot, integrate_m, integrate_radial,
-                       linspace, search_ground_state, sweep_angles)
+from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
+                       search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError
-from .model import (PARAM_KEYS, PhaseState, SystemParams, derive_exponents,
-                    phase_rhs, validate_params)
-from .numerics import CAPTURE_DIST, MANIFOLD_RHO, T_END
+from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
+from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
 from .scalar import (ScalarParams, diagonal_trajectory, regular_seed, scalar_classify,
                      scalar_fixed_points)
 
@@ -36,10 +40,10 @@ COMMANDS = ("analyze", "integrate", "shoot", "sweep", "scalar", "portrait")
 _TOP_KEYS = {"command", "params", "scalar", "out", "integrate", "shoot", "sweep",
              "portrait"}
 _BLOCK_KEYS = {
-    "integrate": {"mode", "initial", "t_span", "u0", "v0", "r_max"},
-    "shoot": {"x", "y", "theta", "rho"},
-    "sweep": {"kind", "n", "rho", "parameter", "start", "stop", "step", "n_angles"},
-    "portrait": {"ranges", "grid", "trajectories", "t_span"},
+    "integrate": {"mode", "u0", "v0", "r_max"},
+    "shoot": {"theta", "rho"},
+    "sweep": {"kind", "n", "parameter", "start", "stop", "step", "n_angles"},
+    "portrait": {"ranges", "grid"},
 }
 _SCALAR_KEYS = {"N", "p", "a", "Q", "eps"}
 
@@ -57,28 +61,60 @@ class RunConfig:
     block: dict = field(default_factory=dict)
 
 
-def _number(block: dict, path: str, key: str, default=None, convert=float):
-    """block[key] read by `convert` (float or int), or `default` if the key is
-    absent (None: the key is required); a value `convert` cannot read is a
+def _finite(value) -> float:
+    """`value` as a finite float. It must be a JSON number, not a string; and
+    not NaN or Infinity, which Python's json reads."""
+    if isinstance(value, str):
+        raise TypeError(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
+def _whole(value) -> int:
+    """`value` as an int, if it is a finite whole number (3.7 is not truncated)."""
+    x = _finite(value)
+    if not x.is_integer():
+        raise ValueError(value)
+    return int(x)
+
+
+def _number(block: dict, path: str, key: str, default=None, convert=_finite):
+    """block[key] read by `convert` (_finite or _whole), or `default` if the
+    key is absent (None: the key is required); a value `convert` refuses is a
     config error at path.key."""
     if key not in block:
         if default is None:
             raise ConfigError(f"{path}.{key}", "required")
-        return convert(default)
+        return default
     try:
         return convert(block[key])
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}.{key}", f"not a number: {block[key]!r}")
+        what = "whole" if convert is _whole else "finite"
+        raise ConfigError(f"{path}.{key}", f"not a {what} number: {block[key]!r}")
 
 
-def _numbers(value, path: str, n: int, convert=float) -> list:
+def _numbers(value, path: str, n: int, convert=_finite) -> list:
     """`value` as a list of n entries, each read by `convert`."""
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(path, f"need a list of {n}, got {value!r}")
     try:
         return [convert(v) for v in value]
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"not numbers: {value!r}")
+        what = "whole" if convert is _whole else "finite"
+        raise ConfigError(path, f"not {n} {what} numbers: {value!r}")
+
+
+def _object(raw: dict, path: str, keys) -> dict:
+    """raw[path], checked to be an object whose keys are all in `keys`."""
+    block = raw[path]
+    if not isinstance(block, dict):
+        raise ConfigError(path, "must be an object")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    return block
 
 
 def parse_config(raw: dict, command: str, out_override: str | None = None) -> RunConfig:
@@ -93,15 +129,12 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
 
     params = None
     if "params" in raw:
-        pd = raw["params"]
-        if not isinstance(pd, dict):
-            raise ConfigError("params", "must be an object")
-        for key in pd:
-            if key not in PARAM_KEYS:
-                raise ConfigError(f"params.{key}", "unknown key")
+        pd = _object(raw, "params", PARAM_KEYS)
         for key in ("N", "p", "q"):
             if key not in pd:
                 raise ConfigError(f"params.{key}", "required")
+        for key in pd:      # checked only: the report keeps the values as written
+            _number(pd, "params", key)
         try:
             params = SystemParams.from_dict(pd)
         except EfdynError as exc:
@@ -109,14 +142,10 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
 
     scalar = None
     if "scalar" in raw:
-        sd = raw["scalar"]
-        for key in sd:
-            if key not in _SCALAR_KEYS:
-                raise ConfigError(f"scalar.{key}", "unknown key")
-        for key in ("N", "p", "a", "Q"):
-            if key not in sd:
-                raise ConfigError(f"scalar.{key}", "required")
-        eps = _number(sd, "scalar", "eps", 1, int)
+        sd = _object(raw, "scalar", _SCALAR_KEYS)
+        for key in ("N", "p", "a", "Q"):    # checked only, as in params
+            _number(sd, "scalar", key)
+        eps = _number(sd, "scalar", "eps", 1, _whole)
         try:
             scalar = ScalarParams(N=sd["N"], p=sd["p"], a=sd["a"], Q=sd["Q"], eps=eps)
         except EfdynError as exc:
@@ -124,10 +153,7 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
 
     block = {}
     if command in _BLOCK_KEYS and command in raw:
-        block = raw[command]
-        for key in block:
-            if key not in _BLOCK_KEYS[command]:
-                raise ConfigError(f"{command}.{key}", "unknown key")
+        block = _object(raw, command, _BLOCK_KEYS[command])
 
     out = out_override or raw.get("out") or "efdyn-out"
     return RunConfig(command=command, params=params, scalar=scalar, out=out, block=block)
@@ -233,52 +259,40 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
 def _run_integrate(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
     block = rc.block
-    mode = block.get("mode", "phase")
-    report = {"command": "integrate", "params": P.to_dict(), "mode": mode}
-    csvs = {}
-    if mode == "phase":
-        if "initial" not in block:
-            raise ConfigError("integrate.initial", "need [X, Y, Z, W]")
-        init = _numbers(block["initial"], "integrate.initial", 4)
-        t_span = _numbers(block.get("t_span", [0.0, T_END]), "integrate.t_span", 2)
-        traj = integrate_m(P, PhaseState.from_coords(t_span[0], init), horizon=tuple(t_span))
-        rows = [["t", "X", "Y", "Z", "W"]]
-        for t, st in zip(traj.t, traj.states):
-            rows.append([_fmt(t)] + [_fmt(c) for c in st])
-        csvs["trajectory.csv"] = rows
-        report["termination"] = traj.termination.to_dict()
-        report["samples"] = len(traj.t)
-        summary = [f"integrate phase: {len(traj.t)} samples, "
-                   f"termination {traj.termination.kind}"]
-    elif mode == "radial":
-        u0 = _number(block, "integrate", "u0", 1.0)
-        v0 = _number(block, "integrate", "v0", 1.0)
-        r_max = _number(block, "integrate", "r_max", 1e4)
-        rad = integrate_radial(P, u0, v0, r_max)
-        rows = [["r", "u", "v", "du", "dv"]]
-        for i in range(len(rad.r)):
-            rows.append([_fmt(rad.r[i]), _fmt(rad.u[i]), _fmt(rad.v[i]),
-                         _fmt(rad.du[i]), _fmt(rad.dv[i])])
-        csvs["trajectory.csv"] = rows
-        report["termination"] = rad.termination.to_dict()
-        report["events"] = [[t, name] for t, name in rad.events]
-        summary = [f"integrate radial: {len(rad.r)} samples, "
-                   f"termination {rad.termination.kind}"]
-    else:
-        raise ConfigError("integrate.mode", f"unknown mode {mode!r}")
-    return ReportBundle(report=report, csv_files=csvs, summary=summary)
+    mode = block.get("mode", "radial")
+    if mode != "radial":
+        raise ConfigError("integrate.mode", f"unknown mode {mode!r}; the one mode is 'radial'")
+    u0 = _number(block, "integrate", "u0", 1.0)
+    v0 = _number(block, "integrate", "v0", 1.0)
+    r_max = _number(block, "integrate", "r_max", 1e4)
+    for key, value in (("u0", u0), ("v0", v0)):
+        if value <= 0.0:
+            raise ConfigError(f"integrate.{key}", f"need a value > 0, got {value!r}")
+    if r_max <= RADIAL_R0:      # the run starts at RADIAL_R0 and goes outward
+        raise ConfigError("integrate.r_max", f"need a radius > {RADIAL_R0}, got {r_max!r}")
+    rad = integrate_radial(P, u0, v0, r_max)
+    rows = [["r", "u", "v", "du", "dv"]]
+    for i in range(len(rad.r)):
+        rows.append([_fmt(rad.r[i]), _fmt(rad.u[i]), _fmt(rad.v[i]),
+                     _fmt(rad.du[i]), _fmt(rad.dv[i])])
+    report = {"command": "integrate", "params": P.to_dict(), "mode": mode,
+              "termination": rad.termination.to_dict(),
+              "events": [[t, name] for t, name in rad.events]}
+    summary = [f"integrate radial: {len(rad.r)} samples, "
+               f"termination {rad.termination.kind}"]
+    return ReportBundle(report=report, csv_files={"trajectory.csv": rows}, summary=summary)
 
 
 def _run_shoot(rc: RunConfig) -> ReportBundle:
     P = _need_params(rc)
     block = rc.block
+    theta = _number(block, "shoot", "theta")
+    if not 0.0 <= theta <= math.pi / 2:
+        raise ConfigError("shoot.theta", f"need an angle in [0, pi/2], got {theta!r}")
     rho = _number(block, "shoot", "rho", MANIFOLD_RHO)
-    if "theta" in block:
-        x, y = _seed(_number(block, "shoot", "theta"), rho)
-    else:
-        if "x" not in block or "y" not in block:
-            raise ConfigError("shoot", "need x and y (or theta)")
-        x, y = _number(block, "shoot", "x"), _number(block, "shoot", "y")
+    if rho <= 0.0:
+        raise ConfigError("shoot.rho", f"need a radius > 0, got {rho!r}")
+    x, y = _seed(theta, rho)
     out = classify_shot(P, x, y, rho)
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]
@@ -295,14 +309,12 @@ def family_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _family_params(P: SystemParams, parameter: str, v: float) -> SystemParams:
-    if parameter == "delta=mu":
-        return P.replace(delta=v, mu=v)
-    if parameter == "s=m":
-        return P.replace(s=v, m=v)
-    if parameter == "s=m-potential":
-        return P.replace(s=v, m=v, delta=v + 1.0, mu=v + 1.0)
-    raise ConfigError("sweep.parameter", f"unknown family parameter {parameter!r}")
+# the one-parameter families of a family sweep: the parameters at value v
+_FAMILIES = {
+    "delta=mu": lambda P, v: P.replace(delta=v, mu=v),
+    "s=m": lambda P, v: P.replace(s=v, m=v),
+    "s=m-potential": lambda P, v: P.replace(s=v, m=v, delta=v + 1.0, mu=v + 1.0),
+}
 
 
 def _run_sweep(rc: RunConfig) -> ReportBundle:
@@ -311,27 +323,28 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
     kind = block.get("kind", "angle")
     csvs = {}
     if kind == "angle":
-        n = _number(block, "sweep", "n", 33, int)
+        n = _number(block, "sweep", "n", 33, _whole)
         if n < 0:
             raise ConfigError("sweep.n", f"need a count >= 0, got {n}")
-        rho = _number(block, "sweep", "rho", MANIFOLD_RHO)
-        thetas, outcomes = sweep_angles(P, n, rho)
+        thetas, outcomes = sweep_angles(P, n)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
         for th, o in zip(thetas, outcomes):
             first = min(o.hit_times.values()) if o.hit_times else math.nan
             rows.append([_fmt(th), o.s_class.value, o.m_class.value, _fmt(first)])
         csvs["sweep.csv"] = rows
         report = {"command": "sweep", "kind": "angle", "params": P.to_dict(),
-                  "n": n, "rho": rho}
+                  "n": n, "rho": MANIFOLD_RHO}
         summary = [f"angle sweep: {n} seeds",
                    "classes: " + " ".join(o.s_class.value for o in outcomes)]
     elif kind == "family":
         parameter = block.get("parameter", "delta=mu")
+        if not isinstance(parameter, str) or parameter not in _FAMILIES:
+            raise ConfigError("sweep.parameter", f"unknown family parameter {parameter!r}")
         start, stop = _number(block, "sweep", "start"), _number(block, "sweep", "stop")
         step = _number(block, "sweep", "step", 0.1)
-        if not step > 0:            # NaN too: the value loop below would not end
+        if step <= 0.0:             # the value loop below would not end
             raise ConfigError("sweep.step", f"need a step > 0, got {step!r}")
-        n_angles = _number(block, "sweep", "n_angles", 17, int)
+        n_angles = _number(block, "sweep", "n_angles", 17, _whole)
         if n_angles < 1:
             raise ConfigError("sweep.n_angles", f"need a count >= 1, got {n_angles}")
         values = family_grid(start, stop, step)
@@ -339,7 +352,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         flips = []
         prev = None
         for v in values:
-            Pv = _family_params(P, parameter, v)
+            Pv = _FAMILIES[parameter](P, v)
             res = search_ground_state(Pv, n_angles=n_angles)
             pred = energies.predict_existence(Pv).verdict.value
             rows.append([_fmt(v), _fmt(Pv.delta), _fmt(Pv.mu), _fmt(Pv.s), _fmt(Pv.m),
@@ -369,13 +382,12 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
-    """The scalar phase plane: the vector field on a grid plus sample orbits."""
+    """The scalar phase plane: the vector field on a grid plus the regular orbit."""
     sp = _need_scalar(rc)
     block = rc.block
-    grid = _numbers(block.get("grid", [21, 21]), "portrait.grid", 2, int)
+    grid = _numbers(block.get("grid", [21, 21]), "portrait.grid", 2, _whole)
     if min(grid) < 0:
         raise ConfigError("portrait.grid", f"need sizes >= 0, got {grid}")
-    csvs = {}
     fps = scalar_fixed_points(sp)
     ranges = _numbers(block.get("ranges", [[0.0, 1.5 * sp.x_bound], [0.0, 1.5 * (sp.N + sp.a)]]),
                       "portrait.ranges", 2, lambda r: _numbers(r, "portrait.ranges", 2))
@@ -388,32 +400,22 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
         for zv in zs:
             d = rhs(0.0, (xv, xv, zv, zv))
             rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
-    csvs["portrait.csv"] = rows
-    starts = block.get("trajectories")
-    if starts is None:
-        starts = [list(regular_seed(sp, MANIFOLD_RHO))]
-    elif not isinstance(starts, list):
-        raise ConfigError("portrait.trajectories", f"need a list of [X, Z], got {starts!r}")
-    else:
-        starts = [_numbers(st, "portrait.trajectories", 2) for st in starts]
-    t_span = _numbers(block.get("t_span", [0.0, T_END]), "portrait.t_span", 2)
-    # an orbit ends once it comes within CAPTURE_DIST of a fixed point:
+    # the orbit ends once it comes within CAPTURE_DIST of a fixed point:
     # past a saddle such as A0, which way it leaves is decided by roundoff
     capture = [EventSpec(f"capture:{name}",
                          lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
                          - CAPTURE_DIST, terminal=True, direction=-1.0)
                for name, pt in fps.items()]
+    traj = diagonal_trajectory(sp, regular_seed(sp, MANIFOLD_RHO), (0.0, T_END), events=capture)
     trows = [["trajectory", "t", "X", "Z"]]
-    for i, st in enumerate(starts):
-        traj = diagonal_trajectory(sp, st, t_span, events=capture)
-        for t, row in zip(traj.t, traj.states):
-            trows.append([str(i), _fmt(t), _fmt(row[0]), _fmt(row[2])])
-    csvs["trajectories.csv"] = trows
+    for t, row in zip(traj.t, traj.states):
+        trows.append(["0", _fmt(t), _fmt(row[0]), _fmt(row[2])])
     report = {"command": "portrait", "scalar": sp.to_dict(),
               "fixed_points": {k: list(v) for k, v in fps.items()}}
     summary = ["scalar portrait: fixed points " +
                " ".join(f"{k}=({_fmt(v[0])},{_fmt(v[1])})" for k, v in fps.items())]
-    return ReportBundle(report=report, csv_files=csvs, summary=summary)
+    return ReportBundle(report=report, csv_files={"portrait.csv": rows, "trajectories.csv": trows},
+                        summary=summary)
 
 
 _RUNNERS = {"analyze": _run_analyze, "integrate": _run_integrate, "shoot": _run_shoot,

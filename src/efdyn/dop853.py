@@ -552,7 +552,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:       # a NaN step (non-finite y0 or f) too
                 out.status, out.nfev, out.n_accepted, out.n_rejected = \
                     -1, nfev, n_accepted, n_rejected
                 yield out

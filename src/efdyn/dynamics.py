@@ -32,8 +32,8 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RAT
 
 @dataclass(frozen=True)
 class Termination:
-    kind: str                                  # "blow-up-x" | "blow-up-y" | "blow-up-both"
-                                               # | "converged" | "max-time" | "event"
+    kind: str                                  # "blow-up" | "converged" | "max-time" | "event";
+                                               # "failed" for a collapsed step size
     label: FixedPointLabel | None = None       # for "converged"
     event: str | None = None                   # for "event"
 
@@ -92,23 +92,12 @@ class RadialTrajectory:
     dv: tuple[float, ...]
     termination: Termination
     events: tuple[tuple[float, str], ...] = ()   # times are t = ln r
-    dense: Callable | None = None                # t -> (u, v, U, V)
-    _params: SystemParams | None = None
 
     def first_event(self, name: str) -> float | None:
         for t, n in self.events:
             if n == name:
                 return t
         return None
-
-    def state_at(self, t: float) -> RadialState:
-        """Interpolated radial state at t = ln r (needs dense output)."""
-        if self.dense is None:
-            raise PreconditionViolated("trajectory was integrated without dense output")
-        return _radial_state(self._params, t, self.dense(t))
-
-    def phase_at(self, t: float) -> PhaseState:
-        return to_phase(self._params, self.state_at(t))
 
 
 @dataclass(frozen=True)
@@ -213,17 +202,12 @@ def _phase_problem(params, initial, horizon, events):
 def _finish_m(params, sol, names) -> Trajectory:
     """integrate_m's trajectory from the final solution of its run; `names`
     are those of its events after the two blow-up events."""
-    hit_x = len(sol.t_events[0]) > 0
-    hit_y = len(sol.t_events[1]) > 0
     named = _named(names, sol.t_events[2:])
     t, states = tuple(sol.t), tuple(sol.y)
 
     if sol.status == 1:         # a run records one terminal event at most
-        if hit_x or hit_y:
-            # the companion coordinate may be effectively blown up as well
-            ratio = abs(states[-1][1 if hit_x else 0]) / BLOW_UP
-            term = Termination(kind="blow-up-both" if ratio > 0.99
-                               else "blow-up-x" if hit_x else "blow-up-y")
+        if sol.t_events[0] or sol.t_events[1]:
+            term = Termination(kind="blow-up")
         else:
             # terminated by a user event
             term = Termination(kind="event", event=named[-1][1] if named else None)
@@ -256,8 +240,8 @@ def _radial_rhs(params: SystemParams):
     return rhs
 
 
-def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
-                     dense: bool = False) -> RadialTrajectory:
+def integrate_radial(params: SystemParams, u0: float, v0: float,
+                     r_max: float) -> RadialTrajectory:
     """Regular solution of the radial system with data (u0, v0), in log-radius.
 
     Startup at r0 = RADIAL_R0 uses the first-order series: the flux potentials
@@ -266,7 +250,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
     """
     rhs, span, y0, evs = _radial_problem(params, u0, v0, r_max)
-    sol = _solve(rhs, span, y0, evs, dense)
+    sol = _solve(rhs, span, y0, evs)
     events = [ev for ev in _named([ev.name for ev in evs], sol.t_events)
               if ev[1] != "both-zero"]
     if events:
@@ -279,8 +263,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float, r_max: float,
     return RadialTrajectory(r=tuple(math.exp(t) for t in sol.t), u=u, v=v,
                             du=tuple(_signed_root(x, ep) for x in U),
                             dv=tuple(_signed_root(x, eq) for x in V),
-                            termination=term, events=tuple(events),
-                            dense=sol.sol, _params=params)
+                            termination=term, events=tuple(events))
 
 
 def _radial_problem(params, u0, v0, r_max):
@@ -289,8 +272,8 @@ def _radial_problem(params, u0, v0, r_max):
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
-    if u0 <= 0.0 or v0 <= 0.0:
-        raise PreconditionViolated("u0 and v0 must be positive")
+    if not (0.0 < u0 < math.inf and 0.0 < v0 < math.inf):
+        raise PreconditionViolated("u0 and v0 must be positive and finite")
     r0 = RADIAL_R0
     cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
     cv = (u0 ** P.mu * v0 ** P.m / (P.N + P.b)) ** (1 / (P.q - 1))
@@ -633,9 +616,10 @@ def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
                        outcome._run, mirrored=True)
 
 
-def sweep_angles(params: SystemParams, n_angles: int = 33,
-                 rho: float = MANIFOLD_RHO) -> tuple[tuple[float, ...], list[ShotOutcome]]:
-    """Classify seeds on a uniform angle grid over (0, pi/2), ordered by angle.
+def sweep_angles(params: SystemParams,
+                 n_angles: int = 33) -> tuple[tuple[float, ...], list[ShotOutcome]]:
+    """Classify the seeds at MANIFOLD_RHO on a uniform angle grid over (0, pi/2),
+    ordered by angle.
 
     When exchange_params(params) == params, the swap X <-> Y, Z <-> W maps the
     shot at theta onto the shot at pi/2 - theta: only the first ceil(n/2)
@@ -646,7 +630,7 @@ def sweep_angles(params: SystemParams, n_angles: int = 33,
         raise PreconditionViolated(f"need n_angles >= 0, got {n_angles}")
     thetas = tuple(linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
     shot = (n_angles + 1) // 2 if exchange_params(params) == params else n_angles
-    outcomes = [classify_shot(params, *_seed(th, rho), rho) for th in thetas[:shot]]
+    outcomes = [classify_shot(params, *_seed(th, MANIFOLD_RHO)) for th in thetas[:shot]]
     outcomes += [_exchanged(outcomes[n_angles - 1 - i]) for i in range(shot, n_angles)]
     return thetas, outcomes
 
@@ -689,7 +673,7 @@ def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundState
     if n_angles < 1:
         # zero shots would report found=False as if it were an answer
         raise PreconditionViolated(f"need n_angles >= 1, got {n_angles}")
-    thetas, outcomes = sweep_angles(params, n_angles, MANIFOLD_RHO)
+    thetas, outcomes = sweep_angles(params, n_angles)
     boundaries: list[BoundaryHit] = []
     for i in range(len(thetas) - 1):
         a, b = outcomes[i], outcomes[i + 1]

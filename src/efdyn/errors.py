@@ -50,7 +50,9 @@ class SeriesInvalid(EfdynError):
 
 
 class Inconclusive(EfdynError):
-    """Shot classification stayed ambiguous after all horizon extensions."""
+    """No verdict from the numbers at hand: a shot that leaves the box without
+    crossing a face, or crosses one but does not blow up within every horizon
+    extension, or an oracle comparison without an overlap window."""
 
 
 class ConfigError(EfdynError):

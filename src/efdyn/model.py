@@ -234,11 +234,6 @@ class PhaseState:
     def r(self) -> float:
         return math.exp(self.t)
 
-    @classmethod
-    def from_coords(cls, t, coords) -> "PhaseState":
-        X, Y, Z, W = coords
-        return cls(t=float(t), X=float(X), Y=float(Y), Z=float(Z), W=float(W))
-
 
 @dataclass(frozen=True)
 class RadialState:

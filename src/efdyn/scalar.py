@@ -166,8 +166,6 @@ def _termination(term: Termination) -> str:
     "stopped:x" or "converged:<label>"."""
     if term.kind == "converged":
         return f"converged:{term.label.value}"
-    if term.kind.startswith("blow-up"):
-        return "blow-up"
     return term.event or term.kind
 
 

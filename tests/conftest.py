@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ def radial_system_residual(params, u, du, v, dv, r):
     scale_u = abs(rhs_u) + abs(flux_u(r)) / r
     scale_v = abs(rhs_v) + abs(flux_v(r)) / r
     return max(abs(lhs_u - rhs_u) / scale_u, abs(lhs_v - rhs_v) / scale_v)
+
+
+@pytest.fixture
+def deadline():
+    """Ends a test that runs past 30 s with TimeoutError, so that a run that
+    would never end fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 30 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

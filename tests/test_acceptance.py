@@ -131,7 +131,7 @@ def _energy_drift_along_shot(P, spec, seed, t_end=20.0):
     for t, st in zip(traj.t, traj.states):
         if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:
             break
-        ph = PhaseState.from_coords(t, st)
+        ph = PhaseState(t, *st)
         vals.append(energy_value(spec, P, ph))
         u, v = from_phase(P, ph)
         X, Y, Z, W = st

@@ -109,17 +109,6 @@ class TestReruns:
 
 
 class TestCommands:
-    def test_integrate_phase_csv(self, tmp_path):
-        raw = dict(HAM_CONFIG, integrate={"mode": "phase",
-                                          "initial": [0.1, 0.1, 5.9, 5.9],
-                                          "t_span": [0.0, 3.0]})
-        cfg = write_config(tmp_path, raw)
-        out = str(tmp_path / "out")
-        assert main(["integrate", "--config", cfg, "--out", out]) == 0
-        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-        assert lines[0] == "t,X,Y,Z,W"
-        assert len(lines) > 3
-
     def test_integrate_radial_csv(self, tmp_path):
         raw = dict(HAM_CONFIG, integrate={"mode": "radial", "u0": 1.0, "v0": 1.0,
                                           "r_max": 10.0})
@@ -279,13 +268,26 @@ class TestExitCodes:
         assert "config error: scalar: required for this command" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["plane", "fixed"])
-    def test_removed_portrait_key_exit_2(self, tmp_path, capsys, key):
-        raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},
-               "portrait": {key: ["X", "Y"] if key == "plane" else {"Z": 2.0}}}
+    # every block key that was removed, and the removed phase mode of
+    # integrate: the portrait keys plane and fixed kept their ids
+    @pytest.mark.parametrize("path,value", [
+        ("portrait.plane", ["X", "Y"]), ("portrait.fixed", {"Z": 2.0}),
+        ("integrate.initial", [0.1, 0.1, 5.9, 5.9]), ("integrate.t_span", [0.0, 3.0]),
+        ("shoot.x", 1e-4), ("shoot.y", 1e-4), ("sweep.rho", 1e-4),
+        ("portrait.trajectories", [[1e-4, 3.0]]), ("portrait.t_span", [0.0, 3.0]),
+        ("integrate.mode", "phase"),
+    ], ids=["plane", "fixed", "integrate.initial", "integrate.t_span", "shoot.x", "shoot.y",
+            "sweep.rho", "portrait.trajectories", "portrait.t_span", "integrate.mode=phase"])
+    def test_removed_portrait_key_exit_2(self, tmp_path, capsys, path, value):
+        command, key = path.split(".")
+        raw = ({"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0}} if command == "portrait"
+               else dict(HAM_CONFIG))
+        raw[command] = {key: value}
         cfg = write_config(tmp_path, raw)
-        assert main(["portrait", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: portrait.{key}: unknown key" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err
+        assert key == "mode" or f"{path}: unknown key" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,raw,path", [
@@ -307,10 +309,49 @@ class TestExitCodes:
         # zero shots would write every found_gs as 0
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
                                           "n_angles": 0}), "sweep.n_angles"),
+        # a count is a whole number, not truncated; every number is finite
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
+                                          "n_angles": 3.7}), "sweep.n_angles"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "angle", "n": 2.5}), "sweep.n"),
+        ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0, "eps": 1.9}},
+         "scalar.eps"),
+        ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": math.inf}}, "scalar.Q"),
+        ("portrait", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},
+                      "portrait": {"grid": [3.9, 2.2]}}, "portrait.grid"),
+        ("portrait", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},
+                      "portrait": {"ranges": [[0.0, math.nan], [0.0, 3.0]]}},
+         "portrait.ranges"),
+        ("analyze", {"params": dict(HAM_CONFIG["params"], N=math.nan)}, "params.N"),
+        # params keep their values as written: a string would fail past the check
+        ("analyze", {"params": dict(HAM_CONFIG["params"], N="6")}, "params.N"),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": -math.inf, "stop": 2.2}),
+         "sweep.start"),
+        # a NaN u0 made the radial run loop forever
+        ("integrate", dict(HAM_CONFIG, integrate={"u0": math.nan}), "integrate.u0"),
+        ("integrate", dict(HAM_CONFIG, integrate={"u0": 0.0}), "integrate.u0"),
+        ("integrate", dict(HAM_CONFIG, integrate={"v0": -1.0}), "integrate.v0"),
+        ("integrate", dict(HAM_CONFIG, integrate={"r_max": 0.0}), "integrate.r_max"),
+        # below the startup radius RADIAL_R0 the run would go inward
+        ("integrate", dict(HAM_CONFIG, integrate={"r_max": 1e-7}), "integrate.r_max"),
+        ("integrate", dict(HAM_CONFIG, integrate={"r_max": math.inf}), "integrate.r_max"),
+        ("shoot", dict(HAM_CONFIG, shoot={"theta": -0.1}), "shoot.theta"),
+        ("shoot", dict(HAM_CONFIG, shoot={"theta": 2.0}), "shoot.theta"),
+        ("shoot", dict(HAM_CONFIG, shoot={"theta": 0.5, "rho": 0.0}), "shoot.rho"),
+        ("shoot", dict(HAM_CONFIG, shoot={"rho": 1e-4}), "shoot.theta"),
+        # an empty value grid (start > stop) must not hide a misspelled family
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "delta=nu",
+                                          "start": 2.2, "stop": 2.0}), "sweep.parameter"),
     ], ids=["family-without-start", "one-grid-size", "eps-not-a-number", "family-zero-step",
             "family-negative-step", "family-nan-step", "angle-negative-n",
-            "family-negative-n_angles", "family-zero-n_angles"])
-    def test_malformed_value_exit_2(self, tmp_path, capsys, command, raw, path):
+            "family-negative-n_angles", "family-zero-n_angles", "family-fractional-n_angles",
+            "angle-fractional-n", "eps-fractional", "scalar-infinite-Q",
+            "fractional-grid", "nan-range", "params-nan-N", "params-string-N",
+            "family-infinite-start",
+            "integrate-nan-u0", "integrate-zero-u0", "integrate-negative-v0",
+            "integrate-zero-r_max", "integrate-r_max-below-r0", "integrate-infinite-r_max",
+            "shoot-negative-theta", "shoot-theta-above-pi/2", "shoot-zero-rho",
+            "shoot-without-theta", "family-misspelled-parameter"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, deadline, command, raw, path):
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err

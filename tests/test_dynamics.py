@@ -25,7 +25,7 @@ from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
                          nonvariational_params, normalized_regular_data, phase_rhs,
                          potential_params, regular_initial_values,
-                         symmetric_scalar_embedding)
+                         symmetric_scalar_embedding, to_phase)
 from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
@@ -59,7 +59,7 @@ class TestIntegrateM:
     def test_blow_up_termination_consistent(self):
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
-        assert traj.termination.kind == "blow-up-x"
+        assert traj.termination.kind == "blow-up"
         assert abs(np.asarray(traj.states)[-1, 0]) >= BLOW_UP * (1 - 1e-9)
 
     def test_event_detection(self):
@@ -158,12 +158,16 @@ class TestRadialOracle:
 
     def test_consistency_with_phase_system(self):
         # chart image of the radial trajectory satisfies the phase ODE
-        rad = integrate_radial(HAM6, 1.0, 1.0, r_max=50.0, dense=True)
+        sol = dynamics._solve(*dynamics._radial_problem(HAM6, 1.0, 1.0, 50.0), dense=True)
+
+        def phase_at(t):
+            return to_phase(HAM6, dynamics._radial_state(HAM6, t, sol.sol(t)))
+
         for t in np.linspace(-2.0, math.log(40.0), 10):
-            st = rad.phase_at(t)
+            st = phase_at(t)
             h = 1e-5
-            fd = (np.asarray(rad.phase_at(t + h).coords)
-                  - np.asarray(rad.phase_at(t - h).coords)) / (2 * h)
+            fd = (np.asarray(phase_at(t + h).coords)
+                  - np.asarray(phase_at(t - h).coords)) / (2 * h)
             assert fd == pytest.approx(field(HAM6, st.coords),
                                        rel=1e-6, abs=1e-7)
 
@@ -766,7 +770,7 @@ class TestDirichletWalk:
 
 # -- reference: the angle sweep that shoots every grid angle -------------------
 
-def _direct_sweep(params, n_angles, rho):
+def _direct_sweep(params, n_angles, rho=dynamics.MANIFOLD_RHO):
     """sweep_angles as it ran before exchange-symmetric grids were mirrored:
     every grid angle is classified by its own shot."""
     thetas = tuple(dynamics.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
@@ -1403,7 +1407,7 @@ class TestOracleStop:
         oracle = calls[0]
         calls[0] = 0
         u0, v0, _ = normalized_regular_data(P, x, y)
-        integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END), dense=True)
+        integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END))
         assert 0 < oracle < calls[0]
 
     def test_radial_failure_before_the_window_end_raises(self, monkeypatch):
@@ -1437,6 +1441,29 @@ class TestKernelTerminalEvents:
         assert sol.status == 1
         assert len(sol.t_events[which]) == 1 and sol.t_events[1 - which] == []
         assert sol.t[-1] == sol.t_events[which][0]
+
+
+def _rotation(t, y):
+    return (y[1], -y[0], 0.0, 0.0)
+
+
+class TestKernelNonFinite:
+    # a non-finite initial state or derivative makes the first step size NaN;
+    # the run ends with a step underflow instead of looping forever
+    @pytest.mark.parametrize("fun,y0", [
+        (_rotation, (math.nan, 1.0, 1.0, 1.0)),
+        (_rotation, (math.inf, 1.0, 1.0, 1.0)),
+        (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+    ], ids=["nan-y0", "inf-y0", "nan-rhs"])
+    def test_run_ends_with_status_minus_1(self, deadline, fun, y0):
+        sol = dop853.solve(fun, 0.0, y0, 1.0)
+        assert sol.status == -1
+        assert sol.t == [0.0] and sol.n_accepted == 0
+
+    @pytest.mark.parametrize("u0,v0", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_radial_data_must_be_positive_and_finite(self, deadline, u0, v0):
+        with pytest.raises(PreconditionViolated):
+            integrate_radial(HAM6, u0, v0, 1e4)
 
 
 def _scipy_uses(path: Path) -> list[str]:
