@@ -293,6 +293,9 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
     if rho <= 0.0:
         raise ConfigError("shoot.rho", f"need a radius > 0, got {rho!r}")
     x, y = _seed(theta, rho)
+    if x >= P.x_bound or y >= P.y_bound:
+        raise ConfigError("shoot.rho", f"the seed ({x!r}, {y!r}) at rho = {rho!r} is not "
+                                       f"inside the box (0, {P.x_bound!r}) x (0, {P.y_bound!r})")
     out = classify_shot(P, x, y, rho)
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]

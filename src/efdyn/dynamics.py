@@ -27,7 +27,7 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
                     regular_initial_values, to_phase)
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
-                       MANIFOLD_RHO, MAX_HORIZON_EXTENSIONS, RADIAL_R0, SIM_WINDOW, T_END)
+                       MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,6 @@ class Trajectory:
         if self.dense is None:
             raise PreconditionViolated("trajectory was integrated without dense output")
         return self.dense(t)
-
-    def first_event(self, name: str) -> float | None:
-        for t, n in self.events:
-            if n == name:
-                return t
-        return None
 
 
 def _signed_root(x: float, e: float) -> float:
@@ -402,8 +396,8 @@ class MClass(str, Enum):
     GS = "GS"
 
 
-def _shot(params, x, y, rho, t_end):
-    """The run of one regular seed to t_end, started. Its events are
+def _shot(params, x, y, rho):
+    """The run of one regular seed to T_END, started. Its events are
     blow-up-x, blow-up-y, x-bound and y-bound."""
     seed = launch_regular(params, x, y, rho)
     # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
@@ -412,7 +406,7 @@ def _shot(params, x, y, rho, t_end):
     cq = params.y_bound * (1 + 1e-9)
     evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, terminal=False, direction=1.0),
            EventSpec("y-bound", lambda t, v: v[1] - cq, terminal=False, direction=1.0)]
-    return _start(*_phase_problem(params, seed, (0.0, t_end), evs))
+    return _start(*_phase_problem(params, seed, (0.0, T_END), evs))
 
 
 def _crossings(sol) -> tuple[float | None, float | None]:
@@ -467,12 +461,13 @@ class _PausedRun:
 
     `resume` moves the run on, and `_certify` reads each new accepted state
     but the run's end point: the proved M-class, if any, is the same whatever
-    was read first."""
+    was read first. The run ends at blow-up or at T_END, and `finished` reads
+    that end."""
 
     def __init__(self, params: SystemParams, x: float, y: float, rho: float):
-        self.params, self.seed, self.rho = params, (x, y), rho
+        self.params, self.seed = params, (x, y)
         self.proved: MClass | None = None
-        self._steps = _shot(params, x, y, rho, T_END)
+        self._steps = _shot(params, x, y, rho)
         for sol in self._steps:
             t_x, t_y = _crossings(sol)
             first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
@@ -500,42 +495,28 @@ class _PausedRun:
 
     @cached_property
     def finished(self) -> tuple[SClass, MClass, dict]:
-        """The S-class, M-class and hit times read off the run's end; a run
-        that ends undecided is rerun on a doubled horizon, MAX_HORIZON_EXTENSIONS
-        times at most."""
+        """The S-class, M-class and hit times read off the run's end."""
         self.resume(to_end=True)
-        P, sol, t_end = self.params, self._sol, T_END
-        for attempt in range(MAX_HORIZON_EXTENSIONS + 1):
-            if attempt:
-                t_end *= 2
-                for sol in _shot(P, *self.seed, self.rho, t_end):
-                    pass
-            _checked(sol)
-            t_x, t_y = _crossings(sol)
-            X_end, Y_end = sol.y[-1][:2]
-            blew = sol.status == 1      # the blow-up events are a shot's only terminal ones
-            hit = _hit_times(t_x, t_y, sol.t[-1] if blew else None)
-            last = attempt == MAX_HORIZON_EXTENSIONS
-
-            if t_x is None and t_y is None:
-                if blew:
-                    raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
-                                       f"without crossing a face")
-                near_face = (abs(X_end - P.x_bound) < 1e-6 * (1 + P.x_bound)
-                             or abs(Y_end - P.y_bound) < 1e-6 * (1 + P.y_bound))
-                if not near_face or last:
-                    return SClass.S, MClass.GS, hit
-            elif blew:
-                if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
-                    m_class = MClass.M3
-                elif X_end >= Y_end:
-                    m_class = MClass.M1
-                else:
-                    m_class = MClass.M2
-                return _s_class(t_x, t_y), m_class, hit
-            elif last:
-                raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
-                                   f"but no blow-up within t = {t_end}")
+        sol = _checked(self._sol)
+        t_x, t_y = _crossings(sol)
+        blew = sol.status == 1          # the blow-up events are a shot's only terminal ones
+        hit = _hit_times(t_x, t_y, sol.t[-1] if blew else None)
+        if t_x is None and t_y is None:
+            if blew:
+                raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
+                                   f"without crossing a face")
+            return SClass.S, MClass.GS, hit
+        if not blew:
+            raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
+                               f"but no blow-up within t = {T_END}")
+        X_end, Y_end = sol.y[-1][:2]
+        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
+            m_class = MClass.M3
+        elif X_end >= Y_end:
+            m_class = MClass.M1
+        else:
+            m_class = MClass.M2
+        return _s_class(t_x, t_y), m_class, hit
 
 
 @dataclass(frozen=True)
@@ -579,9 +560,9 @@ def classify_shot(params: SystemParams, x: float, y: float,
     The S-class is final once an accepted step ends SIM_WINDOW past the first
     crossing: the shot pauses there, on the horizon T_END. Reading its M-class
     resumes the run until `_certify` proves it; reading its hit times, or an
-    unproved M-class, resumes it to its end, widening the horizon (twice) when
-    undecided; a wider horizon repeats the steps up to the pause, which all
-    end before T_END. A shot that ends before the pause is classified at once.
+    unproved M-class, resumes it to its end, at blow-up or at T_END. A shot
+    that ends before the pause is classified at once. Each shot is one run:
+    one that crosses a face but does not blow up by T_END is Inconclusive.
     """
     run = _PausedRun(params, x, y, rho)
     return ShotOutcome((x, y), run.s_class, run)

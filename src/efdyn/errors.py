@@ -51,8 +51,8 @@ class SeriesInvalid(EfdynError):
 
 class Inconclusive(EfdynError):
     """No verdict from the numbers at hand: a shot that leaves the box without
-    crossing a face, or crosses one but does not blow up within every horizon
-    extension, or an oracle comparison without an overlap window."""
+    crossing a face, or crosses one but does not blow up by its horizon T_END,
+    or an oracle comparison without an overlap window."""
 
 
 class ConfigError(EfdynError):

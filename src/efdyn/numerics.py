@@ -7,9 +7,8 @@ patches the name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
 A band used at one site only is a literal there instead: `spectra._sgn`'s
 1e-12, `spectra.oscillation_condition`'s 1e-9, `scalar.scalar_classify`'s
 1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
-hysteresis of `dynamics._shot`, the 1e-6 near-face test of
-`dynamics._PausedRun.finished` and the 1e-6 (1 + bound) trapping-region margin
-of `dynamics._certify`, among others.
+hysteresis of `dynamics._shot` and the 1e-6 (1 + bound) trapping-region
+margin of `dynamics._certify`, among others.
 """
 
 # identity / algebra checks
@@ -22,7 +21,6 @@ ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 BLOW_UP = 1e6                   # coordinate value declared "infinite"
 T_END = 40.0
-MAX_HORIZON_EXTENSIONS = 2
 
 # shooting
 MANIFOLD_RHO = 1e-4             # seed radius on the regular manifold

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from efdyn.numerics import CAPTURE_DIST
 from efdyn.scalar import ScalarBehavior, scalar_classify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIG_OUTPUTS = Path(__file__).resolve().parent / "config_outputs.sha256"
 
 HAM_CONFIG = {
     "params": {"N": 6.0, "p": 2.0, "q": 2.0, "a": 0.0, "b": 0.0,
@@ -106,6 +108,34 @@ class TestReruns:
             runs.append((files, capsys.readouterr().out))
         assert "report.json" in runs[0][0]
         assert runs[0] == runs[1]
+
+
+class TestPinnedOutputs:
+    def test_shipped_configs_write_the_pinned_bytes(self, tmp_path, capsys):
+        r"""Every file that each shipped config writes has the SHA-256 listed
+        in tests/config_outputs.sha256, a `sha256sum` listing of paths
+        <config stem>/<file name>. A change that moves an output on purpose
+        says which and why, and rewrites the listing from the repository root:
+
+            for cfg in configs/*.json; do
+              command=$(python -c "import json, sys; print(json.load(open(sys.argv[1]))['command'])" "$cfg")
+              PYTHONPATH=src python -m efdyn.cli "$command" --config "$cfg" \
+                --out "efdyn-out/$(basename "$cfg" .json)"
+            done
+            (cd efdyn-out && find . -type f | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum) \
+              > tests/config_outputs.sha256
+        """
+        written = {}
+        for path in sorted(CONFIGS.glob("*.json")):
+            command = json.loads(path.read_text())["command"]
+            out = tmp_path / path.stem
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            for f in out.iterdir():
+                written[f"{path.stem}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+        capsys.readouterr()
+        pinned = {name: digest for digest, name in
+                  (line.split("  ", 1) for line in CONFIG_OUTPUTS.read_text().splitlines())}
+        assert written == pinned
 
 
 class TestCommands:
@@ -338,6 +368,9 @@ class TestExitCodes:
         ("shoot", dict(HAM_CONFIG, shoot={"theta": 2.0}), "shoot.theta"),
         ("shoot", dict(HAM_CONFIG, shoot={"theta": 0.5, "rho": 0.0}), "shoot.rho"),
         ("shoot", dict(HAM_CONFIG, shoot={"rho": 1e-4}), "shoot.theta"),
+        # a seed past the face x = x_bound: the run would start outside the box
+        ("shoot", dict(HAM_CONFIG, params=dict(HAM_CONFIG["params"], delta=1.5, mu=1.5),
+                       shoot={"theta": 0.3, "rho": 10.0}), "shoot.rho"),
         # an empty value grid (start > stop) must not hide a misspelled family
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "delta=nu",
                                           "start": 2.2, "stop": 2.0}), "sweep.parameter"),
@@ -350,7 +383,7 @@ class TestExitCodes:
             "integrate-nan-u0", "integrate-zero-u0", "integrate-negative-v0",
             "integrate-zero-r_max", "integrate-r_max-below-r0", "integrate-infinite-r_max",
             "shoot-negative-theta", "shoot-theta-above-pi/2", "shoot-zero-rho",
-            "shoot-without-theta", "family-misspelled-parameter"])
+            "shoot-without-theta", "shoot-seed-outside-box", "family-misspelled-parameter"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, deadline, command, raw, path):
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

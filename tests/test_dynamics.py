@@ -35,6 +35,11 @@ HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
 
 
+def _first_event(traj, name):
+    """The time of a phase run's first event called `name`, or None."""
+    return next((t for t, n in traj.events if n == name), None)
+
+
 def _squares(t, y):
     """y' = y^2 in each of the four components: y(0) = 1 blows up at t = 1."""
     return (y[0] ** 2, y[1] ** 2, y[2] ** 2, y[3] ** 2)
@@ -66,7 +71,7 @@ class TestIntegrateM:
         seed = launch_regular(HAM6, RHO, 0.0)
         ev = EventSpec("x-cross", lambda t, y: y[0] - 1.0, direction=1.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0), events=[ev], dense=True)
-        t_cross = traj.first_event("x-cross")
+        t_cross = _first_event(traj, "x-cross")
         assert t_cross is not None
         assert abs(float(traj.state_at(t_cross)[0]) - 1.0) < 1e-9
 
@@ -194,7 +199,7 @@ class TestClassification:
                            horizon=(0.0, 30.0),
                            events=[EventSpec("x-bound", lambda t, y: y[0] - 4.0,
                                              direction=1.0)])
-        assert traj.first_event("x-bound") is not None
+        assert _first_event(traj, "x-bound") is not None
 
     def test_subcritical_diagonal_is_simultaneous(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
@@ -464,62 +469,49 @@ def _count_phase_rhs(monkeypatch) -> list[int]:
 
 
 # -- reference: the eager shot classification ----------------------------------
-# classify_shot as it ran before shots paused at their S-decision: every run is
-# integrated to its end at once by integrate_m. It reads the constants of
-# efdyn.dynamics at call time, so that a test may patch them.
+# classify_shot as it ran before shots paused at their S-decision: each shot's
+# one run is integrated to its end at once by integrate_m. It reads the
+# constants of efdyn.dynamics at call time, so that a test may patch them.
 
 def _eager_classify(params, x, y, rho):
-    """The to_dict() of the shot at (x, y), every run integrated to its end."""
-    t_end = dynamics.T_END
-    for attempt in range(dynamics.MAX_HORIZON_EXTENSIONS + 1):
-        seed = launch_regular(params, x, y, rho)
-        cp = params.x_bound * (1 + 1e-9)
-        cq = params.y_bound * (1 + 1e-9)
-        evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, direction=1.0),
-               EventSpec("y-bound", lambda t, v: v[1] - cq, direction=1.0)]
-        traj = integrate_m(params, seed, horizon=(0.0, t_end), events=evs)
-        t_x = traj.first_event("x-bound")
-        t_y = traj.first_event("y-bound")
-        hit = {}
-        if t_x is not None:
-            hit["x-bound"] = t_x
-        if t_y is not None:
-            hit["y-bound"] = t_y
-        blew = traj.termination.kind.startswith("blow-up")
+    """The to_dict() of the shot at (x, y), its run integrated to its end."""
+    seed = launch_regular(params, x, y, rho)
+    cp = params.x_bound * (1 + 1e-9)
+    cq = params.y_bound * (1 + 1e-9)
+    evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, direction=1.0),
+           EventSpec("y-bound", lambda t, v: v[1] - cq, direction=1.0)]
+    traj = integrate_m(params, seed, horizon=(0.0, dynamics.T_END), events=evs)
+    t_x = _first_event(traj, "x-bound")
+    t_y = _first_event(traj, "y-bound")
+    hit = {}
+    if t_x is not None:
+        hit["x-bound"] = t_x
+    if t_y is not None:
+        hit["y-bound"] = t_y
+    blew = traj.termination.kind.startswith("blow-up")
+    if blew:
+        hit["blow-up"] = float(traj.t[-1])
+
+    if t_x is None and t_y is None:
         if blew:
-            hit["blow-up"] = float(traj.t[-1])
+            raise Inconclusive(f"seed ({x}, {y}): left the box without crossing a face")
+        return {"seed": [x, y], "sClass": "S", "mClass": "GS", "hitTimes": hit}
 
-        if t_x is None and t_y is None:
-            if blew:
-                t_end *= 2
-                continue
-            final = traj.states[-1]
-            near_face = (abs(final[0] - params.x_bound) < 1e-6 * (1 + params.x_bound)
-                         or abs(final[1] - params.y_bound) < 1e-6 * (1 + params.y_bound))
-            if near_face and attempt < dynamics.MAX_HORIZON_EXTENSIONS:
-                t_end *= 2
-                continue
-            return {"seed": [x, y], "sClass": "S", "mClass": "GS", "hitTimes": hit}
-
-        if t_x is not None and t_y is not None:
-            s_class = "S3" if abs(t_x - t_y) <= dynamics.SIM_WINDOW else \
-                ("S1" if t_x < t_y else "S2")
-        else:
-            s_class = "S1" if t_y is None else "S2"
-        if not blew:
-            if attempt < dynamics.MAX_HORIZON_EXTENSIONS:
-                t_end *= 2
-                continue
-            raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {t_end}")
-        X_end, Y_end = np.asarray(traj.states)[-1, 0], np.asarray(traj.states)[-1, 1]
-        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
-            m_class = "M3"
-        elif X_end >= Y_end:
-            m_class = "M1"
-        else:
-            m_class = "M2"
-        return {"seed": [x, y], "sClass": s_class, "mClass": m_class, "hitTimes": hit}
-    raise Inconclusive(f"seed ({x}, {y}) unresolved after extensions")
+    if t_x is not None and t_y is not None:
+        s_class = "S3" if abs(t_x - t_y) <= dynamics.SIM_WINDOW else \
+            ("S1" if t_x < t_y else "S2")
+    else:
+        s_class = "S1" if t_y is None else "S2"
+    if not blew:
+        raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {dynamics.T_END}")
+    X_end, Y_end = traj.states[-1][:2]
+    if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
+        m_class = "M3"
+    elif X_end >= Y_end:
+        m_class = "M1"
+    else:
+        m_class = "M2"
+    return {"seed": [x, y], "sClass": s_class, "mClass": m_class, "hitTimes": hit}
 
 
 class TestPausedShot:
@@ -546,14 +538,22 @@ class TestPausedShot:
     @pytest.mark.parametrize("t_end", [None, 5.0], ids=["horizon-40", "horizon-5"])
     @pytest.mark.parametrize("params", POINTS)
     def test_outcome_equals_eager_classification(self, monkeypatch, params, t_end):
-        # on the horizon 5, most shots that cross reach it before blowing up,
-        # so the resumed run widens it: the rerun must agree with the paused
-        # S-class
+        # on the horizon 5, most shots that cross reach it before blowing up:
+        # the paused run and the eager one then both raise, naming the seed
         if t_end is not None:
             monkeypatch.setattr(dynamics, "T_END", t_end)
         for th in self.ANGLES:
             x, y = RHO * math.cos(th), RHO * math.sin(th)
-            assert classify_shot(params, x, y, RHO).to_dict() == _eager_classify(params, x, y, RHO)
+            try:
+                eager = _eager_classify(params, x, y, RHO)
+            except Inconclusive as exc:
+                assert t_end is not None
+                named = re.escape(f"seed {(x, y)}")
+                assert re.match(named, str(exc))
+                with pytest.raises(Inconclusive, match=named):
+                    classify_shot(params, x, y, RHO).to_dict()
+            else:
+                assert classify_shot(params, x, y, RHO).to_dict() == eager
 
     def test_s_class_covers_every_kind(self):
         classes = {classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO).s_class
@@ -562,11 +562,10 @@ class TestPausedShot:
 
     def test_undecided_run_certifies_its_m_class(self, monkeypatch):
         # the shot crosses x = x_bound at t = 4.85 and blows up at t = 5.06:
-        # on the horizon 5 with no extension its run ends undecided, but it
+        # on the horizon 5 its run ends undecided, but it
         # enters the trapping region R1 before the horizon, which proves M1;
         # the hit times still need the blow-up
         monkeypatch.setattr(dynamics, "T_END", 5.0)
-        monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
         out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), 0.9e-4, 0.2e-4, RHO)
         assert out.s_class is SClass.S1
         for _ in range(2):          # a failed hit-times read is not kept: it fails again
@@ -583,6 +582,23 @@ class TestPausedShot:
         x, y = RHO * math.cos(0.3), RHO * math.sin(0.3)
         with pytest.raises(Inconclusive, match=re.escape(f"seed {(x, y)}: left the box")):
             classify_shot(hamiltonian_params(6.0, 1.6, 2.1), x, y, RHO)
+        assert len(starts) == 1
+
+    def test_crossing_without_blow_up_runs_once(self, monkeypatch):
+        # a run that crosses a face and reaches its horizon without blowing up
+        # is not rerun on a wider one: each hit-times read raises at T_END.
+        # The diagonal shot of a supercritical point stays in the box to
+        # T_END; a crossing at t = 0.5 is reported for it
+        starts, real = [], dynamics._start
+        monkeypatch.setattr(dynamics, "_start", lambda *args: starts.append(args) or real(*args))
+        monkeypatch.setattr(dynamics, "_crossings", lambda sol: (0.5, None))
+        x, y = RHO * math.cos(math.pi / 4), RHO * math.sin(math.pi / 4)
+        out = classify_shot(hamiltonian_params(6.0, 2.5, 2.5), x, y, RHO)
+        assert out.s_class is SClass.S1
+        named = re.escape(f"seed {(x, y)}: crossed at t = 0.5 but no blow-up within t = 40.0")
+        for _ in range(2):          # a failed hit-times read is not kept: it fails again
+            with pytest.raises(Inconclusive, match=named):
+                out.hit_times
         assert len(starts) == 1
 
     def test_search_reads_s_classes_only(self, monkeypatch):
@@ -837,12 +853,11 @@ class TestExchangeMirror:
         assert len(shots) == ((n_angles + 1) // 2 if symmetric else n_angles)
 
     def test_undecided_partner_certifies_and_raises_on_hit_times(self, monkeypatch):
-        # on the horizon 5 with no extension, the two shots nearest the X axis
-        # cross x = x_bound but do not blow up. Their runs still prove M1, so
-        # the mirrored shots near the Y axis read M2; the mirrored reads of
-        # their hit times raise, and name the seed that ran
+        # on the horizon 5, the two shots nearest the X axis cross
+        # x = x_bound but do not blow up. Their runs still prove M1, so the
+        # mirrored shots near the Y axis read M2; the mirrored reads of their
+        # hit times raise, and name the seed that ran
         monkeypatch.setattr(dynamics, "T_END", 5.0)
-        monkeypatch.setattr(dynamics, "MAX_HORIZON_EXTENSIONS", 0)
         _, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=7)
         mirrored, partner = outs[-1], outs[0]
         assert (partner.s_class, mirrored.s_class) == (SClass.S1, SClass.S2)

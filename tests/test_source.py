@@ -36,7 +36,6 @@ KEPT_FOR_ROADMAP = {
 PINNED = {
     "IDENTITY_RTOL": 1e-10, "CENTER_TOL": 1e-9, "DEGENERACY_BAND": 1e-8,
     "ODE_RTOL": 1e-10, "ODE_ATOL": 1e-12, "BLOW_UP": 1e6, "T_END": 40.0,
-    "MAX_HORIZON_EXTENSIONS": 2,
     "MANIFOLD_RHO": 1e-4, "SIM_WINDOW": 1e-6, "HOPF_RATIO_TOL": 0.05,
     "ANGLE_TOL": 1e-10, "CAPTURE_DIST": 1e-8, "CAPTURE_STEPS": 5,
     "RADIAL_R0": 1e-6, "SCALAR_R_MAX": 1e5,
