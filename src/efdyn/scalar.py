@@ -84,14 +84,10 @@ class ScalarParams:
         return {"N": self.N, "p": self.p, "a": self.a, "Q": self.Q, "eps": self.eps}
 
 
-def scalar_jacobian(sp: ScalarParams, coords) -> numpy.ndarray:
-    import numpy as np
-
+def scalar_jacobian(sp: ScalarParams, coords) -> tuple[tuple[float, float], ...]:
     X, Z = coords
-    return np.array([
-        [2 * X - sp.x_bound + Z / (sp.p - 1), X / (sp.p - 1)],
-        [-sp.Q * Z, sp.N + sp.a - sp.Q * X - 2 * Z],
-    ])
+    return ((2 * X - sp.x_bound + Z / (sp.p - 1), X / (sp.p - 1)),
+            (-sp.Q * Z, sp.N + sp.a - sp.Q * X - 2 * Z))
 
 
 def scalar_fixed_points(sp: ScalarParams) -> dict[str, tuple[float, float]]:
@@ -230,12 +226,28 @@ class ScalarReport:
                 "evidence": self.evidence}
 
 
-def _fit_slope(lr: numpy.ndarray, lu: numpy.ndarray) -> float:
-    import numpy as np
+def _fit_slope(xs, ys) -> float:
+    """Least-squares slope of the line through the points (xs, ys), from
+    mean-centred sums."""
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+            / math.fsum(d * d for d in dx))
 
-    A = np.vstack([lr, np.ones_like(lr)]).T
-    sol, *_ = np.linalg.lstsq(A, lu, rcond=None)
-    return float(sol[0])
+
+def _stable_direction(J) -> tuple[float, float]:
+    """Unit eigenvector, first component <= 0, of the smaller eigenvalue of the
+    real 2x2 matrix J; the branch of M0's stable manifold with X between
+    (N-p)/(p-1) and X0 has X < X0. A complex pair has no such direction."""
+    (a, b), (c, d) = J
+    half_trace, disc = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+    if disc < 0.0:
+        raise NotApplicable(f"M0 has complex eigenvalues {half_trace} +/- {math.sqrt(-disc)}i")
+    lam = half_trace - math.sqrt(disc)
+    # orthogonal to the larger row of J - lam I, which the eigenvector annihilates
+    vx, vz = (b, lam - a) if math.hypot(a - lam, b) >= math.hypot(c, d - lam) else (lam - d, c)
+    norm = -math.hypot(vx, vz) if vx > 0 else math.hypot(vx, vz)
+    return vx / norm, vz / norm
 
 
 def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> ScalarReport:
@@ -254,13 +266,10 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
 
     # Poincare-return sampling whenever M0 sits in the source quadrant
     if eps == 1 and Q > sp.Q1 + tol and abs(Q - sp.Q2) > tol:
-        import numpy as np
-
         offs = poincare_returns(sp)
         evidence["poincare_offsets"] = offs
-        diffs = np.diff(np.abs(offs))
-        evidence["poincare_monotone"] = bool(len(offs) < 2 or
-                                             np.all(diffs > 0) or np.all(diffs < 0))
+        diffs = [abs(b) - abs(a) for a, b in zip(offs, offs[1:])]
+        evidence["poincare_monotone"] = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
     if eps == 1:
         if abs(Q - sp.Q1) <= tol:
@@ -286,13 +295,10 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
-        import numpy as np
-
         rad = radial()
-        r, u = np.asarray(rad.r), np.asarray(rad.u)
-        mask = r > 0.3 * SCALAR_R_MAX
-        fit_A = float(np.exp(np.mean(np.log(u[mask]) + sp.gamma * np.log(r[mask]))))
-        evidence["amplitude_fit"] = fit_A
+        logs = [math.log(u) + sp.gamma * math.log(r)
+                for r, u in zip(rad.r, rad.u) if r > 0.3 * SCALAR_R_MAX]
+        evidence["amplitude_fit"] = math.exp(math.fsum(logs) / len(logs))
         try:
             evidence["amplitude_exact"] = particular_amplitude(sp)
         except NotApplicable:
@@ -311,21 +317,14 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
 
     # Q < Q1: saddle connection A0 -> M0 found by integrating the stable
     # eigendirection of M0 backwards
-    import numpy as np
-
     X0, Z0 = scalar_fixed_points(sp)["M0"]
-    J = scalar_jacobian(sp, (X0, Z0))
-    w, V = np.linalg.eig(J)
-    i_st = int(np.argmin(w.real))
-    v = np.real(V[:, i_st])
-    if v[0] > 0:        # the branch with X between (N-p)/(p-1) and X0 has X < X0
-        v = -v
+    v = _stable_direction(scalar_jacobian(sp, (X0, Z0)))
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
     traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
     # map to u(r) and fit both end slopes of ln u vs ln r
-    ts = np.array(traj.t)
-    lu = np.array([math.log(scalar_profile_from_phase(sp, t, X, Z))
-                   for t, (X, _, Z, _) in zip(traj.t, traj.states)])
+    ts = traj.t
+    lu = [math.log(scalar_profile_from_phase(sp, t, X, Z))
+          for t, (X, _, Z, _) in zip(ts, traj.states)]
     n = len(ts)
     tail = slice(max(0, n - max(5, n // 5)), n)      # backward end: r -> 0
     head = slice(0, max(5, n // 5))                  # start near M0: r -> infinity

@@ -24,19 +24,14 @@ from .model import PhaseState, SystemParams, derive_exponents, exchange_params
 from .numerics import CENTER_TOL, IDENTITY_RTOL
 
 
-def jacobian_at(params: SystemParams, state) -> numpy.ndarray:
+def jacobian_at(params: SystemParams, state) -> tuple[tuple[float, ...], ...]:
     """Analytic Jacobian of the vector field at a phase point (or raw coords)."""
-    import numpy as np
-
     P = params
-    coords = state.coords if isinstance(state, PhaseState) else np.asarray(state, dtype=float)
-    X, Y, Z, W = coords
-    return np.array([
-        [2 * X - P.x_bound + Z / (P.p - 1), 0.0, X / (P.p - 1), 0.0],
-        [0.0, 2 * Y - P.y_bound + W / (P.q - 1), 0.0, Y / (P.q - 1)],
-        [-P.s * Z, -P.delta * Z, P.N + P.a - P.s * X - P.delta * Y - 2 * Z, 0.0],
-        [-P.mu * W, -P.m * W, 0.0, P.N + P.b - P.mu * X - P.m * Y - 2 * W],
-    ])
+    X, Y, Z, W = map(float, state.coords if isinstance(state, PhaseState) else state)
+    return ((2 * X - P.x_bound + Z / (P.p - 1), 0.0, X / (P.p - 1), 0.0),
+            (0.0, 2 * Y - P.y_bound + W / (P.q - 1), 0.0, Y / (P.q - 1)),
+            (-P.s * Z, -P.delta * Z, P.N + P.a - P.s * X - P.delta * Y - 2 * Z, 0.0),
+            (-P.mu * W, -P.m * W, 0.0, P.N + P.b - P.mu * X - P.m * Y - 2 * W))
 
 
 # -- polynomial machinery -----------------------------------------------------

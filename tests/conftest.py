@@ -6,6 +6,17 @@ import pytest
 
 from efdyn.equilibria import fixed_point_catalog
 from efdyn.model import RadialState, SystemParams, phase_rhs
+from efdyn.scalar import ScalarBehavior
+
+# (N, p, a, Q, eps) of one scalar_classify per behaviour
+SCALAR_CASES = {
+    ScalarBehavior.SIGN_CHANGING: (3.0, 2.0, 0.0, 4.0, 1),
+    ScalarBehavior.GROUND_STATE_ON_LINE: (3.0, 2.0, 0.0, 5.0, 1),
+    ScalarBehavior.ALL_REGULAR_ARE_GS: (3.0, 2.0, 0.0, 6.0, 1),
+    ScalarBehavior.THRESHOLD_Q1: (3.0, 2.0, 0.0, 3.0, 1),
+    ScalarBehavior.ABSORPTION_ALL_REGULAR: (3.0, 2.0, 0.0, 4.0, -1),
+    ScalarBehavior.ABSORPTION_CONNECTION: (3.0, 2.0, 0.0, 2.0, -1),
+}
 
 
 def draw_params(rng, eps1=1, eps2=1, max_coord=15.0, min_D=0.5,

@@ -70,7 +70,7 @@ def test_criterion_02_spectrum_cross_validation():
             scale = max(1.0, float(np.max(np.abs(cf))))
             if _min_gap(cf) < 1e-3 * scale:
                 continue          # numerically defective: eigensolver loses digits
-            num = np.linalg.eigvals(jacobian_at(P, fp.coords))
+            num = np.linalg.eigvals(np.array(jacobian_at(P, fp.coords)))
             err = _match(cf, num) / scale
             worst = max(worst, err)
             assert err < 1e-8, (fp.label, err)

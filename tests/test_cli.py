@@ -13,6 +13,8 @@ from efdyn.model import SystemParams
 from efdyn.numerics import CAPTURE_DIST
 from efdyn.scalar import ScalarBehavior, scalar_classify
 
+from conftest import SCALAR_CASES
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_OUTPUTS = Path(__file__).resolve().parent / "config_outputs.sha256"
 
@@ -228,17 +230,6 @@ class TestCommands:
         t, X, Z = (float(v) for v in last.split(",")[1:])
         assert t < 16.0
         assert max(abs(X - 1.0), abs(Z)) <= CAPTURE_DIST
-
-
-# (N, p, a, Q, eps) of one scalar_classify per behaviour
-SCALAR_CASES = {
-    ScalarBehavior.SIGN_CHANGING: (3.0, 2.0, 0.0, 4.0, 1),
-    ScalarBehavior.GROUND_STATE_ON_LINE: (3.0, 2.0, 0.0, 5.0, 1),
-    ScalarBehavior.ALL_REGULAR_ARE_GS: (3.0, 2.0, 0.0, 6.0, 1),
-    ScalarBehavior.THRESHOLD_Q1: (3.0, 2.0, 0.0, 3.0, 1),
-    ScalarBehavior.ABSORPTION_ALL_REGULAR: (3.0, 2.0, 0.0, 4.0, -1),
-    ScalarBehavior.ABSORPTION_CONNECTION: (3.0, 2.0, 0.0, 2.0, -1),
-}
 
 
 def non_builtin(obj, path="report"):

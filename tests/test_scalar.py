@@ -1,17 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efdyn.scalar
 from efdyn.dynamics import EventSpec, integrate_radial
 from efdyn.errors import NotApplicable
 from efdyn.model import phase_rhs
+from efdyn.numerics import SCALAR_R_MAX
 from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
                           explicit_critical_solution, line_quantity, particular_amplitude,
                           poincare_returns, regular_seed, scalar_classify,
                           scalar_fixed_points)
 
-from conftest import scalar_to_phase
+from conftest import SCALAR_CASES, scalar_to_phase
 
 SC = ScalarParams(N=3.0, p=2.0, a=0.0, Q=5.0)
 
@@ -120,3 +123,90 @@ class TestCatalog:
         assert rep.Q1 == pytest.approx(2.5)
         assert rep.Q2 == pytest.approx(4.0)
         assert rep.behavior is ScalarBehavior.SIGN_CHANGING
+
+
+# -- the closed-form fits against their numpy forms -------------------------------
+
+STABLE_NODE = (3.0, 2.0, 0.0, 0.5, -1)     # M0's eigenvalues -7.70 and -1.30
+
+
+def _oracle_scalar_draws(seeds):
+    """The scalar cases of perfbench's oracle-scalar workload at these seeds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import oracle_scalar_inputs
+    return [(c["N"], c["p"], c["a"], c["Q"], c["eps"])
+            for seed in seeds for c in oracle_scalar_inputs(seed)["scalar"]]
+
+
+class TestClosedFormFits:
+    # scalar_classify fits in closed form; each fit, on the data it was given
+    # in a classification, agrees with lstsq, eig and mean to 1e-12 relative
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """(reports, fit_slope calls, stable_direction calls) of the six
+        behaviours, the stable node and the oracle-scalar draws of seeds 1-3."""
+        calls = {"_fit_slope": [], "_stable_direction": []}
+
+        def spy(name):
+            fn = getattr(efdyn.scalar, name)
+
+            def record(*args):
+                out = fn(*args)
+                calls[name].append((args, out))
+                return out
+            return record
+
+        cases = [*SCALAR_CASES.values(), STABLE_NODE, *_oracle_scalar_draws((1, 2, 3))]
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(efdyn.scalar, name, spy(name))
+            reports = [scalar_classify(*case) for case in cases]
+        return reports, calls["_fit_slope"], calls["_stable_direction"]
+
+    def test_slope_is_lstsq(self, runs):
+        _, fits, _ = runs
+        assert len(fits) == 2 * 5      # both ends of SCALAR_CASES, the node and 3 draws
+        for (xs, ys), slope in fits:
+            A = np.vstack([xs, np.ones(len(xs))]).T
+            if np.linalg.cond(A) > 1e4:
+                # the stable node's tail spans 1.4e-5 in t near t = -2.1 (condition
+                # 1.3e6): lstsq loses five digits there unless t is centred first
+                A[:, 0] -= np.mean(xs)
+            want = np.linalg.lstsq(A, np.array(ys), rcond=None)[0][0]
+            assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_direction_is_eig(self, runs):
+        _, _, directions = runs
+        assert ((-4.0, -4.0), (-2.5, -5.0)) in [J for (J,), _ in directions]   # the node
+        for (J,), v in directions:
+            w, V = np.linalg.eig(np.array(J))
+            want = V[:, np.argmin(w.real)].real
+            want = -want if want[0] > 0 else want
+            assert np.max(np.abs(np.subtract(v, want))) <= 1e-12
+            assert v[0] <= 0.0
+
+    def test_amplitude_is_mean(self, runs):
+        reports, _, _ = runs
+        fits = [rep for rep in reports if rep.behavior is ScalarBehavior.ALL_REGULAR_ARE_GS]
+        assert len(fits) == 4
+        for rep in fits:
+            rad = integrate_radial(rep.params.system, 1.0, 1.0, SCALAR_R_MAX)
+            r, u = np.asarray(rad.r), np.asarray(rad.u)
+            mask = r > 0.3 * SCALAR_R_MAX
+            want = np.exp(np.mean(np.log(u[mask]) + rep.gamma * np.log(r[mask])))
+            assert rep.evidence["amplitude_fit"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_poincare_flag_is_np_all(self, runs):
+        reports, _, _ = runs
+        flagged = [rep.evidence for rep in reports if "poincare_offsets" in rep.evidence]
+        assert len(flagged) == 2 * 4   # Q1 < Q < Q2 and Q > Q2, source sign
+        for ev in flagged:
+            diffs = np.diff(np.abs(ev["poincare_offsets"]))
+            assert ev["poincare_monotone"] is bool(np.all(diffs > 0) or np.all(diffs < 0))
+
+    def test_complex_pair_at_m0_is_not_applicable(self):
+        # M0 = (-4/3, 7/3) has eigenvalues -1.83 +/- 1.14i: no stable direction to follow
+        with pytest.raises(NotApplicable, match="complex eigenvalues"):
+            scalar_classify(3.0, 2.0, 0.0, -0.5, eps=-1)

@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the numerical constants, the absence of a
 tolerance parameter, the scripts' imports, the public surface and numpy's
-absence from the start-up path."""
+absence from the package."""
 
 import ast
 import json
@@ -15,6 +15,9 @@ import pytest
 
 import efdyn
 from efdyn import numerics
+from efdyn.scalar import ScalarBehavior
+
+from conftest import SCALAR_CASES
 
 SRC = Path(efdyn.__file__).parent
 ROOT = SRC.parents[1]
@@ -157,12 +160,31 @@ def test_exports_are_what_clients_import():
     assert exported == imported
 
 
-# -- numpy stays off the start-up path -------------------------------------------
-# In the package only the scalar fits and `jacobian_at` import numpy, inside
-# the functions that use it. `import efdyn` and every shipped config load
-# none: the M0 quartic is solved in real arithmetic and radial runs are tuples.
+# -- efdyn runs on the standard library alone ----------------------------------
+# No module under src/ imports numpy or scipy: the M0 quartic is solved in real
+# arithmetic, radial runs are tuples, and the scalar fits and the Jacobians are
+# closed forms. `import efdyn` and every shipped config load neither, and
+# scalar_classify and the scalar catalogue run with both blocked; the tests use
+# them as oracles only.
 
 NUMPY_FREE_CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
+BLOCKED = ("numpy", "scipy")
+
+# a subprocess prelude: imports of numpy and scipy fail as on a Python without them
+WITHOUT_NUMPY = f"""
+import sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in {BLOCKED!r}:
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+def _run_without_numpy(code, *args):
+    subprocess.run([sys.executable, "-c", WITHOUT_NUMPY + code
+                    + f"\nassert not set({BLOCKED!r}) & set(sys.modules)\n", *args],
+                   check=True, env={"PYTHONPATH": str(SRC.parent)})
 
 
 @pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)
@@ -182,17 +204,37 @@ def test_start_up_loads_no_numpy(config, tmp_path):
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
-def test_numpy_is_imported_inside_functions_only():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        local = {id(node) for fn in ast.walk(tree)
-                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 for node in ast.walk(fn)}
-        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
-                  if (isinstance(node, ast.Import)
-                      and any(a.name.split(".")[0] == "numpy" for a in node.names)
-                      or isinstance(node, ast.ImportFrom)
-                      and (node.module or "").split(".")[0] == "numpy")
-                  and id(node) not in local]
+def test_scalar_classify_runs_without_numpy():
+    cases = {behavior.name: case for behavior, case in SCALAR_CASES.items()}
+    _run_without_numpy("""
+import json
+from efdyn.scalar import scalar_classify
+for name, case in json.loads(sys.argv[1]).items():
+    assert scalar_classify(*case).behavior.name == name, name
+""", json.dumps(cases))
+
+
+def test_scalar_catalog_runs_without_numpy(tmp_path):
+    # the two runs of the CI numpy-free job, which reach all six behaviours
+    behaviors = set()
+    for i, args in enumerate((["--eps", "1", "--Q", "2.5", "3", "4", "5", "6"],
+                              ["--eps", "-1", "--Q", "2", "4"])):
+        out = tmp_path / f"catalog{i}.json"
+        _run_without_numpy("""
+import runpy
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+""", str(ROOT / "scripts" / "scalar_catalog.py"), *args, "--out", str(out))
+        behaviors |= {rep["behavior"] for rep in json.loads(out.read_text())}
+    assert behaviors == {b.value for b in ScalarBehavior}
+
+
+def test_src_imports_no_numpy_or_scipy():
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] in BLOCKED for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] in BLOCKED]
     assert found == []

@@ -33,13 +33,13 @@ def rel_match(a, b):
 
 class TestJacobian:
     def test_block_structure_at_regular_corner(self):
-        J = jacobian_at(HAM6, (0.0, 0.0, 6.0, 6.0))
+        J = np.array(jacobian_at(HAM6, (0.0, 0.0, 6.0, 6.0)))
         assert np.diag(J) == pytest.approx([2.0, 2.0, -6.0, -6.0])
         assert J[0, 2] == 0.0 and J[1, 3] == 0.0   # triangular couplings only
 
     def test_origin_diagonal(self):
         P = SystemParams(N=5.0, p=2.0, q=3.0, a=0.5, b=-0.5, delta=2.0, mu=2.0)
-        J = jacobian_at(P, (0.0, 0.0, 0.0, 0.0))
+        J = np.array(jacobian_at(P, (0.0, 0.0, 0.0, 0.0)))
         want = [-(P.N - P.p) / (P.p - 1), -(P.N - P.q) / (P.q - 1), P.N + P.a, P.N + P.b]
         assert np.allclose(J, np.diag(want))
 
@@ -47,7 +47,7 @@ class TestJacobian:
         for _ in range(40):
             P = draw_params(rng)
             coords = rng.uniform(-2.0, 6.0, size=4)
-            J = jacobian_at(P, coords)
+            J = np.array(jacobian_at(P, coords))
             h = 1e-6
             for j in range(4):
                 e = np.zeros(4)
@@ -272,7 +272,7 @@ class TestSpectra:
                 cf = closed_form_eigenvalues(P, fp.label)
                 if min_gap(cf) < 1e-3:
                     continue
-                num = np.linalg.eigvals(jacobian_at(P, fp.coords))
+                num = np.linalg.eigvals(np.array(jacobian_at(P, fp.coords)))
                 scale = max(1.0, float(np.max(np.abs(num))))
                 assert match_eigs(cf, num) < 1e-8 * scale, fp.label
             checked += 1
