@@ -7,10 +7,9 @@ import argparse
 import csv
 import os
 
-import numpy as np
-
 from efdyn import (cubic_barrier, classify_region, nonvariational_params,
                    predict_existence, search_ground_state)
+from efdyn.dynamics import linspace
 from efdyn.energies import diagonal_crossings
 
 
@@ -32,9 +31,9 @@ def main():
                                   diagonal_crossings(args.N, args.s).items()})
 
     rows = []
-    for delta in np.linspace(args.lo, args.hi, args.grid):
-        for mu in np.linspace(args.lo, args.hi, args.grid):
-            P = nonvariational_params(args.N, args.s, float(delta), float(mu))
+    for delta in linspace(args.lo, args.hi, args.grid):
+        for mu in linspace(args.lo, args.hi, args.grid):
+            P = nonvariational_params(args.N, args.s, delta, mu)
             if P.D <= 0:
                 continue
             pred = predict_existence(P)
@@ -49,7 +48,7 @@ def main():
     for d in (1.2, 1.8, 2.5):
         P = nonvariational_params(args.N, args.s, d, d)
         res = search_ground_state(P, n_angles=args.angles)
-        grid = np.linspace(0.0, args.N - 2, 30)[1:-1]
+        grid = linspace(0.0, args.N - 2, 30)[1:-1]
         bmin = min(cubic_barrier(P, X, Y) for X in grid for Y in grid)
         print(f"delta=mu={d}: found_gs={res.found}  barrier_min={bmin:.4g}  "
               f"region={{{', '.join(f'{k.value}:{v.value}' for k, v in classify_region(P).items() if v.value != 'not-applicable')}}}")

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the potential-type system (delta = m+1, mu = s+1) across its critical
-line in s = m and fit the decay slope of the critical ground state."""
+line in s = m and read the decay slope of the critical ground state."""
 
 import argparse
 import csv
 import os
-
-import numpy as np
 
 from efdyn import integrate_radial, potential_params, predict_existence, search_ground_state
 
@@ -44,14 +42,12 @@ def main():
     sc = (args.N - (args.N - args.q) / args.q - (args.N - args.p) / args.p) \
         / ((args.N - args.q) / args.q + (args.N - args.p) / args.p)
     P = potential_params(args.N, args.p, args.q, sc, sc)
+    # the slope of ln u against ln r is r u'/u, read at the last step below r = 1e3
     rad = integrate_radial(P, 1.0, 1.0, r_max=1e4)
-    r, u, v = np.asarray(rad.r), np.asarray(rad.u), np.asarray(rad.v)
-    mask = (r > 1e2) & (r < 1e3)
-    lr = np.log(r[mask])
-    A = np.vstack([lr, np.ones_like(lr)]).T
-    slope_u = float(np.linalg.lstsq(A, np.log(u[mask]), rcond=None)[0][0])
-    slope_v = float(np.linalg.lstsq(A, np.log(v[mask]), rcond=None)[0][0])
-    print(f"\ncritical s = m = {sc:.4f}: fitted decay slopes u: {slope_u:.4f}, "
+    i = max(i for i, r in enumerate(rad.r) if r < 1e3)
+    slope_u = rad.r[i] * rad.du[i] / rad.u[i]
+    slope_v = rad.r[i] * rad.dv[i] / rad.v[i]
+    print(f"\ncritical s = m = {sc:.4f}: decay slopes u: {slope_u:.4f}, "
           f"v: {slope_v:.4f} (theory: -(N-p)/(p-1) = {-(args.N - args.p) / (args.p - 1):.4f})")
 
     with open(args.out, "w", newline="") as fh:

@@ -288,7 +288,7 @@ def _error_norm(y, y_new, ks, h) -> float:
            + E3_11 * k11d) / sd
     e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
     e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
-    if e5 == 0.0 and e3 == 0.0:
+    if e5 == 0.0:       # the denominator may underflow to 0 with it
         return 0.0
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4)
 

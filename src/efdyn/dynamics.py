@@ -586,7 +586,12 @@ class GroundStateSearch:
 
 
 def _seed(theta: float, rho: float) -> tuple[float, float]:
-    return rho * math.cos(theta), rho * math.sin(theta)
+    """The manifold seed at angle theta and radius rho. At theta = pi/4 it lies
+    on the diagonal exactly: cos and sin of the rounded pi/4 differ by an ulp,
+    which would seed a symmetric system off its invariant diagonal."""
+    x = rho * math.cos(theta)
+    y = x if theta == math.pi / 4 else rho * math.sin(theta)
+    return x, y
 
 
 def _exchanged(outcome: ShotOutcome) -> ShotOutcome:

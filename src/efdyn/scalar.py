@@ -226,15 +226,6 @@ class ScalarReport:
                 "evidence": self.evidence}
 
 
-def _fit_slope(xs, ys) -> float:
-    """Least-squares slope of the line through the points (xs, ys), from
-    mean-centred sums."""
-    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-    dx = [x - x_mean for x in xs]
-    return (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
-            / math.fsum(d * d for d in dx))
-
-
 def _stable_direction(J) -> tuple[float, float]:
     """Unit eigenvector, first component <= 0, of the smaller eigenvalue of the
     real 2x2 matrix J; the branch of M0's stable manifold with X between
@@ -316,20 +307,19 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma, ScalarBehavior.THRESHOLD_Q1, evidence)
 
     # Q < Q1: saddle connection A0 -> M0 found by integrating the stable
-    # eigendirection of M0 backwards
+    # eigendirection of M0 backwards. M0 is a saddle iff det J(M0) =
+    # -X0 Z0 (p - 1 - Q)/(p - 1) < 0, that is iff Q > p - 1
+    if Q < p - 1:
+        raise NotApplicable(f"Q = {Q} < p - 1 = {p - 1}: M0 is no saddle, "
+                            "there is no connection to follow")
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     v = _stable_direction(scalar_jacobian(sp, (X0, Z0)))
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
     traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
-    # map to u(r) and fit both end slopes of ln u vs ln r
-    ts = traj.t
-    lu = [math.log(scalar_profile_from_phase(sp, t, X, Z))
-          for t, (X, _, Z, _) in zip(ts, traj.states)]
-    n = len(ts)
-    tail = slice(max(0, n - max(5, n // 5)), n)      # backward end: r -> 0
-    head = slice(0, max(5, n // 5))                  # start near M0: r -> infinity
-    evidence["slope_origin"] = _fit_slope(ts[tail], lu[tail])
-    evidence["slope_infinity"] = _fit_slope(ts[head], lu[head])
+    # X = -r u'/u: the slope of ln u against ln r is -X, read at the run's
+    # backward end (r -> 0) and at its start next to M0 (r -> infinity)
+    evidence["slope_origin"] = -traj.states[-1][0]
+    evidence["slope_infinity"] = -traj.states[0][0]
     evidence["termination"] = _termination(traj.termination)
     return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                         ScalarBehavior.ABSORPTION_CONNECTION, evidence)

@@ -13,7 +13,6 @@ forms are cross-checked against the numeric Jacobian in the test suite.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -225,13 +224,6 @@ def _dims(values) -> tuple[int, int, int]:
     return stable, unstable, center
 
 
-def _quad_roots(b, c) -> list[complex]:
-    """Roots of lambda^2 + b lambda + c."""
-    disc = complex(b * b - 4 * c)
-    sq = cmath.sqrt(disc)
-    return [(-b + sq) / 2, (-b - sq) / 2]
-
-
 def closed_form_eigenvalues(params: SystemParams, label: FixedPointLabel) -> list[complex]:
     """Exact eigenvalues at a catalog point (symmetric labels via the exchange map)."""
     P = params
@@ -259,7 +251,7 @@ def closed_form_eigenvalues(params: SystemParams, label: FixedPointLabel) -> lis
         raise UndefinedPoint(f"{label} undefined for these parameters")
     X, Y, Z, W = pt.coords
     # P0, C0 and R0 share the (Y, W) block
-    yw = _quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
+    yw = _real_quad_roots(-(Y - W), (m + 1 - q) / (q - 1) * Y * W)
     if label is FixedPointLabel.P0:
         return [cp, P.D / (q - 1 - m) * (derive_exponents(P).gamma - cp)] + yw
     if label is FixedPointLabel.C0:

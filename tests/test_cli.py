@@ -162,6 +162,23 @@ class TestCommands:
         P = SystemParams.from_dict(raw["params"])
         assert report["outcome"] == classify_shot(P, *_seed(0.3, 1e-4), 1e-4).to_dict()
 
+    @pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-6, 3e-4])
+    def test_seed_at_quarter_pi_is_diagonal(self, rho):
+        # cos and sin of the rounded pi/4 differ by an ulp; the seed does not
+        x, y = _seed(math.pi / 4, rho)
+        assert x == y
+
+    def test_shoot_on_the_diagonal(self, tmp_path):
+        # a symmetric system seeded on its diagonal stays there: the shot is S,
+        # where a seed one ulp off it ended as S2
+        raw = dict(HAM_CONFIG, shoot={"theta": math.pi / 4, "rho": 1e-5})
+        raw["params"] = dict(raw["params"], s=0.5, m=0.5, delta=2.5, mu=2.5)
+        cfg = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["shoot", "--config", cfg, "--out", out]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["outcome"]["sClass"] == "S"
+
     def test_sweep_angle(self, tmp_path):
         raw = dict(HAM_CONFIG, sweep={"kind": "angle", "n": 5})
         raw["params"] = dict(raw["params"], delta=1.5, mu=1.5)
@@ -205,6 +222,16 @@ class TestCommands:
         assert main(["scalar", "--config", cfg, "--out", out]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "ground states" in report["report"]["behavior"]
+
+    def test_scalar_absorption_connection_near_p_minus_one(self, tmp_path):
+        # ln u along the run passes the range of exp here; the end slopes are
+        # read off X and need no profile
+        raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 1.1, "eps": -1}}
+        cfg = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["scalar", "--config", cfg, "--out", out]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["report"]["evidence"]["termination"] == "converged:A0"
 
     def test_portrait_scalar_arrows_vanish_at_fixed_points(self, tmp_path):
         raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0},

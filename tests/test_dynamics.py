@@ -1016,7 +1016,7 @@ def _reference_error_norm(K, h, y, y_new, rtol, atol):
         r3 = _dot(ki, _E3) / scale
         e5 += r5 * r5
         e3 += r3 * r3
-    if e5 == 0.0 and e3 == 0.0:
+    if e5 == 0.0:
         return 0.0
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
@@ -1153,6 +1153,15 @@ class TestKernelBits:
         # nan in terms that the kernel skips: the bits agree on finite stages
         assume(all(math.isfinite(float.fromhex(v)) for call in ref[0] for v in call[2]))
         assert self._outcome(_kernel_step, fun, t, y, h) == ref
+
+    def test_zero_error_with_an_underflowed_denominator(self):
+        # a state that hypothesis once drew: e5 = 0 and 0.01 * e3 underflows,
+        # so the norm's denominator is 0 as well; the norm is 0
+        fun, h = dynamics._radial_rhs(_NONSYMMETRIC), -1e-5
+        y = [0.0, 0.0, 4.547575581979385e-191, 0.0]
+        ref = self._outcome(_reference_step, fun, 0.0, y, h)
+        assert ref[2] == (0.0).hex()
+        assert self._outcome(_kernel_step, fun, 0.0, y, h) == ref
 
 
 class TestKernelPauseResume:

@@ -12,7 +12,7 @@ from efdyn.numerics import SCALAR_R_MAX
 from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
                           explicit_critical_solution, line_quantity, particular_amplitude,
                           poincare_returns, regular_seed, scalar_classify,
-                          scalar_fixed_points)
+                          scalar_fixed_points, scalar_jacobian)
 
 from conftest import SCALAR_CASES, scalar_to_phase
 
@@ -125,9 +125,13 @@ class TestCatalog:
         assert rep.behavior is ScalarBehavior.SIGN_CHANGING
 
 
-# -- the closed-form fits against their numpy forms -------------------------------
+# -- the closed forms against their numpy forms ----------------------------------
 
-STABLE_NODE = (3.0, 2.0, 0.0, 0.5, -1)     # M0's eigenvalues -7.70 and -1.30
+# Jacobians of the plane field at M0 with no stable direction to follow:
+# (3, 2, 0, 0.5, eps = -1), a stable node with eigenvalues -7.70 and -1.30, and
+# (3, 2, 0, -0.5, eps = -1), a focus with eigenvalues -1.83 +/- 1.14i
+STABLE_NODE = ScalarParams(N=3.0, p=2.0, a=0.0, Q=0.5, eps=-1)
+FOCUS = ScalarParams(N=3.0, p=2.0, a=0.0, Q=-0.5, eps=-1)
 
 
 def _oracle_scalar_draws(seeds):
@@ -139,56 +143,49 @@ def _oracle_scalar_draws(seeds):
             for seed in seeds for c in oracle_scalar_inputs(seed)["scalar"]]
 
 
+def _m0_jacobian(sp):
+    return scalar_jacobian(sp, scalar_fixed_points(sp)["M0"])
+
+
+def _eig_direction(J):
+    """numpy's eigenvector of the smaller real eigenvalue, first component <= 0."""
+    w, V = np.linalg.eig(np.array(J))
+    want = V[:, np.argmin(w.real)].real
+    return -want if want[0] > 0 else want
+
+
 class TestClosedFormFits:
-    # scalar_classify fits in closed form; each fit, on the data it was given
-    # in a classification, agrees with lstsq, eig and mean to 1e-12 relative
+    # scalar_classify computes in closed form; each closed form, on the data it
+    # was given in a classification, agrees with eig, mean and np.all
 
     @pytest.fixture(scope="class")
     def runs(self):
-        """(reports, fit_slope calls, stable_direction calls) of the six
-        behaviours, the stable node and the oracle-scalar draws of seeds 1-3."""
-        calls = {"_fit_slope": [], "_stable_direction": []}
+        """(reports, stable_direction calls) of the six behaviours and the
+        oracle-scalar draws of seeds 1-3."""
+        calls = []
+        fn = efdyn.scalar._stable_direction
 
-        def spy(name):
-            fn = getattr(efdyn.scalar, name)
+        def record(J):
+            out = fn(J)
+            calls.append((J, out))
+            return out
 
-            def record(*args):
-                out = fn(*args)
-                calls[name].append((args, out))
-                return out
-            return record
-
-        cases = [*SCALAR_CASES.values(), STABLE_NODE, *_oracle_scalar_draws((1, 2, 3))]
+        cases = [*SCALAR_CASES.values(), *_oracle_scalar_draws((1, 2, 3))]
         with pytest.MonkeyPatch.context() as mp:
-            for name in calls:
-                mp.setattr(efdyn.scalar, name, spy(name))
+            mp.setattr(efdyn.scalar, "_stable_direction", record)
             reports = [scalar_classify(*case) for case in cases]
-        return reports, calls["_fit_slope"], calls["_stable_direction"]
-
-    def test_slope_is_lstsq(self, runs):
-        _, fits, _ = runs
-        assert len(fits) == 2 * 5      # both ends of SCALAR_CASES, the node and 3 draws
-        for (xs, ys), slope in fits:
-            A = np.vstack([xs, np.ones(len(xs))]).T
-            if np.linalg.cond(A) > 1e4:
-                # the stable node's tail spans 1.4e-5 in t near t = -2.1 (condition
-                # 1.3e6): lstsq loses five digits there unless t is centred first
-                A[:, 0] -= np.mean(xs)
-            want = np.linalg.lstsq(A, np.array(ys), rcond=None)[0][0]
-            assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
+        return reports, calls
 
     def test_direction_is_eig(self, runs):
-        _, _, directions = runs
-        assert ((-4.0, -4.0), (-2.5, -5.0)) in [J for (J,), _ in directions]   # the node
-        for (J,), v in directions:
-            w, V = np.linalg.eig(np.array(J))
-            want = V[:, np.argmin(w.real)].real
-            want = -want if want[0] > 0 else want
-            assert np.max(np.abs(np.subtract(v, want))) <= 1e-12
+        _, directions = runs
+        assert len(directions) == 4     # the absorption connection and 3 draws
+        node = _m0_jacobian(STABLE_NODE)
+        for J, v in directions + [(node, efdyn.scalar._stable_direction(node))]:
+            assert np.max(np.abs(np.subtract(v, _eig_direction(J)))) <= 1e-12
             assert v[0] <= 0.0
 
     def test_amplitude_is_mean(self, runs):
-        reports, _, _ = runs
+        reports, _ = runs
         fits = [rep for rep in reports if rep.behavior is ScalarBehavior.ALL_REGULAR_ARE_GS]
         assert len(fits) == 4
         for rep in fits:
@@ -199,7 +196,7 @@ class TestClosedFormFits:
             assert rep.evidence["amplitude_fit"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_poincare_flag_is_np_all(self, runs):
-        reports, _, _ = runs
+        reports, _ = runs
         flagged = [rep.evidence for rep in reports if "poincare_offsets" in rep.evidence]
         assert len(flagged) == 2 * 4   # Q1 < Q < Q2 and Q > Q2, source sign
         for ev in flagged:
@@ -207,6 +204,27 @@ class TestClosedFormFits:
             assert ev["poincare_monotone"] is bool(np.all(diffs > 0) or np.all(diffs < 0))
 
     def test_complex_pair_at_m0_is_not_applicable(self):
-        # M0 = (-4/3, 7/3) has eigenvalues -1.83 +/- 1.14i: no stable direction to follow
+        # a focus has no stable direction to follow
         with pytest.raises(NotApplicable, match="complex eigenvalues"):
-            scalar_classify(3.0, 2.0, 0.0, -0.5, eps=-1)
+            efdyn.scalar._stable_direction(_m0_jacobian(FOCUS))
+
+
+class TestAbsorptionConnection:
+    # the connection runs from A0 to the saddle M0; X = -r u'/u, so the end
+    # slopes of ln u against ln r are -X at the run's two ends
+
+    @pytest.mark.parametrize("Q", [1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4])
+    def test_end_slopes(self, Q):
+        rep = scalar_classify(3.0, 2.0, 0.0, Q, eps=-1)
+        assert rep.behavior is ScalarBehavior.ABSORPTION_CONNECTION
+        # u ~ r^{-(N-p)/(p-1)} = r^-1 at the origin, u ~ A r^-gamma at infinity
+        assert rep.evidence["slope_origin"] == pytest.approx(-1.0, rel=0.02)
+        assert rep.evidence["slope_infinity"] == pytest.approx(-rep.gamma, rel=1e-5)
+
+    @pytest.mark.parametrize("sp", [STABLE_NODE, FOCUS], ids=["node", "focus"])
+    def test_no_saddle_below_p_minus_one(self, sp):
+        # det J(M0) = -X0 Z0 (p - 1 - Q)/(p - 1) > 0 when Q < p - 1
+        (a, b), (c, d) = _m0_jacobian(sp)
+        assert a * d - b * c > 0.0
+        with pytest.raises(NotApplicable, match=r"< p - 1"):
+            scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)

@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the numerical constants, the absence of a
 tolerance parameter, the scripts' imports, the public surface and numpy's
-absence from the package."""
+absence from the package and the scripts."""
 
 import ast
 import json
@@ -161,11 +161,12 @@ def test_exports_are_what_clients_import():
 
 
 # -- efdyn runs on the standard library alone ----------------------------------
-# No module under src/ imports numpy or scipy: the M0 quartic is solved in real
-# arithmetic, radial runs are tuples, and the scalar fits and the Jacobians are
-# closed forms. `import efdyn` and every shipped config load neither, and
-# scalar_classify and the scalar catalogue run with both blocked; the tests use
-# them as oracles only.
+# No module under src/ and no script imports numpy or scipy: the M0 quartic is
+# solved in real arithmetic, radial runs are tuples, the Jacobians and the
+# amplitude fit are closed forms, and the slopes of ln u are read off the phase
+# coordinates. `import efdyn` and every shipped config load neither, and
+# scalar_classify, the scalar catalogue and every script run with both
+# blocked; the tests use them as oracles only.
 
 NUMPY_FREE_CONFIGS = tuple(sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
 BLOCKED = ("numpy", "scipy")
@@ -185,6 +186,14 @@ def _run_without_numpy(code, *args):
     subprocess.run([sys.executable, "-c", WITHOUT_NUMPY + code
                     + f"\nassert not set({BLOCKED!r}) & set(sys.modules)\n", *args],
                    check=True, env={"PYTHONPATH": str(SRC.parent)})
+
+
+def _run_script_without_numpy(path, *args):
+    _run_without_numpy("""
+import runpy
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+""", str(path), *args)
 
 
 @pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)
@@ -220,13 +229,18 @@ def test_scalar_catalog_runs_without_numpy(tmp_path):
     for i, args in enumerate((["--eps", "1", "--Q", "2.5", "3", "4", "5", "6"],
                               ["--eps", "-1", "--Q", "2", "4"])):
         out = tmp_path / f"catalog{i}.json"
-        _run_without_numpy("""
-import runpy
-sys.argv = sys.argv[1:]
-runpy.run_path(sys.argv[0], run_name="__main__")
-""", str(ROOT / "scripts" / "scalar_catalog.py"), *args, "--out", str(out))
+        _run_script_without_numpy(ROOT / "scripts" / "scalar_catalog.py", *args,
+                                  "--out", str(out))
         behaviors |= {rep["behavior"] for rep in json.loads(out.read_text())}
     assert behaviors == {b.value for b in ScalarBehavior}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_runs_without_numpy(path, tmp_path):
+    # the smoke run of test_script_runs_end_to_end, as the CI numpy-free job runs it
+    out = tmp_path / "out"
+    _run_script_without_numpy(path, *SCRIPT_SMOKE_ARGS[path.name], "--out", str(out))
+    assert out.read_text()
 
 
 def test_src_imports_no_numpy_or_scipy():

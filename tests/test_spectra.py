@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from efdyn.equilibria import FixedPointLabel, fixed_point, fixed_point_catalog, m0_coords
+from efdyn.equilibria import (EXCHANGE_IMAGE, FixedPointLabel, fixed_point, fixed_point_catalog,
+                              m0_coords)
 from efdyn.model import SystemParams, derive_exponents, exchange_params, hamiltonian_params
 from efdyn.spectra import (Direction, Existence, closed_form_eigenvalues, jacobian_at,
                            local_verdicts, m0_characteristic, oscillation_condition,
@@ -276,6 +278,46 @@ class TestSpectra:
                 scale = max(1.0, float(np.max(np.abs(num))))
                 assert match_eigs(cf, num) < 1e-8 * scale, fp.label
             checked += 1
+
+    @pytest.mark.parametrize("label", [FixedPointLabel.P0, FixedPointLabel.C0,
+                                       FixedPointLabel.R0, FixedPointLabel.Q0,
+                                       FixedPointLabel.D0, FixedPointLabel.S0],
+                             ids=lambda label: label.value)
+    def test_yw_block_roots_to_fifty_digits(self, rng, label):
+        # P0, C0 and R0 share the (Y, W) block lambda^2 - (Y - W) lambda + c Y W,
+        # c = (m + 1 - q)/(q - 1); Q0, D0 and S0 are their exchange images. Its
+        # two roots, real and imaginary parts, against a 50-digit evaluation
+        checked = 0
+        while checked < 100:
+            P = draw_params(rng)
+            image = exchange_params(P) if label in EXCHANGE_IMAGE else P
+            fp = fixed_point(image, EXCHANGE_IMAGE.get(label, label))
+            if not fp.defined:
+                continue
+            _, Y, _, W = fp.coords
+            b, c = -(Y - W), (image.m + 1 - image.q) / (image.q - 1) * Y * W
+            got = sorted(closed_form_eigenvalues(P, label)[2:], key=lambda z: (z.real, z.imag))
+            want = sorted(_decimal_quad_roots(b, c))
+            for g, (re, im) in zip(got, want):
+                # each root to 1e-15 of its own modulus: the smaller root of a
+                # real pair suffers no cancellation
+                tol = Decimal(1e-15) * (re * re + im * im).sqrt()
+                assert abs(Decimal(g.real) - re) <= tol, fp.label
+                assert abs(Decimal(g.imag) - im) <= tol, fp.label
+            checked += 1
+
+
+def _decimal_quad_roots(b, c):
+    """(real, imaginary) parts of the roots of x^2 + b x + c, for the floats b
+    and c taken exactly, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        B, C = Decimal(b), Decimal(c)
+        disc = B * B - 4 * C
+        root = abs(disc).sqrt()
+        if disc >= 0:
+            return [((-B - root) / 2, Decimal(0)), ((-B + root) / 2, Decimal(0))]
+        return [(-B / 2, -root / 2), (-B / 2, root / 2)]
 
 
 def min_gap(vals):
