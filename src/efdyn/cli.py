@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import energies, equilibria, spectra
 from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
                        search_ground_state, sweep_angles)
-from .errors import ConfigError, EfdynError
+from .errors import ConfigError, EfdynError, NotApplicable
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
 from .scalar import (ScalarParams, diagonal_trajectory, regular_seed, scalar_classify,
@@ -375,7 +375,10 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
 
 def _run_scalar(rc: RunConfig) -> ReportBundle:
     sp = _need_scalar(rc)
-    rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
+    try:
+        rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
+    except NotApplicable as exc:    # a point outside the theory, not a failure
+        raise ConfigError("scalar", str(exc))
     report = {"command": "scalar", "report": rep.to_dict()}
     summary = [f"scalar N={_fmt(sp.N)} p={_fmt(sp.p)} a={_fmt(sp.a)} Q={_fmt(sp.Q)} "
                f"eps={sp.eps}",

@@ -144,7 +144,10 @@ Rhs = Callable[[float, Sequence[float]], Sequence[float]]
 
 
 def _rms(xs) -> float:
-    return math.sqrt(sum(x * x for x in xs)) / len(xs) ** 0.5
+    """The root mean square of four floats, squares added left to right:
+    `sum()` compensates from Python 3.12 on, which moves the initial step."""
+    a, b, c, d = xs
+    return math.sqrt(a * a + b * b + c * c + d * d) / 2.0
 
 
 def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction) -> float:
@@ -409,10 +412,10 @@ class DenseSolution:
 
     It reads the run's own lists of points and pieces, so on a paused run it
     covers the steps taken so far; on that span it selects the piece that the
-    finished run selects."""
+    finished run selects. `ascending` is the run's direction."""
 
-    def __init__(self, ts: list[float], pieces: list):
-        self.ascending = ts[-1] >= ts[0]
+    def __init__(self, ts: list[float], pieces: list, ascending: bool):
+        self.ascending = ascending
         self.ts = ts
         self.pieces = pieces
 
@@ -434,7 +437,7 @@ class Solution:
     status: int | None               # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
     t_events: list[list[float]]      # per event, in integration order
-    sol: DenseSolution | None = None
+    sol: DenseSolution               # the steps' interpolants, as the run grows
     nfev: int = 0                    # the run's right-hand side evaluations: 11 per attempted
                                      # step, 1 more per accepted one, 3 per interpolant built
                                      # to locate an event, 2 to start
@@ -497,7 +500,7 @@ def find_root(f: Callable[[float], float], a: float, b: float,
 
 
 def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
-          events: Sequence = (), dense: bool = False) -> Iterator[Solution]:
+          events: Sequence = ()) -> Iterator[Solution]:
     """Integrate y' = fun(t, y) from (t0, y0) toward t_bound, one accepted step
     at a time, to the tolerances ODE_RTOL and ODE_ATOL of `efdyn.numerics`.
 
@@ -510,13 +513,12 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     Each event has `fn(t, y)`, `terminal` and `direction` (> 0: upward zero
     crossings only, < 0: downward only, 0: both). Its zeros are located on the
     step interpolant to 4 eps; a terminal event ends the run at its zero, which
-    becomes the last point. With `dense`, `Solution.sol` evaluates the solution
-    at every yield, over the steps taken so far: on that span its values are
-    those of the finished run, bit for bit. Each step's interpolant is built
-    on its first evaluation (`StepInterpolant`), so output that nothing reads
-    costs nothing; `Solution.nfev` counts only the interpolants built during
-    the run, those of the steps with an event. Without `dense`, only the steps
-    with an event get an interpolant.
+    becomes the last point. `Solution.sol` evaluates the solution at every
+    yield, over the steps taken so far: on that span its values are those of
+    the finished run, bit for bit. Each step's interpolant is built on its
+    first evaluation (`StepInterpolant`), so output that nothing reads costs
+    no right-hand side evaluation; `Solution.nfev` counts only the
+    interpolants built during the run, those of the steps with an event.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -524,19 +526,19 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     y = tuple(float(v) for v in y0)
     if len(y) != 4:
         raise ValueError(f"the kernel integrates states of length 4, not {len(y)}")
-    return _run(fun, float(t0), y, float(t_bound), tuple(events), dense)
+    return _run(fun, float(t0), y, float(t_bound), tuple(events))
 
 
-def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
+def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
     """The stepping loop of `steps`, on a checked 4-component state."""
-    out = Solution([t], [y], None, [[] for _ in events])
-    ts, ys, t_events = out.t, out.y, out.t_events
-    pieces: list | None = [] if dense else None
+    ts, ys, pieces = [t], [y], []
+    out = Solution(ts, ys, None, [[] for _ in events], DenseSolution(ts, pieces, t_bound >= t))
+    t_events = out.t_events
     if t == t_bound:
         ts.append(t)
         ys.append(y)
+        pieces.append(lambda s: y)
         out.status = 0
-        out.sol = DenseSolution(ts, [lambda s: y]) if dense else None
         yield out
         return
 
@@ -582,7 +584,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f) if dense else None
+        piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
 
         if events:
             g_new, active = [], []
@@ -594,8 +596,6 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                     active.append(i)
             if active:
                 # locating a zero evaluates the piece: it is built here
-                if piece is None:
-                    piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
                 nfev += 3
                 found = [(find_root(lambda s, fn=specs[i][0]: fn(s, piece(s)), t_old, t), i)
                          for i in active]
@@ -610,22 +610,19 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                     t_events[i].append(root)
             g = g_new
 
-        # with dense output, a terminal zero at the step's start adds no point
-        if not (dense and len(ts) > 1 and ts[-1] == t):
+        # a terminal zero at the step's start adds no point
+        if not (len(ts) > 1 and ts[-1] == t):
             ts.append(t)
             ys.append(y)
-            if dense:
-                pieces.append(piece)
-        if dense and out.sol is None:
-            out.sol = DenseSolution(ts, pieces)
+            pieces.append(piece)
         out.status, out.nfev, out.n_accepted, out.n_rejected = \
             status, nfev, n_accepted, n_rejected
         yield out
 
 
 def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
-          events: Sequence = (), dense: bool = False) -> Solution:
+          events: Sequence = ()) -> Solution:
     """`steps` run to its end: the final `Solution`."""
-    for sol in steps(fun, t0, y0, t_bound, events, dense):
+    for sol in steps(fun, t0, y0, t_bound, events):
         pass
     return sol

@@ -51,14 +51,8 @@ class Trajectory:
     t: tuple[float, ...]
     states: tuple[tuple[float, float, float, float], ...]
     termination: Termination
-    events: tuple[tuple[float, str], ...] = ()
-    dense: Callable | None = None               # interpolant t -> coords
-
-    def state_at(self, t: float) -> tuple[float, float, float, float]:
-        """Interpolated state at t (needs dense output)."""
-        if self.dense is None:
-            raise PreconditionViolated("trajectory was integrated without dense output")
-        return self.dense(t)
+    events: tuple[tuple[float, str], ...]
+    dense: Callable                             # interpolant t -> coords
 
 
 def _signed_root(x: float, e: float) -> float:
@@ -105,17 +99,17 @@ class EventSpec:
     direction: float = 0.0
 
 
-def _start(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
+def _start(rhs, span, y0, events: Sequence[EventSpec]):
     """A run of the package's integrator (`dop853.steps`), started: it yields
     its growing solution after each accepted step."""
-    return dop853.steps(rhs, span[0], y0, span[1], events, dense)
+    return dop853.steps(rhs, span[0], y0, span[1], events)
 
 
 def _checked(sol):
     """The final solution of a run; a collapsed step size raises."""
     if sol.status == -1:
         failed = Trajectory(t=tuple(sol.t), states=tuple(sol.y),
-                            termination=Termination(kind="failed"))
+                            termination=Termination(kind="failed"), events=(), dense=sol.sol)
         raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
                                 trajectory=failed)
     return sol
@@ -126,10 +120,10 @@ def _named(names: Sequence[str], t_events) -> list[tuple[float, str]]:
     return sorted((t, name) for name, ts in zip(names, t_events) for t in ts)
 
 
-def _solve(rhs, span, y0, events: Sequence[EventSpec], dense: bool = False):
+def _solve(rhs, span, y0, events: Sequence[EventSpec]):
     """A run of the package's integrator to its end (`dop853.solve`); a
     collapsed step size raises."""
-    return _checked(dop853.solve(rhs, span[0], y0, span[1], events, dense))
+    return _checked(dop853.solve(rhs, span[0], y0, span[1], events))
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -167,8 +161,7 @@ def _detect_convergence(params, t, states) -> Termination | None:
 
 def integrate_m(params: SystemParams, initial: PhaseState,
                 horizon: tuple[float, float],
-                events: Sequence[EventSpec] = (),
-                dense: bool = False) -> Trajectory:
+                events: Sequence[EventSpec] = ()) -> Trajectory:
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
 
     Blow-up (X or Y beyond BLOW_UP) terminates; every event root is located
@@ -176,7 +169,7 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     convergence termination is reported when the accepted steps sit within
     CAPTURE_DIST of a catalog point for CAPTURE_STEPS steps.
     """
-    sol = _solve(*_phase_problem(params, initial, horizon, events), dense)
+    sol = _solve(*_phase_problem(params, initial, horizon, events))
     return _finish_m(params, sol, [ev.name for ev in events])
 
 
@@ -241,7 +234,8 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     Startup at r0 = RADIAL_R0 uses the first-order series: the flux potentials
     start as U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V),
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
-    neither profile is positive, when |u| or |v| exceeds BLOW_UP, or at r_max.
+    neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP, or
+    at r_max.
     """
     rhs, span, y0, evs = _radial_problem(params, u0, v0, r_max)
     sol = _solve(rhs, span, y0, evs)
@@ -277,13 +271,15 @@ def _radial_problem(params, u0, v0, r_max):
     V_init = -P.eps2 * r0 ** (1 + P.b) * u0 ** P.mu * v0 ** P.m / (P.N + P.b)
 
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
-    # more; blow-up: a profile that diverges (absorption, or past its zero)
+    # more; blow-up: a profile or a flux that diverges (absorption, or past a
+    # zero), where the flux may outrun the profile
     blow_up = BLOW_UP
     evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
            EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
            EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
                      direction=-1.0),
-           EventSpec("blow-up", lambda t, y: max(abs(y[0]), abs(y[1])) - blow_up,
+           EventSpec("blow-up",
+                     lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
                      terminal=True, direction=1.0))
     return (_radial_rhs(params), (math.log(r0), math.log(r_max)),
             [u_init, v_init, U_init, V_init], evs)
@@ -311,9 +307,9 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
-    ph = integrate_m(params, seed, horizon=(0.0, T_END), dense=True)
+    ph = integrate_m(params, seed, horizon=(0.0, T_END))
     t_read = ph.t[-1] - tau + 0.5 + 1e-6
-    for rad in _start(*_radial_problem(params, u0h, v0h, math.exp(T_END)), dense=True):
+    for rad in _start(*_radial_problem(params, u0h, v0h, math.exp(T_END))):
         if rad.t[-1] >= t_read:
             break
     _checked(rad)

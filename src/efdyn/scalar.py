@@ -145,8 +145,7 @@ def explicit_critical_solution(sp: ScalarParams, c: float = 1.0):
 
 # -- integration on the diagonal ---------------------------------------------
 
-def diagonal_trajectory(sp: ScalarParams, start, t_span,
-                        events=(), dense: bool = False) -> Trajectory:
+def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Trajectory:
     """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
     system; columns 0 and 2 of the states are (X, Z). Besides the blow-up of X
     that integrate_m watches, a blow-up of Z (absorption quadrants) stops it."""
@@ -154,7 +153,7 @@ def diagonal_trajectory(sp: ScalarParams, start, t_span,
     blow_up = BLOW_UP
     blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - blow_up, terminal=True)
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
-                       horizon=tuple(t_span), events=(blow_z, *events), dense=dense)
+                       horizon=tuple(t_span), events=(blow_z, *events))
 
 
 def _termination(term: Termination) -> str:
@@ -188,11 +187,10 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05) -> list[float
     """
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
-    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0),
-                               events=[section], dense=True)
+    traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0), events=[section])
     offsets = []
     for t_ev in (t for t, name in traj.events if name == "section"):
-        z_ev = traj.state_at(t_ev)[2]
+        z_ev = traj.dense(t_ev)[2]
         if t_ev > 1e-9 and z_ev > Z0:
             offsets.append(float(z_ev - Z0))
         if len(offsets) >= 6:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from efdyn.cli import main, parse_config, run
-from efdyn.dynamics import _seed, classify_shot
+from efdyn.dynamics import _seed, classify_shot, search_ground_state
 from efdyn.errors import ConfigError
 from efdyn.model import SystemParams
 from efdyn.numerics import CAPTURE_DIST
@@ -215,6 +215,25 @@ class TestCommands:
         assert len(lines) == 4
         assert all(ln.split(",")[5] == "1" for ln in lines[1:])   # supercritical: all found
 
+    @pytest.mark.parametrize("parameter,delta_mu", [("s=m", lambda v: 2.0),
+                                                    ("s=m-potential", lambda v: v + 1.0)])
+    def test_sweep_family_self_exponents(self, tmp_path, parameter, delta_mu):
+        raw = dict(HAM_CONFIG, sweep={"kind": "family", "parameter": parameter,
+                                      "start": 0.3, "stop": 0.5, "step": 0.2,
+                                      "n_angles": 3})
+        cfg = write_config(tmp_path, raw)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "value,delta,mu,s,m,found_gs,predicted"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [float(row[0]) for row in rows] == [0.3, 0.5]
+        for row in rows:
+            v = float(row[0])
+            assert [float(x) for x in row[1:5]] == [delta_mu(v), delta_mu(v), v, v]
+            P = SystemParams(**HAM_CONFIG["params"]).replace(
+                delta=delta_mu(v), mu=delta_mu(v), s=v, m=v)
+            assert row[5] == ("1" if search_ground_state(P, n_angles=3).found else "0")
+
     def test_scalar_command(self, tmp_path):
         raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 6.0}}
         cfg = write_config(tmp_path, raw)
@@ -406,6 +425,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scalar_point_outside_the_theory_exit_2(self, tmp_path, capsys):
+        # Q < p - 1 with the absorption sign: M0 is no saddle, so there is no
+        # connection to classify; that is the config's point, not a failure
+        raw = {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 0.5, "eps": -1}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["scalar", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scalar: Q = 0.5 < p - 1 = 1.0: M0 is no saddle, "
+            "there is no connection to follow\n")
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):

@@ -122,7 +122,7 @@ class TestDerivatives:
                 t_end = t
                 break
         dense = integrate_m(params, launch_regular(params, *seed, 1e-4),
-                            horizon=(0.0, t_end), dense=True)
+                            horizon=(0.0, t_end))
 
         def energy_of_t(t):
             return energy_value(spec, params, PhaseState(t, *dense.dense(t)))
