@@ -412,15 +412,18 @@ class DenseSolution:
 
     It reads the run's own lists of points and pieces, so on a paused run it
     covers the steps taken so far; on that span it selects the piece that the
-    finished run selects. `ascending` is the run's direction."""
+    finished run selects. `ascending` is the run's direction. Before the first
+    step it holds the initial state only, at the initial time."""
 
-    def __init__(self, ts: list[float], pieces: list, ascending: bool):
-        self.ascending = ascending
-        self.ts = ts
-        self.pieces = pieces
+    def __init__(self, ts: list[float], ys: list, pieces: list, ascending: bool):
+        self.ts, self.ys, self.pieces, self.ascending = ts, ys, pieces, ascending
 
     def __call__(self, t) -> tuple[float, ...]:
         ts, n = self.ts, len(self.pieces)
+        if not n:
+            if t == ts[0]:
+                return self.ys[0]
+            raise ValueError(f"a run with no accepted step holds only t = {ts[0]}, not {t}")
         if self.ascending:
             seg = min(max(bisect_left(ts, t) - 1, 0), n - 1)
         else:
@@ -532,7 +535,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
 def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
     """The stepping loop of `steps`, on a checked 4-component state."""
     ts, ys, pieces = [t], [y], []
-    out = Solution(ts, ys, None, [[] for _ in events], DenseSolution(ts, pieces, t_bound >= t))
+    out = Solution(ts, ys, None, [[] for _ in events], DenseSolution(ts, ys, pieces, t_bound >= t))
     t_events = out.t_events
     if t == t_bound:
         ts.append(t)

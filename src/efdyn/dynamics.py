@@ -293,21 +293,22 @@ def oracle_compare(params: SystemParams, x: float, y: float,
 
     The radial route runs from scale-normalized data (the scaling law makes
     the curves agree up to a log-radius shift); the shift is pinned by matching
-    X at the last comparison sample, then all four coordinates are compared
-    at 25 points along the stretch where the trajectory is still inside 60%
-    of the box.
-
-    The phase run goes to its end, which fixes the scan grid. The radial run
-    (`integrate_radial`'s problem) stops at its first point at or past
-    ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison reads lies
+    X at the window end, then all four coordinates are compared at 25 points
+    of the window. The window ends where the phase run first leaves 60% of the
+    box, located by a terminal event of that run (or at the run's end). The
+    radial run (`integrate_radial`'s problem) stops at its first point at or
+    past ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison reads lies
     beyond ph.t[-1] - tau + 0.5, and past it the window, the shift bracket and
     the sample filter no longer depend on where the run stops. Every value
-    read is the whole run's, bit for bit. A step underflow of the radial run
-    before that point raises StepSizeUnderflow; one after it is never reached.
+    read is the whole run's, bit for bit. A step underflow of either run
+    before its stop raises StepSizeUnderflow; one after it is never reached.
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
-    ph = integrate_m(params, seed, horizon=(0.0, T_END))
+    xw, yw = 0.6 * params.x_bound, 0.6 * params.y_bound
+    window = EventSpec("window-end", lambda t, v: max(v[0] - xw, v[1] - yw),
+                       terminal=True, direction=1.0)
+    ph = integrate_m(params, seed, horizon=(0.0, T_END), events=(window,))
     t_read = ph.t[-1] - tau + 0.5 + 1e-6
     for rad in _start(*_radial_problem(params, u0h, v0h, math.exp(T_END))):
         if rad.t[-1] >= t_read:
@@ -320,11 +321,6 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     rad_lo, rad_hi = math.log(math.exp(rad.t[0])), math.log(math.exp(rad.t[-1]))
     t_lo = max(0.0, rad_lo + tau + 1e-9)
     t_hi = min(ph.t[-1], rad_hi + tau - 1e-9)
-    for t in linspace(t_lo, t_hi, 400):
-        Xp, Yp, _, _ = ph.dense(t)
-        if Xp > 0.6 * params.x_bound or Yp > 0.6 * params.y_bound:
-            t_hi = t
-            break
     if t_hi - t_lo < 1e-3:
         raise Inconclusive("no overlap window for the oracle comparison")
 

@@ -421,8 +421,8 @@ ORACLE_POINTS = [
                       0.3754511934459322, 0.1557762313195418,
                       -0.14261052586043746), (0.5, 0.5)),
 ]
-ORACLE_HEX = ["0x1.2778c34aef834p-21", "0x1.f9a88b17dc690p-26", "0x1.022436e673e62p-24",
-              "0x1.3f2e6cf0380a7p-27", "0x1.4507601667886p-22", "0x1.308bf1dc12805p-28"]
+ORACLE_HEX = ["0x1.1d1de26148e0cp-21", "0x1.eb8e0959ad601p-26", "0x1.f8219bedfc91ap-25",
+              "0x1.3e79bd59a5810p-27", "0x1.3a4244a03f4abp-22", "0x1.2d88ffc6949fbp-28"]
 
 
 class TestOracleEquivalence:
@@ -1439,30 +1439,33 @@ class TestDenseOutputOnPausedRun:
 
 
 class TestOracleStop:
-    """oracle_compare stops its radial run once it covers every time that the
-    comparison reads."""
+    """oracle_compare stops its phase run at the window end, where it first
+    leaves 60% of the box, and its radial run once it covers every time that
+    the comparison reads."""
 
     POINT = (HAM6, 0.6e-6, 0.4e-6, 1e-6)
 
     @staticmethod
-    def _radial_calls(monkeypatch, nan_on=(math.inf, math.inf)):
-        """A count of the radial right-hand side evaluations of the runs
-        started from now on; the right-hand side is NaN for t in [lo, hi) =
-        nan_on, which leaves the initial-step probe at the span's end alone."""
-        calls, real = [0], dynamics._radial_rhs
+    def _calls(monkeypatch, factory, nan_on=(math.inf, math.inf)):
+        """A count of the right-hand side evaluations of the runs started from
+        now on that integrate the system `dynamics.<factory>` makes
+        (`_radial_rhs` or `phase_rhs`); the right-hand side is NaN for t in
+        [lo, hi) = nan_on, which leaves the initial-step probe at the span's
+        end alone."""
+        calls, real = [0], getattr(dynamics, factory)
 
-        def radial_rhs(params):
+        def patched(params):
             rhs = real(params)
 
             def counted(t, y):
                 calls[0] += 1
                 return (math.nan,) * 4 if nan_on[0] <= t < nan_on[1] else rhs(t, y)
             return counted
-        monkeypatch.setattr(dynamics, "_radial_rhs", radial_rhs)
+        monkeypatch.setattr(dynamics, factory, patched)
         return calls
 
     def test_fewer_radial_calls_than_integrate_radial(self, monkeypatch):
-        calls = self._radial_calls(monkeypatch)
+        calls = self._calls(monkeypatch, "_radial_rhs")
         P, x, y, rho = self.POINT
         assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
         oracle = calls[0]
@@ -1472,19 +1475,53 @@ class TestOracleStop:
         assert 0 < oracle < calls[0]
 
     def test_radial_failure_before_the_window_end_raises(self, monkeypatch):
-        # the comparison reads the radial run up to t = 1.87 here
-        self._radial_calls(monkeypatch, nan_on=(1.0, 1.5))
+        # the comparison reads the radial run up to t = 1.53 here
+        self._calls(monkeypatch, "_radial_rhs", nan_on=(1.0, 1.5))
         with pytest.raises(StepSizeUnderflow):
             oracle_compare(*self.POINT)
 
     def test_radial_failure_past_the_window_end_is_not_reached(self, monkeypatch):
         # integrate_radial runs on to the u-zero at t = 8.59 and fails at 5
-        self._radial_calls(monkeypatch, nan_on=(5.0, 5.5))
+        self._calls(monkeypatch, "_radial_rhs", nan_on=(5.0, 5.5))
         P, x, y, rho = self.POINT
         u0, v0, _ = normalized_regular_data(P, x, y)
         with pytest.raises(StepSizeUnderflow):
             integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END))
         assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
+
+    def test_fewer_phase_calls_than_integrate_m(self, monkeypatch):
+        calls = self._calls(monkeypatch, "phase_rhs")
+        P, x, y, rho = self.POINT
+        assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
+        oracle = calls[0]
+        calls[0] = 0
+        integrate_m(P, launch_regular(P, x, y, rho), horizon=(0.0, dynamics.T_END))
+        assert 0 < oracle < calls[0]
+
+    def test_phase_failure_before_the_window_end_raises(self, monkeypatch):
+        # the phase run leaves 60% of the box at t = 7.43 here
+        self._calls(monkeypatch, "phase_rhs", nan_on=(7.0, 7.2))
+        with pytest.raises(StepSizeUnderflow):
+            oracle_compare(*self.POINT)
+
+    def test_phase_failure_past_the_window_end_is_not_reached(self, monkeypatch):
+        # integrate_m runs on to the blow-up at t = 7.77 and fails at 7.6
+        self._calls(monkeypatch, "phase_rhs", nan_on=(7.6, 7.7))
+        P, x, y, rho = self.POINT
+        with pytest.raises(StepSizeUnderflow):
+            integrate_m(P, launch_regular(P, x, y, rho), horizon=(0.0, dynamics.T_END))
+        assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
+
+    def test_run_that_never_reaches_the_window_keeps_its_value(self):
+        # this diagonal seed stays inside 60% of the box up to T_END: the
+        # window event never fires and the window ends with the phase run.
+        # The routes part near the saddle-focus M0 (ROADMAP item 15).
+        P = hamiltonian_params(6.0, 2.5, 2.5)
+        x = y = 0.5e-6
+        traj = integrate_m(P, launch_regular(P, x, y, 1e-6), horizon=(0.0, dynamics.T_END))
+        assert traj.t[-1] == dynamics.T_END
+        assert all(s[0] < 0.6 * P.x_bound and s[1] < 0.6 * P.y_bound for s in traj.states)
+        assert oracle_compare(P, x, y, 1e-6).hex() == "0x1.14d004f9bd89dp+1"
 
 
 class TestKernelTerminalEvents:
@@ -1520,6 +1557,21 @@ class TestKernelNonFinite:
         sol = dop853.solve(fun, 0.0, y0, 1.0)
         assert sol.status == -1
         assert sol.t == [0.0] and sol.n_accepted == 0
+
+    @pytest.mark.parametrize("fun,y0", [
+        (_rotation, (math.nan, 1.0, 1.0, 1.0)),
+        (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+    ], ids=["nan-y0", "nan-rhs"])
+    def test_dense_output_without_a_step_holds_the_initial_point(self, deadline, fun, y0):
+        # the run's own `sol`, and the `dense` of the partial trajectory that
+        # StepSizeUnderflow carries: y0 at t0, a ValueError elsewhere
+        with pytest.raises(StepSizeUnderflow) as err:
+            dynamics._solve(fun, (0.0, 1.0), y0, ())
+        for dense in (dop853.solve(fun, 0.0, y0, 1.0).sol, err.value.trajectory.dense):
+            assert dense(0.0) == y0
+            for t in (0.5, -1.0, 1.0):
+                with pytest.raises(ValueError, match="no accepted step"):
+                    dense(t)
 
     @pytest.mark.parametrize("u0,v0", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
     def test_radial_data_must_be_positive_and_finite(self, deadline, u0, v0):
