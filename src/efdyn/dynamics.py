@@ -99,12 +99,6 @@ class EventSpec:
     direction: float = 0.0
 
 
-def _start(rhs, span, y0, events: Sequence[EventSpec]):
-    """A run of the package's integrator (`dop853.steps`), started: it yields
-    its growing solution after each accepted step."""
-    return dop853.steps(rhs, span[0], y0, span[1], events)
-
-
 def _checked(sol):
     """The final solution of a run; a collapsed step size raises."""
     if sol.status == -1:
@@ -120,10 +114,15 @@ def _named(names: Sequence[str], t_events) -> list[tuple[float, str]]:
     return sorted((t, name) for name, ts in zip(names, t_events) for t in ts)
 
 
-def _solve(rhs, span, y0, events: Sequence[EventSpec]):
-    """A run of the package's integrator to its end (`dop853.solve`); a
-    collapsed step size raises."""
-    return _checked(dop853.solve(rhs, span[0], y0, span[1], events))
+def _blow_up() -> EventSpec:
+    """The terminal event that ends every kernel run where its orbit goes to
+    infinity: a coordinate beyond BLOW_UP, read when the run starts. On the
+    phase chart X or Y blows up where u or v vanishes, and Z or W in the
+    absorption quadrants; on the radial route u, v, U or V diverges."""
+    blow_up = BLOW_UP           # bound once: the event function runs at every step
+    return EventSpec("blow-up",
+                     lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
+                     terminal=True, direction=1.0)
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -164,36 +163,33 @@ def integrate_m(params: SystemParams, initial: PhaseState,
                 events: Sequence[EventSpec] = ()) -> Trajectory:
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
 
-    Blow-up (X or Y beyond BLOW_UP) terminates; every event root is located
-    by Brent's method on the step's interpolant (`dop853.find_root`). A
-    convergence termination is reported when the accepted steps sit within
-    CAPTURE_DIST of a catalog point for CAPTURE_STEPS steps.
+    A coordinate beyond BLOW_UP terminates the run with kind "blow-up"
+    (`_blow_up`); every event root is located by Brent's method on the
+    step's interpolant (`dop853.find_root`). A convergence termination is
+    reported when the accepted steps sit within CAPTURE_DIST of a catalog
+    point for CAPTURE_STEPS steps.
     """
-    sol = _solve(*_phase_problem(params, initial, horizon, events))
+    sol = _checked(dop853.solve(*_phase_problem(params, initial, horizon, events)))
     return _finish_m(params, sol, [ev.name for ev in events])
 
 
 def _phase_problem(params, initial, horizon, events):
-    """integrate_m's (rhs, span, y0, events): the two blow-up events, then
-    `events`."""
+    """integrate_m's arguments of `dop853.steps`, (rhs, t0, y0, t_bound,
+    events): the blow-up event first, then `events`."""
     y0 = (initial.X, initial.Y, initial.Z, initial.W)
     if not all(math.isfinite(c) for c in y0):
         raise PreconditionViolated("initial state must be finite")
-
-    blow_up = BLOW_UP           # bound once: the event functions run at every step
-    blow = (EventSpec("blow-up-x", lambda t, y: abs(y[0]) - blow_up, terminal=True),
-            EventSpec("blow-up-y", lambda t, y: abs(y[1]) - blow_up, terminal=True))
-    return phase_rhs(params), horizon, y0, blow + tuple(events)
+    return phase_rhs(params), horizon[0], y0, horizon[1], (_blow_up(), *events)
 
 
 def _finish_m(params, sol, names) -> Trajectory:
     """integrate_m's trajectory from the final solution of its run; `names`
-    are those of its events after the two blow-up events."""
-    named = _named(names, sol.t_events[2:])
+    are those of its events after the blow-up event."""
+    named = _named(names, sol.t_events[1:])
     t, states = tuple(sol.t), tuple(sol.y)
 
     if sol.status == 1:         # a run records one terminal event at most
-        if sol.t_events[0] or sol.t_events[1]:
+        if sol.t_events[0]:
             term = Termination(kind="blow-up")
         else:
             # terminated by a user event
@@ -237,9 +233,9 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP, or
     at r_max.
     """
-    rhs, span, y0, evs = _radial_problem(params, u0, v0, r_max)
-    sol = _solve(rhs, span, y0, evs)
-    events = [ev for ev in _named([ev.name for ev in evs], sol.t_events)
+    problem = _radial_problem(params, u0, v0, r_max)
+    sol = _checked(dop853.solve(*problem))
+    events = [ev for ev in _named([ev.name for ev in problem[-1]], sol.t_events)
               if ev[1] != "both-zero"]
     if events:
         term = Termination(kind="event", event=events[0][1])
@@ -255,8 +251,9 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
 
 
 def _radial_problem(params, u0, v0, r_max):
-    """integrate_radial's (rhs, span, y0, events): the startup series at
-    RADIAL_R0, and the events u-zero, v-zero, both-zero and blow-up."""
+    """integrate_radial's arguments of `dop853.steps`, (rhs, t0, y0, t_bound,
+    events): the startup series at RADIAL_R0, and the events u-zero, v-zero,
+    both-zero and blow-up."""
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -273,16 +270,13 @@ def _radial_problem(params, u0, v0, r_max):
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile or a flux that diverges (absorption, or past a
     # zero), where the flux may outrun the profile
-    blow_up = BLOW_UP
     evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
            EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
            EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
                      direction=-1.0),
-           EventSpec("blow-up",
-                     lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
-                     terminal=True, direction=1.0))
-    return (_radial_rhs(params), (math.log(r0), math.log(r_max)),
-            [u_init, v_init, U_init, V_init], evs)
+           _blow_up())
+    return (_radial_rhs(params), math.log(r0), [u_init, v_init, U_init, V_init],
+            math.log(r_max), evs)
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
@@ -295,7 +289,9 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     the curves agree up to a log-radius shift); the shift is pinned by matching
     X at the window end, then all four coordinates are compared at 25 points
     of the window. The window ends where the phase run first leaves 60% of the
-    box, located by a terminal event of that run (or at the run's end). The
+    box, located by a terminal event of that run. A phase run that ends
+    otherwise (it may settle near a saddle such as M0, where the two routes
+    part) closes no window: Inconclusive names the seed and how it ended. The
     radial run (`integrate_radial`'s problem) stops at its first point at or
     past ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison reads lies
     beyond ph.t[-1] - tau + 0.5, and past it the window, the shift bracket and
@@ -309,8 +305,13 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     window = EventSpec("window-end", lambda t, v: max(v[0] - xw, v[1] - yw),
                        terminal=True, direction=1.0)
     ph = integrate_m(params, seed, horizon=(0.0, T_END), events=(window,))
+    term = ph.termination
+    if term.event != "window-end":
+        ended = term.kind if term.label is None else f"{term.kind} to {term.label.value}"
+        raise Inconclusive(f"seed {(x, y)}: the phase run ended by {ended} at t = {ph.t[-1]} "
+                           f"inside 60% of the box: no oracle window")
     t_read = ph.t[-1] - tau + 0.5 + 1e-6
-    for rad in _start(*_radial_problem(params, u0h, v0h, math.exp(T_END))):
+    for rad in dop853.steps(*_radial_problem(params, u0h, v0h, math.exp(T_END))):
         if rad.t[-1] >= t_read:
             break
     _checked(rad)
@@ -390,7 +391,7 @@ class MClass(str, Enum):
 
 def _shot(params, x, y, rho):
     """The run of one regular seed to T_END, started. Its events are
-    blow-up-x, blow-up-y, x-bound and y-bound."""
+    blow-up, x-bound and y-bound."""
     seed = launch_regular(params, x, y, rho)
     # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
     # below, with integration noise) from registering as crossings
@@ -398,12 +399,12 @@ def _shot(params, x, y, rho):
     cq = params.y_bound * (1 + 1e-9)
     evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, terminal=False, direction=1.0),
            EventSpec("y-bound", lambda t, v: v[1] - cq, terminal=False, direction=1.0)]
-    return _start(*_phase_problem(params, seed, (0.0, T_END), evs))
+    return dop853.steps(*_phase_problem(params, seed, (0.0, T_END), evs))
 
 
 def _crossings(sol) -> tuple[float | None, float | None]:
     """A shot's first x-bound and y-bound crossing times so far, or None."""
-    xs, ys = sol.t_events[2:]
+    xs, ys = sol.t_events[1:]
     return (xs[0] if xs else None), (ys[0] if ys else None)
 
 
@@ -487,11 +488,12 @@ class _PausedRun:
 
     @cached_property
     def finished(self) -> tuple[SClass, MClass, dict]:
-        """The S-class, M-class and hit times read off the run's end."""
+        """The S-class, M-class and hit times read off the run's end: its
+        blow-up event, the shot's only terminal one, or T_END."""
         self.resume(to_end=True)
         sol = _checked(self._sol)
         t_x, t_y = _crossings(sol)
-        blew = sol.status == 1          # the blow-up events are a shot's only terminal ones
+        blew = sol.status == 1
         hit = _hit_times(t_x, t_y, sol.t[-1] if blew else None)
         if t_x is None and t_y is None:
             if blew:

@@ -52,7 +52,8 @@ class SeriesInvalid(EfdynError):
 class Inconclusive(EfdynError):
     """No verdict from the numbers at hand: a shot that leaves the box without
     crossing a face, or crosses one but does not blow up by its horizon T_END,
-    or an oracle comparison without an overlap window."""
+    or an oracle comparison whose phase run never leaves 60% of the box or
+    that has no overlap window."""
 
 
 class ConfigError(EfdynError):

@@ -73,14 +73,6 @@ class SystemParams:
     def y_bound(self) -> float:
         return (self.N - self.q) / (self.q - 1)
 
-    @property
-    def z_bound(self) -> float:
-        return self.N + self.a
-
-    @property
-    def w_bound(self) -> float:
-        return self.N + self.b
-
     # -- the named families (see the constructors below) ---------------
     @property
     def is_hamiltonian(self) -> bool:

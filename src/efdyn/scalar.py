@@ -28,7 +28,7 @@ from enum import Enum
 from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
-from .numerics import BLOW_UP, MANIFOLD_RHO, SCALAR_R_MAX, T_END
+from .numerics import MANIFOLD_RHO, SCALAR_R_MAX, T_END
 
 
 def threshold_q1(N, p, a) -> float:
@@ -147,13 +147,11 @@ def explicit_critical_solution(sp: ScalarParams, c: float = 1.0):
 
 def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Trajectory:
     """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
-    system; columns 0 and 2 of the states are (X, Z). Besides the blow-up of X
-    that integrate_m watches, a blow-up of Z (absorption quadrants) stops it."""
+    system; columns 0 and 2 of the states are (X, Z). integrate_m's blow-up
+    event stops it where X or Z (absorption quadrants) blows up."""
     X, Z = start
-    blow_up = BLOW_UP
-    blow_z = EventSpec("blow-up", lambda t, y: abs(y[2]) - blow_up, terminal=True)
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
-                       horizon=tuple(t_span), events=(blow_z, *events))
+                       horizon=tuple(t_span), events=events)
 
 
 def _termination(term: Termination) -> str:

@@ -8,7 +8,7 @@ import efdyn.scalar
 from efdyn.dynamics import EventSpec, integrate_radial
 from efdyn.errors import NotApplicable
 from efdyn.model import phase_rhs
-from efdyn.numerics import SCALAR_R_MAX
+from efdyn.numerics import BLOW_UP, SCALAR_R_MAX
 from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
                           explicit_critical_solution, line_quantity, particular_amplitude,
                           poincare_returns, regular_seed, scalar_classify,
@@ -38,6 +38,16 @@ class TestBasics:
         assert particular_amplitude(SC) == pytest.approx(0.25 ** 0.25, rel=1e-13)
         with pytest.raises(NotApplicable):
             particular_amplitude(ScalarParams(N=3.0, p=2.0, a=0.0, Q=4.0, eps=-1))
+
+    def test_z_blow_up_ends_a_diagonal_run(self):
+        # in the absorption quadrant Z goes to -infinity while X tends to 0:
+        # integrate_m's one blow-up event watches Z too
+        traj = diagonal_trajectory(ScalarParams(3, 2, 0, 2, eps=-1), (0.1, -1.0), (0, 10))
+        assert traj.termination.kind == "blow-up"
+        assert efdyn.scalar._termination(traj.termination) == "blow-up"
+        assert traj.t[-1].hex() == "0x1.e2ea7feb5abcep-2"
+        X, _, Z, _ = traj.states[-1]
+        assert abs(Z) >= BLOW_UP > abs(X)
 
 
 class TestExplicitCriticalSolution:

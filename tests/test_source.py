@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import efdyn
-from efdyn import numerics
+from efdyn import dynamics, numerics
+from efdyn.dynamics import EventSpec
+from efdyn.model import hamiltonian_params
 from efdyn.scalar import ScalarBehavior
 
 from conftest import SCALAR_CASES
@@ -26,13 +28,15 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 CLIENTS = SCRIPTS + sorted((ROOT / "perfbench").rglob("*.py"))
 README = (ROOT / "README.md").read_text()
 
-# top-level definitions with no caller yet, kept for the ROADMAP item that
-# names them as its next caller
+# definitions with no caller yet, kept for the ROADMAP item that names them
+# as its next caller
 KEPT_FOR_ROADMAP = {
     "energy_value": "item 4",
     "energy_derivative": "items 4 and 7",
     "explicit_critical_solution": "item 4",
     "jacobian_at": "item 6",
+    "nonvariational_lower": "item 7",
+    "phi": "item 4",
 }
 
 # a change of tolerance is a deliberate edit of this table
@@ -43,6 +47,24 @@ PINNED = {
     "ANGLE_TOL": 1e-10, "CAPTURE_DIST": 1e-8, "CAPTURE_STEPS": 5,
     "RADIAL_R0": 1e-6, "SCALAR_R_MAX": 1e5,
 }
+
+
+def test_blow_up_is_decided_in_one_place():
+    # one terminal event ends every kernel run where its orbit goes to
+    # infinity: only efdyn.dynamics reads BLOW_UP, and each problem builder
+    # carries that event once (a phase run carries it first)
+    readers = {path.stem for path in sorted(SRC.glob("*.py")) if path.stem != "numerics"
+               for name, _ in _uses(ast.parse(path.read_text())) if name == "BLOW_UP"}
+    assert readers == {"dynamics"}
+    P = hamiltonian_params(6.0, 2.0, 2.0)
+    bound = EventSpec("x-bound", lambda t, y: y[0] - P.x_bound)
+    phase = dynamics._phase_problem(P, dynamics.launch_regular(P, 1e-4, 0.0), (0.0, 40.0),
+                                    [bound])
+    radial = dynamics._radial_problem(P, 1.0, 1.0, 1e4)
+    for problem in (phase, radial):
+        names = [ev.name for ev in problem[-1]]
+        assert [n for n in names if n.startswith("blow")] == ["blow-up"]
+    assert phase[-1][0].name == "blow-up" and phase[-1][1] is bound
 
 
 def test_numerics_constants_are_pinned():
@@ -122,9 +144,22 @@ def _readme_code():
     return re.findall(r"```[a-z]*\n(.*?)```", README, re.S) + re.findall(r"`([^`\n]+)`", README)
 
 
+def _definitions(tree):
+    """A module's top-level functions and classes, and the functions and
+    properties of its classes; special methods such as __init__ are called by
+    the language."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def test_every_definition_has_a_caller():
-    # a top-level function or class stays only if the package, a script, the
-    # benchmark or the README uses it, or a ROADMAP item names it as next caller
+    # a top-level function or class, a method or a property stays only if the
+    # package, a script, the benchmark or the README uses it, or a ROADMAP item
+    # names it as next caller
     used = {name for path in CLIENTS for name, _ in _uses(ast.parse(path.read_text()))}
     used |= {w for code in _readme_code() for w in re.findall(r"\w+", code)}
     lines_in_src = {}              # name -> {(module, line)} of its uses in the package
@@ -135,8 +170,7 @@ def test_every_definition_has_a_caller():
         tree = ast.parse(path.read_text())
         for name, line in _uses(tree):
             lines_in_src.setdefault(name, set()).add((path.stem, line))
-        defs += [(path.stem, node) for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(path.stem, node) for node in _definitions(tree)]
     unused = [f"{mod}.{node.name}" for mod, node in defs
               if node.name not in used and node.name not in KEPT_FOR_ROADMAP
               and all(m == mod and node.lineno <= line <= node.end_lineno
@@ -233,6 +267,11 @@ def test_scalar_catalog_runs_without_numpy(tmp_path):
                                   "--out", str(out))
         behaviors |= {rep["behavior"] for rep in json.loads(out.read_text())}
     assert behaviors == {b.value for b in ScalarBehavior}
+
+
+def test_pinned_bits_run_without_numpy():
+    # the pins module as the CI numpy-free job runs it: exit 0, no value moved
+    _run_script_without_numpy(ROOT / "tests" / "pinned_bits.py")
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
