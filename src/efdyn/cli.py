@@ -24,9 +24,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import energies, equilibria, spectra
+from ._record import record
 from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
                        search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError, NotApplicable
@@ -52,13 +52,13 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-@dataclass
+@record
 class RunConfig:
     command: str
     params: SystemParams | None
     scalar: ScalarParams | None
     out: str
-    block: dict = field(default_factory=dict)
+    block: dict
 
 
 def _finite(value) -> float:
@@ -159,7 +159,7 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
     return RunConfig(command=command, params=params, scalar=scalar, out=out, block=block)
 
 
-@dataclass
+@record
 class ReportBundle:
     report: dict
     csv_files: dict       # name -> list of rows (each row a list of strings)
@@ -441,6 +441,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    rc = None
     try:
         try:
             with open(args.config) as fh:
@@ -455,8 +456,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # internal failure
+    except Exception as exc:  # internal failure: name the run it hit
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"  command: {args.command}", file=sys.stderr)
+        if rc is not None:
+            for key, value in (("params", rc.params), ("scalar", rc.scalar)):
+                if value is not None:
+                    print(f"  {key}: {json.dumps(value.to_dict())}", file=sys.stderr)
+            if rc.block:
+                print(f"  {args.command}: {json.dumps(rc.block)}", file=sys.stderr)
         return 3
     for line in bundle.summary:
         print(line)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterator, Sequence
 
@@ -433,19 +432,22 @@ class DenseSolution:
         return self.pieces[seg](t)
 
 
-@dataclass
 class Solution:
-    t: list[float]                   # accepted step points, the last one possibly an event
-    y: list[tuple[float, ...]]
-    status: int | None               # 0: reached t_bound; 1: terminal event; -1: step underflow;
+    __slots__ = ("t", "y", "status", "t_events", "sol", "nfev", "n_accepted", "n_rejected")
+
+    def __init__(self, t: list[float], y: list[tuple[float, ...]], status: int | None,
+                 t_events: list[list[float]], sol: DenseSolution):
+        self.t = t                   # accepted step points, the last one possibly an event
+        self.y = y
+        self.status = status         # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
-    t_events: list[list[float]]      # per event, in integration order
-    sol: DenseSolution               # the steps' interpolants, as the run grows
-    nfev: int = 0                    # the run's right-hand side evaluations: 11 per attempted
+        self.t_events = t_events     # per event, in integration order
+        self.sol = sol               # the steps' interpolants, as the run grows
+        self.nfev = 0                # the run's right-hand side evaluations: 11 per attempted
                                      # step, 1 more per accepted one, 3 per interpolant built
                                      # to locate an event, 2 to start
-    n_accepted: int = 0              # accepted steps
-    n_rejected: int = 0              # rejected step attempts
+        self.n_accepted = 0          # accepted steps
+        self.n_rejected = 0          # rejected step attempts
 
 
 def find_root(f: Callable[[float], float], a: float, b: float,

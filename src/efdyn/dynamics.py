@@ -14,12 +14,12 @@ the (X, Y) projection reaches first (S1 / S2 / S3) or whether it never leaves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
 from . import dop853
+from ._record import field, record
 from .equilibria import FixedPointLabel, fixed_point_catalog
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
@@ -30,7 +30,7 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RAT
                        MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
 
 
-@dataclass(frozen=True)
+@record
 class Termination:
     kind: str                                  # "blow-up" | "converged" | "max-time" | "event";
                                                # "failed" for a collapsed step size
@@ -43,7 +43,7 @@ class Termination:
                 "event": self.event}
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """A phase run: its accepted step points and the states there, as the
     integrator's tuples of floats."""
@@ -64,11 +64,11 @@ def _signed_root(x: float, e: float) -> float:
 def _radial_state(P: SystemParams, t: float, y) -> RadialState:
     """The radial state at t = ln r from the integrator's state (u, v, U, V)."""
     u, v, U, V = y
-    return RadialState(r=math.exp(t), u=u, v=v, du=_signed_root(U, 1 / (P.p - 1)),
-                       dv=_signed_root(V, 1 / (P.q - 1)))
+    return RadialState(math.exp(t), u, v, _signed_root(U, 1 / (P.p - 1)),
+                       _signed_root(V, 1 / (P.q - 1)))
 
 
-@dataclass(frozen=True)
+@record
 class RadialTrajectory:
     """A radial run at the integrator's accepted steps, as tuples of floats:
     r = exp(t) and the profiles with their derivatives."""
@@ -88,7 +88,7 @@ class RadialTrajectory:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class EventSpec:
     """A named event g(t, y) = 0: `direction` > 0 counts upward zero crossings
     only, < 0 downward only, 0 both; a `terminal` event ends the integration."""
@@ -370,7 +370,7 @@ def launch_regular(params: SystemParams, x: float, y: float,
     Na, Nb = P.N + P.a, P.N + P.b
     Z = Na - Na * (P.s * x / (lam1 + Na) + P.delta * y / (lam2 + Na))
     W = Nb - Nb * (P.mu * x / (lam1 + Nb) + P.m * y / (lam2 + Nb))
-    return PhaseState(t=0.0, X=x, Y=y, Z=Z, W=W)
+    return PhaseState(0.0, x, y, Z, W)
 
 
 # -- shot classification ---------------------------------------------------------
@@ -513,7 +513,7 @@ class _PausedRun:
         return _s_class(t_x, t_y), m_class, hit
 
 
-@dataclass(frozen=True)
+@record
 class ShotOutcome:
     """A classified shot. Its M-class and hit times are read off its paused
     run; a `mirrored` outcome is the exchange image of the run's shot, and
@@ -564,14 +564,14 @@ def classify_shot(params: SystemParams, x: float, y: float,
 
 # -- searches --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BoundaryHit:
     angle: float
     kind: str            # "ground-state" | "dirichlet"
     outcome: ShotOutcome
 
 
-@dataclass(frozen=True)
+@record
 class GroundStateSearch:
     found: bool
     boundaries: tuple[BoundaryHit, ...]
@@ -672,7 +672,7 @@ def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundState
     )
 
 
-@dataclass(frozen=True)
+@record
 class DirichletSearch:
     found: bool
     radius: float | None = None

@@ -10,9 +10,9 @@ is what powers the existence predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import DegenerateState, NotCritical, PreconditionViolated
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     effective_unweighted_dimension, exchange_params, from_phase, to_phase)
@@ -29,21 +29,21 @@ class EnergyKind(str, Enum):
     POTENTIAL = "potential"
 
 
-@dataclass(frozen=True)
+@record
 class ScalarRadialState:
     r: float
     u: float
     du: float
 
 
-@dataclass(frozen=True)
+@record
 class ScalarPhaseState:
     t: float
     X: float
     Z: float
 
 
-@dataclass(frozen=True)
+@record
 class EnergySpec:
     """An energy functional plus its free parameters.
 
@@ -434,7 +434,7 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record
 class ExistenceVerdict:
     verdict: Verdict
     source: str

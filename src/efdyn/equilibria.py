@@ -10,9 +10,9 @@ when it lies in the closure of the positive region (strictly inside for M0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import NotApplicable, UndefinedPoint
 from .model import SystemParams, derive_exponents, exchange_params
 from .numerics import DEGENERACY_BAND
@@ -51,7 +51,7 @@ EXCHANGE_IMAGE = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FixedPoint:
     label: FixedPointLabel
     coords: tuple[float, float, float, float]
@@ -65,7 +65,7 @@ class FixedPoint:
                 "notes": "near-degenerate denominator" if self.near_degenerate else ""}
 
 
-@dataclass(frozen=True)
+@record
 class PowerSolution:
     """Amplitudes of the exact power pair (A r^{-gamma}, B r^{-xi})."""
 

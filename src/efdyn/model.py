@@ -26,14 +26,14 @@ and phase space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import record
 from .errors import DegeneratePoint, PreconditionViolated, ZeroCoordinate, ZeroDiscriminant
 
 PARAM_KEYS = ("N", "p", "q", "a", "b", "s", "m", "delta", "mu", "eps1", "eps2")
 
 
-@dataclass(frozen=True)
+@record
 class SystemParams:
     """The nine real exponents plus the two signs defining the system.
 
@@ -98,7 +98,7 @@ class SystemParams:
         return cls(**{k: d[k] for k in PARAM_KEYS if k in d})
 
     def replace(self, **kw) -> "SystemParams":
-        return replace(self, **kw)
+        return SystemParams(**{**self.to_dict(), **kw})
 
 
 # -- named families --------------------------------------------------------
@@ -137,14 +137,14 @@ def exchange_params(params: SystemParams) -> SystemParams:
 
 # -- validation -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ConstraintCheck:
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     checks: tuple[ConstraintCheck, ...]
 
@@ -184,7 +184,7 @@ def validate_params(params: SystemParams) -> ValidationReport:
 
 # -- derived exponents ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DerivedExponents:
     D: float
     gamma: float
@@ -208,7 +208,7 @@ def derive_exponents(params: SystemParams) -> DerivedExponents:
 
 # -- states -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PhaseState:
     """A phase point (X, Y, Z, W) at log-radius t = ln r."""
 
@@ -227,7 +227,7 @@ class PhaseState:
         return math.exp(self.t)
 
 
-@dataclass(frozen=True)
+@record
 class RadialState:
     """Profile values (u, v) and radial derivatives (du, dv) at radius r > 0."""
 
@@ -283,7 +283,7 @@ def to_phase(params: SystemParams, rstate: RadialState) -> PhaseState:
         * math.copysign(abs(du) ** (1 - P.p), du)
     W = -P.eps2 * r ** (1 + P.b) * u ** P.mu * v ** P.m \
         * math.copysign(abs(dv) ** (1 - P.q), dv)
-    return PhaseState(t=math.log(r), X=X, Y=Y, Z=Z, W=W)
+    return PhaseState(math.log(r), X, Y, Z, W)
 
 
 def from_phase(params: SystemParams, state: PhaseState) -> tuple[float, float]:

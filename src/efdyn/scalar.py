@@ -22,9 +22,9 @@ scalar runs integrate that system (phase or radial) and read columns 0 and 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
+from ._record import record
 from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
@@ -41,7 +41,7 @@ def threshold_q2(N, p, a) -> float:
     return (N * (p - 1) + p + p * a) / (N - p)
 
 
-@dataclass(frozen=True)
+@record
 class ScalarParams:
     N: float
     p: float
@@ -207,14 +207,14 @@ class ScalarBehavior(str, Enum):
     ABSORPTION_CONNECTION = "connecting solution u1 exists (r^{(N-p)/(p-1)} u -> alpha at 0, r^gamma u -> A at infinity)"
 
 
-@dataclass(frozen=True)
+@record
 class ScalarReport:
     params: ScalarParams
     Q1: float
     Q2: float
     gamma: float
     behavior: ScalarBehavior
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(), "Q1": self.Q1, "Q2": self.Q2,

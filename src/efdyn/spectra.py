@@ -14,9 +14,9 @@ forms are cross-checked against the numeric Jacobian in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point, m0_coords
 from .errors import UndefinedPoint
 from .model import PhaseState, SystemParams, derive_exponents, exchange_params
@@ -169,7 +169,7 @@ def sort_eigs(values) -> tuple[complex, ...]:
     return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
 
 
-@dataclass(frozen=True)
+@record
 class QuarticCoeffs:
     """Coefficients of lambda^4 + E lambda^3 + F lambda^2 + G lambda - H at M0."""
 
@@ -199,7 +199,7 @@ def m0_characteristic(params: SystemParams) -> QuarticCoeffs:
 
 # -- spectra ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Spectrum:
     eigenvalues: tuple[complex, complex, complex, complex]
     stable_dim: int
@@ -271,7 +271,7 @@ def spectrum_at(params: SystemParams, fp: FixedPoint) -> Spectrum:
 
 # -- purely imaginary pair at M0 ---------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class OscillationReport:
     imaginary_pair: bool
     branch: str | None        # "E=G=0 (i)", "E=G=0 (ii)" or "EG>0 resonance"
@@ -328,7 +328,7 @@ class Existence(str, Enum):
     BOUNDARY = "boundary-case"
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticProfile:
     """Decay exponents of (u, v): u ~ alpha r^{-u_exponent} (ln r)^{log_correction_power}."""
 
@@ -347,7 +347,7 @@ class AsymptoticProfile:
                 "limits": list(self.limits)}
 
 
-@dataclass(frozen=True)
+@record
 class LocalVerdict:
     point: FixedPointLabel
     direction: Direction

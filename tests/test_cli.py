@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from efdyn import cli
 from efdyn.cli import main, parse_config, run
 from efdyn.dynamics import _seed, classify_shot, search_ground_state
 from efdyn.errors import ConfigError
@@ -326,6 +327,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--config", cfg, "--out", str(tmp_path / "out"), flag, "1e-8"])
         assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,raw,key,failing,block", [
+        ("shoot", dict(HAM_CONFIG, shoot={"theta": 0.3}), "params", "classify_shot",
+         ['  shoot: {"theta": 0.3}']),
+        ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 4.0, "eps": -1}},
+         "scalar", "scalar_classify", []),
+    ])
+    def test_internal_error_exit_3_names_the_run(self, tmp_path, capsys, monkeypatch,
+                                                 command, raw, key, failing, block):
+        # an internal failure says which command and parameters it hit, on
+        # stderr only: nothing is written
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+        monkeypatch.setattr(cli, failing, fail)
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[:2] == ["internal error: ZeroDivisionError: float division by zero",
+                             f"  command: {command}"]
+        assert lines[2].startswith(f"  {key}: ")
+        assert json.loads(lines[2].split(": ", 1)[1]) == raw[key]
+        assert lines[3:] == block
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_portrait_without_scalar_exit_2(self, tmp_path, capsys):

@@ -54,7 +54,8 @@ def test_ground_state_one_ulp_below_the_critical_line():
 
 
 def test_absorption_with_p_below_two_blows_up():
-    # ROADMAP item 4(d): the flux U reaches BLOW_UP while u is near 4.4e3, so
+    # once a known wrong answer, ROADMAP item 4(d), since mended and pruned
+    # from the ROADMAP: the flux U reaches BLOW_UP while u is near 4.4e3, so
     # the radial blow-up event watches the fluxes too
     rep = scalar_classify(3.5, 1.5, 0.0, 4.0, eps=-1)
     assert rep.behavior is ScalarBehavior.ABSORPTION_ALL_REGULAR

@@ -245,6 +245,9 @@ def test_start_up_loads_no_numpy(config, tmp_path):
                 if line.startswith("import time:")]
     assert "efdyn.dynamics" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    # efdyn's records are built by efdyn._record: dataclasses, and the inspect
+    # it imports, would take most of the start-up time
+    assert {"dataclasses", "inspect"} & set(imported) == set()
 
 
 def test_scalar_classify_runs_without_numpy():
