@@ -1,11 +1,11 @@
 """Record classes: the part of `dataclasses` that efdyn uses, built from closures.
 
 `record` gives a class with annotated fields an `__init__` (positional or
-keyword, with defaults, then `__post_init__` if the class has one), `__repr__`,
-`__eq__`, `__hash__` and a guard against assignment, as
-`dataclasses.dataclass(frozen=True)` defines them; `__eq__` compares tuples of
-fields, as it does up to Python 3.12. The fields are read from the class's own
-`__annotations__`, so a module declaring records needs
+keyword, with plain defaults, then `__post_init__` if the class has one),
+`__repr__`, `__eq__`, `__hash__` and a guard against assignment, as
+`dataclasses.dataclass(frozen=True)` defines them over every field; `__eq__`
+compares tuples of fields, as it does up to Python 3.12. The fields are read
+from the class's own `__annotations__`, so a module declaring records needs
 `from __future__ import annotations` (without it, Python 3.14 stores no
 `__annotations__` in the class body). `dataclasses` compiles each generated
 method with `exec` when a class is decorated, and importing it loads `inspect`,
@@ -17,50 +17,27 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-_MISSING = object()
-
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, a field of a frozen record."""
 
 
-class field:
-    """A field declaration with more than a plain default, as `dataclasses.field`."""
-
-    __slots__ = ("default", "compare", "repr")
-
-    def __init__(self, *, default=_MISSING, compare=True, repr=True):
-        self.default, self.compare, self.repr = default, compare, repr
-
-
 def _tuple_getter(names):
-    """obj -> the tuple of its attributes `names`, also for one name or none."""
+    """obj -> the tuple of its attributes `names`, also for one name."""
     if len(names) == 1:
         get = attrgetter(names[0])
         return lambda obj: (get(obj),)
-    return attrgetter(*names) if names else lambda obj: ()
+    return attrgetter(*names)
 
 
 def record(cls):
     """Class decorator: the methods of `dataclasses.dataclass(frozen=True)`."""
-    names, shown, compared, defaults = [], [], [], {}
-    for name in cls.__dict__.get("__annotations__", {}):
-        spec = cls.__dict__.get(name, _MISSING)
-        if isinstance(spec, field):         # the class keeps a plain default only
-            delattr(cls, name)
-            if spec.default is not _MISSING:
-                setattr(cls, name, spec.default)
-        else:
-            spec = field(default=spec)
-        if spec.default is not _MISSING:
-            defaults[name] = spec.default
-        names.append(name)
-        shown += [name] if spec.repr else []
-        compared += [name] if spec.compare else []
+    names = tuple(cls.__dict__.get("__annotations__", {}))
     if not names:
         raise TypeError(f"{cls.__qualname__} has no annotated fields in its own "
                         "__annotations__")
-    names, fieldset, n = tuple(names), frozenset(names), len(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    fieldset, n = frozenset(names), len(names)
     setattr_ = object.__setattr__
     post_init = hasattr(cls, "__post_init__")
 
@@ -94,19 +71,19 @@ def record(cls):
         if post_init:
             self.__post_init__()
 
-    show, key = _tuple_getter(shown), _tuple_getter(compared)
+    astuple = _tuple_getter(names)
 
     def __repr__(self):
         return (f"{self.__class__.__qualname__}("
-                + ", ".join(f"{k}={v!r}" for k, v in zip(shown, show(self))) + ")")
+                + ", ".join(f"{k}={v!r}" for k, v in zip(names, astuple(self))) + ")")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return key(self) == key(other)
+            return astuple(self) == astuple(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(key(self))
+        return hash(astuple(self))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -465,6 +465,11 @@ def main(argv=None) -> int:
                     print(f"  {key}: {json.dumps(value.to_dict())}", file=sys.stderr)
             if rc.block:
                 print(f"  {args.command}: {json.dumps(rc.block)}", file=sys.stderr)
+        tb = exc.__traceback__              # where it was raised: the innermost frame
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        print(f"  at: {code.co_filename}:{tb.tb_lineno} in {code.co_name}", file=sys.stderr)
         return 3
     for line in bundle.summary:
         print(line)

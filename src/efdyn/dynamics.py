@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import dop853
-from ._record import field, record
+from ._record import record
 from .equilibria import FixedPointLabel, fixed_point_catalog
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
@@ -230,17 +230,26 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     Startup at r0 = RADIAL_R0 uses the first-order series: the flux potentials
     start as U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V),
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
-    neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP, or
-    at r_max.
+    neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP
+    (kind "blow-up", as `integrate_m` reports it), or at r_max. A run that
+    stops at its second zero records both zeros; its termination names the
+    first.
     """
     problem = _radial_problem(params, u0, v0, r_max)
     sol = _checked(dop853.solve(*problem))
-    events = [ev for ev in _named([ev.name for ev in problem[-1]], sol.t_events)
-              if ev[1] != "both-zero"]
-    if events:
-        term = Termination(kind="event", event=events[0][1])
-    else:
+    named = _named([ev.name for ev in problem[-1]], sol.t_events)
+    events = [ev for ev in named if ev[1] != "both-zero"]
+    if len(events) < len(named):
+        # the run ended at its both-zero root, and the kernel drops a zero
+        # whose root falls at or past it: that zero is the run's end
+        seen = {name for _, name in events}
+        events += [(sol.t[-1], zero) for zero in ("u-zero", "v-zero") if zero not in seen]
+    if not events:
         term = Termination(kind="max-time")
+    elif events[0][1] == "blow-up":
+        term = Termination(kind="blow-up")
+    else:
+        term = Termination(kind="event", event=events[0][1])
     u, v, U, V = zip(*sol.y)
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
@@ -513,16 +522,17 @@ class _PausedRun:
         return _s_class(t_x, t_y), m_class, hit
 
 
-@record
 class ShotOutcome:
-    """A classified shot. Its M-class and hit times are read off its paused
-    run; a `mirrored` outcome is the exchange image of the run's shot, and
-    reads them swapped."""
+    """A classified shot, compared by identity: its seed and S-class, and a
+    view of its paused run, read for its M-class and hit times when asked. A
+    `mirrored` outcome is the exchange image of the run's shot, and reads them
+    swapped."""
 
-    seed: tuple[float, float]
-    s_class: SClass
-    _run: _PausedRun = field(compare=False, repr=False)
-    mirrored: bool = field(default=False, compare=False)
+    __slots__ = ("seed", "s_class", "_run", "mirrored")
+
+    def __init__(self, seed: tuple[float, float], s_class: SClass, run: _PausedRun,
+                 mirrored: bool = False):
+        self.seed, self.s_class, self._run, self.mirrored = seed, s_class, run, mirrored
 
     @property
     def m_class(self) -> MClass:

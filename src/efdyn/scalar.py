@@ -155,8 +155,9 @@ def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Trajector
 
 
 def _termination(term: Termination) -> str:
-    """Evidence string of a diagonal run: "blow-up", "max-time", "u-zero",
-    "stopped:x" or "converged:<label>"."""
+    """Evidence string of a diagonal run's end: the event its termination
+    names ("u-zero", "stopped:x"), "converged:<label>", or else its kind
+    ("blow-up", "max-time")."""
     if term.kind == "converged":
         return f"converged:{term.label.value}"
     return term.event or term.kind

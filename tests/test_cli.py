@@ -350,7 +350,10 @@ class TestExitCodes:
                              f"  command: {command}"]
         assert lines[2].startswith(f"  {key}: ")
         assert json.loads(lines[2].split(": ", 1)[1]) == raw[key]
-        assert lines[3:] == block
+        # the last line is where the failure was raised: in `fail`
+        code = fail.__code__
+        assert lines[3:] == block + [
+            f"  at: {code.co_filename}:{code.co_firstlineno + 1} in fail"]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -175,7 +175,7 @@ class TestRadialOracle:
     def test_absorption_profile_stops_at_blow_up(self):
         P = symmetric_scalar_embedding(3.0, 2.0, 4.0, eps=-1)
         rad = integrate_radial(P, 1.0, 1.0, 1e5)
-        assert rad.termination.event == "blow-up"
+        assert rad.termination.kind == "blow-up"
         # the flux U = u' (p = 2) diverges before u and ends the run: the
         # last state has crossed the event's threshold
         assert rad.du[-1] >= BLOW_UP * (1 - 1e-9) > rad.u[-1]
@@ -188,6 +188,20 @@ class TestRadialOracle:
         tv = rad.first_event("v-zero")
         assert tu is not None and tv is not None
         assert tu == pytest.approx(tv, abs=1e-10)   # symmetric: same radius
+
+    def test_exact_dirichlet_solution_keeps_both_zeros(self):
+        # the potential point's Dirichlet solution: v vanishes in the step
+        # where u does, at or past the terminal both-zero root, and the run
+        # still records it, at its end; the termination names the first zero
+        P = potential_params(6, 2, 2.3, 0.4, 0.6)
+        rad = integrate_radial(P, 1, 1.2594088388540363, 1e12)
+        tu, tv = rad.first_event("u-zero"), rad.first_event("v-zero")
+        assert tu is not None and tv is not None
+        assert math.exp(tv) == rad.r[-1]             # the run's end
+        assert abs(tu - tv) < 1e-12                  # |ln(R_u/R_v)|
+        assert abs(rad.u[-1]) < 1e-12 and abs(rad.v[-1]) < 1e-12
+        assert rad.termination.to_dict() == {"kind": "event", "label": None,
+                                             "event": "u-zero"}
 
 
 class TestClassification:

@@ -6,6 +6,7 @@ import ast
 import json
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 import types
@@ -122,6 +123,33 @@ def test_script_runs_end_to_end(path, monkeypatch, tmp_path, capsys):
     main()
     assert out.read_text()
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def _workflow_step(name):
+    """The lines of the CI workflow step `name`, below its `- name:` line."""
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    step = []
+    for line in lines[start + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        step.append(line)
+    return step
+
+
+def test_ci_scripts_step_runs_the_smoke_args():
+    # the workflow's Scripts step says it runs SCRIPT_SMOKE_ARGS: it runs
+    # every script once, with exactly those arguments and an --out
+    runs = []
+    for line in "\n".join(_workflow_step("Scripts")).replace("\\\n", " ").splitlines():
+        command = re.search(r"\bpython scripts/(\S+\.py) (.*)", line)
+        if command:
+            args = shlex.split(command.group(2))
+            out = args.index("--out")
+            runs.append((command.group(1), args[:out] + args[out + 2:]))
+    assert sorted(name for name, _ in runs) == [p.name for p in SCRIPTS]
+    assert dict(runs) == SCRIPT_SMOKE_ARGS
 
 
 def _uses(tree):
