@@ -25,15 +25,16 @@ import math
 import os
 import sys
 
-from . import energies, equilibria, spectra
 from ._record import record
 from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
                        search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError, NotApplicable
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
-from .scalar import (ScalarParams, diagonal_trajectory, regular_seed, scalar_classify,
-                     scalar_fixed_points)
+
+# Each command imports the modules only it reads (energies, equilibria,
+# spectra, scalar), so a run loads what it uses. ScalarParams in the
+# annotations is efdyn.scalar's class.
 
 COMMANDS = ("analyze", "integrate", "shoot", "sweep", "scalar", "portrait")
 
@@ -62,9 +63,10 @@ class RunConfig:
 
 
 def _finite(value) -> float:
-    """`value` as a finite float. It must be a JSON number, not a string; and
-    not NaN or Infinity, which Python's json reads."""
-    if isinstance(value, str):
+    """`value` as a finite float. It must be a JSON number, not a string or a
+    boolean (a bool is an int to Python); and not NaN or Infinity, which
+    Python's json reads."""
+    if isinstance(value, (str, bool)):
         raise TypeError(value)
     x = float(value)
     if not math.isfinite(x):
@@ -142,6 +144,7 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
 
     scalar = None
     if "scalar" in raw:
+        from .scalar import ScalarParams
         sd = _object(raw, "scalar", _SCALAR_KEYS)
         for key in ("N", "p", "a", "Q"):    # checked only, as in params
             _number(sd, "scalar", key)
@@ -198,6 +201,7 @@ def _need_scalar(rc: RunConfig) -> ScalarParams:
 # -- command implementations ----------------------------------------------------
 
 def _run_analyze(rc: RunConfig) -> ReportBundle:
+    from . import energies, equilibria, spectra
     P = _need_params(rc)
     report: dict = {"command": "analyze", "params": P.to_dict(), "errors": []}
     report["validation"] = validate_params(P).to_dict()
@@ -321,6 +325,7 @@ _FAMILIES = {
 
 
 def _run_sweep(rc: RunConfig) -> ReportBundle:
+    from . import energies
     P = _need_params(rc)
     block = rc.block
     kind = block.get("kind", "angle")
@@ -374,6 +379,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
 
 
 def _run_scalar(rc: RunConfig) -> ReportBundle:
+    from .scalar import scalar_classify
     sp = _need_scalar(rc)
     try:
         rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
@@ -389,6 +395,7 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
     """The scalar phase plane: the vector field on a grid plus the regular orbit."""
+    from .scalar import diagonal_trajectory, regular_seed, scalar_fixed_points
     sp = _need_scalar(rc)
     block = rc.block
     grid = _numbers(block.get("grid", [21, 21]), "portrait.grid", 2, _whole)

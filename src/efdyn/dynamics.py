@@ -216,7 +216,9 @@ def _radial_rhs(params: SystemParams):
         r = exp(t)
         du = copysign(abs(U) ** ep, U) if U != 0.0 else 0.0
         dv = copysign(abs(V) ** eq, V) if V != 0.0 else 0.0
-        uu, vv = max(u, 0.0), max(v, 0.0)   # powers only see the positive part
+        # powers only see the positive part: max(u, 0.0), without the call
+        uu = 0.0 if u < 0.0 else u
+        vv = 0.0 if v < 0.0 else v
         return (r * du, r * dv,
                 c1 * r ** ka * uu ** s * vv ** delta - n1 * U,
                 c2 * r ** kb * uu ** mu * vv ** m - n1 * V)

@@ -25,10 +25,13 @@ import math
 from enum import Enum
 
 from ._record import record
-from .dynamics import EventSpec, Termination, Trajectory, integrate_m, integrate_radial
 from .errors import NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
 from .numerics import MANIFOLD_RHO, SCALAR_R_MAX, T_END
+
+# efdyn.dynamics, the integrator, is imported by the three functions that
+# integrate: efdyn.energies reads only the closed forms of this module.
+# Trajectory and Termination in the annotations are its classes.
 
 
 def threshold_q1(N, p, a) -> float:
@@ -149,6 +152,7 @@ def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Trajector
     """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
     system; columns 0 and 2 of the states are (X, Z). integrate_m's blow-up
     event stops it where X or Z (absorption quadrants) blows up."""
+    from .dynamics import integrate_m
     X, Z = start
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
                        horizon=tuple(t_span), events=events)
@@ -184,6 +188,7 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05) -> list[float
     Strictly monotone |offsets| are evidence against a limit cycle around M0;
     at Q = Q2 (a center) the offsets stall instead.
     """
+    from .dynamics import EventSpec
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
     traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0), events=[section])
@@ -245,6 +250,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     (absorption sign); the evidence dict carries the integration findings:
     zero radii, amplitude fits, invariant-line drift, Poincare return offsets.
     """
+    from .dynamics import EventSpec, integrate_radial
     sp = ScalarParams(N=N, p=p, a=a, Q=Q, eps=eps)
     tol = 1e-12 * (1 + abs(Q))
     evidence: dict = {}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from efdyn import cli
+from efdyn import cli, scalar
 from efdyn.cli import main, parse_config, run
 from efdyn.dynamics import _seed, classify_shot, search_ground_state
 from efdyn.errors import ConfigError
@@ -341,7 +341,10 @@ class TestExitCodes:
         # stderr only: nothing is written
         def fail(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
-        monkeypatch.setattr(cli, failing, fail)
+        # patched where the command reads it: `scalar` imports scalar_classify
+        # from efdyn.scalar when it runs
+        owner = {"classify_shot": cli, "scalar_classify": scalar}[failing]
+        monkeypatch.setattr(owner, failing, fail)
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
@@ -440,6 +443,13 @@ class TestExitCodes:
         # an empty value grid (start > stop) must not hide a misspelled family
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "delta=nu",
                                           "start": 2.2, "stop": 2.0}), "sweep.parameter"),
+        # json reads true as True, an int to Python: n = true ran a one-seed
+        # sweep, and eps1 = true went back into report.json
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "angle", "n": True}), "sweep.n"),
+        ("analyze", {"params": dict(HAM_CONFIG["params"], eps1=True)}, "params.eps1"),
+        ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 5.0, "eps": True}},
+         "scalar.eps"),
+        ("integrate", dict(HAM_CONFIG, integrate={"u0": True}), "integrate.u0"),
     ], ids=["family-without-start", "one-grid-size", "eps-not-a-number", "family-zero-step",
             "family-negative-step", "family-nan-step", "angle-negative-n",
             "family-negative-n_angles", "family-zero-n_angles", "family-fractional-n_angles",
@@ -449,7 +459,8 @@ class TestExitCodes:
             "integrate-nan-u0", "integrate-zero-u0", "integrate-negative-v0",
             "integrate-zero-r_max", "integrate-r_max-below-r0", "integrate-infinite-r_max",
             "shoot-negative-theta", "shoot-theta-above-pi/2", "shoot-zero-rho",
-            "shoot-without-theta", "shoot-seed-outside-box", "family-misspelled-parameter"])
+            "shoot-without-theta", "shoot-seed-outside-box", "family-misspelled-parameter",
+            "angle-boolean-n", "params-boolean-eps1", "eps-boolean", "integrate-boolean-u0"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, deadline, command, raw, path):
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -189,6 +189,38 @@ class TestRadialOracle:
         assert tu is not None and tv is not None
         assert tu == pytest.approx(tv, abs=1e-10)   # symmetric: same radius
 
+    def test_rhs_keeps_the_bits_of_max(self):
+        # the RHS clamps u and v with a conditional instead of max(u, 0.0),
+        # max(v, 0.0): held to that expression bit for bit, on signed zeros,
+        # NaN, infinities and random states
+        def max_rhs(P):
+            ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
+
+            def rhs(t, y):
+                u, v, U, V = y
+                r = math.exp(t)
+                du = math.copysign(abs(U) ** ep, U) if U != 0.0 else 0.0
+                dv = math.copysign(abs(V) ** eq, V) if V != 0.0 else 0.0
+                uu, vv = max(u, 0.0), max(v, 0.0)
+                return (r * du, r * dv,
+                        -P.eps1 * r ** (1 + P.a) * uu ** P.s * vv ** P.delta - (P.N - 1) * U,
+                        -P.eps2 * r ** (1 + P.b) * uu ** P.mu * vv ** P.m - (P.N - 1) * V)
+            return rhs
+
+        special = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.0, 1e-300)
+        flux = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.3, -0.7)
+        rng = random.Random(33)
+        states = [(u, v, U, V) for u in special for v in special for U in flux for V in flux]
+        states += [tuple(rng.uniform(-3.0, 3.0) for _ in range(4)) for _ in range(1000)]
+        # s = 1 passes the sign of a zero u on to the RHS
+        for P in (HAM6, potential_params(6, 2, 2.3, 1.0, 0.6, a=0.3),
+                  hamiltonian_params(5.0, 1.6, 2.1, a=-0.2, b=0.5).replace(eps2=-1)):
+            new, old = dynamics._radial_rhs(P), max_rhs(P)
+            for t in (-3.0, 2.5):
+                for y in states:
+                    assert ([x.hex() for x in new(t, y)]
+                            == [x.hex() for x in old(t, y)]), (P, t, y)
+
     def test_exact_dirichlet_solution_keeps_both_zeros(self):
         # the potential point's Dirichlet solution: v vanishes in the step
         # where u does, at or past the terminal both-zero root, and the run

@@ -217,9 +217,15 @@ def test_exports_are_what_clients_import():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "efdyn" and not node.level:
                 imported |= {alias.name for alias in node.names}
+    assert set(efdyn.__all__) == imported
+    # every name resolves, to the object its submodule defines
+    for name in efdyn.__all__:
+        value = getattr(efdyn, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    # no other public name is bound in the namespace
     exported = {k for k, v in vars(efdyn).items()
                 if not k.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert exported == imported
+    assert exported <= set(efdyn.__all__)
 
 
 # -- efdyn runs on the standard library alone ----------------------------------
@@ -258,24 +264,63 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """, str(path), *args)
 
 
+def _config_args(config, tmp_path):
+    """The command of configs/<config>.json and the arguments of its CLI run."""
+    path = ROOT / "configs" / f"{config}.json"
+    command = json.loads(path.read_text())["command"]
+    return command, ["-m", "efdyn.cli", command, "--config", str(path),
+                     "--out", str(tmp_path / config)]
+
+
+def _imported(args):
+    """The modules a fresh `python <args>` imports, as `-X importtime` lists them."""
+    out = subprocess.run([sys.executable, "-X", "importtime"] + args, capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(SRC.parent)})
+    return [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)
 def test_start_up_loads_no_numpy(config, tmp_path):
     if config == "import":
-        args = ["-c", "import efdyn"]
+        # every exported name, so that every module the namespace reaches loads
+        args = ["-c", "import efdyn\nfor name in efdyn.__all__: getattr(efdyn, name)"]
     else:
-        path = ROOT / "configs" / f"{config}.json"
-        command = json.loads(path.read_text())["command"]
-        args = ["-m", "efdyn.cli", command, "--config", str(path),
-                "--out", str(tmp_path / config)]
-    out = subprocess.run([sys.executable, "-X", "importtime"] + args, capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": str(SRC.parent)})
-    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-                if line.startswith("import time:")]
+        args = _config_args(config, tmp_path)[1]
+    imported = _imported(args)
     assert "efdyn.dynamics" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
     # efdyn's records are built by efdyn._record: dataclasses, and the inspect
     # it imports, would take most of the start-up time
     assert {"dataclasses", "inspect"} & set(imported) == set()
+
+
+# The efdyn submodules each entry point loads. `import efdyn` runs the
+# package's __init__ alone; the theory (predict_existence) loads no integrator;
+# each CLI command imports what it reads. efdyn.cli itself runs as __main__.
+_CORE = {"_record", "errors", "model", "numerics"}
+_INTEGRATOR = _CORE | {"dynamics", "dop853", "equilibria"}
+_EVERY = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
+MODULE_SETS = {
+    "import": set(),
+    "predict_existence": _CORE | {"energies", "scalar", "spectra", "equilibria"},
+    "integrate": _INTEGRATOR, "shoot": _INTEGRATOR,
+    "scalar": _INTEGRATOR | {"scalar"}, "portrait": _INTEGRATOR | {"scalar"},
+    "analyze": _EVERY, "sweep": _EVERY,
+}
+
+
+@pytest.mark.parametrize("entry", ("import", "predict_existence") + NUMPY_FREE_CONFIGS)
+def test_entry_point_loads_only_its_modules(entry, tmp_path):
+    if entry == "import":
+        key, args = entry, ["-c", "import efdyn"]
+    elif entry == "predict_existence":
+        key, args = entry, ["-c", "from efdyn import predict_existence"]
+    else:
+        key, args = _config_args(entry, tmp_path)
+    loaded = {name.split(".", 1)[1] for name in _imported(args)
+              if name.startswith("efdyn.")}
+    assert loaded == MODULE_SETS[key]
 
 
 def test_scalar_classify_runs_without_numpy():
