@@ -12,6 +12,8 @@ import os
 
 from efdyn import (derive_exponents, hamiltonian_params, predict_existence,
                    search_dirichlet, search_ground_state)
+from efdyn.cli import family_grid
+from efdyn.errors import PreconditionViolated
 
 
 def main():
@@ -25,13 +27,14 @@ def main():
     args = ap.parse_args()
     if args.angles < 1:
         ap.error(f"--angles must be >= 1, got {args.angles}")
-    if not args.step > 0:
-        ap.error(f"--step must be > 0, got {args.step}")
+    try:
+        grid = family_grid(args.start, args.stop, args.step)
+    except PreconditionViolated as exc:
+        ap.error(f"--step: {exc}")
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     rows = []
-    v = args.start
-    while v <= args.stop + 1e-12:
+    for v in grid:
         P = hamiltonian_params(args.N, v, v)
         res = search_ground_state(P, n_angles=args.angles)
         pred = predict_existence(P)
@@ -44,7 +47,6 @@ def main():
         rows.append(row)
         print(f"delta=mu={v:.2f}  found={res.found}  prediction={pred.verdict.value}"
               + (f"  R={row['dirichlet_radius']}" if row["dirichlet_radius"] else ""))
-        v += args.step
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

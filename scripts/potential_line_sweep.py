@@ -7,6 +7,8 @@ import csv
 import os
 
 from efdyn import integrate_radial, potential_params, predict_existence, search_ground_state
+from efdyn.cli import family_grid
+from efdyn.errors import PreconditionViolated
 
 
 def main():
@@ -22,20 +24,20 @@ def main():
     args = ap.parse_args()
     if args.angles < 1:
         ap.error(f"--angles must be >= 1, got {args.angles}")
-    if not args.step > 0:
-        ap.error(f"--step must be > 0, got {args.step}")
+    try:
+        grid = family_grid(args.start, args.stop, args.step)
+    except PreconditionViolated as exc:
+        ap.error(f"--step: {exc}")
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     rows = []
-    v = args.start
-    while v <= args.stop + 1e-12:
+    for v in grid:
         P = potential_params(args.N, args.p, args.q, v, v)
         res = search_ground_state(P, n_angles=args.angles)
         pred = predict_existence(P)
         rows.append({"s": round(v, 10), "found_gs": int(res.found),
                      "predicted": pred.verdict.value})
         print(f"s=m={v:.3f}  found={res.found}  prediction={pred.verdict.value}")
-        v += args.step
 
     # decay slope of the critical profile: s = m solving the line equation
     # N + a = (m+1)(N-q)/q + (s+1)(N-p)/p with a = 0

@@ -28,7 +28,7 @@ import sys
 from ._record import record
 from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
                        search_ground_state, sweep_angles)
-from .errors import ConfigError, EfdynError, NotApplicable
+from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
 
@@ -308,7 +308,12 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
 
 def family_grid(start: float, stop: float, step: float) -> list[float]:
     """The values of a family sweep: start + k step up to stop, each rounded
-    to 12 decimals."""
+    to 12 decimals. A step that leaves start or stop unchanged (one not > 0,
+    or below the float spacing there) raises PreconditionViolated: the value
+    loop would not end."""
+    if not (start + step > start and stop + step > stop):
+        raise PreconditionViolated(f"need a step that moves every value from {start!r} "
+                                   f"to {stop!r}, got {step!r}")
     values, v = [], start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
@@ -349,13 +354,13 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         if not isinstance(parameter, str) or parameter not in _FAMILIES:
             raise ConfigError("sweep.parameter", f"unknown family parameter {parameter!r}")
         start, stop = _number(block, "sweep", "start"), _number(block, "sweep", "stop")
-        step = _number(block, "sweep", "step", 0.1)
-        if step <= 0.0:             # the value loop below would not end
-            raise ConfigError("sweep.step", f"need a step > 0, got {step!r}")
+        try:
+            values = family_grid(start, stop, _number(block, "sweep", "step", 0.1))
+        except PreconditionViolated as exc:
+            raise ConfigError("sweep.step", str(exc)) from None
         n_angles = _number(block, "sweep", "n_angles", 17, _whole)
         if n_angles < 1:
             raise ConfigError("sweep.n_angles", f"need a count >= 1, got {n_angles}")
-        values = family_grid(start, stop, step)
         rows = [["value", "delta", "mu", "s", "m", "found_gs", "predicted"]]
         flips = []
         prev = None

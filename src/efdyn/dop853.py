@@ -433,15 +433,18 @@ class DenseSolution:
 
 
 class Solution:
-    __slots__ = ("t", "y", "status", "t_events", "sol", "nfev", "n_accepted", "n_rejected")
+    """A kernel run: its accepted points and states, its status, the events it
+    located, its dense output and its counts."""
 
-    def __init__(self, t: list[float], y: list[tuple[float, ...]], status: int | None,
-                 t_events: list[list[float]], sol: DenseSolution):
+    __slots__ = ("t", "y", "status", "events", "sol", "nfev", "n_accepted", "n_rejected")
+
+    def __init__(self, t: list[float], y: list[tuple[float, ...]], sol: DenseSolution):
         self.t = t                   # accepted step points, the last one possibly an event
         self.y = y
-        self.status = status         # 0: reached t_bound; 1: terminal event; -1: step underflow;
+        self.status = None           # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
-        self.t_events = t_events     # per event, in integration order
+        self.events = []             # (t, name) per located root, in the order found:
+                                     # step by step, a terminal one last
         self.sol = sol               # the steps' interpolants, as the run grows
         self.nfev = 0                # the run's right-hand side evaluations: 11 per attempted
                                      # step, 1 more per accepted one, 3 per interpolant built
@@ -515,15 +518,18 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     underflow ends the run with a yield of its own. A consumer may stop after
     any yield and resume later: the steps do not depend on when they are taken.
 
-    Each event has `fn(t, y)`, `terminal` and `direction` (> 0: upward zero
-    crossings only, < 0: downward only, 0: both). Its zeros are located on the
-    step interpolant to 4 eps; a terminal event ends the run at its zero, which
-    becomes the last point. `Solution.sol` evaluates the solution at every
-    yield, over the steps taken so far: on that span its values are those of
-    the finished run, bit for bit. Each step's interpolant is built on its
-    first evaluation (`StepInterpolant`), so output that nothing reads costs
-    no right-hand side evaluation; `Solution.nfev` counts only the
-    interpolants built during the run, those of the steps with an event.
+    Each event has `name`, `fn(t, y)`, `terminal` and `direction` (> 0: upward
+    zero crossings only, < 0: downward only, 0: both). Its zeros are located on
+    the step interpolant to 4 eps, and `Solution.events` records each as a
+    (t, name) pair, in the order found. A terminal event ends the run at its
+    zero, which becomes the last point and the last pair: the step's zeros
+    past the earliest terminal one are dropped. `Solution.sol` evaluates the
+    solution at every yield, over the steps taken so far: on that span its
+    values are those of the finished run, bit for bit. Each step's interpolant
+    is built on its first evaluation (`StepInterpolant`), so output that
+    nothing reads costs no right-hand side evaluation; `Solution.nfev` counts
+    only the interpolants built during the run, those of the steps with an
+    event.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -537,8 +543,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
 def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
     """The stepping loop of `steps`, on a checked 4-component state."""
     ts, ys, pieces = [t], [y], []
-    out = Solution(ts, ys, None, [[] for _ in events], DenseSolution(ts, ys, pieces, t_bound >= t))
-    t_events = out.t_events
+    out = Solution(ts, ys, DenseSolution(ts, ys, pieces, t_bound >= t))
     if t == t_bound:
         ts.append(t)
         ys.append(y)
@@ -611,8 +616,7 @@ def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
                     status = 1
                     t = found[-1][0]
                     y = piece(t)
-                for root, i in found:
-                    t_events[i].append(root)
+                out.events.extend((root, events[i].name) for root, i in found)
             g = g_new
 
         # a terminal zero at the step's start adds no point

@@ -32,8 +32,7 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RAT
 
 @record
 class Termination:
-    kind: str                                  # "blow-up" | "converged" | "max-time" | "event";
-                                               # "failed" for a collapsed step size
+    kind: str                                  # "blow-up" | "converged" | "max-time" | "event"
     label: FixedPointLabel | None = None       # for "converged"
     event: str | None = None                   # for "event"
 
@@ -46,7 +45,8 @@ class Termination:
 @record
 class Trajectory:
     """A phase run: its accepted step points and the states there, as the
-    integrator's tuples of floats."""
+    integrator's tuples of floats, and its events as time-sorted (t, name)
+    pairs, `blow-up` among them."""
 
     t: tuple[float, ...]
     states: tuple[tuple[float, float, float, float], ...]
@@ -100,18 +100,27 @@ class EventSpec:
 
 
 def _checked(sol):
-    """The final solution of a run; a collapsed step size raises."""
+    """The final solution of a run; a collapsed step size raises with it."""
     if sol.status == -1:
-        failed = Trajectory(t=tuple(sol.t), states=tuple(sol.y),
-                            termination=Termination(kind="failed"), events=(), dense=sol.sol)
         raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
-                                trajectory=failed)
+                                run=sol)
     return sol
 
 
-def _named(names: Sequence[str], t_events) -> list[tuple[float, str]]:
-    """A run's events as time-sorted (t, name) pairs."""
-    return sorted((t, name) for name, ts in zip(names, t_events) for t in ts)
+def _ended_by(name: str) -> Termination:
+    """The termination of a run that ends by its event `name`."""
+    if name == "blow-up":
+        return Termination(kind="blow-up")
+    return Termination(kind="event", event=name)
+
+
+def _first_times(events, names=("x-bound", "y-bound", "blow-up")) -> dict:
+    """The first time of each event in `names`, in that order, among a run's
+    (t, name) pairs in the order found, without the events it never reached."""
+    first = {}
+    for t, name in events:
+        first.setdefault(name, t)
+    return {name: first[name] for name in names if name in first}
 
 
 def _blow_up() -> EventSpec:
@@ -164,40 +173,29 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
 
     A coordinate beyond BLOW_UP terminates the run with kind "blow-up"
-    (`_blow_up`); every event root is located by Brent's method on the
-    step's interpolant (`dop853.find_root`). A convergence termination is
-    reported when the accepted steps sit within CAPTURE_DIST of a catalog
-    point for CAPTURE_STEPS steps.
+    (`_blow_up`), a terminal one of `events` with kind "event" and its name;
+    every event root is located by Brent's method on the step's interpolant
+    (`dop853.find_root`). A convergence termination is reported when the
+    accepted steps sit within CAPTURE_DIST of a catalog point for
+    CAPTURE_STEPS steps.
     """
     sol = _checked(dop853.solve(*_phase_problem(params, initial, horizon, events)))
-    return _finish_m(params, sol, [ev.name for ev in events])
+    t, states = tuple(sol.t), tuple(sol.y)
+    if sol.status == 1:         # the run's one terminal event is the last one found
+        term = _ended_by(sol.events[-1][1])
+    else:
+        term = _detect_convergence(params, t, states) or Termination(kind="max-time")
+    return Trajectory(t=t, states=states, termination=term,
+                      events=tuple(sorted(sol.events)), dense=sol.sol)
 
 
 def _phase_problem(params, initial, horizon, events):
     """integrate_m's arguments of `dop853.steps`, (rhs, t0, y0, t_bound,
-    events): the blow-up event first, then `events`."""
+    events): `events` and the blow-up event."""
     y0 = (initial.X, initial.Y, initial.Z, initial.W)
     if not all(math.isfinite(c) for c in y0):
         raise PreconditionViolated("initial state must be finite")
-    return phase_rhs(params), horizon[0], y0, horizon[1], (_blow_up(), *events)
-
-
-def _finish_m(params, sol, names) -> Trajectory:
-    """integrate_m's trajectory from the final solution of its run; `names`
-    are those of its events after the blow-up event."""
-    named = _named(names, sol.t_events[1:])
-    t, states = tuple(sol.t), tuple(sol.y)
-
-    if sol.status == 1:         # a run records one terminal event at most
-        if sol.t_events[0]:
-            term = Termination(kind="blow-up")
-        else:
-            # terminated by a user event
-            term = Termination(kind="event", event=named[-1][1] if named else None)
-    else:
-        term = _detect_convergence(params, t, states) or Termination(kind="max-time")
-    return Trajectory(t=t, states=states, termination=term,
-                      events=tuple(named), dense=sol.sol)
+    return phase_rhs(params), horizon[0], y0, horizon[1], (*events, _blow_up())
 
 
 # -- radial oracle ------------------------------------------------------------
@@ -237,21 +235,14 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     stops at its second zero records both zeros; its termination names the
     first.
     """
-    problem = _radial_problem(params, u0, v0, r_max)
-    sol = _checked(dop853.solve(*problem))
-    named = _named([ev.name for ev in problem[-1]], sol.t_events)
-    events = [ev for ev in named if ev[1] != "both-zero"]
-    if len(events) < len(named):
+    sol = _checked(dop853.solve(*_radial_problem(params, u0, v0, r_max)))
+    events = sorted(ev for ev in sol.events if ev[1] != "both-zero")
+    if len(events) < len(sol.events):
         # the run ended at its both-zero root, and the kernel drops a zero
         # whose root falls at or past it: that zero is the run's end
         seen = {name for _, name in events}
         events += [(sol.t[-1], zero) for zero in ("u-zero", "v-zero") if zero not in seen]
-    if not events:
-        term = Termination(kind="max-time")
-    elif events[0][1] == "blow-up":
-        term = Termination(kind="blow-up")
-    else:
-        term = Termination(kind="event", event=events[0][1])
+    term = _ended_by(events[0][1]) if events else Termination(kind="max-time")
     u, v, U, V = zip(*sol.y)
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
@@ -402,7 +393,7 @@ class MClass(str, Enum):
 
 def _shot(params, x, y, rho):
     """The run of one regular seed to T_END, started. Its events are
-    blow-up, x-bound and y-bound."""
+    x-bound, y-bound and blow-up."""
     seed = launch_regular(params, x, y, rho)
     # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
     # below, with integration noise) from registering as crossings
@@ -413,15 +404,10 @@ def _shot(params, x, y, rho):
     return dop853.steps(*_phase_problem(params, seed, (0.0, T_END), evs))
 
 
-def _crossings(sol) -> tuple[float | None, float | None]:
-    """A shot's first x-bound and y-bound crossing times so far, or None."""
-    xs, ys = sol.t_events[1:]
-    return (xs[0] if xs else None), (ys[0] if ys else None)
-
-
-def _s_class(t_x: float | None, t_y: float | None) -> SClass:
-    """The face crossed first, from the first x- and y-bound crossing times
-    (at least one of them)."""
+def _s_class(hit: dict) -> SClass:
+    """The face crossed first, from a shot's first x- and y-bound crossing
+    times by name (at least one of them)."""
+    t_x, t_y = hit.get("x-bound"), hit.get("y-bound")
     if t_x is not None and t_y is not None:
         return SClass.S3 if abs(t_x - t_y) <= SIM_WINDOW else \
             (SClass.S1 if t_x < t_y else SClass.S2)
@@ -450,13 +436,6 @@ def _certify(P: SystemParams, state) -> MClass | None:
     return None
 
 
-def _hit_times(t_x: float | None, t_y: float | None, t_blow: float | None) -> dict:
-    """A shot's x-bound, y-bound and blow-up times, in that order, without
-    the events it never reached."""
-    hit = {"x-bound": t_x, "y-bound": t_y, "blow-up": t_blow}
-    return {k: t for k, t in hit.items() if t is not None}
-
-
 class _PausedRun:
     """The run of one shot, stepped to its S-decision: an accepted step that
     ends SIM_WINDOW past the first face crossing, after which a later crossing
@@ -472,11 +451,13 @@ class _PausedRun:
         self.params, self.seed = params, (x, y)
         self.proved: MClass | None = None
         self._steps = _shot(params, x, y, rho)
+        first = math.inf
         for sol in self._steps:
-            t_x, t_y = _crossings(sol)
-            first = t_y if t_x is None else t_x if t_y is None else min(t_x, t_y)
-            if first is not None and sol.status is None and sol.t[-1] > first + SIM_WINDOW:
-                self._sol, self.s_class = sol, _s_class(t_x, t_y)
+            if first == math.inf and sol.events:
+                # the first step with an event holds the first crossing
+                first = min(t for t, _ in sol.events)
+            if sol.status is None and sol.t[-1] > first + SIM_WINDOW:
+                self._sol, self.s_class = sol, _s_class(_first_times(sol.events))
                 return
         self._sol = sol
         self.s_class = self.finished[0]
@@ -503,10 +484,9 @@ class _PausedRun:
         blow-up event, the shot's only terminal one, or T_END."""
         self.resume(to_end=True)
         sol = _checked(self._sol)
-        t_x, t_y = _crossings(sol)
+        hit = _first_times(sol.events)
         blew = sol.status == 1
-        hit = _hit_times(t_x, t_y, sol.t[-1] if blew else None)
-        if t_x is None and t_y is None:
+        if "x-bound" not in hit and "y-bound" not in hit:
             if blew:
                 raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
                                    f"without crossing a face")
@@ -521,7 +501,7 @@ class _PausedRun:
             m_class = MClass.M1
         else:
             m_class = MClass.M2
-        return _s_class(t_x, t_y), m_class, hit
+        return _s_class(hit), m_class, hit
 
 
 class ShotOutcome:
@@ -545,7 +525,7 @@ class ShotOutcome:
     def hit_times(self) -> dict:
         hit = self._run.finished[2]
         if self.mirrored:
-            return _hit_times(hit.get("y-bound"), hit.get("x-bound"), hit.get("blow-up"))
+            return _first_times((t, _EXCHANGED.get(name, name)) for name, t in hit.items())
         return hit
 
     def to_dict(self) -> dict:
@@ -553,9 +533,11 @@ class ShotOutcome:
                 "mClass": self.m_class.value, "hitTimes": self.hit_times}
 
 
-# the exchange image of each class: the faces and the profiles trade places
+# the exchange image of each class and face event: the faces and the
+# profiles trade places
 _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
-              MClass.M1: MClass.M2, MClass.M2: MClass.M1}
+              MClass.M1: MClass.M2, MClass.M2: MClass.M1,
+              "x-bound": "y-bound", "y-bound": "x-bound"}
 
 
 def classify_shot(params: SystemParams, x: float, y: float,

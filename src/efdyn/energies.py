@@ -515,6 +515,9 @@ def predict_existence(params: SystemParams) -> ExistenceVerdict:
             return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "nonvariational-lower-hyperbola",
                                     (("position vs lower hyperbola", posz.value),))
 
+    if P.D == 0.0:      # the rules below read the decay exponents gamma and xi
+        return ExistenceVerdict(Verdict.UNKNOWN, "none",
+                                (("D = delta*mu - (p-1-s)(q-1-m)", "0: gamma, xi undefined"),))
     blocked, cond = _comparison_blocks(P)
     if blocked:
         return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "asymptotic-comparison", cond)

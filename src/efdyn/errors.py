@@ -38,11 +38,13 @@ class DegenerateState(EfdynError):
 
 
 class StepSizeUnderflow(EfdynError):
-    """The integrator step size collapsed (stiffness near blow-up)."""
+    """The integrator step size collapsed (stiffness near blow-up). `run` is
+    the failed kernel run, a `dop853.Solution` with status -1: its points
+    `t`, states `y` and dense output `sol` up to the collapse."""
 
-    def __init__(self, message, trajectory=None):
+    def __init__(self, message, run=None):
         super().__init__(message)
-        self.trajectory = trajectory
+        self.run = run
 
 
 class SeriesInvalid(EfdynError):

@@ -9,7 +9,7 @@ import pytest
 from efdyn import cli, scalar
 from efdyn.cli import main, parse_config, run
 from efdyn.dynamics import _seed, classify_shot, search_ground_state
-from efdyn.errors import ConfigError
+from efdyn.errors import ConfigError, PreconditionViolated
 from efdyn.model import SystemParams
 from efdyn.numerics import CAPTURE_DIST
 from efdyn.scalar import ScalarBehavior, scalar_classify
@@ -203,6 +203,29 @@ class TestCommands:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines == ["theta,sClass,mClass,hitTime"]
+
+    @pytest.mark.parametrize("command,raw", [
+        ("analyze", {"params": dict(HAM_CONFIG["params"], s=3.0, m=3.0)}),
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "s=m",
+                                          "start": 3.0, "stop": 3.0, "n_angles": 3})),
+    ], ids=["analyze", "sweep-family"])
+    def test_zero_discriminant_predicts_unknown(self, tmp_path, command, raw):
+        # at D = 0 the decay exponents are undefined: the prediction is
+        # unknown, not an internal error
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        if command == "analyze":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["existence"]["verdict"] == "unknown"
+        else:
+            rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+            assert rows[1].split(",")[-1] == "unknown"
+
+    @pytest.mark.parametrize("start,stop", [(1.0, 2.0), (0.0, 1.0)])
+    def test_family_grid_refuses_a_step_that_leaves_a_value(self, deadline, start, stop):
+        # from 0 a step of 1e-20 advances, but stalls long before 1
+        with pytest.raises(PreconditionViolated, match="need a step that moves every value"):
+            cli.family_grid(start, stop, 1e-20)
 
     def test_sweep_family(self, tmp_path):
         raw = dict(HAM_CONFIG, sweep={"kind": "family", "parameter": "delta=mu",
@@ -402,6 +425,9 @@ class TestExitCodes:
                                           "step": -0.1}), "sweep.step"),
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
                                           "step": math.nan}), "sweep.step"),
+        # a step below the float spacing leaves the value unchanged: 1 + 1e-20 == 1
+        ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 1.0, "stop": 2.0,
+                                          "step": 1e-20}), "sweep.step"),
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "angle", "n": -3}), "sweep.n"),
         ("sweep", dict(HAM_CONFIG, sweep={"kind": "family", "start": 2.0, "stop": 2.2,
                                           "n_angles": -1}), "sweep.n_angles"),
@@ -451,7 +477,8 @@ class TestExitCodes:
          "scalar.eps"),
         ("integrate", dict(HAM_CONFIG, integrate={"u0": True}), "integrate.u0"),
     ], ids=["family-without-start", "one-grid-size", "eps-not-a-number", "family-zero-step",
-            "family-negative-step", "family-nan-step", "angle-negative-n",
+            "family-negative-step", "family-nan-step", "family-step-below-spacing",
+            "angle-negative-n",
             "family-negative-n_angles", "family-zero-n_angles", "family-fractional-n_angles",
             "angle-fractional-n", "eps-fractional", "scalar-infinite-Q",
             "fractional-grid", "nan-range", "params-nan-N", "params-string-N",

@@ -476,6 +476,20 @@ class TestOracleEquivalence:
             oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
 
 
+def _steps_reporting(monkeypatch, edit) -> list:
+    """The arguments of each kernel run started from now on; `edit` rewrites
+    the events of every run in place as it is yielded."""
+    starts, real = [], dop853.steps
+
+    def steps(*args):
+        starts.append(args)
+        for sol in real(*args):
+            edit(sol.events)
+            yield sol
+    monkeypatch.setattr(dop853, "steps", steps)
+    return starts
+
+
 def _count_phase_rhs(monkeypatch) -> list[int]:
     """A one-item list that counts the phase right-hand side evaluations of
     the runs started from now on."""
@@ -601,9 +615,9 @@ class TestPausedShot:
     def test_blow_up_without_a_crossing_raises_at_once(self, monkeypatch):
         # a run that leaves the box with no face crossing recorded is not
         # rerun on a wider horizon: the same steps would end the same way
-        starts, real = [], dop853.steps
-        monkeypatch.setattr(dop853, "steps", lambda *args: starts.append(args) or real(*args))
-        monkeypatch.setattr(dynamics, "_crossings", lambda sol: (None, None))
+        def no_crossing(events):
+            events[:] = [ev for ev in events if ev[1] == "blow-up"]
+        starts = _steps_reporting(monkeypatch, no_crossing)
         x, y = RHO * math.cos(0.3), RHO * math.sin(0.3)
         with pytest.raises(Inconclusive, match=re.escape(f"seed {(x, y)}: left the box")):
             classify_shot(hamiltonian_params(6.0, 1.6, 2.1), x, y, RHO)
@@ -613,10 +627,11 @@ class TestPausedShot:
         # a run that crosses a face and reaches its horizon without blowing up
         # is not rerun on a wider one: each hit-times read raises at T_END.
         # The diagonal shot of a supercritical point stays in the box to
-        # T_END; a crossing at t = 0.5 is reported for it
-        starts, real = [], dop853.steps
-        monkeypatch.setattr(dop853, "steps", lambda *args: starts.append(args) or real(*args))
-        monkeypatch.setattr(dynamics, "_crossings", lambda sol: (0.5, None))
+        # T_END; its run reports an x-bound crossing at t = 0.5
+        def crossing_at_half(events):
+            if not events:
+                events.append((0.5, "x-bound"))
+        starts = _steps_reporting(monkeypatch, crossing_at_half)
         x, y = RHO * math.cos(math.pi / 4), RHO * math.sin(math.pi / 4)
         out = classify_shot(hamiltonian_params(6.0, 2.5, 2.5), x, y, RHO)
         assert out.s_class is SClass.S1
@@ -937,7 +952,8 @@ class TestKernelAgainstScipy:
                         dense_output=True)
         assert ours.status == ref.status
         assert abs(len(ours.t) - len(ref.t)) <= 2
-        for mine, theirs in zip(ours.t_events, ref.t_events):
+        for spec, theirs in zip(events, ref.t_events):
+            mine = [t for t, name in ours.events if name == spec.name]
             assert len(mine) == len(theirs)
             assert np.all(np.abs(np.array(mine) - theirs) <= 1e-12)
         ts = np.linspace(ref.t[0], ref.t[0] + 0.9 * (ref.t[-1] - ref.t[0]), 200)
@@ -950,7 +966,7 @@ class TestKernelAgainstScipy:
 
     @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
     def test_shot_matches_scipy(self, monkeypatch, params, xy):
-        # a shot carries the three events blow-up and x/y-bound; reading
+        # a shot carries the three events x/y-bound and blow-up; reading
         # the whole outcome runs every integration the shot makes
         calls = self._recorded_solves(
             monkeypatch, lambda: classify_shot(params, *xy, RHO).to_dict(), "steps")
@@ -1002,9 +1018,9 @@ class TestKernelAgainstScipy:
     def test_step_size_underflow_keeps_partial_trajectory(self):
         with pytest.raises(StepSizeUnderflow) as err:
             dynamics._checked(dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0))
-        partial = err.value.trajectory
+        partial = err.value.run
         assert abs(partial.t[-1] - 1.0) < 1e-9
-        assert np.asarray(partial.states).shape == (len(partial.t), 4)
+        assert np.asarray(partial.y).shape == (len(partial.t), 4)
 
 
 # -- reference: the tableau loops that the written-out stages replaced -----------
@@ -1230,7 +1246,7 @@ class TestKernelPauseResume:
 
     @staticmethod
     def _bits(sol):
-        return (sol.status, _hex(sol.t), _hex(sol.y), _hex(sol.t_events),
+        return (sol.status, _hex(sol.t), _hex(sol.y), [(t.hex(), n) for t, n in sol.events],
                 sol.nfev, sol.n_accepted, sol.n_rejected)
 
     def _assert_pauses_are_invisible(self, rhs, t0, y0, t_bound, events):
@@ -1339,7 +1355,7 @@ class TestKernelCounts:
         events = [EventSpec("x", lambda t, y: y[0] - 0.25),
                   EventSpec("blow-up", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
         sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events)
-        assert sol.status == 1 and sol.t_events[0]
+        assert sol.status == 1 and "x" in {name for _, name in sol.events}
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
 
@@ -1415,7 +1431,7 @@ class TestLazyInterpolant:
         rhs, calls = TestKernelCounts._counting(phase_rhs(HAM6))
         events = [EventSpec("x", lambda t, y: y[0] - 0.25)]
         sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events)
-        (t_ev,) = sol.t_events[0]
+        ((t_ev, _),) = sol.events
         assert sol.nfev == calls[0] == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3
         run = calls[0]
         sol.sol(t_ev)
@@ -1559,15 +1575,14 @@ class TestKernelTerminalEvents:
     def test_run_records_one_terminal_event(self, y0, which):
         # y' = y^2 blows up at t = 1/y(0): both terminal events fall in the
         # last step, and only the earlier root (the first event on a tie) is
-        # recorded, so `_finish_m` reads one terminal event: the blow-up event
-        # or a caller's
+        # recorded, so `integrate_m` reads one terminal event, the last one
+        # found: the blow-up event or a caller's
         events = [EventSpec("blow-up-0", lambda t, y: abs(y[0]) - 1e6, terminal=True),
                   EventSpec("blow-up-1", lambda t, y: abs(y[1]) - 1e6, terminal=True)]
         sol = dop853.solve(lambda t, y: (y[0] ** 2, y[1] ** 2, 0.0, 0.0), 0.0, y0, 2.0,
                            events)
         assert sol.status == 1
-        assert len(sol.t_events[which]) == 1 and sol.t_events[1 - which] == []
-        assert sol.t[-1] == sol.t_events[which][0]
+        assert sol.events == [(sol.t[-1], events[which].name)]
 
 
 def _rotation(t, y):
@@ -1592,11 +1607,11 @@ class TestKernelNonFinite:
         (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
     ], ids=["nan-y0", "nan-rhs"])
     def test_dense_output_without_a_step_holds_the_initial_point(self, deadline, fun, y0):
-        # the run's own `sol`, and the `dense` of the partial trajectory that
+        # the run's own `sol`, and that of the failed run that
         # StepSizeUnderflow carries: y0 at t0, a ValueError elsewhere
         with pytest.raises(StepSizeUnderflow) as err:
             dynamics._checked(dop853.solve(fun, 0.0, y0, 1.0))
-        for dense in (dop853.solve(fun, 0.0, y0, 1.0).sol, err.value.trajectory.dense):
+        for dense in (dop853.solve(fun, 0.0, y0, 1.0).sol, err.value.run.sol):
             assert dense(0.0) == y0
             for t in (0.5, -1.0, 1.0):
                 with pytest.raises(ValueError, match="no accepted step"):

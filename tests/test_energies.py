@@ -296,6 +296,15 @@ class TestExistence:
         P = SystemParams(N=6.0, p=2.2, q=2.4, s=0.4, m=0.3, delta=2.6, mu=2.9)
         assert predict_existence(P).verdict is Verdict.UNKNOWN
 
+    def test_unknown_at_zero_discriminant(self):
+        # D = delta mu - (p-1-s)(q-1-m) = 4 - 4: gamma and xi are undefined,
+        # so the rules that read them do not apply
+        P = SystemParams(N=6.0, p=2.0, q=2.0, s=3.0, m=3.0, delta=2.0, mu=2.0)
+        assert P.D == 0.0
+        v = predict_existence(P)
+        assert v.verdict is Verdict.UNKNOWN
+        assert [name for name, _ in v.conditions] == ["D = delta*mu - (p-1-s)(q-1-m)"]
+
 
 class TestAsymptotics:
     def test_biharmonic_split(self):

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from efdyn.dynamics import search_dirichlet, search_ground_state
+from efdyn import dynamics
+from efdyn.dynamics import integrate_radial, search_dirichlet, search_ground_state
 from efdyn.model import hamiltonian_params, potential_params
 from efdyn.scalar import ScalarBehavior, scalar_classify
 
@@ -45,6 +46,26 @@ def test_dirichlet_solution_vanishes_at_one_radius(P):
 def test_ground_state_on_the_critical_curve(P):
     # both reduce to -Laplace u = u^2 on the diagonal, where the bubble is a ground state
     assert search_ground_state(P, n_angles=9).found
+
+
+@pytest.mark.xfail(reason="ROADMAP item 4(b): a shot that has crossed no face by T_END "
+                          "counts as a ground state")
+def test_no_ground_state_from_a_short_horizon(monkeypatch):
+    # below the critical hyperbola (delta = mu = 1.5 < 2) no ground state
+    # exists; on the horizon 1.4 no shot has crossed a face yet
+    monkeypatch.setattr(dynamics, "T_END", 1.4)
+    assert not search_ground_state(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9).found
+
+
+@pytest.mark.xfail(reason="ROADMAP item 4(g): the initial step probes the right-hand side "
+                          "at the span's far end, so the radial run depends on r_max "
+                          "beyond its zero")
+def test_radial_run_ends_where_u_vanishes_whatever_r_max():
+    # the run ends at u's zero, near r = 5.415, for every r_max past it; at
+    # r_max = 1e160 the probe overflows r^(1+a)
+    P = hamiltonian_params(6.0, 2.0, 2.0, a=1.0, b=1.0)
+    ends = [integrate_radial(P, 1.0, 1.0, r_max).r[-1] for r_max in (1e4, 1e12, 1e160)]
+    assert ends[0] == ends[1] == ends[2]
 
 
 def test_ground_state_one_ulp_below_the_critical_line():

@@ -7,6 +7,11 @@ ground state exists iff s + m + 1 >= Q2 = (N + 2 + 2a)/(N - 2), and a
 Dirichlet solution is that of the Hamiltonian system with δ = μ = s + m + 1.
 For s ≠ m the system is not exchange-symmetric, yet its answers are known
 exactly: a defect that breaks the symmetry shows here.
+
+At p = q ≠ 2 the diagonal u ≡ v is still invariant, and there u solves
+-Δ_p u = |x|^a u^(s+m+1); the theory does not say that every solution is
+diagonal. Only the Dirichlet side is checked there: the search finds the
+diagonal solution, that of `symmetric_scalar_embedding(N, p, s+m+1)`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import random
 import pytest
 
 from efdyn.dynamics import search_dirichlet, search_ground_state
-from efdyn.model import hamiltonian_params, potential_params
+from efdyn.model import hamiltonian_params, potential_params, symmetric_scalar_embedding
 from efdyn.numerics import ANGLE_TOL
 from efdyn.scalar import threshold_q2
 
@@ -67,3 +72,14 @@ class TestPotentialDiagonal:
         Q = s + m + 1
         ham = search_dirichlet(hamiltonian_params(N, Q, Q, a, a), u0=1.0, n_angles=9)
         assert res.radius == pytest.approx(ham.radius, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("p,s,m", [(2.3, 0.2, 0.6), (2.3, 0.1, 0.7), (1.8, 0.1, 0.4)])
+def test_dirichlet_solution_off_p_2_is_the_diagonal_one(p, s, m):
+    res = search_dirichlet(potential_params(6.0, p, p, s, m), u0=1.0, n_angles=9)
+    assert res.found and res.angle == math.pi / 4
+    u0, v0 = res.initial_values
+    assert u0 == 1.0 and v0 == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert res.v_zero_radius == pytest.approx(res.radius, rel=2e-12, abs=0.0)
+    scalar = search_dirichlet(symmetric_scalar_embedding(6.0, p, s + m + 1), u0=1.0, n_angles=9)
+    assert res.radius == pytest.approx(scalar.radius, rel=1e-12, abs=0.0)

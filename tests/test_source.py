@@ -53,7 +53,7 @@ PINNED = {
 def test_blow_up_is_decided_in_one_place():
     # one terminal event ends every kernel run where its orbit goes to
     # infinity: only efdyn.dynamics reads BLOW_UP, and each problem builder
-    # carries that event once (a phase run carries it first)
+    # carries that event once
     readers = {path.stem for path in sorted(SRC.glob("*.py")) if path.stem != "numerics"
                for name, _ in _uses(ast.parse(path.read_text())) if name == "BLOW_UP"}
     assert readers == {"dynamics"}
@@ -65,7 +65,6 @@ def test_blow_up_is_decided_in_one_place():
     for problem in (phase, radial):
         names = [ev.name for ev in problem[-1]]
         assert [n for n in names if n.startswith("blow")] == ["blow-up"]
-    assert phase[-1][0].name == "blow-up" and phase[-1][1] is bound
 
 
 def test_numerics_constants_are_pinned():
@@ -102,6 +101,19 @@ def test_script_refuses_zero_angles(path, monkeypatch, capsys):
         main()
     assert err.value.code == 2
     assert "--angles must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [p for p in SCRIPTS if "--step" in p.read_text()],
+                         ids=lambda p: p.name)
+def test_script_refuses_a_step_that_does_not_advance(path, monkeypatch, capsys, deadline):
+    # 1 + 1e-20 == 1: the value loop would never end
+    main = runpy.run_path(str(path), run_name="not_main")["main"]
+    monkeypatch.setattr(sys, "argv", [path.name, "--start", "1.0", "--stop", "2.0",
+                                      "--step", "1e-20"])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 2
+    assert "--step: need a step that moves every value" in capsys.readouterr().err
 
 
 # one value of each script's grid, 3 angles: the scripts' own use of what
