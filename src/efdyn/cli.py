@@ -10,7 +10,8 @@ directory. Tolerances are the constants of `efdyn.numerics`. Commands:
 `mode` is "radial"); `shoot` classifies the manifold seed at angle `theta`.
 
 Exit codes: 0 success, 2 config error (also for a NaN or infinite number, a
-fractional count or a value out of its range), 3 internal numeric failure.
+fractional count, a value out of its range, or an output directory that is
+not a string or cannot be written), 3 internal numeric failure.
 Recoverable numeric conditions (e.g. a power solution that does not exist) are
 recorded in the report, not fatal. Reruns with identical configs produce
 byte-identical outputs: floats are printed at 17 significant digits and all
@@ -158,6 +159,8 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
     if command in _BLOCK_KEYS and command in raw:
         block = _object(raw, command, _BLOCK_KEYS[command])
 
+    if not isinstance(raw.get("out", ""), str):
+        raise ConfigError("out", f"must be a directory name, got {raw['out']!r}")
     out = out_override or raw.get("out") or "efdyn-out"
     return RunConfig(command=command, params=params, scalar=scalar, out=out, block=block)
 
@@ -420,8 +423,8 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
             rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
     # the orbit ends once it comes within CAPTURE_DIST of a fixed point:
     # past a saddle such as A0, which way it leaves is decided by roundoff
-    capture = [EventSpec(f"capture:{name}",
-                         lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
+    capture = [EventSpec(name=f"capture:{name}",
+                         fn=lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
                          - CAPTURE_DIST, terminal=True, direction=-1.0)
                for name, pt in fps.items()]
     traj = diagonal_trajectory(sp, regular_seed(sp, MANIFOLD_RHO), (0.0, T_END), events=capture)
@@ -464,7 +467,10 @@ def main(argv=None) -> int:
             raise ConfigError("config", f"invalid JSON: {exc}")
         rc = parse_config(raw, args.command, args.out)
         bundle = run(rc)
-        files = bundle.write(rc.out)
+        try:
+            files = bundle.write(rc.out)
+        except OSError as exc:
+            raise ConfigError("out", str(exc))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -409,10 +409,10 @@ class DenseSolution:
     """Piecewise interpolant over the accepted steps. At a step boundary the
     earlier step's piece is used.
 
-    It reads the run's own lists of points and pieces, so on a paused run it
-    covers the steps taken so far; on that span it selects the piece that the
-    finished run selects. `ascending` is the run's direction. Before the first
-    step it holds the initial state only, at the initial time."""
+    It reads the run's own lists of points and pieces, so on a paused run, a
+    shot's, it covers the steps taken so far; on that span it selects the piece
+    that the finished run selects. `ascending` is the run's direction. Before
+    the first step it holds the initial state only, at the initial time."""
 
     def __init__(self, ts: list[float], ys: list, pieces: list, ascending: bool):
         self.ts, self.ys, self.pieces, self.ascending = ts, ys, pieces, ascending
@@ -517,6 +517,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     while the run goes on. The last yield carries the final status; a step
     underflow ends the run with a yield of its own. A consumer may stop after
     any yield and resume later: the steps do not depend on when they are taken.
+    Only a shot (`dynamics.ShotOutcome`) pauses its run; other runs call `solve`.
 
     Each event has `name`, `fn(t, y)`, `terminal` and `direction` (> 0: upward
     zero crossings only, < 0: downward only, 0: both). Its zeros are located on

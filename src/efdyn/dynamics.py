@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Sequence
 
 from . import dop853
@@ -114,13 +113,14 @@ def _ended_by(name: str) -> Termination:
     return Termination(kind="event", event=name)
 
 
-def _first_times(events, names=("x-bound", "y-bound", "blow-up")) -> dict:
-    """The first time of each event in `names`, in that order, among a run's
-    (t, name) pairs in the order found, without the events it never reached."""
+def _first_times(events) -> dict:
+    """The first time of each of a shot's events x-bound, y-bound and blow-up,
+    in that order, among a run's (t, name) pairs in the order found, without
+    the events it never reached."""
     first = {}
     for t, name in events:
         first.setdefault(name, t)
-    return {name: first[name] for name in names if name in first}
+    return {name: first[name] for name in ("x-bound", "y-bound", "blow-up") if name in first}
 
 
 def _blow_up() -> EventSpec:
@@ -129,8 +129,8 @@ def _blow_up() -> EventSpec:
     phase chart X or Y blows up where u or v vanishes, and Z or W in the
     absorption quadrants; on the radial route u, v, U or V diverges."""
     blow_up = BLOW_UP           # bound once: the event function runs at every step
-    return EventSpec("blow-up",
-                     lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
+    return EventSpec(name="blow-up",
+                     fn=lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
                      terminal=True, direction=1.0)
 
 
@@ -190,8 +190,8 @@ def integrate_m(params: SystemParams, initial: PhaseState,
 
 
 def _phase_problem(params, initial, horizon, events):
-    """integrate_m's arguments of `dop853.steps`, (rhs, t0, y0, t_bound,
-    events): `events` and the blow-up event."""
+    """A phase run's arguments of the kernel, (rhs, t0, y0, t_bound, events):
+    `events` and the blow-up event. integrate_m and every shot run it."""
     y0 = (initial.X, initial.Y, initial.Z, initial.W)
     if not all(math.isfinite(c) for c in y0):
         raise PreconditionViolated("initial state must be finite")
@@ -253,9 +253,9 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
 
 
 def _radial_problem(params, u0, v0, r_max):
-    """integrate_radial's arguments of `dop853.steps`, (rhs, t0, y0, t_bound,
-    events): the startup series at RADIAL_R0, and the events u-zero, v-zero,
-    both-zero and blow-up."""
+    """A radial run's arguments of the kernel, (rhs, t0, y0, t_bound, events):
+    the startup series at RADIAL_R0, and the events u-zero, v-zero, both-zero
+    and blow-up. integrate_radial and oracle_compare run it."""
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -272,9 +272,9 @@ def _radial_problem(params, u0, v0, r_max):
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile or a flux that diverges (absorption, or past a
     # zero), where the flux may outrun the profile
-    evs = (EventSpec("u-zero", lambda t, y: y[0], direction=-1.0),
-           EventSpec("v-zero", lambda t, y: y[1], direction=-1.0),
-           EventSpec("both-zero", lambda t, y: max(y[0], y[1]), terminal=True,
+    evs = (EventSpec(name="u-zero", fn=lambda t, y: y[0], terminal=False, direction=-1.0),
+           EventSpec(name="v-zero", fn=lambda t, y: y[1], terminal=False, direction=-1.0),
+           EventSpec(name="both-zero", fn=lambda t, y: max(y[0], y[1]), terminal=True,
                      direction=-1.0),
            _blow_up())
     return (_radial_rhs(params), math.log(r0), [u_init, v_init, U_init, V_init],
@@ -294,17 +294,18 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     box, located by a terminal event of that run. A phase run that ends
     otherwise (it may settle near a saddle such as M0, where the two routes
     part) closes no window: Inconclusive names the seed and how it ended. The
-    radial run (`integrate_radial`'s problem) stops at its first point at or
-    past ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison reads lies
-    beyond ph.t[-1] - tau + 0.5, and past it the window, the shift bracket and
-    the sample filter no longer depend on where the run stops. Every value
-    read is the whole run's, bit for bit. A step underflow of either run
-    before its stop raises StepSizeUnderflow; one after it is never reached.
+    radial run (`integrate_radial`'s problem) ends at a terminal read-end
+    event at t_read = ph.t[-1] - tau + 0.5 + 1e-6: no time that the comparison
+    reads lies beyond ph.t[-1] - tau + 0.5, and past it the window, the shift
+    bracket and the sample filter no longer depend on where the run stops.
+    Every value read is the whole run's, bit for bit. A step underflow of
+    either run before its stop raises StepSizeUnderflow; one after it is never
+    reached.
     """
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
     xw, yw = 0.6 * params.x_bound, 0.6 * params.y_bound
-    window = EventSpec("window-end", lambda t, v: max(v[0] - xw, v[1] - yw),
+    window = EventSpec(name="window-end", fn=lambda t, v: max(v[0] - xw, v[1] - yw),
                        terminal=True, direction=1.0)
     ph = integrate_m(params, seed, horizon=(0.0, T_END), events=(window,))
     term = ph.termination
@@ -313,10 +314,10 @@ def oracle_compare(params: SystemParams, x: float, y: float,
         raise Inconclusive(f"seed {(x, y)}: the phase run ended by {ended} at t = {ph.t[-1]} "
                            f"inside 60% of the box: no oracle window")
     t_read = ph.t[-1] - tau + 0.5 + 1e-6
-    for rad in dop853.steps(*_radial_problem(params, u0h, v0h, math.exp(T_END))):
-        if rad.t[-1] >= t_read:
-            break
-    _checked(rad)
+    read_end = EventSpec(name="read-end", fn=lambda t, v: t - t_read, terminal=True,
+                         direction=1.0)
+    rhs, t0, y0, t_bound, evs = _radial_problem(params, u0h, v0h, math.exp(T_END))
+    rad = _checked(dop853.solve(rhs, t0, y0, t_bound, (*evs, read_end)))
 
     def rad_phase(t):
         return to_phase(params, _radial_state(params, t, rad.sol(t)))
@@ -391,19 +392,6 @@ class MClass(str, Enum):
     GS = "GS"
 
 
-def _shot(params, x, y, rho):
-    """The run of one regular seed to T_END, started. Its events are
-    x-bound, y-bound and blow-up."""
-    seed = launch_regular(params, x, y, rho)
-    # tiny hysteresis keeps asymptotic approaches to the face (X -> bound from
-    # below, with integration noise) from registering as crossings
-    cp = params.x_bound * (1 + 1e-9)
-    cq = params.y_bound * (1 + 1e-9)
-    evs = [EventSpec("x-bound", lambda t, v: v[0] - cp, terminal=False, direction=1.0),
-           EventSpec("y-bound", lambda t, v: v[1] - cq, terminal=False, direction=1.0)]
-    return dop853.steps(*_phase_problem(params, seed, (0.0, T_END), evs))
-
-
 def _s_class(hit: dict) -> SClass:
     """The face crossed first, from a shot's first x- and y-bound crossing
     times by name (at least one of them)."""
@@ -436,21 +424,33 @@ def _certify(P: SystemParams, state) -> MClass | None:
     return None
 
 
-class _PausedRun:
-    """The run of one shot, stepped to its S-decision: an accepted step that
-    ends SIM_WINDOW past the first face crossing, after which a later crossing
-    of the other face cannot make the shot S3. A run that ends first is
-    finished at once.
+class ShotOutcome:
+    """One regular seed's shot, compared by identity: its seed and S-class,
+    its kernel run, the M-class that `_certify` proves and, once read, the
+    run's end. The run pauses at the S-decision: an accepted step that ends
+    SIM_WINDOW past the first face crossing, after which a later crossing of
+    the other face cannot make the shot S3. An M-class read moves it on until
+    `_certify`, which reads each new accepted state but the run's end point,
+    proves the class; a hit-times read, or that of an unproved M-class, moves
+    it to its end, at blow-up or at T_END. Either read order gives the same
+    answer for the same steps. The exchange image of a shot (`_exchanged`)
+    holds the shot as its partner and reads it through `_EXCHANGED`."""
 
-    `resume` moves the run on, and `_certify` reads each new accepted state
-    but the run's end point: the proved M-class, if any, is the same whatever
-    was read first. The run ends at blow-up or at T_END, and `finished` reads
-    that end."""
+    __slots__ = ("seed", "s_class", "proved", "_params", "_steps", "_sol", "_end", "_partner")
 
     def __init__(self, params: SystemParams, x: float, y: float, rho: float):
-        self.params, self.seed = params, (x, y)
-        self.proved: MClass | None = None
-        self._steps = _shot(params, x, y, rho)
+        self.seed, self._params, self._partner = (x, y), params, None
+        self.proved = self._end = None
+        # tiny hysteresis keeps asymptotic approaches to the face (X -> bound
+        # from below, with integration noise) from registering as crossings
+        cp = params.x_bound * (1 + 1e-9)
+        cq = params.y_bound * (1 + 1e-9)
+        faces = (EventSpec(name="x-bound", fn=lambda t, v: v[0] - cp, terminal=False,
+                           direction=1.0),
+                 EventSpec(name="y-bound", fn=lambda t, v: v[1] - cq, terminal=False,
+                           direction=1.0))
+        seed = launch_regular(params, x, y, rho)
+        self._steps = dop853.steps(*_phase_problem(params, seed, (0.0, T_END), faces))
         first = math.inf
         for sol in self._steps:
             if first == math.inf and sol.events:
@@ -459,30 +459,28 @@ class _PausedRun:
             if sol.status is None and sol.t[-1] > first + SIM_WINDOW:
                 self._sol, self.s_class = sol, _s_class(_first_times(sol.events))
                 return
+        # a run that ends before the pause is read at once
         self._sol = sol
-        self.s_class = self.finished[0]
+        self.s_class = self._read_end()[0]
 
-    def resume(self, to_end: bool) -> None:
+    def _resume(self, to_end: bool) -> None:
         """Step the run until `_certify` proves its M-class or, with
         `to_end`, until the run ends."""
         sol = self._sol
         while sol.status is None:
             if self.proved is None:
-                self.proved = _certify(self.params, sol.y[-1])
+                self.proved = _certify(self._params, sol.y[-1])
             if self.proved is not None and not to_end:
                 return
             next(self._steps)
 
-    @property
-    def m_class(self) -> MClass:
-        self.resume(to_end=False)
-        return self.finished[1] if self.proved is None else self.proved
-
-    @cached_property
-    def finished(self) -> tuple[SClass, MClass, dict]:
+    def _read_end(self) -> tuple[SClass, MClass, dict]:
         """The S-class, M-class and hit times read off the run's end: its
-        blow-up event, the shot's only terminal one, or T_END."""
-        self.resume(to_end=True)
+        blow-up event, the shot's only terminal one, or T_END. A read that
+        fails is not kept: it fails again."""
+        if self._end is not None:
+            return self._end
+        self._resume(to_end=True)
         sol = _checked(self._sol)
         hit = _first_times(sol.events)
         blew = sol.status == 1
@@ -490,7 +488,8 @@ class _PausedRun:
             if blew:
                 raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
                                    f"without crossing a face")
-            return SClass.S, MClass.GS, hit
+            self._end = SClass.S, MClass.GS, hit
+            return self._end
         if not blew:
             raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
                                f"but no blow-up within t = {T_END}")
@@ -501,32 +500,23 @@ class _PausedRun:
             m_class = MClass.M1
         else:
             m_class = MClass.M2
-        return _s_class(hit), m_class, hit
-
-
-class ShotOutcome:
-    """A classified shot, compared by identity: its seed and S-class, and a
-    view of its paused run, read for its M-class and hit times when asked. A
-    `mirrored` outcome is the exchange image of the run's shot, and reads them
-    swapped."""
-
-    __slots__ = ("seed", "s_class", "_run", "mirrored")
-
-    def __init__(self, seed: tuple[float, float], s_class: SClass, run: _PausedRun,
-                 mirrored: bool = False):
-        self.seed, self.s_class, self._run, self.mirrored = seed, s_class, run, mirrored
+        self._end = _s_class(hit), m_class, hit
+        return self._end
 
     @property
     def m_class(self) -> MClass:
-        m_class = self._run.m_class
-        return _EXCHANGED.get(m_class, m_class) if self.mirrored else m_class
+        if self._partner is not None:
+            m_class = self._partner.m_class
+            return _EXCHANGED.get(m_class, m_class)
+        self._resume(to_end=False)
+        return self._read_end()[1] if self.proved is None else self.proved
 
     @property
     def hit_times(self) -> dict:
-        hit = self._run.finished[2]
-        if self.mirrored:
+        if self._partner is not None:
+            hit = self._partner.hit_times
             return _first_times((t, _EXCHANGED.get(name, name)) for name, t in hit.items())
-        return hit
+        return self._read_end()[2]
 
     def to_dict(self) -> dict:
         return {"seed": list(self.seed), "sClass": self.s_class.value,
@@ -543,17 +533,12 @@ _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
 def classify_shot(params: SystemParams, x: float, y: float,
                   rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed by the face its (X, Y) projection crosses
-    first, or S if it stays in the box.
-
-    The S-class is final once an accepted step ends SIM_WINDOW past the first
-    crossing: the shot pauses there, on the horizon T_END. Reading its M-class
-    resumes the run until `_certify` proves it; reading its hit times, or an
-    unproved M-class, resumes it to its end, at blow-up or at T_END. A shot
-    that ends before the pause is classified at once. Each shot is one run:
-    one that crosses a face but does not blow up by T_END is Inconclusive.
+    first, or S if it stays in the box: its ShotOutcome, one run on the
+    horizon T_END. A run that crosses a face but does not blow up by T_END
+    gives a proved M-class or none: an unproved M-class read and every
+    hit-times read raise Inconclusive.
     """
-    run = _PausedRun(params, x, y, rho)
-    return ShotOutcome((x, y), run.s_class, run)
+    return ShotOutcome(params, x, y, rho)
 
 
 # -- searches --------------------------------------------------------------------
@@ -584,10 +569,12 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
 
 def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
     """The shot at the exchange image of `outcome`'s seed, for a system with
-    exchange_params(P) == P: `outcome`'s run, read mirrored."""
-    x, y = outcome.seed
-    return ShotOutcome((y, x), _EXCHANGED.get(outcome.s_class, outcome.s_class),
-                       outcome._run, mirrored=True)
+    exchange_params(P) == P: a ShotOutcome that holds `outcome` as its
+    partner, with no run of its own."""
+    image = ShotOutcome.__new__(ShotOutcome)
+    image.seed, image._partner = outcome.seed[::-1], outcome
+    image.s_class = _EXCHANGED.get(outcome.s_class, outcome.s_class)
+    return image
 
 
 def sweep_angles(params: SystemParams,

@@ -190,7 +190,8 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05) -> list[float
     """
     from .dynamics import EventSpec
     X0, Z0 = scalar_fixed_points(sp)["M0"]
-    section = EventSpec("section", lambda t, y: y[0] - X0, direction=1.0)
+    section = EventSpec(name="section", fn=lambda t, y: y[0] - X0, terminal=False,
+                        direction=1.0)
     traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0), events=[section])
     offsets = []
     for t_ev in (t for t, name in traj.events if name == "section"):
@@ -280,7 +281,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             # the connecting trajectory runs along the invariant segment; stop
             # just short of its endpoint, where the outgoing axis direction
             # starts amplifying roundoff
-            stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * sp.x_bound,
+            stop = EventSpec(name="stopped:x", fn=lambda t, y: y[0] - 0.98 * sp.x_bound,
                              terminal=True, direction=1.0)
             traj = diagonal_trajectory(sp, (x0, z0), (0.0, T_END), events=[stop])
             drift = max(abs(line_quantity(sp, X, Z)) for X, _, Z, _ in traj.states)

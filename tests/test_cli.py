@@ -505,6 +505,24 @@ class TestExitCodes:
             "there is no connection to follow\n")
         assert not (tmp_path / "out").exists()
 
+    def test_non_string_out_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, out=5))
+        assert main(["analyze", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            "config error: out: must be a directory name, got 5\n"
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        # the output directory cannot be made where a file already is
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = write_config(tmp_path, HAM_CONFIG)
+        assert main(["analyze", "--config", cfg, "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: out: ")
+        assert str(taken) in captured.err
+        assert captured.out == ""
+        assert taken.read_text() == "kept\n"
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -709,9 +709,8 @@ class TestCertificate:
                     out = classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO)
                     if out.s_class is SClass.S:
                         continue
-                    run = out._run
-                    assert out.m_class is run.proved is run.finished[1]
-                    certified.add(run.proved)
+                    assert out.m_class is out.proved is out._read_end()[1]
+                    certified.add(out.proved)
         assert certified == {MClass.M1, MClass.M2}
 
     def test_dirichlet_search_runs_no_shot_to_blow_up(self, monkeypatch):
@@ -1515,6 +1514,22 @@ class TestOracleStop:
         u0, v0, _ = normalized_regular_data(P, x, y)
         integrate_radial(P, u0, v0, r_max=math.exp(dynamics.T_END))
         assert 0 < oracle < calls[0]
+
+    def test_radial_run_ends_at_its_read_end(self, monkeypatch):
+        # both runs go through dop853.solve; the radial one ends at its
+        # terminal read-end event, at the last time the comparison may read
+        runs, real = [], dop853.solve
+
+        def solve(*args):
+            runs.append(real(*args))
+            return runs[-1]
+        monkeypatch.setattr(dop853, "solve", solve)
+        P, x, y, rho = self.POINT
+        assert oracle_compare(P, x, y, rho).hex() == ORACLE_HEX[0]
+        phase, radial = runs
+        t_read = phase.t[-1] - normalized_regular_data(P, x, y)[2] + 0.5 + 1e-6
+        assert radial.status == 1 and radial.events[-1][1] == "read-end"
+        assert radial.t[-1] == radial.events[-1][0] >= t_read
 
     def test_radial_failure_before_the_window_end_raises(self, monkeypatch):
         # the comparison reads the radial run up to t = 1.53 here

@@ -4,6 +4,7 @@ absence from the package and the scripts."""
 
 import ast
 import json
+import math
 import re
 import runpy
 import shlex
@@ -65,6 +66,27 @@ def test_blow_up_is_decided_in_one_place():
     for problem in (phase, radial):
         names = [ev.name for ev in problem[-1]]
         assert [n for n in names if n.startswith("blow")] == ["blow-up"]
+
+
+def test_only_a_shot_pauses_the_kernel():
+    # every kernel run but a shot's runs to its end through dop853.solve: one
+    # function outside the kernel steps a run itself, the shot's constructor
+    def calls_steps(node):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "steps"
+                   and isinstance(sub.value, ast.Name) and sub.value.id == "dop853"
+                   for sub in ast.walk(node))
+
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "steps" not in {alias.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) for alias in node.names}
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        callers += [f"{path.stem}.{name}" for name, fn in defs if calls_steps(fn)]
+    assert callers == ["dynamics.ShotOutcome.__init__"]
 
 
 def test_numerics_constants_are_pinned():
@@ -262,10 +284,13 @@ sys.meta_path.insert(0, Refuse())
 """
 
 
-def _run_without_numpy(code, *args):
-    subprocess.run([sys.executable, "-c", WITHOUT_NUMPY + code
-                    + f"\nassert not set({BLOCKED!r}) & set(sys.modules)\n", *args],
-                   check=True, env={"PYTHONPATH": str(SRC.parent)})
+def _run_without_numpy(code, *args) -> str:
+    """Run `code` in a fresh Python that cannot import numpy or scipy; its
+    standard output."""
+    return subprocess.run([sys.executable, "-c", WITHOUT_NUMPY + code
+                           + f"\nassert not set({BLOCKED!r}) & set(sys.modules)\n", *args],
+                          check=True, stdout=subprocess.PIPE, text=True,
+                          env={"PYTHONPATH": str(SRC.parent)}).stdout
 
 
 def _run_script_without_numpy(path, *args):
@@ -355,6 +380,17 @@ def test_scalar_catalog_runs_without_numpy(tmp_path):
                                   "--out", str(out))
         behaviors |= {rep["behavior"] for rep in json.loads(out.read_text())}
     assert behaviors == {b.value for b in ScalarBehavior}
+
+
+def test_readme_example_prints_its_comments():
+    # the README's library example, as the CI numpy-free job runs it: the
+    # first two lines are the values their comments name, the third a radius
+    (code,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    printed = _run_without_numpy(code).splitlines()
+    comments = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 3
+    assert printed[:2] == comments[:2]
+    assert 0.0 < float(printed[2]) < math.inf
 
 
 def test_pinned_bits_run_without_numpy():
