@@ -7,11 +7,12 @@ package integrates: the phase state (X, Y, Z, W), the radial state (u, v, U, V)
 and the scalar runs on the diagonal (X, X, Z, Z). A state is a tuple of four
 floats, not a numpy array. As in Hairer's `dop853.f`, every stage is written
 out term by term over the nonzero coefficients of its tableau row, and once
-per component: the stages, the error norm and the interpolant loop over no
-sequence. `steps` rejects a state of any other length with ValueError.
+per component; the error estimate is part of the step, formed from its stage
+derivatives in the same pass. No step or interpolant loops over a sequence.
+`steps` rejects a state of any other length with ValueError.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
-error norm, the dense output and the event location follow
+error estimate, the dense output and the event location follow
 `scipy.integrate.solve_ivp(method="DOP853")`. Each tableau sum adds its nonzero
 terms in ascending stage order, as the sum over the full row did from +0.0. A
 skipped term is a signed zero, which leaves a sum unchanged unless the sum is -0.0: the
@@ -167,10 +168,11 @@ def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction) -> float:
 
 
 def _step(fun: Rhs, t, y, k0, h):
-    """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), and
-    the new state: returns y_new and the stage derivatives (k0, k5, ..., k11)
-    that the error estimate and the interpolant read. The components of stage
-    i's derivative are kia, kib, kic and kid."""
+    """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), the
+    new state and, in the same pass, the E5/E3 error estimate (Hairer's) in
+    the weighted RMS norm: returns y_new, the stage derivatives (k0, k5, ...,
+    k11) that the interpolant reads, and the estimate. Stage i's derivative
+    has components kia, kib, kic and kid; the error sums need no +0.0 start."""
     ya, yb, yc, yd = y
     k0a, k0b, k0c, k0d = k0
     k1a, k1b, k1c, k1d = fun(t + C1 * h, (
@@ -248,51 +250,44 @@ def _step(fun: Rhs, t, y, k0, h):
               + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h,
         yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
               + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h))
-    y_new = (
-        ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                  + B10 * k10a + B11 * k11a),
-        yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
-                  + B10 * k10b + B11 * k11b),
-        yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                  + B10 * k10c + B11 * k11c),
-        yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
-                  + B10 * k10d + B11 * k11d))
-    return y_new, (k0, k5, k6, k7, k8, k9, k10, k11)
-
-
-def _error_norm(y, y_new, ks, h) -> float:
-    """The E5/E3 error estimate (Hairer's DOP853) in the weighted RMS norm.
-    Its sums need no +0.0 start: they are squared."""
-    ya, yb, yc, yd = y
-    na, nb, nc, nd = y_new
-    ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d), (k7a, k7b, k7c, k7d),
-     (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d), (k10a, k10b, k10c, k10d),
-     (k11a, k11b, k11c, k11d)) = ks
-    sa = ODE_ATOL + max(abs(ya), abs(na)) * ODE_RTOL
+    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
+                   + B10 * k10a + B11 * k11a)
+    nb = yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
+                   + B10 * k10b + B11 * k11b)
+    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
+                   + B10 * k10c + B11 * k11c)
+    nd = yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
+                   + B10 * k10d + B11 * k11d)
+    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
+    sa, ma = abs(ya), abs(na)
+    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
     r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
            + E5_10 * k10a + E5_11 * k11a) / sa
     r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
            + E3_11 * k11a) / sa
-    sb = ODE_ATOL + max(abs(yb), abs(nb)) * ODE_RTOL
+    sb, mb = abs(yb), abs(nb)
+    sb = ODE_ATOL + (mb if mb > sb else sb) * ODE_RTOL
     r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
            + E5_10 * k10b + E5_11 * k11b) / sb
     r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
            + E3_11 * k11b) / sb
-    sc = ODE_ATOL + max(abs(yc), abs(nc)) * ODE_RTOL
+    sc, mc = abs(yc), abs(nc)
+    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
     r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
            + E5_10 * k10c + E5_11 * k11c) / sc
     r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
            + E3_11 * k11c) / sc
-    sd = ODE_ATOL + max(abs(yd), abs(nd)) * ODE_RTOL
+    sd, md = abs(yd), abs(nd)
+    sd = ODE_ATOL + (md if md > sd else sd) * ODE_RTOL
     r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
            + E5_10 * k10d + E5_11 * k11d) / sd
     r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
            + E3_11 * k11d) / sd
     e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
     e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
-    if e5 == 0.0:       # the denominator may underflow to 0 with it
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4)
+    # with e5 = 0 the denominator may underflow to 0 as well
+    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
+    return (na, nb, nc, nd), (k0, k5, k6, k7, k8, k9, k10, k11), err
 
 
 def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
@@ -554,15 +549,21 @@ def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
         return
 
     direction = 1.0 if t_bound > t else -1.0
+    nextafter, toward = math.nextafter, direction * math.inf
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction)
     nfev, n_accepted, n_rejected = 2, 0, 0
-    specs = [(ev.fn, ev.direction) for ev in events]
-    g = [fn(t, y) for fn, _ in specs]
+    # event i counts upward zeros unless its direction is < 0, downward unless > 0
+    fns = [ev.fn for ev in events]
+    ups = [not ev.direction < 0 for ev in events]
+    downs = [not ev.direction > 0 for ev in events]
+    g = [fn(t, y) for fn in fns]
+    indices = range(len(events))
     status = None
     while status is None:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10 * abs(nextafter(t, toward) - t)
+        if min_step > h_abs:
+            h_abs = min_step
         rejected = False
         while True:
             if not h_abs >= min_step:       # a NaN step (non-finite y0 or f) too
@@ -575,19 +576,20 @@ def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, ks = _step(fun, t, y, f, h)
+            y_new, ks, err = _step(fun, t, y, f, h)
             nfev += 11
-            err = _error_norm(y, y_new, ks, h)
+            # scipy's min()/max() of the factors, as comparisons: NaN gives MIN_FACTOR
             if err < 1:
-                factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR,
-                                                         SAFETY * err ** ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor = SAFETY * err ** ERROR_EXPONENT if err else MAX_FACTOR
+                bound = 1.0 if rejected else MAX_FACTOR
+                h_abs *= factor if factor < bound else bound
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            factor = SAFETY * err ** ERROR_EXPONENT
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
             n_rejected += 1
         n_accepted += 1
-        # the error norm does not read f at t_new: a rejected attempt skips it
+        # the error estimate does not read f at t_new: a rejected attempt skips it
         f_new = fun(t_new, y_new)
         nfev += 1
 
@@ -598,17 +600,16 @@ def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
         piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f)
 
         if events:
-            g_new, active = [], []
-            for i, (fn, d) in enumerate(specs):
-                g_old, g_i = g[i], fn(t, y)
-                g_new.append(g_i)
-                up, down = g_old <= 0.0 <= g_i, g_old >= 0.0 >= g_i
-                if up if d > 0 else down if d < 0 else up or down:
+            active = []
+            for i in indices:
+                a, b = g[i], fns[i](t, y)
+                g[i] = b
+                if ups[i] and a <= 0.0 <= b or downs[i] and a >= 0.0 >= b:
                     active.append(i)
             if active:
                 # locating a zero evaluates the piece: it is built here
                 nfev += 3
-                found = [(find_root(lambda s, fn=specs[i][0]: fn(s, piece(s)), t_old, t), i)
+                found = [(find_root(lambda s, fn=fns[i]: fn(s, piece(s)), t_old, t), i)
                          for i in active]
                 if any(events[i].terminal for i in active):
                     found.sort(key=lambda ri: ri[0] * direction)
@@ -618,10 +619,9 @@ def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
                     t = found[-1][0]
                     y = piece(t)
                 out.events.extend((root, events[i].name) for root, i in found)
-            g = g_new
 
         # a terminal zero at the step's start adds no point
-        if not (len(ts) > 1 and ts[-1] == t):
+        if ts[-1] != t or len(ts) == 1:
             ts.append(t)
             ys.append(y)
             pieces.append(piece)

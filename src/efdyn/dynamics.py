@@ -129,9 +129,18 @@ def _blow_up() -> EventSpec:
     phase chart X or Y blows up where u or v vanishes, and Z or W in the
     absorption quadrants; on the radial route u, v, U or V diverges."""
     blow_up = BLOW_UP           # bound once: the event function runs at every step
-    return EventSpec(name="blow-up",
-                     fn=lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - blow_up,
-                     terminal=True, direction=1.0)
+
+    def beyond(t, y):
+        # max(abs(y[0]), ..., abs(y[3])) - blow_up, in the comparisons of max()
+        a, b, c, d = y
+        a = -a if a < 0.0 else a
+        b = -b if b < 0.0 else b
+        a = b if b > a else a
+        c = -c if c < 0.0 else c
+        a = c if c > a else a
+        d = -d if d < 0.0 else d
+        return (d if d > a else a) - blow_up
+    return EventSpec(name="blow-up", fn=beyond, terminal=True, direction=1.0)
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

@@ -6,6 +6,9 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   added its squares left to right. Its hit times are pinned.
 - The radial oracle's points (`TestOracleEquivalence`): the float.hex of
   `oracle_compare` at each, at rho = ORACLE_RHO, and its bound.
+- The kernel's work on two runs, as (n_accepted, n_rejected, nfev): the
+  same-bits shot's run read to its end, and a radial run to r = 1e12. Equal
+  output bits from more or fewer steps or RHS evaluations show here.
 
 Run from the repository root, on the standard library alone:
 
@@ -16,13 +19,19 @@ from __future__ import annotations
 
 import sys
 
-from efdyn.dynamics import _seed, classify_shot, oracle_compare
+from efdyn import dop853
+from efdyn.dynamics import _radial_problem, _seed, classify_shot, oracle_compare
 from efdyn.model import hamiltonian_params, potential_params
 
 SAME_BITS_PARAMS = hamiltonian_params(5.839542367582504, 2.02380529112265, 3.3015309574690765)
 SAME_BITS_THETA = 1.4177383620827078
 SAME_BITS_RHO = 1e-4
 SAME_BITS_HITS = {"y-bound": "0x1.34259956bcff5p+2", "blow-up": "0x1.41d30b7c71031p+2"}
+SAME_BITS_COUNTS = (129, 106, 2722)
+
+# a radial run of `dop853.solve` from u0 = v0 = 1 to r = 1e12
+RADIAL_PARAMS = hamiltonian_params(6.0, 1.6, 2.1)
+RADIAL_COUNTS = (214, 10, 2686)
 
 # the oracle's points, the seed (x, y) in units of rho
 ORACLE_RHO = 1e-6
@@ -47,11 +56,30 @@ ORACLE_HEX = ["0x1.1d1de26148e0cp-21", "0x1.eb8e0959ad601p-26", "0x1.f8219bedfc9
               "0x1.3e79bd59a5810p-27", "0x1.3a4244a03f4abp-22", "0x1.2d88ffc6949fbp-28"]
 
 
+def _same_bits_shot():
+    seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
+    return classify_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO)
+
+
+def _counts(sol) -> tuple[int, int, int]:
+    return sol.n_accepted, sol.n_rejected, sol.nfev
+
+
 def same_bits_hits() -> dict[str, str]:
     """The pinned shot's hit times, as float.hex."""
-    seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
-    hits = classify_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO).hit_times
-    return {k: v.hex() for k, v in hits.items()}
+    return {k: v.hex() for k, v in _same_bits_shot().hit_times.items()}
+
+
+def same_bits_counts() -> tuple[int, int, int]:
+    """The pinned shot's run, read to its end (a hit-times read): its counts."""
+    shot = _same_bits_shot()
+    shot.hit_times
+    return _counts(shot._sol)
+
+
+def radial_counts() -> tuple[int, int, int]:
+    """The counts of the pinned radial run."""
+    return _counts(dop853.solve(*_radial_problem(RADIAL_PARAMS, 1.0, 1.0, 1e12)))
 
 
 def oracle_value(params, xy) -> float:
@@ -64,13 +92,17 @@ def main() -> int:
     got = same_bits_hits()
     if got != SAME_BITS_HITS:
         moved.append(f"same-bits shot: hit times {got}, pinned {SAME_BITS_HITS}")
+    for name, counts, pinned in (("same-bits shot", same_bits_counts(), SAME_BITS_COUNTS),
+                                 ("radial run", radial_counts(), RADIAL_COUNTS)):
+        if counts != pinned:
+            moved.append(f"{name}: (n_accepted, n_rejected, nfev) {counts}, pinned {pinned}")
     for i, ((params, xy), pinned) in enumerate(zip(ORACLE_POINTS, ORACLE_HEX)):
         err = oracle_value(params, xy)
         if not (err < ORACLE_BOUND and err.hex() == pinned):
             moved.append(f"oracle point {i}: {err.hex()}, pinned {pinned} (bound {ORACLE_BOUND})")
     for line in moved:
         print(line)
-    print(f"{1 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{3 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

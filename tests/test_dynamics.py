@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -30,8 +32,9 @@ from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
 from conftest import field
-from pinned_bits import (ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS, SAME_BITS_HITS,
-                         SAME_BITS_PARAMS, SAME_BITS_THETA, oracle_value, same_bits_hits)
+from pinned_bits import (ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS, RADIAL_COUNTS,
+                         SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA,
+                         oracle_value, radial_counts, same_bits_counts, same_bits_hits)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -1109,9 +1112,8 @@ def _kernel_step(fun, t, y, h, rtol, atol):
     # the kernel reads its tolerances from efdyn.numerics
     assert (rtol, atol) == (ODE_RTOL, ODE_ATOL)
     f = fun(t, y)
-    y_new, ks = dop853._step(fun, t, y, f, h)
+    y_new, ks, err = dop853._step(fun, t, y, f, h)
     f_new = fun(t + h, y_new)
-    err = dop853._error_norm(y, y_new, ks, h)
     piece = dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new)
     return y_new, err, piece.coeffs, [piece(t + frac * h) for frac in _FRACTIONS]
 
@@ -1136,8 +1138,9 @@ _NONSYMMETRIC = SystemParams(N=5.0, p=2.2, q=1.8, a=0.3, b=0.1, s=0.2, m=0.4,
 
 class TestKernelBits:
     """The written-out stages against the reference loops, bit for bit: every
-    stage (each RHS call with its arguments), y_new, the error norm, the 7
-    interpolant coefficients per component and the interpolant's values."""
+    stage (each RHS call with its arguments), y_new, the error estimate that
+    the step returns, the 7 interpolant coefficients per component and the
+    interpolant's values."""
 
     @pytest.mark.parametrize("h", [0.03, -0.03, 1e-7, -2.5])
     @pytest.mark.parametrize("fun,t,y", [
@@ -1237,6 +1240,10 @@ class TestSameBitsOnEveryPython:
 
     def test_shot_hit_times(self):
         assert same_bits_hits() == SAME_BITS_HITS
+
+    def test_shot_counts(self):
+        # the shot's run read to its end: (n_accepted, n_rejected, nfev)
+        assert same_bits_counts() == SAME_BITS_COUNTS
 
 
 class TestKernelPauseResume:
@@ -1371,6 +1378,85 @@ class TestKernelCounts:
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
+
+    def test_radial_run_counts(self):
+        # the run of tests/pinned_bits.py: (n_accepted, n_rejected, nfev)
+        assert radial_counts() == RADIAL_COUNTS
+
+
+def _wall(t, y):
+    """y' finite up to t = 0.5 and infinite past it: a step that crosses
+    t = 0.5 has a NaN error estimate."""
+    return (math.inf if t > 0.5 else 1.0, -y[1], y[2], 0.0)
+
+
+def _points_digest(ts):
+    """SHA-256 of a run's accepted points as float.hex, one a line."""
+    return hashlib.sha256("\n".join(t.hex() for t in ts).encode()).hexdigest()
+
+
+class TestControllerBranches:
+    """Runs through the edge branches of the step-size controller, with their
+    accepted points (float.hex) and counts (n_accepted, n_rejected, nfev) as
+    the controller written with min() and max() gave them."""
+
+    @staticmethod
+    def _estimates(monkeypatch):
+        """The error estimate of every attempted step, in a list that grows."""
+        errs, step = [], dop853._step
+
+        def logged(*args):
+            out = step(*args)
+            errs.append(out[2])
+            return out
+        monkeypatch.setattr(dop853, "_step", logged)
+        return errs
+
+    def test_zero_estimate_grows_the_step_by_max_factor(self, monkeypatch):
+        # y' = 0: every estimate is exactly 0, and each step is MAX_FACTOR
+        # times the one before, from the initial 1e-6 to the clipped last one
+        errs = self._estimates(monkeypatch)
+        sol = dop853.solve(lambda t, y: (0.0, 0.0, 0.0, 0.0), 0.0, (1.0, -2.0, 0.0, 3.0), 100.0)
+        assert errs == [0.0] * 9
+        assert (sol.status, sol.n_accepted, sol.n_rejected, sol.nfev) == (0, 9, 0, 110)
+        assert [t.hex() for t in sol.t] == [
+            "0x0.0p+0", "0x1.0c6f7a0b5ed8dp-20", "0x1.711947cfa26a2p-17",
+            "0x1.d19157abb8800p-14", "0x1.233df2a9d627cp-10", "0x1.6c15d2d01c0cap-7",
+            "0x1.c71c53f39d1b1p-4", "0x1.1c71c53f39d1ap+0", "0x1.638e38a7e73a2p+3",
+            "0x1.9000000000000p+6"]
+
+    def test_step_underflow_run(self, monkeypatch):
+        # the `_squares` run: rejections near the blow-up at t = 1 until the
+        # step underflows; its estimates stay finite
+        errs = self._estimates(monkeypatch)
+        sol = dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        assert all(math.isfinite(e) for e in errs) and len(errs) == 493
+        assert (sol.status, sol.n_accepted, sol.n_rejected, sol.nfev) == (-1, 248, 245, 5673)
+        assert sol.t[-1].hex() == "0x1.0000000012e9fp+0"
+        assert _points_digest(sol.t) == \
+            "42e53c039157007c351124a5eed40f7c1a64e40f0b779b3cf1ffbd1b7a6078bd"
+
+    def test_nan_estimate_shrinks_the_step_by_min_factor(self, monkeypatch):
+        # every step that crosses t = 0.5 has a NaN estimate, rejected with
+        # MIN_FACTOR (scipy's max(MIN_FACTOR, nan)), until the step underflows
+        errs = self._estimates(monkeypatch)
+        sol = dop853.solve(_wall, 0.0, (0.0, 1.0, 1.0, 2.0), 2.0)
+        assert sum(e != e for e in errs) == 42
+        assert (sol.status, sol.n_accepted, sol.n_rejected, sol.nfev) == (-1, 41, 42, 956)
+        assert sol.t[-1].hex() == "0x1.ffffffffffffcp-2"
+        assert _points_digest(sol.t) == \
+            "6a892f84643b1f49d8afcc66b34a56cfe320e07cba946f91a63261301424dd71"
+
+
+def test_blow_up_value_is_max_of_abs():
+    # the blow-up event's comparisons give max(abs(y[0]), ..., abs(y[3])) -
+    # BLOW_UP, with signed zeros, ties, infinities and NaN in every place
+    fn = dynamics._blow_up().fn
+    values = (0.0, -0.0, 1.0, -1.0, -2.5, BLOW_UP, -2e6, math.inf, -math.inf, math.nan)
+    for y in itertools.product(values, repeat=4):
+        want = max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])) - BLOW_UP
+        got = fn(0.0, y)
+        assert got.hex() == want.hex() or got != got and want != want, y
 
 
 class _EagerInterpolant(dop853.StepInterpolant):

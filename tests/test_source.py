@@ -89,6 +89,20 @@ def test_only_a_shot_pauses_the_kernel():
     assert callers == ["dynamics.ShotOutcome.__init__"]
 
 
+def test_stepping_loop_calls_no_min_or_max():
+    # dop853._run's step loop compares where scipy's controller calls min()
+    # and max(), and binds math.nextafter once per run
+    tree = ast.parse((SRC / "dop853.py").read_text())
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_run")
+    loop = next(node for node in ast.walk(run) if isinstance(node, ast.While))
+    called = {node.func.id for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"min", "max"}
+    assert not [node for node in ast.walk(loop) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "math"]
+
+
 def test_numerics_constants_are_pinned():
     public = {k: v for k, v in vars(numerics).items() if not k.startswith("_")}
     assert {k: type(v) for k, v in public.items()} == {k: type(v) for k, v in PINNED.items()}
