@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import dop853
 from ._record import record
-from .equilibria import FixedPointLabel, fixed_point_catalog
+from .equilibria import FixedPointLabel, fixed_point_catalog, m0_coords
 from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
@@ -433,6 +433,39 @@ def _certify(P: SystemParams, state) -> MClass | None:
     return None
 
 
+def _m0_basin(P: SystemParams):
+    """M0's certified basin on the invariant diagonal X = Y, Z = W of an
+    exchange-symmetric system: ((X0, Z0), (p11, p12, p22), c), the ellipse
+    V(e) = p11 eX^2 + 2 p12 eX eZ + p22 eZ^2 < c in e = (X - X0, Z - Z0); None
+    unless p > 1 and M0 is a sink strictly inside the box.
+
+    There e' = J e + B(e, e), J = [[X0, k X0], [-sig Z0, -Z0]], B = (eX (eX +
+    k eZ), -eZ (sig eX + eZ)), k = 1/(p-1), sig = s + delta, so |B| <= beta
+    |e|^2 with beta^2 = 1 + max(k, |sig|)^2. With J^T P + P J = -I, V' = -|e|^2
+    + 2 (P e).B <= |e|^2 (2 beta sqrt(|P| V) - 1) < 0 for V < 1/(4 beta^2 |P|).
+    c is the smaller of that level and the largest inside X < x_bound, less
+    1e-6 of it: an orbit that enters stays there and tends to M0, a ground
+    state (Khalil, Nonlinear Systems, 3rd ed., sec. 8.2).
+    """
+    if not (P.p > 1.0 and P.D != 0.0 and exchange_params(P) == P):
+        return None
+    X0, _, Z0, _ = m0_coords(P)
+    k, sig, xb = 1 / (P.p - 1), P.s + P.delta, P.x_bound
+    j11, j12, j21, j22 = X0, k * X0, -sig * Z0, -Z0
+    tr, det = j11 + j22, j11 * j22 - j12 * j21
+    if not (0.0 < X0 < xb and Z0 > 0.0 and tr < 0.0 and det > 0.0):
+        return None
+    # P = -(det I + adj(J)^T adj(J)) / (2 tr det), adj(J) = [[j22, -j12], [-j21, j11]]
+    den = -2 * tr * det
+    p11, p22 = (det + j22 * j22 + j21 * j21) / den, (det + j11 * j11 + j12 * j12) / den
+    p12 = -(j11 * j21 + j12 * j22) / den
+    norm = (p11 + p22) / 2 + math.hypot((p11 - p22) / 2, p12)
+    # the largest eX on the ellipse V = c is sqrt(c p22 / det P)
+    c = min(1 / (4 * (1 + max(k, abs(sig)) ** 2) * norm),
+            (xb - X0) ** 2 * (p11 * p22 - p12 * p12) / p22)
+    return (X0, Z0), (p11, p12, p22), c * (1 - 1e-6)
+
+
 class ShotOutcome:
     """One regular seed's shot, compared by identity: its seed and S-class,
     its kernel run, the M-class that `_certify` proves and, once read, the
@@ -442,8 +475,10 @@ class ShotOutcome:
     `_certify`, which reads each new accepted state but the run's end point,
     proves the class; a hit-times read, or that of an unproved M-class, moves
     it to its end, at blow-up or at T_END. Either read order gives the same
-    answer for the same steps. The exchange image of a shot (`_exchanged`)
-    holds the shot as its partner and reads it through `_EXCHANGED`."""
+    answer for the same steps. A diagonal shot (x == y) where `_m0_basin`
+    finds a region ends on entering it, by its terminal m0-basin event: S, GS
+    and no hit times. The exchange image of a shot (`_exchanged`) holds the
+    shot as its partner and reads it through `_EXCHANGED`."""
 
     __slots__ = ("seed", "s_class", "proved", "_params", "_steps", "_sol", "_end", "_partner")
 
@@ -454,12 +489,20 @@ class ShotOutcome:
         # from below, with integration noise) from registering as crossings
         cp = params.x_bound * (1 + 1e-9)
         cq = params.y_bound * (1 + 1e-9)
-        faces = (EventSpec(name="x-bound", fn=lambda t, v: v[0] - cp, terminal=False,
-                           direction=1.0),
-                 EventSpec(name="y-bound", fn=lambda t, v: v[1] - cq, terminal=False,
-                           direction=1.0))
+        events = (EventSpec(name="x-bound", fn=lambda t, v: v[0] - cp, terminal=False,
+                            direction=1.0),
+                  EventSpec(name="y-bound", fn=lambda t, v: v[1] - cq, terminal=False,
+                            direction=1.0))
+        basin = _m0_basin(params) if x == y else None
+        if basin is not None:
+            (X0, Z0), (p11, p12, p22), c = basin
+
+            def level(t, v):
+                eX, eZ = v[0] - X0, v[2] - Z0
+                return (p11 * eX + 2 * p12 * eZ) * eX + p22 * eZ * eZ - c
+            events += (EventSpec(name="m0-basin", fn=level, terminal=True, direction=-1.0),)
         seed = launch_regular(params, x, y, rho)
-        self._steps = dop853.steps(*_phase_problem(params, seed, (0.0, T_END), faces))
+        self._steps = dop853.steps(*_phase_problem(params, seed, (0.0, T_END), events))
         first = math.inf
         for sol in self._steps:
             if first == math.inf and sol.events:
@@ -485,14 +528,14 @@ class ShotOutcome:
 
     def _read_end(self) -> tuple[SClass, MClass, dict]:
         """The S-class, M-class and hit times read off the run's end: its
-        blow-up event, the shot's only terminal one, or T_END. A read that
-        fails is not kept: it fails again."""
+        blow-up event, its m0-basin event (S, GS) or T_END. A read that fails
+        is not kept: it fails again."""
         if self._end is not None:
             return self._end
         self._resume(to_end=True)
         sol = _checked(self._sol)
         hit = _first_times(sol.events)
-        blew = sol.status == 1
+        blew = "blow-up" in hit
         if "x-bound" not in hit and "y-bound" not in hit:
             if blew:
                 raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
@@ -542,10 +585,11 @@ _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
 def classify_shot(params: SystemParams, x: float, y: float,
                   rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed by the face its (X, Y) projection crosses
-    first, or S if it stays in the box: its ShotOutcome, one run on the
-    horizon T_END. A run that crosses a face but does not blow up by T_END
-    gives a proved M-class or none: an unproved M-class read and every
-    hit-times read raise Inconclusive.
+    first, or S if it stays in the box (or enters M0's certified basin on the
+    diagonal, `_m0_basin`): its ShotOutcome, one run on the horizon T_END. A
+    run that crosses a face but does not blow up by T_END gives a proved
+    M-class or none: an unproved M-class read and every hit-times read raise
+    Inconclusive.
     """
     return ShotOutcome(params, x, y, rho)
 

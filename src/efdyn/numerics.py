@@ -7,8 +7,9 @@ patches the name in the module that reads it (e.g. `efdyn.dynamics.T_END`).
 A band used at one site only is a literal there instead: `spectra._sgn`'s
 1e-12, `spectra.oscillation_condition`'s 1e-9, `scalar.scalar_classify`'s
 1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
-hysteresis of `dynamics.ShotOutcome` and the 1e-6 (1 + bound) trapping-region
-margin of `dynamics._certify`, among others.
+hysteresis of `dynamics.ShotOutcome`, the 1e-6 (1 + bound) trapping-region
+margin of `dynamics._certify` and the 1e-6 of its level that `dynamics._m0_basin`
+leaves inside M0's basin, among others.
 """
 
 # identity / algebra checks

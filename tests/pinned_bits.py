@@ -6,9 +6,11 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   added its squares left to right. Its hit times are pinned.
 - The radial oracle's points (`TestOracleEquivalence`): the float.hex of
   `oracle_compare` at each, at rho = ORACLE_RHO, and its bound.
-- The kernel's work on two runs, as (n_accepted, n_rejected, nfev): the
-  same-bits shot's run read to its end, and a radial run to r = 1e12. Equal
-  output bits from more or fewer steps or RHS evaluations show here.
+- The kernel's work on three runs, as (n_accepted, n_rejected, nfev): the
+  same-bits shot's run read to its end, a radial run to r = 1e12, and the
+  diagonal shot of a supercritical point, which ends where it enters M0's
+  certified basin (its run to T_END took (100, 4, 1246)). Equal output bits
+  from more or fewer steps or RHS evaluations show here.
 
 Run from the repository root, on the standard library alone:
 
@@ -17,6 +19,7 @@ Run from the repository root, on the standard library alone:
 
 from __future__ import annotations
 
+import math
 import sys
 
 from efdyn import dop853
@@ -32,6 +35,10 @@ SAME_BITS_COUNTS = (129, 106, 2722)
 # a radial run of `dop853.solve` from u0 = v0 = 1 to r = 1e12
 RADIAL_PARAMS = hamiltonian_params(6.0, 1.6, 2.1)
 RADIAL_COUNTS = (214, 10, 2686)
+
+# the pi/4 shot at rho = 1e-4, ended by its m0-basin event
+M0_BASIN_PARAMS = hamiltonian_params(6.0, 2.5, 2.5)
+M0_BASIN_COUNTS = (42, 4, 553)
 
 # the oracle's points, the seed (x, y) in units of rho
 ORACLE_RHO = 1e-6
@@ -82,6 +89,11 @@ def radial_counts() -> tuple[int, int, int]:
     return _counts(dop853.solve(*_radial_problem(RADIAL_PARAMS, 1.0, 1.0, 1e12)))
 
 
+def m0_basin_counts() -> tuple[int, int, int]:
+    """The counts of the pinned diagonal shot's run."""
+    return _counts(classify_shot(M0_BASIN_PARAMS, *_seed(math.pi / 4, 1e-4), 1e-4)._sol)
+
+
 def oracle_value(params, xy) -> float:
     """oracle_compare at the point's seed, at rho = ORACLE_RHO."""
     return oracle_compare(params, xy[0] * ORACLE_RHO, xy[1] * ORACLE_RHO, ORACLE_RHO)
@@ -93,7 +105,8 @@ def main() -> int:
     if got != SAME_BITS_HITS:
         moved.append(f"same-bits shot: hit times {got}, pinned {SAME_BITS_HITS}")
     for name, counts, pinned in (("same-bits shot", same_bits_counts(), SAME_BITS_COUNTS),
-                                 ("radial run", radial_counts(), RADIAL_COUNTS)):
+                                 ("radial run", radial_counts(), RADIAL_COUNTS),
+                                 ("m0-basin shot", m0_basin_counts(), M0_BASIN_COUNTS)):
         if counts != pinned:
             moved.append(f"{name}: (n_accepted, n_rejected, nfev) {counts}, pinned {pinned}")
     for i, ((params, xy), pinned) in enumerate(zip(ORACLE_POINTS, ORACLE_HEX)):
@@ -102,7 +115,7 @@ def main() -> int:
             moved.append(f"oracle point {i}: {err.hex()}, pinned {pinned} (bound {ORACLE_BOUND})")
     for line in moved:
         print(line)
-    print(f"{3 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{4 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

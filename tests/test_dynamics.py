@@ -22,6 +22,7 @@ from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundState
                             MClass, SClass, classify_shot, integrate_m, integrate_radial,
                             launch_regular, oracle_compare, search_dirichlet,
                             search_ground_state, sweep_angles)
+from efdyn.equilibria import FixedPointLabel, fixed_point_catalog
 from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
@@ -32,9 +33,10 @@ from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
 from conftest import field
-from pinned_bits import (ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS, RADIAL_COUNTS,
-                         SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA,
-                         oracle_value, radial_counts, same_bits_counts, same_bits_hits)
+from pinned_bits import (M0_BASIN_COUNTS, ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS,
+                         RADIAL_COUNTS, SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS,
+                         SAME_BITS_THETA, m0_basin_counts, oracle_value, radial_counts,
+                         same_bits_counts, same_bits_hits)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -734,6 +736,140 @@ class TestCertificate:
         assert largest[0] < 10.0
 
 
+
+def _draw_symmetric_point(rng, family):
+    """A random exchange-symmetric point of one of four families, at N = 6."""
+    if family == "hamiltonian":
+        d = rng.uniform(1.2, 3.5)
+        return hamiltonian_params(6.0, d, d)
+    if family == "potential":
+        p, s = rng.uniform(1.7, 2.5), rng.uniform(0.1, 1.5)
+        return potential_params(6.0, p, p, s, s)
+    if family == "nonvariational":
+        d = rng.uniform(1.2, 3.0)
+        return nonvariational_params(6.0, rng.uniform(0.1, 1.0), d, d)
+    d, a = rng.uniform(1.2, 3.5), rng.uniform(-0.5, 1.0)
+    return hamiltonian_params(6.0, d, d, a=a, b=a)
+
+
+SYMMETRIC_FAMILIES = ["hamiltonian", "potential", "nonvariational", "weighted"]
+
+
+def _level(basin, eX, eZ) -> float:
+    """V(e) of an `_m0_basin` region."""
+    _, (p11, p12, p22), _ = basin
+    return p11 * eX * eX + 2 * p12 * eX * eZ + p22 * eZ * eZ
+
+
+class TestM0Basin:
+    """On the invariant diagonal of an exchange-symmetric system, V decreases
+    along the flow in `_m0_basin`'s ellipse around M0, which lies in the box:
+    a diagonal shot that enters it is S, and its run ends there."""
+
+    @staticmethod
+    def _ring(basin, level, n=360):
+        """n diagonal states on the ellipse V(e) = level, each with its e."""
+        (X0, Z0), _, _ = basin
+        for i in range(n):
+            u, w = math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)
+            r = math.sqrt(level / _level(basin, u, w))
+            yield (X0 + r * u, X0 + r * u, Z0 + r * w, Z0 + r * w), (r * u, r * w)
+
+    @staticmethod
+    def _shot(monkeypatch, P, theta=math.pi / 4):
+        """The shot of P at theta and the arguments of its one kernel run."""
+        starts, real = [], dop853.steps
+
+        def steps(*args):
+            starts.append(args)
+            return real(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(dop853, "steps", steps)
+            out = classify_shot(P, *dynamics._seed(theta, RHO), RHO)
+        (args,) = starts
+        return out, args
+
+    @pytest.mark.parametrize("family", SYMMETRIC_FAMILIES)
+    def test_v_decreases_in_the_ellipse(self, family):
+        rng = random.Random(f"m0-basin:{family}")
+        found = 0
+        for _ in range(60):
+            P = _draw_symmetric_point(rng, family)
+            basin = dynamics._m0_basin(P)
+            if basin is None:
+                continue
+            found += 1
+            (X0, Z0), (p11, p12, p22), c = basin
+            m0 = next(fp for fp in fixed_point_catalog(P) if fp.label is FixedPointLabel.M0)
+            assert (X0, X0, Z0, Z0) == m0.coords
+            rhs = phase_rhs(P)
+            for level in (c, c / 2):
+                for state, (eX, eZ) in self._ring(basin, level):
+                    dX, _, dZ, _ = rhs(0.0, state)
+                    # V' = 2 e^T P e'
+                    assert (p11 * eX + p12 * eZ) * dX + (p12 * eX + p22 * eZ) * dZ < 0.0
+            # the largest X on the ellipse lies sqrt(c p22 / det P) past X0
+            assert X0 + math.sqrt(c * p22 / (p11 * p22 - p12 * p12)) < P.x_bound
+        assert found >= 20
+
+    @pytest.mark.parametrize("P", [hamiltonian_params(6.0, 2.5, 2.6),
+                                   nonvariational_params(6.0, 0.5, 2.5, 2.6),
+                                   hamiltonian_params(6.0, 2.0, 2.0),
+                                   hamiltonian_params(6.0, 1.6, 1.6),
+                                   hamiltonian_params(6.0, 1.5, 1.5)],
+                             ids=["off-symmetry", "off-symmetry-nonvariational",
+                                  "centre", "below-the-hyperbola", "m0-on-the-face"])
+    def test_no_region(self, P):
+        # off exchange symmetry the diagonal is not invariant; at delta = mu = 2
+        # M0 is a centre on it (ROADMAP 4(a)), below the hyperbola a source,
+        # and at 1.5 it lies on the face X = x_bound
+        assert dynamics._m0_basin(P) is None
+
+    def test_certified_class_is_the_finished_class(self, monkeypatch):
+        # supercritical draws whose diagonal decay rate |tr J| / 2 is at least
+        # 0.25: the pi/4 shot ends by m0-basin, S with no hit times; the same
+        # run without that event reaches T_END with no face crossing and no
+        # blow-up, and ends in the ellipse
+        rng = random.Random(37)
+        certified = 0
+        for family in SYMMETRIC_FAMILIES:
+            for _ in range(12):
+                P = _draw_symmetric_point(rng, family)
+                basin = dynamics._m0_basin(P)
+                if basin is None or basin[0][0] - basin[0][1] > -0.5:
+                    continue
+                out, (rhs, t0, y0, t_bound, events) = self._shot(monkeypatch, P)
+                assert out._sol.status == 1 and out._sol.events[-1][1] == "m0-basin"
+                n = out._sol.n_accepted
+                assert out.to_dict() == {"seed": [y0[0], y0[1]], "sClass": "S", "mClass": "GS",
+                                         "hitTimes": {}}
+                assert out._sol.n_accepted == n         # the reads step no further
+                rest = tuple(ev for ev in events if ev.name != "m0-basin")
+                assert len(rest) == len(events) - 1
+                sol = dop853.solve(rhs, t0, y0, t_bound, rest)
+                assert sol.status == 0 and sol.events == []
+                X, Y, Z, W = sol.y[-1]
+                (X0, Z0), _, c = basin
+                assert X == Y and Z == W and _level(basin, X - X0, Z - Z0) < c
+                certified += 1
+        assert certified >= 20
+
+    def test_nonvariational_diagonal_is_certified(self):
+        # ROADMAP 4(f): the diagonal seed at s = 0.5, delta = mu = 1.7 was S
+        # only because its run reached T_END
+        P = nonvariational_params(6.0, 0.5, 1.7, 1.7)
+        out = classify_shot(P, *dynamics._seed(math.pi / 4, RHO), RHO)
+        assert out._sol.events[-1][1] == "m0-basin"
+        assert (out.s_class, out.m_class, out.hit_times) == (SClass.S, MClass.GS, {})
+
+    def test_other_shots_carry_no_basin_event(self, monkeypatch):
+        # off the diagonal of the seed plane, and on the diagonal of a point
+        # without a region: the two faces and blow-up only
+        for P, theta in ((hamiltonian_params(6.0, 2.5, 2.5), 0.3),
+                         (hamiltonian_params(6.0, 1.5, 1.5), math.pi / 4)):
+            _, (*_, events) = self._shot(monkeypatch, P, theta)
+            assert [ev.name for ev in events] == ["x-bound", "y-bound", "blow-up"]
+
 # -- reference: the Dirichlet search that reads every grid M-class -------------
 
 def _full_read_dirichlet(params, u0=None, n_angles=9):
@@ -968,11 +1104,13 @@ class TestKernelAgainstScipy:
 
     @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
     def test_shot_matches_scipy(self, monkeypatch, params, xy):
-        # a shot carries the three events x/y-bound and blow-up; reading
-        # the whole outcome runs every integration the shot makes
+        # a shot carries the three events x/y-bound and blow-up, and the
+        # diagonal shot of the supercritical point m0-basin too; reading the
+        # whole outcome runs every integration the shot makes
         calls = self._recorded_solves(
             monkeypatch, lambda: classify_shot(params, *xy, RHO).to_dict(), "steps")
-        assert calls and all(len(call[4]) == 3 for call in calls)
+        n_events = 4 if params == hamiltonian_params(6.0, 2.5, 2.5) else 3
+        assert calls and all(len(call[4]) == n_events for call in calls)
         for call in calls:
             self._assert_matches_scipy(*call)
 
@@ -1382,6 +1520,11 @@ class TestKernelCounts:
     def test_radial_run_counts(self):
         # the run of tests/pinned_bits.py: (n_accepted, n_rejected, nfev)
         assert radial_counts() == RADIAL_COUNTS
+
+    def test_m0_basin_shot_counts(self):
+        # the diagonal shot of tests/pinned_bits.py, ended on entering M0's
+        # certified basin: (n_accepted, n_rejected, nfev)
+        assert m0_basin_counts() == M0_BASIN_COUNTS
 
 
 def _wall(t, y):
