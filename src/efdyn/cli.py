@@ -27,8 +27,8 @@ import os
 import sys
 
 from ._record import record
-from .dynamics import (EventSpec, _seed, classify_shot, integrate_radial, linspace,
-                       search_ground_state, sweep_angles)
+from .dynamics import (EventSpec, _seed, check_shot_params, classify_shot, integrate_radial,
+                       linspace, search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
@@ -195,6 +195,15 @@ def _need_params(rc: RunConfig) -> SystemParams:
     return rc.params
 
 
+def _shot_params(rc: RunConfig) -> SystemParams:
+    """The params of a command that shoots; where no shot applies, a config error."""
+    try:
+        check_shot_params(_need_params(rc))
+    except NotApplicable as exc:
+        raise ConfigError("params", str(exc)) from None
+    return rc.params
+
+
 def _need_scalar(rc: RunConfig) -> ScalarParams:
     if rc.scalar is None:
         raise ConfigError("scalar", "required for this command")
@@ -291,7 +300,7 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
 
 
 def _run_shoot(rc: RunConfig) -> ReportBundle:
-    P = _need_params(rc)
+    P = _shot_params(rc)
     block = rc.block
     theta = _number(block, "shoot", "theta")
     if not 0.0 <= theta <= math.pi / 2:
@@ -334,7 +343,7 @@ _FAMILIES = {
 
 def _run_sweep(rc: RunConfig) -> ReportBundle:
     from . import energies
-    P = _need_params(rc)
+    P = _shot_params(rc)      # a family moves delta, mu, s or m: never p, q or N
     block = rc.block
     kind = block.get("kind", "angle")
     csvs = {}

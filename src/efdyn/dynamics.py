@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from . import dop853
 from ._record import record
 from .equilibria import FixedPointLabel, fixed_point_catalog, m0_coords
-from .errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
+from .errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
@@ -582,6 +582,14 @@ _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
               "x-bound": "y-bound", "y-bound": "x-bound"}
 
 
+def check_shot_params(params: SystemParams) -> None:
+    """NotApplicable, naming the failed inequality, unless 1 < p, q < N: else
+    the box (0, x_bound) x (0, y_bound) that a shot leaves is empty."""
+    for name, e in (("p", params.p), ("q", params.q)):
+        if not 1.0 < e < params.N:
+            raise NotApplicable(f"shots need 1 < {name} < N: {name} = {e!r}, N = {params.N!r}")
+
+
 def classify_shot(params: SystemParams, x: float, y: float,
                   rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed by the face its (X, Y) projection crosses
@@ -589,8 +597,9 @@ def classify_shot(params: SystemParams, x: float, y: float,
     diagonal, `_m0_basin`): its ShotOutcome, one run on the horizon T_END. A
     run that crosses a face but does not blow up by T_END gives a proved
     M-class or none: an unproved M-class read and every hit-times read raise
-    Inconclusive.
+    Inconclusive. Outside 1 < p, q < N it raises NotApplicable.
     """
+    check_shot_params(params)
     return ShotOutcome(params, x, y, rho)
 
 

@@ -566,7 +566,9 @@ def predict_asymptotics(params: SystemParams) -> AsymptoticProfile:
         if region[CriticalCurve.LINE_D] is not Position.ON:
             raise NotCritical("not on the critical line")
         if P.q > P.p:
-            return predict_asymptotics(exchange_params(P)).swapped()
+            pr = predict_asymptotics(exchange_params(P))
+            return AsymptoticProfile(pr.v_exponent, pr.u_exponent, pr.log_correction_power,
+                                     pr.limits[::-1])
         lam_star = P.N + P.a - (P.s + 1) * P.x_bound - P.m * P.y_bound
         ue = P.x_bound
         if abs(lam_star) <= IDENTITY_RTOL * (1 + P.N):

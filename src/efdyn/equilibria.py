@@ -94,7 +94,7 @@ def _base_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
     P = params
     N, p, q, a, b, s, m, delta, mu = (P.N, P.p, P.q, P.a, P.b, P.s, P.m, P.delta, P.mu)
     cp, cq = P.x_bound, P.y_bound
-    defined, near = True, False
+    near = False
 
     if label is FixedPointLabel.M0:
         D = P.D
@@ -129,25 +129,18 @@ def _base_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
             coords = (0.0, -(q + b) / den, N + a + delta * (b + q) / den, w_bar)
     else:
         raise UndefinedPoint(f"{label} has no direct formula")
-    return FixedPoint(label, tuple(float(c) for c in coords), defined, _admissible(label, coords, params), near)
-
-
-def _admissible(label: FixedPointLabel, coords, params: SystemParams) -> bool:
-    if any(math.isnan(c) for c in coords):
-        return False
-    if label is FixedPointLabel.M0:
-        # strictly inside the positive region: 0 < gamma < (N-p)/(p-1), 0 < xi < (N-q)/(q-1)
-        X, Y, Z, W = coords
-        return 0.0 < X < params.x_bound and 0.0 < Y < params.y_bound
-    return all(c >= 0.0 for c in coords)
+    coords = tuple(float(c) for c in coords)
+    # admissible: every coordinate >= 0, and > 0 at M0
+    strict = label is FixedPointLabel.M0
+    return FixedPoint(label, coords, True, all(c > 0.0 if strict else c >= 0.0 for c in coords),
+                      near)
 
 
 def fixed_point(params: SystemParams, label: FixedPointLabel) -> FixedPoint:
     """One catalog entry; symmetric labels are derived from their exchange image."""
     if label in EXCHANGE_IMAGE:
         base = _base_point(exchange_params(params), EXCHANGE_IMAGE[label])
-        adm = base.defined and _admissible(label, _swapped(base.coords), params)
-        return FixedPoint(label, _swapped(base.coords), base.defined, adm,
+        return FixedPoint(label, _swapped(base.coords), base.defined, base.admissible,
                           base.near_degenerate)
     return _base_point(params, label)
 

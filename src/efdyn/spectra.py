@@ -9,6 +9,9 @@ whose coefficients are polynomial in the M0 coordinates. Its roots are found
 in real arithmetic: Ferrari's resolvent cubic and Bairstow steps split it into
 two real quadratics, so complex roots come in exact conjugate pairs. Closed
 forms are cross-checked against the numeric Jacobian in the test suite.
+
+The local existence verdicts are one rule on the linearization: the rates
+transverse to a point's invariant hyperplanes (`local_verdicts`).
 """
 
 from __future__ import annotations
@@ -337,10 +340,6 @@ class AsymptoticProfile:
     log_correction_power: float = 0.0
     limits: tuple[str, str] = ("alpha", "beta")
 
-    def swapped(self) -> "AsymptoticProfile":
-        return AsymptoticProfile(self.v_exponent, self.u_exponent,
-                                 self.log_correction_power, self.limits[::-1])
-
     def to_dict(self) -> dict:
         return {"u_exponent": self.u_exponent, "v_exponent": self.v_exponent,
                 "log_correction_power": self.log_correction_power,
@@ -367,132 +366,60 @@ def _sgn(x: float, scale: float) -> int:
     return 1 if x > 0 else -1
 
 
-def _sign_rule(s1: int, s2: int) -> tuple[Existence, Existence]:
-    """(r -> inf, r -> 0) from the banded signs of the two eigenvalues
-    transverse to a point's invariant hyperplanes: both negative admits
-    trajectories toward infinity, both positive toward zero, a zero sign sits
-    on an excluded equality, and mixed signs admit neither."""
-    if s1 < 0 and s2 < 0:
-        return Existence.YES, Existence.NO
-    if s1 > 0 and s2 > 0:
-        return Existence.NO, Existence.YES
-    if s1 == 0 or s2 == 0:
-        return Existence.BOUNDARY, Existence.BOUNDARY
-    return Existence.NO, Existence.NO
-
-
-def _verdict_pair(label, profile, to_inf: Existence, to_zero: Existence):
-    return [
-        LocalVerdict(label, Direction.TO_ZERO, to_zero,
-                     profile if to_zero is Existence.YES else None),
-        LocalVerdict(label, Direction.TO_INFINITY, to_inf,
-                     profile if to_inf is Existence.YES else None),
-    ]
+# the coordinates that vanish by definition at each base label
+_ZERO_COORDS = {FixedPointLabel[k]: tuple("XYZW".index(c) for c in v) for k, v in (
+    ("O", "XYZW"), ("N0", "XY"), ("A0", "ZW"), ("I0", "YZW"), ("K0", "XYW"),
+    ("G0", "YZ"), ("P0", "Z"), ("C0", "XZ"), ("R0", "X"), ("M0", ""))}
 
 
 def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
     """Existence of admissible trajectories converging to `fp` in each direction,
-    with the decay profile of the corresponding solutions.
+    with the decay profile of the corresponding solutions: the point's (X, Y).
 
-    Inequalities that sit exactly on an excluded equality yield BOUNDARY.
+    The field is of Kolmogorov type (X' = X f_X, and so on), so each coordinate
+    that vanishes at `fp` spans an invariant hyperplane, with the transverse
+    rate f_i = J_ii. Orbits of the open orthant tend to `fp` as r -> inf iff
+    every transverse rate is negative, and as r -> 0 iff every one is
+    positive; M0 has none, and needs a stable (unstable) eigenvalue instead.
+    A negative coordinate admits nothing; a coordinate or rate inside
+    `_sgn`'s band sits on an excluded equality and gives BOUNDARY.
     """
     if not fp.defined:
         raise UndefinedPoint(f"{fp.label} is undefined for these parameters")
-    P = params
     label = fp.label
-    if label in EXCHANGE_IMAGE:
-        base_fp = fixed_point(exchange_params(P), EXCHANGE_IMAGE[label])
-        out = []
-        for v in local_verdicts(exchange_params(P), base_fp):
-            out.append(LocalVerdict(label, v.direction, v.exists,
-                                    v.profile.swapped() if v.profile else None))
-        return out
-
-    N, p, q, a, b, s, m, delta, mu = (P.N, P.p, P.q, P.a, P.b, P.s, P.m, P.delta, P.mu)
-    cp, cq = P.x_bound, P.y_bound
-    scale = abs(N) + abs(a) + abs(b) + abs(cp) + abs(cq)
-
-    if label in (FixedPointLabel.O, FixedPointLabel.K0):
-        # stable/unstable manifolds sit inside coordinate hyperplanes
-        return _verdict_pair(label, None, Existence.NO, Existence.NO)
-
-    if label is FixedPointLabel.N0:
-        profile = AsymptoticProfile(0.0, 0.0, limits=("u0", "v0"))
-        return _verdict_pair(label, profile, Existence.NO, Existence.YES)
-
-    if label is FixedPointLabel.M0:
-        ex = derive_exponents(P)
-        g1 = _sgn(ex.gamma, scale)
-        g2 = _sgn(cp - ex.gamma, scale)
-        x1 = _sgn(ex.xi, scale)
-        x2 = _sgn(cq - ex.xi, scale)
-        profile = AsymptoticProfile(ex.gamma, ex.xi)
-        if min(g1, g2, x1, x2) > 0:
-            both = Existence.YES
-        elif min(g1, g2, x1, x2) == 0:
-            both = Existence.BOUNDARY
-        else:
-            both = Existence.NO
-        return _verdict_pair(label, profile, both, both)
-
-    if label is FixedPointLabel.A0:
-        rule = _sign_rule(_sgn(N + a - s * cp - delta * cq, scale),
-                          _sgn(N + b - mu * cp - m * cq, scale))
-        return _verdict_pair(label, AsymptoticProfile(cp, cq), *rule)
-
-    if label is FixedPointLabel.I0:
-        to_inf, _ = _sign_rule(_sgn(N + a - s * cp, scale), _sgn(N + b - mu * cp, scale))
-        return _verdict_pair(label, AsymptoticProfile(cp, 0.0), to_inf, Existence.NO)
-
-    if label is FixedPointLabel.G0:
-        adm = _sgn(N + b - cp * mu, scale)
-        if adm <= 0:
-            e = Existence.NO if adm < 0 else Existence.BOUNDARY
-            return _verdict_pair(label, None, e, e)
-        rule = _sign_rule(_sgn(q + b - cp * mu, scale),    # sign of (q-1) * lambda_2
-                          _sgn(N + a - s * cp, scale))
-        return _verdict_pair(label, AsymptoticProfile(cp, 0.0), *rule)
-
-    if label is FixedPointLabel.P0:
-        Ystar, Wstar = fp.coords[1], fp.coords[3]
-        profile = AsymptoticProfile(cp, Ystar)
-        sg = _sgn(derive_exponents(P).gamma - cp, scale)
-        sq_m = _sgn(q - (m + 1), scale)
-        lo = _sgn(cp * mu - (q + b), scale)
-        hi = _sgn(N + b - m * cq - cp * mu, scale)
-        if sq_m > 0 and lo > 0 and hi > 0:        # q > m+1, P0 interior
-            return _verdict_pair(label, profile, *_sign_rule(sg, sg))
-        if sq_m < 0 and lo < 0 and hi < 0:        # q < m+1 branch
-            if _sgn(Ystar - Wstar, scale) == 0:   # implicit real/complex split unresolved
-                return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
-            return _verdict_pair(label, profile, *_sign_rule(-sg, -sg))
-        if sq_m == 0 or lo == 0 or hi == 0:
-            return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
-        return _verdict_pair(label, None, Existence.NO, Existence.NO)
-
-    if label in (FixedPointLabel.C0, FixedPointLabel.R0):
-        pre = _sgn(m * cq - (N + b), scale)       # needs N+b < m (N-q)/(q-1)
-        Ybar, Wbar = fp.coords[1], fp.coords[3]
-        if pre <= 0:
-            e = Existence.NO if pre < 0 else Existence.BOUNDARY
-            return _verdict_pair(label, None, e, e)
-        if _sgn(Ybar - Wbar, scale) == 0:         # excluded resonance of the quadratic
-            return _verdict_pair(label, None, Existence.BOUNDARY, Existence.BOUNDARY)
-        k = (q + b) / (m + 1 - q)
-        profile = AsymptoticProfile(0.0, k)
-        if label is FixedPointLabel.C0:
-            sd = _sgn(delta - (N + a) * (m + 1 - q) / (q + b), scale)
-            if sd > 0:
-                return _verdict_pair(label, profile, Existence.YES, Existence.NO)
-            if sd == 0:
-                return _verdict_pair(label, profile, Existence.BOUNDARY, Existence.BOUNDARY)
-            return _verdict_pair(label, None, Existence.NO, Existence.NO)
-        # R0: admissible only under the complementary delta inequality
-        sd = _sgn((N + a) * (m + 1 - q) / (q + b) - delta, scale)
-        if sd <= 0:
-            e = Existence.NO if sd < 0 else Existence.BOUNDARY
-            return _verdict_pair(label, None, e, e)
-        s1 = _sgn(delta - (p + a) * (m + 1 - q) / (q + b), scale)
-        return _verdict_pair(label, profile, *_sign_rule(-s1, -s1))
-
-    raise UndefinedPoint(f"no local analysis for {label}")
+    base = EXCHANGE_IMAGE.get(label, label)
+    P, (X, Y, Z, W) = params, fp.coords
+    if base is not label:                   # an image is read in its base's frame
+        P, (X, Y, Z, W) = exchange_params(params), (Y, X, W, Z)
+    scale = abs(P.N) + abs(P.a) + abs(P.b) + abs(P.x_bound) + abs(P.y_bound)
+    zero = _ZERO_COORDS[base]
+    J = jacobian_at(P, (X, Y, Z, W))
+    rates = [_sgn(J[i][i], scale) for i in zero]
+    least_coord = min((_sgn(c, scale) for i, c in enumerate((X, Y, Z, W)) if i not in zero),
+                      default=1)
+    if base in (FixedPointLabel.P0, FixedPointLabel.C0, FixedPointLabel.R0) and \
+            P.q < P.m + 1 and _sgn(W, scale) > 0 and _sgn(Y - W, scale) == 0:
+        # the (Y, W) face block of P0, C0 and R0 has trace Y - W and
+        # determinant (m+1-q)/(q-1) Y W > 0: at Y = W a purely imaginary
+        # pair, which no rate decides. Read before R0's Z coordinate
+        to_inf = to_zero = Existence.BOUNDARY
+    elif least_coord <= 0:
+        to_inf = to_zero = Existence.NO if least_coord < 0 else Existence.BOUNDARY
+    elif not zero:
+        sp = spectrum_at(params, fp)
+        to_inf = Existence.YES if sp.stable_dim else Existence.NO
+        to_zero = Existence.YES if sp.unstable_dim else Existence.NO
+    else:
+        band = Existence.BOUNDARY if 0 in rates else Existence.NO
+        to_inf = Existence.YES if max(rates) < 0 else band
+        to_zero = Existence.YES if min(rates) > 0 else band
+        if base is FixedPointLabel.I0 and min(rates) < 0:
+            # a negative rate rules r -> 0 out whatever the others are: at I0,
+            # -y_bound < 0 keeps r -> 0 NO where another rate is in the band
+            to_zero = Existence.NO
+    limits = ("u0", "v0") if base is FixedPointLabel.N0 else \
+        ("alpha", "beta") if base is label else ("beta", "alpha")
+    profile = AsymptoticProfile(*fp.coords[:2], limits=limits)
+    return [LocalVerdict(label, direction, exists, profile if exists is Existence.YES else None)
+            for direction, exists in ((Direction.TO_ZERO, to_zero),
+                                      (Direction.TO_INFINITY, to_inf))]

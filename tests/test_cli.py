@@ -383,6 +383,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,block", [
+        ("shoot", {"theta": 0.3}),
+        ("sweep", {"kind": "angle", "n": 3}),
+        ("sweep", {"kind": "family", "start": 2.0, "stop": 2.2, "step": 0.1, "n_angles": 3}),
+    ], ids=["shoot", "angle-sweep", "family-sweep"])
+    def test_shot_outside_one_to_n_exit_2(self, tmp_path, capsys, command, block):
+        # at N = 1.8 < p = q = 2 the box a shot leaves is empty: a config error
+        # that names the inequality, neither an Inconclusive (exit 3) nor the
+        # box of shoot.rho
+        raw = {"params": dict(HAM_CONFIG["params"], N=1.8), command: block}
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: params: shots need 1 < p < N: p = 2.0, N = 1.8\n"
+        assert not (tmp_path / "out").exists()
+
     def test_portrait_without_scalar_exit_2(self, tmp_path, capsys):
         # portrait draws the scalar plane only; system parameters alone do not do
         cfg = write_config(tmp_path, dict(HAM_CONFIG, portrait={"grid": [5, 5]}))

@@ -23,7 +23,7 @@ from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundState
                             launch_regular, oracle_compare, search_dirichlet,
                             search_ground_state, sweep_angles)
 from efdyn.equilibria import FixedPointLabel, fixed_point_catalog
-from efdyn.errors import (Inconclusive, PreconditionViolated, SeriesInvalid,
+from efdyn.errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
 from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian_params,
                          nonvariational_params, normalized_regular_data, phase_rhs,
@@ -285,6 +285,19 @@ class TestClassification:
         for X, Y, Z, W in traj.states:
             assert 0.0 < X < P.x_bound and 0.0 < Y < P.y_bound
             assert 0.0 < Z < P.N + P.a and 0.0 < W < P.N + P.b
+
+    @pytest.mark.parametrize("changes,failed", [
+        (dict(N=1.8), "1 < p < N: p = 2.0, N = 1.8"),
+        (dict(q=0.5), "1 < q < N: q = 0.5, N = 6.0"),
+        (dict(p=7.0), "1 < p < N: p = 7.0, N = 6.0")])
+    def test_shots_need_both_exponents_in_one_to_n(self, changes, failed):
+        # outside 1 < p, q < N the box (0, x_bound) x (0, y_bound) is empty:
+        # every shot, and so every search, refuses the point by its inequality
+        P = hamiltonian_params(6.0, 2.0, 2.0).replace(**changes)
+        for run in (lambda: classify_shot(P, RHO, 0.0, RHO), lambda: sweep_angles(P, 3),
+                    lambda: search_ground_state(P, 3)):
+            with pytest.raises(NotApplicable, match=re.escape(f"shots need {failed}")):
+                run()
 
     def test_derived_profile_bounds_along_global_solution(self):
         # u^{s-p+1} v^delta <= (N+a) ((N-p)/(p-1))^{p-1} r^{-(p+a)} pointwise

@@ -73,6 +73,14 @@ class TestAdmissibility:
         assert fp.coords == (4.0, 4.0, 0.0, 0.0)
         assert not fp.admissible
 
+    def test_main_point_below_p_1_reads_its_coordinates(self):
+        # p = 0.5: x_bound = -11 < 0, so no X lies in (0, x_bound), yet
+        # M0 = (5/9, 2/9, 52/9, 34/9) has four positive coordinates
+        P = SystemParams(N=6.0, p=0.5, q=2.0, delta=1.0, mu=4.0)
+        fp = fixed_point(P, FixedPointLabel.M0)
+        assert P.x_bound < 0.0 and min(fp.coords) > 0.0
+        assert fp.admissible
+
     def test_biharmonic_q0_on_boundary(self):
         # N=5, delta=1, mu=9 (the fourth-order critical case): Q0 = (1, 3, 2, 0)
         P = hamiltonian_params(5.0, 1.0, 9.0)

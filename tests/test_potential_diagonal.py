@@ -83,3 +83,21 @@ def test_dirichlet_solution_off_p_2_is_the_diagonal_one(p, s, m):
     assert res.v_zero_radius == pytest.approx(res.radius, rel=2e-12, abs=0.0)
     scalar = search_dirichlet(symmetric_scalar_embedding(6.0, p, s + m + 1), u0=1.0, n_angles=9)
     assert res.radius == pytest.approx(scalar.radius, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s,m", [(0.3, 0.7), (0.1, 0.9)])
+def test_critical_line_answer_is_pinned(s, m):
+    """Today's answer on the critical line s + m + 1 = Q2 = 2 (N = 6, a = 0).
+
+    The search says found=True, as the theory does, but from one
+    "ground-state" boundary whose limit shot is S1, 3.66e-11 below pi/4, not
+    from the diagonal orbit that the theory makes the ground state. At
+    s = m = 0.5 the same line gives found=False. ROADMAP item 4(a) owns these
+    pins; its witness here is to be `scalar.explicit_critical_solution` with
+    Q = s + m + 1, and the change that lands it moves them on purpose.
+    """
+    res = search_ground_state(potential_params(6.0, 2, 2, s, m), n_angles=9)
+    assert res.found
+    [b] = res.boundaries
+    assert b.kind == "ground-state" and b.outcome.s_class.value == "S1"
+    assert math.pi / 4 - b.angle == pytest.approx(3.66e-11, rel=0.01)
