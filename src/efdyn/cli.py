@@ -232,7 +232,7 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
             try:
                 sp = spectra.spectrum_at(P, fp)
                 entry["spectrum"] = sp.to_dict()
-                entry["verdicts"] = [v.to_dict() for v in spectra.local_verdicts(P, fp)]
+                entry["verdicts"] = [v.to_dict() for v in spectra.local_verdicts(P, fp, sp)]
             except EfdynError as exc:
                 report["errors"].append(f"{fp.label.value}: {exc}")
         cat_entries.append(entry)

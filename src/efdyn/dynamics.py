@@ -309,8 +309,10 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     bracket and the sample filter no longer depend on where the run stops.
     Every value read is the whole run's, bit for bit. A step underflow of
     either run before its stop raises StepSizeUnderflow; one after it is never
-    reached.
+    reached. Outside 1 < p, q < N it raises NotApplicable, as a shot does
+    (`check_shot_params`): the box has no window to compare on.
     """
+    check_shot_params(params)
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
     xw, yw = 0.6 * params.x_bound, 0.6 * params.y_bound

@@ -40,7 +40,9 @@ class DegenerateState(EfdynError):
 class StepSizeUnderflow(EfdynError):
     """The integrator step size collapsed (stiffness near blow-up). `run` is
     the failed kernel run, a `dop853.Solution` with status -1: its points
-    `t`, states `y` and dense output `sol` up to the collapse."""
+    `t` and states `y` up to the collapse, and the dense output `sol` of a
+    `dop853.solve` run. A shot's failed run, a paused `dop853.steps` run,
+    carries no dense output: its `sol` is None."""
 
     def __init__(self, message, run=None):
         super().__init__(message)

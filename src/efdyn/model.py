@@ -247,6 +247,10 @@ def phase_rhs(params: SystemParams):
     The bilinear sums are grouped so that exchange-symmetric parameters acting
     on exchange-symmetric states produce bitwise-symmetric derivatives; the
     diagonal of a symmetric system is then exactly invariant in floating point.
+
+    The field carries its constants as `phase_constants`: the integrator
+    (`dop853`) runs a step with these four expressions written out in its
+    stages when it is handed this field itself.
     """
     P = params
     xb, yb = P.x_bound, P.y_bound
@@ -260,6 +264,7 @@ def phase_rhs(params: SystemParams):
                 Y * (Y - yb + W / q1),
                 Z * (na - (s * X + delta * Y) - Z),
                 W * (nb - (mu * X + m * Y) - W))
+    rhs.phase_constants = (xb, yb, p1, q1, na, nb, s, m, delta, mu)
     return rhs
 
 

@@ -372,9 +372,12 @@ _ZERO_COORDS = {FixedPointLabel[k]: tuple("XYZW".index(c) for c in v) for k, v i
     ("G0", "YZ"), ("P0", "Z"), ("C0", "XZ"), ("R0", "X"), ("M0", ""))}
 
 
-def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
+def local_verdicts(params: SystemParams, fp: FixedPoint,
+                   spectrum: Spectrum | None = None) -> list[LocalVerdict]:
     """Existence of admissible trajectories converging to `fp` in each direction,
     with the decay profile of the corresponding solutions: the point's (X, Y).
+    `spectrum` is the point's `spectrum_at`, if the caller holds it already:
+    M0's verdicts read it instead of solving M0's quartic again.
 
     The field is of Kolmogorov type (X' = X f_X, and so on), so each coordinate
     that vanishes at `fp` spans an invariant hyperplane, with the transverse
@@ -406,7 +409,7 @@ def local_verdicts(params: SystemParams, fp: FixedPoint) -> list[LocalVerdict]:
     elif least_coord <= 0:
         to_inf = to_zero = Existence.NO if least_coord < 0 else Existence.BOUNDARY
     elif not zero:
-        sp = spectrum_at(params, fp)
+        sp = spectrum or spectrum_at(params, fp)
         to_inf = Existence.YES if sp.stable_dim else Existence.NO
         to_zero = Existence.YES if sp.unstable_dim else Existence.NO
     else:

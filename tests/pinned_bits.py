@@ -11,6 +11,10 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   diagonal shot of a supercritical point, which ends where it enters M0's
   certified basin (its run to T_END took (100, 4, 1246)). Equal output bits
   from more or fewer steps or RHS evaluations show here.
+- The phase field's written-out step (`dop853._phase_step`) against the
+  generic step (`dop853._step`) on the same field: y_new, the eight stage
+  derivatives and the error estimate, to the bit, on fixed states and step
+  sizes, signed zeros and stages that overflow to inf and nan among them.
 
 Run from the repository root, on the standard library alone:
 
@@ -24,7 +28,7 @@ import sys
 
 from efdyn import dop853
 from efdyn.dynamics import _radial_problem, _seed, classify_shot, oracle_compare
-from efdyn.model import hamiltonian_params, potential_params
+from efdyn.model import SystemParams, hamiltonian_params, phase_rhs, potential_params
 
 SAME_BITS_PARAMS = hamiltonian_params(5.839542367582504, 2.02380529112265, 3.3015309574690765)
 SAME_BITS_THETA = 1.4177383620827078
@@ -63,6 +67,25 @@ ORACLE_HEX = ["0x1.1d1de26148e0cp-21", "0x1.eb8e0959ad601p-26", "0x1.f8219bedfc9
               "0x1.3e79bd59a5810p-27", "0x1.3a4244a03f4abp-22", "0x1.2d88ffc6949fbp-28"]
 
 
+# the states (params, t, y) on which the two steps of the phase field must
+# agree, at each step size of FUSED_STEP_H: the phase cases of
+# TestKernelBits, two states of no symmetry, where a regrouped sum rounds
+# differently, and one whose stages overflow
+FUSED_STEP_NONSYMMETRIC = SystemParams(N=5.0, p=2.2, q=1.8, a=0.3, b=0.1, s=0.2, m=0.4,
+                                       delta=2.0, mu=1.5, eps2=-1)
+FUSED_STEP_STATES = [
+    (hamiltonian_params(6.0, 2.0, 2.0), 0.0, (0.6, 0.6, 2.2, 2.2)),
+    (hamiltonian_params(6.0, 2.0, 2.0), 3.0, (1e-5, 1e-5, 5.9999, 5.9999)),
+    (hamiltonian_params(6.0, 2.0, 2.0), 0.0, (0.0, 0.4, 3.0, 2.0)),
+    (FUSED_STEP_NONSYMMETRIC, 1.0, (0.7, -0.0, 0.0, 2.5)),
+    (FUSED_STEP_NONSYMMETRIC, 1.0, (-0.0, -0.0, 4.0, 0.0)),
+    (FUSED_STEP_NONSYMMETRIC, 0.5, (0.31, 0.77, 1.3, 2.9)),
+    (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), 0.0, (0.9, 1.1, 2.4, 3.3)),
+    (FUSED_STEP_NONSYMMETRIC, 0.0, (1e155, -1e155, 3.0, -0.0)),
+]
+FUSED_STEP_H = (0.03, -0.03, 1e-7, -2.5)
+
+
 def _same_bits_shot():
     seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
     return classify_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO)
@@ -94,6 +117,26 @@ def m0_basin_counts() -> tuple[int, int, int]:
     return _counts(classify_shot(M0_BASIN_PARAMS, *_seed(math.pi / 4, 1e-4), 1e-4)._sol)
 
 
+def step_bits(out) -> list:
+    """float.hex of every float of a step's output (y_new, stage derivatives,
+    error estimate), so that signed zeros count."""
+    return out.hex() if isinstance(out, float) else [step_bits(v) for v in out]
+
+
+def fused_step_mismatches() -> list[str]:
+    """The cases of FUSED_STEP_STATES and FUSED_STEP_H on which the phase
+    field's written-out step and the generic step differ in a bit."""
+    moved = []
+    for params, t, y in FUSED_STEP_STATES:
+        rhs = phase_rhs(params)
+        k0 = rhs(t, y)
+        for h in FUSED_STEP_H:
+            fused = dop853._phase_step(rhs.phase_constants, t, y, k0, h)
+            if step_bits(fused) != step_bits(dop853._step(rhs, t, y, k0, h)):
+                moved.append(f"{params} at t = {t}, y = {y}, h = {h}")
+    return moved
+
+
 def oracle_value(params, xy) -> float:
     """oracle_compare at the point's seed, at rho = ORACLE_RHO."""
     return oracle_compare(params, xy[0] * ORACLE_RHO, xy[1] * ORACLE_RHO, ORACLE_RHO)
@@ -113,9 +156,11 @@ def main() -> int:
         err = oracle_value(params, xy)
         if not (err < ORACLE_BOUND and err.hex() == pinned):
             moved.append(f"oracle point {i}: {err.hex()}, pinned {pinned} (bound {ORACLE_BOUND})")
+    moved += [f"fused phase step differs from _step: {case}"
+              for case in fused_step_mismatches()]
     for line in moved:
         print(line)
-    print(f"{4 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{5 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

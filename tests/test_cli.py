@@ -94,6 +94,24 @@ class TestAnalyze:
             assert (tmp_path / "out" / name).exists()
 
 
+    def test_each_spectrum_is_computed_once(self, tmp_path, monkeypatch):
+        # the local verdicts read the spectrum of the report's entry: M0's
+        # quartic is solved once
+        from efdyn import equilibria, spectra
+        calls, real = [], spectra.spectrum_at
+
+        def counted(params, fp):
+            calls.append(fp.label)
+            return real(params, fp)
+        monkeypatch.setattr(spectra, "spectrum_at", counted)
+        cfg = CONFIGS / "analyze_hamiltonian_critical.json"
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        P = SystemParams.from_dict(json.loads(cfg.read_text())["params"])
+        defined = [fp.label for fp in equilibria.fixed_point_catalog(P) if fp.defined]
+        assert "M0" in {label.value for label in defined}
+        assert calls == defined
+
+
 class TestReruns:
     @pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
     def test_deterministic_reruns(self, tmp_path, monkeypatch, capsys, config):

@@ -6,7 +6,7 @@ import random
 import re
 import subprocess
 import sys
-from functools import reduce
+from functools import reduce, wraps
 from operator import add, mul
 from pathlib import Path
 
@@ -33,10 +33,10 @@ from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R
 from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
 
 from conftest import field
-from pinned_bits import (M0_BASIN_COUNTS, ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS,
-                         RADIAL_COUNTS, SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS,
-                         SAME_BITS_THETA, m0_basin_counts, oracle_value, radial_counts,
-                         same_bits_counts, same_bits_hits)
+from pinned_bits import (FUSED_STEP_H, FUSED_STEP_STATES, M0_BASIN_COUNTS, ORACLE_BOUND,
+                         ORACLE_HEX, ORACLE_POINTS, RADIAL_COUNTS, SAME_BITS_COUNTS,
+                         SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA, m0_basin_counts,
+                         oracle_value, radial_counts, same_bits_counts, same_bits_hits)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -492,6 +492,15 @@ class TestOracleEquivalence:
         assert P.D == 0.0
         with pytest.raises(ZeroDiscriminant):
             oracle_compare(P, 0.5e-6, 0.5e-6, 1e-6)
+
+    def test_point_outside_the_shot_range_is_not_applicable(self):
+        # N < p = q: the box is empty, and the oracle refuses the point as a
+        # shot does, before any run
+        P = hamiltonian_params(1.8, 2, 2)
+        with pytest.raises(NotApplicable, match=re.escape("shots need 1 < p < N: p = 2.0")):
+            oracle_compare(P, 0.6e-6, 0.4e-6, 1e-6)
+        with pytest.raises(NotApplicable):
+            classify_shot(P, 0.6e-6, 0.4e-6, 1e-6)
 
 
 def _steps_reporting(monkeypatch, edit) -> list:
@@ -1077,7 +1086,7 @@ class TestKernelAgainstScipy:
     def _recorded_solves(monkeypatch, run, entry="solve"):
         """Every problem that `run` hands to the kernel entry point `entry`
         of efdyn.dop853: `solve` for whole runs, `steps` for the runs of
-        shots (and of every `solve`)."""
+        shots."""
         calls, real = [], getattr(dop853, entry)
 
         def spy(rhs, t0, y0, t_bound, events=()):
@@ -1357,6 +1366,97 @@ class TestKernelBits:
         ref = self._outcome(_reference_step, fun, 0.0, y, h)
         assert ref[2] == (0.0).hex()
         assert self._outcome(_kernel_step, fun, 0.0, y, h) == ref
+
+
+def _step_calls(monkeypatch, name):
+    """A one-item list that counts the calls of the kernel step
+    `dop853.<name>` from now on."""
+    calls, real = [0], getattr(dop853, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(dop853, name, counted)
+    return calls
+
+
+class TestPhaseStep:
+    """The phase field's written-out step against the generic step on the
+    same field, bit for bit, and the runs that take each."""
+
+    @staticmethod
+    def _both(params, t, y, h):
+        """The outputs of both steps from (t, y), in float.hex."""
+        rhs = phase_rhs(params)
+        k0 = rhs(t, y)
+        return (_hex(dop853._phase_step(rhs.phase_constants, t, y, k0, h)),
+                _hex(dop853._step(rhs, t, y, k0, h)))
+
+    # the fixed states of tests/pinned_bits.py: the phase cases of
+    # TestKernelBits, two states of no symmetry and one that overflows
+    @pytest.mark.parametrize("h", FUSED_STEP_H)
+    @pytest.mark.parametrize("params,t,y", FUSED_STEP_STATES)
+    def test_matches_step(self, params, t, y, h):
+        fused, generic = self._both(params, t, y, h)
+        _, ks, _ = fused
+        assert len(ks) == 8 and all(len(k) == 4 for k in ks)
+        assert fused == generic
+
+    def test_last_pinned_state_overflows(self):
+        params, t, y = FUSED_STEP_STATES[-1]
+        _, ks, err = self._both(params, t, y, 0.03)[0]
+        assert "inf" in ks[0] and "nan" in ks[1] and err == "nan"
+
+    @given(st.sampled_from([HAM6, _NONSYMMETRIC, hamiltonian_params(5.0, 1.5, 2.5)]),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0),
+                              st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                        st.integers(-320, 200))),
+                    min_size=4, max_size=4),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
+           st.floats(-8.0, math.log10(3.0)), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=250, deadline=None)
+    def test_random_steps_match(self, params, magnitudes, signs, log_h, h_sign):
+        # signed zeros, subnormal to huge components whose stages overflow to
+        # inf or nan, and steps |h| from 1e-8 to 3, log-uniform
+        y = [m * s for m, s in zip(magnitudes, signs)]
+        fused, generic = self._both(params, 0.0, y, h_sign * 10 ** log_h)
+        assert fused == generic
+
+    def test_phase_runs_take_the_phase_step(self, monkeypatch):
+        # a shot read to its end, integrate_m and a scalar run call the
+        # written-out step only
+        generic = _step_calls(monkeypatch, "_step")
+        fused = _step_calls(monkeypatch, "_phase_step")
+        classify_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.3, RHO), RHO).to_dict()
+        integrate_m(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), horizon=(0.0, 40.0))
+        scalar_classify(3, 2, 0, 2, eps=-1)
+        assert generic[0] == 0 and fused[0] > 100
+
+    @pytest.mark.parametrize("wrap", [
+        lambda rhs: lambda t, y: rhs(t, y),
+        # functools.wraps copies `phase_constants` with the wrapped field's
+        # other attributes; the wrapper still runs itself
+        lambda rhs: wraps(rhs)(lambda t, y: rhs(t, y)),
+    ], ids=["closure", "functools-wraps"])
+    def test_wrapped_field_takes_the_generic_step(self, monkeypatch, wrap):
+        # a run with rejected steps and an event, which ends in a step size
+        # underflow at blow-up
+        rhs = phase_rhs(HAM6)
+        y0 = launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO).coords
+        events = [EventSpec("x", lambda t, y: y[0] - 0.25)]
+        bits = []
+        for fun in (rhs, wrap(rhs)):
+            generic = _step_calls(monkeypatch, "_step")
+            sol = dop853.solve(fun, 0.0, y0, 40.0, events)
+            ts = _inner_points(sol.t[:20])
+            bits.append((generic[0], sol.status, _hex(sol.t), _hex(sol.y),
+                         [(t.hex(), name) for t, name in sol.events],
+                         sol.n_accepted, sol.n_rejected, sol.nfev,
+                         _hex([sol.sol(t) for t in ts])))
+        (direct, *same), (wrapped, *other) = bits
+        assert same[0] == -1 and len(same[3]) == 1 and same[5] > 0
+        assert direct == 0 and wrapped == same[4] + same[5]     # every attempted step
+        assert same == other
 
 
 class TestSameBitsOnEveryPython:
@@ -1681,43 +1781,68 @@ class TestLazyInterpolant:
         assert calls[0] == run
 
 
-class TestDenseOutputOnPausedRun:
-    """A paused run's `sol` covers the steps taken so far, with the finished
-    run's values."""
+class _CountedInterpolant(dop853.StepInterpolant):
+    """A step interpolant that counts its instances in `built`."""
+
+    __slots__ = ()
+    built = [0]
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.built[0] += 1
+
+
+class TestDenseOutputOnlyInSolve:
+    """Only `solve` keeps dense output: a `steps` run, a shot's, carries no
+    `sol` and builds a step interpolant only where it locates an event."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        monkeypatch.setattr(dop853, "StepInterpolant", _CountedInterpolant)
+        _CountedInterpolant.built[0] = 0
+        return _CountedInterpolant.built
 
     @pytest.mark.parametrize("rhs,span,y0", [
         (dynamics._radial_rhs(HAM6), (math.log(RADIAL_R0), math.log(1e4)),
          [1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6]),
         # backward in time toward N0
         (phase_rhs(HAM6), (0.0, -8.0), [0.6, 0.6, 2.2, 2.2]),
-    ], ids=["ascending-radial", "descending-phase"])
-    def test_prefix_equals_finished_run(self, rhs, span, y0):
-        ref = dop853.solve(rhs, span[0], y0, span[1])
-        n = ref.n_accepted
-        assert n > 30 and ref.status == 0
-        for pause in (1, n // 3, n - 1):
-            run = dop853.steps(rhs, span[0], y0, span[1])
-            for _ in range(pause):
-                sol = next(run)
-            ts = _inner_points(sol.t, [k / 12 for k in range(13)])
-            assert len(ts) >= 100 or pause == 1
-            got = _hex([sol.sol(t) for t in ts])
-            assert got == _hex([ref.sol(t) for t in ts])
-            for sol in run:
-                pass
-            assert got == _hex([sol.sol(t) for t in ts])
-
-    def test_every_run_carries_sol(self):
-        # a backward run reads its points as descending from the first yield on
-        run = dop853.steps(phase_rhs(HAM6), 0.0, [0.6, 0.6, 2.2, 2.2], -8.0)
-        first = next(run)
-        assert first.status is None and not first.sol.ascending
-        dense = first.sol
-        for sol in run:
-            assert sol.sol is dense
-        assert len(dense.pieces) == len(sol.t) - 1
         # a run that ends on a step size underflow, and one over an empty span
-        assert dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0).sol is not None
+        (_squares, (0.0, 2.0), SQUARES_Y0),
+        (_squares, (1.0, 1.0), SQUARES_Y0),
+    ], ids=["ascending-radial", "descending-phase", "underflow", "empty-span"])
+    def test_steps_run_keeps_no_interpolant(self, built, rhs, span, y0):
+        for sol in dop853.steps(rhs, span[0], y0, span[1]):
+            assert sol.sol is None
+        assert built[0] == 0
+        # the same run through solve keeps one piece per step: an interpolant,
+        # or the constant of the empty span
+        ref = dop853.solve(rhs, span[0], y0, span[1])
+        assert _hex(ref.t) == _hex(sol.t) and ref.nfev == sol.nfev
+        assert len(ref.sol.pieces) == len(ref.t) - 1
+        assert built[0] == (0 if span[0] == span[1] else len(ref.t) - 1)
+
+    def test_shot_builds_interpolants_at_its_events_only(self, monkeypatch, built):
+        # a shot's paused run, read to its end: one piece per step that
+        # locates a face crossing or the blow-up, and no dense output
+        P = hamiltonian_params(6.0, 1.6, 2.1)
+        shot = classify_shot(P, *dynamics._seed(0.3, RHO), RHO)
+        shot.hit_times
+        sol = shot._sol
+        assert sol.status == 1 and sol.sol is None
+        assert 0 < built[0] <= len(sol.events) < sol.n_accepted
+        # nfev counts each built piece's three extra stages
+        assert sol.nfev == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3 * built[0]
+
+    def test_solve_keeps_dense_output(self):
+        # a backward run reads its points as descending; the underflow run and
+        # the empty span's run hold their dense output too
+        sol = dop853.solve(phase_rhs(HAM6), 0.0, [0.6, 0.6, 2.2, 2.2], -8.0)
+        assert sol.status == 0 and not sol.sol.ascending
+        assert len(sol.sol.pieces) == len(sol.t) - 1
+        assert _hex(sol.sol(sol.t[7])) == _hex(sol.y[7])
+        failed = dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        assert failed.status == -1 and len(failed.sol.pieces) == len(failed.t) - 1
         assert dop853.solve(_squares, 1.0, SQUARES_Y0, 1.0).sol(1.0) == tuple(SQUARES_Y0)
 
 
