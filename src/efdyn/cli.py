@@ -286,7 +286,10 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
             raise ConfigError(f"integrate.{key}", f"need a value > 0, got {value!r}")
     if r_max <= RADIAL_R0:      # the run starts at RADIAL_R0 and goes outward
         raise ConfigError("integrate.r_max", f"need a radius > {RADIAL_R0}, got {r_max!r}")
-    rad = integrate_radial(P, u0, v0, r_max)
+    try:
+        rad = integrate_radial(P, u0, v0, r_max)
+    except PreconditionViolated as exc:     # the startup series leaves the floats
+        raise ConfigError("integrate.u0", str(exc)) from None
     rows = [["r", "u", "v", "du", "dv"]]
     for i in range(len(rad.r)):
         rows.append([_fmt(rad.r[i]), _fmt(rad.u[i]), _fmt(rad.v[i]),

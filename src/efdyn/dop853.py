@@ -11,15 +11,27 @@ per component; the error estimate is part of the step, formed from its stage
 derivatives in the same pass. No step or interpolant loops over a sequence.
 `steps` rejects a state of any other length with ValueError.
 
-Two steps compute the same stages. `_step` calls the field once per stage,
+Three steps compute the same stages. `_step` calls the field once per stage,
 whatever the field. `_phase_step` serves the field of `model.phase_rhs`, the
 one that every shot, phase run and scalar run integrates: that field carries
 its folded constants (`phase_constants`), and the step writes the field's four
 expressions out in each stage, with the field's grouping, so that it returns
-`_step`'s bits without calling the field. A run takes it when handed that
-field itself; the radial field, test fields and any wrapper of the phase
-field run `_step`. Only `solve` keeps dense output: a paused run (`steps`, a
-shot's) builds a step interpolant only to locate an event in the step.
+`_step`'s bits without calling the field. `_diagonal_step` serves a run on the
+invariant diagonal, a state (X, X, Z, Z) or (u, u, U, U): it forms the stage
+sums of components a and c only, calls the field once per stage on
+(X, X, Z, Z), and returns (a, a, c, c). A field is diagonal-exact, and says so
+by its attribute `diagonal_exact`, when on a diagonal state its b and d
+outputs come from the same float operations as its a and c outputs: the phase
+field of exchange-symmetric constants, and the radial field of an
+exchange-symmetric system with s = m = 0. A run of a diagonal-exact field from
+a state on the diagonal to the bit (zeros of one sign, no NaN) takes the
+diagonal step: every scalar run, the pi/4 shot of a symmetric system and the
+radial run of a symmetric one with s = m = 0. Otherwise a run handed the
+phase field itself takes `_phase_step`, and the radial field, test fields
+and any other wrapper of the phase field run `_step`. All three give the same
+bits and the same counts. Only `solve` keeps dense output: a paused run
+(`steps`, a shot's) builds a step interpolant only to locate an event in the
+step.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error estimate, the dense output and the event location follow
@@ -461,6 +473,85 @@ def _phase_step(fold, t, y, k0, h):
                               (k11a, k11b, k11c, k11d)), err
 
 
+def _diagonal_step(fun: Rhs, t, y, k0, h):
+    """`_step` on a state of the diagonal, y[1] = y[0] and y[3] = y[2], for a
+    diagonal-exact field (`steps`): the stage sums, y_new and the error terms
+    of components a and c only. The field is called once per stage on
+    (X, X, Z, Z), and its a and c outputs are kept; there its b and d outputs
+    are those, bit for bit, so the stages, y_new, the estimate and the
+    field's calls are `_step`'s. The error sums keep `_step`'s four terms."""
+    ya, _, yc, _ = y
+    k0a, _, k0c, _ = k0
+    X = ya + (0.0 + A1_0 * k0a) * h
+    Z = yc + (0.0 + A1_0 * k0c) * h
+    k1a, _, k1c, _ = fun(t + C1 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h
+    Z = yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h
+    k2a, _, k2c, _ = fun(t + C2 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h
+    Z = yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h
+    k3a, _, k3c, _ = fun(t + C3 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h
+    Z = yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h
+    k4a, _, k4c, _ = fun(t + C4 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h
+    Z = yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h
+    k5a, _, k5c, _ = fun(t + C5 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h
+    Z = yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h
+    k6a, _, k6c, _ = fun(t + C6 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
+              + A7_6 * k6a) * h
+    Z = yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
+              + A7_6 * k6c) * h
+    k7a, _, k7c, _ = fun(t + C7 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
+              + A8_7 * k7a) * h
+    Z = yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
+              + A8_7 * k7c) * h
+    k8a, _, k8c, _ = fun(t + C8 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
+              + A9_7 * k7a + A9_8 * k8a) * h
+    Z = yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
+              + A9_7 * k7c + A9_8 * k8c) * h
+    k9a, _, k9c, _ = fun(t + C9 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
+              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h
+    Z = yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
+              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h
+    k10a, _, k10c, _ = fun(t + C10 * h, (X, X, Z, Z))
+    X = ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
+              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h
+    Z = yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
+              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h
+    k11a, _, k11c, _ = fun(t + C11 * h, (X, X, Z, Z))
+    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
+                   + B10 * k10a + B11 * k11a)
+    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
+                   + B10 * k10c + B11 * k11c)
+    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
+    sa, ma = abs(ya), abs(na)
+    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
+    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
+           + E5_10 * k10a + E5_11 * k11a) / sa
+    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
+           + E3_11 * k11a) / sa
+    sc, mc = abs(yc), abs(nc)
+    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
+    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
+           + E5_10 * k10c + E5_11 * k11c) / sc
+    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
+           + E3_11 * k11c) / sc
+    e5 = r5a * r5a + r5a * r5a + r5c * r5c + r5c * r5c
+    e3 = r3a * r3a + r3a * r3a + r3c * r3c + r3c * r3c
+    # with e5 = 0 the denominator may underflow to 0 as well
+    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
+    return (na, na, nc, nc), (k0, (k5a, k5a, k5c, k5c), (k6a, k6a, k6c, k6c),
+                              (k7a, k7a, k7c, k7c), (k8a, k8a, k8c, k8c),
+                              (k9a, k9a, k9c, k9c), (k10a, k10a, k10c, k10c),
+                              (k11a, k11a, k11c, k11c)), err
+
+
 def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
     """One component's coefficients of the powers 6..0 in the interpolant's
     Horner scheme, from its increment dy over the step and its stage
@@ -697,10 +788,14 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     locate, and `Solution.sol` is None. `Solution.nfev` counts the
     interpolants built during the run, 3 evaluations each.
 
-    The field of `model.phase_rhs` itself, which carries `phase_constants`,
-    runs `_phase_step`, with the field written out in its stages; any other
-    field, a wrapper of that one included, runs `_step`. Both give the same
-    bits and the same counts.
+    A diagonal-exact field (`diagonal_exact`, see the module docstring)
+    started on the diagonal, y0[1] = y0[0] and y0[3] = y0[2] to the bit, runs
+    `_diagonal_step`, which calls it on (X, X, Z, Z) and forms two
+    components; a wrapper made with functools.wraps keeps the attribute, and
+    sees the same calls. Else the field of `model.phase_rhs` itself, which
+    carries `phase_constants`, runs `_phase_step`, with the field written out
+    in its stages; any other field, a wrapper of that one included, runs
+    `_step`. All give the same bits and the same counts.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -715,6 +810,15 @@ def _start(fun: Rhs, t0, y0, t_bound, events, dense) -> Iterator[Solution]:
     if len(y) != 4:
         raise ValueError(f"the kernel integrates states of length 4, not {len(y)}")
     return _run(fun, float(t0), y, float(t_bound), tuple(events), dense)
+
+
+def _on_diagonal(y) -> bool:
+    """Whether y[1] = y[0] and y[3] = y[2] to the bit: zeros of one sign, and
+    no NaN."""
+    a, b, c, d = y
+    copysign = math.copysign
+    return (a == b and c == d and copysign(1.0, a) == copysign(1.0, b)
+            and copysign(1.0, c) == copysign(1.0, d))
 
 
 def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
@@ -732,10 +836,14 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         yield out
         return
 
-    # phase_rhs's own field runs the written-out phase step; a wrapper made
-    # with functools.wraps copies its constants, and runs the generic step
+    # a diagonal-exact field started on the diagonal runs the diagonal step;
+    # else phase_rhs's own field runs the written-out phase step, and a
+    # wrapper made with functools.wraps copies its constants, and runs the
+    # generic step
     fold = getattr(fun, "phase_constants", None)
-    if fold is None or hasattr(fun, "__wrapped__"):
+    if getattr(fun, "diagonal_exact", False) and _on_diagonal(y):
+        step, arg = _diagonal_step, fun
+    elif fold is None or hasattr(fun, "__wrapped__"):
         step, arg = _step, fun
     else:
         step, arg = _phase_step, fold

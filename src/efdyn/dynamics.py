@@ -210,7 +210,16 @@ def _phase_problem(params, initial, horizon, events):
 # -- radial oracle ------------------------------------------------------------
 
 def _radial_rhs(params: SystemParams):
-    # y = (u, v, U, V) with U = |u'|^{p-2} u', V = |v'|^{q-2} v', in t = ln r
+    """The radial field in t = ln r, on y = (u, v, U, V) with the fluxes
+    U = |u'|^{p-2} u', V = |v'|^{q-2} v'.
+
+    Its `diagonal_exact` is true for an exchange-symmetric system (eps1 =
+    eps2 included) with s = m = 0: on u = v, U = V the field forms v' and V'
+    by the operations of u' and U', and a run from such a state takes the
+    integrator's diagonal step. With s = m != 0 the flux products
+    c r^ka u^s v^delta and c r^kb u^mu v^m multiply their factors in another
+    order and round apart on u = v: such a run leaves the diagonal, and runs
+    the four-component step."""
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
     ka, kb = 1 + P.a, 1 + P.b
@@ -229,6 +238,7 @@ def _radial_rhs(params: SystemParams):
         return (r * du, r * dv,
                 c1 * r ** ka * uu ** s * vv ** delta - n1 * U,
                 c2 * r ** kb * uu ** mu * vv ** m - n1 * V)
+    rhs.diagonal_exact = s == m == 0 and exchange_params(P) == P
     return rhs
 
 
@@ -271,12 +281,19 @@ def _radial_problem(params, u0, v0, r_max):
     if not (0.0 < u0 < math.inf and 0.0 < v0 < math.inf):
         raise PreconditionViolated("u0 and v0 must be positive and finite")
     r0 = RADIAL_R0
-    cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
-    cv = (u0 ** P.mu * v0 ** P.m / (P.N + P.b)) ** (1 / (P.q - 1))
-    u_init = u0 - P.eps1 * cu * (P.p - 1) / (P.p + P.a) * r0 ** ((P.p + P.a) / (P.p - 1))
-    v_init = v0 - P.eps2 * cv * (P.q - 1) / (P.q + P.b) * r0 ** ((P.q + P.b) / (P.q - 1))
-    U_init = -P.eps1 * r0 ** (1 + P.a) * u0 ** P.s * v0 ** P.delta / (P.N + P.a)
-    V_init = -P.eps2 * r0 ** (1 + P.b) * u0 ** P.mu * v0 ** P.m / (P.N + P.b)
+    try:
+        cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
+        cv = (u0 ** P.mu * v0 ** P.m / (P.N + P.b)) ** (1 / (P.q - 1))
+        u_init = u0 - P.eps1 * cu * (P.p - 1) / (P.p + P.a) * r0 ** ((P.p + P.a) / (P.p - 1))
+        v_init = v0 - P.eps2 * cv * (P.q - 1) / (P.q + P.b) * r0 ** ((P.q + P.b) / (P.q - 1))
+        U_init = -P.eps1 * r0 ** (1 + P.a) * u0 ** P.s * v0 ** P.delta / (P.N + P.a)
+        V_init = -P.eps2 * r0 ** (1 + P.b) * u0 ** P.mu * v0 ** P.m / (P.N + P.b)
+        y0 = [u_init, v_init, U_init, V_init]
+    except ArithmeticError:     # a power that overflows raises; a product gives inf
+        y0 = None
+    if y0 is None or not all(isinstance(c, float) and math.isfinite(c) for c in y0):
+        raise PreconditionViolated(f"u0 = {u0!r}, v0 = {v0!r}: the startup series at "
+                                   f"r0 = {r0} has no finite initial state")
 
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile or a flux that diverges (absorption, or past a
@@ -286,8 +303,7 @@ def _radial_problem(params, u0, v0, r_max):
            EventSpec(name="both-zero", fn=lambda t, y: max(y[0], y[1]), terminal=True,
                      direction=-1.0),
            _blow_up())
-    return (_radial_rhs(params), math.log(r0), [u_init, v_init, U_init, V_init],
-            math.log(r_max), evs)
+    return _radial_rhs(params), math.log(r0), y0, math.log(r_max), evs
 
 
 def oracle_compare(params: SystemParams, x: float, y: float,
@@ -585,11 +601,16 @@ _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
 
 
 def check_shot_params(params: SystemParams) -> None:
-    """NotApplicable, naming the failed inequality, unless 1 < p, q < N: else
-    the box (0, x_bound) x (0, y_bound) that a shot leaves is empty."""
+    """NotApplicable, naming the failed condition, unless 1 < p, q < N and
+    eps1 = eps2 = 1: else the box (0, x_bound) x (0, y_bound) that a shot
+    leaves is empty, or the shot answers for another system. The phase field
+    and the manifold seed read no sign: they are those of eps = (1, 1)."""
     for name, e in (("p", params.p), ("q", params.q)):
         if not 1.0 < e < params.N:
             raise NotApplicable(f"shots need 1 < {name} < N: {name} = {e!r}, N = {params.N!r}")
+    if not params.eps1 == params.eps2 == 1:
+        raise NotApplicable(f"shots need eps1 = eps2 = 1: eps1 = {params.eps1!r}, "
+                            f"eps2 = {params.eps2!r}")
 
 
 def classify_shot(params: SystemParams, x: float, y: float,

@@ -250,7 +250,12 @@ def phase_rhs(params: SystemParams):
 
     The field carries its constants as `phase_constants`: the integrator
     (`dop853`) runs a step with these four expressions written out in its
-    stages when it is handed this field itself.
+    stages when it is handed this field itself. Its `diagonal_exact` is true
+    when the folded constants are exchange-symmetric to the bit, x_bound =
+    y_bound, p - 1 = q - 1, N + a = N + b, s = m and delta = mu: on a diagonal
+    state (X, X, Z, Z) the field then forms Y_t and W_t by the operations of
+    X_t and Z_t, and a run from such a state takes the integrator's diagonal
+    step, which forms two components.
     """
     P = params
     xb, yb = P.x_bound, P.y_bound
@@ -265,6 +270,9 @@ def phase_rhs(params: SystemParams):
                 Z * (na - (s * X + delta * Y) - Z),
                 W * (nb - (mu * X + m * Y) - W))
     rhs.phase_constants = (xb, yb, p1, q1, na, nb, s, m, delta, mu)
+    rhs.diagonal_exact = all(
+        u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+        for u, v in ((xb, yb), (p1, q1), (na, nb), (s, m), (delta, mu)))
     return rhs
 
 

@@ -15,6 +15,9 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   generic step (`dop853._step`) on the same field: y_new, the eight stage
   derivatives and the error estimate, to the bit, on fixed states and step
   sizes, signed zeros and stages that overflow to inf and nan among them.
+- The diagonal step (`dop853._diagonal_step`) against the generic step on
+  diagonal states (X, X, Z, Z) of the diagonal-exact phase and radial fields,
+  in the same way, and the field's arguments at each stage.
 
 Run from the repository root, on the standard library alone:
 
@@ -27,8 +30,9 @@ import math
 import sys
 
 from efdyn import dop853
-from efdyn.dynamics import _radial_problem, _seed, classify_shot, oracle_compare
-from efdyn.model import SystemParams, hamiltonian_params, phase_rhs, potential_params
+from efdyn.dynamics import _radial_problem, _radial_rhs, _seed, classify_shot, oracle_compare
+from efdyn.model import (SystemParams, hamiltonian_params, nonvariational_params, phase_rhs,
+                         potential_params, symmetric_scalar_embedding)
 
 SAME_BITS_PARAMS = hamiltonian_params(5.839542367582504, 2.02380529112265, 3.3015309574690765)
 SAME_BITS_THETA = 1.4177383620827078
@@ -85,6 +89,21 @@ FUSED_STEP_STATES = [
 ]
 FUSED_STEP_H = (0.03, -0.03, 1e-7, -2.5)
 
+# the diagonal states (field, t, y) on which the diagonal step and the
+# generic step must agree, at each step size of FUSED_STEP_H: the phase field
+# of exchange-symmetric systems (with s = m != 0 and with a = b != 0 among
+# them) and the radial field with s = m = 0; signed zeros, and a state whose
+# stages overflow to inf and nan
+DIAGONAL_STEP_STATES = [
+    (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5)), 0.0, (0.6, 0.6, 2.2, 2.2)),
+    (phase_rhs(potential_params(6.0, 2.0, 2.0, 0.3, 0.3)), 3.0, (1e-5, 1e-5, 5.9999, 5.9999)),
+    (phase_rhs(nonvariational_params(6.0, 0.5, 1.7, 1.7)), 0.0, (-0.0, -0.0, 5.0, 5.0)),
+    (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5, a=0.4, b=0.4)), 1.0, (0.7, 0.7, 0.0, 0.0)),
+    (phase_rhs(hamiltonian_params(6.0, 2.0, 2.0)), 0.0, (1e155, 1e155, -3.0, -3.0)),
+    (_radial_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0)), -2.0, (0.9, 0.9, -0.05, -0.05)),
+    (_radial_rhs(hamiltonian_params(6.0, 1.8, 1.8)), 0.5, (0.2, 0.2, -0.0, -0.0)),
+]
+
 
 def _same_bits_shot():
     seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
@@ -137,6 +156,32 @@ def fused_step_mismatches() -> list[str]:
     return moved
 
 
+def _calls_and_bits(step, fun, t, y, k0, h) -> list:
+    """A step's output and the field's calls, (t, stage state) each, in
+    float.hex: a stage state that differs only in the sign of a zero can
+    leave the output as it is."""
+    calls = []
+
+    def logged(s, v):
+        calls.append(step_bits([s, list(v)]))
+        return fun(s, v)
+    return [calls, step_bits(step(logged, t, y, k0, h))]
+
+
+def diagonal_step_mismatches() -> list[str]:
+    """The cases of DIAGONAL_STEP_STATES and FUSED_STEP_H on which the
+    diagonal step and the generic step differ in a bit, in their output or
+    in the field's arguments."""
+    moved = []
+    for i, (fun, t, y) in enumerate(DIAGONAL_STEP_STATES):
+        k0 = fun(t, y)
+        for h in FUSED_STEP_H:
+            if (_calls_and_bits(dop853._diagonal_step, fun, t, y, k0, h)
+                    != _calls_and_bits(dop853._step, fun, t, y, k0, h)):
+                moved.append(f"state {i}: t = {t}, y = {y}, h = {h}")
+    return moved
+
+
 def oracle_value(params, xy) -> float:
     """oracle_compare at the point's seed, at rho = ORACLE_RHO."""
     return oracle_compare(params, xy[0] * ORACLE_RHO, xy[1] * ORACLE_RHO, ORACLE_RHO)
@@ -158,9 +203,11 @@ def main() -> int:
             moved.append(f"oracle point {i}: {err.hex()}, pinned {pinned} (bound {ORACLE_BOUND})")
     moved += [f"fused phase step differs from _step: {case}"
               for case in fused_step_mismatches()]
+    moved += [f"diagonal step differs from _step: {case}"
+              for case in diagonal_step_mismatches()]
     for line in moved:
         print(line)
-    print(f"{5 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{6 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

@@ -417,6 +417,38 @@ class TestExitCodes:
         assert err == "config error: params: shots need 1 < p < N: p = 2.0, N = 1.8\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,block", [
+        ("shoot", {"theta": 0.7853981633974483, "rho": 1e-4}),
+        ("sweep", {"kind": "angle", "n": 3}),
+        ("sweep", {"kind": "family", "start": 1.5, "stop": 1.6, "step": 0.1, "n_angles": 3}),
+    ], ids=["shoot", "angle-sweep", "family-sweep"])
+    @pytest.mark.parametrize("eps1,eps2", [(-1, 1), (1, -1), (-1, -1)])
+    def test_shot_at_other_signs_exit_2(self, tmp_path, capsys, command, block, eps1, eps2):
+        # the phase field reads no sign: a shot at eps != (1, 1) would report
+        # the answer at eps = (1, 1). integrate answers at every sign
+        params = dict(HAM_CONFIG["params"], delta=1.5, mu=1.5, eps1=eps1, eps2=eps2)
+        cfg = write_config(tmp_path, {"params": params, command: block})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: params: shots need eps1 = eps2 = 1: "
+                                           f"eps1 = {eps1}, eps2 = {eps2}\n")
+        assert not (tmp_path / "out").exists()
+        cfg = write_config(tmp_path, {"params": params, "integrate": {"r_max": 10.0}})
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("params,u0", [
+        (dict(HAM_CONFIG["params"]), 1e300),
+        (dict(HAM_CONFIG["params"], s=1.0, m=0.5, delta=1.5, mu=2.0), 1e200),
+        (dict(HAM_CONFIG["params"], s=1.0, m=1.0, delta=1.0, mu=1.0), 1e200),
+    ], ids=["hamiltonian-1e300", "power-overflow-1e200", "product-overflow-1e200"])
+    def test_integrate_startup_overflow_exit_2(self, tmp_path, capsys, params, u0):
+        # the startup series leaves the floats: a power that raises
+        # OverflowError (exit 3 before), or a product that overflows to inf
+        cfg = write_config(tmp_path, {"params": params, "integrate": {"u0": u0, "v0": u0}})
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: integrate.u0: u0 = {u0!r}, v0 = {u0!r}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_portrait_without_scalar_exit_2(self, tmp_path, capsys):
         # portrait draws the scalar plane only; system parameters alone do not do
         cfg = write_config(tmp_path, dict(HAM_CONFIG, portrait={"grid": [5, 5]}))

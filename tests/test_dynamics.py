@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -30,13 +31,14 @@ from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian
                          potential_params, regular_initial_values,
                          symmetric_scalar_embedding, to_phase)
 from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
-from efdyn.scalar import ScalarParams, regular_seed, scalar_classify
+from efdyn.scalar import ScalarBehavior, ScalarParams, regular_seed, scalar_classify
 
-from conftest import field
-from pinned_bits import (FUSED_STEP_H, FUSED_STEP_STATES, M0_BASIN_COUNTS, ORACLE_BOUND,
-                         ORACLE_HEX, ORACLE_POINTS, RADIAL_COUNTS, SAME_BITS_COUNTS,
-                         SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA, m0_basin_counts,
-                         oracle_value, radial_counts, same_bits_counts, same_bits_hits)
+from conftest import SCALAR_CASES, field
+from pinned_bits import (DIAGONAL_STEP_STATES, FUSED_STEP_H, FUSED_STEP_STATES,
+                         M0_BASIN_COUNTS, ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS,
+                         RADIAL_COUNTS, SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS,
+                         SAME_BITS_THETA, m0_basin_counts, oracle_value, radial_counts,
+                         same_bits_counts, same_bits_hits)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -298,6 +300,22 @@ class TestClassification:
                     lambda: search_ground_state(P, 3)):
             with pytest.raises(NotApplicable, match=re.escape(f"shots need {failed}")):
                 run()
+
+    @pytest.mark.parametrize("eps1,eps2", [(-1, 1), (1, -1), (-1, -1)])
+    def test_shots_need_the_source_signs(self, eps1, eps2):
+        # the phase field and the manifold seed read no sign: a shot at
+        # eps != (1, 1) would answer for eps = (1, 1). Every shot, search and
+        # oracle comparison refuses the point; the radial route answers
+        P = hamiltonian_params(6.0, 1.5, 1.5).replace(eps1=eps1, eps2=eps2)
+        failed = f"shots need eps1 = eps2 = 1: eps1 = {eps1}, eps2 = {eps2}"
+        for run in (lambda: classify_shot(P, *dynamics._seed(math.pi / 4, RHO), RHO),
+                    lambda: sweep_angles(P, 3), lambda: search_ground_state(P, 3),
+                    lambda: search_dirichlet(P, n_angles=3),
+                    lambda: oracle_compare(P, 0.6e-6, 0.4e-6, 1e-6)):
+            with pytest.raises(NotApplicable, match=re.escape(failed)):
+                run()
+        rad = integrate_radial(P, 1.0, 1.0, 1e4)
+        assert len(rad.r) > 10 and rad.termination.kind in ("max-time", "event", "blow-up")
 
     def test_derived_profile_bounds_along_global_solution(self):
         # u^{s-p+1} v^delta <= (N+a) ((N-p)/(p-1))^{p-1} r^{-(p+a)} pointwise
@@ -1423,13 +1441,13 @@ class TestPhaseStep:
         assert fused == generic
 
     def test_phase_runs_take_the_phase_step(self, monkeypatch):
-        # a shot read to its end, integrate_m and a scalar run call the
-        # written-out step only
+        # a shot read to its end and integrate_m, both off the diagonal, call
+        # the written-out step only; scalar runs, on the diagonal, take the
+        # diagonal step (TestDiagonalStep)
         generic = _step_calls(monkeypatch, "_step")
         fused = _step_calls(monkeypatch, "_phase_step")
         classify_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.3, RHO), RHO).to_dict()
         integrate_m(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), horizon=(0.0, 40.0))
-        scalar_classify(3, 2, 0, 2, eps=-1)
         assert generic[0] == 0 and fused[0] > 100
 
     @pytest.mark.parametrize("wrap", [
@@ -1457,6 +1475,213 @@ class TestPhaseStep:
         assert same[0] == -1 and len(same[3]) == 1 and same[5] > 0
         assert direct == 0 and wrapped == same[4] + same[5]     # every attempted step
         assert same == other
+
+
+# exchange-symmetric systems whose phase field is diagonal-exact: the
+# Hamiltonian, a potential system with s = m != 0, a nonvariational one and a
+# weighted one with a = b != 0; and two radial fields with s = m = 0
+_DIAGONAL_PHASE_PARAMS = [hamiltonian_params(6.0, 2.5, 2.5),
+                          potential_params(6.0, 2.0, 2.0, 0.3, 0.3),
+                          nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                          hamiltonian_params(6.0, 2.5, 2.5, a=0.4, b=0.4)]
+_DIAGONAL_FIELDS = [phase_rhs(P) for P in _DIAGONAL_PHASE_PARAMS] + [
+    dynamics._radial_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0)),
+    dynamics._radial_rhs(hamiltonian_params(6.0, 1.8, 1.8))]
+
+
+# every scalar_classify case that runs the kernel: the threshold Q = Q1 runs nothing
+_SCALAR_RUNS = {b: case for b, case in SCALAR_CASES.items()
+                if b is not ScalarBehavior.THRESHOLD_Q1}
+
+# the radial run of the shipped integrate config: params, u0, v0 and r_max
+_CONFIG = json.loads((Path(__file__).parents[1] / "configs"
+                      / "integrate_radial_critical.json").read_text())
+_RADIAL_CONFIG = (SystemParams.from_dict(_CONFIG["params"]),
+                  *(_CONFIG["integrate"][k] for k in ("u0", "v0", "r_max")))
+
+
+def _kernel_runs(monkeypatch):
+    """A list that collects every kernel run (`Solution`) from now on: their
+    counts are read when the runs are done."""
+    runs, real = [], dop853._run
+
+    def collected(*args):
+        gen = real(*args)
+        out = next(gen)
+        runs.append(out)
+        yield out
+        yield from gen
+    monkeypatch.setattr(dop853, "_run", collected)
+    return runs
+
+
+class TestDiagonalStep:
+    """The diagonal step against the generic step (and against the phase
+    field's written-out step) on diagonal states, bit for bit, and the runs
+    that take it: the same output, counts and field calls as the same runs
+    on the four-component steps."""
+
+    @staticmethod
+    def _outcome(step, fun, t, y, h):
+        """The step's field calls and results in hex, or the error it raises."""
+        log = []
+        try:
+            y_new, ks, err = step(_logged(fun, log), t, y, fun(t, y), h)
+        except ArithmeticError as exc:      # a power of the radial field
+            return log, type(exc).__name__
+        return log, _hex(y_new), _hex(ks), err.hex()
+
+    def _check(self, fun, t, y, h):
+        diagonal = self._outcome(dop853._diagonal_step, fun, t, y, h)
+        assert diagonal == self._outcome(dop853._step, fun, t, y, h)
+        fold = getattr(fun, "phase_constants", None)
+        if fold is not None:
+            assert list(diagonal[1:]) == _hex(dop853._phase_step(fold, t, y, fun(t, y), h))
+        return diagonal
+
+    def test_fields_are_diagonal_exact(self):
+        assert all(fun.diagonal_exact for fun in _DIAGONAL_FIELDS)
+        assert all(fun.diagonal_exact for fun, _, _ in DIAGONAL_STEP_STATES)
+
+    @pytest.mark.parametrize("fun", [
+        phase_rhs(hamiltonian_params(6.0, 1.6, 2.1)), phase_rhs(_NONSYMMETRIC),
+        # a signed zero of s against m rounds s X + delta Y apart from mu X + m Y
+        phase_rhs(SystemParams(N=6.0, p=2.0, q=2.0, s=-0.0, m=0.0, delta=2.0, mu=2.0)),
+        dynamics._radial_rhs(potential_params(6.0, 2.0, 2.0, 0.3, 0.3)),
+        dynamics._radial_rhs(SystemParams(N=6.0, p=2.0, q=2.0, delta=2.0, mu=2.0, eps2=-1)),
+        dynamics._radial_rhs(_NONSYMMETRIC),
+    ], ids=["phase-hamiltonian-1.6-2.1", "phase-nonsymmetric", "phase-signed-zero-s",
+            "radial-s=m=0.3", "radial-eps2=-1", "radial-nonsymmetric"])
+    def test_other_fields_are_not(self, fun):
+        assert fun.diagonal_exact is False
+
+    def test_field_reads_no_sign(self):
+        # the phase field has no eps; the radial one needs eps1 = eps2
+        P = symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)
+        assert phase_rhs(P).diagonal_exact and dynamics._radial_rhs(P).diagonal_exact
+
+    # the fixed states of tests/pinned_bits.py
+    @pytest.mark.parametrize("h", FUSED_STEP_H)
+    @pytest.mark.parametrize("fun,t,y", DIAGONAL_STEP_STATES)
+    def test_matches_step(self, fun, t, y, h):
+        _, y_new, ks, _ = self._check(fun, t, y, h)
+        assert len(ks) == 8 and all(len(k) == 4 for k in ks)
+        assert y_new[0] == y_new[1] and y_new[2] == y_new[3]
+
+    def test_pinned_states_overflow(self):
+        fun, t, y = DIAGONAL_STEP_STATES[4]
+        _, _, ks, err = self._check(fun, t, y, 0.03)
+        assert "inf" in ks[0] and "nan" in ks[1] and err == "nan"
+
+    @given(st.sampled_from(_DIAGONAL_FIELDS), st.floats(-3.0, 3.0),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0),
+                              st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                        st.integers(-320, 200))),
+                    min_size=2, max_size=2),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
+           st.floats(-8.0, math.log10(3.0)), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_steps_match(self, fun, t, magnitudes, signs, log_h, h_sign):
+        # diagonal states with signed zeros, subnormal to huge components whose
+        # stages overflow to inf or nan (or raise, in the radial field's
+        # powers), and steps |h| from 1e-8 to 3, log-uniform
+        X, Z = (m * s for m, s in zip(magnitudes, signs))
+        self._check(fun, t, (X, X, Z, Z), h_sign * 10 ** log_h)
+
+    @pytest.mark.parametrize("y,on", [
+        ((0.3, 0.3, 5.0, 5.0), True), ((-0.0, -0.0, 0.0, 0.0), True),
+        ((math.inf, math.inf, -math.inf, -math.inf), True),
+        ((math.nan, math.nan, 5.0, 5.0), False), ((0.3, 0.3, math.nan, math.nan), False),
+        ((0.0, -0.0, 5.0, 5.0), False), ((0.3, 0.3, -0.0, 0.0), False),
+        ((0.3, 0.30000000000000004, 5.0, 5.0), False),
+    ])
+    def test_on_diagonal_to_the_bit(self, y, on):
+        assert dop853._on_diagonal(y) is on
+
+    @staticmethod
+    def _observe(monkeypatch, run, diagonal):
+        """The output of `run`, the counts (n_accepted, n_rejected, nfev) of
+        its kernel runs and the calls of each step; without `diagonal`, no
+        run takes the diagonal step."""
+        if not diagonal:
+            monkeypatch.setattr(dop853, "_on_diagonal", lambda y: False)
+        calls = {name: _step_calls(monkeypatch, name)
+                 for name in ("_step", "_phase_step", "_diagonal_step")}
+        runs = _kernel_runs(monkeypatch)
+        out = run()
+        monkeypatch.undo()
+        return (out, [(s.n_accepted, s.n_rejected, s.nfev) for s in runs],
+                {name: n[0] for name, n in calls.items()})
+
+    @pytest.mark.parametrize("run", [
+        lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+        lambda: repr(classify_shot(nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+        *[lambda case=case: repr(scalar_classify(*case).to_dict())
+          for case in _SCALAR_RUNS.values()],
+        lambda: repr(integrate_radial(*_RADIAL_CONFIG)),
+    ], ids=["pi/4-shot-hamiltonian", "pi/4-shot-nonvariational",
+            *[f"scalar-{b.name}" for b in _SCALAR_RUNS], "integrate-config"])
+    def test_diagonal_runs_take_the_diagonal_step(self, monkeypatch, run):
+        out, counts, calls = self._observe(monkeypatch, run, True)
+        assert calls["_step"] == calls["_phase_step"] == 0 and calls["_diagonal_step"] > 10
+        assert (out, counts) == self._observe(monkeypatch, run, False)[:2]
+
+    def test_threshold_scalar_case_runs_nothing(self, monkeypatch):
+        # the one scalar case that _SCALAR_RUNS leaves out
+        case = SCALAR_CASES[ScalarBehavior.THRESHOLD_Q1]
+        assert self._observe(monkeypatch, lambda: scalar_classify(*case), True)[1] == []
+
+    @pytest.mark.parametrize("run,step", [
+        # an off-diagonal seed and a system without exchange symmetry
+        (lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                                    *dynamics._seed(0.3, RHO), RHO).to_dict()), "_phase_step"),
+        (lambda: repr(classify_shot(hamiltonian_params(6.0, 1.6, 2.1),
+                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+         "_phase_step"),
+        # zeros of opposite sign on a diagonal-exact field
+        (lambda: _hex(dop853.solve(phase_rhs(HAM6), 0.0, (0.0, -0.0, 5.5, 5.5), 5.0).y),
+         "_phase_step"),
+    ], ids=["off-diagonal-seed", "nonsymmetric", "opposite-zeros"])
+    def test_other_runs_do_not(self, monkeypatch, run, step):
+        _, _, calls = self._observe(monkeypatch, run, True)
+        assert calls["_diagonal_step"] == 0 and calls[step] > 10
+
+    def test_radial_run_with_s_equal_m_leaves_the_diagonal(self, monkeypatch):
+        # on u = v the flux products c r^ka u^s v^delta and c r^kb u^mu v^m
+        # round apart: the four-component run leaves the diagonal
+        P = potential_params(6.0, 2.0, 2.0, 0.3, 0.3)
+        run = lambda: dop853.solve(*dynamics._radial_problem(P, 1.0, 1.0, 1e4))
+        sol, _, calls = self._observe(monkeypatch, run, True)
+        assert calls["_diagonal_step"] == 0 and calls["_step"] > 10
+        assert sol.y[0][0] == sol.y[0][1] and sol.y[0][2] == sol.y[0][3]
+        assert sum((u, U) != (v, V) for u, v, U, V in sol.y) == 100 and len(sol.y) == 145
+
+    @pytest.mark.parametrize("fun,y0,t_span", [
+        (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5)),
+         launch_regular(hamiltonian_params(6.0, 2.5, 2.5),
+                        *dynamics._seed(math.pi / 4, RHO), RHO).coords, (0.0, 40.0)),
+        (dynamics._radial_rhs(HAM6), (1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6),
+         (math.log(RADIAL_R0), math.log(1e4))),
+    ], ids=["phase", "radial"])
+    def test_wrapped_field_sees_the_same_calls(self, monkeypatch, fun, y0, t_span):
+        # a spy made with functools.wraps keeps the field's diagonal_exact: it
+        # takes the diagonal step, and is called 11 times an attempt with the
+        # arguments that the generic step gives it, the events' interpolants
+        # included
+        events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
+        seen = []
+        for diagonal in (True, False):
+            log = []
+            spy = wraps(fun)(_logged(fun, log))
+            sol, counts, calls = self._observe(
+                monkeypatch, lambda: dop853.solve(spy, *t_span[:1], y0, t_span[1], events),
+                diagonal)
+            seen.append((log, _hex(sol.t), _hex(sol.y), sol.events, counts))
+            assert calls["_diagonal_step" if diagonal else "_step"] > 10
+        assert seen[0] == seen[1]
+        assert len(seen[0][0]) == seen[0][4][0][2] and seen[0][3]
 
 
 class TestSameBitsOnEveryPython:
@@ -2003,6 +2228,18 @@ class TestKernelNonFinite:
     def test_radial_data_must_be_positive_and_finite(self, deadline, u0, v0):
         with pytest.raises(PreconditionViolated):
             integrate_radial(HAM6, u0, v0, 1e4)
+
+    @pytest.mark.parametrize("params,u0", [
+        # a power of the startup series overflows and raises OverflowError
+        (hamiltonian_params(6.0, 2.0, 2.0), 1e300),
+        (SystemParams(N=6.0, p=2.0, q=2.0, s=1.0, m=0.5, delta=1.5, mu=2.0), 1e200),
+        # every power is finite, their product overflows to inf without
+        # raising, and u(r0) = u0 - inf would start the run from -inf
+        (SystemParams(N=6.0, p=2.0, q=2.0, s=1.0, m=1.0, delta=1.0, mu=1.0), 1e200),
+    ], ids=["hamiltonian-1e300", "power-overflow-1e200", "product-overflow-1e200"])
+    def test_startup_series_must_be_finite(self, deadline, params, u0):
+        with pytest.raises(PreconditionViolated, match=re.escape(f"u0 = {u0!r}, v0 = {u0!r}")):
+            integrate_radial(params, u0, u0, 1e4)
 
 
 def _scipy_uses(path: Path) -> list[str]:
