@@ -29,9 +29,10 @@ diagonal step: every scalar run, the pi/4 shot of a symmetric system and the
 radial run of a symmetric one with s = m = 0. Otherwise a run handed the
 phase field itself takes `_phase_step`, and the radial field, test fields
 and any other wrapper of the phase field run `_step`. All three give the same
-bits and the same counts. Only `solve` keeps dense output: a paused run
-(`steps`, a shot's) builds a step interpolant only to locate an event in the
-step.
+bits and the same counts. Only `solve` keeps dense output, read through
+`Solution.at`: a run keeps each step's data, and the step's interpolant is
+built on its first read. A paused run (`steps`, a shot's) builds a step
+interpolant only to locate an event in the step.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error estimate, the dense output and the event location follow
@@ -575,31 +576,15 @@ def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
 class StepInterpolant:
     """The 7-term DOP853 interpolant over one accepted step, from the step's
     stage derivatives ks = (k0, k5, ..., k11) and k12 = fun(t_old + h, y).
+    The constructor computes the three extra stages, with 3 calls of `fun`,
+    and `coeffs`: per component, the coefficients of the powers 6..0 of the
+    Horner scheme."""
 
-    It is built on first use: the constructor stores the step, and the first
-    evaluation (or the first read of `coeffs`) computes the three extra stages,
-    with 3 calls of `fun`, and the coefficients. A piece that is never
-    evaluated costs no right-hand side evaluation."""
-
-    __slots__ = ("t_old", "h", "y_old", "_step", "_coeffs")
+    __slots__ = ("t_old", "h", "y_old", "coeffs")
 
     def __init__(self, fun: Rhs, t_old, h, y_old, y, ks, k12):
         self.t_old, self.h, self.y_old = t_old, h, y_old
-        self._step = (fun, y, ks, k12)
-        self._coeffs = None
-
-    @property
-    def coeffs(self):
-        """Per component, the coefficients of the powers 6..0 of the Horner
-        scheme."""
-        return self._coeffs or self._build()
-
-    def _build(self):
-        """The extra stages and the coefficients, once; the stored step is
-        then dropped."""
-        fun, y, ks, k12 = self._step
-        t_old, h = self.t_old, self.h
-        ya, yb, yc, yd = self.y_old
+        ya, yb, yc, yd = y_old
         ((k0a, k0b, k0c, k0d), (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d),
          (k7a, k7b, k7c, k7d), (k8a, k8b, k8c, k8d), (k9a, k9b, k9c, k9d),
          (k10a, k10b, k10c, k10d), (k11a, k11b, k11c, k11d)) = ks
@@ -632,7 +617,7 @@ class StepInterpolant:
             yd + (A15_0 * k0d + A15_5 * k5d + A15_6 * k6d + A15_7 * k7d + A15_8 * k8d
                   + A15_12 * k12d + A15_13 * k13d + A15_14 * k14d) * h))
         na, nb, nc, nd = y
-        self._coeffs = coeffs = (
+        self.coeffs = (
             _dense_row(h, na - ya, k0a, k5a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
                        k14a, k15a),
             _dense_row(h, nb - yb, k0b, k5b, k6b, k7b, k8b, k9b, k10b, k11b, k12b, k13b,
@@ -641,16 +626,13 @@ class StepInterpolant:
                        k14c, k15c),
             _dense_row(h, nd - yd, k0d, k5d, k6d, k7d, k8d, k9d, k10d, k11d, k12d, k13d,
                        k14d, k15d))
-        self._step = None
-        return coeffs
 
     def __call__(self, t) -> tuple[float, float, float, float]:
         x = (t - self.t_old) / self.h
         x1 = 1 - x
         ya, yb, yc, yd = self.y_old
         ((a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6),
-         (c0, c1, c2, c3, c4, c5, c6), (d0, d1, d2, d3, d4, d5, d6)) = \
-            self._coeffs or self._build()
+         (c0, c1, c2, c3, c4, c5, c6), (d0, d1, d2, d3, d4, d5, d6)) = self.coeffs
         return (
             (((((((0.0 + a0) * x + a1) * x1 + a2) * x + a3) * x1 + a4) * x + a5) * x1
              + a6) * x + ya,
@@ -662,54 +644,49 @@ class StepInterpolant:
              + d6) * x + yd)
 
 
-class DenseSolution:
-    """Piecewise interpolant over the accepted steps of a `solve` run. At a
-    step boundary the earlier step's piece is used.
-
-    Only `solve` keeps one: a `steps` run, a shot's paused run, keeps no
-    interpolant but those it builds to locate an event. `ascending` is the
-    run's direction. Before the first step it holds the initial state only, at
-    the initial time."""
-
-    def __init__(self, ts: list[float], ys: list, pieces: list, ascending: bool):
-        self.ts, self.ys, self.pieces, self.ascending = ts, ys, pieces, ascending
-
-    def __call__(self, t) -> tuple[float, ...]:
-        ts, n = self.ts, len(self.pieces)
-        if not n:
-            if t == ts[0]:
-                return self.ys[0]
-            raise ValueError(f"a run with no accepted step holds only t = {ts[0]}, not {t}")
-        if self.ascending:
-            seg = min(max(bisect_left(ts, t) - 1, 0), n - 1)
-        else:
-            # the number of points at or below t, counted on the descending list
-            below = len(ts) - bisect_left(ts, -t, key=neg)
-            seg = n - 1 - min(max(below - 1, 0), n - 1)
-        return self.pieces[seg](t)
-
-
 class Solution:
     """A kernel run: its accepted points and states, its status, the events it
-    located, its dense output and its counts. `sol`, the dense output, is a
-    `DenseSolution` over the whole run for `solve`, and None for `steps`,
-    whose paused runs keep no interpolants."""
+    located, its dense output (`at`) and its counts."""
 
-    __slots__ = ("t", "y", "status", "events", "sol", "nfev", "n_accepted", "n_rejected")
+    __slots__ = ("t", "y", "status", "events", "pieces", "nfev", "n_accepted", "n_rejected")
 
-    def __init__(self, t: list[float], y: list[tuple[float, ...]], sol: DenseSolution | None):
+    def __init__(self, t: list[float], y: list[tuple[float, ...]], pieces: list | None):
         self.t = t                   # accepted step points, the last one possibly an event
         self.y = y
         self.status = None           # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
         self.events = []             # (t, name) per located root, in the order found:
                                      # step by step, a terminal one last
-        self.sol = sol               # `solve`: the steps' interpolants; `steps`: None
+        self.pieces = pieces         # `solve`: per accepted step, its StepInterpolant's
+                                     # arguments or, once read, the interpolant (an empty
+                                     # span: the constant of its point); `steps`: None
         self.nfev = 0                # the run's right-hand side evaluations: 11 per attempted
                                      # step, 1 more per accepted one, 3 per interpolant built
                                      # to locate an event, 2 to start
         self.n_accepted = 0          # accepted steps
         self.n_rejected = 0          # rejected step attempts
+
+    def at(self, t) -> tuple[float, ...]:
+        """The state at t, from the interpolant of the step that holds t; at a
+        step boundary, the earlier step's. A step's interpolant is built on
+        its first read, with 3 evaluations of the field that `nfev` does not
+        count, and kept. A run with no step holds its initial point only."""
+        ts, pieces = self.t, self.pieces
+        n = len(pieces)
+        if not n:
+            if t == ts[0]:
+                return self.y[0]
+            raise ValueError(f"a run with no accepted step holds only t = {ts[0]}, not {t}")
+        if ts[-1] >= ts[0]:
+            seg = min(max(bisect_left(ts, t) - 1, 0), n - 1)
+        else:
+            # the number of points at or below t, counted on the descending list
+            below = len(ts) - bisect_left(ts, -t, key=neg)
+            seg = n - 1 - min(max(below - 1, 0), n - 1)
+        piece = pieces[seg]
+        if type(piece) is tuple:
+            piece = pieces[seg] = StepInterpolant(*piece)
+        return piece(t)
 
 
 def find_root(f: Callable[[float], float], a: float, b: float,
@@ -785,7 +762,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     zero, which becomes the last point and the last pair: the step's zeros
     past the earliest terminal one are dropped. A paused run keeps no
     interpolants: a `StepInterpolant` is built only for a step with a zero to
-    locate, and `Solution.sol` is None. `Solution.nfev` counts the
+    locate, and `Solution.pieces` is None. `Solution.nfev` counts the
     interpolants built during the run, 3 evaluations each.
 
     A diagonal-exact field (`diagonal_exact`, see the module docstring)
@@ -823,10 +800,11 @@ def _on_diagonal(y) -> bool:
 
 def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
     """The stepping loop of `steps` and `solve`, on a checked 4-component
-    state; with `dense`, the run keeps every step's interpolant in its `sol`."""
+    state; with `dense`, the run keeps every step's interpolant, or the data
+    that builds it, in its `pieces`."""
     ts, ys = [t], [y]
     pieces = [] if dense else None
-    out = Solution(ts, ys, DenseSolution(ts, ys, pieces, t_bound >= t) if dense else None)
+    out = Solution(ts, ys, pieces)
     if t == t_bound:
         ts.append(t)
         ys.append(y)
@@ -896,7 +874,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        piece = StepInterpolant(fun, t_old, h, y_old, y, ks, f) if dense else None
+        piece = (fun, t_old, h, y_old, y, ks, f)
 
         if events:
             active = []
@@ -907,7 +885,7 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                     active.append(i)
             if active:
                 # locating a zero evaluates the piece: it is built here
-                piece = piece or StepInterpolant(fun, t_old, h, y_old, y, ks, f)
+                piece = StepInterpolant(*piece)
                 nfev += 3
                 found = [(find_root(lambda s, fn=fns[i]: fn(s, piece(s)), t_old, t), i)
                          for i in active]
@@ -934,11 +912,11 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
 def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
           events: Sequence = ()) -> Solution:
     """`steps` run to its end, with dense output: the final `Solution`, whose
-    `sol` evaluates the solution over the whole run. Each step's interpolant
-    is built on its first evaluation (`StepInterpolant`), so output that
-    nothing reads costs no right-hand side evaluation; `Solution.nfev` counts
-    only the interpolants built during the run, those of the steps with an
-    event."""
+    `at` evaluates the solution over the whole run. The run keeps each step's
+    data, and `at` builds the step's interpolant on its first read, so output
+    that nothing reads costs no right-hand side evaluation; `Solution.nfev`
+    counts only the interpolants built during the run, those of the steps
+    with an event."""
     for sol in _start(fun, t0, y0, t_bound, events, True):
         pass
     return sol

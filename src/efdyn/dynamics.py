@@ -195,7 +195,7 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     else:
         term = _detect_convergence(params, t, states) or Termination(kind="max-time")
     return Trajectory(t=t, states=states, termination=term,
-                      events=tuple(sorted(sol.events)), dense=sol.sol)
+                      events=tuple(sorted(sol.events)), dense=sol.at)
 
 
 def _phase_problem(params, initial, horizon, events):
@@ -347,7 +347,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     rad = _checked(dop853.solve(rhs, t0, y0, t_bound, (*evs, read_end)))
 
     def rad_phase(t):
-        return to_phase(params, _radial_state(params, t, rad.sol(t)))
+        return to_phase(params, _radial_state(params, t, rad.at(t)))
 
     rad_lo, rad_hi = math.log(math.exp(rad.t[0])), math.log(math.exp(rad.t[-1]))
     t_lo = max(0.0, rad_lo + tau + 1e-9)
@@ -646,8 +646,10 @@ class GroundStateSearch:
 def _seed(theta: float, rho: float) -> tuple[float, float]:
     """The manifold seed at angle theta and radius rho. At theta = pi/4 it lies
     on the diagonal exactly: cos and sin of the rounded pi/4 differ by an ulp,
-    which would seed a symmetric system off its invariant diagonal."""
-    x = rho * math.cos(theta)
+    which would seed a symmetric system off its invariant diagonal. At
+    theta = pi/2 it lies on the invariant face X = 0 exactly, (0.0, rho): the
+    cos of the rounded pi/2 is 6.1e-17."""
+    x = 0.0 if theta == math.pi / 2 else rho * math.cos(theta)
     y = x if theta == math.pi / 4 else rho * math.sin(theta)
     return x, y
 

@@ -14,11 +14,10 @@ from enum import Enum
 
 from ._record import record
 from .errors import DegenerateState, NotCritical, PreconditionViolated
-from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
+from .model import (AsymptoticProfile, PhaseState, RadialState, SystemParams, derive_exponents,
                     effective_unweighted_dimension, exchange_params, from_phase, to_phase)
 from .numerics import IDENTITY_RTOL
 from .scalar import ScalarParams, scalar_profile_from_phase, threshold_q1, threshold_q2
-from .spectra import AsymptoticProfile
 
 
 class EnergyKind(str, Enum):
@@ -430,6 +429,7 @@ def diagonal_crossings(N: float, s: float) -> dict[CriticalCurve, float]:
 class Verdict(str, Enum):
     GS_EXISTS = "GS-exists"
     NO_GS_DIRICHLET = "no-GS(Dirichlet-exists)"
+    NO_GS_NO_DIRICHLET = "no-GS-no-Dirichlet"
     ALL_REGULAR_ARE_GS = "all-regular-are-GS"
     UNKNOWN = "unknown"
 
@@ -482,12 +482,22 @@ def _comparison_blocks(P: SystemParams) -> tuple[bool, tuple]:
 def predict_existence(params: SystemParams) -> ExistenceVerdict:
     """Apply the strongest applicable existence/nonexistence criterion.
 
-    Precedence: the two if-and-only-if families (Hamiltonian hyperbola,
-    potential line), then the sufficient conditions (cubic barrier, the
-    nonvariational hyperbolas, asymptotic comparison, Pohozaev monotonicity),
-    then the supercritical trap; unknown when nothing applies.
+    Precedence: the signs, then the two if-and-only-if families (Hamiltonian
+    hyperbola, potential line), then the sufficient conditions (cubic barrier,
+    the nonvariational hyperbolas, asymptotic comparison, Pohozaev
+    monotonicity), then the supercritical trap; unknown when nothing applies.
     """
     P = params
+    # with eps1 = -1, (r^{N-1}|u'|^{p-2}u')' = r^{N-1+a} u^s v^delta > 0 while
+    # u, v > 0, from a flux that vanishes at r = 0 if N + a > 0: u increases
+    # and never vanishes (v likewise), so no ground state and no Dirichlet
+    if P.eps1 != 1 or P.eps2 != 1:
+        if P.N + P.a <= 0 or P.N + P.b <= 0:
+            return ExistenceVerdict(Verdict.UNKNOWN, "none", (
+                ("N + a > 0 and N + b > 0", f"{P.N + P.a} and {P.N + P.b}"),))
+        return ExistenceVerdict(Verdict.NO_GS_NO_DIRICHLET, "sign-monotonicity", tuple(
+            (f"eps{i} = -1", f"(r^(N-1)|{w}'|^({e}-2){w}')' > 0: {w} increases")
+            for i, eps, w, e in ((1, P.eps1, "u", "p"), (2, P.eps2, "v", "q")) if eps == -1))
     region = classify_region(P)
 
     # the two iff theorems: a ground state on or above the critical curve, a

@@ -19,8 +19,9 @@ onto the autonomous quadratic system of Kolmogorov type
     W_t = W [ N + b - mu X - m Y - W ].
 
 This module owns the parameter record, the decay exponents gamma, xi, the
-vector field, and the bidirectional chart maps between radial-profile space
-and phase space.
+record of a profile's decay exponents (`AsymptoticProfile`), the vector
+field, and the bidirectional chart maps between radial-profile space and
+phase space.
 """
 
 from __future__ import annotations
@@ -204,6 +205,21 @@ def derive_exponents(params: SystemParams) -> DerivedExponents:
     gamma = ((P.p + P.a) * (P.q - 1 - P.m) + (P.q + P.b) * P.delta) / D
     xi = ((P.q + P.b) * (P.p - 1 - P.s) + (P.p + P.a) * P.mu) / D
     return DerivedExponents(D=D, gamma=gamma, xi=xi)
+
+
+@record
+class AsymptoticProfile:
+    """Decay exponents of (u, v): u ~ alpha r^{-u_exponent} (ln r)^{log_correction_power}."""
+
+    u_exponent: float
+    v_exponent: float
+    log_correction_power: float = 0.0
+    limits: tuple[str, str] = ("alpha", "beta")
+
+    def to_dict(self) -> dict:
+        return {"u_exponent": self.u_exponent, "v_exponent": self.v_exponent,
+                "log_correction_power": self.log_correction_power,
+                "limits": list(self.limits)}
 
 
 # -- states -----------------------------------------------------------------

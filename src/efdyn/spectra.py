@@ -22,7 +22,7 @@ from enum import Enum
 from ._record import record
 from .equilibria import EXCHANGE_IMAGE, FixedPoint, FixedPointLabel, fixed_point, m0_coords
 from .errors import UndefinedPoint
-from .model import PhaseState, SystemParams, derive_exponents, exchange_params
+from .model import AsymptoticProfile, PhaseState, SystemParams, derive_exponents, exchange_params
 from .numerics import CENTER_TOL, IDENTITY_RTOL
 
 
@@ -329,21 +329,6 @@ class Existence(str, Enum):
     YES = "yes"
     NO = "no"
     BOUNDARY = "boundary-case"
-
-
-@record
-class AsymptoticProfile:
-    """Decay exponents of (u, v): u ~ alpha r^{-u_exponent} (ln r)^{log_correction_power}."""
-
-    u_exponent: float
-    v_exponent: float
-    log_correction_power: float = 0.0
-    limits: tuple[str, str] = ("alpha", "beta")
-
-    def to_dict(self) -> dict:
-        return {"u_exponent": self.u_exponent, "v_exponent": self.v_exponent,
-                "log_correction_power": self.log_correction_power,
-                "limits": list(self.limits)}
 
 
 @record

@@ -169,7 +169,7 @@ class TestRadialOracle:
         sol = dynamics._checked(dop853.solve(*dynamics._radial_problem(HAM6, 1.0, 1.0, 50.0)))
 
         def phase_at(t):
-            return to_phase(HAM6, dynamics._radial_state(HAM6, t, sol.sol(t)))
+            return to_phase(HAM6, dynamics._radial_state(HAM6, t, sol.at(t)))
 
         for t in np.linspace(-2.0, math.log(40.0), 10):
             st = phase_at(t)
@@ -251,6 +251,22 @@ class TestClassification:
                            events=[EventSpec("x-bound", lambda t, y: y[0] - 4.0,
                                              direction=1.0)])
         assert _first_event(traj, "x-bound") is not None
+
+    def test_face_seed_is_the_exchanged_axis_seed(self):
+        # pi/2 seeds on the invariant face X = 0 exactly, as 0 seeds on Y = 0:
+        # on an exchange-symmetric system the two runs are mirror images, bit
+        # for bit
+        assert dynamics._seed(math.pi / 2, RHO) == (0.0, RHO)
+        assert dynamics._seed(0.0, RHO) == (RHO, 0.0)
+        P = hamiltonian_params(6.0, 1.6, 1.6)
+        axis, face = (classify_shot(P, *dynamics._seed(theta, RHO), RHO)
+                      for theta in (0.0, math.pi / 2))
+        assert (face.s_class, face.m_class) == (SClass.S2, MClass.M2)
+        assert (axis.s_class, axis.m_class) == (SClass.S1, MClass.M1)
+        assert face.hit_times == {"y-bound": axis.hit_times["x-bound"],
+                                  "blow-up": axis.hit_times["blow-up"]}
+        assert face._sol.t == axis._sol.t
+        assert face._sol.y == [(X, Y, Z, W) for Y, X, W, Z in axis._sol.y]
 
     def test_subcritical_diagonal_is_simultaneous(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
@@ -1135,7 +1151,7 @@ class TestKernelAgainstScipy:
             assert len(mine) == len(theirs)
             assert np.all(np.abs(np.array(mine) - theirs) <= 1e-12)
         ts = np.linspace(ref.t[0], ref.t[0] + 0.9 * (ref.t[-1] - ref.t[0]), 200)
-        got = np.array([ours.sol(t) for t in ts.tolist()])
+        got = np.array([ours.at(t) for t in ts.tolist()])
         want = ref.sol(ts).T
         # relative to the size of the state: components far below atol (Z near
         # A0) are only controlled in absolute terms
@@ -1470,7 +1486,7 @@ class TestPhaseStep:
             bits.append((generic[0], sol.status, _hex(sol.t), _hex(sol.y),
                          [(t.hex(), name) for t, name in sol.events],
                          sol.n_accepted, sol.n_rejected, sol.nfev,
-                         _hex([sol.sol(t) for t in ts])))
+                         _hex([sol.at(t) for t in ts])))
         (direct, *same), (wrapped, *other) = bits
         assert same[0] == -1 and len(same[3]) == 1 and same[5] > 0
         assert direct == 0 and wrapped == same[4] + same[5]     # every attempted step
@@ -1940,14 +1956,12 @@ def test_blow_up_value_is_max_of_abs():
         assert got.hex() == want.hex() or got != got and want != want, y
 
 
-class _EagerInterpolant(dop853.StepInterpolant):
-    """A step interpolant built when its step is taken."""
-
-    __slots__ = ()
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.coeffs
+def _eager_solve(rhs, t0, y0, t_bound, events):
+    """`dop853.solve` with each step's interpolant built when its step is
+    taken: the run is read at its newest point after every step."""
+    for sol in dop853._start(rhs, t0, y0, t_bound, events, True):
+        sol.at(sol.t[-1])
+    return sol
 
 
 def _inner_points(ts, fractions=(0.0, 0.1, 0.5, 0.9, 1.0)):
@@ -1965,18 +1979,18 @@ _DENSE_RUNS = [
 
 
 class TestLazyInterpolant:
-    """Step interpolants are built on first use: the values are those of
-    interpolants built as the steps are taken, and only the pieces built
-    during the run count in `nfev`."""
+    """`Solution.at` builds a step's interpolant on its first read: the values
+    are those of interpolants built as the steps are taken, and only the
+    pieces built during the run count in `nfev`."""
 
     @pytest.mark.parametrize("rhs,t0,y0,t_bound,events", _DENSE_RUNS, ids=["phase", "radial"])
-    def test_values_equal_eager_pieces(self, monkeypatch, rhs, t0, y0, t_bound, events):
+    def test_values_equal_eager_pieces(self, rhs, t0, y0, t_bound, events):
         lazy = dop853.solve(rhs, t0, y0, t_bound, events)
-        monkeypatch.setattr(dop853, "StepInterpolant", _EagerInterpolant)
-        eager = dop853.solve(rhs, t0, y0, t_bound, events)
+        eager = _eager_solve(rhs, t0, y0, t_bound, events)
+        assert all(type(piece) is dop853.StepInterpolant for piece in eager.pieces)
         assert _hex(lazy.t) == _hex(eager.t) and len(lazy.t) > 50
         ts = _inner_points(lazy.t)
-        assert _hex([lazy.sol(t) for t in ts]) == _hex([eager.sol(t) for t in ts])
+        assert _hex([lazy.at(t) for t in ts]) == _hex([eager.at(t) for t in ts])
 
     @pytest.mark.parametrize("rhs,t0,y0,t_bound,events", _DENSE_RUNS, ids=["phase", "radial"])
     def test_first_evaluation_builds_the_piece(self, rhs, t0, y0, t_bound, events):
@@ -1986,10 +2000,10 @@ class TestLazyInterpolant:
         run = calls[0]
         k = len(sol.t) // 2
         a, b = sol.t[k], sol.t[k + 1]
-        sol.sol(a + 0.3 * (b - a))
+        sol.at(a + 0.3 * (b - a))
         assert calls[0] == run + 3
-        sol.sol(a + 0.8 * (b - a))
-        sol.sol(a + 0.3 * (b - a))
+        sol.at(a + 0.8 * (b - a))
+        sol.at(a + 0.3 * (b - a))
         assert calls[0] == run + 3
         assert sol.nfev == run            # the run's count does not move
 
@@ -2000,9 +2014,9 @@ class TestLazyInterpolant:
         ((t_ev, _),) = sol.events
         assert sol.nfev == calls[0] == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3
         run = calls[0]
-        sol.sol(t_ev)
+        sol.at(t_ev)
         k = next(i for i, t in enumerate(sol.t) if t > t_ev)
-        sol.sol(0.5 * (sol.t[k - 1] + sol.t[k]))
+        sol.at(0.5 * (sol.t[k - 1] + sol.t[k]))
         assert calls[0] == run
 
 
@@ -2019,7 +2033,7 @@ class _CountedInterpolant(dop853.StepInterpolant):
 
 class TestDenseOutputOnlyInSolve:
     """Only `solve` keeps dense output: a `steps` run, a shot's, carries no
-    `sol` and builds a step interpolant only where it locates an event."""
+    `pieces` and builds a step interpolant only where it locates an event."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -2038,13 +2052,17 @@ class TestDenseOutputOnlyInSolve:
     ], ids=["ascending-radial", "descending-phase", "underflow", "empty-span"])
     def test_steps_run_keeps_no_interpolant(self, built, rhs, span, y0):
         for sol in dop853.steps(rhs, span[0], y0, span[1]):
-            assert sol.sol is None
+            assert sol.pieces is None
         assert built[0] == 0
-        # the same run through solve keeps one piece per step: an interpolant,
-        # or the constant of the empty span
+        # the same run through solve keeps one piece per step: the data of its
+        # interpolant, or the constant of the empty span; reading every step
+        # builds each interpolant once
         ref = dop853.solve(rhs, span[0], y0, span[1])
         assert _hex(ref.t) == _hex(sol.t) and ref.nfev == sol.nfev
-        assert len(ref.sol.pieces) == len(ref.t) - 1
+        assert len(ref.pieces) == len(ref.t) - 1
+        assert built[0] == 0
+        for t in _inner_points(ref.t):
+            ref.at(t)
         assert built[0] == (0 if span[0] == span[1] else len(ref.t) - 1)
 
     def test_shot_builds_interpolants_at_its_events_only(self, monkeypatch, built):
@@ -2054,7 +2072,7 @@ class TestDenseOutputOnlyInSolve:
         shot = classify_shot(P, *dynamics._seed(0.3, RHO), RHO)
         shot.hit_times
         sol = shot._sol
-        assert sol.status == 1 and sol.sol is None
+        assert sol.status == 1 and sol.pieces is None
         assert 0 < built[0] <= len(sol.events) < sol.n_accepted
         # nfev counts each built piece's three extra stages
         assert sol.nfev == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3 * built[0]
@@ -2063,12 +2081,12 @@ class TestDenseOutputOnlyInSolve:
         # a backward run reads its points as descending; the underflow run and
         # the empty span's run hold their dense output too
         sol = dop853.solve(phase_rhs(HAM6), 0.0, [0.6, 0.6, 2.2, 2.2], -8.0)
-        assert sol.status == 0 and not sol.sol.ascending
-        assert len(sol.sol.pieces) == len(sol.t) - 1
-        assert _hex(sol.sol(sol.t[7])) == _hex(sol.y[7])
+        assert sol.status == 0 and sol.t[-1] < sol.t[0]
+        assert len(sol.pieces) == len(sol.t) - 1
+        assert _hex(sol.at(sol.t[7])) == _hex(sol.y[7])
         failed = dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
-        assert failed.status == -1 and len(failed.sol.pieces) == len(failed.t) - 1
-        assert dop853.solve(_squares, 1.0, SQUARES_Y0, 1.0).sol(1.0) == tuple(SQUARES_Y0)
+        assert failed.status == -1 and len(failed.pieces) == len(failed.t) - 1
+        assert dop853.solve(_squares, 1.0, SQUARES_Y0, 1.0).at(1.0) == tuple(SQUARES_Y0)
 
 
 class TestOracleStop:
@@ -2214,11 +2232,11 @@ class TestKernelNonFinite:
         (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
     ], ids=["nan-y0", "nan-rhs"])
     def test_dense_output_without_a_step_holds_the_initial_point(self, deadline, fun, y0):
-        # the run's own `sol`, and that of the failed run that
+        # the run's own `at`, and that of the failed run that
         # StepSizeUnderflow carries: y0 at t0, a ValueError elsewhere
         with pytest.raises(StepSizeUnderflow) as err:
             dynamics._checked(dop853.solve(fun, 0.0, y0, 1.0))
-        for dense in (dop853.solve(fun, 0.0, y0, 1.0).sol, err.value.run.sol):
+        for dense in (dop853.solve(fun, 0.0, y0, 1.0).at, err.value.run.at):
             assert dense(0.0) == y0
             for t in (0.5, -1.0, 1.0):
                 with pytest.raises(ValueError, match="no accepted step"):

@@ -305,6 +305,33 @@ class TestExistence:
         assert v.verdict is Verdict.UNKNOWN
         assert [name for name, _ in v.conditions] == ["D = delta*mu - (p-1-s)(q-1-m)"]
 
+    @pytest.mark.parametrize("eps", [(-1, 1), (1, -1), (-1, -1)])
+    @pytest.mark.parametrize("point", [(6.0, 1.6, 2.1), (6.0, 2.5, 2.5)],
+                             ids=["below-H0", "above-H0"])
+    def test_negative_sign_has_no_ground_state_and_no_dirichlet(self, eps, point):
+        # with eps = -1 the flux of that equation increases from 0 while
+        # u, v > 0: its profile increases and never vanishes, on either side
+        # of the critical hyperbola
+        P = hamiltonian_params(*point).replace(eps1=eps[0], eps2=eps[1])
+        v = predict_existence(P)
+        assert v.verdict is Verdict.NO_GS_NO_DIRICHLET
+        assert v.source == "sign-monotonicity"
+        flipped = [i for i in (0, 1) if eps[i] == -1]
+        assert [name for name, _ in v.conditions] == [f"eps{i + 1} = -1" for i in flipped]
+        rad = integrate_radial(P, 1.0, 1.0, 1e12)
+        for i in flipped:
+            profile, slope = (rad.u, rad.du) if i == 0 else (rad.v, rad.dv)
+            assert len(profile) > 100
+            assert all(b > a for a, b in zip(profile, profile[1:]))
+            assert all(d > 0 for d in slope)
+
+    def test_negative_sign_needs_n_plus_weight_positive(self):
+        # the flux vanishes at r = 0 only where N + a > 0 and N + b > 0
+        P = hamiltonian_params(6.0, 2.5, 2.5, a=-6.5).replace(eps1=-1)
+        v = predict_existence(P)
+        assert v.verdict is Verdict.UNKNOWN
+        assert [name for name, _ in v.conditions] == ["N + a > 0 and N + b > 0"]
+
 
 class TestAsymptotics:
     def test_biharmonic_split(self):

@@ -351,17 +351,18 @@ def test_start_up_loads_no_numpy(config, tmp_path):
 
 
 # The efdyn submodules each entry point loads. `import efdyn` runs the
-# package's __init__ alone; the theory (predict_existence) loads no integrator;
+# package's __init__ alone; the predictor (predict_existence) loads neither the
+# integrator nor the linearisation (spectra, equilibria);
 # each CLI command imports what it reads. efdyn.cli itself runs as __main__.
 _CORE = {"_record", "errors", "model", "numerics"}
 _INTEGRATOR = _CORE | {"dynamics", "dop853", "equilibria"}
 _EVERY = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
 MODULE_SETS = {
     "import": set(),
-    "predict_existence": _CORE | {"energies", "scalar", "spectra", "equilibria"},
+    "predict_existence": _CORE | {"energies", "scalar"},
     "integrate": _INTEGRATOR, "shoot": _INTEGRATOR,
     "scalar": _INTEGRATOR | {"scalar"}, "portrait": _INTEGRATOR | {"scalar"},
-    "analyze": _EVERY, "sweep": _EVERY,
+    "analyze": _EVERY, "sweep": _EVERY - {"spectra"},
 }
 
 
