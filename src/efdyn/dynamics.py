@@ -17,7 +17,6 @@ import math
 from enum import Enum
 from typing import Callable, Sequence
 
-from . import dop853
 from ._record import record
 from .equilibria import FixedPointLabel, fixed_point_catalog, m0_coords
 from .errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
@@ -27,6 +26,9 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     regular_initial_values, to_phase)
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
                        MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
+
+# efdyn.dop853, the integrator, is imported by the four functions that run
+# it: a command that integrates nothing (analyze) does not load it.
 
 
 @record
@@ -188,6 +190,7 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     accepted steps sit within CAPTURE_DIST of a catalog point for
     CAPTURE_STEPS steps.
     """
+    from . import dop853
     sol = _checked(dop853.solve(*_phase_problem(params, initial, horizon, events)))
     t, states = tuple(sol.t), tuple(sol.y)
     if sol.status == 1:         # the run's one terminal event is the last one found
@@ -213,13 +216,15 @@ def _radial_rhs(params: SystemParams):
     """The radial field in t = ln r, on y = (u, v, U, V) with the fluxes
     U = |u'|^{p-2} u', V = |v'|^{q-2} v'.
 
-    Its `diagonal_exact` is true for an exchange-symmetric system (eps1 =
-    eps2 included) with s = m = 0: on u = v, U = V the field forms v' and V'
-    by the operations of u' and U', and a run from such a state takes the
-    integrator's diagonal step. With s = m != 0 the flux products
+    The field carries its constants as `radial_constants`: the integrator
+    (`dop853`) runs a step with these four expressions written out in its
+    stages, in the same grouping and order, when it is handed this field
+    itself; that step skips only the powers that are exact (|U|^ep at
+    ep = 1, r^ka at ka = 1, u^s at s = 0, v^m at m = 0, and r^kb at
+    ka = kb), so its bits are those of the field. On the diagonal u = v,
+    U = V of an exchange-symmetric system with s = m != 0 the flux products
     c r^ka u^s v^delta and c r^kb u^mu v^m multiply their factors in another
-    order and round apart on u = v: such a run leaves the diagonal, and runs
-    the four-component step."""
+    order and round apart: such a run leaves the diagonal."""
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
     ka, kb = 1 + P.a, 1 + P.b
@@ -238,7 +243,7 @@ def _radial_rhs(params: SystemParams):
         return (r * du, r * dv,
                 c1 * r ** ka * uu ** s * vv ** delta - n1 * U,
                 c2 * r ** kb * uu ** mu * vv ** m - n1 * V)
-    rhs.diagonal_exact = s == m == 0 and exchange_params(P) == P
+    rhs.radial_constants = (ep, eq, ka, kb, c1, c2, s, m, delta, mu, n1)
     return rhs
 
 
@@ -254,6 +259,7 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     stops at its second zero records both zeros; its termination names the
     first.
     """
+    from . import dop853
     sol = _checked(dop853.solve(*_radial_problem(params, u0, v0, r_max)))
     events = sorted(ev for ev in sol.events if ev[1] != "both-zero")
     if len(events) < len(sol.events):
@@ -328,6 +334,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     reached. Outside 1 < p, q < N it raises NotApplicable, as a shot does
     (`check_shot_params`): the box has no window to compare on.
     """
+    from . import dop853
     check_shot_params(params)
     u0h, v0h, tau = normalized_regular_data(params, x, y)
     seed = launch_regular(params, x, y, rho)
@@ -501,6 +508,7 @@ class ShotOutcome:
     __slots__ = ("seed", "s_class", "proved", "_params", "_steps", "_sol", "_end", "_partner")
 
     def __init__(self, params: SystemParams, x: float, y: float, rho: float):
+        from . import dop853
         self.seed, self._params, self._partner = (x, y), params, None
         self.proved = self._end = None
         # tiny hysteresis keeps asymptotic approaches to the face (X -> bound

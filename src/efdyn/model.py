@@ -265,13 +265,14 @@ def phase_rhs(params: SystemParams):
     diagonal of a symmetric system is then exactly invariant in floating point.
 
     The field carries its constants as `phase_constants`: the integrator
-    (`dop853`) runs a step with these four expressions written out in its
-    stages when it is handed this field itself. Its `diagonal_exact` is true
+    (`dop853`) takes one step per field, and for this field itself a step
+    with these four expressions written out in its stages, never calling
+    the field (a wrapper runs the generic step). Its `diagonal_exact` is true
     when the folded constants are exchange-symmetric to the bit, x_bound =
     y_bound, p - 1 = q - 1, N + a = N + b, s = m and delta = mu: on a diagonal
     state (X, X, Z, Z) the field then forms Y_t and W_t by the operations of
     X_t and Z_t, and a run from such a state takes the integrator's diagonal
-    step, which forms two components.
+    step, which writes out X_t and Z_t only.
     """
     P = params
     xb, yb = P.x_bound, P.y_bound

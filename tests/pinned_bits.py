@@ -15,9 +15,13 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   generic step (`dop853._step`) on the same field: y_new, the eight stage
   derivatives and the error estimate, to the bit, on fixed states and step
   sizes, signed zeros and stages that overflow to inf and nan among them.
+- The radial field's written-out step (`dop853._radial_step`) against the
+  generic step on the same field, in the same way, or the error that a power
+  raises; exponents that are exactly 1 or 0 and ones that are not.
 - The diagonal step (`dop853._diagonal_step`) against the generic step on
-  diagonal states (X, X, Z, Z) of the diagonal-exact phase and radial fields,
-  in the same way, and the field's arguments at each stage.
+  diagonal states (X, X, Z, Z) of exchange-symmetric phase fields, in the
+  same way, and the stage states X and Z against the field's arguments at
+  each stage of the generic step.
 
 Run from the repository root, on the standard library alone:
 
@@ -89,19 +93,39 @@ FUSED_STEP_STATES = [
 ]
 FUSED_STEP_H = (0.03, -0.03, 1e-7, -2.5)
 
-# the diagonal states (field, t, y) on which the diagonal step and the
-# generic step must agree, at each step size of FUSED_STEP_H: the phase field
-# of exchange-symmetric systems (with s = m != 0 and with a = b != 0 among
-# them) and the radial field with s = m = 0; signed zeros, and a state whose
-# stages overflow to inf and nan
+# the states (params, t, y) on which the two steps of the radial field must
+# agree, at each step size of FUSED_STEP_H: Hamiltonian systems (s = m = 0,
+# p = q = 2) with a = b = 0 and with a != b, potential systems with a = b
+# (s, m != 0; p = 2 with q != 2, and both != 2), the system of no symmetry,
+# and symmetric ones on the diagonal; signed zeros, u or v negative past a
+# zero, subnormal fluxes, stages that overflow to inf and nan, and a power
+# that overflows and raises
+RADIAL_STEP_STATES = [
+    (hamiltonian_params(6.0, 1.6, 2.1), -2.0, (0.9, 1.1, -0.05, -0.02)),
+    (hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4), 0.5, (0.3, 0.2, -0.4, 0.1)),
+    (potential_params(6.0, 2.0, 2.3, 0.4, 0.6), 0.0, (0.9, 1.1, -2.4, -3.3)),
+    (potential_params(6.0, 2.4, 1.7, 0.3, 0.3, a=0.2), 1.0, (-0.3, 0.4, 0.1, -0.2)),
+    (FUSED_STEP_NONSYMMETRIC, 0.5, (0.3, -0.0, -0.0, 0.1)),
+    (FUSED_STEP_NONSYMMETRIC, 0.0, (0.0, -0.2, 4.547575581979385e-191, -5e-320)),
+    (symmetric_scalar_embedding(3.5, 2.0, 4.0), -2.0, (0.9, 0.9, -0.05, -0.05)),
+    (hamiltonian_params(6.0, 1.8, 1.8), 0.5, (0.2, 0.2, -0.0, -0.0)),
+    # v < 0 keeps U' = 0: with h < 0 every stage of U is -0.0, and u' is +0.0
+    (hamiltonian_params(6.0, 1.6, 2.1), 0.0, (0.3, -0.2, -0.0, 0.1)),
+    (hamiltonian_params(6.0, 2.0, 2.0), 0.0, (1.0, 1.0, -1e308, -1e308)),
+    (FUSED_STEP_NONSYMMETRIC, 0.0, (0.5, 0.5, 0.1, 1e240)),
+]
+
+# the diagonal states (params, t, y) on which the diagonal step and the
+# generic step of the phase field must agree, at each step size of
+# FUSED_STEP_H: exchange-symmetric systems, with s = m != 0 and with
+# a = b != 0 among them; signed zeros, and a state whose stages overflow to
+# inf and nan
 DIAGONAL_STEP_STATES = [
-    (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5)), 0.0, (0.6, 0.6, 2.2, 2.2)),
-    (phase_rhs(potential_params(6.0, 2.0, 2.0, 0.3, 0.3)), 3.0, (1e-5, 1e-5, 5.9999, 5.9999)),
-    (phase_rhs(nonvariational_params(6.0, 0.5, 1.7, 1.7)), 0.0, (-0.0, -0.0, 5.0, 5.0)),
-    (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5, a=0.4, b=0.4)), 1.0, (0.7, 0.7, 0.0, 0.0)),
-    (phase_rhs(hamiltonian_params(6.0, 2.0, 2.0)), 0.0, (1e155, 1e155, -3.0, -3.0)),
-    (_radial_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0)), -2.0, (0.9, 0.9, -0.05, -0.05)),
-    (_radial_rhs(hamiltonian_params(6.0, 1.8, 1.8)), 0.5, (0.2, 0.2, -0.0, -0.0)),
+    (hamiltonian_params(6.0, 2.5, 2.5), 0.0, (0.6, 0.6, 2.2, 2.2)),
+    (potential_params(6.0, 2.0, 2.0, 0.3, 0.3), 3.0, (1e-5, 1e-5, 5.9999, 5.9999)),
+    (nonvariational_params(6.0, 0.5, 1.7, 1.7), 0.0, (-0.0, -0.0, 5.0, 5.0)),
+    (hamiltonian_params(6.0, 2.5, 2.5, a=0.4, b=0.4), 1.0, (0.7, 0.7, 0.0, 0.0)),
+    (hamiltonian_params(6.0, 2.0, 2.0), 0.0, (1e155, 1e155, -3.0, -3.0)),
 ]
 
 
@@ -156,28 +180,99 @@ def fused_step_mismatches() -> list[str]:
     return moved
 
 
-def _calls_and_bits(step, fun, t, y, k0, h) -> list:
-    """A step's output and the field's calls, (t, stage state) each, in
-    float.hex: a stage state that differs only in the sign of a zero can
-    leave the output as it is."""
+def step_outcome(step, arg, t, y, k0, h):
+    """A step's output in float.hex, or the name of the error it raises (a
+    power of the radial field that overflows)."""
+    try:
+        return step_bits(step(arg, t, y, k0, h))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+class Recorder(float):
+    """A folded constant that records, in float.hex, the other operand of
+    each operation it takes part in: a written-out step run on constants of
+    this type shows the stage states it forms. The result is the float
+    operation's, bit for bit."""
+
+    def __new__(cls, value, log):
+        self = super().__new__(cls, value)
+        self.log = log
+        return self
+
+    def _record(self, other):
+        self.log.append(other.hex())
+        return float(self)
+
+    def __rsub__(self, other):
+        return other - self._record(other)
+
+    def __rtruediv__(self, other):
+        return other / self._record(other)
+
+    def __mul__(self, other):
+        return self._record(other) * other
+
+    def __rpow__(self, other):
+        return other ** self._record(other)
+
+
+def generic_calls(fun, t, y, k0, h, states) -> list:
+    """The generic step's output on `fun` and, in float.hex, what `states`
+    reads off each of the field's calls (t, stage state)."""
     calls = []
 
     def logged(s, v):
-        calls.append(step_bits([s, list(v)]))
+        calls.extend(step_bits(list(states(s, v))))
         return fun(s, v)
-    return [calls, step_bits(step(logged, t, y, k0, h))]
+    return [calls, step_outcome(dop853._step, logged, t, y, k0, h)]
+
+
+def on_diagonal_states(s, v):
+    """X and Z of a diagonal stage state (X, X, Z, Z); NaN in place of both
+    where it is off the diagonal to the bit."""
+    X, Y, Z, W = v
+    if step_bits([X, Z]) != step_bits([Y, W]):
+        return math.nan, math.nan
+    return X, Z
+
+
+def diagonal_calls(params, t, y, k0, h) -> list:
+    """The diagonal step's output on the phase constants of `params` and the
+    stage states it forms, X (from X - bx) and Z (from Z / p1), in float.hex."""
+    bx, by, p1, *rest = phase_rhs(params).phase_constants
+    log = []
+    fold = (Recorder(bx, log), by, Recorder(p1, log), *rest)
+    return [log, step_outcome(dop853._diagonal_step, fold, t, y, k0, h)]
 
 
 def diagonal_step_mismatches() -> list[str]:
     """The cases of DIAGONAL_STEP_STATES and FUSED_STEP_H on which the
     diagonal step and the generic step differ in a bit, in their output or
-    in the field's arguments."""
+    in the stage states: a stage state that differs only in the sign of a
+    zero can leave the output as it is."""
     moved = []
-    for i, (fun, t, y) in enumerate(DIAGONAL_STEP_STATES):
+    for i, (params, t, y) in enumerate(DIAGONAL_STEP_STATES):
+        fun = phase_rhs(params)
         k0 = fun(t, y)
         for h in FUSED_STEP_H:
-            if (_calls_and_bits(dop853._diagonal_step, fun, t, y, k0, h)
-                    != _calls_and_bits(dop853._step, fun, t, y, k0, h)):
+            if (diagonal_calls(params, t, y, k0, h)
+                    != generic_calls(fun, t, y, k0, h, on_diagonal_states)):
+                moved.append(f"state {i}: t = {t}, y = {y}, h = {h}")
+    return moved
+
+
+def radial_step_mismatches() -> list[str]:
+    """The cases of RADIAL_STEP_STATES and FUSED_STEP_H on which the radial
+    field's written-out step and the generic step differ in a bit, or in the
+    error they raise."""
+    moved = []
+    for i, (params, t, y) in enumerate(RADIAL_STEP_STATES):
+        fun = _radial_rhs(params)
+        k0 = fun(t, y)
+        for h in FUSED_STEP_H:
+            if (step_outcome(dop853._radial_step, fun.radial_constants, t, y, k0, h)
+                    != step_outcome(dop853._step, fun, t, y, k0, h)):
                 moved.append(f"state {i}: t = {t}, y = {y}, h = {h}")
     return moved
 
@@ -203,11 +298,13 @@ def main() -> int:
             moved.append(f"oracle point {i}: {err.hex()}, pinned {pinned} (bound {ORACLE_BOUND})")
     moved += [f"fused phase step differs from _step: {case}"
               for case in fused_step_mismatches()]
+    moved += [f"radial step differs from _step: {case}"
+              for case in radial_step_mismatches()]
     moved += [f"diagonal step differs from _step: {case}"
               for case in diagonal_step_mismatches()]
     for line in moved:
         print(line)
-    print(f"{6 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{7 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

@@ -19,6 +19,7 @@ from scipy.integrate._ivp import dop853_coefficients
 
 import efdyn
 from efdyn import dop853, dynamics
+from efdyn.cli import main as cli_main
 from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundStateSearch,
                             MClass, SClass, classify_shot, integrate_m, integrate_radial,
                             launch_regular, oracle_compare, search_dirichlet,
@@ -36,9 +37,10 @@ from efdyn.scalar import ScalarBehavior, ScalarParams, regular_seed, scalar_clas
 from conftest import SCALAR_CASES, field
 from pinned_bits import (DIAGONAL_STEP_STATES, FUSED_STEP_H, FUSED_STEP_STATES,
                          M0_BASIN_COUNTS, ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS,
-                         RADIAL_COUNTS, SAME_BITS_COUNTS, SAME_BITS_HITS, SAME_BITS_PARAMS,
-                         SAME_BITS_THETA, m0_basin_counts, oracle_value, radial_counts,
-                         same_bits_counts, same_bits_hits)
+                         RADIAL_COUNTS, RADIAL_STEP_STATES, SAME_BITS_COUNTS, SAME_BITS_HITS,
+                         SAME_BITS_PARAMS, SAME_BITS_THETA, Recorder, diagonal_calls,
+                         generic_calls, m0_basin_counts, on_diagonal_states, oracle_value,
+                         radial_counts, same_bits_counts, same_bits_hits, step_outcome)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -1495,25 +1497,32 @@ class TestPhaseStep:
 
 # exchange-symmetric systems whose phase field is diagonal-exact: the
 # Hamiltonian, a potential system with s = m != 0, a nonvariational one and a
-# weighted one with a = b != 0; and two radial fields with s = m = 0
+# weighted one with a = b != 0
 _DIAGONAL_PHASE_PARAMS = [hamiltonian_params(6.0, 2.5, 2.5),
                           potential_params(6.0, 2.0, 2.0, 0.3, 0.3),
                           nonvariational_params(6.0, 0.5, 1.7, 1.7),
                           hamiltonian_params(6.0, 2.5, 2.5, a=0.4, b=0.4)]
-_DIAGONAL_FIELDS = [phase_rhs(P) for P in _DIAGONAL_PHASE_PARAMS] + [
-    dynamics._radial_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0)),
-    dynamics._radial_rhs(hamiltonian_params(6.0, 1.8, 1.8))]
 
 
-# every scalar_classify case that runs the kernel: the threshold Q = Q1 runs nothing
+# every scalar_classify case that runs the kernel: the threshold Q = Q1 runs
+# nothing. Its phase runs are on the diagonal, and so are its radial runs,
+# which take the radial step
 _SCALAR_RUNS = {b: case for b, case in SCALAR_CASES.items()
                 if b is not ScalarBehavior.THRESHOLD_Q1}
+_SCALAR_STEPS = {b: ({"_radial_step"} if b is ScalarBehavior.ABSORPTION_ALL_REGULAR
+                     else {"_diagonal_step"} if b in (ScalarBehavior.GROUND_STATE_ON_LINE,
+                                                      ScalarBehavior.ABSORPTION_CONNECTION)
+                     else {"_diagonal_step", "_radial_step"})
+                 for b in _SCALAR_RUNS}
 
 # the radial run of the shipped integrate config: params, u0, v0 and r_max
-_CONFIG = json.loads((Path(__file__).parents[1] / "configs"
-                      / "integrate_radial_critical.json").read_text())
+_CONFIGS = Path(__file__).parents[1] / "configs"
+_CONFIG = json.loads((_CONFIGS / "integrate_radial_critical.json").read_text())
 _RADIAL_CONFIG = (SystemParams.from_dict(_CONFIG["params"]),
                   *(_CONFIG["integrate"][k] for k in ("u0", "v0", "r_max")))
+
+# the four kernel steps
+_STEPS = ("_step", "_phase_step", "_radial_step", "_diagonal_step")
 
 
 def _kernel_runs(monkeypatch):
@@ -1531,65 +1540,92 @@ def _kernel_runs(monkeypatch):
     return runs
 
 
+def _observe(monkeypatch, run, edit=None):
+    """The output of `run`, the counts (n_accepted, n_rejected, nfev) of its
+    kernel runs and the calls of each step, with `edit(monkeypatch)` applied
+    first if given."""
+    if edit is not None:
+        edit(monkeypatch)
+    calls = {name: _step_calls(monkeypatch, name) for name in _STEPS}
+    runs = _kernel_runs(monkeypatch)
+    out = run()
+    monkeypatch.undo()
+    return (out, [(s.n_accepted, s.n_rejected, s.nfev) for s in runs],
+            {name: n[0] for name, n in calls.items()})
+
+
+def _taken(calls) -> set:
+    """The steps that a run called, each more than 10 times."""
+    taken = {name for name, n in calls.items() if n}
+    assert all(calls[name] > 10 for name in taken)
+    return taken
+
+
+def _off_diagonal(monkeypatch):
+    # no run takes the diagonal step
+    monkeypatch.setattr(dop853, "_on_diagonal", lambda y: False)
+
+
+def _radial_closure(monkeypatch):
+    # the radial field behind a closure, which carries no constants: every
+    # radial run takes the generic step
+    real = dynamics._radial_rhs
+
+    def closed(params):
+        rhs = real(params)
+        return lambda t, y: rhs(t, y)
+    monkeypatch.setattr(dynamics, "_radial_rhs", closed)
+
+
 class TestDiagonalStep:
-    """The diagonal step against the generic step (and against the phase
-    field's written-out step) on diagonal states, bit for bit, and the runs
-    that take it: the same output, counts and field calls as the same runs
-    on the four-component steps."""
+    """The phase field's diagonal step against the generic step (and against
+    the phase field's written-out step) on diagonal states, bit for bit, its
+    stage states against the field's arguments in the generic step, and the
+    runs that take it: the same output and counts as the same runs on the
+    four-component step."""
 
     @staticmethod
-    def _outcome(step, fun, t, y, h):
-        """The step's field calls and results in hex, or the error it raises."""
-        log = []
-        try:
-            y_new, ks, err = step(_logged(fun, log), t, y, fun(t, y), h)
-        except ArithmeticError as exc:      # a power of the radial field
-            return log, type(exc).__name__
-        return log, _hex(y_new), _hex(ks), err.hex()
-
-    def _check(self, fun, t, y, h):
-        diagonal = self._outcome(dop853._diagonal_step, fun, t, y, h)
-        assert diagonal == self._outcome(dop853._step, fun, t, y, h)
-        fold = getattr(fun, "phase_constants", None)
-        if fold is not None:
-            assert list(diagonal[1:]) == _hex(dop853._phase_step(fold, t, y, fun(t, y), h))
-        return diagonal
+    def _check(params, t, y, h):
+        fun = phase_rhs(params)
+        k0 = fun(t, y)
+        diagonal = diagonal_calls(params, t, y, k0, h)
+        # X and Z of each of the 11 stages
+        assert len(diagonal[0]) == 22
+        assert diagonal == generic_calls(fun, t, y, k0, h, on_diagonal_states)
+        fused = step_outcome(dop853._phase_step, fun.phase_constants, t, y, k0, h)
+        assert diagonal[1] == fused
+        return diagonal[1]
 
     def test_fields_are_diagonal_exact(self):
-        assert all(fun.diagonal_exact for fun in _DIAGONAL_FIELDS)
-        assert all(fun.diagonal_exact for fun, _, _ in DIAGONAL_STEP_STATES)
+        assert all(phase_rhs(P).diagonal_exact for P in _DIAGONAL_PHASE_PARAMS)
+        assert all(phase_rhs(P).diagonal_exact for P, _, _ in DIAGONAL_STEP_STATES)
 
-    @pytest.mark.parametrize("fun", [
-        phase_rhs(hamiltonian_params(6.0, 1.6, 2.1)), phase_rhs(_NONSYMMETRIC),
+    @pytest.mark.parametrize("params", [
+        hamiltonian_params(6.0, 1.6, 2.1), _NONSYMMETRIC,
         # a signed zero of s against m rounds s X + delta Y apart from mu X + m Y
-        phase_rhs(SystemParams(N=6.0, p=2.0, q=2.0, s=-0.0, m=0.0, delta=2.0, mu=2.0)),
-        dynamics._radial_rhs(potential_params(6.0, 2.0, 2.0, 0.3, 0.3)),
-        dynamics._radial_rhs(SystemParams(N=6.0, p=2.0, q=2.0, delta=2.0, mu=2.0, eps2=-1)),
-        dynamics._radial_rhs(_NONSYMMETRIC),
-    ], ids=["phase-hamiltonian-1.6-2.1", "phase-nonsymmetric", "phase-signed-zero-s",
-            "radial-s=m=0.3", "radial-eps2=-1", "radial-nonsymmetric"])
-    def test_other_fields_are_not(self, fun):
-        assert fun.diagonal_exact is False
+        SystemParams(N=6.0, p=2.0, q=2.0, s=-0.0, m=0.0, delta=2.0, mu=2.0),
+    ], ids=["hamiltonian-1.6-2.1", "nonsymmetric", "signed-zero-s"])
+    def test_other_fields_are_not(self, params):
+        assert phase_rhs(params).diagonal_exact is False
 
     def test_field_reads_no_sign(self):
-        # the phase field has no eps; the radial one needs eps1 = eps2
-        P = symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)
-        assert phase_rhs(P).diagonal_exact and dynamics._radial_rhs(P).diagonal_exact
+        # the phase field has no eps
+        assert phase_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)).diagonal_exact
 
     # the fixed states of tests/pinned_bits.py
     @pytest.mark.parametrize("h", FUSED_STEP_H)
-    @pytest.mark.parametrize("fun,t,y", DIAGONAL_STEP_STATES)
-    def test_matches_step(self, fun, t, y, h):
-        _, y_new, ks, _ = self._check(fun, t, y, h)
+    @pytest.mark.parametrize("params,t,y", DIAGONAL_STEP_STATES)
+    def test_matches_step(self, params, t, y, h):
+        y_new, ks, _ = self._check(params, t, y, h)
         assert len(ks) == 8 and all(len(k) == 4 for k in ks)
         assert y_new[0] == y_new[1] and y_new[2] == y_new[3]
 
     def test_pinned_states_overflow(self):
-        fun, t, y = DIAGONAL_STEP_STATES[4]
-        _, _, ks, err = self._check(fun, t, y, 0.03)
+        params, t, y = DIAGONAL_STEP_STATES[4]
+        _, ks, err = self._check(params, t, y, 0.03)
         assert "inf" in ks[0] and "nan" in ks[1] and err == "nan"
 
-    @given(st.sampled_from(_DIAGONAL_FIELDS), st.floats(-3.0, 3.0),
+    @given(st.sampled_from(_DIAGONAL_PHASE_PARAMS),
            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0),
                               st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
                                         st.integers(-320, 200))),
@@ -1597,12 +1633,11 @@ class TestDiagonalStep:
            st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
            st.floats(-8.0, math.log10(3.0)), st.sampled_from([1.0, -1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_random_steps_match(self, fun, t, magnitudes, signs, log_h, h_sign):
+    def test_random_steps_match(self, params, magnitudes, signs, log_h, h_sign):
         # diagonal states with signed zeros, subnormal to huge components whose
-        # stages overflow to inf or nan (or raise, in the radial field's
-        # powers), and steps |h| from 1e-8 to 3, log-uniform
+        # stages overflow to inf or nan, and steps |h| from 1e-8 to 3, log-uniform
         X, Z = (m * s for m, s in zip(magnitudes, signs))
-        self._check(fun, t, (X, X, Z, Z), h_sign * 10 ** log_h)
+        self._check(params, 0.0, (X, X, Z, Z), h_sign * 10 ** log_h)
 
     @pytest.mark.parametrize("y,on", [
         ((0.3, 0.3, 5.0, 5.0), True), ((-0.0, -0.0, 0.0, 0.0), True),
@@ -1614,90 +1649,243 @@ class TestDiagonalStep:
     def test_on_diagonal_to_the_bit(self, y, on):
         assert dop853._on_diagonal(y) is on
 
-    @staticmethod
-    def _observe(monkeypatch, run, diagonal):
-        """The output of `run`, the counts (n_accepted, n_rejected, nfev) of
-        its kernel runs and the calls of each step; without `diagonal`, no
-        run takes the diagonal step."""
-        if not diagonal:
-            monkeypatch.setattr(dop853, "_on_diagonal", lambda y: False)
-        calls = {name: _step_calls(monkeypatch, name)
-                 for name in ("_step", "_phase_step", "_diagonal_step")}
-        runs = _kernel_runs(monkeypatch)
-        out = run()
-        monkeypatch.undo()
-        return (out, [(s.n_accepted, s.n_rejected, s.nfev) for s in runs],
-                {name: n[0] for name, n in calls.items()})
-
-    @pytest.mark.parametrize("run", [
-        lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
-                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
-        lambda: repr(classify_shot(nonvariational_params(6.0, 0.5, 1.7, 1.7),
-                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
-        *[lambda case=case: repr(scalar_classify(*case).to_dict())
-          for case in _SCALAR_RUNS.values()],
-        lambda: repr(integrate_radial(*_RADIAL_CONFIG)),
+    @pytest.mark.parametrize("run,taken", [
+        (lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+         {"_diagonal_step"}),
+        (lambda: repr(classify_shot(nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+         {"_diagonal_step"}),
+        *[(lambda case=case: repr(scalar_classify(*case).to_dict()), _SCALAR_STEPS[b])
+          for b, case in _SCALAR_RUNS.items()],
     ], ids=["pi/4-shot-hamiltonian", "pi/4-shot-nonvariational",
-            *[f"scalar-{b.name}" for b in _SCALAR_RUNS], "integrate-config"])
-    def test_diagonal_runs_take_the_diagonal_step(self, monkeypatch, run):
-        out, counts, calls = self._observe(monkeypatch, run, True)
-        assert calls["_step"] == calls["_phase_step"] == 0 and calls["_diagonal_step"] > 10
-        assert (out, counts) == self._observe(monkeypatch, run, False)[:2]
+            *[f"scalar-{b.name}" for b in _SCALAR_RUNS]])
+    def test_diagonal_runs_take_the_diagonal_step(self, monkeypatch, run, taken):
+        # a scalar case's phase runs take the diagonal step, its radial runs
+        # the radial step
+        out, counts, calls = _observe(monkeypatch, run)
+        assert _taken(calls) == taken
+        assert (out, counts) == _observe(monkeypatch, run, _off_diagonal)[:2]
 
     def test_threshold_scalar_case_runs_nothing(self, monkeypatch):
         # the one scalar case that _SCALAR_RUNS leaves out
         case = SCALAR_CASES[ScalarBehavior.THRESHOLD_Q1]
-        assert self._observe(monkeypatch, lambda: scalar_classify(*case), True)[1] == []
+        assert _observe(monkeypatch, lambda: scalar_classify(*case))[1] == []
 
-    @pytest.mark.parametrize("run,step", [
+    @pytest.mark.parametrize("run", [
         # an off-diagonal seed and a system without exchange symmetry
-        (lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
-                                    *dynamics._seed(0.3, RHO), RHO).to_dict()), "_phase_step"),
-        (lambda: repr(classify_shot(hamiltonian_params(6.0, 1.6, 2.1),
-                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
-         "_phase_step"),
+        lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                                   *dynamics._seed(0.3, RHO), RHO).to_dict()),
+        lambda: repr(classify_shot(hamiltonian_params(6.0, 1.6, 2.1),
+                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
         # zeros of opposite sign on a diagonal-exact field
-        (lambda: _hex(dop853.solve(phase_rhs(HAM6), 0.0, (0.0, -0.0, 5.5, 5.5), 5.0).y),
-         "_phase_step"),
+        lambda: _hex(dop853.solve(phase_rhs(HAM6), 0.0, (0.0, -0.0, 5.5, 5.5), 5.0).y),
     ], ids=["off-diagonal-seed", "nonsymmetric", "opposite-zeros"])
-    def test_other_runs_do_not(self, monkeypatch, run, step):
-        _, _, calls = self._observe(monkeypatch, run, True)
-        assert calls["_diagonal_step"] == 0 and calls[step] > 10
+    def test_other_runs_do_not(self, monkeypatch, run):
+        assert _taken(_observe(monkeypatch, run)[2]) == {"_phase_step"}
 
-    def test_radial_run_with_s_equal_m_leaves_the_diagonal(self, monkeypatch):
+    def test_wrapped_field_takes_the_generic_step(self, monkeypatch):
+        # a spy made with functools.wraps keeps the field's constants and its
+        # diagonal_exact, and runs the generic step, which calls it 11 times
+        # an attempt: the same output and counts as the field's diagonal run,
+        # the events' interpolants included
+        P = hamiltonian_params(6.0, 2.5, 2.5)
+        fun, y0 = phase_rhs(P), launch_regular(P, *dynamics._seed(math.pi / 4, RHO), RHO).coords
+        events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
+        log = []
+        spy = wraps(fun)(_logged(fun, log))
+        seen = []
+        for field_, taken in ((fun, {"_diagonal_step"}), (spy, {"_step"})):
+            sol, counts, calls = _observe(
+                monkeypatch, lambda: dop853.solve(field_, 0.0, y0, 40.0, events))
+            assert _taken(calls) == taken
+            seen.append((_hex(sol.t), _hex(sol.y), sol.events, counts))
+        assert seen[0] == seen[1]
+        assert len(log) == seen[1][3][0][2] and seen[1][2]
+
+
+# radial systems: Hamiltonian ones (p = q = 2, s = m = 0) with a = b = 0 and
+# with a != b, potential ones with a = b (p = 2 < q, and p, q != 2), the
+# system of no symmetry, a weighted one whose exponents are exactly 1 and 0
+# in one equation and not in the other, and a symmetric scalar embedding
+# with eps = -1
+_RADIAL_PARAMS = [HAM6, hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4),
+                  potential_params(6.0, 2.0, 2.3, 0.4, 0.6),
+                  potential_params(6.0, 2.4, 1.7, 0.3, 0.3, a=0.2), _NONSYMMETRIC,
+                  SystemParams(N=5.0, p=2.0, q=3.0, a=0.0, b=0.5, s=0.0, m=0.7,
+                               delta=1.5, mu=2.5),
+                  symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)]
+
+
+def _radial_states(params):
+    """What the radial step's recorded constants read off a stage state of
+    the generic step (t, (u, v, U, V)): r^ka (from c1 r^ka), v+ (v^delta),
+    U (n1 U), r^kb (c2 r^kb), u+ (u^mu) and V (n1 V)."""
+    _, _, ka, kb, *_ = dynamics._radial_rhs(params).radial_constants
+
+    def states(t, y):
+        u, v, U, V = y
+        r = math.exp(t)
+        return r ** ka, 0.0 if v < 0.0 else v, U, r ** kb, 0.0 if u < 0.0 else u, V
+    return states
+
+
+def _radial_calls(params, t, y, k0, h):
+    """The radial step's output on the constants of `params` and the stage
+    states it forms, recorded by c1, delta, n1, c2 and mu, in float.hex."""
+    ep, eq, ka, kb, c1, c2, s, m, delta, mu, n1 = dynamics._radial_rhs(params).radial_constants
+    log = []
+    c1, c2, delta, mu, n1 = (Recorder(c, log) for c in (c1, c2, delta, mu, n1))
+    fold = (ep, eq, ka, kb, c1, c2, s, m, delta, mu, n1)
+    return [log, step_outcome(dop853._radial_step, fold, t, y, k0, h)]
+
+
+class TestRadialStep:
+    """The radial field's written-out step against the generic step on the
+    same field, bit for bit, the errors its powers raise included, its stage
+    states against the field's arguments in the generic step, and the runs
+    that take it."""
+
+    @staticmethod
+    def _check(params, t, y, h):
+        fun = dynamics._radial_rhs(params)
+        k0 = fun(t, y)
+        radial = _radial_calls(params, t, y, k0, h)
+        generic = generic_calls(fun, t, y, k0, h, _radial_states(params))
+        assert radial[1] == generic[1]
+        if not isinstance(radial[1], str):
+            # a step that raises stops its record in the failing stage
+            assert len(radial[0]) == 66 and radial[0] == generic[0]
+        return radial[1]
+
+    def test_field_carries_its_constants(self):
+        P = _NONSYMMETRIC
+        fun = dynamics._radial_rhs(P)
+        assert fun.radial_constants == (1 / (P.p - 1), 1 / (P.q - 1), 1 + P.a, 1 + P.b,
+                                        -P.eps1, -P.eps2, P.s, P.m, P.delta, P.mu, P.N - 1)
+        assert not hasattr(fun, "diagonal_exact") and not hasattr(fun, "phase_constants")
+
+    # the fixed states of tests/pinned_bits.py
+    @pytest.mark.parametrize("h", FUSED_STEP_H)
+    @pytest.mark.parametrize("params,t,y", RADIAL_STEP_STATES)
+    def test_matches_step(self, params, t, y, h):
+        out = self._check(params, t, y, h)
+        if not isinstance(out, str):
+            _, ks, _ = out
+            assert len(ks) == 8 and all(len(k) == 4 for k in ks)
+
+    def test_pinned_states_overflow(self):
+        # stages that overflow to inf and nan, and powers that raise
+        params, t, y = RADIAL_STEP_STATES[9]
+        _, ks, err = self._check(params, t, y, 0.03)
+        assert "inf" in ks[0] and "nan" in ks[1] and err == "nan"
+        assert self._check(params, t, y, -0.03) == "OverflowError"
+        params, t, y = RADIAL_STEP_STATES[10]
+        assert self._check(params, t, y, 1e-7) == "OverflowError"
+
+    @pytest.mark.parametrize("params,exact", [
+        # p = q = 2, a = b = 0, s = m = 0: every skippable power is exact
+        (HAM6, {"ep", "eq", "ka", "kb", "s", "m"}),
+        # a != b: r^ka and r^kb are formed
+        (hamiltonian_params(5.0, 2.4, 1.7, a=0.3, b=-0.4), {"ep", "eq", "s", "m"}),
+        # a = b != 0: r^kb is r^ka, formed once
+        (potential_params(6.0, 2.4, 1.7, 0.3, 0.3, a=0.2), {"kb"}),
+        (SystemParams(N=5.0, p=2.0, q=3.0, a=0.0, b=0.5, s=0.0, m=0.7, delta=1.5, mu=2.5),
+         {"ep", "ka", "s"}),
+    ], ids=["hamiltonian", "hamiltonian-a!=b", "potential-a=b", "mixed"])
+    def test_exact_powers_are_skipped(self, params, exact):
+        # a constant recorded as an exponent shows each power formed with it:
+        # 11 a step, none for a power that is exact
+        names = ("ep", "eq", "ka", "kb", "s", "m")
+        fold = dict(zip(("ep", "eq", "ka", "kb", "c1", "c2", "s", "m", "delta", "mu", "n1"),
+                        dynamics._radial_rhs(params).radial_constants))
+        logs = {name: [] for name in names}
+        for name in names:
+            fold[name] = Recorder(fold[name], logs[name])
+        y = (0.9, 1.1, -0.05, -0.02)
+        dop853._radial_step(tuple(fold.values()), -2.0, y, dynamics._radial_rhs(params)(-2.0, y),
+                            0.03)
+        assert {name: len(log) for name, log in logs.items()} == {
+            name: 0 if name in exact else 11 for name in names}
+
+    @given(st.sampled_from(_RADIAL_PARAMS), st.floats(-3.0, 3.0),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0),
+                              st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                        st.integers(-320, 200))),
+                    min_size=4, max_size=4),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
+           st.booleans(), st.floats(-8.0, math.log10(3.0)), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_random_steps_match(self, params, t, magnitudes, signs, diagonal, log_h, h_sign):
+        # u, v of either sign, fluxes U, V from subnormal to huge, whose stages
+        # overflow to inf or nan or whose powers raise, signed zeros, states on
+        # the diagonal u = v, U = V, and steps |h| from 1e-8 to 3, log-uniform
+        u, v, U, V = (m * s for m, s in zip(magnitudes, signs))
+        if diagonal:
+            v, V = u, U
+        try:
+            dynamics._radial_rhs(params)(t, (u, v, U, V))
+        except ArithmeticError:
+            assume(False)
+        self._check(params, t, (u, v, U, V), h_sign * 10 ** log_h)
+
+    @pytest.mark.parametrize("run", [
+        lambda: repr(integrate_radial(*_RADIAL_CONFIG)),
+        lambda: repr(integrate_radial(hamiltonian_params(6.0, 1.6, 2.1), 1.0, 1.0, 1e12)),
+        lambda: oracle_value(*ORACLE_POINTS[2]).hex(),
+        lambda: repr(search_dirichlet(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)),
+        lambda: repr(scalar_classify(*SCALAR_CASES[ScalarBehavior.ABSORPTION_ALL_REGULAR])
+                     .to_dict()),
+        # s = m != 0: the run leaves the diagonal
+        lambda: _hex(dop853.solve(*dynamics._radial_problem(
+            potential_params(6.0, 2.0, 2.0, 0.3, 0.3), 1.0, 1.0, 1e4)).y),
+    ], ids=["integrate-config", "integrate-hamiltonian-1.6-2.1", "oracle", "search-dirichlet",
+            "scalar-ABSORPTION_ALL_REGULAR", "s=m=0.3"])
+    def test_radial_runs_take_the_radial_step(self, monkeypatch, run):
+        # no generic step: the radial runs take the radial step, the phase runs
+        # and shots the phase or diagonal step; with the radial field behind a
+        # closure, the generic step gives the same output and counts
+        out, counts, calls = _observe(monkeypatch, run)
+        assert "_radial_step" in _taken(calls) and calls["_step"] == 0
+        generic = _observe(monkeypatch, run, _radial_closure)
+        assert generic[2]["_radial_step"] == 0
+        assert (out, counts) == generic[:2]
+
+    def test_radial_run_with_s_equal_m_leaves_the_diagonal(self):
         # on u = v the flux products c r^ka u^s v^delta and c r^kb u^mu v^m
-        # round apart: the four-component run leaves the diagonal
+        # round apart
         P = potential_params(6.0, 2.0, 2.0, 0.3, 0.3)
-        run = lambda: dop853.solve(*dynamics._radial_problem(P, 1.0, 1.0, 1e4))
-        sol, _, calls = self._observe(monkeypatch, run, True)
-        assert calls["_diagonal_step"] == 0 and calls["_step"] > 10
+        sol = dop853.solve(*dynamics._radial_problem(P, 1.0, 1.0, 1e4))
         assert sol.y[0][0] == sol.y[0][1] and sol.y[0][2] == sol.y[0][3]
         assert sum((u, U) != (v, V) for u, v, U, V in sol.y) == 100 and len(sol.y) == 145
 
-    @pytest.mark.parametrize("fun,y0,t_span", [
-        (phase_rhs(hamiltonian_params(6.0, 2.5, 2.5)),
-         launch_regular(hamiltonian_params(6.0, 2.5, 2.5),
-                        *dynamics._seed(math.pi / 4, RHO), RHO).coords, (0.0, 40.0)),
-        (dynamics._radial_rhs(HAM6), (1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6),
-         (math.log(RADIAL_R0), math.log(1e4))),
-    ], ids=["phase", "radial"])
-    def test_wrapped_field_sees_the_same_calls(self, monkeypatch, fun, y0, t_span):
-        # a spy made with functools.wraps keeps the field's diagonal_exact: it
-        # takes the diagonal step, and is called 11 times an attempt with the
-        # arguments that the generic step gives it, the events' interpolants
+    @pytest.mark.parametrize("config", sorted(p.stem for p in _CONFIGS.glob("*.json")))
+    def test_shipped_configs_take_no_generic_step(self, monkeypatch, tmp_path, capsys, config):
+        path = _CONFIGS / f"{config}.json"
+        command = json.loads(path.read_text())["command"]
+        code, _, calls = _observe(monkeypatch, lambda: cli_main(
+            [command, "--config", str(path), "--out", str(tmp_path / "out")]))
+        capsys.readouterr()
+        assert code == 0 and calls["_step"] == 0
+
+    def test_wrapped_field_takes_the_generic_step(self, monkeypatch):
+        # a spy made with functools.wraps keeps the field's constants, and
+        # runs the generic step, which calls it 11 times an attempt: the same
+        # output and counts as the field's run, the events' interpolants
         # included
+        fun = dynamics._radial_rhs(HAM6)
+        y0, t_span = (1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6), (math.log(RADIAL_R0), math.log(1e4))
         events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
+        log = []
+        spy = wraps(fun)(_logged(fun, log))
         seen = []
-        for diagonal in (True, False):
-            log = []
-            spy = wraps(fun)(_logged(fun, log))
-            sol, counts, calls = self._observe(
-                monkeypatch, lambda: dop853.solve(spy, *t_span[:1], y0, t_span[1], events),
-                diagonal)
-            seen.append((log, _hex(sol.t), _hex(sol.y), sol.events, counts))
-            assert calls["_diagonal_step" if diagonal else "_step"] > 10
+        for field_, taken in ((fun, {"_radial_step"}), (spy, {"_step"})):
+            sol, counts, calls = _observe(
+                monkeypatch, lambda: dop853.solve(field_, t_span[0], y0, t_span[1], events))
+            assert _taken(calls) == taken
+            seen.append((_hex(sol.t), _hex(sol.y), sol.events, counts))
         assert seen[0] == seen[1]
-        assert len(seen[0][0]) == seen[0][4][0][2] and seen[0][3]
+        assert len(log) == seen[1][3][0][2] and seen[1][2]
 
 
 class TestSameBitsOnEveryPython:

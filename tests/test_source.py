@@ -353,7 +353,8 @@ def test_start_up_loads_no_numpy(config, tmp_path):
 # The efdyn submodules each entry point loads. `import efdyn` runs the
 # package's __init__ alone; the predictor (predict_existence) loads neither the
 # integrator nor the linearisation (spectra, equilibria);
-# each CLI command imports what it reads. efdyn.cli itself runs as __main__.
+# each CLI command imports what it reads, and analyze, which integrates
+# nothing, does not load the kernel (dop853). efdyn.cli itself runs as __main__.
 _CORE = {"_record", "errors", "model", "numerics"}
 _INTEGRATOR = _CORE | {"dynamics", "dop853", "equilibria"}
 _EVERY = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
@@ -362,7 +363,7 @@ MODULE_SETS = {
     "predict_existence": _CORE | {"energies", "scalar"},
     "integrate": _INTEGRATOR, "shoot": _INTEGRATOR,
     "scalar": _INTEGRATOR | {"scalar"}, "portrait": _INTEGRATOR | {"scalar"},
-    "analyze": _EVERY, "sweep": _EVERY - {"spectra"},
+    "analyze": _EVERY - {"dop853"}, "sweep": _EVERY - {"spectra"},
 }
 
 
