@@ -12,28 +12,32 @@ derivatives in the same pass. No step or interpolant loops over a sequence.
 `steps` rejects a state of any other length with ValueError.
 
 Four steps compute the same stages, and a run takes one by its field, one
-case per field. `_step` calls the field once per stage, whatever the field:
-a test field, a closure, or a wrapper made with functools.wraps, which copies
-the constants below but is run as itself. The field of `model.phase_rhs`,
-which every shot, phase run and scalar run integrates, carries its folded
-constants (`phase_constants`), and runs `_phase_step`, which writes the
-field's four expressions out in each stage with the field's grouping, or
-`_diagonal_step` when the constants are exchange-symmetric (the field's
-`diagonal_exact`) and the run starts on the invariant diagonal (X, X, Z, Z)
-to the bit (zeros of one sign, no NaN): that step forms components a and c
-only and returns (a, a, c, c), as on that diagonal the field's b and d are
-its a and c, bit for bit. Every scalar phase run and the pi/4 shot of a
-symmetric system take it. The radial field of `dynamics._radial_rhs` carries
-`radial_constants`, and runs `_radial_step`, its four expressions written
-out in the same way; that step skips only the powers that IEEE arithmetic
-and CPython make exact: |U|^ep at ep = 1 (the derivative copysign(|U|, U),
-0 at U = 0, is U + 0.0), r^ka at ka = 1, the factors u^s at s = 0 and v^m at
-m = 0 (1.0, whose product is exact), and r^kb at ka = kb (r^ka). The
-written-out steps never call the field. All four give the same bits, the
-same errors and the same counts. Only `solve` keeps dense output, read
-through `Solution.at`: a run keeps each step's data, and the step's
-interpolant is built on its first read. A paused run (`steps`, a shot's)
-builds a step interpolant only to locate an event in the step.
+case per field. Each step is a module of its own, next to this one, which
+`_run` imports for the run that takes it: a process compiles only the steps
+that its runs take. `_step` (`efdyn._step_generic`) calls the field once per
+stage, whatever the field: a test field, a closure, or a wrapper made with
+functools.wraps, which copies the constants below but is run as itself; no
+shipped command takes it. The field of `model.phase_rhs`, which every shot,
+phase run and scalar run integrates, carries its folded constants
+(`phase_constants`), and runs `_phase_step` (`efdyn._step_phase`), which
+writes the field's four expressions out in each stage with the field's
+grouping, or `_diagonal_step` (`efdyn._step_diagonal`) when the constants are
+exchange-symmetric (the field's `diagonal_exact`) and the run starts on the
+invariant diagonal (X, X, Z, Z) to the bit (zeros of one sign, no NaN): that
+step forms components a and c only and returns (a, a, c, c), as on that
+diagonal the field's b and d are its a and c, bit for bit. Every scalar phase
+run and the pi/4 shot of a symmetric system take it. The radial field of
+`dynamics._radial_rhs` carries `radial_constants`, and runs `_radial_step`
+(`efdyn._step_radial`), its four expressions written out in the same way;
+that step skips only the powers that IEEE arithmetic and CPython make exact:
+|U|^ep at ep = 1 (the derivative copysign(|U|, U), 0 at U = 0, is U + 0.0),
+r^ka at ka = 1, the factors u^s at s = 0 and v^m at m = 0 (1.0, whose product
+is exact), and r^kb at ka = kb (r^ka). The step modules read the tableau
+below from this module. The written-out steps never call the field. All four
+give the same bits, the same errors and the same counts. Only `solve` keeps
+dense output, read through `Solution.at`: a run keeps each step's data, and
+the step's interpolant is built on its first read. A paused run (`steps`, a
+shot's) builds a step interpolant only to locate an event in the step.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error estimate, the dense output and the event location follow
@@ -189,604 +193,6 @@ def _initial_step(fun: Rhs, t0, y0, f0, t_bound, direction) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
     return min(100 * h0, h1, interval)
-
-
-def _step(fun: Rhs, t, y, k0, h):
-    """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), the
-    new state and, in the same pass, the E5/E3 error estimate (Hairer's) in
-    the weighted RMS norm: returns y_new, the stage derivatives (k0, k5, ...,
-    k11) that the interpolant reads, and the estimate. Stage i's derivative
-    has components kia, kib, kic and kid; the error sums need no +0.0 start."""
-    ya, yb, yc, yd = y
-    k0a, k0b, k0c, k0d = k0
-    k1a, k1b, k1c, k1d = fun(t + C1 * h, (
-        ya + (0.0 + A1_0 * k0a) * h,
-        yb + (0.0 + A1_0 * k0b) * h,
-        yc + (0.0 + A1_0 * k0c) * h,
-        yd + (0.0 + A1_0 * k0d) * h))
-    k2a, k2b, k2c, k2d = fun(t + C2 * h, (
-        ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h,
-        yb + (0.0 + A2_0 * k0b + A2_1 * k1b) * h,
-        yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h,
-        yd + (0.0 + A2_0 * k0d + A2_1 * k1d) * h))
-    k3a, k3b, k3c, k3d = fun(t + C3 * h, (
-        ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h,
-        yb + (0.0 + A3_0 * k0b + A3_2 * k2b) * h,
-        yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h,
-        yd + (0.0 + A3_0 * k0d + A3_2 * k2d) * h))
-    k4a, k4b, k4c, k4d = fun(t + C4 * h, (
-        ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h,
-        yb + (0.0 + A4_0 * k0b + A4_2 * k2b + A4_3 * k3b) * h,
-        yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h,
-        yd + (0.0 + A4_0 * k0d + A4_2 * k2d + A4_3 * k3d) * h))
-    k5a, k5b, k5c, k5d = k5 = fun(t + C5 * h, (
-        ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h,
-        yb + (0.0 + A5_0 * k0b + A5_3 * k3b + A5_4 * k4b) * h,
-        yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h,
-        yd + (0.0 + A5_0 * k0d + A5_3 * k3d + A5_4 * k4d) * h))
-    k6a, k6b, k6c, k6d = k6 = fun(t + C6 * h, (
-        ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h,
-        yb + (0.0 + A6_0 * k0b + A6_3 * k3b + A6_4 * k4b + A6_5 * k5b) * h,
-        yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h,
-        yd + (0.0 + A6_0 * k0d + A6_3 * k3d + A6_4 * k4d + A6_5 * k5d) * h))
-    k7a, k7b, k7c, k7d = k7 = fun(t + C7 * h, (
-        ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
-              + A7_6 * k6a) * h,
-        yb + (0.0 + A7_0 * k0b + A7_3 * k3b + A7_4 * k4b + A7_5 * k5b
-              + A7_6 * k6b) * h,
-        yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
-              + A7_6 * k6c) * h,
-        yd + (0.0 + A7_0 * k0d + A7_3 * k3d + A7_4 * k4d + A7_5 * k5d
-              + A7_6 * k6d) * h))
-    k8a, k8b, k8c, k8d = k8 = fun(t + C8 * h, (
-        ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
-              + A8_7 * k7a) * h,
-        yb + (0.0 + A8_0 * k0b + A8_3 * k3b + A8_4 * k4b + A8_5 * k5b + A8_6 * k6b
-              + A8_7 * k7b) * h,
-        yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
-              + A8_7 * k7c) * h,
-        yd + (0.0 + A8_0 * k0d + A8_3 * k3d + A8_4 * k4d + A8_5 * k5d + A8_6 * k6d
-              + A8_7 * k7d) * h))
-    k9a, k9b, k9c, k9d = k9 = fun(t + C9 * h, (
-        ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
-              + A9_7 * k7a + A9_8 * k8a) * h,
-        yb + (0.0 + A9_0 * k0b + A9_3 * k3b + A9_4 * k4b + A9_5 * k5b + A9_6 * k6b
-              + A9_7 * k7b + A9_8 * k8b) * h,
-        yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
-              + A9_7 * k7c + A9_8 * k8c) * h,
-        yd + (0.0 + A9_0 * k0d + A9_3 * k3d + A9_4 * k4d + A9_5 * k5d + A9_6 * k6d
-              + A9_7 * k7d + A9_8 * k8d) * h))
-    k10a, k10b, k10c, k10d = k10 = fun(t + C10 * h, (
-        ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
-              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h,
-        yb + (0.0 + A10_0 * k0b + A10_3 * k3b + A10_4 * k4b + A10_5 * k5b
-              + A10_6 * k6b + A10_7 * k7b + A10_8 * k8b + A10_9 * k9b) * h,
-        yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
-              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h,
-        yd + (0.0 + A10_0 * k0d + A10_3 * k3d + A10_4 * k4d + A10_5 * k5d
-              + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d + A10_9 * k9d) * h))
-    k11a, k11b, k11c, k11d = k11 = fun(t + C11 * h, (
-        ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
-              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h,
-        yb + (0.0 + A11_0 * k0b + A11_3 * k3b + A11_4 * k4b + A11_5 * k5b
-              + A11_6 * k6b + A11_7 * k7b + A11_8 * k8b + A11_9 * k9b + A11_10 * k10b) * h,
-        yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
-              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h,
-        yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
-              + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h))
-    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                   + B10 * k10a + B11 * k11a)
-    nb = yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
-                   + B10 * k10b + B11 * k11b)
-    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                   + B10 * k10c + B11 * k11c)
-    nd = yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
-                   + B10 * k10d + B11 * k11d)
-    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
-    sa, ma = abs(ya), abs(na)
-    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
-    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
-           + E5_10 * k10a + E5_11 * k11a) / sa
-    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
-           + E3_11 * k11a) / sa
-    sb, mb = abs(yb), abs(nb)
-    sb = ODE_ATOL + (mb if mb > sb else sb) * ODE_RTOL
-    r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
-           + E5_10 * k10b + E5_11 * k11b) / sb
-    r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
-           + E3_11 * k11b) / sb
-    sc, mc = abs(yc), abs(nc)
-    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
-    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
-           + E5_10 * k10c + E5_11 * k11c) / sc
-    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
-           + E3_11 * k11c) / sc
-    sd, md = abs(yd), abs(nd)
-    sd = ODE_ATOL + (md if md > sd else sd) * ODE_RTOL
-    r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
-           + E5_10 * k10d + E5_11 * k11d) / sd
-    r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
-           + E3_11 * k11d) / sd
-    e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
-    e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
-    # with e5 = 0 the denominator may underflow to 0 as well
-    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
-    return (na, nb, nc, nd), (k0, k5, k6, k7, k8, k9, k10, k11), err
-
-
-def _phase_step(fold, t, y, k0, h):
-    """`_step` on the field of `model.phase_rhs`, from the constants `fold`
-    that the field carries: each stage derivative is the field's four
-    expressions, written out on the stage state (X, Y, Z, W) with the field's
-    grouping, which keeps the exchange-symmetric diagonal bitwise invariant.
-    The stages, y_new and the error estimate are `_step`'s, bit for bit, and
-    the field is never called; the field ignores t, and so does this step."""
-    bx, by, p1, q1, ca, cb, s, m, delta, mu = fold
-    ya, yb, yc, yd = y
-    k0a, k0b, k0c, k0d = k0
-    X = ya + (0.0 + A1_0 * k0a) * h
-    Y = yb + (0.0 + A1_0 * k0b) * h
-    Z = yc + (0.0 + A1_0 * k0c) * h
-    W = yd + (0.0 + A1_0 * k0d) * h
-    k1a = X * (X - bx + Z / p1)
-    k1b = Y * (Y - by + W / q1)
-    k1c = Z * (ca - (s * X + delta * Y) - Z)
-    k1d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h
-    Y = yb + (0.0 + A2_0 * k0b + A2_1 * k1b) * h
-    Z = yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h
-    W = yd + (0.0 + A2_0 * k0d + A2_1 * k1d) * h
-    k2a = X * (X - bx + Z / p1)
-    k2b = Y * (Y - by + W / q1)
-    k2c = Z * (ca - (s * X + delta * Y) - Z)
-    k2d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h
-    Y = yb + (0.0 + A3_0 * k0b + A3_2 * k2b) * h
-    Z = yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h
-    W = yd + (0.0 + A3_0 * k0d + A3_2 * k2d) * h
-    k3a = X * (X - bx + Z / p1)
-    k3b = Y * (Y - by + W / q1)
-    k3c = Z * (ca - (s * X + delta * Y) - Z)
-    k3d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h
-    Y = yb + (0.0 + A4_0 * k0b + A4_2 * k2b + A4_3 * k3b) * h
-    Z = yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h
-    W = yd + (0.0 + A4_0 * k0d + A4_2 * k2d + A4_3 * k3d) * h
-    k4a = X * (X - bx + Z / p1)
-    k4b = Y * (Y - by + W / q1)
-    k4c = Z * (ca - (s * X + delta * Y) - Z)
-    k4d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h
-    Y = yb + (0.0 + A5_0 * k0b + A5_3 * k3b + A5_4 * k4b) * h
-    Z = yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h
-    W = yd + (0.0 + A5_0 * k0d + A5_3 * k3d + A5_4 * k4d) * h
-    k5a = X * (X - bx + Z / p1)
-    k5b = Y * (Y - by + W / q1)
-    k5c = Z * (ca - (s * X + delta * Y) - Z)
-    k5d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h
-    Y = yb + (0.0 + A6_0 * k0b + A6_3 * k3b + A6_4 * k4b + A6_5 * k5b) * h
-    Z = yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h
-    W = yd + (0.0 + A6_0 * k0d + A6_3 * k3d + A6_4 * k4d + A6_5 * k5d) * h
-    k6a = X * (X - bx + Z / p1)
-    k6b = Y * (Y - by + W / q1)
-    k6c = Z * (ca - (s * X + delta * Y) - Z)
-    k6d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
-              + A7_6 * k6a) * h
-    Y = yb + (0.0 + A7_0 * k0b + A7_3 * k3b + A7_4 * k4b + A7_5 * k5b
-              + A7_6 * k6b) * h
-    Z = yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
-              + A7_6 * k6c) * h
-    W = yd + (0.0 + A7_0 * k0d + A7_3 * k3d + A7_4 * k4d + A7_5 * k5d
-              + A7_6 * k6d) * h
-    k7a = X * (X - bx + Z / p1)
-    k7b = Y * (Y - by + W / q1)
-    k7c = Z * (ca - (s * X + delta * Y) - Z)
-    k7d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
-              + A8_7 * k7a) * h
-    Y = yb + (0.0 + A8_0 * k0b + A8_3 * k3b + A8_4 * k4b + A8_5 * k5b + A8_6 * k6b
-              + A8_7 * k7b) * h
-    Z = yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
-              + A8_7 * k7c) * h
-    W = yd + (0.0 + A8_0 * k0d + A8_3 * k3d + A8_4 * k4d + A8_5 * k5d + A8_6 * k6d
-              + A8_7 * k7d) * h
-    k8a = X * (X - bx + Z / p1)
-    k8b = Y * (Y - by + W / q1)
-    k8c = Z * (ca - (s * X + delta * Y) - Z)
-    k8d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
-              + A9_7 * k7a + A9_8 * k8a) * h
-    Y = yb + (0.0 + A9_0 * k0b + A9_3 * k3b + A9_4 * k4b + A9_5 * k5b + A9_6 * k6b
-              + A9_7 * k7b + A9_8 * k8b) * h
-    Z = yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
-              + A9_7 * k7c + A9_8 * k8c) * h
-    W = yd + (0.0 + A9_0 * k0d + A9_3 * k3d + A9_4 * k4d + A9_5 * k5d + A9_6 * k6d
-              + A9_7 * k7d + A9_8 * k8d) * h
-    k9a = X * (X - bx + Z / p1)
-    k9b = Y * (Y - by + W / q1)
-    k9c = Z * (ca - (s * X + delta * Y) - Z)
-    k9d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
-              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h
-    Y = yb + (0.0 + A10_0 * k0b + A10_3 * k3b + A10_4 * k4b + A10_5 * k5b
-              + A10_6 * k6b + A10_7 * k7b + A10_8 * k8b + A10_9 * k9b) * h
-    Z = yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
-              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h
-    W = yd + (0.0 + A10_0 * k0d + A10_3 * k3d + A10_4 * k4d + A10_5 * k5d
-              + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d + A10_9 * k9d) * h
-    k10a = X * (X - bx + Z / p1)
-    k10b = Y * (Y - by + W / q1)
-    k10c = Z * (ca - (s * X + delta * Y) - Z)
-    k10d = W * (cb - (mu * X + m * Y) - W)
-    X = ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
-              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h
-    Y = yb + (0.0 + A11_0 * k0b + A11_3 * k3b + A11_4 * k4b + A11_5 * k5b
-              + A11_6 * k6b + A11_7 * k7b + A11_8 * k8b + A11_9 * k9b + A11_10 * k10b) * h
-    Z = yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
-              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h
-    W = yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
-              + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h
-    k11a = X * (X - bx + Z / p1)
-    k11b = Y * (Y - by + W / q1)
-    k11c = Z * (ca - (s * X + delta * Y) - Z)
-    k11d = W * (cb - (mu * X + m * Y) - W)
-    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                   + B10 * k10a + B11 * k11a)
-    nb = yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
-                   + B10 * k10b + B11 * k11b)
-    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                   + B10 * k10c + B11 * k11c)
-    nd = yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
-                   + B10 * k10d + B11 * k11d)
-    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
-    sa, ma = abs(ya), abs(na)
-    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
-    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
-           + E5_10 * k10a + E5_11 * k11a) / sa
-    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
-           + E3_11 * k11a) / sa
-    sb, mb = abs(yb), abs(nb)
-    sb = ODE_ATOL + (mb if mb > sb else sb) * ODE_RTOL
-    r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
-           + E5_10 * k10b + E5_11 * k11b) / sb
-    r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
-           + E3_11 * k11b) / sb
-    sc, mc = abs(yc), abs(nc)
-    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
-    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
-           + E5_10 * k10c + E5_11 * k11c) / sc
-    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
-           + E3_11 * k11c) / sc
-    sd, md = abs(yd), abs(nd)
-    sd = ODE_ATOL + (md if md > sd else sd) * ODE_RTOL
-    r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
-           + E5_10 * k10d + E5_11 * k11d) / sd
-    r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
-           + E3_11 * k11d) / sd
-    e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
-    e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
-    # with e5 = 0 the denominator may underflow to 0 as well
-    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
-    return (na, nb, nc, nd), (k0, (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d),
-                              (k7a, k7b, k7c, k7d), (k8a, k8b, k8c, k8d),
-                              (k9a, k9b, k9c, k9d), (k10a, k10b, k10c, k10d),
-                              (k11a, k11b, k11c, k11d)), err
-
-
-def _diagonal_step(fold, t, y, k0, h):
-    """`_phase_step` on a state of the diagonal, y[1] = y[0] and y[3] = y[2],
-    for exchange-symmetric constants `fold` (the field's `diagonal_exact`):
-    the stage sums, the phase field's components X_t and Z_t, y_new and the
-    error terms of components a and c only, returning (a, a, c, c). There the
-    field's Y_t and W_t are X_t and Z_t, bit for bit (s X + delta Y and
-    mu X + m Y add the same two products), so the stages, y_new and the
-    estimate are `_step`'s. The error sums keep `_step`'s four terms."""
-    bx, _, p1, _, ca, _, s, _, delta, _ = fold
-    ya, _, yc, _ = y
-    k0a, _, k0c, _ = k0
-    X = ya + (0.0 + A1_0 * k0a) * h
-    Z = yc + (0.0 + A1_0 * k0c) * h
-    k1a = X * (X - bx + Z / p1)
-    k1c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h
-    Z = yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h
-    k2a = X * (X - bx + Z / p1)
-    k2c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h
-    Z = yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h
-    k3a = X * (X - bx + Z / p1)
-    k3c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h
-    Z = yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h
-    k4a = X * (X - bx + Z / p1)
-    k4c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h
-    Z = yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h
-    k5a = X * (X - bx + Z / p1)
-    k5c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h
-    Z = yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h
-    k6a = X * (X - bx + Z / p1)
-    k6c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
-              + A7_6 * k6a) * h
-    Z = yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
-              + A7_6 * k6c) * h
-    k7a = X * (X - bx + Z / p1)
-    k7c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
-              + A8_7 * k7a) * h
-    Z = yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
-              + A8_7 * k7c) * h
-    k8a = X * (X - bx + Z / p1)
-    k8c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
-              + A9_7 * k7a + A9_8 * k8a) * h
-    Z = yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
-              + A9_7 * k7c + A9_8 * k8c) * h
-    k9a = X * (X - bx + Z / p1)
-    k9c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
-              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h
-    Z = yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
-              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h
-    k10a = X * (X - bx + Z / p1)
-    k10c = Z * (ca - (s * X + delta * X) - Z)
-    X = ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
-              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h
-    Z = yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
-              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h
-    k11a = X * (X - bx + Z / p1)
-    k11c = Z * (ca - (s * X + delta * X) - Z)
-    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                   + B10 * k10a + B11 * k11a)
-    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                   + B10 * k10c + B11 * k11c)
-    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
-    sa, ma = abs(ya), abs(na)
-    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
-    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
-           + E5_10 * k10a + E5_11 * k11a) / sa
-    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
-           + E3_11 * k11a) / sa
-    sc, mc = abs(yc), abs(nc)
-    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
-    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
-           + E5_10 * k10c + E5_11 * k11c) / sc
-    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
-           + E3_11 * k11c) / sc
-    e5 = r5a * r5a + r5a * r5a + r5c * r5c + r5c * r5c
-    e3 = r3a * r3a + r3a * r3a + r3c * r3c + r3c * r3c
-    # with e5 = 0 the denominator may underflow to 0 as well
-    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
-    return (na, na, nc, nc), (k0, (k5a, k5a, k5c, k5c), (k6a, k6a, k6c, k6c),
-                              (k7a, k7a, k7c, k7c), (k8a, k8a, k8c, k8c),
-                              (k9a, k9a, k9c, k9c), (k10a, k10a, k10c, k10c),
-                              (k11a, k11a, k11c, k11c)), err
-
-
-def _radial_step(fold, t, y, k0, h):
-    """`_step` on the radial field of `dynamics._radial_rhs`, from the
-    constants `fold` that the field carries: each stage derivative is the
-    field's four expressions, written out on the stage state (u, v, U, V) at
-    r = exp(t), with the field's grouping and order of operations, so that
-    the stages, y_new, the error estimate and any error that a power raises
-    are `_step`'s, and the field is never called. Only powers that IEEE
-    arithmetic and CPython make exact are skipped: at ep = 1 the derivative
-    copysign(|U|^ep, U) (0 at U = 0) is U + 0.0, at ka = 1 the power r^ka is
-    r, at s = 0 (m = 0) the factor u^s (v^m), which is 1.0, is not
-    multiplied, and at ka = kb the power r^kb is r^ka."""
-    ep, eq, ka, kb, c1, c2, s, m, delta, mu, n1 = fold
-    ep1, eq1, ka1, kab, s0, m0 = ep == 1.0, eq == 1.0, ka == 1.0, ka == kb, s == 0.0, m == 0.0
-    exp, copysign = math.exp, math.copysign
-    ya, yb, yc, yd = y
-    k0a, k0b, k0c, k0d = k0
-    u = ya + (0.0 + A1_0 * k0a) * h
-    v = yb + (0.0 + A1_0 * k0b) * h
-    U = yc + (0.0 + A1_0 * k0c) * h
-    V = yd + (0.0 + A1_0 * k0d) * h
-    r = exp(t + C1 * h)
-    k1a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k1b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k1c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k1d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h
-    v = yb + (0.0 + A2_0 * k0b + A2_1 * k1b) * h
-    U = yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h
-    V = yd + (0.0 + A2_0 * k0d + A2_1 * k1d) * h
-    r = exp(t + C2 * h)
-    k2a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k2b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k2c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k2d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h
-    v = yb + (0.0 + A3_0 * k0b + A3_2 * k2b) * h
-    U = yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h
-    V = yd + (0.0 + A3_0 * k0d + A3_2 * k2d) * h
-    r = exp(t + C3 * h)
-    k3a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k3b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k3c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k3d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h
-    v = yb + (0.0 + A4_0 * k0b + A4_2 * k2b + A4_3 * k3b) * h
-    U = yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h
-    V = yd + (0.0 + A4_0 * k0d + A4_2 * k2d + A4_3 * k3d) * h
-    r = exp(t + C4 * h)
-    k4a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k4b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k4c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k4d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h
-    v = yb + (0.0 + A5_0 * k0b + A5_3 * k3b + A5_4 * k4b) * h
-    U = yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h
-    V = yd + (0.0 + A5_0 * k0d + A5_3 * k3d + A5_4 * k4d) * h
-    r = exp(t + C5 * h)
-    k5a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k5b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k5c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k5d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h
-    v = yb + (0.0 + A6_0 * k0b + A6_3 * k3b + A6_4 * k4b + A6_5 * k5b) * h
-    U = yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h
-    V = yd + (0.0 + A6_0 * k0d + A6_3 * k3d + A6_4 * k4d + A6_5 * k5d) * h
-    r = exp(t + C6 * h)
-    k6a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k6b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k6c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k6d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
-              + A7_6 * k6a) * h
-    v = yb + (0.0 + A7_0 * k0b + A7_3 * k3b + A7_4 * k4b + A7_5 * k5b
-              + A7_6 * k6b) * h
-    U = yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
-              + A7_6 * k6c) * h
-    V = yd + (0.0 + A7_0 * k0d + A7_3 * k3d + A7_4 * k4d + A7_5 * k5d
-              + A7_6 * k6d) * h
-    r = exp(t + C7 * h)
-    k7a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k7b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k7c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k7d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
-              + A8_7 * k7a) * h
-    v = yb + (0.0 + A8_0 * k0b + A8_3 * k3b + A8_4 * k4b + A8_5 * k5b + A8_6 * k6b
-              + A8_7 * k7b) * h
-    U = yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
-              + A8_7 * k7c) * h
-    V = yd + (0.0 + A8_0 * k0d + A8_3 * k3d + A8_4 * k4d + A8_5 * k5d + A8_6 * k6d
-              + A8_7 * k7d) * h
-    r = exp(t + C8 * h)
-    k8a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k8b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k8c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k8d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
-              + A9_7 * k7a + A9_8 * k8a) * h
-    v = yb + (0.0 + A9_0 * k0b + A9_3 * k3b + A9_4 * k4b + A9_5 * k5b + A9_6 * k6b
-              + A9_7 * k7b + A9_8 * k8b) * h
-    U = yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
-              + A9_7 * k7c + A9_8 * k8c) * h
-    V = yd + (0.0 + A9_0 * k0d + A9_3 * k3d + A9_4 * k4d + A9_5 * k5d + A9_6 * k6d
-              + A9_7 * k7d + A9_8 * k8d) * h
-    r = exp(t + C9 * h)
-    k9a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k9b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k9c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k9d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
-              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h
-    v = yb + (0.0 + A10_0 * k0b + A10_3 * k3b + A10_4 * k4b + A10_5 * k5b
-              + A10_6 * k6b + A10_7 * k7b + A10_8 * k8b + A10_9 * k9b) * h
-    U = yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
-              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h
-    V = yd + (0.0 + A10_0 * k0d + A10_3 * k3d + A10_4 * k4d + A10_5 * k5d
-              + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d + A10_9 * k9d) * h
-    r = exp(t + C10 * h)
-    k10a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k10b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k10c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k10d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    u = ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
-              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h
-    v = yb + (0.0 + A11_0 * k0b + A11_3 * k3b + A11_4 * k4b + A11_5 * k5b
-              + A11_6 * k6b + A11_7 * k7b + A11_8 * k8b + A11_9 * k9b + A11_10 * k10b) * h
-    U = yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
-              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h
-    V = yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
-              + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h
-    r = exp(t + C11 * h)
-    k11a = r * (U + 0.0 if ep1 else copysign(abs(U) ** ep, U) if U != 0.0 else 0.0)
-    k11b = r * (V + 0.0 if eq1 else copysign(abs(V) ** eq, V) if V != 0.0 else 0.0)
-    uu = 0.0 if u < 0.0 else u
-    vv = 0.0 if v < 0.0 else v
-    ra = r if ka1 else r ** ka
-    k11c = (c1 * ra if s0 else c1 * ra * uu ** s) * vv ** delta - n1 * U
-    rb = ra if kab else r ** kb
-    k11d = (c2 * rb * uu ** mu if m0 else c2 * rb * uu ** mu * vv ** m) - n1 * V
-    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                   + B10 * k10a + B11 * k11a)
-    nb = yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
-                   + B10 * k10b + B11 * k11b)
-    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                   + B10 * k10c + B11 * k11c)
-    nd = yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
-                   + B10 * k10d + B11 * k11d)
-    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
-    sa, ma = abs(ya), abs(na)
-    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
-    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
-           + E5_10 * k10a + E5_11 * k11a) / sa
-    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
-           + E3_11 * k11a) / sa
-    sb, mb = abs(yb), abs(nb)
-    sb = ODE_ATOL + (mb if mb > sb else sb) * ODE_RTOL
-    r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
-           + E5_10 * k10b + E5_11 * k11b) / sb
-    r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
-           + E3_11 * k11b) / sb
-    sc, mc = abs(yc), abs(nc)
-    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
-    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
-           + E5_10 * k10c + E5_11 * k11c) / sc
-    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
-           + E3_11 * k11c) / sc
-    sd, md = abs(yd), abs(nd)
-    sd = ODE_ATOL + (md if md > sd else sd) * ODE_RTOL
-    r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
-           + E5_10 * k10d + E5_11 * k11d) / sd
-    r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
-           + E3_11 * k11d) / sd
-    e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
-    e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
-    # with e5 = 0 the denominator may underflow to 0 as well
-    err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
-    return (na, nb, nc, nd), (k0, (k5a, k5b, k5c, k5d), (k6a, k6b, k6c, k6d),
-                              (k7a, k7b, k7c, k7d), (k8a, k8b, k8c, k8d),
-                              (k9a, k9b, k9c, k9d), (k10a, k10b, k10c, k10d),
-                              (k11a, k11b, k11c, k11d)), err
 
 
 def _dense_row(h, dy, c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15):
@@ -1002,12 +408,15 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     interpolants built during the run, 3 evaluations each.
 
     The step is chosen by the field, one case per field (see the module
-    docstring): the field of `model.phase_rhs` itself runs `_phase_step`, or
-    `_diagonal_step` when its constants are exchange-symmetric and y0 lies
-    on the diagonal, y0[1] = y0[0] and y0[3] = y0[2] to the bit; the radial
-    field of `dynamics._radial_rhs` runs `_radial_step`; any other field,
-    a wrapper of those made with functools.wraps included, runs `_step`.
-    All give the same bits and the same counts.
+    docstring): the field of `model.phase_rhs` itself runs `_phase_step`
+    (`efdyn._step_phase`), or `_diagonal_step` (`efdyn._step_diagonal`) when
+    its constants are exchange-symmetric and y0 lies on the diagonal,
+    y0[1] = y0[0] and y0[3] = y0[2] to the bit; the radial field of
+    `dynamics._radial_rhs` runs `_radial_step` (`efdyn._step_radial`); any
+    other field, a wrapper of those made with functools.wraps included, runs
+    `_step` (`efdyn._step_generic`). All give the same bits and the same
+    counts. The run imports its step's module on its start, so a process
+    loads and compiles only the steps that its runs take.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -1053,16 +462,22 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
     # step, or the diagonal step when its constants are exchange-symmetric
     # and the run starts on the diagonal; the radial field runs the
     # written-out radial step; any other field runs the generic step, a
-    # wrapper made with functools.wraps included, which copies the constants
-    if hasattr(fun, "__wrapped__"):
-        step, arg = _step, fun
-    elif hasattr(fun, "phase_constants"):
+    # wrapper made with functools.wraps included, which copies the constants.
+    # Each step is a module of its own, imported here once per run: a process
+    # compiles only the steps that its runs take
+    wrapped = hasattr(fun, "__wrapped__")
+    if not wrapped and hasattr(fun, "phase_constants"):
         arg = fun.phase_constants
-        step = _diagonal_step if fun.diagonal_exact and _on_diagonal(y) else _phase_step
-    elif hasattr(fun, "radial_constants"):
-        step, arg = _radial_step, fun.radial_constants
+        if fun.diagonal_exact and _on_diagonal(y):
+            from ._step_diagonal import _diagonal_step as step
+        else:
+            from ._step_phase import _phase_step as step
+    elif not wrapped and hasattr(fun, "radial_constants"):
+        from ._step_radial import _radial_step as step
+        arg = fun.radial_constants
     else:
-        step, arg = _step, fun
+        from ._step_generic import _step as step
+        arg = fun
     direction = 1.0 if t_bound > t else -1.0
     nextafter, toward = math.nextafter, direction * math.inf
     f = fun(t, y)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import record
-from .equilibria import FixedPointLabel, fixed_point_catalog, m0_coords
 from .errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
                      StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
@@ -27,8 +26,13 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
                        MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
 
+if TYPE_CHECKING:
+    from .equilibria import FixedPointLabel
+
 # efdyn.dop853, the integrator, is imported by the four functions that run
-# it: a command that integrates nothing (analyze) does not load it.
+# it: a command that integrates nothing (analyze) does not load it. The
+# fixed-point catalog (efdyn.equilibria) is imported by its two readers,
+# _detect_convergence and _m0_basin: a radial run does not load it.
 
 
 @record
@@ -168,6 +172,7 @@ def _detect_convergence(params, t, states) -> Termination | None:
     states all lie within CAPTURE_DIST of, in the max norm."""
     if len(t) < CAPTURE_STEPS:
         return None
+    from .equilibria import fixed_point_catalog
     tail = states[-CAPTURE_STEPS:]
     for fp in fixed_point_catalog(params):
         # every component below the bound: a NaN component fails, as it
@@ -474,6 +479,7 @@ def _m0_basin(P: SystemParams):
     """
     if not (P.p > 1.0 and P.D != 0.0 and exchange_params(P) == P):
         return None
+    from .equilibria import m0_coords
     X0, _, Z0, _ = m0_coords(P)
     k, sig, xb = 1 / (P.p - 1), P.s + P.delta, P.x_bound
     j11, j12, j21, j22 = X0, k * X0, -sig * Z0, -Z0

@@ -11,16 +11,17 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   diagonal shot of a supercritical point, which ends where it enters M0's
   certified basin (its run to T_END took (100, 4, 1246)). Equal output bits
   from more or fewer steps or RHS evaluations show here.
-- The phase field's written-out step (`dop853._phase_step`) against the
-  generic step (`dop853._step`) on the same field: y_new, the eight stage
-  derivatives and the error estimate, to the bit, on fixed states and step
-  sizes, signed zeros and stages that overflow to inf and nan among them.
-- The radial field's written-out step (`dop853._radial_step`) against the
-  generic step on the same field, in the same way, or the error that a power
-  raises; exponents that are exactly 1 or 0 and ones that are not.
-- The diagonal step (`dop853._diagonal_step`) against the generic step on
-  diagonal states (X, X, Z, Z) of exchange-symmetric phase fields, in the
-  same way, and the stage states X and Z against the field's arguments at
+- The phase field's written-out step (`_step_phase._phase_step`) against
+  the generic step (`_step_generic._step`) on the same field: y_new, the
+  eight stage derivatives and the error estimate, to the bit, on fixed states
+  and step sizes, signed zeros and stages that overflow to inf and nan among
+  them.
+- The radial field's written-out step (`_step_radial._radial_step`) against
+  the generic step on the same field, in the same way, or the error that a
+  power raises; exponents that are exactly 1 or 0 and ones that are not.
+- The diagonal step (`_step_diagonal._diagonal_step`) against the generic
+  step on diagonal states (X, X, Z, Z) of exchange-symmetric phase fields, in
+  the same way, and the stage states X and Z against the field's arguments at
   each stage of the generic step.
 
 Run from the repository root, on the standard library alone:
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 
-from efdyn import dop853
+from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853
 from efdyn.dynamics import _radial_problem, _radial_rhs, _seed, classify_shot, oracle_compare
 from efdyn.model import (SystemParams, hamiltonian_params, nonvariational_params, phase_rhs,
                          potential_params, symmetric_scalar_embedding)
@@ -174,8 +175,8 @@ def fused_step_mismatches() -> list[str]:
         rhs = phase_rhs(params)
         k0 = rhs(t, y)
         for h in FUSED_STEP_H:
-            fused = dop853._phase_step(rhs.phase_constants, t, y, k0, h)
-            if step_bits(fused) != step_bits(dop853._step(rhs, t, y, k0, h)):
+            fused = _step_phase._phase_step(rhs.phase_constants, t, y, k0, h)
+            if step_bits(fused) != step_bits(_step_generic._step(rhs, t, y, k0, h)):
                 moved.append(f"{params} at t = {t}, y = {y}, h = {h}")
     return moved
 
@@ -225,7 +226,7 @@ def generic_calls(fun, t, y, k0, h, states) -> list:
     def logged(s, v):
         calls.extend(step_bits(list(states(s, v))))
         return fun(s, v)
-    return [calls, step_outcome(dop853._step, logged, t, y, k0, h)]
+    return [calls, step_outcome(_step_generic._step, logged, t, y, k0, h)]
 
 
 def on_diagonal_states(s, v):
@@ -243,7 +244,7 @@ def diagonal_calls(params, t, y, k0, h) -> list:
     bx, by, p1, *rest = phase_rhs(params).phase_constants
     log = []
     fold = (Recorder(bx, log), by, Recorder(p1, log), *rest)
-    return [log, step_outcome(dop853._diagonal_step, fold, t, y, k0, h)]
+    return [log, step_outcome(_step_diagonal._diagonal_step, fold, t, y, k0, h)]
 
 
 def diagonal_step_mismatches() -> list[str]:
@@ -271,8 +272,8 @@ def radial_step_mismatches() -> list[str]:
         fun = _radial_rhs(params)
         k0 = fun(t, y)
         for h in FUSED_STEP_H:
-            if (step_outcome(dop853._radial_step, fun.radial_constants, t, y, k0, h)
-                    != step_outcome(dop853._step, fun, t, y, k0, h)):
+            if (step_outcome(_step_radial._radial_step, fun.radial_constants, t, y, k0, h)
+                    != step_outcome(_step_generic._step, fun, t, y, k0, h)):
                 moved.append(f"state {i}: t = {t}, y = {y}, h = {h}")
     return moved
 

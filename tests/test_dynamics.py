@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 import efdyn
-from efdyn import dop853, dynamics
+from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853, dynamics
 from efdyn.cli import main as cli_main
 from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundStateSearch,
                             MClass, SClass, classify_shot, integrate_m, integrate_radial,
@@ -456,7 +456,7 @@ def _numpy_detect_convergence(params, t, states):
     """The convergence test as it ran on numpy arrays: every row's max-norm
     distance to a defined catalog point, the last CAPTURE_STEPS below
     CAPTURE_DIST."""
-    pts = [(fp.label, np.array(fp.coords)) for fp in dynamics.fixed_point_catalog(params)
+    pts = [(fp.label, np.array(fp.coords)) for fp in fixed_point_catalog(params)
            if fp.defined]
     if len(t) < dynamics.CAPTURE_STEPS:
         return None
@@ -1182,10 +1182,12 @@ class TestKernelAgainstScipy:
         self._assert_matches_scipy(*calls[0], dense_rtol=1e-10)
 
     def test_tableau_is_scipys(self):
-        # every coefficient the kernel's functions read is scipy's entry, and
-        # every entry they skip is 0.0 in scipy's table
+        # every coefficient the kernel's functions read, in dop853 and its
+        # step modules, is scipy's entry, and every entry they skip is 0.0 in
+        # scipy's table
         c = dop853_coefficients
-        used = {node.id for fn in ast.walk(ast.parse(Path(dop853.__file__).read_text()))
+        used = {node.id for module in (dop853, *_STEP_MODULES.values())
+                for fn in ast.walk(ast.parse(Path(module.__file__).read_text()))
                 if isinstance(fn, ast.FunctionDef)
                 for node in ast.walk(fn) if isinstance(node, ast.Name)}
         A, C = np.zeros_like(c.A), np.zeros_like(c.C)
@@ -1308,7 +1310,7 @@ def _kernel_step(fun, t, y, h, rtol, atol):
     # the kernel reads its tolerances from efdyn.numerics
     assert (rtol, atol) == (ODE_RTOL, ODE_ATOL)
     f = fun(t, y)
-    y_new, ks, err = dop853._step(fun, t, y, f, h)
+    y_new, ks, err = _step_generic._step(fun, t, y, f, h)
     f_new = fun(t + h, y_new)
     piece = dop853.StepInterpolant(fun, t, h, y, y_new, ks, f_new)
     return y_new, err, piece.coeffs, [piece(t + frac * h) for frac in _FRACTIONS]
@@ -1404,15 +1406,21 @@ class TestKernelBits:
         assert self._outcome(_kernel_step, fun, 0.0, y, h) == ref
 
 
+# the four kernel steps, each in the module that dop853._run imports it from
+_STEP_MODULES = {"_step": _step_generic, "_phase_step": _step_phase,
+                 "_radial_step": _step_radial, "_diagonal_step": _step_diagonal}
+
+
 def _step_calls(monkeypatch, name):
-    """A one-item list that counts the calls of the kernel step
-    `dop853.<name>` from now on."""
-    calls, real = [0], getattr(dop853, name)
+    """A one-item list that counts the calls of the kernel step `name`, in
+    its module, from now on."""
+    module = _STEP_MODULES[name]
+    calls, real = [0], getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
-    monkeypatch.setattr(dop853, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -1425,8 +1433,8 @@ class TestPhaseStep:
         """The outputs of both steps from (t, y), in float.hex."""
         rhs = phase_rhs(params)
         k0 = rhs(t, y)
-        return (_hex(dop853._phase_step(rhs.phase_constants, t, y, k0, h)),
-                _hex(dop853._step(rhs, t, y, k0, h)))
+        return (_hex(_step_phase._phase_step(rhs.phase_constants, t, y, k0, h)),
+                _hex(_step_generic._step(rhs, t, y, k0, h)))
 
     # the fixed states of tests/pinned_bits.py: the phase cases of
     # TestKernelBits, two states of no symmetry and one that overflows
@@ -1521,9 +1529,6 @@ _CONFIG = json.loads((_CONFIGS / "integrate_radial_critical.json").read_text())
 _RADIAL_CONFIG = (SystemParams.from_dict(_CONFIG["params"]),
                   *(_CONFIG["integrate"][k] for k in ("u0", "v0", "r_max")))
 
-# the four kernel steps
-_STEPS = ("_step", "_phase_step", "_radial_step", "_diagonal_step")
-
 
 def _kernel_runs(monkeypatch):
     """A list that collects every kernel run (`Solution`) from now on: their
@@ -1546,7 +1551,7 @@ def _observe(monkeypatch, run, edit=None):
     first if given."""
     if edit is not None:
         edit(monkeypatch)
-    calls = {name: _step_calls(monkeypatch, name) for name in _STEPS}
+    calls = {name: _step_calls(monkeypatch, name) for name in _STEP_MODULES}
     runs = _kernel_runs(monkeypatch)
     out = run()
     monkeypatch.undo()
@@ -1592,7 +1597,7 @@ class TestDiagonalStep:
         # X and Z of each of the 11 stages
         assert len(diagonal[0]) == 22
         assert diagonal == generic_calls(fun, t, y, k0, h, on_diagonal_states)
-        fused = step_outcome(dop853._phase_step, fun.phase_constants, t, y, k0, h)
+        fused = step_outcome(_step_phase._phase_step, fun.phase_constants, t, y, k0, h)
         assert diagonal[1] == fused
         return diagonal[1]
 
@@ -1737,7 +1742,7 @@ def _radial_calls(params, t, y, k0, h):
     log = []
     c1, c2, delta, mu, n1 = (Recorder(c, log) for c in (c1, c2, delta, mu, n1))
     fold = (ep, eq, ka, kb, c1, c2, s, m, delta, mu, n1)
-    return [log, step_outcome(dop853._radial_step, fold, t, y, k0, h)]
+    return [log, step_outcome(_step_radial._radial_step, fold, t, y, k0, h)]
 
 
 class TestRadialStep:
@@ -1803,8 +1808,8 @@ class TestRadialStep:
         for name in names:
             fold[name] = Recorder(fold[name], logs[name])
         y = (0.9, 1.1, -0.05, -0.02)
-        dop853._radial_step(tuple(fold.values()), -2.0, y, dynamics._radial_rhs(params)(-2.0, y),
-                            0.03)
+        _step_radial._radial_step(tuple(fold.values()), -2.0, y,
+                                  dynamics._radial_rhs(params)(-2.0, y), 0.03)
         assert {name: len(log) for name, log in logs.items()} == {
             name: 0 if name in exact else 11 for name in names}
 
@@ -2088,13 +2093,13 @@ class TestControllerBranches:
     @staticmethod
     def _estimates(monkeypatch):
         """The error estimate of every attempted step, in a list that grows."""
-        errs, step = [], dop853._step
+        errs, step = [], _step_generic._step
 
         def logged(*args):
             out = step(*args)
             errs.append(out[2])
             return out
-        monkeypatch.setattr(dop853, "_step", logged)
+        monkeypatch.setattr(_step_generic, "_step", logged)
         return errs
 
     def test_zero_estimate_grows_the_step_by_max_factor(self, monkeypatch):

@@ -354,16 +354,26 @@ def test_start_up_loads_no_numpy(config, tmp_path):
 # package's __init__ alone; the predictor (predict_existence) loads neither the
 # integrator nor the linearisation (spectra, equilibria);
 # each CLI command imports what it reads, and analyze, which integrates
-# nothing, does not load the kernel (dop853). efdyn.cli itself runs as __main__.
+# nothing, does not load the kernel (dop853). The kernel imports each step
+# module (_step_*) for the runs that take it: integrate's radial run the radial
+# step, the shipped shoot, scalar and portrait runs, on the invariant
+# diagonal, the diagonal step, and sweep the phase and diagonal steps; no
+# command takes the generic step. Only the runs that read the fixed-point
+# catalog (convergence, M0's basin) load equilibria: integrate, scalar and
+# portrait do not. efdyn.cli itself runs as __main__.
+_STEP_MODULES = {path.stem for path in SRC.glob("_step_*.py")}
 _CORE = {"_record", "errors", "model", "numerics"}
-_INTEGRATOR = _CORE | {"dynamics", "dop853", "equilibria"}
-_EVERY = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
+_KERNEL = _CORE | {"dynamics", "dop853"}
+_EVERY = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"} - _STEP_MODULES
 MODULE_SETS = {
     "import": set(),
     "predict_existence": _CORE | {"energies", "scalar"},
-    "integrate": _INTEGRATOR, "shoot": _INTEGRATOR,
-    "scalar": _INTEGRATOR | {"scalar"}, "portrait": _INTEGRATOR | {"scalar"},
-    "analyze": _EVERY - {"dop853"}, "sweep": _EVERY - {"spectra"},
+    "integrate": _KERNEL | {"_step_radial"},
+    "shoot": _KERNEL | {"equilibria", "_step_diagonal"},
+    "scalar": _KERNEL | {"scalar", "_step_diagonal"},
+    "portrait": _KERNEL | {"scalar", "_step_diagonal"},
+    "analyze": _EVERY - {"dop853"},
+    "sweep": _EVERY - {"spectra"} | {"_step_phase", "_step_diagonal"},
 }
 
 
@@ -378,6 +388,37 @@ def test_entry_point_loads_only_its_modules(entry, tmp_path):
     loaded = {name.split(".", 1)[1] for name in _imported(args)
               if name.startswith("efdyn.")}
     assert loaded == MODULE_SETS[key]
+
+
+# a field of each kind, a start state, and the one step module its run loads:
+# the phase field off the diagonal and on it, the radial field and a plain
+# test field
+_FIELD_STEPS = [
+    ("model.phase_rhs(model.hamiltonian_params(6.0, 2.5, 2.5))", (0.1, 0.2, 5.0, 5.0),
+     "_step_phase"),
+    ("model.phase_rhs(model.hamiltonian_params(6.0, 2.5, 2.5))", (0.1, 0.1, 5.0, 5.0),
+     "_step_diagonal"),
+    ("dynamics._radial_rhs(model.hamiltonian_params(6.0, 2.0, 2.0))", (1.0, 1.0, -1e-7, -1e-7),
+     "_step_radial"),
+    ("lambda t, y: (-y[0], y[2], -y[1], 0.5 * y[3])", (1.0, 2.0, 3.0, 4.0), "_step_generic"),
+]
+
+
+@pytest.mark.parametrize("field,y0,step", _FIELD_STEPS,
+                         ids=["phase", "diagonal", "radial", "plain"])
+def test_a_run_loads_only_its_step_module(field, y0, step):
+    # a fresh interpreter, so that no other run has imported a step
+    code = f"""
+import sys
+from efdyn import dop853, dynamics, model
+assert not [name for name in sys.modules if name.startswith("efdyn._step_")]
+sol = dop853.solve({field}, 0.0, {y0!r}, 1.0)
+assert sol.status == 0 and sol.n_accepted > 1
+print(*sorted(name for name in sys.modules if name.startswith("efdyn._step_")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.split() == [f"efdyn.{step}"]
 
 
 def test_scalar_classify_runs_without_numpy():
