@@ -15,6 +15,8 @@ from efdyn import (derive_exponents, hamiltonian_params, predict_existence,
 from efdyn.cli import family_grid
 from efdyn.errors import PreconditionViolated
 
+FIELDS = ["delta", "found_gs", "predicted", "dirichlet_radius"]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -49,7 +51,7 @@ def main():
               + (f"  R={row['dirichlet_radius']}" if row["dirichlet_radius"] else ""))
 
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     crit = (args.N + 2) / (args.N - 2)

@@ -12,6 +12,8 @@ from efdyn import (cubic_barrier, classify_region, nonvariational_params,
 from efdyn.dynamics import linspace
 from efdyn.energies import diagonal_crossings
 
+FIELDS = ["delta", "mu", "verdict", "source"]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -40,7 +42,7 @@ def main():
             rows.append({"delta": f"{delta:.6g}", "mu": f"{mu:.6g}",
                          "verdict": pred.verdict.value, "source": pred.source})
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out} ({len(rows)} grid points)")

@@ -10,6 +10,8 @@ from efdyn import integrate_radial, potential_params, predict_existence, search_
 from efdyn.cli import family_grid
 from efdyn.errors import PreconditionViolated
 
+FIELDS = ["s", "found_gs", "predicted"]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -53,7 +55,7 @@ def main():
           f"v: {slope_v:.4f} (theory: -(N-p)/(p-1) = {-(args.N - args.p) / (args.p - 1):.4f})")
 
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}")

@@ -1,6 +1,6 @@
 """The phase field's DOP853 step on the invariant diagonal, `_diagonal_step`:
-`dop853._run` imports it for a run of `model.phase_rhs`'s exchange-symmetric
-field that starts on the diagonal (X, X, Z, Z)."""
+`dop853._run` imports it for a run of `model.phase_rhs`'s field with
+exchange-symmetric constants that starts on the diagonal (X, X, Z, Z)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .numerics import ODE_ATOL, ODE_RTOL
 
 def _diagonal_step(fold, t, y, k0, h):
     """`_phase_step` on a state of the diagonal, y[1] = y[0] and y[3] = y[2],
-    for exchange-symmetric constants `fold` (the field's `diagonal_exact`):
+    for exchange-symmetric constants `fold` (`dop853._on_diagonal(fold)`):
     the stage sums, the phase field's components X_t and Z_t, y_new and the
     error terms of components a and c only, returning (a, a, c, c). There the
     field's Y_t and W_t are X_t and Z_t, bit for bit (s X + delta Y and

@@ -1,6 +1,7 @@
 """The generic DOP853 step, `_step`: it calls the field once per stage, whatever
-the field. `dop853._run` imports it for a run of a test field, a closure or a
-wrapper made with functools.wraps; no shipped command takes it."""
+the field, and loops over the tableau. `dop853._run` imports it for a run of a
+field that carries no constants (see the `dop853` module docstring); no
+shipped command takes it. The written-out steps give its bits."""
 
 from __future__ import annotations
 
@@ -15,125 +16,59 @@ from .dop853 import (C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, A1_0, A2_0, A
                      E3_11, Rhs)
 from .numerics import ODE_ATOL, ODE_RTOL
 
+# stages 1..11: the node Ci and the nonzero (j, Ai_j) of row i, ascending in j
+_STAGES = (
+    (C1, ((0, A1_0),)),
+    (C2, ((0, A2_0), (1, A2_1))),
+    (C3, ((0, A3_0), (2, A3_2))),
+    (C4, ((0, A4_0), (2, A4_2), (3, A4_3))),
+    (C5, ((0, A5_0), (3, A5_3), (4, A5_4))),
+    (C6, ((0, A6_0), (3, A6_3), (4, A6_4), (5, A6_5))),
+    (C7, ((0, A7_0), (3, A7_3), (4, A7_4), (5, A7_5), (6, A7_6))),
+    (C8, ((0, A8_0), (3, A8_3), (4, A8_4), (5, A8_5), (6, A8_6), (7, A8_7))),
+    (C9, ((0, A9_0), (3, A9_3), (4, A9_4), (5, A9_5), (6, A9_6), (7, A9_7), (8, A9_8))),
+    (C10, ((0, A10_0), (3, A10_3), (4, A10_4), (5, A10_5), (6, A10_6), (7, A10_7),
+           (8, A10_8), (9, A10_9))),
+    (C11, ((0, A11_0), (3, A11_3), (4, A11_4), (5, A11_5), (6, A11_6), (7, A11_7),
+           (8, A11_8), (9, A11_9), (10, A11_10))),
+)
+# the stages that y_new and the error estimate read: (j, Bj, E5_j, E3_j), where
+# E3_j = Bj but at j = 0, 8 and 11
+_WEIGHTS = ((0, B0, E5_0, E3_0), (5, B5, E5_5, B5), (6, B6, E5_6, B6), (7, B7, E5_7, B7),
+            (8, B8, E5_8, E3_8), (9, B9, E5_9, B9), (10, B10, E5_10, B10),
+            (11, B11, E5_11, E3_11))
+
 
 def _step(fun: Rhs, t, y, k0, h):
     """Stages 1..11 of a step of size h from (t, y), where k0 = fun(t, y), the
     new state and, in the same pass, the E5/E3 error estimate (Hairer's) in
     the weighted RMS norm: returns y_new, the stage derivatives (k0, k5, ...,
-    k11) that the interpolant reads, and the estimate. Stage i's derivative
-    has components kia, kib, kic and kid; the error sums need no +0.0 start."""
-    ya, yb, yc, yd = y
-    k0a, k0b, k0c, k0d = k0
-    k1a, k1b, k1c, k1d = fun(t + C1 * h, (
-        ya + (0.0 + A1_0 * k0a) * h,
-        yb + (0.0 + A1_0 * k0b) * h,
-        yc + (0.0 + A1_0 * k0c) * h,
-        yd + (0.0 + A1_0 * k0d) * h))
-    k2a, k2b, k2c, k2d = fun(t + C2 * h, (
-        ya + (0.0 + A2_0 * k0a + A2_1 * k1a) * h,
-        yb + (0.0 + A2_0 * k0b + A2_1 * k1b) * h,
-        yc + (0.0 + A2_0 * k0c + A2_1 * k1c) * h,
-        yd + (0.0 + A2_0 * k0d + A2_1 * k1d) * h))
-    k3a, k3b, k3c, k3d = fun(t + C3 * h, (
-        ya + (0.0 + A3_0 * k0a + A3_2 * k2a) * h,
-        yb + (0.0 + A3_0 * k0b + A3_2 * k2b) * h,
-        yc + (0.0 + A3_0 * k0c + A3_2 * k2c) * h,
-        yd + (0.0 + A3_0 * k0d + A3_2 * k2d) * h))
-    k4a, k4b, k4c, k4d = fun(t + C4 * h, (
-        ya + (0.0 + A4_0 * k0a + A4_2 * k2a + A4_3 * k3a) * h,
-        yb + (0.0 + A4_0 * k0b + A4_2 * k2b + A4_3 * k3b) * h,
-        yc + (0.0 + A4_0 * k0c + A4_2 * k2c + A4_3 * k3c) * h,
-        yd + (0.0 + A4_0 * k0d + A4_2 * k2d + A4_3 * k3d) * h))
-    k5a, k5b, k5c, k5d = k5 = fun(t + C5 * h, (
-        ya + (0.0 + A5_0 * k0a + A5_3 * k3a + A5_4 * k4a) * h,
-        yb + (0.0 + A5_0 * k0b + A5_3 * k3b + A5_4 * k4b) * h,
-        yc + (0.0 + A5_0 * k0c + A5_3 * k3c + A5_4 * k4c) * h,
-        yd + (0.0 + A5_0 * k0d + A5_3 * k3d + A5_4 * k4d) * h))
-    k6a, k6b, k6c, k6d = k6 = fun(t + C6 * h, (
-        ya + (0.0 + A6_0 * k0a + A6_3 * k3a + A6_4 * k4a + A6_5 * k5a) * h,
-        yb + (0.0 + A6_0 * k0b + A6_3 * k3b + A6_4 * k4b + A6_5 * k5b) * h,
-        yc + (0.0 + A6_0 * k0c + A6_3 * k3c + A6_4 * k4c + A6_5 * k5c) * h,
-        yd + (0.0 + A6_0 * k0d + A6_3 * k3d + A6_4 * k4d + A6_5 * k5d) * h))
-    k7a, k7b, k7c, k7d = k7 = fun(t + C7 * h, (
-        ya + (0.0 + A7_0 * k0a + A7_3 * k3a + A7_4 * k4a + A7_5 * k5a
-              + A7_6 * k6a) * h,
-        yb + (0.0 + A7_0 * k0b + A7_3 * k3b + A7_4 * k4b + A7_5 * k5b
-              + A7_6 * k6b) * h,
-        yc + (0.0 + A7_0 * k0c + A7_3 * k3c + A7_4 * k4c + A7_5 * k5c
-              + A7_6 * k6c) * h,
-        yd + (0.0 + A7_0 * k0d + A7_3 * k3d + A7_4 * k4d + A7_5 * k5d
-              + A7_6 * k6d) * h))
-    k8a, k8b, k8c, k8d = k8 = fun(t + C8 * h, (
-        ya + (0.0 + A8_0 * k0a + A8_3 * k3a + A8_4 * k4a + A8_5 * k5a + A8_6 * k6a
-              + A8_7 * k7a) * h,
-        yb + (0.0 + A8_0 * k0b + A8_3 * k3b + A8_4 * k4b + A8_5 * k5b + A8_6 * k6b
-              + A8_7 * k7b) * h,
-        yc + (0.0 + A8_0 * k0c + A8_3 * k3c + A8_4 * k4c + A8_5 * k5c + A8_6 * k6c
-              + A8_7 * k7c) * h,
-        yd + (0.0 + A8_0 * k0d + A8_3 * k3d + A8_4 * k4d + A8_5 * k5d + A8_6 * k6d
-              + A8_7 * k7d) * h))
-    k9a, k9b, k9c, k9d = k9 = fun(t + C9 * h, (
-        ya + (0.0 + A9_0 * k0a + A9_3 * k3a + A9_4 * k4a + A9_5 * k5a + A9_6 * k6a
-              + A9_7 * k7a + A9_8 * k8a) * h,
-        yb + (0.0 + A9_0 * k0b + A9_3 * k3b + A9_4 * k4b + A9_5 * k5b + A9_6 * k6b
-              + A9_7 * k7b + A9_8 * k8b) * h,
-        yc + (0.0 + A9_0 * k0c + A9_3 * k3c + A9_4 * k4c + A9_5 * k5c + A9_6 * k6c
-              + A9_7 * k7c + A9_8 * k8c) * h,
-        yd + (0.0 + A9_0 * k0d + A9_3 * k3d + A9_4 * k4d + A9_5 * k5d + A9_6 * k6d
-              + A9_7 * k7d + A9_8 * k8d) * h))
-    k10a, k10b, k10c, k10d = k10 = fun(t + C10 * h, (
-        ya + (0.0 + A10_0 * k0a + A10_3 * k3a + A10_4 * k4a + A10_5 * k5a
-              + A10_6 * k6a + A10_7 * k7a + A10_8 * k8a + A10_9 * k9a) * h,
-        yb + (0.0 + A10_0 * k0b + A10_3 * k3b + A10_4 * k4b + A10_5 * k5b
-              + A10_6 * k6b + A10_7 * k7b + A10_8 * k8b + A10_9 * k9b) * h,
-        yc + (0.0 + A10_0 * k0c + A10_3 * k3c + A10_4 * k4c + A10_5 * k5c
-              + A10_6 * k6c + A10_7 * k7c + A10_8 * k8c + A10_9 * k9c) * h,
-        yd + (0.0 + A10_0 * k0d + A10_3 * k3d + A10_4 * k4d + A10_5 * k5d
-              + A10_6 * k6d + A10_7 * k7d + A10_8 * k8d + A10_9 * k9d) * h))
-    k11a, k11b, k11c, k11d = k11 = fun(t + C11 * h, (
-        ya + (0.0 + A11_0 * k0a + A11_3 * k3a + A11_4 * k4a + A11_5 * k5a
-              + A11_6 * k6a + A11_7 * k7a + A11_8 * k8a + A11_9 * k9a + A11_10 * k10a) * h,
-        yb + (0.0 + A11_0 * k0b + A11_3 * k3b + A11_4 * k4b + A11_5 * k5b
-              + A11_6 * k6b + A11_7 * k7b + A11_8 * k8b + A11_9 * k9b + A11_10 * k10b) * h,
-        yc + (0.0 + A11_0 * k0c + A11_3 * k3c + A11_4 * k4c + A11_5 * k5c
-              + A11_6 * k6c + A11_7 * k7c + A11_8 * k8c + A11_9 * k9c + A11_10 * k10c) * h,
-        yd + (0.0 + A11_0 * k0d + A11_3 * k3d + A11_4 * k4d + A11_5 * k5d
-              + A11_6 * k6d + A11_7 * k7d + A11_8 * k8d + A11_9 * k9d + A11_10 * k10d) * h))
-    na = ya + h * (B0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a
-                   + B10 * k10a + B11 * k11a)
-    nb = yb + h * (B0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b
-                   + B10 * k10b + B11 * k11b)
-    nc = yc + h * (B0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + B8 * k8c + B9 * k9c
-                   + B10 * k10c + B11 * k11c)
-    nd = yd + h * (B0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d
-                   + B10 * k10d + B11 * k11d)
-    # the error estimate; each scale takes max(abs(y), abs(y_new)) by max()'s comparison
-    sa, ma = abs(ya), abs(na)
-    sa = ODE_ATOL + (ma if ma > sa else sa) * ODE_RTOL
-    r5a = (E5_0 * k0a + E5_5 * k5a + E5_6 * k6a + E5_7 * k7a + E5_8 * k8a + E5_9 * k9a
-           + E5_10 * k10a + E5_11 * k11a) / sa
-    r3a = (E3_0 * k0a + B5 * k5a + B6 * k6a + B7 * k7a + E3_8 * k8a + B9 * k9a + B10 * k10a
-           + E3_11 * k11a) / sa
-    sb, mb = abs(yb), abs(nb)
-    sb = ODE_ATOL + (mb if mb > sb else sb) * ODE_RTOL
-    r5b = (E5_0 * k0b + E5_5 * k5b + E5_6 * k6b + E5_7 * k7b + E5_8 * k8b + E5_9 * k9b
-           + E5_10 * k10b + E5_11 * k11b) / sb
-    r3b = (E3_0 * k0b + B5 * k5b + B6 * k6b + B7 * k7b + E3_8 * k8b + B9 * k9b + B10 * k10b
-           + E3_11 * k11b) / sb
-    sc, mc = abs(yc), abs(nc)
-    sc = ODE_ATOL + (mc if mc > sc else sc) * ODE_RTOL
-    r5c = (E5_0 * k0c + E5_5 * k5c + E5_6 * k6c + E5_7 * k7c + E5_8 * k8c + E5_9 * k9c
-           + E5_10 * k10c + E5_11 * k11c) / sc
-    r3c = (E3_0 * k0c + B5 * k5c + B6 * k6c + B7 * k7c + E3_8 * k8c + B9 * k9c + B10 * k10c
-           + E3_11 * k11c) / sc
-    sd, md = abs(yd), abs(nd)
-    sd = ODE_ATOL + (md if md > sd else sd) * ODE_RTOL
-    r5d = (E5_0 * k0d + E5_5 * k5d + E5_6 * k6d + E5_7 * k7d + E5_8 * k8d + E5_9 * k9d
-           + E5_10 * k10d + E5_11 * k11d) / sd
-    r3d = (E3_0 * k0d + B5 * k5d + B6 * k6d + B7 * k7d + E3_8 * k8d + B9 * k9d + B10 * k10d
-           + E3_11 * k11d) / sd
-    e5 = r5a * r5a + r5b * r5b + r5c * r5c + r5d * r5d
-    e3 = r3a * r3a + r3b * r3b + r3c * r3c + r3d * r3d
+    k11) that the interpolant reads, and the estimate. Every sum adds left to
+    right: a stage sum from +0.0, those of y_new and of the estimate from
+    -0.0, which leaves their first term as it is (-0.0 + x is x, bit for
+    bit)."""
+    ks = [k0]
+    for c, row in _STAGES:
+        stage = []
+        for n, yn in enumerate(y):
+            acc = 0.0
+            for j, a in row:
+                acc = acc + a * ks[j][n]
+            stage.append(yn + acc * h)
+        ks.append(fun(t + c * h, tuple(stage)))
+    y_new, e5, e3 = [], -0.0, -0.0
+    for n, yn in enumerate(y):
+        acc = r5 = r3 = -0.0
+        for j, b, w5, w3 in _WEIGHTS:
+            kj = ks[j][n]
+            acc, r5, r3 = acc + b * kj, r5 + w5 * kj, r3 + w3 * kj
+        new = yn + h * acc
+        y_new.append(new)
+        # the scale takes max(abs(y), abs(y_new)) by max()'s comparison
+        scale, m = abs(yn), abs(new)
+        scale = ODE_ATOL + (m if m > scale else scale) * ODE_RTOL
+        r5, r3 = r5 / scale, r3 / scale
+        e5, e3 = e5 + r5 * r5, e3 + r3 * r3
     # with e5 = 0 the denominator may underflow to 0 as well
     err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4) if e5 else 0.0
-    return (na, nb, nc, nd), (k0, k5, k6, k7, k8, k9, k10, k11), err
+    return tuple(y_new), (k0, *ks[5:]), err

@@ -5,39 +5,48 @@ The explicit Runge-Kutta pair of order 8(5, 3) by Dormand and Prince with its
 Differential Equations I*, sec. II.5-6), for the 4-component states that the
 package integrates: the phase state (X, Y, Z, W), the radial state (u, v, U, V)
 and the scalar runs on the diagonal (X, X, Z, Z). A state is a tuple of four
-floats, not a numpy array. As in Hairer's `dop853.f`, every stage is written
-out term by term over the nonzero coefficients of its tableau row, and once
-per component; the error estimate is part of the step, formed from its stage
-derivatives in the same pass. No step or interpolant loops over a sequence.
-`steps` rejects a state of any other length with ValueError.
+floats, not a numpy array. As in Hairer's `dop853.f`, the written-out steps and
+the interpolant write every stage out term by term over the nonzero
+coefficients of its tableau row, and once per component; the generic step
+loops over a table of the same coefficients. The error estimate is part of the
+step, formed from its stage derivatives in the same pass. `steps` rejects a
+state of any other length with ValueError.
 
-Four steps compute the same stages, and a run takes one by its field, one
-case per field. Each step is a module of its own, next to this one, which
-`_run` imports for the run that takes it: a process compiles only the steps
-that its runs take. `_step` (`efdyn._step_generic`) calls the field once per
-stage, whatever the field: a test field, a closure, or a wrapper made with
-functools.wraps, which copies the constants below but is run as itself; no
-shipped command takes it. The field of `model.phase_rhs`, which every shot,
-phase run and scalar run integrates, carries its folded constants
-(`phase_constants`), and runs `_phase_step` (`efdyn._step_phase`), which
-writes the field's four expressions out in each stage with the field's
-grouping, or `_diagonal_step` (`efdyn._step_diagonal`) when the constants are
-exchange-symmetric (the field's `diagonal_exact`) and the run starts on the
-invariant diagonal (X, X, Z, Z) to the bit (zeros of one sign, no NaN): that
-step forms components a and c only and returns (a, a, c, c), as on that
-diagonal the field's b and d are its a and c, bit for bit. Every scalar phase
-run and the pi/4 shot of a symmetric system take it. The radial field of
-`dynamics._radial_rhs` carries `radial_constants`, and runs `_radial_step`
-(`efdyn._step_radial`), its four expressions written out in the same way;
-that step skips only the powers that IEEE arithmetic and CPython make exact:
-|U|^ep at ep = 1 (the derivative copysign(|U|, U), 0 at U = 0, is U + 0.0),
-r^ka at ka = 1, the factors u^s at s = 0 and v^m at m = 0 (1.0, whose product
-is exact), and r^kb at ka = kb (r^ka). The step modules read the tableau
-below from this module. The written-out steps never call the field. All four
-give the same bits, the same errors and the same counts. Only `solve` keeps
-dense output, read through `Solution.at`: a run keeps each step's data, and
-the step's interpolant is built on its first read. A paused run (`steps`, a
-shot's) builds a step interpolant only to locate an event in the step.
+Four steps compute the same stages, and `_run` alone picks the step of a run,
+once per run, from the constants that the field carries. Each step is a module
+of its own, next to this one, which `_run` imports for the run that takes it: a
+process compiles only the steps that its runs take.
+
+- A field with `phase_constants`, that of `model.phase_rhs`, which every shot,
+  phase run and scalar run integrates, runs `_phase_step` (`efdyn._step_phase`),
+  the field's four expressions written out in each stage with the field's
+  grouping. It runs `_diagonal_step` (`efdyn._step_diagonal`) instead when
+  `_on_diagonal` holds for both the constants, (xb, yb, p1, q1, na, nb, s, m,
+  delta, mu), and the start state: each pair of entries is equal to the bit
+  (zeros of one sign, no NaN). The constants are then exchange-symmetric and
+  the run starts on the invariant diagonal (X, X, Z, Z), where the field's b
+  and d are its a and c, bit for bit: that step forms components a and c only
+  and returns (a, a, c, c). Every scalar phase run and the pi/4 shot of a
+  symmetric system take it.
+- A field with `radial_constants`, that of `dynamics._radial_rhs`, runs
+  `_radial_step` (`efdyn._step_radial`), its four expressions written out in
+  the same way; that step skips only the powers that IEEE arithmetic and
+  CPython make exact: |U|^ep at ep = 1 (the derivative copysign(|U|, U), 0 at
+  U = 0, is U + 0.0), r^ka at ka = 1, the factors u^s at s = 0 and v^m at m = 0
+  (1.0, whose product is exact), and r^kb at ka = kb (r^ka).
+- Any other field, a test field or a closure, runs `_step`
+  (`efdyn._step_generic`), which calls the field once per stage; no shipped
+  command takes it. A wrapper made with functools.wraps copies the wrapped
+  field's constants and is integrated from them: it is called only where
+  `_run` calls the field, twice at the start, once per accepted step and 3
+  times per interpolant.
+
+The step modules read the tableau below from this module. The written-out
+steps never call the field. All four give the same bits, the same errors and
+the same counts. Only `solve` keeps dense output, read through `Solution.at`:
+a run keeps each step's data, and the step's interpolant is built on its first
+read. A paused run (`steps`, a shot's) builds a step interpolant only to
+locate an event in the step.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error estimate, the dense output and the event location follow
@@ -407,16 +416,8 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     locate, and `Solution.pieces` is None. `Solution.nfev` counts the
     interpolants built during the run, 3 evaluations each.
 
-    The step is chosen by the field, one case per field (see the module
-    docstring): the field of `model.phase_rhs` itself runs `_phase_step`
-    (`efdyn._step_phase`), or `_diagonal_step` (`efdyn._step_diagonal`) when
-    its constants are exchange-symmetric and y0 lies on the diagonal,
-    y0[1] = y0[0] and y0[3] = y0[2] to the bit; the radial field of
-    `dynamics._radial_rhs` runs `_radial_step` (`efdyn._step_radial`); any
-    other field, a wrapper of those made with functools.wraps included, runs
-    `_step` (`efdyn._step_generic`). All give the same bits and the same
-    counts. The run imports its step's module on its start, so a process
-    loads and compiles only the steps that its runs take.
+    The run's step is picked from the constants that the field carries (see
+    the module docstring); every step gives the same bits and the same counts.
 
     The state has four components; a state of another length raises
     ValueError.
@@ -433,13 +434,12 @@ def _start(fun: Rhs, t0, y0, t_bound, events, dense) -> Iterator[Solution]:
     return _run(fun, float(t0), y, float(t_bound), tuple(events), dense)
 
 
-def _on_diagonal(y) -> bool:
-    """Whether y[1] = y[0] and y[3] = y[2] to the bit: zeros of one sign, and
-    no NaN."""
-    a, b, c, d = y
+def _on_diagonal(values) -> bool:
+    """Whether values[1] = values[0], values[3] = values[2], ... to the bit:
+    zeros of one sign, and no NaN."""
     copysign = math.copysign
-    return (a == b and c == d and copysign(1.0, a) == copysign(1.0, b)
-            and copysign(1.0, c) == copysign(1.0, d))
+    return all(a == b and copysign(1.0, a) == copysign(1.0, b)
+               for a, b in zip(values[::2], values[1::2]))
 
 
 def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
@@ -458,21 +458,14 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
         yield out
         return
 
-    # one case per field: phase_rhs's own field runs the written-out phase
-    # step, or the diagonal step when its constants are exchange-symmetric
-    # and the run starts on the diagonal; the radial field runs the
-    # written-out radial step; any other field runs the generic step, a
-    # wrapper made with functools.wraps included, which copies the constants.
-    # Each step is a module of its own, imported here once per run: a process
-    # compiles only the steps that its runs take
-    wrapped = hasattr(fun, "__wrapped__")
-    if not wrapped and hasattr(fun, "phase_constants"):
+    # the one place that picks a run's step (see the module docstring)
+    if hasattr(fun, "phase_constants"):
         arg = fun.phase_constants
-        if fun.diagonal_exact and _on_diagonal(y):
+        if _on_diagonal(arg) and _on_diagonal(y):
             from ._step_diagonal import _diagonal_step as step
         else:
             from ._step_phase import _phase_step as step
-    elif not wrapped and hasattr(fun, "radial_constants"):
+    elif hasattr(fun, "radial_constants"):
         from ._step_radial import _radial_step as step
         arg = fun.radial_constants
     else:

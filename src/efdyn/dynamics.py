@@ -221,15 +221,12 @@ def _radial_rhs(params: SystemParams):
     """The radial field in t = ln r, on y = (u, v, U, V) with the fluxes
     U = |u'|^{p-2} u', V = |v'|^{q-2} v'.
 
-    The field carries its constants as `radial_constants`: the integrator
-    (`dop853`) runs a step with these four expressions written out in its
-    stages, in the same grouping and order, when it is handed this field
-    itself; that step skips only the powers that are exact (|U|^ep at
-    ep = 1, r^ka at ka = 1, u^s at s = 0, v^m at m = 0, and r^kb at
-    ka = kb), so its bits are those of the field. On the diagonal u = v,
-    U = V of an exchange-symmetric system with s = m != 0 the flux products
-    c r^ka u^s v^delta and c r^kb u^mu v^m multiply their factors in another
-    order and round apart: such a run leaves the diagonal."""
+    The field carries its constants as `radial_constants`, from which
+    `dop853` picks the step of a run (see its module docstring). On the
+    diagonal u = v, U = V of an exchange-symmetric system with s = m != 0 the
+    flux products c r^ka u^s v^delta and c r^kb u^mu v^m multiply their
+    factors in another order and round apart: such a run leaves the
+    diagonal."""
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
     ka, kb = 1 + P.a, 1 + P.b

@@ -387,7 +387,7 @@ def classify_region(params: SystemParams) -> dict[CriticalCurve, Position]:
     if two_lap and P.s == P.m and P.a == P.b and P.D != 0.0:
         s, n = P.s, n_eff
         ex = derive_exponents(P)
-        if s < n / (n - 2) and P.delta + 1 - s > 0 and P.mu + 1 - s > 0:
+        if n != 2 and s < n / (n - 2) and P.delta + 1 - s > 0 and P.mu + 1 - s > 0:
             diff = ex.gamma + ex.xi - (P.N - 2)
             out[CriticalCurve.HS] = _position(diff, abs(ex.gamma) + abs(ex.xi) + P.N, True)
             if min(P.delta, P.mu) > abs(s - 1):
@@ -407,7 +407,8 @@ def classify_region(params: SystemParams) -> dict[CriticalCurve, Position]:
         diff = (P.s + 1) * (P.N - P.p) / P.p + (P.m + 1) * (P.N - P.q) / P.q - (P.N + P.a)
         out[CriticalCurve.LINE_D] = _position(diff, P.N + abs(P.a), False)
 
-    if P.p == P.q and P.a == P.b and abs((P.s + P.delta) - (P.m + P.mu)) \
+    # the scalar thresholds divide by N - p
+    if P.p == P.q != P.N and P.a == P.b and abs((P.s + P.delta) - (P.m + P.mu)) \
             <= IDENTITY_RTOL * (1 + abs(P.s + P.delta)):
         Q = P.s + P.delta
         q1 = threshold_q1(P.N, P.p, P.a)
@@ -448,6 +449,8 @@ class ExistenceVerdict:
 def _monotonicity_blocks(P: SystemParams) -> tuple[bool, tuple]:
     """One-sided Pohozaev monotonicity obstruction (and its exchanged twin)."""
     for Q in (P, exchange_params(P)):
+        if Q.N == Q.p:      # lhs and the threshold divide by N - p
+            continue
         g = derive_exponents(Q).gamma
         cond1 = Q.s + 1 > Q.p or g > (Q.N - Q.p) / Q.p
         lhs = Q.s + Q.p * (Q.N - Q.q) / ((Q.q - 1) * (Q.N - Q.p)) * Q.delta
@@ -535,6 +538,8 @@ def predict_existence(params: SystemParams) -> ExistenceVerdict:
     if blocked:
         return ExistenceVerdict(Verdict.NO_GS_DIRICHLET, "pohozaev-monotonicity", cond)
 
+    if P.N in (P.p, P.q):       # the thresholds divide by N - p and N - q
+        return ExistenceVerdict(Verdict.UNKNOWN, "none", ())
     thr_s = threshold_q2(P.N, P.p, P.a)
     thr_m = threshold_q2(P.N, P.q, P.b)
     if P.s >= thr_s and P.m >= thr_m:

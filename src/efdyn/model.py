@@ -264,15 +264,8 @@ def phase_rhs(params: SystemParams):
     on exchange-symmetric states produce bitwise-symmetric derivatives; the
     diagonal of a symmetric system is then exactly invariant in floating point.
 
-    The field carries its constants as `phase_constants`: the integrator
-    (`dop853`) takes one step per field, and for this field itself a step
-    with these four expressions written out in its stages, never calling
-    the field (a wrapper runs the generic step). Its `diagonal_exact` is true
-    when the folded constants are exchange-symmetric to the bit, x_bound =
-    y_bound, p - 1 = q - 1, N + a = N + b, s = m and delta = mu: on a diagonal
-    state (X, X, Z, Z) the field then forms Y_t and W_t by the operations of
-    X_t and Z_t, and a run from such a state takes the integrator's diagonal
-    step, which writes out X_t and Z_t only.
+    The field carries its constants as `phase_constants`, in exchange pairs,
+    from which `dop853` picks the step of a run (see its module docstring).
     """
     P = params
     xb, yb = P.x_bound, P.y_bound
@@ -287,9 +280,6 @@ def phase_rhs(params: SystemParams):
                 Z * (na - (s * X + delta * Y) - Z),
                 W * (nb - (mu * X + m * Y) - W))
     rhs.phase_constants = (xb, yb, p1, q1, na, nb, s, m, delta, mu)
-    rhs.diagonal_exact = all(
-        u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
-        for u, v in ((xb, yb), (p1, q1), (na, nb), (s, m), (delta, mu)))
     return rhs
 
 

@@ -312,7 +312,7 @@ def oscillation_condition(params: SystemParams) -> OscillationReport:
         branch = "EG>0 resonance"
 
     on_hs = None
-    if P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.s < P.N / (P.N - 2) \
+    if P.p == 2.0 and P.q == 2.0 and P.s == P.m and P.N != 2.0 and P.s < P.N / (P.N - 2) \
             and P.delta + 1 - P.s > 0 and P.mu + 1 - P.s > 0:
         on_hs = abs(X0 + Y0 - (P.N - 2)) < IDENTITY_RTOL * (1 + abs(X0) + abs(Y0) + P.N)
     return OscillationReport(imaginary_pair=imag, branch=branch, on_hs=on_hs)

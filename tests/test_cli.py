@@ -239,6 +239,19 @@ class TestCommands:
             rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
             assert rows[1].split(",")[-1] == "unknown"
 
+    @pytest.mark.parametrize("params", [
+        dict(HAM_CONFIG["params"], N=2.0),
+        dict(HAM_CONFIG["params"], N=3.0, p=3.0, q=3.0, s=0.5, m=0.5),
+    ], ids=["N=p=q=2", "N=p=q=3"])
+    def test_analyze_at_p_equal_to_N(self, tmp_path, capsys, params):
+        # the formulas that divide by N - p, or by N - 2, do not apply: as at
+        # p > N, the report fails validation and still carries a verdict
+        cfg = write_config(tmp_path, {"params": params})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "validation: fail" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["existence"]["verdict"] != "unknown"
+
     @pytest.mark.parametrize("start,stop", [(1.0, 2.0), (0.0, 1.0)])
     def test_family_grid_refuses_a_step_that_leaves_a_value(self, deadline, start, stop):
         # from 0 a step of 1e-20 advances, but stalls long before 1

@@ -1182,14 +1182,16 @@ class TestKernelAgainstScipy:
         self._assert_matches_scipy(*calls[0], dense_rtol=1e-10)
 
     def test_tableau_is_scipys(self):
-        # every coefficient the kernel's functions read, in dop853 and its
-        # step modules, is scipy's entry, and every entry they skip is 0.0 in
-        # scipy's table
+        # every coefficient the kernel reads, in dop853's functions and in
+        # the step modules' functions and module-level tables, is scipy's
+        # entry, and every entry they skip is 0.0 in scipy's table
         c = dop853_coefficients
-        used = {node.id for module in (dop853, *_STEP_MODULES.values())
-                for fn in ast.walk(ast.parse(Path(module.__file__).read_text()))
-                if isinstance(fn, ast.FunctionDef)
-                for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        tree = ast.parse(Path(dop853.__file__).read_text())
+        parts = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        parts += [ast.parse(Path(module.__file__).read_text())
+                  for module in _STEP_MODULES.values()]
+        used = {node.id for part in parts
+                for node in ast.walk(part) if isinstance(node, ast.Name)}
         A, C = np.zeros_like(c.A), np.zeros_like(c.C)
         B, E5, D = np.zeros_like(c.B), np.zeros_like(c.E5), np.zeros_like(c.D)
         E3_named = {}
@@ -1214,6 +1216,35 @@ class TestKernelAgainstScipy:
         assert np.array_equal(A, c.A)
         for ours, theirs in ((B, c.B), (C, c.C), (E3, c.E3), (E5, c.E5), (D, c.D)):
             assert np.array_equal(ours, theirs)
+
+    def test_step_tables_index_their_names(self):
+        # in the step modules' module-level tables, an entry (j, name, ...)
+        # sits at its names' last index (A4_3 at j = 3), and row k of the
+        # generic step's _STAGES holds the node and the weights of stage k + 1
+        entries = 0
+        for module in _STEP_MODULES.values():
+            for node in ast.parse(Path(module.__file__).read_text()).body:
+                if not isinstance(node, ast.Assign):
+                    continue
+                for entry in ast.walk(node.value):
+                    if (isinstance(entry, ast.Tuple) and entry.elts
+                            and isinstance(entry.elts[0], ast.Constant)):
+                        j, *names = entry.elts
+                        assert names and all(isinstance(n, ast.Name) for n in names)
+                        assert {re.split(r"\D+", n.id)[-1] for n in names} == {str(j.value)}
+                        entries += 1
+        # each nonzero entry of rows 1..11 of scipy's A, and 8 weight rows
+        assert entries == np.count_nonzero(dop853_coefficients.A[1:12]) + 8
+        tree = ast.parse(Path(_step_generic.__file__).read_text())
+        stages = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                      and node.targets[0].id == "_STAGES")
+        assert len(stages.elts) == 11
+        for i, row in enumerate(stages.elts, 1):
+            node, weights = row.elts
+            assert node.id == f"C{i}"
+            assert {entry.elts[1].id.split("_")[0] for entry in weights.elts} == {f"A{i}"}
+            js = [entry.elts[0].value for entry in weights.elts]
+            assert js == sorted(set(js))
 
     def test_step_size_underflow_keeps_partial_trajectory(self):
         with pytest.raises(StepSizeUnderflow) as err:
@@ -1476,12 +1507,11 @@ class TestPhaseStep:
         integrate_m(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), horizon=(0.0, 40.0))
         assert generic[0] == 0 and fused[0] > 100
 
+    # a wrapper made with functools.wraps copies the constants and takes the
+    # field's own step (_check_wraps_spy)
     @pytest.mark.parametrize("wrap", [
         lambda rhs: lambda t, y: rhs(t, y),
-        # functools.wraps copies `phase_constants` with the wrapped field's
-        # other attributes; the wrapper still runs itself
-        lambda rhs: wraps(rhs)(lambda t, y: rhs(t, y)),
-    ], ids=["closure", "functools-wraps"])
+    ], ids=["closure"])
     def test_wrapped_field_takes_the_generic_step(self, monkeypatch, wrap):
         # a run with rejected steps and an event, which ends in a step size
         # underflow at blow-up
@@ -1566,6 +1596,33 @@ def _taken(calls) -> set:
     return taken
 
 
+def _spied_runs(monkeypatch, fun, t0, y0, t_bound, use_wraps):
+    """A run of `fun` from (t0, y0) with an event, and the same run of a spy:
+    a closure that logs the field's calls, made with functools.wraps(fun)
+    if `use_wraps`. Per run, its output and counts and the steps it took,
+    then the spy's calls."""
+    events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
+    log, seen = [], []
+    spy = _logged(fun, log)
+    for field_ in (fun, wraps(fun)(spy) if use_wraps else spy):
+        sol, counts, calls = _observe(
+            monkeypatch, lambda: dop853.solve(field_, t0, y0, t_bound, events))
+        seen.append(((_hex(sol.t), _hex(sol.y), sol.events, counts), _taken(calls)))
+    return (*seen, len(log))
+
+
+def _check_wraps_spy(seen, step):
+    """A spy made with functools.wraps copies the field's constants and takes
+    the field's own step: the same output and counts, and the spy is called
+    only by the stepping loop, twice at the start, once per accepted step and
+    3 times per interpolant that an event builds (one per located zero)."""
+    (direct, taken), (spied, spied_taken), calls = seen
+    assert direct == spied and taken == spied_taken == {step}
+    _, _, events, [(n_accepted, n_rejected, nfev)] = spied
+    assert events and calls == 2 + n_accepted + 3 * len(events)
+    assert calls == nfev - 11 * (n_accepted + n_rejected)
+
+
 def _off_diagonal(monkeypatch):
     # no run takes the diagonal step
     monkeypatch.setattr(dop853, "_on_diagonal", lambda y: False)
@@ -1602,8 +1659,11 @@ class TestDiagonalStep:
         return diagonal[1]
 
     def test_fields_are_diagonal_exact(self):
-        assert all(phase_rhs(P).diagonal_exact for P in _DIAGONAL_PHASE_PARAMS)
-        assert all(phase_rhs(P).diagonal_exact for P, _, _ in DIAGONAL_STEP_STATES)
+        # the constants come in exchange pairs, each equal to the bit
+        assert all(dop853._on_diagonal(phase_rhs(P).phase_constants)
+                   for P in _DIAGONAL_PHASE_PARAMS)
+        assert all(dop853._on_diagonal(phase_rhs(P).phase_constants)
+                   for P, _, _ in DIAGONAL_STEP_STATES)
 
     @pytest.mark.parametrize("params", [
         hamiltonian_params(6.0, 1.6, 2.1), _NONSYMMETRIC,
@@ -1611,11 +1671,12 @@ class TestDiagonalStep:
         SystemParams(N=6.0, p=2.0, q=2.0, s=-0.0, m=0.0, delta=2.0, mu=2.0),
     ], ids=["hamiltonian-1.6-2.1", "nonsymmetric", "signed-zero-s"])
     def test_other_fields_are_not(self, params):
-        assert phase_rhs(params).diagonal_exact is False
+        assert dop853._on_diagonal(phase_rhs(params).phase_constants) is False
 
     def test_field_reads_no_sign(self):
         # the phase field has no eps
-        assert phase_rhs(symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)).diagonal_exact
+        P = symmetric_scalar_embedding(3.5, 2.0, 4.0, eps=-1)
+        assert dop853._on_diagonal(phase_rhs(P).phase_constants)
 
     # the fixed states of tests/pinned_bits.py
     @pytest.mark.parametrize("h", FUSED_STEP_H)
@@ -1685,28 +1746,31 @@ class TestDiagonalStep:
                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
         # zeros of opposite sign on a diagonal-exact field
         lambda: _hex(dop853.solve(phase_rhs(HAM6), 0.0, (0.0, -0.0, 5.5, 5.5), 5.0).y),
-    ], ids=["off-diagonal-seed", "nonsymmetric", "opposite-zeros"])
+        # a diagonal state, and constants that are exchange-symmetric but for
+        # the signed zeros s = -0.0, m = 0.0
+        lambda: _hex(dop853.solve(phase_rhs(SystemParams(N=6.0, p=2.0, q=2.0, s=-0.0, m=0.0,
+                                                         delta=2.0, mu=2.0)),
+                                  0.0, (0.3, 0.3, 5.5, 5.5), 5.0).y),
+    ], ids=["off-diagonal-seed", "nonsymmetric", "opposite-zeros", "signed-zero-s"])
     def test_other_runs_do_not(self, monkeypatch, run):
         assert _taken(_observe(monkeypatch, run)[2]) == {"_phase_step"}
 
-    def test_wrapped_field_takes_the_generic_step(self, monkeypatch):
-        # a spy made with functools.wraps keeps the field's constants and its
-        # diagonal_exact, and runs the generic step, which calls it 11 times
-        # an attempt: the same output and counts as the field's diagonal run,
-        # the events' interpolants included
+    @staticmethod
+    def _spied(monkeypatch, use_wraps):
         P = hamiltonian_params(6.0, 2.5, 2.5)
-        fun, y0 = phase_rhs(P), launch_regular(P, *dynamics._seed(math.pi / 4, RHO), RHO).coords
-        events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
-        log = []
-        spy = wraps(fun)(_logged(fun, log))
-        seen = []
-        for field_, taken in ((fun, {"_diagonal_step"}), (spy, {"_step"})):
-            sol, counts, calls = _observe(
-                monkeypatch, lambda: dop853.solve(field_, 0.0, y0, 40.0, events))
-            assert _taken(calls) == taken
-            seen.append((_hex(sol.t), _hex(sol.y), sol.events, counts))
-        assert seen[0] == seen[1]
-        assert len(log) == seen[1][3][0][2] and seen[1][2]
+        y0 = launch_regular(P, *dynamics._seed(math.pi / 4, RHO), RHO).coords
+        return _spied_runs(monkeypatch, phase_rhs(P), 0.0, y0, 40.0, use_wraps)
+
+    def test_wrapped_field_takes_the_generic_step(self, monkeypatch):
+        # a spy that is a plain closure runs the generic step, which calls it
+        # 11 times an attempt: the same output and counts as the field's
+        # diagonal run, the events' interpolants included
+        (direct, taken), (spied, spied_taken), calls = self._spied(monkeypatch, False)
+        assert direct == spied and taken == {"_diagonal_step"} and spied_taken == {"_step"}
+        assert calls == spied[3][0][2] and spied[2]
+
+    def test_functools_wraps_spy_takes_the_diagonal_step(self, monkeypatch):
+        _check_wraps_spy(self._spied(monkeypatch, True), "_diagonal_step")
 
 
 # radial systems: Hamiltonian ones (p = q = 2, s = m = 0) with a = b = 0 and
@@ -1768,7 +1832,7 @@ class TestRadialStep:
         fun = dynamics._radial_rhs(P)
         assert fun.radial_constants == (1 / (P.p - 1), 1 / (P.q - 1), 1 + P.a, 1 + P.b,
                                         -P.eps1, -P.eps2, P.s, P.m, P.delta, P.mu, P.N - 1)
-        assert not hasattr(fun, "diagonal_exact") and not hasattr(fun, "phase_constants")
+        assert not hasattr(fun, "phase_constants")
 
     # the fixed states of tests/pinned_bits.py
     @pytest.mark.parametrize("h", FUSED_STEP_H)
@@ -1873,24 +1937,22 @@ class TestRadialStep:
         capsys.readouterr()
         assert code == 0 and calls["_step"] == 0
 
+    @staticmethod
+    def _spied(monkeypatch, use_wraps):
+        y0 = (1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6)
+        return _spied_runs(monkeypatch, dynamics._radial_rhs(HAM6), math.log(RADIAL_R0), y0,
+                           math.log(1e4), use_wraps)
+
     def test_wrapped_field_takes_the_generic_step(self, monkeypatch):
-        # a spy made with functools.wraps keeps the field's constants, and
-        # runs the generic step, which calls it 11 times an attempt: the same
-        # output and counts as the field's run, the events' interpolants
-        # included
-        fun = dynamics._radial_rhs(HAM6)
-        y0, t_span = (1.0, 1.0, -RADIAL_R0 / 6, -RADIAL_R0 / 6), (math.log(RADIAL_R0), math.log(1e4))
-        events = [EventSpec("x", lambda t, y: y[0] - 0.7)]
-        log = []
-        spy = wraps(fun)(_logged(fun, log))
-        seen = []
-        for field_, taken in ((fun, {"_radial_step"}), (spy, {"_step"})):
-            sol, counts, calls = _observe(
-                monkeypatch, lambda: dop853.solve(field_, t_span[0], y0, t_span[1], events))
-            assert _taken(calls) == taken
-            seen.append((_hex(sol.t), _hex(sol.y), sol.events, counts))
-        assert seen[0] == seen[1]
-        assert len(log) == seen[1][3][0][2] and seen[1][2]
+        # a spy that is a plain closure runs the generic step, which calls it
+        # 11 times an attempt: the same output and counts as the field's run,
+        # the events' interpolants included
+        (direct, taken), (spied, spied_taken), calls = self._spied(monkeypatch, False)
+        assert direct == spied and taken == {"_radial_step"} and spied_taken == {"_step"}
+        assert calls == spied[3][0][2] and spied[2]
+
+    def test_functools_wraps_spy_takes_the_radial_step(self, monkeypatch):
+        _check_wraps_spy(self._spied(monkeypatch, True), "_radial_step")
 
 
 class TestSameBitsOnEveryPython:

@@ -172,6 +172,27 @@ def test_script_runs_end_to_end(path, monkeypatch, tmp_path, capsys):
     assert f"wrote {out}" in capsys.readouterr().out
 
 
+# an empty grid of each script that sweeps one, and the CSV header it writes
+EMPTY_GRIDS = {
+    "hamiltonian_dichotomy.py": (["--start", "3", "--stop", "1"],
+                                 "delta,found_gs,predicted,dirichlet_radius"),
+    "nonvariational_region.py": (["--grid", "0", "--angles", "1"], "delta,mu,verdict,source"),
+    "potential_line_sweep.py": (["--start", "0.8", "--stop", "0.2"], "s,found_gs,predicted"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_GRIDS))
+def test_script_writes_a_header_on_an_empty_grid(name, monkeypatch, tmp_path, capsys):
+    # as the CLI sweep does: a header-only CSV, not an IndexError
+    args, header = EMPTY_GRIDS[name]
+    main = runpy.run_path(str(ROOT / "scripts" / name), run_name="not_main")["main"]
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(out)])
+    main()
+    assert out.read_text().splitlines() == [header]
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
 def _workflow_step(name):
     """The lines of the CI workflow step `name`, below its `- name:` line."""
     lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
@@ -419,6 +440,25 @@ print(*sorted(name for name in sys.modules if name.startswith("efdyn._step_")))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(SRC.parent)}).stdout
     assert out.split() == [f"efdyn.{step}"]
+
+
+def test_only_dop853_picks_a_step():
+    # the fields set their constants; only dop853 reads them, and only it
+    # imports a step module
+    def picks(node):
+        if isinstance(node, ast.Attribute):
+            return (isinstance(node.ctx, ast.Load)
+                    and node.attr in ("phase_constants", "radial_constants"))
+        if isinstance(node, ast.ImportFrom):
+            return ((node.module or "").startswith("_step_")
+                    or any(alias.name.startswith("_step_") for alias in node.names))
+        if isinstance(node, ast.Import):
+            return any("._step_" in alias.name for alias in node.names)
+        return False
+
+    pickers = {path.stem for path in sorted(SRC.glob("*.py"))
+               if any(map(picks, ast.walk(ast.parse(path.read_text()))))}
+    assert pickers == {"dop853"}
 
 
 def test_scalar_classify_runs_without_numpy():
