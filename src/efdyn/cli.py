@@ -6,12 +6,19 @@ directory. Tolerances are the constants of `efdyn.numerics`. Commands:
 
     efdyn analyze|integrate|shoot|sweep|scalar|portrait --config cfg.json [--out DIR]
 
+The command comes first; the two flags follow in either order, each as
+`--flag value` or `--flag=value`, and are spelled out in full. `-h` or
+`--help` prints the usage line and the commands.
+
 `integrate` writes the regular radial solution from (u0, v0) as a CSV (the one
 `mode` is "radial"); `shoot` classifies the manifold seed at angle `theta`.
 
-Exit codes: 0 success, 2 config error (also for a NaN or infinite number, a
-fractional count, a value out of its range, or an output directory that is
-not a string or cannot be written), 3 internal numeric failure.
+Exit codes: 0 success, 2 usage error (no command or an unknown one, no
+--config, an unknown, repeated or value-less flag, a stray argument: the
+usage line goes to stderr) or config error (also for a NaN or infinite
+number, a fractional count, a value out of its range, or an output
+directory that is not a string or cannot be written), 3 internal numeric
+failure; a family sweep's internal failure also names the family value.
 Recoverable numeric conditions (e.g. a power solution that does not exist) are
 recorded in the report, not fatal. Reruns with identical configs produce
 byte-identical outputs: floats are printed at 17 significant digits and all
@@ -20,24 +27,36 @@ orderings are fixed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 
 from ._record import record
-from .dynamics import (EventSpec, _seed, check_shot_params, classify_shot, integrate_radial,
-                       linspace, search_ground_state, sweep_angles)
 from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
 
-# Each command imports the modules only it reads (energies, equilibria,
-# spectra, scalar), so a run loads what it uses. ScalarParams in the
-# annotations is efdyn.scalar's class.
+# Each command imports the modules only it reads (dynamics, energies,
+# equilibria, spectra, scalar), so a run loads what it uses: analyze, which
+# integrates nothing, loads neither dynamics nor the kernel. ScalarParams in
+# the annotations is efdyn.scalar's class.
 
 COMMANDS = ("analyze", "integrate", "shoot", "sweep", "scalar", "portrait")
+
+USAGE = f"usage: efdyn {{{','.join(COMMANDS)}}} --config PATH [--out DIR]"
+_HELP = f"""{USAGE}
+
+Radial Emden-Fowler dynamics toolkit: one JSON config per run.
+
+commands:
+  analyze    exponents, fixed points, spectra, regions and predicted existence
+  integrate  the regular radial solution from (u0, v0)
+  shoot      classify the manifold seed at angle theta
+  sweep      classify seeds over the angles, or ground states over a family
+  scalar     classify the scalar equation
+  portrait   the scalar phase plane and its regular orbit"""
+_FLAGS = ("--config", "--out")
 
 _TOP_KEYS = {"command", "params", "scalar", "out", "integrate", "shoot", "sweep",
              "portrait"}
@@ -197,6 +216,7 @@ def _need_params(rc: RunConfig) -> SystemParams:
 
 def _shot_params(rc: RunConfig) -> SystemParams:
     """The params of a command that shoots; where no shot applies, a config error."""
+    from .dynamics import check_shot_params
     try:
         check_shot_params(_need_params(rc))
     except NotApplicable as exc:
@@ -273,6 +293,7 @@ def _run_analyze(rc: RunConfig) -> ReportBundle:
 
 
 def _run_integrate(rc: RunConfig) -> ReportBundle:
+    from .dynamics import integrate_radial
     P = _need_params(rc)
     block = rc.block
     mode = block.get("mode", "radial")
@@ -303,6 +324,7 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
 
 
 def _run_shoot(rc: RunConfig) -> ReportBundle:
+    from .dynamics import _seed, classify_shot
     P = _shot_params(rc)
     block = rc.block
     theta = _number(block, "shoot", "theta")
@@ -344,8 +366,16 @@ _FAMILIES = {
 }
 
 
+def search_ground_state(params: SystemParams, n_angles: int):
+    """`dynamics.search_ground_state` at one family value, looked up when
+    called; perfbench/launch.py replaces this name to time each value."""
+    from .dynamics import search_ground_state
+    return search_ground_state(params, n_angles=n_angles)
+
+
 def _run_sweep(rc: RunConfig) -> ReportBundle:
     from . import energies
+    from .dynamics import sweep_angles
     P = _shot_params(rc)      # a family moves delta, mu, s or m: never p, q or N
     block = rc.block
     kind = block.get("kind", "angle")
@@ -381,8 +411,12 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         prev = None
         for v in values:
             Pv = _FAMILIES[parameter](P, v)
-            res = search_ground_state(Pv, n_angles=n_angles)
-            pred = energies.predict_existence(Pv).verdict.value
+            try:
+                res = search_ground_state(Pv, n_angles)
+                pred = energies.predict_existence(Pv).verdict.value
+            except Exception as exc:    # main names the value an internal error hit
+                exc.family_value = f"{parameter} = {v!r}"
+                raise
             rows.append([_fmt(v), _fmt(Pv.delta), _fmt(Pv.mu), _fmt(Pv.s), _fmt(Pv.m),
                          "1" if res.found else "0", pred])
             if prev is not None and prev != res.found:
@@ -415,6 +449,7 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
     """The scalar phase plane: the vector field on a grid plus the regular orbit."""
+    from .dynamics import EventSpec, linspace
     from .scalar import diagonal_trajectory, regular_seed, scalar_fixed_points
     sp = _need_scalar(rc)
     block = rc.block
@@ -459,25 +494,52 @@ def run(rc: RunConfig) -> ReportBundle:
     return _RUNNERS[rc.command](rc)
 
 
+def _usage_error(message: str):
+    """Print the usage line and `message` to stderr and exit 2."""
+    print(f"{USAGE}\nefdyn: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, str, str | None]:
+    """The command, the --config path and the --out directory (None if not
+    given) of `efdyn COMMAND --config PATH [--out DIR]`. The flags come in
+    either order, as `--flag value` or `--flag=value`. -h or --help anywhere
+    prints the help and exits 0; any other malformed command line is a usage
+    error."""
+    if "-h" in argv or "--help" in argv:
+        print(_HELP)
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error("the command comes first, one of " + ", ".join(COMMANDS))
+    flags, rest = {}, iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(f"unrecognized argument: {arg}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                _usage_error(f"argument {flag}: expected one argument")
+        if flag in flags:
+            _usage_error(f"argument {flag}: given twice")
+        flags[flag] = value
+    if "--config" not in flags:
+        _usage_error("the argument --config is required")
+    return argv[0], flags["--config"], flags.get("--out")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="efdyn",
-                                     description="Radial Emden-Fowler dynamics toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        sp = sub.add_parser(cmd)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    command, config, out = _parse_argv(sys.argv[1:] if argv is None else argv)
     rc = None
     try:
         try:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", str(exc))
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
-        rc = parse_config(raw, args.command, args.out)
+        rc = parse_config(raw, command, out)
         bundle = run(rc)
         try:
             files = bundle.write(rc.out)
@@ -488,13 +550,15 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # internal failure: name the run it hit
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print(f"  command: {args.command}", file=sys.stderr)
+        print(f"  command: {command}", file=sys.stderr)
         if rc is not None:
             for key, value in (("params", rc.params), ("scalar", rc.scalar)):
                 if value is not None:
                     print(f"  {key}: {json.dumps(value.to_dict())}", file=sys.stderr)
             if rc.block:
-                print(f"  {args.command}: {json.dumps(rc.block)}", file=sys.stderr)
+                print(f"  {command}: {json.dumps(rc.block)}", file=sys.stderr)
+        if hasattr(exc, "family_value"):
+            print(f"  value: {exc.family_value}", file=sys.stderr)
         tb = exc.__traceback__              # where it was raised: the innermost frame
         while tb.tb_next is not None:
             tb = tb.tb_next

@@ -66,8 +66,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from operator import neg
-from typing import Callable, Iterator, Sequence
 
 from .numerics import ODE_ATOL, ODE_RTOL
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import record
 from .errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
@@ -26,8 +25,9 @@ from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
 from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
                        MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
 
-if TYPE_CHECKING:
-    from .equilibria import FixedPointLabel
+# Annotations stay strings (from __future__ import annotations), so their
+# names are not imported: Callable and Sequence are collections.abc's,
+# FixedPointLabel is efdyn.equilibria's.
 
 # efdyn.dop853, the integrator, is imported by the four functions that run
 # it: a command that integrates nothing (analyze) does not load it. The

@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from efdyn import cli, scalar
+from efdyn import cli, dynamics, scalar
 from efdyn.cli import main, parse_config, run
 from efdyn.dynamics import _seed, classify_shot, search_ground_state
 from efdyn.errors import ConfigError, PreconditionViolated
@@ -395,9 +396,10 @@ class TestExitCodes:
         # stderr only: nothing is written
         def fail(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
-        # patched where the command reads it: `scalar` imports scalar_classify
-        # from efdyn.scalar when it runs
-        owner = {"classify_shot": cli, "scalar_classify": scalar}[failing]
+        # patched where the command reads it: `shoot` imports classify_shot
+        # from efdyn.dynamics, and `scalar` scalar_classify from efdyn.scalar,
+        # when it runs
+        owner = {"classify_shot": dynamics, "scalar_classify": scalar}[failing]
         monkeypatch.setattr(owner, failing, fail)
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
@@ -411,6 +413,34 @@ class TestExitCodes:
         code = fail.__code__
         assert lines[3:] == block + [
             f"  at: {code.co_filename}:{code.co_firstlineno + 1} in fail"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_family_sweep_internal_error_names_the_value(self, tmp_path, capsys, monkeypatch):
+        # a family sweep's internal failure also names the value it hit, here
+        # the third of three; nothing is written
+        search, calls = dynamics.search_ground_state, []
+
+        def fail_at_third(params, n_angles):
+            calls.append(params)
+            if len(calls) == 3:
+                raise ZeroDivisionError("float division by zero")
+            return search(params, n_angles=n_angles)
+        monkeypatch.setattr(dynamics, "search_ground_state", fail_at_third)
+        block = {"kind": "family", "parameter": "delta=mu", "start": 2.4, "stop": 2.6,
+                 "step": 0.1, "n_angles": 3}
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, sweep=block))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[:2] == ["internal error: ZeroDivisionError: float division by zero",
+                             "  command: sweep"]
+        assert json.loads(lines[2].split("params: ", 1)[1]) == HAM_CONFIG["params"]
+        assert json.loads(lines[3].split("sweep: ", 1)[1]) == block
+        assert lines[4:] == ["  value: delta=mu = 2.6",
+                             f"  at: {fail_at_third.__code__.co_filename}:"
+                             f"{fail_at_third.__code__.co_firstlineno + 3} in fail_at_third"]
+        assert [P.delta for P in calls] == [2.4, 2.5, 2.6]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -619,3 +649,60 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["power_solution"] is None
         assert report["errors"]
+
+
+# efdyn COMMAND --config PATH [--out DIR], read by hand: each argv ({cfg} a
+# valid config, {out} an output directory), its exit code, and the stream the
+# usage line goes to (None: the command runs)
+ARGV_CASES = {
+    "config-then-out": (["analyze", "--config", "{cfg}", "--out", "{out}"], 0, None),
+    "out-then-config": (["analyze", "--out", "{out}", "--config", "{cfg}"], 0, None),
+    "equals-forms": (["analyze", "--config={cfg}", "--out={out}"], 0, None),
+    "mixed-forms": (["analyze", "--out={out}", "--config", "{cfg}"], 0, None),
+    "-h": (["-h"], 0, "out"),
+    "--help": (["--help"], 0, "out"),
+    "help-after-command": (["analyze", "--config", "{cfg}", "--help"], 0, "out"),
+    "no-arguments": ([], 2, "err"),
+    "unknown-command": (["analyse", "--config", "{cfg}", "--out", "{out}"], 2, "err"),
+    "command-last": (["--config", "{cfg}", "--out", "{out}", "analyze"], 2, "err"),
+    "missing-config": (["analyze", "--out", "{out}"], 2, "err"),
+    "config-without-value": (["analyze", "--out", "{out}", "--config"], 2, "err"),
+    "config-before-a-flag": (["analyze", "--config", "--out", "{out}"], 2, "err"),
+    "repeated-out": (["analyze", "--config", "{cfg}", "--out", "{out}", "--out", "{out}"],
+                     2, "err"),
+    "unknown-flag": (["analyze", "--config", "{cfg}", "--out", "{out}", "--verbose"], 2, "err"),
+    "abbreviated-flag": (["analyze", "--conf", "{cfg}", "--out", "{out}"], 2, "err"),
+    "stray-argument": (["analyze", "--config", "{cfg}", "--out", "{out}", "extra"], 2, "err"),
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("case", ARGV_CASES)
+    def test_argv(self, tmp_path, capsys, case):
+        template, code, usage_on = ARGV_CASES[case]
+        cfg, out = write_config(tmp_path, HAM_CONFIG), tmp_path / "out"
+        argv = [arg.format(cfg=cfg, out=out) for arg in template]
+        if usage_on is None:
+            assert main(argv) == 0
+            assert (out / "report.json").exists()
+            return
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        captured = capsys.readouterr()
+        shown = captured.out if usage_on == "out" else captured.err
+        other = captured.err if usage_on == "out" else captured.out
+        assert shown.splitlines()[0] == cli.USAGE
+        assert other == ""
+        if code == 0:       # the help lists every command
+            assert all(f"\n  {command} " in shown for command in cli.COMMANDS)
+        else:
+            assert shown.splitlines()[1].startswith("efdyn: error: ")
+        assert not out.exists()
+
+    def test_argv_none_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["efdyn", "analyze", "--config",
+                                          write_config(tmp_path, HAM_CONFIG), "--out", str(out)])
+        assert main() == 0
+        assert (out / "report.json").exists()

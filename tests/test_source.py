@@ -348,34 +348,46 @@ def _config_args(config, tmp_path):
                      "--out", str(tmp_path / config)]
 
 
-def _imported(args):
-    """The modules a fresh `python <args>` imports, as `-X importtime` lists them."""
-    out = subprocess.run([sys.executable, "-X", "importtime"] + args, capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": str(SRC.parent)})
+def _imported(args, flags=()):
+    """The modules a fresh `python <flags> <args>` imports, as `-X importtime`
+    lists them."""
+    out = subprocess.run([sys.executable, *flags, "-X", "importtime"] + args,
+                         capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(SRC.parent)})
     return [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
             if line.startswith("import time:")]
+
+
+# standard-library modules that start-up does without: argparse (with the
+# gettext and locale of its messages, and the shutil of its help layout) and
+# typing. A site that pre-loads them (a .pth file) hides who else imports
+# them, so they are read from a run without site (`python -S`)
+NOT_AT_START_UP = {"argparse", "gettext", "locale", "shutil", "typing"}
 
 
 @pytest.mark.parametrize("config", ("import",) + NUMPY_FREE_CONFIGS)
 def test_start_up_loads_no_numpy(config, tmp_path):
     if config == "import":
         # every exported name, so that every module the namespace reaches loads
+        command = None
         args = ["-c", "import efdyn\nfor name in efdyn.__all__: getattr(efdyn, name)"]
     else:
-        args = _config_args(config, tmp_path)[1]
+        command, args = _config_args(config, tmp_path)
     imported = _imported(args)
-    assert "efdyn.dynamics" in imported
+    if command != "analyze":    # analyze integrates nothing
+        assert "efdyn.dynamics" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
     # efdyn's records are built by efdyn._record: dataclasses, and the inspect
     # it imports, would take most of the start-up time
     assert {"dataclasses", "inspect"} & set(imported) == set()
+    assert NOT_AT_START_UP & set(_imported(args, ["-S"])) == set()
 
 
 # The efdyn submodules each entry point loads. `import efdyn` runs the
 # package's __init__ alone; the predictor (predict_existence) loads neither the
 # integrator nor the linearisation (spectra, equilibria);
 # each CLI command imports what it reads, and analyze, which integrates
-# nothing, does not load the kernel (dop853). The kernel imports each step
+# nothing, loads neither the shooting module (dynamics) nor the kernel (dop853). The kernel imports each step
 # module (_step_*) for the runs that take it: integrate's radial run the radial
 # step, the shipped shoot, scalar and portrait runs, on the invariant
 # diagonal, the diagonal step, and sweep the phase and diagonal steps; no
@@ -393,7 +405,7 @@ MODULE_SETS = {
     "shoot": _KERNEL | {"equilibria", "_step_diagonal"},
     "scalar": _KERNEL | {"scalar", "_step_diagonal"},
     "portrait": _KERNEL | {"scalar", "_step_diagonal"},
-    "analyze": _EVERY - {"dop853"},
+    "analyze": _EVERY - {"dop853", "dynamics"},
     "sweep": _EVERY - {"spectra"} | {"_step_phase", "_step_diagonal"},
 }
 
