@@ -299,7 +299,8 @@ class Solution:
     """A kernel run: its accepted points and states, its status, the events it
     located, its dense output (`at`) and its counts."""
 
-    __slots__ = ("t", "y", "status", "events", "pieces", "nfev", "n_accepted", "n_rejected")
+    __slots__ = ("t", "y", "status", "events", "event_states", "pieces", "nfev", "n_accepted",
+                 "n_rejected")
 
     def __init__(self, t: list[float], y: list[tuple[float, ...]], pieces: list | None):
         self.t = t                   # accepted step points, the last one possibly an event
@@ -308,6 +309,7 @@ class Solution:
                                      # None: the run goes on (`steps`)
         self.events = []             # (t, name) per located root, in the order found:
                                      # step by step, a terminal one last
+        self.event_states = []       # the state at each root of `events`, in its order
         self.pieces = pieces         # `solve`: per accepted step, its StepInterpolant's
                                      # arguments or, once read, the interpolant (an empty
                                      # span: the constant of its point); `steps`: None
@@ -409,12 +411,14 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     Each event has `name`, `fn(t, y)`, `terminal` and `direction` (> 0: upward
     zero crossings only, < 0: downward only, 0: both). Its zeros are located on
     the step interpolant to 4 eps, and `Solution.events` records each as a
-    (t, name) pair, in the order found. A terminal event ends the run at its
-    zero, which becomes the last point and the last pair: the step's zeros
-    past the earliest terminal one are dropped. A paused run keeps no
-    interpolants: a `StepInterpolant` is built only for a step with a zero to
-    locate, and `Solution.pieces` is None. `Solution.nfev` counts the
-    interpolants built during the run, 3 evaluations each.
+    (t, name) pair, in the order found, and `Solution.event_states` the state
+    there, the step's interpolant at the root, at no right-hand side
+    evaluation. A terminal event ends the run at its zero, which becomes the
+    last point and the last pair: the step's zeros past the earliest terminal
+    one are dropped. A paused run keeps no interpolants: a `StepInterpolant`
+    is built only for a step with a zero to locate, and `Solution.pieces` is
+    None. `Solution.nfev` counts the interpolants built during the run, 3
+    evaluations each.
 
     The run's step is picked from the constants that the field carries (see
     the module docstring); every step gives the same bits and the same counts.
@@ -540,9 +544,10 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                     cut = next(k for k, (_, i) in enumerate(found) if events[i].terminal)
                     found = found[:cut + 1]
                     status = 1
-                    t = found[-1][0]
-                    y = piece(t)
                 out.events.extend((root, events[i].name) for root, i in found)
+                out.event_states.extend(piece(root) for root, _ in found)
+                if status == 1:     # the run ends at its terminal zero
+                    t, y = found[-1][0], out.event_states[-1]
 
         # a terminal zero at the step's start adds no point
         if ts[-1] != t or len(ts) == 1:

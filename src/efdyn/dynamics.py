@@ -17,8 +17,8 @@ import math
 from enum import Enum
 
 from ._record import record
-from .errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
-                     StepSizeUnderflow)
+from .errors import (EfdynError, Inconclusive, NotApplicable, PreconditionViolated,
+                     SeriesInvalid, StepSizeUnderflow)
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
                     regular_initial_values, to_phase)
@@ -29,8 +29,8 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RAT
 # names are not imported: Callable and Sequence are collections.abc's,
 # FixedPointLabel is efdyn.equilibria's.
 
-# efdyn.dop853, the integrator, is imported by the four functions that run
-# it: a command that integrates nothing (analyze) does not load it. The
+# efdyn.dop853, the integrator, is imported by the functions that use it: a
+# command that integrates nothing (analyze) does not load it. The
 # fixed-point catalog (efdyn.equilibria) is imported by its two readers,
 # _detect_convergence and _m0_basin: a radial run does not load it.
 
@@ -506,9 +506,16 @@ class ShotOutcome:
     answer for the same steps. A diagonal shot (x == y) where `_m0_basin`
     finds a region ends on entering it, by its terminal m0-basin event: S, GS
     and no hit times. The exchange image of a shot (`_exchanged`) holds the
-    shot as its partner and reads it through `_EXCHANGED`."""
+    shot as its partner and reads it through `_EXCHANGED`.
 
-    __slots__ = ("seed", "s_class", "proved", "_params", "_steps", "_sol", "_end", "_partner")
+    `gap` is the face gap ln((Y x_bound)/(X y_bound)) in the state at the
+    first face crossing (the kernel's event state): < 0 on S1, > 0 on S2,
+    0 where both faces are reached at once (S3). It crosses 0 continuously
+    at a Dirichlet flip and jumps at a ground-state flip; an exchange image's
+    gap is minus its partner's. A shot with no crossing state has gap None."""
+
+    __slots__ = ("seed", "s_class", "gap", "proved", "_params", "_steps", "_sol", "_end",
+                 "_partner")
 
     def __init__(self, params: SystemParams, x: float, y: float, rho: float):
         from . import dop853
@@ -539,10 +546,16 @@ class ShotOutcome:
                 first = min(t for t, _ in sol.events)
             if sol.status is None and sol.t[-1] > first + SIM_WINDOW:
                 self._sol, self.s_class = sol, _s_class(_first_times(sol.events))
-                return
-        # a run that ends before the pause is read at once
-        self._sol = sol
-        self.s_class = self._read_end()[0]
+                break
+        else:
+            # a run that ends before the pause is read at once
+            self._sol = sol
+            self.s_class = self._read_end()[0]
+        # the face gap in the state at the first crossing
+        _, X, Y = min(((t, v[0], v[1]) for (t, name), v in zip(sol.events, sol.event_states)
+                       if name in ("x-bound", "y-bound")), default=(0.0, 0.0, 0.0))
+        self.gap = (math.log(Y * params.x_bound / (X * params.y_bound))
+                    if X > 0.0 and Y > 0.0 else None)
 
     def _resume(self, to_end: bool) -> None:
         """Step the run until `_certify` proves its M-class or, with
@@ -641,6 +654,13 @@ def classify_shot(params: SystemParams, x: float, y: float,
 
 @record
 class BoundaryHit:
+    """A boundary of `search_ground_state`: its angle, its kind and the shot
+    that decides it. A grid S3 shot is its own hit. A flip's hit has the
+    midpoint of the bisection's final bracket as its angle and the last shot
+    taken as its outcome: where the bisection ends at an S or S3 shot, that
+    shot is at `angle`; where it ends by width, it lies at an end of the
+    final bracket, not at `angle`."""
+
     angle: float
     kind: str            # "ground-state" | "dirichlet"
     outcome: ShotOutcome
@@ -672,6 +692,7 @@ def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
     image = ShotOutcome.__new__(ShotOutcome)
     image.seed, image._partner = outcome.seed[::-1], outcome
     image.s_class = _EXCHANGED.get(outcome.s_class, outcome.s_class)
+    image.gap = None if outcome.gap is None else -outcome.gap
     return image
 
 
@@ -694,16 +715,79 @@ def sweep_angles(params: SystemParams,
     return thetas, outcomes
 
 
-def _bisect_boundary(params, th_lo, th_hi, side_lo) -> BoundaryHit:
-    """Shrink an S1/S2 flip interval to ANGLE_TOL and decide what sits on it."""
+class _Stop(Exception):
+    """Ends the Brent phase of `_bisect_boundary`."""
+
+
+def _bisect_boundary(params, th_lo, th_hi, out_lo, out_hi) -> BoundaryHit:
+    """Shrink the S1/S2 flip interval between the grid shots out_lo at th_lo
+    and out_hi at th_hi to ANGLE_TOL by bisection, and decide what sits on it.
+
+    Brent's method on the face gap (`dop853.find_root`, started from the two
+    grid shots' gaps) first closes in on the flip: each shot narrows the
+    class bracket [a, b], with out_lo's class at a and the other one at b. It
+    stops at an S or S3 shot, at a gap whose sign is not its class's, or
+    after two shots in a row whose |gap| is not below 0.7 of the smallest so
+    far: a jump, as at a ground-state flip, not a zero. The bisection then
+    runs as it would alone, but a midpoint at or below a takes out_lo's class
+    and one at or above b the other, unshot; a midpoint inside (a, b) and
+    the last midpoint, whose shot is the hit's outcome, are shot. Where the
+    S-class flips once on the interval, the hit is the plain bisection's, bit
+    for bit, from fewer shots.
+    """
+    from . import dop853
+    side_lo = out_lo.s_class
+    shots = {th_lo: out_lo, th_hi: out_hi}
+    a, b = th_lo, th_hi
+
+    def shoot(th):
+        nonlocal a, b
+        out = shots.get(th) or classify_shot(params, *_seed(th, MANIFOLD_RHO))
+        if out.s_class is side_lo:
+            a = max(a, th)
+        elif out.s_class is SClass.S1 or out.s_class is SClass.S2:
+            b = min(b, th)
+        return out
+
+    def signed(out):
+        g = out.gap
+        return g is not None and (g < 0.0 if out.s_class is SClass.S1 else
+                                  out.s_class is SClass.S2 and g > 0.0)
+
+    if signed(out_lo) and signed(out_hi):
+        least, misses = min(abs(out_lo.gap), abs(out_hi.gap)), 0
+
+        def gap(th):
+            nonlocal least, misses
+            # kept: a bisection midpoint may fall on it
+            out = shots[th] = shoot(th)
+            if th == th_lo or th == th_hi:
+                return out.gap
+            if not signed(out):
+                raise _Stop
+            if abs(out.gap) < 0.7 * least:
+                least, misses = abs(out.gap), 0
+            else:
+                misses += 1
+                if misses == 2:
+                    raise _Stop
+            return out.gap
+        try:
+            dop853.find_root(gap, th_lo, th_hi, ANGLE_TOL)
+        except (_Stop, EfdynError, RuntimeError):
+            pass        # the bisection below is the answer in any case
+
     lo, hi = th_lo, th_hi
     mid_out = None
     while hi - lo > ANGLE_TOL:
         mid = 0.5 * (lo + hi)
-        mid_out = classify_shot(params, *_seed(mid, MANIFOLD_RHO))
-        if mid_out.s_class in (SClass.S, SClass.S3):
-            break
-        if mid_out.s_class == side_lo:
+        below = mid <= a        # unshot: a's class at or below a, b's at or above b
+        if a < mid < b or (hi - mid if below else mid - lo) <= ANGLE_TOL:
+            mid_out = shoot(mid)
+            if mid_out.s_class in (SClass.S, SClass.S3):
+                break
+            below = mid_out.s_class == side_lo
+        if below:
             lo = mid
         else:
             hi = mid
@@ -727,7 +811,9 @@ def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundState
     A ground state is witnessed either by a grid seed that never leaves the
     rectangle, or by a flip boundary whose limiting shot stays in it or
     leaves through one face with M-class M1 or M2. Deterministic for fixed
-    grid and tolerances.
+    grid and tolerances. Each flip is first bracketed by Brent's method on
+    the shots' face gaps, which saves the bisection shots but not its
+    answer (`_bisect_boundary`).
     """
     if n_angles < 1:
         # zero shots would report found=False as if it were an answer
@@ -737,7 +823,7 @@ def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundState
     for i in range(len(thetas) - 1):
         a, b = outcomes[i], outcomes[i + 1]
         if {a.s_class, b.s_class} == {SClass.S1, SClass.S2}:
-            boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1], a.s_class))
+            boundaries.append(_bisect_boundary(params, thetas[i], thetas[i + 1], a, b))
     for th, o in zip(thetas, outcomes):
         if o.s_class is SClass.S3:
             boundaries.append(BoundaryHit(th, "dirichlet", o))

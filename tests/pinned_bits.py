@@ -11,6 +11,11 @@ tier-1, and the CI numpy-free job runs this module on every Python it tests.
   diagonal shot of a supercritical point, which ends where it enters M0's
   certified basin (its run to T_END took (100, 4, 1246)). Equal output bits
   from more or fewer steps or RHS evaluations show here.
+- The work of two searches on a 9-angle grid, as the shots they take and
+  the steps their shots' runs attempt, next to the boundary angles they
+  find, as float.hex: a Dirichlet search of a point below the critical
+  hyperbola, and a ground-state search of a point above it. A change that
+  finds the same angles from more shots or steps shows here.
 - The phase field's written-out step (`_step_phase._phase_step`) against
   the generic step (`_step_generic._step`) on the same field: y_new, the
   eight stage derivatives and the error estimate, to the bit, on fixed states
@@ -35,7 +40,8 @@ import math
 import sys
 
 from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853
-from efdyn.dynamics import _radial_problem, _radial_rhs, _seed, classify_shot, oracle_compare
+from efdyn.dynamics import (_radial_problem, _radial_rhs, _seed, classify_shot, oracle_compare,
+                            search_dirichlet, search_ground_state)
 from efdyn.model import (SystemParams, hamiltonian_params, nonvariational_params, phase_rhs,
                          potential_params, symmetric_scalar_embedding)
 
@@ -52,6 +58,17 @@ RADIAL_COUNTS = (214, 10, 2686)
 # the pi/4 shot at rho = 1e-4, ended by its m0-basin event
 M0_BASIN_PARAMS = hamiltonian_params(6.0, 2.5, 2.5)
 M0_BASIN_COUNTS = (42, 4, 553)
+
+# search_dirichlet(u0 = 1, n_angles = 9) on a Dirichlet flip: its angle,
+# shots and attempted steps. Bisection alone took 32 shots and 1379 steps.
+DIRICHLET_WORK_PARAMS = hamiltonian_params(6.0, 1.6, 2.1)
+DIRICHLET_WORK = ("0x1.b8dcbf2176894p-1", 30, 1290)
+
+# search_ground_state(n_angles = 9) on a ground-state flip: its boundaries as
+# (kind, angle), shots and attempted steps. Bisection alone took 40 shots and
+# 2094 steps.
+GROUND_STATE_WORK_PARAMS = hamiltonian_params(6.0, 3.5, 1.2)
+GROUND_STATE_WORK = ((("ground-state", "0x1.f471e87adf69cp-2"),), 40, 2092)
 
 # the oracle's points, the seed (x, y) in units of rho
 ORACLE_RHO = 1e-6
@@ -159,6 +176,40 @@ def radial_counts() -> tuple[int, int, int]:
 def m0_basin_counts() -> tuple[int, int, int]:
     """The counts of the pinned diagonal shot's run."""
     return _counts(classify_shot(M0_BASIN_PARAMS, *_seed(math.pi / 4, 1e-4), 1e-4)._sol)
+
+
+def _search_work(search):
+    """search(), the number of shots it takes and the steps that their runs
+    attempt (n_accepted + n_rejected), counted on the `dop853.steps` runs
+    that it starts: every shot's, and no other run."""
+    runs, real = [], dop853.steps
+
+    def counted(*args):
+        sols = real(*args)
+        sol = next(sols)
+        runs.append(sol)
+        yield sol
+        yield from sols
+    dop853.steps = counted
+    try:
+        res = search()
+    finally:
+        dop853.steps = real
+    return res, len(runs), sum(sol.n_accepted + sol.n_rejected for sol in runs)
+
+
+def dirichlet_work() -> tuple[str, int, int]:
+    """The pinned Dirichlet search's angle, as float.hex, shots and steps."""
+    res, shots, attempted = _search_work(
+        lambda: search_dirichlet(DIRICHLET_WORK_PARAMS, u0=1.0, n_angles=9))
+    return res.angle.hex(), shots, attempted
+
+
+def ground_state_work() -> tuple[tuple, int, int]:
+    """The pinned ground-state search's boundaries, as (kind, float.hex of
+    the angle), shots and steps."""
+    res, shots, attempted = _search_work(lambda: search_ground_state(GROUND_STATE_WORK_PARAMS, 9))
+    return tuple((b.kind, b.angle.hex()) for b in res.boundaries), shots, attempted
 
 
 def step_bits(out) -> list:
@@ -293,6 +344,11 @@ def main() -> int:
                                  ("m0-basin shot", m0_basin_counts(), M0_BASIN_COUNTS)):
         if counts != pinned:
             moved.append(f"{name}: (n_accepted, n_rejected, nfev) {counts}, pinned {pinned}")
+    for name, work, pinned in (("Dirichlet search", dirichlet_work(), DIRICHLET_WORK),
+                               ("ground-state search", ground_state_work(),
+                                GROUND_STATE_WORK)):
+        if work != pinned:
+            moved.append(f"{name}: (angles, shots, steps) {work}, pinned {pinned}")
     for i, ((params, xy), pinned) in enumerate(zip(ORACLE_POINTS, ORACLE_HEX)):
         err = oracle_value(params, xy)
         if not (err < ORACLE_BOUND and err.hex() == pinned):
@@ -305,7 +361,7 @@ def main() -> int:
               for case in diagonal_step_mismatches()]
     for line in moved:
         print(line)
-    print(f"{7 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
+    print(f"{9 + len(ORACLE_POINTS)} pins, {len(moved)} moved")
     return 1 if moved else 0
 
 

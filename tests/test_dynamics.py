@@ -35,12 +35,14 @@ from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R
 from efdyn.scalar import ScalarBehavior, ScalarParams, regular_seed, scalar_classify
 
 from conftest import SCALAR_CASES, field
-from pinned_bits import (DIAGONAL_STEP_STATES, FUSED_STEP_H, FUSED_STEP_STATES,
-                         M0_BASIN_COUNTS, ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS,
-                         RADIAL_COUNTS, RADIAL_STEP_STATES, SAME_BITS_COUNTS, SAME_BITS_HITS,
-                         SAME_BITS_PARAMS, SAME_BITS_THETA, Recorder, diagonal_calls,
-                         generic_calls, m0_basin_counts, on_diagonal_states, oracle_value,
-                         radial_counts, same_bits_counts, same_bits_hits, step_outcome)
+from pinned_bits import (DIAGONAL_STEP_STATES, DIRICHLET_WORK, FUSED_STEP_H,
+                         FUSED_STEP_STATES, GROUND_STATE_WORK, M0_BASIN_COUNTS,
+                         ORACLE_BOUND, ORACLE_HEX, ORACLE_POINTS, RADIAL_COUNTS,
+                         RADIAL_PARAMS, RADIAL_STEP_STATES, SAME_BITS_COUNTS,
+                         SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA, Recorder,
+                         diagonal_calls, dirichlet_work, generic_calls, ground_state_work,
+                         m0_basin_counts, on_diagonal_states, oracle_value, radial_counts,
+                         same_bits_counts, same_bits_hits, step_outcome)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -414,6 +416,131 @@ class TestSearches:
             sweep_angles(hamiltonian_params(6.0, 2.5, 2.5), n_angles=n_angles)
 
 
+def _bisection_alone(params, th_lo, th_hi, side_lo, classify=classify_shot) -> BoundaryHit:
+    """The flip search as plain bisection, one shot per midpoint: the answer
+    that `dynamics._bisect_boundary` gives from fewer shots."""
+    lo, hi = th_lo, th_hi
+    mid_out = None
+    while hi - lo > dynamics.ANGLE_TOL:
+        mid = 0.5 * (lo + hi)
+        mid_out = classify(params, *dynamics._seed(mid, dynamics.MANIFOLD_RHO))
+        if mid_out.s_class in (SClass.S, SClass.S3):
+            break
+        if mid_out.s_class == side_lo:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    if mid_out is None:
+        mid_out = classify(params, *dynamics._seed(mid, dynamics.MANIFOLD_RHO))
+    if mid_out.s_class is SClass.S:
+        return BoundaryHit(mid, "ground-state", mid_out)
+    if mid_out.s_class is SClass.S3 or mid_out.m_class is MClass.M3:
+        return BoundaryHit(mid, "dirichlet", mid_out)
+    return BoundaryHit(mid, "ground-state", mid_out)
+
+
+def _flips(params, n_angles=9) -> list:
+    """(th_lo, th_hi, out_lo, out_hi) of each S1/S2 flip of the angle grid."""
+    thetas, outs = sweep_angles(params, n_angles)
+    return [(thetas[i], thetas[i + 1], outs[i], outs[i + 1]) for i in range(len(thetas) - 1)
+            if {outs[i].s_class, outs[i + 1].s_class} == {SClass.S1, SClass.S2}]
+
+
+def _hit_key(hit) -> tuple:
+    return hit.kind, hit.angle.hex(), hit.outcome.seed, hit.outcome.s_class
+
+
+class _LineShot:
+    """A stand-in shot whose class flips at the seed angle `root`: S1 and M1
+    below it, S2 and M2 above, with the smooth gap ln(y/x) - ln(tan(root))
+    and no S3 window."""
+
+    def __init__(self, root, x, y):
+        self.seed = (x, y)
+        self.gap = math.log(y / x) - math.log(math.tan(root))
+        self.s_class = SClass.S1 if self.gap < 0.0 else SClass.S2
+        self.m_class = MClass.M1 if self.gap < 0.0 else MClass.M2
+
+
+class TestFlipReplay:
+    """`_bisect_boundary` brackets a flip by Brent's method on the face gap,
+    then replays the bisection, shooting only the midpoints that the bracket
+    does not decide: where the S-class flips once, its hit is plain
+    bisection's, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["hamiltonian", "potential", "nonvariational",
+                                        "weighted"])
+    def test_same_hit_as_bisection_alone(self, family):
+        # off-diagonal draws: no exchange symmetry but by chance
+        rng = random.Random(f"flip-replay:{family}")
+        compared = 0
+        for _ in range(10):
+            P = _draw_family_point(rng, family)
+            for th_lo, th_hi, lo, hi in _flips(P):
+                alone = _bisection_alone(P, th_lo, th_hi, lo.s_class)
+                assert _hit_key(dynamics._bisect_boundary(P, th_lo, th_hi, lo, hi)) \
+                    == _hit_key(alone), P
+                compared += 1
+        assert compared >= 4
+
+    def _shots(self, monkeypatch, params):
+        """The kind of the grid's one flip, and the shots that bisection alone
+        and `_bisect_boundary` take on it, after checking that they agree."""
+        ((th_lo, th_hi, lo, hi),) = _flips(params)
+        starts = _steps_reporting(monkeypatch, lambda pairs: None)
+        alone = _bisection_alone(params, th_lo, th_hi, lo.s_class)
+        n_alone = len(starts)
+        hit = dynamics._bisect_boundary(params, th_lo, th_hi, lo, hi)
+        assert _hit_key(hit) == _hit_key(alone)
+        return hit.kind, n_alone, len(starts) - n_alone
+
+    def test_fewer_shots_on_a_dirichlet_flip(self, monkeypatch):
+        kind, alone, replayed = self._shots(monkeypatch, hamiltonian_params(6.0, 1.6, 2.1))
+        assert kind == "dirichlet" and replayed < alone
+
+    def test_at_most_two_more_shots_on_a_ground_state_flip(self, monkeypatch):
+        # the gap jumps across the flip: Brent's phase stops after two shots
+        # that do not shrink it, and the bisection keeps most of its shots
+        kind, alone, replayed = self._shots(monkeypatch, hamiltonian_params(6.0, 3.5, 1.2))
+        assert kind == "ground-state" and replayed <= alone + 2
+
+    def test_last_midpoint_is_shot_outside_the_bracket(self, monkeypatch):
+        # with a smooth gap and no S3 window, Brent's phase closes the class
+        # bracket to about ANGLE_TOL, and the bisection's last midpoints fall
+        # outside it: the last one is shot all the same, as the hit's outcome
+        shots = []
+
+        def classify(params, x, y, rho=dynamics.MANIFOLD_RHO):
+            shots.append((x, y))
+            return _LineShot(0.8610591629360607, x, y)
+        thetas = dynamics.linspace(0.0, math.pi / 2, 11)
+        lo, hi = (classify(None, *dynamics._seed(th, RHO)) for th in thetas[5:7])
+        alone = _bisection_alone(None, thetas[5], thetas[6], SClass.S1, classify)
+        n_alone = len(shots) - 2
+        monkeypatch.setattr(dynamics, "classify_shot", classify)
+        hit = dynamics._bisect_boundary(None, thetas[5], thetas[6], lo, hi)
+        assert _hit_key(hit) == _hit_key(alone)
+        assert hit.outcome.seed != dynamics._seed(hit.angle, RHO)
+        assert len(shots) - 2 - n_alone < n_alone / 2
+
+    def test_pinned_search_work(self):
+        # the searches of tests/pinned_bits.py: their angles, shots and steps
+        assert dirichlet_work() == DIRICHLET_WORK
+        assert ground_state_work() == GROUND_STATE_WORK
+
+    def test_gap_signs_and_exchange_image(self):
+        P = hamiltonian_params(6.0, 1.6, 2.1)
+        _, outs = sweep_angles(P, 9)
+        for out in outs:
+            assert (out.gap < 0.0) == (out.s_class is SClass.S1)
+            image = dynamics._exchanged(out)
+            assert image.gap == -out.gap and (image.gap < 0.0) == (image.s_class is SClass.S1)
+        # a shot that never crosses a face has no gap
+        assert classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                             *dynamics._seed(math.pi / 4, RHO), RHO).gap is None
+
+
 # -- the float replacements of numpy on the shooting path -------------------------
 
 def _np_hex(start, stop, num):
@@ -541,13 +668,17 @@ class TestOracleEquivalence:
 
 def _steps_reporting(monkeypatch, edit) -> list:
     """The arguments of each kernel run started from now on; `edit` rewrites
-    the events of every run in place as it is yielded."""
+    the events of every run, as (t, name) pairs with the state at each, as it
+    is yielded: `Solution.events` and `Solution.event_states` stay in step."""
     starts, real = [], dop853.steps
 
     def steps(*args):
         starts.append(args)
         for sol in real(*args):
-            edit(sol.events)
+            pairs = list(zip(sol.events, sol.event_states))
+            edit(pairs)
+            sol.events[:] = [event for event, _ in pairs]
+            sol.event_states[:] = [state for _, state in pairs]
             yield sol
     monkeypatch.setattr(dop853, "steps", steps)
     return starts
@@ -678,8 +809,8 @@ class TestPausedShot:
     def test_blow_up_without_a_crossing_raises_at_once(self, monkeypatch):
         # a run that leaves the box with no face crossing recorded is not
         # rerun on a wider horizon: the same steps would end the same way
-        def no_crossing(events):
-            events[:] = [ev for ev in events if ev[1] == "blow-up"]
+        def no_crossing(pairs):
+            pairs[:] = [(ev, y) for ev, y in pairs if ev[1] == "blow-up"]
         starts = _steps_reporting(monkeypatch, no_crossing)
         x, y = RHO * math.cos(0.3), RHO * math.sin(0.3)
         with pytest.raises(Inconclusive, match=re.escape(f"seed {(x, y)}: left the box")):
@@ -690,10 +821,11 @@ class TestPausedShot:
         # a run that crosses a face and reaches its horizon without blowing up
         # is not rerun on a wider one: each hit-times read raises at T_END.
         # The diagonal shot of a supercritical point stays in the box to
-        # T_END; its run reports an x-bound crossing at t = 0.5
-        def crossing_at_half(events):
-            if not events:
-                events.append((0.5, "x-bound"))
+        # T_END; its run reports an x-bound crossing at t = 0.5, in a state
+        # on the face X = x_bound = 4
+        def crossing_at_half(pairs):
+            if not pairs:
+                pairs.append(((0.5, "x-bound"), (4.0, 0.5, 1.0, 1.0)))
         starts = _steps_reporting(monkeypatch, crossing_at_half)
         x, y = RHO * math.cos(math.pi / 4), RHO * math.sin(math.pi / 4)
         out = classify_shot(hamiltonian_params(6.0, 2.5, 2.5), x, y, RHO)
@@ -714,9 +846,13 @@ class TestPausedShot:
 
 
 def _draw_family_point(rng, family):
-    """A random point of one of the three families, at N = 6."""
+    """A random point of one of the three families, or of the Hamiltonian
+    family with weights a, b ("weighted"), at N = 6."""
     if family == "hamiltonian":
         return hamiltonian_params(6.0, rng.uniform(1.2, 3.5), rng.uniform(1.2, 3.5))
+    if family == "weighted":
+        return hamiltonian_params(6.0, rng.uniform(1.2, 3.5), rng.uniform(1.2, 3.5),
+                                  rng.uniform(-0.5, 1.0), rng.uniform(-0.5, 1.0))
     if family == "potential":
         return potential_params(6.0, rng.uniform(1.7, 2.5), rng.uniform(1.7, 2.5),
                                 rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5))
@@ -2000,7 +2136,7 @@ class TestKernelPauseResume:
     @staticmethod
     def _bits(sol):
         return (sol.status, _hex(sol.t), _hex(sol.y), [(t.hex(), n) for t, n in sol.events],
-                sol.nfev, sol.n_accepted, sol.n_rejected)
+                _hex(sol.event_states), sol.nfev, sol.n_accepted, sol.n_rejected)
 
     def _assert_pauses_are_invisible(self, rhs, t0, y0, t_bound, events):
         ref = dop853.solve(rhs, t0, y0, t_bound, events)
@@ -2129,6 +2265,27 @@ class TestKernelCounts:
     def test_radial_run_counts(self):
         # the run of tests/pinned_bits.py: (n_accepted, n_rejected, nfev)
         assert radial_counts() == RADIAL_COUNTS
+
+    def test_event_states_are_the_dense_output_at_each_root(self, monkeypatch):
+        # the state recorded at each located root is the step interpolant
+        # there, read as `Solution.at` reads it; recording it evaluates no
+        # field, and the pinned counts above hold with it
+        starts = _steps_reporting(monkeypatch, lambda pairs: None)
+        shot = classify_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.9, RHO), RHO)
+        shot.hit_times
+        (args,) = starts
+        runs = [dop853.solve(*args),
+                dop853.solve(*dynamics._radial_problem(RADIAL_PARAMS, 1.0, 1.0, 1e12)),
+                dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 40.0,
+                             [EventSpec("x", lambda t, y: y[0] - 0.25),
+                              EventSpec("blow-up", lambda t, y: abs(y[1]) - 1e6,
+                                        terminal=True)])]
+        assert _hex(shot._sol.event_states) == _hex(runs[0].event_states)
+        for sol in runs:
+            assert sol.status == 1 and len(sol.event_states) == len(sol.events) >= 2
+            assert _hex(sol.event_states) == [_hex(sol.at(t)) for t, _ in sol.events]
+            # a terminal root is the run's last point
+            assert _hex(sol.event_states[-1]) == _hex(sol.y[-1])
 
     def test_m0_basin_shot_counts(self):
         # the diagonal shot of tests/pinned_bits.py, ended on entering M0's
