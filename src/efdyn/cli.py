@@ -17,7 +17,7 @@ Exit codes: 0 success, 2 usage error (no command or an unknown one, no
 --config, an unknown, repeated or value-less flag, a stray argument: the
 usage line goes to stderr) or config error (also for a NaN or infinite
 number, a fractional count, a value out of its range, or an output
-directory that is not a string or cannot be written), 3 internal numeric
+directory that is empty, not a string or cannot be written), 3 internal numeric
 failure; a family sweep's internal failure also names the family value.
 Recoverable numeric conditions (e.g. a power solution that does not exist) are
 recorded in the report, not fatal. Reruns with identical configs produce
@@ -178,10 +178,13 @@ def parse_config(raw: dict, command: str, out_override: str | None = None) -> Ru
     if command in _BLOCK_KEYS and command in raw:
         block = _object(raw, command, _BLOCK_KEYS[command])
 
-    if not isinstance(raw.get("out", ""), str):
-        raise ConfigError("out", f"must be a directory name, got {raw['out']!r}")
-    out = out_override or raw.get("out") or "efdyn-out"
-    return RunConfig(command=command, params=params, scalar=scalar, out=out, block=block)
+    # the config's directory and the --out one that overrides it: an empty
+    # name is refused, not replaced by another directory
+    names = [raw.get("out", "efdyn-out")] + ([] if out_override is None else [out_override])
+    for name in names:
+        if not (isinstance(name, str) and name):
+            raise ConfigError("out", f"must be a directory name, got {name!r}")
+    return RunConfig(command=command, params=params, scalar=scalar, out=names[-1], block=block)
 
 
 @record

@@ -7,8 +7,9 @@ chart. Forward integration classifies each seed by which face of the rectangle
     (0, (N-p)/(p-1)) x (0, (N-q)/(q-1))
 
 the (X, Y) projection reaches first (S1 / S2 / S3) or whether it never leaves
-(S); the blow-up pattern after exit distinguishes which profile vanishes first
-(M1 / M2) or whether both vanish at one radius (M3, the Dirichlet case).
+(S). X blows up where u vanishes and Y where v does, so the larger of X and Y
+at blow-up names the profile that vanishes first (M1 / M2), and an exact tie
+has both vanish at one radius (M3, the Dirichlet case).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import (EfdynError, Inconclusive, NotApplicable, PreconditionViolat
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
                     regular_initial_values, to_phase)
-from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, HOPF_RATIO_TOL,
-                       MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END)
+from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, MANIFOLD_RHO,
+                       RADIAL_R0, SIM_WINDOW, T_END)
 
 # Annotations stay strings (from __future__ import annotations), so their
 # names are not imported: Callable and Sequence are collections.abc's,
@@ -502,10 +503,12 @@ class ShotOutcome:
     the other face cannot make the shot S3. An M-class read moves it on until
     `_certify`, which reads each new accepted state but the run's end point,
     proves the class; a hit-times read, or that of an unproved M-class, moves
-    it to its end, at blow-up or at T_END. Either read order gives the same
-    answer for the same steps. A diagonal shot (x == y) where `_m0_basin`
-    finds a region ends on entering it, by its terminal m0-basin event: S, GS
-    and no hit times. The exchange image of a shot (`_exchanged`) holds the
+    it to its end, at blow-up or at T_END. At blow-up the larger of X and Y
+    names the M-class, M1 for X and M2 for Y, and an exact tie, as on the
+    pi/4 shot of an exchange-symmetric system, M3. Either read order gives
+    the same answer for the same steps. A diagonal shot (x == y) where
+    `_m0_basin` finds a region ends on entering it, by its terminal m0-basin
+    event: S, GS and no hit times. The exchange image of a shot (`_exchanged`) holds the
     shot as its partner and reads it through `_EXCHANGED`.
 
     `gap` is the face gap ln((Y x_bound)/(X y_bound)) in the state at the
@@ -587,13 +590,10 @@ class ShotOutcome:
         if not blew:
             raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
                                f"but no blow-up within t = {T_END}")
+        # the larger of X and Y, the one that blew up, names the profile that
+        # vanished first; an exact tie names both
         X_end, Y_end = sol.y[-1][:2]
-        if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
-            m_class = MClass.M3
-        elif X_end >= Y_end:
-            m_class = MClass.M1
-        else:
-            m_class = MClass.M2
+        m_class = MClass.M1 if X_end > Y_end else MClass.M2 if X_end < Y_end else MClass.M3
         self._end = _s_class(hit), m_class, hit
         return self._end
 
@@ -641,9 +641,10 @@ def classify_shot(params: SystemParams, x: float, y: float,
                   rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed by the face its (X, Y) projection crosses
     first, or S if it stays in the box (or enters M0's certified basin on the
-    diagonal, `_m0_basin`): its ShotOutcome, one run on the horizon T_END. A
-    run that crosses a face but does not blow up by T_END gives a proved
-    M-class or none: an unproved M-class read and every hit-times read raise
+    diagonal, `_m0_basin`): its ShotOutcome, one run on the horizon T_END. Its
+    M-class is proved by `_certify` or read off the blow-up. A run that
+    crosses a face but does not blow up by T_END gives a proved M-class or
+    none: an unproved M-class read and every hit-times read raise
     Inconclusive. Outside 1 < p, q < N it raises NotApplicable.
     """
     check_shot_params(params)
@@ -794,14 +795,10 @@ def _bisect_boundary(params, th_lo, th_hi, out_lo, out_hi) -> BoundaryHit:
     mid = 0.5 * (lo + hi)
     if mid_out is None:
         mid_out = classify_shot(params, *_seed(mid, MANIFOLD_RHO))
-    if mid_out.s_class is SClass.S:
-        return BoundaryHit(mid, "ground-state", mid_out)
-    if mid_out.s_class is SClass.S3 or mid_out.m_class is MClass.M3:
-        # simultaneous blow-up survives the bisection limit: both profiles
-        # vanish at one radius on the boundary trajectory
+    if mid_out.s_class is SClass.S3:
+        # both faces at once at the limit: both profiles vanish at one radius
         return BoundaryHit(mid, "dirichlet", mid_out)
-    # one-sided exit at the limit: the boundary trajectory itself never leaves
-    # the rectangle (a corner exit would have forced the ratio toward 1)
+    # S, or S1 or S2 at the limit, is taken for a ground state
     return BoundaryHit(mid, "ground-state", mid_out)
 
 
@@ -809,11 +806,11 @@ def search_ground_state(params: SystemParams, n_angles: int = 33) -> GroundState
     """Angle sweep plus bisection of every S1/S2 flip.
 
     A ground state is witnessed either by a grid seed that never leaves the
-    rectangle, or by a flip boundary whose limiting shot stays in it or
-    leaves through one face with M-class M1 or M2. Deterministic for fixed
-    grid and tolerances. Each flip is first bracketed by Brent's method on
-    the shots' face gaps, which saves the bisection shots but not its
-    answer (`_bisect_boundary`).
+    rectangle, or by a flip boundary whose limiting shot stays in it or is S1
+    or S2. The search reads S-classes only, so no shot runs past its
+    S-decision. Deterministic for fixed grid and tolerances. Each flip is
+    first bracketed by Brent's method on the shots' face gaps, which saves
+    the bisection shots but not its answer (`_bisect_boundary`).
     """
     if n_angles < 1:
         # zero shots would report found=False as if it were an answer
@@ -863,18 +860,9 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     u(0) = u0, and the rescaled data is re-integrated.
     """
     res = search_ground_state(params, n_angles)
-    # the smallest Dirichlet angle: a Dirichlet boundary, or a grid shot that
-    # leaves the box with M-class M3. The grid is read in angle order, up to
-    # the first M3 and below the smallest boundary only, so that no shot above
-    # the answer is finished to blow-up.
-    angle = min((b.angle for b in res.boundaries if b.kind == "dirichlet"), default=math.inf)
-    for th, o in zip(res.angles, res.outcomes):
-        if th >= angle:
-            break
-        if o.s_class is not SClass.S and o.m_class is MClass.M3:
-            angle = th
-            break
-    if angle == math.inf:
+    # the smallest Dirichlet boundary: a grid S3 shot or a flip's S3 limit
+    angle = min((b.angle for b in res.boundaries if b.kind == "dirichlet"), default=None)
+    if angle is None:
         return DirichletSearch(found=False)
     x, y = _seed(angle, MANIFOLD_RHO)
     u0_star, v0_star = regular_initial_values(params, x, y)

@@ -9,7 +9,9 @@ A band used at one site only is a literal there instead: `spectra._sgn`'s
 1e-12 (1 + |Q|), `scalar.explicit_critical_solution`'s 1e-12, the 1e-9 face
 hysteresis of `dynamics.ShotOutcome`, the 1e-6 (1 + bound) trapping-region
 margin of `dynamics._certify` and the 1e-6 of its level that `dynamics._m0_basin`
-leaves inside M0's basin, among others.
+leaves inside M0's basin, among others. A shot's M-class takes no tolerance:
+the larger of X and Y at blow-up names it, and only an exact tie reads M3
+(`dynamics.ShotOutcome`).
 """
 
 # identity / algebra checks
@@ -26,7 +28,6 @@ T_END = 40.0
 # shooting
 MANIFOLD_RHO = 1e-4             # seed radius on the regular manifold
 SIM_WINDOW = 1e-6               # |tX - tY| below this counts as simultaneous
-HOPF_RATIO_TOL = 0.05           # |X/Y - 1| at blow-up of an uncertified shot: M3
 ANGLE_TOL = 1e-10               # bisection tolerance on the seed angle
 CAPTURE_DIST = 1e-8             # fixed-point convergence distance
 CAPTURE_STEPS = 5               # consecutive accepted steps within CAPTURE_DIST

@@ -620,6 +620,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: out: must be a directory name, got 5\n"
 
+    def test_empty_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an empty name is refused, not replaced by the default directory
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(HAM_CONFIG, out=""))
+        assert main(["analyze", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", "config error: out: must be a directory name, "
+                                           "got ''\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
         # the output directory cannot be made where a file already is
         taken = tmp_path / "taken"
@@ -653,7 +662,8 @@ class TestExitCodes:
 
 # efdyn COMMAND --config PATH [--out DIR], read by hand: each argv ({cfg} a
 # valid config, {out} an output directory), its exit code, and the stream the
-# usage line goes to (None: the command runs)
+# usage line goes to (None: the command runs; "config": a config error that
+# names `out`, with no usage line)
 ARGV_CASES = {
     "config-then-out": (["analyze", "--config", "{cfg}", "--out", "{out}"], 0, None),
     "out-then-config": (["analyze", "--out", "{out}", "--config", "{cfg}"], 0, None),
@@ -673,18 +683,28 @@ ARGV_CASES = {
     "unknown-flag": (["analyze", "--config", "{cfg}", "--out", "{out}", "--verbose"], 2, "err"),
     "abbreviated-flag": (["analyze", "--conf", "{cfg}", "--out", "{out}"], 2, "err"),
     "stray-argument": (["analyze", "--config", "{cfg}", "--out", "{out}", "extra"], 2, "err"),
+    "empty-out-equals": (["analyze", "--config", "{cfg}", "--out="], 2, "config"),
+    "empty-out": (["analyze", "--config", "{cfg}", "--out", ""], 2, "config"),
 }
 
 
 class TestCommandLine:
     @pytest.mark.parametrize("case", ARGV_CASES)
-    def test_argv(self, tmp_path, capsys, case):
+    def test_argv(self, tmp_path, monkeypatch, capsys, case):
         template, code, usage_on = ARGV_CASES[case]
         cfg, out = write_config(tmp_path, HAM_CONFIG), tmp_path / "out"
         argv = [arg.format(cfg=cfg, out=out) for arg in template]
         if usage_on is None:
             assert main(argv) == 0
             assert (out / "report.json").exists()
+            return
+        if usage_on == "config":
+            # nothing is written, not even to the default directory
+            monkeypatch.chdir(tmp_path)
+            assert main(argv) == code
+            assert capsys.readouterr() == ("", "config error: out: must be a directory "
+                                               "name, got ''\n")
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
             return
         with pytest.raises(SystemExit) as err:
             main(argv)

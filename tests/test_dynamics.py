@@ -20,10 +20,10 @@ from scipy.integrate._ivp import dop853_coefficients
 import efdyn
 from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853, dynamics
 from efdyn.cli import main as cli_main
-from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, GroundStateSearch,
-                            MClass, SClass, classify_shot, integrate_m, integrate_radial,
-                            launch_regular, oracle_compare, search_dirichlet,
-                            search_ground_state, sweep_angles)
+from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, MClass, SClass,
+                            classify_shot, integrate_m, integrate_radial, launch_regular,
+                            oracle_compare, search_dirichlet, search_ground_state,
+                            sweep_angles)
 from efdyn.equilibria import FixedPointLabel, fixed_point_catalog
 from efdyn.errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
@@ -31,7 +31,7 @@ from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian
                          nonvariational_params, normalized_regular_data, phase_rhs,
                          potential_params, regular_initial_values,
                          symmetric_scalar_embedding, to_phase)
-from efdyn.numerics import BLOW_UP, HOPF_RATIO_TOL, ODE_ATOL, ODE_RTOL, RADIAL_R0
+from efdyn.numerics import BLOW_UP, ODE_ATOL, ODE_RTOL, RADIAL_R0
 from efdyn.scalar import ScalarBehavior, ScalarParams, regular_seed, scalar_classify
 
 from conftest import SCALAR_CASES, field
@@ -293,12 +293,15 @@ class TestClassification:
         assert out2.s_class is SClass.S2
         assert out2.m_class is MClass.M2
 
-    def test_hopf_ratio_on_simultaneous_shots(self):
+    def test_simultaneous_shot_ends_on_an_exact_tie(self):
+        # the pi/4 shot of an exchange-symmetric system stays on the
+        # invariant diagonal: X and Y blow up together, bit for bit, and the
+        # shot reads M3
         P = hamiltonian_params(6.0, 1.5, 1.5)
-        seed = launch_regular(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
-        traj = integrate_m(P, seed, horizon=(0.0, 40.0))
-        X, Y = np.asarray(traj.states)[-1, 0], np.asarray(traj.states)[-1, 1]
-        assert abs(X / Y - 1.0) < 0.05
+        traj = integrate_m(P, launch_regular(P, *dynamics._seed(math.pi / 4, RHO), RHO),
+                           horizon=(0.0, 40.0))
+        X, Y = traj.states[-1][:2]
+        assert traj.termination.kind == "blow-up" and X == Y
 
     def test_box_invariance_of_staying_shot(self):
         P = hamiltonian_params(6.0, 2.5, 2.5)
@@ -433,11 +436,8 @@ def _bisection_alone(params, th_lo, th_hi, side_lo, classify=classify_shot) -> B
     mid = 0.5 * (lo + hi)
     if mid_out is None:
         mid_out = classify(params, *dynamics._seed(mid, dynamics.MANIFOLD_RHO))
-    if mid_out.s_class is SClass.S:
-        return BoundaryHit(mid, "ground-state", mid_out)
-    if mid_out.s_class is SClass.S3 or mid_out.m_class is MClass.M3:
-        return BoundaryHit(mid, "dirichlet", mid_out)
-    return BoundaryHit(mid, "ground-state", mid_out)
+    kind = "dirichlet" if mid_out.s_class is SClass.S3 else "ground-state"
+    return BoundaryHit(mid, kind, mid_out)
 
 
 def _flips(params, n_angles=9) -> list:
@@ -452,15 +452,14 @@ def _hit_key(hit) -> tuple:
 
 
 class _LineShot:
-    """A stand-in shot whose class flips at the seed angle `root`: S1 and M1
-    below it, S2 and M2 above, with the smooth gap ln(y/x) - ln(tan(root))
-    and no S3 window."""
+    """A stand-in shot whose class flips at the seed angle `root`: S1 below
+    it, S2 above, with the smooth gap ln(y/x) - ln(tan(root)) and no S3
+    window."""
 
     def __init__(self, root, x, y):
         self.seed = (x, y)
         self.gap = math.log(y / x) - math.log(math.tan(root))
         self.s_class = SClass.S1 if self.gap < 0.0 else SClass.S2
-        self.m_class = MClass.M1 if self.gap < 0.0 else MClass.M2
 
 
 class TestFlipReplay:
@@ -738,12 +737,7 @@ def _eager_classify(params, x, y, rho):
     if not blew:
         raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {dynamics.T_END}")
     X_end, Y_end = traj.states[-1][:2]
-    if Y_end != 0 and abs(X_end / Y_end - 1.0) < HOPF_RATIO_TOL:
-        m_class = "M3"
-    elif X_end >= Y_end:
-        m_class = "M1"
-    else:
-        m_class = "M2"
+    m_class = "M1" if X_end > Y_end else "M2" if X_end < Y_end else "M3"
     return {"seed": [x, y], "sClass": s_class, "mClass": m_class, "hitTimes": hit}
 
 
@@ -837,22 +831,73 @@ class TestPausedShot:
         assert len(starts) == 1
 
     def test_search_reads_s_classes_only(self, monkeypatch):
+        # no search resumes a shot past its pause: not on the diagonal, not on
+        # an off-diagonal ground-state flip, and not in a Dirichlet search
+        # that takes its smallest boundary off the diagonal
+        resumed, real = [], dynamics.ShotOutcome._resume
+
+        def logged(self, to_end):
+            if self._sol.status is None:
+                resumed.append(self.seed)
+            real(self, to_end)
+        monkeypatch.setattr(dynamics.ShotOutcome, "_resume", logged)
+        search_ground_state(hamiltonian_params(6.0, 3.5, 1.2), n_angles=9)
+        search_dirichlet(hamiltonian_params(6.0, 1.6, 2.1), u0=1.0, n_angles=9)
         calls = _count_phase_rhs(monkeypatch)
         res = search_ground_state(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
         searched = calls[0]
+        assert resumed == []
         for o in res.outcomes + tuple(b.outcome for b in res.boundaries):
             o.to_dict()
-        assert searched < 0.4 * calls[0]
+        assert resumed and searched < 0.4 * calls[0]
+
+
+def _steps_ending(monkeypatch, X_end, Y_end) -> None:
+    """Every kernel run started from now on ends in a state whose X and Y are
+    X_end and Y_end, and no state is certified: the run's end decides."""
+    real = dop853.steps
+
+    def steps(*args):
+        for sol in real(*args):
+            if sol.status is not None:
+                sol.y[-1] = (X_end, Y_end, *sol.y[-1][2:])
+            yield sol
+    monkeypatch.setattr(dop853, "steps", steps)
+    monkeypatch.setattr(dynamics, "_certify", lambda P, state: None)
+
+
+class TestEndRule:
+    """An unproved shot's M-class is read off its blow-up: M1 where X ends
+    above Y (u vanishes first), M2 where below, M3 on an exact tie only. The
+    exchange image reads M1 and M2 swapped."""
+
+    @pytest.mark.parametrize("X_end,Y_end,m_class,mirrored", [
+        (1.01e6, 1e6, MClass.M1, MClass.M2),      # 1% from a tie: still one profile first
+        (1e6, 1.01e6, MClass.M2, MClass.M1),
+        (3e6, 1e6, MClass.M1, MClass.M2),
+        (1e6, 1e6, MClass.M3, MClass.M3)])
+    def test_larger_coordinate_names_the_m_class(self, monkeypatch, X_end, Y_end, m_class,
+                                                 mirrored):
+        _steps_ending(monkeypatch, X_end, Y_end)
+        out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), *dynamics._seed(0.3, RHO), RHO)
+        assert out.s_class is SClass.S1 and "blow-up" in out.hit_times
+        assert out.proved is None and out.m_class is m_class
+        assert dynamics._exchanged(out).m_class is mirrored
 
 
 def _draw_family_point(rng, family):
-    """A random point of one of the three families, or of the Hamiltonian
-    family with weights a, b ("weighted"), at N = 6."""
+    """A random point of one of the three families, of the Hamiltonian family
+    with weights a, b ("weighted"), or with every exponent free ("general"),
+    at N = 6."""
     if family == "hamiltonian":
         return hamiltonian_params(6.0, rng.uniform(1.2, 3.5), rng.uniform(1.2, 3.5))
     if family == "weighted":
         return hamiltonian_params(6.0, rng.uniform(1.2, 3.5), rng.uniform(1.2, 3.5),
                                   rng.uniform(-0.5, 1.0), rng.uniform(-0.5, 1.0))
+    if family == "general":
+        return SystemParams(N=6.0, p=rng.uniform(1.7, 2.5), q=rng.uniform(1.7, 2.5),
+                            s=rng.uniform(0.1, 1.0), m=rng.uniform(0.1, 1.0),
+                            delta=rng.uniform(1.2, 3.0), mu=rng.uniform(1.2, 3.0))
     if family == "potential":
         return potential_params(6.0, rng.uniform(1.7, 2.5), rng.uniform(1.7, 2.5),
                                 rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5))
@@ -1067,18 +1112,23 @@ class TestM0Basin:
 # -- reference: the Dirichlet search that reads every grid M-class -------------
 
 def _full_read_dirichlet(params, u0=None, n_angles=9):
-    """search_dirichlet's to_dict() as it ran before the grid walk: the M-class
-    of every grid shot is read, then the smallest Dirichlet angle is taken."""
+    """search_dirichlet's to_dict() with the M-class of every grid shot read:
+    the smallest of the Dirichlet boundaries and the grid shots that leave
+    the box with M-class M3 is taken."""
     res = search_ground_state(params, n_angles)
-    hits = [b for b in res.boundaries if b.kind == "dirichlet"]
-    for th, o in zip(res.angles, res.outcomes):
-        if o.m_class is MClass.M3 and o.s_class is not SClass.S:
-            hits.append(BoundaryHit(th, "dirichlet", o))
-    if not hits:
+    angles = [b.angle for b in res.boundaries if b.kind == "dirichlet"]
+    angles += [th for th, o in zip(res.angles, res.outcomes)
+               if o.s_class is not SClass.S and o.m_class is MClass.M3]
+    return _dirichlet_at(params, min(angles, default=None), u0)
+
+
+def _dirichlet_at(params, angle, u0):
+    """search_dirichlet's to_dict() where its search took `angle` (None: no
+    Dirichlet angle)."""
+    if angle is None:
         return DirichletSearch(found=False).to_dict()
-    hit = min(hits, key=lambda h: h.angle)
     u0_star, v0_star = regular_initial_values(
-        params, *dynamics._seed(hit.angle, dynamics.MANIFOLD_RHO))
+        params, *dynamics._seed(angle, dynamics.MANIFOLD_RHO))
     if u0 is not None:
         ex = derive_exponents(params)
         scale = (u0 / u0_star) ** (1.0 / ex.gamma)
@@ -1087,33 +1137,17 @@ def _full_read_dirichlet(params, u0=None, n_angles=9):
     tu, tv = rad.first_event("u-zero"), rad.first_event("v-zero")
     if tu is None and tv is None:
         return DirichletSearch(found=False, initial_values=(u0_star, v0_star),
-                               angle=hit.angle).to_dict()
+                               angle=angle).to_dict()
     r_u = math.exp(tu) if tu is not None else None
     r_v = math.exp(tv) if tv is not None else None
     return DirichletSearch(found=True, radius=r_u if r_u is not None else r_v,
                            v_zero_radius=r_v, initial_values=(u0_star, v0_star),
-                           angle=hit.angle).to_dict()
-
-
-class _ReadLogged:
-    """A grid outcome whose M-class reads are logged by angle; None raises
-    Inconclusive on read."""
-
-    def __init__(self, angle, s_class, m_class, log):
-        self.angle, self.s_class, self._m_class, self._log = angle, s_class, m_class, log
-
-    @property
-    def m_class(self):
-        self._log.append(self.angle)
-        if self._m_class is None:
-            raise Inconclusive(f"undecided at {self.angle}")
-        return self._m_class
+                           angle=angle).to_dict()
 
 
 class TestDirichletWalk:
-    """search_dirichlet reads grid M-classes in angle order, below the smallest
-    Dirichlet boundary and up to the first M3 only: its result equals the
-    search that reads them all."""
+    """search_dirichlet takes its smallest Dirichlet boundary and reads no
+    grid M-class: its result equals the search that reads them all."""
 
     # Hamiltonian off the diagonal below and above the critical hyperbola
     # (delta, mu) = (2, 2) at N = 6, potential off the diagonal below and above
@@ -1136,24 +1170,73 @@ class TestDirichletWalk:
         # the grid shot at pi/4 is S3 and a Dirichlet boundary itself
         assert search_dirichlet(params, n_angles=9).to_dict() == _full_read_dirichlet(params)
 
-    @pytest.mark.parametrize("boundary,answer,read", [
-        (0.9, 0.6, [0.2, 0.6]),         # a grid M3 below the boundary wins
-        (0.3, 0.3, [0.2]),              # the boundary wins: no shot above it is read
-        (None, 0.6, [0.2, 0.6]),        # no boundary: the first grid M3
-    ])
-    def test_grid_is_read_below_the_answer_only(self, monkeypatch, boundary, answer, read):
-        # the shot at 0.8 is undecided: the full read would raise on it
-        log = []
-        grid = [(0.2, SClass.S1, MClass.M1), (0.4, SClass.S, MClass.GS),
-                (0.6, SClass.S2, MClass.M3), (0.8, SClass.S1, None),
-                (1.0, SClass.S2, MClass.M3)]
-        outcomes = tuple(_ReadLogged(*shot, log) for shot in grid)
-        boundaries = () if boundary is None else (BoundaryHit(boundary, "dirichlet", None),)
-        res = GroundStateSearch(found=False, boundaries=boundaries, outcomes=outcomes,
-                                angles=tuple(shot[0] for shot in grid))
-        monkeypatch.setattr(dynamics, "search_ground_state", lambda *args: res)
-        assert search_dirichlet(hamiltonian_params(6.0, 1.6, 2.0)).angle == answer
-        assert log == read
+
+# -- reference: the searches by the 5% window on X/Y at blow-up ----------------
+
+def _window_m_class(out):
+    """A shot's M-class by the window rule: a proved class, else M3 where X/Y
+    at blow-up lies within 5% of 1, else M1 or M2."""
+    if out._partner is not None:
+        m_class = _window_m_class(out._partner)
+        return dynamics._EXCHANGED.get(m_class, m_class)
+    m_class = out.m_class
+    if out.proved is not None or m_class is MClass.GS:
+        return m_class
+    X_end, Y_end = out._sol.y[-1][:2]
+    return MClass.M3 if Y_end != 0 and abs(X_end / Y_end - 1.0) < 0.05 else m_class
+
+
+def _window_searches(params, res, u0):
+    """The boundaries as (angle, kind) and `found` of search_ground_state,
+    and the to_dict() of search_dirichlet, by the window rule from the shots
+    of `res`, and the number of M-classes read. A flip whose limit shot
+    leaves through one face is a Dirichlet boundary where that shot reads
+    M3; the Dirichlet search takes the first grid shot that leaves the box
+    with M3 below its smallest Dirichlet boundary, if there is one."""
+    reads = 0
+    hits = []
+    for b in res.boundaries:
+        kind = b.kind
+        if kind == "ground-state" and b.outcome.s_class is not SClass.S:
+            reads += 1
+            kind = "dirichlet" if _window_m_class(b.outcome) is MClass.M3 else kind
+        hits.append((b.angle, kind))
+    found = (any(o.s_class is SClass.S for o in res.outcomes)
+             or any(kind == "ground-state" for _, kind in hits))
+    angle = min((a for a, kind in hits if kind == "dirichlet"), default=math.inf)
+    for th, o in zip(res.angles, res.outcomes):
+        if th >= angle:
+            break
+        if o.s_class is not SClass.S:
+            reads += 1
+            if _window_m_class(o) is MClass.M3:
+                angle = th
+                break
+    dirichlet = _dirichlet_at(params, None if angle == math.inf else angle, u0)
+    return hits, found, dirichlet, reads
+
+
+class TestWindowEquivalence:
+    """Off the diagonal, the searches' answers from S-classes alone equal
+    those of the window rule, which also read the M-class of each flip's
+    one-face limit shot and of the grid shots below the Dirichlet answer."""
+
+    @pytest.mark.parametrize("family", ["hamiltonian", "weighted", "potential", "general"])
+    def test_searches_equal_the_window_rule(self, monkeypatch, family):
+        rng = random.Random(f"window-rule:{family}")
+        reads = 0
+        for _ in range(3):
+            P = _draw_family_point(rng, family)
+            res = search_ground_state(P, 9)
+            # search_dirichlet reads the same search (deterministic) once more:
+            # it is handed the result already taken
+            monkeypatch.setattr(dynamics, "search_ground_state", lambda params, n: res)
+            answer = search_dirichlet(P, u0=1.0, n_angles=9).to_dict()
+            hits, found, dirichlet, n_read = _window_searches(P, res, 1.0)
+            assert [(b.angle, b.kind) for b in res.boundaries] == hits, P
+            assert res.found == found and answer == dirichlet, P
+            reads += n_read
+        assert reads >= 20
 
 
 # -- reference: the angle sweep that shoots every grid angle -------------------

@@ -44,7 +44,7 @@ KEPT_FOR_ROADMAP = {
 PINNED = {
     "IDENTITY_RTOL": 1e-10, "CENTER_TOL": 1e-9, "DEGENERACY_BAND": 1e-8,
     "ODE_RTOL": 1e-10, "ODE_ATOL": 1e-12, "BLOW_UP": 1e6, "T_END": 40.0,
-    "MANIFOLD_RHO": 1e-4, "SIM_WINDOW": 1e-6, "HOPF_RATIO_TOL": 0.05,
+    "MANIFOLD_RHO": 1e-4, "SIM_WINDOW": 1e-6,
     "ANGLE_TOL": 1e-10, "CAPTURE_DIST": 1e-8, "CAPTURE_STEPS": 5,
     "RADIAL_R0": 1e-6, "SCALAR_R_MAX": 1e5,
 }
@@ -86,6 +86,18 @@ def test_only_a_shot_pauses_the_kernel():
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
         callers += [f"{path.stem}.{name}" for name, fn in defs if calls_steps(fn)]
     assert callers == ["dynamics.ShotOutcome.__init__"]
+
+
+def test_searches_read_s_classes_only():
+    # a search answers from S-classes alone, so no shot of it runs past its
+    # S-decision: only reports read a shot's M-class or hit times
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    searches = ("sweep_angles", "_bisect_boundary", "search_ground_state", "search_dirichlet")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = [f"{name}:{node.lineno} .{node.attr}" for name in searches
+             for node in ast.walk(defs[name])
+             if isinstance(node, ast.Attribute) and node.attr in ("m_class", "hit_times")]
+    assert reads == []
 
 
 def test_stepping_loop_calls_no_min_or_max():
