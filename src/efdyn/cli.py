@@ -327,7 +327,7 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
 
 
 def _run_shoot(rc: RunConfig) -> ReportBundle:
-    from .dynamics import _seed, classify_shot
+    from .dynamics import _seed, read_shot
     P = _shot_params(rc)
     block = rc.block
     theta = _number(block, "shoot", "theta")
@@ -340,7 +340,7 @@ def _run_shoot(rc: RunConfig) -> ReportBundle:
     if x >= P.x_bound or y >= P.y_bound:
         raise ConfigError("shoot.rho", f"the seed ({x!r}, {y!r}) at rho = {rho!r} is not "
                                        f"inside the box (0, {P.x_bound!r}) x (0, {P.y_bound!r})")
-    out = classify_shot(P, x, y, rho)
+    out = read_shot(P, x, y, rho)
     report = {"command": "shoot", "params": P.to_dict(), "outcome": out.to_dict()}
     summary = [f"shoot ({_fmt(x)}, {_fmt(y)}): {out.s_class.value}/{out.m_class.value}"]
     return ReportBundle(report=report, csv_files={}, summary=summary)
@@ -378,7 +378,7 @@ def search_ground_state(params: SystemParams, n_angles: int):
 
 def _run_sweep(rc: RunConfig) -> ReportBundle:
     from . import energies
-    from .dynamics import sweep_angles
+    from .dynamics import _angle_grid, _seed, read_shot
     P = _shot_params(rc)      # a family moves delta, mu, s or m: never p, q or N
     block = rc.block
     kind = block.get("kind", "angle")
@@ -387,16 +387,23 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         n = _number(block, "sweep", "n", 33, _whole)
         if n < 0:
             raise ConfigError("sweep.n", f"need a count >= 0, got {n}")
-        thetas, outcomes = sweep_angles(P, n)
+
+        def report_at(th):
+            try:
+                return read_shot(P, *_seed(th, MANIFOLD_RHO))
+            except Exception as exc:    # main names the angle an internal error hit
+                exc.sweep_value = f"theta = {th!r}"
+                raise
+        thetas, reports = _angle_grid(P, n, report_at)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
-        for th, o in zip(thetas, outcomes):
+        for th, o in zip(thetas, reports):
             first = min(o.hit_times.values()) if o.hit_times else math.nan
             rows.append([_fmt(th), o.s_class.value, o.m_class.value, _fmt(first)])
         csvs["sweep.csv"] = rows
         report = {"command": "sweep", "kind": "angle", "params": P.to_dict(),
                   "n": n, "rho": MANIFOLD_RHO}
         summary = [f"angle sweep: {n} seeds",
-                   "classes: " + " ".join(o.s_class.value for o in outcomes)]
+                   "classes: " + " ".join(o.s_class.value for o in reports)]
     elif kind == "family":
         parameter = block.get("parameter", "delta=mu")
         if not isinstance(parameter, str) or parameter not in _FAMILIES:
@@ -418,7 +425,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
                 res = search_ground_state(Pv, n_angles)
                 pred = energies.predict_existence(Pv).verdict.value
             except Exception as exc:    # main names the value an internal error hit
-                exc.family_value = f"{parameter} = {v!r}"
+                exc.sweep_value = f"{parameter} = {v!r}"
                 raise
             rows.append([_fmt(v), _fmt(Pv.delta), _fmt(Pv.mu), _fmt(Pv.s), _fmt(Pv.m),
                          "1" if res.found else "0", pred])
@@ -560,8 +567,8 @@ def main(argv=None) -> int:
                     print(f"  {key}: {json.dumps(value.to_dict())}", file=sys.stderr)
             if rc.block:
                 print(f"  {command}: {json.dumps(rc.block)}", file=sys.stderr)
-        if hasattr(exc, "family_value"):
-            print(f"  value: {exc.family_value}", file=sys.stderr)
+        if hasattr(exc, "sweep_value"):
+            print(f"  value: {exc.sweep_value}", file=sys.stderr)
         tb = exc.__traceback__              # where it was raised: the innermost frame
         while tb.tb_next is not None:
             tb = tb.tb_next

@@ -45,7 +45,7 @@ The step modules read the tableau below from this module. The written-out
 steps never call the field. All four give the same bits, the same errors and
 the same counts. Only `solve` keeps dense output, read through `Solution.at`:
 a run keeps each step's data, and the step's interpolant is built on its first
-read. A paused run (`steps`, a shot's) builds a step interpolant only to
+read. A run of `steps`, a shot's, builds a step interpolant only to
 locate an event in the step.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
@@ -405,8 +405,9 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     grown in place: the points, events and counts so far, with `status` None
     while the run goes on. The last yield carries the final status; a step
     underflow ends the run with a yield of its own. A consumer may stop after
-    any yield and resume later: the steps do not depend on when they are taken.
-    Only a shot (`dynamics.ShotOutcome`) pauses its run; other runs call `solve`.
+    any yield: the steps taken so far do not depend on it. Only a shot steps
+    its run itself, `dynamics.classify_shot` to its S-decision and
+    `dynamics.read_shot` to its end; other runs call `solve`.
 
     Each event has `name`, `fn(t, y)`, `terminal` and `direction` (> 0: upward
     zero crossings only, < 0: downward only, 0: both). Its zeros are located on
@@ -415,7 +416,7 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     there, the step's interpolant at the root, at no right-hand side
     evaluation. A terminal event ends the run at its zero, which becomes the
     last point and the last pair: the step's zeros past the earliest terminal
-    one are dropped. A paused run keeps no interpolants: a `StepInterpolant`
+    one are dropped. A `steps` run keeps no interpolants: a `StepInterpolant`
     is built only for a step with a zero to locate, and `Solution.pieces` is
     None. `Solution.nfev` counts the interpolants built during the run, 3
     evaluations each.

@@ -439,28 +439,6 @@ def _s_class(hit: dict) -> SClass:
     return SClass.S1 if t_y is None else SClass.S2
 
 
-def _certify(P: SystemParams, state) -> MClass | None:
-    """M1 or M2 if `state` lies in a forward-invariant region that proves it.
-
-    With X, Y, Z, W >= 0, p, q > 1, mu > 0 and m >= 0, take R1 = {X > max(
-    x_bound, (N+b)/mu), V = Y + W/(q-1) < y_bound}. There X' = X (X - x_bound
-    + Z/(p-1)) > 0 blows X up in finite time, while V' = Y (V - y_bound) +
-    W/(q-1) (N + b - mu X - m Y - W) <= 0 keeps Y below y_bound: u vanishes
-    first, M1. The exchange image R2 proves M2. Each inequality needs a
-    margin of 1e-6 (1 + bound).
-    """
-    X, Y, Z, W = state
-    if not (min(X, Y, Z, W) >= 0.0 and P.p > 1.0 and P.q > 1.0):
-        return None
-    for m_class, grows, stays, x_bound, y_bound, n_b, mu, m in (
-            (MClass.M1, X, Y + W / (P.q - 1), P.x_bound, P.y_bound, P.N + P.b, P.mu, P.m),
-            (MClass.M2, Y, X + Z / (P.p - 1), P.y_bound, P.x_bound, P.N + P.a, P.delta, P.s)):
-        lo = max(x_bound, n_b / mu) if mu > 0.0 and m >= 0.0 else math.inf
-        if grows - lo > 1e-6 * (1 + lo) and y_bound - stays > 1e-6 * (1 + y_bound):
-            return m_class
-    return None
-
-
 def _m0_basin(P: SystemParams):
     """M0's certified basin on the invariant diagonal X = Y, Z = W of an
     exchange-symmetric system: ((X0, Z0), (p11, p12, p22), c), the ellipse
@@ -495,133 +473,58 @@ def _m0_basin(P: SystemParams):
     return (X0, Z0), (p11, p12, p22), c * (1 - 1e-6)
 
 
-class ShotOutcome:
-    """One regular seed's shot, compared by identity: its seed and S-class,
-    its kernel run, the M-class that `_certify` proves and, once read, the
-    run's end. The run pauses at the S-decision: an accepted step that ends
-    SIM_WINDOW past the first face crossing, after which a later crossing of
-    the other face cannot make the shot S3. An M-class read moves it on until
-    `_certify`, which reads each new accepted state but the run's end point,
-    proves the class; a hit-times read, or that of an unproved M-class, moves
-    it to its end, at blow-up or at T_END. At blow-up the larger of X and Y
-    names the M-class, M1 for X and M2 for Y, and an exact tie, as on the
-    pi/4 shot of an exchange-symmetric system, M3. Either read order gives
-    the same answer for the same steps. A diagonal shot (x == y) where
-    `_m0_basin` finds a region ends on entering it, by its terminal m0-basin
-    event: S, GS and no hit times. The exchange image of a shot (`_exchanged`) holds the
-    shot as its partner and reads it through `_EXCHANGED`.
-
-    `gap` is the face gap ln((Y x_bound)/(X y_bound)) in the state at the
-    first face crossing (the kernel's event state): < 0 on S1, > 0 on S2,
-    0 where both faces are reached at once (S3). It crosses 0 continuously
-    at a Dirichlet flip and jumps at a ground-state flip; an exchange image's
-    gap is minus its partner's. A shot with no crossing state has gap None."""
-
-    __slots__ = ("seed", "s_class", "gap", "proved", "_params", "_steps", "_sol", "_end",
-                 "_partner")
-
-    def __init__(self, params: SystemParams, x: float, y: float, rho: float):
-        from . import dop853
-        self.seed, self._params, self._partner = (x, y), params, None
-        self.proved = self._end = None
-        # tiny hysteresis keeps asymptotic approaches to the face (X -> bound
-        # from below, with integration noise) from registering as crossings
-        cp = params.x_bound * (1 + 1e-9)
-        cq = params.y_bound * (1 + 1e-9)
-        events = (EventSpec(name="x-bound", fn=lambda t, v: v[0] - cp, terminal=False,
-                            direction=1.0),
-                  EventSpec(name="y-bound", fn=lambda t, v: v[1] - cq, terminal=False,
-                            direction=1.0))
-        basin = _m0_basin(params) if x == y else None
-        if basin is not None:
-            (X0, Z0), (p11, p12, p22), c = basin
-
-            def level(t, v):
-                eX, eZ = v[0] - X0, v[2] - Z0
-                return (p11 * eX + 2 * p12 * eZ) * eX + p22 * eZ * eZ - c
-            events += (EventSpec(name="m0-basin", fn=level, terminal=True, direction=-1.0),)
-        seed = launch_regular(params, x, y, rho)
-        self._steps = dop853.steps(*_phase_problem(params, seed, (0.0, T_END), events))
-        first = math.inf
-        for sol in self._steps:
-            if first == math.inf and sol.events:
-                # the first step with an event holds the first crossing
-                first = min(t for t, _ in sol.events)
-            if sol.status is None and sol.t[-1] > first + SIM_WINDOW:
-                self._sol, self.s_class = sol, _s_class(_first_times(sol.events))
-                break
-        else:
-            # a run that ends before the pause is read at once
-            self._sol = sol
-            self.s_class = self._read_end()[0]
-        # the face gap in the state at the first crossing
-        _, X, Y = min(((t, v[0], v[1]) for (t, name), v in zip(sol.events, sol.event_states)
-                       if name in ("x-bound", "y-bound")), default=(0.0, 0.0, 0.0))
-        self.gap = (math.log(Y * params.x_bound / (X * params.y_bound))
-                    if X > 0.0 and Y > 0.0 else None)
-
-    def _resume(self, to_end: bool) -> None:
-        """Step the run until `_certify` proves its M-class or, with
-        `to_end`, until the run ends."""
-        sol = self._sol
-        while sol.status is None:
-            if self.proved is None:
-                self.proved = _certify(self._params, sol.y[-1])
-            if self.proved is not None and not to_end:
-                return
-            next(self._steps)
-
-    def _read_end(self) -> tuple[SClass, MClass, dict]:
-        """The S-class, M-class and hit times read off the run's end: its
-        blow-up event, its m0-basin event (S, GS) or T_END. A read that fails
-        is not kept: it fails again."""
-        if self._end is not None:
-            return self._end
-        self._resume(to_end=True)
-        sol = _checked(self._sol)
-        hit = _first_times(sol.events)
-        blew = "blow-up" in hit
-        if "x-bound" not in hit and "y-bound" not in hit:
-            if blew:
-                raise Inconclusive(f"seed {self.seed}: left the box at t = {sol.t[-1]} "
-                                   f"without crossing a face")
-            self._end = SClass.S, MClass.GS, hit
-            return self._end
-        if not blew:
-            raise Inconclusive(f"seed {self.seed}: crossed at t = {min(hit.values())} "
-                               f"but no blow-up within t = {T_END}")
-        # the larger of X and Y, the one that blew up, names the profile that
-        # vanished first; an exact tie names both
-        X_end, Y_end = sol.y[-1][:2]
-        m_class = MClass.M1 if X_end > Y_end else MClass.M2 if X_end < Y_end else MClass.M3
-        self._end = _s_class(hit), m_class, hit
-        return self._end
-
-    @property
-    def m_class(self) -> MClass:
-        if self._partner is not None:
-            m_class = self._partner.m_class
-            return _EXCHANGED.get(m_class, m_class)
-        self._resume(to_end=False)
-        return self._read_end()[1] if self.proved is None else self.proved
-
-    @property
-    def hit_times(self) -> dict:
-        if self._partner is not None:
-            hit = self._partner.hit_times
-            return _first_times((t, _EXCHANGED.get(name, name)) for name, t in hit.items())
-        return self._read_end()[2]
-
-    def to_dict(self) -> dict:
-        return {"seed": list(self.seed), "sClass": self.s_class.value,
-                "mClass": self.m_class.value, "hitTimes": self.hit_times}
-
-
 # the exchange image of each class and face event: the faces and the
 # profiles trade places
 _EXCHANGED = {SClass.S1: SClass.S2, SClass.S2: SClass.S1,
               MClass.M1: MClass.M2, MClass.M2: MClass.M1,
               "x-bound": "y-bound", "y-bound": "x-bound"}
+
+
+@record
+class ShotOutcome:
+    """One regular seed's S-decision (`classify_shot`): its seed, its S-class
+    and its face gap.
+
+    `gap` is the face gap ln((Y x_bound)/(X y_bound)) in the state at the
+    first face crossing (the kernel's event state): < 0 on S1, > 0 on S2,
+    0 where both faces are reached at once (S3). It crosses 0 continuously
+    at a Dirichlet flip and jumps at a ground-state flip. A shot with no
+    crossing state has gap None."""
+
+    seed: tuple[float, float]
+    s_class: SClass
+    gap: float | None
+
+    def exchanged(self) -> ShotOutcome:
+        """The shot at the exchange image of the seed, for a system with
+        exchange_params(P) == P: S1 and S2 trade places and the gap changes
+        sign."""
+        return ShotOutcome(self.seed[::-1], _EXCHANGED.get(self.s_class, self.s_class),
+                           None if self.gap is None else -self.gap)
+
+
+@record
+class ShotReport:
+    """One regular seed's shot run to its end (`read_shot`): its seed, its
+    S-class, its M-class and the first time of each of its events x-bound,
+    y-bound and blow-up that it reached, in that order."""
+
+    seed: tuple[float, float]
+    s_class: SClass
+    m_class: MClass
+    hit_times: dict
+
+    def exchanged(self) -> ShotReport:
+        """The report at the exchange image of the seed, for a system with
+        exchange_params(P) == P: the faces and the profiles trade places."""
+        swap = _EXCHANGED.get
+        return ShotReport(self.seed[::-1], swap(self.s_class, self.s_class),
+                          swap(self.m_class, self.m_class),
+                          _first_times((t, swap(name, name)) for name, t in self.hit_times.items()))
+
+    def to_dict(self) -> dict:
+        return {"seed": list(self.seed), "sClass": self.s_class.value,
+                "mClass": self.m_class.value, "hitTimes": self.hit_times}
 
 
 def check_shot_params(params: SystemParams) -> None:
@@ -637,18 +540,98 @@ def check_shot_params(params: SystemParams) -> None:
                             f"eps2 = {params.eps2!r}")
 
 
+def _shot_problem(params, x, y, rho):
+    """A shot's arguments of the kernel, (rhs, t0, y0, t_bound, events): the
+    manifold seed at (x, y) on the horizon T_END, the face events x-bound and
+    y-bound, the terminal m0-basin event of a diagonal seed (x == y) where
+    `_m0_basin` finds a region, and the blow-up event. classify_shot and
+    read_shot run it. Outside 1 < p, q < N it raises NotApplicable."""
+    check_shot_params(params)
+    # tiny hysteresis keeps asymptotic approaches to the face (X -> bound
+    # from below, with integration noise) from registering as crossings
+    cp = params.x_bound * (1 + 1e-9)
+    cq = params.y_bound * (1 + 1e-9)
+    events = (EventSpec(name="x-bound", fn=lambda t, v: v[0] - cp, terminal=False,
+                        direction=1.0),
+              EventSpec(name="y-bound", fn=lambda t, v: v[1] - cq, terminal=False,
+                        direction=1.0))
+    basin = _m0_basin(params) if x == y else None
+    if basin is not None:
+        (X0, Z0), (p11, p12, p22), c = basin
+
+        def level(t, v):
+            eX, eZ = v[0] - X0, v[2] - Z0
+            return (p11 * eX + 2 * p12 * eZ) * eX + p22 * eZ * eZ - c
+        events += (EventSpec(name="m0-basin", fn=level, terminal=True, direction=-1.0),)
+    seed = launch_regular(params, x, y, rho)
+    return _phase_problem(params, seed, (0.0, T_END), events)
+
+
+def _read_end(seed, sol) -> tuple[SClass, MClass, dict]:
+    """The S-class, M-class and hit times of the shot at `seed`, read off its
+    ended run: its blow-up event, its m0-basin event (S, GS) or T_END. At
+    blow-up the larger of X and Y names the M-class, M1 for X and M2 for Y,
+    and an exact tie, as on the pi/4 shot of an exchange-symmetric system,
+    M3."""
+    sol = _checked(sol)
+    hit = _first_times(sol.events)
+    blew = "blow-up" in hit
+    if "x-bound" not in hit and "y-bound" not in hit:
+        if blew:
+            raise Inconclusive(f"seed {seed}: left the box at t = {sol.t[-1]} "
+                               f"without crossing a face")
+        return SClass.S, MClass.GS, hit
+    if not blew:
+        raise Inconclusive(f"seed {seed}: crossed at t = {min(hit.values())} "
+                           f"but no blow-up within t = {T_END}")
+    # the larger of X and Y, the one that blew up, names the profile that
+    # vanished first; an exact tie names both
+    X_end, Y_end = sol.y[-1][:2]
+    m_class = MClass.M1 if X_end > Y_end else MClass.M2 if X_end < Y_end else MClass.M3
+    return _s_class(hit), m_class, hit
+
+
 def classify_shot(params: SystemParams, x: float, y: float,
                   rho: float = MANIFOLD_RHO) -> ShotOutcome:
     """Classify one regular seed by the face its (X, Y) projection crosses
     first, or S if it stays in the box (or enters M0's certified basin on the
-    diagonal, `_m0_basin`): its ShotOutcome, one run on the horizon T_END. Its
-    M-class is proved by `_certify` or read off the blow-up. A run that
-    crosses a face but does not blow up by T_END gives a proved M-class or
-    none: an unproved M-class read and every hit-times read raise
-    Inconclusive. Outside 1 < p, q < N it raises NotApplicable.
+    diagonal, `_m0_basin`): its ShotOutcome, from one run on the horizon
+    T_END that stops at the S-decision. That is an accepted step that ends
+    SIM_WINDOW past the first face crossing, after which a later crossing of
+    the other face cannot make the shot S3. A run that ends before it is read
+    at once, as `read_shot` reads it, and raises as that does. Outside
+    1 < p, q < N it raises NotApplicable.
     """
-    check_shot_params(params)
-    return ShotOutcome(params, x, y, rho)
+    from . import dop853
+    first = math.inf
+    for sol in dop853.steps(*_shot_problem(params, x, y, rho)):
+        if first == math.inf and sol.events:
+            # the first step with an event holds the first crossing
+            first = min(t for t, _ in sol.events)
+        if sol.status is None and sol.t[-1] > first + SIM_WINDOW:
+            s_class = _s_class(_first_times(sol.events))
+            break
+    else:
+        s_class = _read_end((x, y), sol)[0]
+    # the face gap in the state at the first crossing
+    _, X, Y = min(((t, v[0], v[1]) for (t, name), v in zip(sol.events, sol.event_states)
+                   if name in ("x-bound", "y-bound")), default=(0.0, 0.0, 0.0))
+    gap = math.log(Y * params.x_bound / (X * params.y_bound)) if X > 0.0 and Y > 0.0 else None
+    return ShotOutcome((x, y), s_class, gap)
+
+
+def read_shot(params: SystemParams, x: float, y: float,
+              rho: float = MANIFOLD_RHO) -> ShotReport:
+    """One regular seed's ShotReport: the run of `classify_shot`, to its end
+    at blow-up, at the m0-basin event or at T_END. Its S-class is the one
+    that `classify_shot` gives. A run that leaves the box without crossing a
+    face, or crosses one but does not blow up by T_END, raises Inconclusive
+    naming the seed. Outside 1 < p, q < N it raises NotApplicable.
+    """
+    from . import dop853
+    for sol in dop853.steps(*_shot_problem(params, x, y, rho)):
+        pass
+    return ShotReport((x, y), *_read_end((x, y), sol))
 
 
 # -- searches --------------------------------------------------------------------
@@ -686,34 +669,31 @@ def _seed(theta: float, rho: float) -> tuple[float, float]:
     return x, y
 
 
-def _exchanged(outcome: ShotOutcome) -> ShotOutcome:
-    """The shot at the exchange image of `outcome`'s seed, for a system with
-    exchange_params(P) == P: a ShotOutcome that holds `outcome` as its
-    partner, with no run of its own."""
-    image = ShotOutcome.__new__(ShotOutcome)
-    image.seed, image._partner = outcome.seed[::-1], outcome
-    image.s_class = _EXCHANGED.get(outcome.s_class, outcome.s_class)
-    image.gap = None if outcome.gap is None else -outcome.gap
-    return image
-
-
-def sweep_angles(params: SystemParams,
-                 n_angles: int = 33) -> tuple[tuple[float, ...], list[ShotOutcome]]:
-    """Classify the seeds at MANIFOLD_RHO on a uniform angle grid over (0, pi/2),
-    ordered by angle.
+def _angle_grid(params, n_angles, shoot):
+    """The uniform grid of n_angles angles over (0, pi/2) and `shoot(theta)`
+    at each, ordered by angle.
 
     When exchange_params(params) == params, the swap X <-> Y, Z <-> W maps the
     shot at theta onto the shot at pi/2 - theta: only the first ceil(n/2)
-    angles are shot, and the outcome at each angle above them is the exchange
-    image of its partner's (`_exchanged`).
+    angles are shot, and the shot at each angle above them is the
+    `exchanged()` image of its partner's.
     """
     if n_angles < 0:
         raise PreconditionViolated(f"need n_angles >= 0, got {n_angles}")
     thetas = tuple(linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
     shot = (n_angles + 1) // 2 if exchange_params(params) == params else n_angles
-    outcomes = [classify_shot(params, *_seed(th, MANIFOLD_RHO)) for th in thetas[:shot]]
-    outcomes += [_exchanged(outcomes[n_angles - 1 - i]) for i in range(shot, n_angles)]
-    return thetas, outcomes
+    shots = [shoot(th) for th in thetas[:shot]]
+    shots += [shots[n_angles - 1 - i].exchanged() for i in range(shot, n_angles)]
+    return thetas, shots
+
+
+def sweep_angles(params: SystemParams,
+                 n_angles: int = 33) -> tuple[tuple[float, ...], list[ShotOutcome]]:
+    """Classify the seeds at MANIFOLD_RHO on a uniform angle grid over (0, pi/2),
+    ordered by angle, mirrored on an exchange-symmetric system (`_angle_grid`).
+    """
+    return _angle_grid(params, n_angles,
+                       lambda th: classify_shot(params, *_seed(th, MANIFOLD_RHO)))
 
 
 class _Stop(Exception):
@@ -857,8 +837,11 @@ def search_dirichlet(params: SystemParams, u0: float | None = None,
     regular initial data, then integrates the radial system to read off the
     common zero radius. When u0 is given, the solution is rescaled by the
     exact scaling law (theta^gamma u(theta r), theta^xi v(theta r)) so that
-    u(0) = u0, and the rescaled data is re-integrated.
+    u(0) = u0, and the rescaled data is re-integrated. A u0 that is not
+    positive and finite raises PreconditionViolated before any shot.
     """
+    if u0 is not None and not 0.0 < u0 < math.inf:
+        raise PreconditionViolated(f"need u0 > 0 and finite, got {u0!r}")
     res = search_ground_state(params, n_angles)
     # the smallest Dirichlet boundary: a grid S3 shot or a flip's S3 limit
     angle = min((b.angle for b in res.boundaries if b.kind == "dirichlet"), default=None)

@@ -41,8 +41,8 @@ class StepSizeUnderflow(EfdynError):
     """The integrator step size collapsed (stiffness near blow-up). `run` is
     the failed kernel run, a `dop853.Solution` with status -1: its points
     `t` and states `y` up to the collapse, and the dense output (`at`) of a
-    `dop853.solve` run. A shot's failed run, a paused `dop853.steps` run,
-    carries no dense output: its `pieces` is None."""
+    `dop853.solve` run. A shot's failed run, a `dop853.steps` run, carries
+    no dense output: its `pieces` is None."""
 
     def __init__(self, message, run=None):
         super().__init__(message)

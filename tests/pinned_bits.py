@@ -40,8 +40,8 @@ import math
 import sys
 
 from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853
-from efdyn.dynamics import (_radial_problem, _radial_rhs, _seed, classify_shot, oracle_compare,
-                            search_dirichlet, search_ground_state)
+from efdyn.dynamics import (_radial_problem, _radial_rhs, _seed, _shot_problem, oracle_compare,
+                            read_shot, search_dirichlet, search_ground_state)
 from efdyn.model import (SystemParams, hamiltonian_params, nonvariational_params, phase_rhs,
                          potential_params, symmetric_scalar_embedding)
 
@@ -148,9 +148,12 @@ DIAGONAL_STEP_STATES = [
 ]
 
 
-def _same_bits_shot():
-    seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
-    return classify_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO)
+def shot_run(params, x, y, rho):
+    """The kernel run of the shot at (x, y), the one that classify_shot stops
+    at its S-decision and read_shot reads, drained to its end."""
+    for sol in dop853.steps(*_shot_problem(params, x, y, rho)):
+        pass
+    return sol
 
 
 def _counts(sol) -> tuple[int, int, int]:
@@ -159,14 +162,15 @@ def _counts(sol) -> tuple[int, int, int]:
 
 def same_bits_hits() -> dict[str, str]:
     """The pinned shot's hit times, as float.hex."""
-    return {k: v.hex() for k, v in _same_bits_shot().hit_times.items()}
+    seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
+    return {k: v.hex() for k, v in read_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO)
+            .hit_times.items()}
 
 
 def same_bits_counts() -> tuple[int, int, int]:
-    """The pinned shot's run, read to its end (a hit-times read): its counts."""
-    shot = _same_bits_shot()
-    shot.hit_times
-    return _counts(shot._sol)
+    """The pinned shot's run, read to its end: its counts."""
+    seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
+    return _counts(shot_run(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO))
 
 
 def radial_counts() -> tuple[int, int, int]:
@@ -176,7 +180,7 @@ def radial_counts() -> tuple[int, int, int]:
 
 def m0_basin_counts() -> tuple[int, int, int]:
     """The counts of the pinned diagonal shot's run."""
-    return _counts(classify_shot(M0_BASIN_PARAMS, *_seed(math.pi / 4, 1e-4), 1e-4)._sol)
+    return _counts(shot_run(M0_BASIN_PARAMS, *_seed(math.pi / 4, 1e-4), 1e-4))
 
 
 def _search_work(search):

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from efdyn.dynamics import (MClass, classify_shot, integrate_m, integrate_radial,
-                            launch_regular, oracle_compare, search_dirichlet,
-                            search_ground_state)
+from efdyn.dynamics import (MClass, integrate_m, integrate_radial, launch_regular,
+                            oracle_compare, read_shot, search_dirichlet, search_ground_state)
 from efdyn.energies import EnergySpec, cubic_barrier, energy_value
 from efdyn.equilibria import fixed_point_catalog, particular_solution
 from efdyn.model import (PhaseState, RadialState, derive_exponents, from_phase,
@@ -273,7 +272,7 @@ def test_criterion_08_nonvariational():
     P_lo = nonvariational_params(6.0, 0.5, 1.2, 1.2)
     res_lo = search_ground_state(P_lo, n_angles=9)
     assert not res_lo.found
-    assert all(o.m_class in (MClass.M1, MClass.M2, MClass.M3)
+    assert all(read_shot(P_lo, *o.seed).m_class in (MClass.M1, MClass.M2, MClass.M3)
                for o in res_lo.outcomes)          # every shot vanishes
     print(f"\nACCEPTANCE 8: PASS — GS found at delta=mu=2.5; cubic barrier min "
           f"{b_min:.3e} > 0 on the interior grid; all shots vanish at delta=mu=1.2")
@@ -313,7 +312,7 @@ def test_criterion_10_seed_robustness():
     for P, th in shots:
         outs = []
         for rho in (1e-4, 5e-5):
-            out = classify_shot(P, rho * math.cos(th), rho * math.sin(th), rho)
+            out = read_shot(P, rho * math.cos(th), rho * math.sin(th), rho)
             outs.append((out.s_class, out.m_class))
         if outs[0] != outs[1]:
             changed.append((P, th, outs))

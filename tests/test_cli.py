@@ -9,7 +9,7 @@ import pytest
 
 from efdyn import cli, dynamics, scalar
 from efdyn.cli import main, parse_config, run
-from efdyn.dynamics import _seed, classify_shot, search_ground_state
+from efdyn.dynamics import _seed, read_shot, search_ground_state
 from efdyn.errors import ConfigError, PreconditionViolated
 from efdyn.model import SystemParams
 from efdyn.numerics import CAPTURE_DIST
@@ -180,7 +180,7 @@ class TestCommands:
         assert report["outcome"]["sClass"] in ("S1", "S2", "S3", "S")
         # theta is seeded as the searches seed their angles
         P = SystemParams.from_dict(raw["params"])
-        assert report["outcome"] == classify_shot(P, *_seed(0.3, 1e-4), 1e-4).to_dict()
+        assert report["outcome"] == read_shot(P, *_seed(0.3, 1e-4), 1e-4).to_dict()
 
     @pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-6, 3e-4])
     def test_seed_at_quarter_pi_is_diagonal(self, rho):
@@ -385,7 +385,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,raw,key,failing,block", [
-        ("shoot", dict(HAM_CONFIG, shoot={"theta": 0.3}), "params", "classify_shot",
+        ("shoot", dict(HAM_CONFIG, shoot={"theta": 0.3}), "params", "read_shot",
          ['  shoot: {"theta": 0.3}']),
         ("scalar", {"scalar": {"N": 3.0, "p": 2.0, "a": 0.0, "Q": 4.0, "eps": -1}},
          "scalar", "scalar_classify", []),
@@ -396,10 +396,10 @@ class TestExitCodes:
         # stderr only: nothing is written
         def fail(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
-        # patched where the command reads it: `shoot` imports classify_shot
-        # from efdyn.dynamics, and `scalar` scalar_classify from efdyn.scalar,
-        # when it runs
-        owner = {"classify_shot": dynamics, "scalar_classify": scalar}[failing]
+        # patched where the command reads it: `shoot` imports read_shot from
+        # efdyn.dynamics, and `scalar` scalar_classify from efdyn.scalar, when
+        # it runs
+        owner = {"read_shot": dynamics, "scalar_classify": scalar}[failing]
         monkeypatch.setattr(owner, failing, fail)
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
@@ -441,6 +441,36 @@ class TestExitCodes:
                              f"  at: {fail_at_third.__code__.co_filename}:"
                              f"{fail_at_third.__code__.co_firstlineno + 3} in fail_at_third"]
         assert [P.delta for P in calls] == [2.4, 2.5, 2.6]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_angle_sweep_internal_error_names_the_angle(self, tmp_path, capsys, monkeypatch):
+        # an angle sweep's internal failure names the grid angle it hit, here
+        # the second of three on a system without exchange symmetry, where
+        # every angle is shot; nothing is written
+        shoot, calls = dynamics.read_shot, []
+
+        def fail_at_second(params, x, y):
+            calls.append((x, y))
+            if len(calls) == 2:
+                raise ZeroDivisionError("float division by zero")
+            return shoot(params, x, y)
+        monkeypatch.setattr(dynamics, "read_shot", fail_at_second)
+        params = dict(HAM_CONFIG["params"], delta=1.6, mu=2.1)
+        block = {"kind": "angle", "n": 3}
+        cfg = write_config(tmp_path, {"params": params, "sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[:2] == ["internal error: ZeroDivisionError: float division by zero",
+                             "  command: sweep"]
+        assert json.loads(lines[2].split("params: ", 1)[1]) == params
+        assert json.loads(lines[3].split("sweep: ", 1)[1]) == block
+        theta = dynamics.linspace(0.0, math.pi / 2, 5)[2]
+        assert calls[1] == _seed(theta, dynamics.MANIFOLD_RHO)
+        assert lines[4:] == [f"  value: theta = {theta!r}",
+                             f"  at: {fail_at_second.__code__.co_filename}:"
+                             f"{fail_at_second.__code__.co_firstlineno + 3} in fail_at_second"]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -21,9 +21,9 @@ import efdyn
 from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853, dynamics
 from efdyn.cli import main as cli_main
 from efdyn.dynamics import (BoundaryHit, DirichletSearch, EventSpec, MClass, SClass,
-                            classify_shot, integrate_m, integrate_radial, launch_regular,
-                            oracle_compare, search_dirichlet, search_ground_state,
-                            sweep_angles)
+                            ShotOutcome, classify_shot, integrate_m, integrate_radial,
+                            launch_regular, oracle_compare, read_shot, search_dirichlet,
+                            search_ground_state, sweep_angles)
 from efdyn.equilibria import FixedPointLabel, fixed_point_catalog
 from efdyn.errors import (Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid,
                           StepSizeUnderflow, ZeroDiscriminant)
@@ -42,7 +42,7 @@ from pinned_bits import (DIAGONAL_STEP_STATES, DIRICHLET_WORK, FUSED_STEP_H,
                          SAME_BITS_HITS, SAME_BITS_PARAMS, SAME_BITS_THETA, Recorder,
                          diagonal_calls, dirichlet_work, generic_calls, ground_state_work,
                          m0_basin_counts, on_diagonal_states, oracle_value, radial_counts,
-                         same_bits_counts, same_bits_hits, step_outcome)
+                         same_bits_counts, same_bits_hits, shot_run, step_outcome)
 
 HAM6 = hamiltonian_params(6.0, 2.0, 2.0)
 RHO = 1e-4
@@ -56,6 +56,13 @@ def _first_event(traj, name):
 def _squares(t, y):
     """y' = y^2 in each of the four components: y(0) = 1 blows up at t = 1."""
     return (y[0] ** 2, y[1] ** 2, y[2] ** 2, y[3] ** 2)
+
+
+def _report_sweep(params, n_angles):
+    """The angle sweep of `sweep kind=angle`: sweep_angles' grid and mirror,
+    with each angle's ShotReport."""
+    return dynamics._angle_grid(
+        params, n_angles, lambda th: read_shot(params, *dynamics._seed(th, dynamics.MANIFOLD_RHO)))
 
 
 # the first component blows up at t = 1, the others later or never
@@ -263,33 +270,35 @@ class TestClassification:
         assert dynamics._seed(math.pi / 2, RHO) == (0.0, RHO)
         assert dynamics._seed(0.0, RHO) == (RHO, 0.0)
         P = hamiltonian_params(6.0, 1.6, 1.6)
-        axis, face = (classify_shot(P, *dynamics._seed(theta, RHO), RHO)
-                      for theta in (0.0, math.pi / 2))
+        seeds = [dynamics._seed(theta, RHO) for theta in (0.0, math.pi / 2)]
+        axis, face = (read_shot(P, *seed, RHO) for seed in seeds)
         assert (face.s_class, face.m_class) == (SClass.S2, MClass.M2)
         assert (axis.s_class, axis.m_class) == (SClass.S1, MClass.M1)
         assert face.hit_times == {"y-bound": axis.hit_times["x-bound"],
                                   "blow-up": axis.hit_times["blow-up"]}
-        assert face._sol.t == axis._sol.t
-        assert face._sol.y == [(X, Y, Z, W) for Y, X, W, Z in axis._sol.y]
+        assert face == axis.exchanged()
+        axis_run, face_run = (shot_run(P, *seed, RHO) for seed in seeds)
+        assert face_run.t == axis_run.t
+        assert face_run.y == [(X, Y, Z, W) for Y, X, W, Z in axis_run.y]
 
     def test_subcritical_diagonal_is_simultaneous(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
-        out = classify_shot(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
+        out = read_shot(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
         assert out.s_class is SClass.S3
         assert out.m_class is MClass.M3
 
     def test_supercritical_diagonal_stays(self):
         P = hamiltonian_params(6.0, 2.5, 2.5)
-        out = classify_shot(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
+        out = read_shot(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
         assert out.s_class is SClass.S
         assert out.m_class is MClass.GS
 
     def test_subcritical_off_diagonal_one_sided(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
-        out = classify_shot(P, 0.9 * RHO, 0.2 * RHO, RHO)
+        out = read_shot(P, 0.9 * RHO, 0.2 * RHO, RHO)
         assert out.s_class is SClass.S1
         assert out.m_class is MClass.M1
-        out2 = classify_shot(P, 0.2 * RHO, 0.9 * RHO, RHO)
+        out2 = read_shot(P, 0.2 * RHO, 0.9 * RHO, RHO)
         assert out2.s_class is SClass.S2
         assert out2.m_class is MClass.M2
 
@@ -319,8 +328,8 @@ class TestClassification:
         # outside 1 < p, q < N the box (0, x_bound) x (0, y_bound) is empty:
         # every shot, and so every search, refuses the point by its inequality
         P = hamiltonian_params(6.0, 2.0, 2.0).replace(**changes)
-        for run in (lambda: classify_shot(P, RHO, 0.0, RHO), lambda: sweep_angles(P, 3),
-                    lambda: search_ground_state(P, 3)):
+        for run in (lambda: classify_shot(P, RHO, 0.0, RHO), lambda: read_shot(P, RHO, 0.0, RHO),
+                    lambda: sweep_angles(P, 3), lambda: search_ground_state(P, 3)):
             with pytest.raises(NotApplicable, match=re.escape(f"shots need {failed}")):
                 run()
 
@@ -332,6 +341,7 @@ class TestClassification:
         P = hamiltonian_params(6.0, 1.5, 1.5).replace(eps1=eps1, eps2=eps2)
         failed = f"shots need eps1 = eps2 = 1: eps1 = {eps1}, eps2 = {eps2}"
         for run in (lambda: classify_shot(P, *dynamics._seed(math.pi / 4, RHO), RHO),
+                    lambda: read_shot(P, *dynamics._seed(math.pi / 4, RHO), RHO),
                     lambda: sweep_angles(P, 3), lambda: search_ground_state(P, 3),
                     lambda: search_dirichlet(P, n_angles=3),
                     lambda: oracle_compare(P, 0.6e-6, 0.4e-6, 1e-6)):
@@ -370,10 +380,12 @@ class TestSearches:
 
     def test_search_is_deterministic(self):
         P = hamiltonian_params(6.0, 1.8, 1.2)
+        # two searches are two equal values: their grid shots and boundary
+        # shots compare by seed, S-class and gap
         r1 = search_ground_state(P, n_angles=9)
         r2 = search_ground_state(P, n_angles=9)
-        assert [b.angle for b in r1.boundaries] == [b.angle for b in r2.boundaries]
-        assert [o.to_dict() for o in r1.outcomes] == [o.to_dict() for o in r2.outcomes]
+        assert r1 is not r2 and r1 == r2 and hash(r1) == hash(r2)
+        assert r1.boundaries
 
     def test_dirichlet_zero_radii_agree(self):
         P = hamiltonian_params(6.0, 1.5, 1.5)
@@ -406,6 +418,15 @@ class TestSearches:
         # a search over no shots is no answer, even where a ground state exists
         with pytest.raises(PreconditionViolated, match="n_angles"):
             search(hamiltonian_params(6.0, 2.5, 2.5), n_angles=n_angles)
+
+    @pytest.mark.parametrize("u0", [-1.0, 0.0, math.nan, math.inf])
+    def test_dirichlet_refuses_u0_before_any_shot(self, monkeypatch, u0):
+        # (1.5, 1.5) has a Dirichlet solution: u0 is refused before the search
+        starts = _steps_reporting(monkeypatch, lambda pairs: None)
+        with pytest.raises(PreconditionViolated,
+                           match=re.escape(f"need u0 > 0 and finite, got {u0!r}")):
+            search_dirichlet(hamiltonian_params(6.0, 1.5, 1.5), u0=u0, n_angles=9)
+        assert starts == []
 
     def test_angle_sweep_shape(self):
         thetas, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
@@ -533,7 +554,7 @@ class TestFlipReplay:
         _, outs = sweep_angles(P, 9)
         for out in outs:
             assert (out.gap < 0.0) == (out.s_class is SClass.S1)
-            image = dynamics._exchanged(out)
+            image = out.exchanged()
             assert image.gap == -out.gap and (image.gap < 0.0) == (image.s_class is SClass.S1)
         # a shot that never crosses a face has no gap
         assert classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
@@ -742,8 +763,9 @@ def _eager_classify(params, x, y, rho):
 
 
 class TestPausedShot:
-    """classify_shot pauses each shot once its S-class is final and finishes
-    the run when the M-class is read: every output equals the eager run's."""
+    """classify_shot stops each shot's run once its S-class is final, and
+    read_shot runs the same run to its end: the report equals the eager run's
+    output, and its S-class is the paused shot's."""
 
     # 9 parameter points x 5 angles = 45 seeds: diagonal S3 (subcritical
     # Hamiltonian, potential, scalar embedding), S (supercritical, non-variational),
@@ -766,7 +788,7 @@ class TestPausedShot:
     @pytest.mark.parametrize("params", POINTS)
     def test_outcome_equals_eager_classification(self, monkeypatch, params, t_end):
         # on the horizon 5, most shots that cross reach it before blowing up:
-        # the paused run and the eager one then both raise, naming the seed
+        # the report and the eager run then both raise, naming the seed
         if t_end is not None:
             monkeypatch.setattr(dynamics, "T_END", t_end)
         for th in self.ANGLES:
@@ -778,27 +800,46 @@ class TestPausedShot:
                 named = re.escape(f"seed {(x, y)}")
                 assert re.match(named, str(exc))
                 with pytest.raises(Inconclusive, match=named):
-                    classify_shot(params, x, y, RHO).to_dict()
+                    read_shot(params, x, y, RHO)
             else:
-                assert classify_shot(params, x, y, RHO).to_dict() == eager
+                assert read_shot(params, x, y, RHO).to_dict() == eager
+                assert classify_shot(params, x, y, RHO).s_class.value == eager["sClass"]
 
     def test_s_class_covers_every_kind(self):
         classes = {classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO).s_class
                    for P in self.POINTS for th in self.ANGLES}
         assert classes == set(SClass)
 
-    def test_undecided_run_certifies_its_m_class(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["hamiltonian", "weighted", "potential", "general",
+                                        "nonvariational"])
+    def test_paused_s_class_is_the_reports(self, family):
+        # 3 seeded draws x 3 angles of each kind: the S-class that the shot
+        # decides at its pause is the one read off its whole run
+        rng = random.Random(f"paused-s-class:{family}")
+        compared = 0
+        for _ in range(3):
+            P = _draw_family_point(rng, family)
+            for th in (0.2, 0.8, 1.4):
+                seed = dynamics._seed(th, RHO)
+                out = classify_shot(P, *seed, RHO)
+                try:
+                    report = read_shot(P, *seed, RHO)
+                except Inconclusive:
+                    continue
+                assert (report.seed, report.s_class) == (out.seed, out.s_class), P
+                compared += 1
+        assert compared >= 7
+
+    def test_undecided_run_keeps_its_s_class(self, monkeypatch):
         # the shot crosses x = x_bound at t = 4.85 and blows up at t = 5.06:
-        # on the horizon 5 its run ends undecided, but it
-        # enters the trapping region R1 before the horizon, which proves M1;
-        # the hit times still need the blow-up
+        # on the horizon 5 its S-class is decided, S1, but its run ends
+        # without a blow-up, and its report raises naming the seed
         monkeypatch.setattr(dynamics, "T_END", 5.0)
-        out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), 0.9e-4, 0.2e-4, RHO)
-        assert out.s_class is SClass.S1
-        for _ in range(2):          # a failed hit-times read is not kept: it fails again
-            assert out.m_class is MClass.M1
-            with pytest.raises(Inconclusive):
-                out.hit_times
+        seed = (0.9e-4, 0.2e-4)
+        P = hamiltonian_params(6.0, 1.5, 1.5)
+        assert classify_shot(P, *seed, RHO).s_class is SClass.S1
+        with pytest.raises(Inconclusive, match=re.escape(f"seed {seed}: crossed at t = ")):
+            read_shot(P, *seed, RHO)
 
     def test_blow_up_without_a_crossing_raises_at_once(self, monkeypatch):
         # a run that leaves the box with no face crossing recorded is not
@@ -813,48 +854,49 @@ class TestPausedShot:
 
     def test_crossing_without_blow_up_runs_once(self, monkeypatch):
         # a run that crosses a face and reaches its horizon without blowing up
-        # is not rerun on a wider one: each hit-times read raises at T_END.
-        # The diagonal shot of a supercritical point stays in the box to
-        # T_END; its run reports an x-bound crossing at t = 0.5, in a state
-        # on the face X = x_bound = 4
+        # is not rerun on a wider one: its report raises at T_END. The
+        # diagonal shot of a supercritical point stays in the box to T_END;
+        # its run reports an x-bound crossing at t = 0.5, in a state on the
+        # face X = x_bound = 4
         def crossing_at_half(pairs):
             if not pairs:
                 pairs.append(((0.5, "x-bound"), (4.0, 0.5, 1.0, 1.0)))
         starts = _steps_reporting(monkeypatch, crossing_at_half)
         x, y = RHO * math.cos(math.pi / 4), RHO * math.sin(math.pi / 4)
-        out = classify_shot(hamiltonian_params(6.0, 2.5, 2.5), x, y, RHO)
-        assert out.s_class is SClass.S1
-        named = re.escape(f"seed {(x, y)}: crossed at t = 0.5 but no blow-up within t = 40.0")
-        for _ in range(2):          # a failed hit-times read is not kept: it fails again
-            with pytest.raises(Inconclusive, match=named):
-                out.hit_times
+        P = hamiltonian_params(6.0, 2.5, 2.5)
+        assert classify_shot(P, x, y, RHO).s_class is SClass.S1
         assert len(starts) == 1
+        named = re.escape(f"seed {(x, y)}: crossed at t = 0.5 but no blow-up within t = 40.0")
+        with pytest.raises(Inconclusive, match=named):
+            read_shot(P, x, y, RHO)
+        assert len(starts) == 2
 
     def test_search_reads_s_classes_only(self, monkeypatch):
-        # no search resumes a shot past its pause: not on the diagonal, not on
-        # an off-diagonal ground-state flip, and not in a Dirichlet search
-        # that takes its smallest boundary off the diagonal
-        resumed, real = [], dynamics.ShotOutcome._resume
-
-        def logged(self, to_end):
-            if self._sol.status is None:
-                resumed.append(self.seed)
-            real(self, to_end)
-        monkeypatch.setattr(dynamics.ShotOutcome, "_resume", logged)
-        search_ground_state(hamiltonian_params(6.0, 3.5, 1.2), n_angles=9)
-        search_dirichlet(hamiltonian_params(6.0, 1.6, 2.1), u0=1.0, n_angles=9)
+        # no search reads a report: not on the diagonal, not on an
+        # off-diagonal ground-state flip, and not in a Dirichlet search that
+        # takes its smallest boundary off the diagonal. Its shots stop at
+        # their S-decisions, far short of the runs that their reports read
+        def refused(*args):
+            raise AssertionError("a search read a report")
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "read_shot", refused)
+            search_ground_state(hamiltonian_params(6.0, 3.5, 1.2), n_angles=9)
+            search_dirichlet(hamiltonian_params(6.0, 1.6, 2.1), u0=1.0, n_angles=9)
+        shot, real = [], dynamics.classify_shot
+        monkeypatch.setattr(dynamics, "classify_shot",
+                            lambda *args: shot.append(args) or real(*args))
         calls = _count_phase_rhs(monkeypatch)
-        res = search_ground_state(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)
-        searched = calls[0]
-        assert resumed == []
-        for o in res.outcomes + tuple(b.outcome for b in res.boundaries):
-            o.to_dict()
-        assert resumed and searched < 0.4 * calls[0]
+        P = hamiltonian_params(6.0, 1.5, 1.5)
+        search_ground_state(P, n_angles=9)
+        searched, calls[0] = calls[0], 0
+        for args in shot:
+            read_shot(*args)
+        assert shot and searched < 0.4 * calls[0]
 
 
 def _steps_ending(monkeypatch, X_end, Y_end) -> None:
     """Every kernel run started from now on ends in a state whose X and Y are
-    X_end and Y_end, and no state is certified: the run's end decides."""
+    X_end and Y_end: the run's end decides."""
     real = dop853.steps
 
     def steps(*args):
@@ -863,13 +905,12 @@ def _steps_ending(monkeypatch, X_end, Y_end) -> None:
                 sol.y[-1] = (X_end, Y_end, *sol.y[-1][2:])
             yield sol
     monkeypatch.setattr(dop853, "steps", steps)
-    monkeypatch.setattr(dynamics, "_certify", lambda P, state: None)
 
 
 class TestEndRule:
-    """An unproved shot's M-class is read off its blow-up: M1 where X ends
-    above Y (u vanishes first), M2 where below, M3 on an exact tie only. The
-    exchange image reads M1 and M2 swapped."""
+    """A shot's M-class is read off its blow-up: M1 where X ends above Y (u
+    vanishes first), M2 where below, M3 on an exact tie only. The exchange
+    image reads M1 and M2 swapped."""
 
     @pytest.mark.parametrize("X_end,Y_end,m_class,mirrored", [
         (1.01e6, 1e6, MClass.M1, MClass.M2),      # 1% from a tie: still one profile first
@@ -879,10 +920,10 @@ class TestEndRule:
     def test_larger_coordinate_names_the_m_class(self, monkeypatch, X_end, Y_end, m_class,
                                                  mirrored):
         _steps_ending(monkeypatch, X_end, Y_end)
-        out = classify_shot(hamiltonian_params(6.0, 1.5, 1.5), *dynamics._seed(0.3, RHO), RHO)
+        out = read_shot(hamiltonian_params(6.0, 1.5, 1.5), *dynamics._seed(0.3, RHO), RHO)
         assert out.s_class is SClass.S1 and "blow-up" in out.hit_times
-        assert out.proved is None and out.m_class is m_class
-        assert dynamics._exchanged(out).m_class is mirrored
+        assert out.m_class is m_class
+        assert out.exchanged().m_class is mirrored
 
 
 def _draw_family_point(rng, family):
@@ -908,9 +949,32 @@ def _draw_family_point(rng, family):
 FAMILIES = ["hamiltonian", "potential", "nonvariational"]
 
 
+def _trapped(P, state):
+    """M1 or M2 if `state` lies in a forward-invariant region that proves it.
+
+    With X, Y, Z, W >= 0, p, q > 1, mu > 0 and m >= 0, take R1 = {X > max(
+    x_bound, (N+b)/mu), V = Y + W/(q-1) < y_bound}. There X' = X (X - x_bound
+    + Z/(p-1)) > 0 blows X up in finite time, while V' = Y (V - y_bound) +
+    W/(q-1) (N + b - mu X - m Y - W) <= 0 keeps Y below y_bound: u vanishes
+    first, M1. The exchange image R2 proves M2. Each inequality needs a
+    margin of 1e-6 (1 + bound).
+    """
+    X, Y, Z, W = state
+    if not (min(X, Y, Z, W) >= 0.0 and P.p > 1.0 and P.q > 1.0):
+        return None
+    for m_class, grows, stays, x_bound, y_bound, n_b, mu, m in (
+            (MClass.M1, X, Y + W / (P.q - 1), P.x_bound, P.y_bound, P.N + P.b, P.mu, P.m),
+            (MClass.M2, Y, X + Z / (P.p - 1), P.y_bound, P.x_bound, P.N + P.a, P.delta, P.s)):
+        lo = max(x_bound, n_b / mu) if mu > 0.0 and m >= 0.0 else math.inf
+        if grows - lo > 1e-6 * (1 + lo) and y_bound - stays > 1e-6 * (1 + y_bound):
+            return m_class
+    return None
+
+
 class TestCertificate:
     """A shot inside the trapping region R1 (or its exchange image R2) has
-    M-class M1 (M2): the M-class read stops there instead of at blow-up."""
+    M-class M1 (M2): `_trapped` holds the M-class read off the blow-up
+    against the regions."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_regions_trap(self, family):
@@ -930,31 +994,35 @@ class TestCertificate:
             r1 = (lo_x, f * v_y, Z, (1 - f) * v_y * q1)
             dX, dY, _, dW = rhs(0.0, r1)
             assert dX > 0.0 and dY + dW / q1 <= 0.0
-            assert dynamics._certify(P, r1) is MClass.M1
+            assert _trapped(P, r1) is MClass.M1
             # just below the bound on X the region does not prove it
             below = max(P.x_bound, (P.N + P.b) / P.mu) * 0.999
-            assert dynamics._certify(P, (below,) + r1[1:]) is None
+            assert _trapped(P, (below,) + r1[1:]) is None
             r2 = (g * v_x, lo_y, (1 - g) * v_x * p1, W)
             dX, dY, dZ, _ = rhs(0.0, r2)
             assert dY > 0.0 and dX + dZ / p1 <= 0.0
-            assert dynamics._certify(P, r2) is MClass.M2
+            assert _trapped(P, r2) is MClass.M2
             below = max(P.y_bound, (P.N + P.a) / P.delta) * 0.999
-            assert dynamics._certify(P, r2[:1] + (below,) + r2[2:]) is None
+            assert _trapped(P, r2[:1] + (below,) + r2[2:]) is None
 
     def test_certified_class_is_the_finished_class(self):
-        # 36 random points x 3 angles: every shot that leaves the box is
-        # certified, with the M-class of its run to blow-up
+        # 36 random points x 3 angles: every shot that leaves the box enters
+        # R1 or R2 at an accepted state before its end, and the region's
+        # class is the M-class that its report reads off the blow-up
         rng = random.Random(21)
         certified = set()
         for family in FAMILIES:
             for _ in range(12):
                 P = _draw_family_point(rng, family)
                 for th in (0.3, 0.8, 1.3):
-                    out = classify_shot(P, RHO * math.cos(th), RHO * math.sin(th), RHO)
-                    if out.s_class is SClass.S:
+                    seed = RHO * math.cos(th), RHO * math.sin(th)
+                    report = read_shot(P, *seed, RHO)
+                    if report.s_class is SClass.S:
                         continue
-                    assert out.m_class is out.proved is out._read_end()[1]
-                    certified.add(out.proved)
+                    trapped = {_trapped(P, state) for state in shot_run(P, *seed, RHO).y[:-1]}
+                    (region,) = trapped - {None}
+                    assert report.m_class is region
+                    certified.add(region)
         assert certified == {MClass.M1, MClass.M2}
 
     def test_dirichlet_search_runs_no_shot_to_blow_up(self, monkeypatch):
@@ -1078,11 +1146,12 @@ class TestM0Basin:
                 if basin is None or basin[0][0] - basin[0][1] > -0.5:
                     continue
                 out, (rhs, t0, y0, t_bound, events) = self._shot(monkeypatch, P)
-                assert out._sol.status == 1 and out._sol.events[-1][1] == "m0-basin"
-                n = out._sol.n_accepted
-                assert out.to_dict() == {"seed": [y0[0], y0[1]], "sClass": "S", "mClass": "GS",
-                                         "hitTimes": {}}
-                assert out._sol.n_accepted == n         # the reads step no further
+                seed = (y0[0], y0[1])
+                run = shot_run(P, *seed, RHO)
+                assert run.status == 1 and run.events[-1][1] == "m0-basin"
+                assert out == ShotOutcome(seed, SClass.S, None)
+                assert read_shot(P, *seed).to_dict() == {"seed": [*seed], "sClass": "S",
+                                                         "mClass": "GS", "hitTimes": {}}
                 rest = tuple(ev for ev in events if ev.name != "m0-basin")
                 assert len(rest) == len(events) - 1
                 sol = dop853.solve(rhs, t0, y0, t_bound, rest)
@@ -1097,8 +1166,9 @@ class TestM0Basin:
         # ROADMAP 4(f): the diagonal seed at s = 0.5, delta = mu = 1.7 was S
         # only because its run reached T_END
         P = nonvariational_params(6.0, 0.5, 1.7, 1.7)
-        out = classify_shot(P, *dynamics._seed(math.pi / 4, RHO), RHO)
-        assert out._sol.events[-1][1] == "m0-basin"
+        seed = dynamics._seed(math.pi / 4, RHO)
+        assert shot_run(P, *seed, RHO).events[-1][1] == "m0-basin"
+        out = read_shot(P, *seed)
         assert (out.s_class, out.m_class, out.hit_times) == (SClass.S, MClass.GS, {})
 
     def test_other_shots_carry_no_basin_event(self, monkeypatch):
@@ -1112,13 +1182,16 @@ class TestM0Basin:
 # -- reference: the Dirichlet search that reads every grid M-class -------------
 
 def _full_read_dirichlet(params, u0=None, n_angles=9):
-    """search_dirichlet's to_dict() with the M-class of every grid shot read:
-    the smallest of the Dirichlet boundaries and the grid shots that leave
-    the box with M-class M3 is taken."""
+    """search_dirichlet's to_dict() with the M-class of every grid shot read
+    from its report: the smallest of the Dirichlet boundaries and the grid
+    shots that leave the box with M-class M3 is taken."""
     res = search_ground_state(params, n_angles)
+    thetas, reports = _report_sweep(params, n_angles)
+    assert thetas == res.angles
+    assert [r.s_class for r in reports] == [o.s_class for o in res.outcomes]
     angles = [b.angle for b in res.boundaries if b.kind == "dirichlet"]
-    angles += [th for th, o in zip(res.angles, res.outcomes)
-               if o.s_class is not SClass.S and o.m_class is MClass.M3]
+    angles += [th for th, r in zip(thetas, reports)
+               if r.s_class is not SClass.S and r.m_class is MClass.M3]
     return _dirichlet_at(params, min(angles, default=None), u0)
 
 
@@ -1173,16 +1246,18 @@ class TestDirichletWalk:
 
 # -- reference: the searches by the 5% window on X/Y at blow-up ----------------
 
-def _window_m_class(out):
-    """A shot's M-class by the window rule: a proved class, else M3 where X/Y
-    at blow-up lies within 5% of 1, else M1 or M2."""
-    if out._partner is not None:
-        m_class = _window_m_class(out._partner)
-        return dynamics._EXCHANGED.get(m_class, m_class)
-    m_class = out.m_class
-    if out.proved is not None or m_class is MClass.GS:
+def _window_m_class(params, out):
+    """A shot's M-class by the window rule: the class of a trapping region
+    that its run enters before its end (`_trapped`), else M3 where X/Y at
+    blow-up lies within 5% of 1, else M1 or M2."""
+    run = shot_run(params, *out.seed, dynamics.MANIFOLD_RHO)
+    for state in run.y[:-1]:
+        if (proved := _trapped(params, state)) is not None:
+            return proved
+    m_class = read_shot(params, *out.seed).m_class
+    if m_class is MClass.GS:
         return m_class
-    X_end, Y_end = out._sol.y[-1][:2]
+    X_end, Y_end = run.y[-1][:2]
     return MClass.M3 if Y_end != 0 and abs(X_end / Y_end - 1.0) < 0.05 else m_class
 
 
@@ -1199,7 +1274,7 @@ def _window_searches(params, res, u0):
         kind = b.kind
         if kind == "ground-state" and b.outcome.s_class is not SClass.S:
             reads += 1
-            kind = "dirichlet" if _window_m_class(b.outcome) is MClass.M3 else kind
+            kind = "dirichlet" if _window_m_class(params, b.outcome) is MClass.M3 else kind
         hits.append((b.angle, kind))
     found = (any(o.s_class is SClass.S for o in res.outcomes)
              or any(kind == "ground-state" for _, kind in hits))
@@ -1209,7 +1284,7 @@ def _window_searches(params, res, u0):
             break
         if o.s_class is not SClass.S:
             reads += 1
-            if _window_m_class(o) is MClass.M3:
+            if _window_m_class(params, o) is MClass.M3:
                 angle = th
                 break
     dirichlet = _dirichlet_at(params, None if angle == math.inf else angle, u0)
@@ -1241,11 +1316,12 @@ class TestWindowEquivalence:
 
 # -- reference: the angle sweep that shoots every grid angle -------------------
 
-def _direct_sweep(params, n_angles, rho=dynamics.MANIFOLD_RHO):
-    """sweep_angles as it ran before exchange-symmetric grids were mirrored:
-    every grid angle is classified by its own shot."""
+def _direct_sweep(params, n_angles, shoot=classify_shot):
+    """sweep_angles, or with `shoot` read_shot the report sweep, as it ran
+    before exchange-symmetric grids were mirrored: every grid angle is shot
+    on its own."""
     thetas = tuple(dynamics.linspace(0.0, math.pi / 2, n_angles + 2)[1:-1])
-    return thetas, [classify_shot(params, *dynamics._seed(th, rho), rho) for th in thetas]
+    return thetas, [shoot(params, *dynamics._seed(th, dynamics.MANIFOLD_RHO)) for th in thetas]
 
 
 # the diagonals fixed by the exchange of the two equations
@@ -1274,20 +1350,30 @@ class TestExchangeMirror:
         assert res.found == ref.found
         assert [(b.angle.hex(), b.kind, b.outcome.s_class) for b in res.boundaries] == \
             [(b.angle.hex(), b.kind, b.outcome.s_class) for b in ref.boundaries]
-        assert [(o.s_class, o.m_class) for o in res.outcomes] == \
-            [(o.s_class, o.m_class) for o in ref.outcomes]
-        for o, r in zip(res.outcomes, ref.outcomes):
+        assert [o.s_class for o in res.outcomes] == [o.s_class for o in ref.outcomes]
+        assert dirichlet == search_dirichlet(params, n_angles=n_angles).to_dict()
+        # the report sweep mirrors as the searches' sweep does
+        _, reports = _report_sweep(params, n_angles)
+        _, direct = _direct_sweep(params, n_angles, read_shot)
+        assert [(o.s_class, o.m_class) for o in reports] == \
+            [(o.s_class, o.m_class) for o in direct]
+        for o, r in zip(reports, direct):
             assert list(o.hit_times) == list(r.hit_times)
             assert o.hit_times == pytest.approx(r.hit_times, rel=1e-9, abs=0.0)
-        assert dirichlet == search_dirichlet(params, n_angles=n_angles).to_dict()
 
     @pytest.mark.parametrize("n_angles", [8, 9, 33])
     @pytest.mark.parametrize("params", SYMMETRIC_POINTS, ids=SYMMETRIC_IDS)
     def test_upper_half_is_the_mirror_of_the_lower(self, params, n_angles):
-        _, outs = sweep_angles(params, n_angles)
         swap = {"S1": "S2", "S2": "S1", "M1": "M2", "M2": "M1",
                 "x-bound": "y-bound", "y-bound": "x-bound"}
+        _, outs = sweep_angles(params, n_angles)
         for o, partner in zip(outs[::-1], outs[:n_angles // 2]):
+            assert o.seed == partner.seed[::-1]
+            assert o.s_class.value == swap.get(partner.s_class.value, partner.s_class.value)
+            assert o.gap == (None if partner.gap is None else -partner.gap)
+        _, reports = _report_sweep(params, n_angles)
+        assert [r.seed for r in reports] == [o.seed for o in outs]
+        for o, partner in zip(reports[::-1], reports[:n_angles // 2]):
             d, p = o.to_dict(), partner.to_dict()
             assert d["seed"] == p["seed"][::-1]
             assert d["sClass"] == swap.get(p["sClass"], p["sClass"])
@@ -1307,21 +1393,29 @@ class TestExchangeMirror:
         sweep_angles(params, n_angles)
         assert len(shots) == ((n_angles + 1) // 2 if symmetric else n_angles)
 
-    def test_undecided_partner_certifies_and_raises_on_hit_times(self, monkeypatch):
+    def test_undecided_partner_keeps_its_s_class(self, monkeypatch, tmp_path, capsys):
         # on the horizon 5, the two shots nearest the X axis cross
-        # x = x_bound but do not blow up. Their runs still prove M1, so the
-        # mirrored shots near the Y axis read M2; the mirrored reads of their
-        # hit times raise, and name the seed that ran
+        # x = x_bound but do not blow up. Their S-classes are decided, S1, and
+        # the mirrored shots near the Y axis read S2; the report sweep, and
+        # so `sweep kind=angle`, raises at the first of them, naming the seed
+        # that ran and its angle
         monkeypatch.setattr(dynamics, "T_END", 5.0)
-        _, outs = sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=7)
+        P = hamiltonian_params(6.0, 1.5, 1.5)
+        thetas, outs = sweep_angles(P, n_angles=7)
         mirrored, partner = outs[-1], outs[0]
         assert (partner.s_class, mirrored.s_class) == (SClass.S1, SClass.S2)
-        ran = re.escape(f"seed {partner.seed}")
-        for _ in range(2):          # a failed hit-times read is not kept: it fails again
-            assert mirrored.m_class is MClass.M2
-            with pytest.raises(Inconclusive, match=ran):
-                mirrored.hit_times
-        assert partner.m_class is MClass.M1
+        assert mirrored == partner.exchanged()
+        ran = re.escape(f"seed {partner.seed}: crossed at t = ")
+        with pytest.raises(Inconclusive, match=ran):
+            _report_sweep(P, n_angles=7)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "sweep", "params": P.to_dict(),
+                                   "sweep": {"kind": "angle", "n": 7}}))
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert re.match("internal error: Inconclusive: " + ran, err)
+        assert f"  value: theta = {thetas[0]!r}\n" in err
+        assert not (tmp_path / "out").exists()
 
 
 # the shots that the kernel is held against scipy on, and paused on
@@ -1382,10 +1476,9 @@ class TestKernelAgainstScipy:
     @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
     def test_shot_matches_scipy(self, monkeypatch, params, xy):
         # a shot carries the three events x/y-bound and blow-up, and the
-        # diagonal shot of the supercritical point m0-basin too; reading the
-        # whole outcome runs every integration the shot makes
-        calls = self._recorded_solves(
-            monkeypatch, lambda: classify_shot(params, *xy, RHO).to_dict(), "steps")
+        # diagonal shot of the supercritical point m0-basin too; its report
+        # runs the shot's one run to its end
+        calls = self._recorded_solves(monkeypatch, lambda: read_shot(params, *xy, RHO), "steps")
         n_events = 4 if params == hamiltonian_params(6.0, 2.5, 2.5) else 3
         assert calls and all(len(call[4]) == n_events for call in calls)
         for call in calls:
@@ -1722,7 +1815,7 @@ class TestPhaseStep:
         # diagonal step (TestDiagonalStep)
         generic = _step_calls(monkeypatch, "_step")
         fused = _step_calls(monkeypatch, "_phase_step")
-        classify_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.3, RHO), RHO).to_dict()
+        read_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.3, RHO), RHO)
         integrate_m(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), horizon=(0.0, 40.0))
         assert generic[0] == 0 and fused[0] > 100
 
@@ -1935,11 +2028,11 @@ class TestDiagonalStep:
         assert dop853._on_diagonal(y) is on
 
     @pytest.mark.parametrize("run,taken", [
-        (lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
-                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+        (lambda: repr(read_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                                *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
          {"_diagonal_step"}),
-        (lambda: repr(classify_shot(nonvariational_params(6.0, 0.5, 1.7, 1.7),
-                                    *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+        (lambda: repr(read_shot(nonvariational_params(6.0, 0.5, 1.7, 1.7),
+                                *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
          {"_diagonal_step"}),
         *[(lambda case=case: repr(scalar_classify(*case).to_dict()), _SCALAR_STEPS[b])
           for b, case in _SCALAR_RUNS.items()],
@@ -1959,10 +2052,10 @@ class TestDiagonalStep:
 
     @pytest.mark.parametrize("run", [
         # an off-diagonal seed and a system without exchange symmetry
-        lambda: repr(classify_shot(hamiltonian_params(6.0, 2.5, 2.5),
-                                   *dynamics._seed(0.3, RHO), RHO).to_dict()),
-        lambda: repr(classify_shot(hamiltonian_params(6.0, 1.6, 2.1),
-                                   *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
+        lambda: repr(read_shot(hamiltonian_params(6.0, 2.5, 2.5),
+                               *dynamics._seed(0.3, RHO), RHO).to_dict()),
+        lambda: repr(read_shot(hamiltonian_params(6.0, 1.6, 2.1),
+                               *dynamics._seed(math.pi / 4, RHO), RHO).to_dict()),
         # zeros of opposite sign on a diagonal-exact field
         lambda: _hex(dop853.solve(phase_rhs(HAM6), 0.0, (0.0, -0.0, 5.5, 5.5), 5.0).y),
         # a diagonal state, and constants that are exchange-symmetric but for
@@ -2255,44 +2348,6 @@ class TestKernelPauseResume:
         self._assert_pauses_are_invisible(rhs, span[0], y0, span[1], ())
 
 
-class TestSingleResumption:
-    """A shot's paused run is moved on by one loop, whatever is read first:
-    the M-class read and the hit-times read, in either order, give the same
-    outcome for the same right-hand side evaluations."""
-
-    CASES = [*(lambda P=P, xy=xy: [classify_shot(P, *xy, RHO)] for P, xy in SCIPY_SHOTS),
-             lambda: sweep_angles(hamiltonian_params(6.0, 1.5, 1.5), n_angles=9)[1]]
-
-    @pytest.mark.parametrize("shots", CASES, ids=["ham-diagonal-S3", "ham-off-diagonal",
-                                                  "ham-supercritical", "potential",
-                                                  "mirrored-grid"])
-    def test_read_order_is_invisible(self, monkeypatch, shots):
-        calls = _count_phase_rhs(monkeypatch)
-        reads = {}
-        for first, second in (("m_class", "hit_times"), ("hit_times", "m_class")):
-            calls[0] = 0
-            outs = shots()
-            for o in outs:
-                getattr(o, first)
-                getattr(o, second)
-            reads[first] = [o.to_dict() for o in outs], calls[0]
-        assert reads["m_class"] == reads["hit_times"]
-
-    def test_mirror_reads_its_partners_run(self, monkeypatch):
-        calls = _count_phase_rhs(monkeypatch)
-        P = hamiltonian_params(6.0, 1.5, 1.5)
-        _, outs = sweep_angles(P, n_angles=9)
-        calls[0] = 0
-        partner_alone = outs[0].to_dict()
-        alone = calls[0]
-        _, outs = sweep_angles(P, n_angles=9)
-        calls[0] = 0
-        mirror = outs[-1].to_dict()
-        assert outs[0].to_dict() == partner_alone
-        assert 0 < calls[0] <= alone
-        assert mirror["seed"] == partner_alone["seed"][::-1]
-
-
 class TestKernelCounts:
     @staticmethod
     def _counting(fun):
@@ -2354,8 +2409,7 @@ class TestKernelCounts:
         # there, read as `Solution.at` reads it; recording it evaluates no
         # field, and the pinned counts above hold with it
         starts = _steps_reporting(monkeypatch, lambda pairs: None)
-        shot = classify_shot(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.9, RHO), RHO)
-        shot.hit_times
+        shot = shot_run(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.9, RHO), RHO)
         (args,) = starts
         runs = [dop853.solve(*args),
                 dop853.solve(*dynamics._radial_problem(RADIAL_PARAMS, 1.0, 1.0, 1e12)),
@@ -2363,7 +2417,7 @@ class TestKernelCounts:
                              [EventSpec("x", lambda t, y: y[0] - 0.25),
                               EventSpec("blow-up", lambda t, y: abs(y[1]) - 1e6,
                                         terminal=True)])]
-        assert _hex(shot._sol.event_states) == _hex(runs[0].event_states)
+        assert _hex(shot.event_states) == _hex(runs[0].event_states)
         for sol in runs:
             assert sol.status == 1 and len(sol.event_states) == len(sol.events) >= 2
             assert _hex(sol.event_states) == [_hex(sol.at(t)) for t, _ in sol.events]
@@ -2561,12 +2615,10 @@ class TestDenseOutputOnlyInSolve:
         assert built[0] == (0 if span[0] == span[1] else len(ref.t) - 1)
 
     def test_shot_builds_interpolants_at_its_events_only(self, monkeypatch, built):
-        # a shot's paused run, read to its end: one piece per step that
-        # locates a face crossing or the blow-up, and no dense output
+        # a shot's run, read to its end: one piece per step that locates a
+        # face crossing or the blow-up, and no dense output
         P = hamiltonian_params(6.0, 1.6, 2.1)
-        shot = classify_shot(P, *dynamics._seed(0.3, RHO), RHO)
-        shot.hit_times
-        sol = shot._sol
+        sol = shot_run(P, *dynamics._seed(0.3, RHO), RHO)
         assert sol.status == 1 and sol.pieces is None
         assert 0 < built[0] <= len(sol.events) < sol.n_accepted
         # nfev counts each built piece's three extra stages

@@ -5,6 +5,7 @@ prints, refuses assignment and reports bad calls alike."""
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -178,11 +179,32 @@ def test_replace_refuses_alike(changes, error):
         dataclasses.replace(twin, **changes)
 
 
-def test_shot_outcome_is_a_view_not_a_value():
-    # an outcome reads its paused run when asked: two shots of one seed give
-    # the same reading, yet are two outcomes, compared by identity
+def test_shot_outcome_is_a_value():
+    # two shots of one seed are two equal values: equal, hashing alike, and
+    # equal again after a pickle round trip; assignment is refused
     P = model.hamiltonian_params(6.0, 2.0, 2.0)
     a, b = dynamics.classify_shot(P, 1e-4, 0.0), dynamics.classify_shot(P, 1e-4, 0.0)
-    assert a.to_dict() == b.to_dict()
-    assert a == a and a != b
-    assert not hasattr(a, "__dict__")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == (f"ShotOutcome(seed=(0.0001, 0.0), s_class={a.s_class!r}, "
+                       f"gap={a.gap!r})")
+    with pytest.raises(_record.FrozenInstanceError):
+        a.s_class = dynamics.SClass.S
+    r, t = dynamics.read_shot(P, 1e-4, 0.0), dynamics.read_shot(P, 1e-4, 0.0)
+    assert r is not t and r == t and pickle.loads(pickle.dumps(r)) == r
+    assert r.s_class is a.s_class and r.to_dict()["seed"] == [1e-4, 0.0]
+
+
+def test_every_field_of_an_exchange_image_reads():
+    # an image is built field by field: it reads as any shot does
+    P = model.hamiltonian_params(6.0, 1.5, 1.5)
+    seed = dynamics._seed(0.3, 1e-4)
+    out, report = dynamics.classify_shot(P, *seed), dynamics.read_shot(P, *seed)
+    image = out.exchanged()
+    assert (image.seed, image.s_class, image.gap) == (seed[::-1], dynamics.SClass.S2, -out.gap)
+    assert image.exchanged() == out
+    mirror = report.exchanged()
+    assert mirror.to_dict() == {"seed": [seed[1], seed[0]], "sClass": "S2", "mClass": "M2",
+                                "hitTimes": {"y-bound": report.hit_times["x-bound"],
+                                             "blow-up": report.hit_times["blow-up"]}}
+    assert mirror.exchanged() == report

@@ -68,8 +68,9 @@ def test_blow_up_is_decided_in_one_place():
 
 
 def test_only_a_shot_pauses_the_kernel():
-    # every kernel run but a shot's runs to its end through dop853.solve: one
-    # function outside the kernel steps a run itself, the shot's constructor
+    # every kernel run but a shot's runs to its end through dop853.solve: two
+    # functions outside the kernel step a run themselves, classify_shot, which
+    # stops it at the S-decision, and read_shot, which drains it
     def calls_steps(node):
         return any(isinstance(sub, ast.Attribute) and sub.attr == "steps"
                    and isinstance(sub.value, ast.Name) and sub.value.id == "dop853"
@@ -85,19 +86,26 @@ def test_only_a_shot_pauses_the_kernel():
                  if isinstance(cls, ast.ClassDef)
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
         callers += [f"{path.stem}.{name}" for name, fn in defs if calls_steps(fn)]
-    assert callers == ["dynamics.ShotOutcome.__init__"]
+    assert callers == ["dynamics.classify_shot", "dynamics.read_shot"]
 
 
 def test_searches_read_s_classes_only():
     # a search answers from S-classes alone, so no shot of it runs past its
-    # S-decision: only reports read a shot's M-class or hit times
+    # S-decision: only reports (read_shot) read a shot's M-class or hit times.
+    # The grid and mirror of sweep_angles (_angle_grid) read neither; the
+    # report sweep of `sweep kind=angle` hands it read_shot
     tree = ast.parse((SRC / "dynamics.py").read_text())
-    searches = ("sweep_angles", "_bisect_boundary", "search_ground_state", "search_dirichlet")
+    searches = ("_angle_grid", "sweep_angles", "_bisect_boundary", "search_ground_state",
+                "search_dirichlet")
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reads = [f"{name}:{node.lineno} .{node.attr}" for name in searches
-             for node in ast.walk(defs[name])
-             if isinstance(node, ast.Attribute) and node.attr in ("m_class", "hit_times")]
-    assert reads == []
+
+    def reads(node):
+        return (isinstance(node, ast.Attribute)
+                and node.attr in ("m_class", "hit_times", "read_shot")
+                or isinstance(node, ast.Name) and node.id == "read_shot")
+    found = [f"{name}:{node.lineno}" for name in searches
+             for node in ast.walk(defs[name]) if reads(node)]
+    assert found == []
 
 
 def test_stepping_loop_calls_no_min_or_max():
