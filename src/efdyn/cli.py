@@ -397,7 +397,7 @@ def _run_sweep(rc: RunConfig) -> ReportBundle:
         thetas, reports = _angle_grid(P, n, report_at)
         rows = [["theta", "sClass", "mClass", "hitTime"]]
         for th, o in zip(thetas, reports):
-            first = min(o.hit_times.values()) if o.hit_times else math.nan
+            first = min((t for _, t in o.hit_times), default=math.nan)
             rows.append([_fmt(th), o.s_class.value, o.m_class.value, _fmt(first)])
         csvs["sweep.csv"] = rows
         report = {"command": "sweep", "kind": "angle", "params": P.to_dict(),

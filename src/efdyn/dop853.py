@@ -43,10 +43,10 @@ process compiles only the steps that its runs take.
 
 The step modules read the tableau below from this module. The written-out
 steps never call the field. All four give the same bits, the same errors and
-the same counts. Only `solve` keeps dense output, read through `Solution.at`:
-a run keeps each step's data, and the step's interpolant is built on its first
-read. A run of `steps`, a shot's, builds a step interpolant only to
-locate an event in the step.
+the same counts. Every run keeps its dense output, read through `Solution.at`:
+it keeps each accepted step's data, and the step's interpolant is built to
+locate an event in the step or on its first read. A step underflow raises
+`errors.StepSizeUnderflow` with the failed run, which answers `at` too.
 
 The step sequence is scipy's: the step-size controller, the initial step, the
 error estimate, the dense output and the event location follow
@@ -69,6 +69,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from operator import neg
 
+from .errors import StepSizeUnderflow
 from .numerics import ODE_ATOL, ODE_RTOL
 
 # -- tableau ---------------------------------------------------------------
@@ -297,22 +298,22 @@ class StepInterpolant:
 
 class Solution:
     """A kernel run: its accepted points and states, its status, the events it
-    located, its dense output (`at`) and its counts."""
+    located, its dense output (`at`) and its counts. A run answers `at` over
+    the steps it has taken, whether it ran to its end, was stopped early or
+    failed."""
 
-    __slots__ = ("t", "y", "status", "events", "event_states", "pieces", "nfev", "n_accepted",
-                 "n_rejected")
+    __slots__ = ("t", "y", "status", "events", "pieces", "nfev", "n_accepted", "n_rejected")
 
-    def __init__(self, t: list[float], y: list[tuple[float, ...]], pieces: list | None):
+    def __init__(self, t: list[float], y: list[tuple[float, ...]], pieces: list):
         self.t = t                   # accepted step points, the last one possibly an event
         self.y = y
         self.status = None           # 0: reached t_bound; 1: terminal event; -1: step underflow;
                                      # None: the run goes on (`steps`)
         self.events = []             # (t, name) per located root, in the order found:
                                      # step by step, a terminal one last
-        self.event_states = []       # the state at each root of `events`, in its order
-        self.pieces = pieces         # `solve`: per accepted step, its StepInterpolant's
-                                     # arguments or, once read, the interpolant (an empty
-                                     # span: the constant of its point); `steps`: None
+        self.pieces = pieces         # per accepted step, its StepInterpolant's arguments
+                                     # or, once built, the interpolant (an empty span:
+                                     # the constant of its point)
         self.nfev = 0                # the run's right-hand side evaluations: 11 per attempted
                                      # step, 1 more per accepted one, 3 per interpolant built
                                      # to locate an event, 2 to start
@@ -402,41 +403,37 @@ def steps(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
     at a time, to the tolerances ODE_RTOL and ODE_ATOL of `efdyn.numerics`.
 
     Yields one `Solution` after each accepted step, the same object each time,
-    grown in place: the points, events and counts so far, with `status` None
-    while the run goes on. The last yield carries the final status; a step
-    underflow ends the run with a yield of its own. A consumer may stop after
-    any yield: the steps taken so far do not depend on it. Only a shot steps
-    its run itself, `dynamics.classify_shot` to its S-decision and
-    `dynamics.read_shot` to its end; other runs call `solve`.
+    grown in place: the points, events, step data and counts so far, with
+    `status` None while the run goes on. The last yield carries the final
+    status. A consumer may stop after any yield: the steps taken so far do
+    not depend on it, and `Solution.at` answers over them. Only
+    `dynamics.classify_shot` stops a run early, at its S-decision; every
+    other run calls `solve`.
 
     Each event has `name`, `fn(t, y)`, `terminal` and `direction` (> 0: upward
     zero crossings only, < 0: downward only, 0: both). Its zeros are located on
     the step interpolant to 4 eps, and `Solution.events` records each as a
-    (t, name) pair, in the order found, and `Solution.event_states` the state
-    there, the step's interpolant at the root, at no right-hand side
-    evaluation. A terminal event ends the run at its zero, which becomes the
-    last point and the last pair: the step's zeros past the earliest terminal
-    one are dropped. A `steps` run keeps no interpolants: a `StepInterpolant`
-    is built only for a step with a zero to locate, and `Solution.pieces` is
-    None. `Solution.nfev` counts the interpolants built during the run, 3
+    (t, name) pair, in the order found; the state at a root is
+    `Solution.at(root)`. A terminal event ends the run at its zero, on the
+    step's interpolant there, which becomes the last point and the last
+    pair: the step's zeros past the earliest terminal one are dropped. A
+    step's interpolant is built to locate an event in it or on its first
+    read by `at`; `Solution.nfev` counts those built during the run, 3
     evaluations each.
+
+    A step size that collapses below 10 ulp of t (a NaN step too) raises
+    `errors.StepSizeUnderflow`, whose `run` is the failed run, status -1.
 
     The run's step is picked from the constants that the field carries (see
     the module docstring); every step gives the same bits and the same counts.
 
     The state has four components; a state of another length raises
-    ValueError.
+    ValueError at the call.
     """
-    return _start(fun, t0, y0, t_bound, events, False)
-
-
-def _start(fun: Rhs, t0, y0, t_bound, events, dense) -> Iterator[Solution]:
-    """The run of `steps` or, with `dense`, of `solve`, its state checked at
-    once: a state of another length than 4 raises ValueError."""
     y = tuple(float(v) for v in y0)
     if len(y) != 4:
         raise ValueError(f"the kernel integrates states of length 4, not {len(y)}")
-    return _run(fun, float(t0), y, float(t_bound), tuple(events), dense)
+    return _run(fun, float(t0), y, float(t_bound), tuple(events))
 
 
 def _on_diagonal(values) -> bool:
@@ -447,18 +444,16 @@ def _on_diagonal(values) -> bool:
                for a, b in zip(values[::2], values[1::2]))
 
 
-def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
-    """The stepping loop of `steps` and `solve`, on a checked 4-component
-    state; with `dense`, the run keeps every step's interpolant, or the data
-    that builds it, in its `pieces`."""
-    ts, ys = [t], [y]
-    pieces = [] if dense else None
+def _run(fun: Rhs, t, y, t_bound, events) -> Iterator[Solution]:
+    """The stepping loop of `steps`, on a checked 4-component state: the run
+    keeps every step's interpolant, or the data that builds it, in its
+    `pieces`."""
+    ts, ys, pieces = [t], [y], []
     out = Solution(ts, ys, pieces)
     if t == t_bound:
         ts.append(t)
         ys.append(y)
-        if dense:
-            pieces.append(lambda s: y)
+        pieces.append(lambda s: y)
         out.status = 0
         yield out
         return
@@ -497,8 +492,8 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
             if not h_abs >= min_step:       # a NaN step (non-finite y0 or f) too
                 out.status, out.nfev, out.n_accepted, out.n_rejected = \
                     -1, nfev, n_accepted, n_rejected
-                yield out
-                return
+                raise StepSizeUnderflow(
+                    "Required step size is less than spacing between numbers.", run=out)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -546,16 +541,15 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
                     found = found[:cut + 1]
                     status = 1
                 out.events.extend((root, events[i].name) for root, i in found)
-                out.event_states.extend(piece(root) for root, _ in found)
                 if status == 1:     # the run ends at its terminal zero
-                    t, y = found[-1][0], out.event_states[-1]
+                    t = found[-1][0]
+                    y = piece(t)
 
         # a terminal zero at the step's start adds no point
         if ts[-1] != t or len(ts) == 1:
             ts.append(t)
             ys.append(y)
-            if dense:
-                pieces.append(piece)
+            pieces.append(piece)
         out.status, out.nfev, out.n_accepted, out.n_rejected = \
             status, nfev, n_accepted, n_rejected
         yield out
@@ -563,12 +557,9 @@ def _run(fun: Rhs, t, y, t_bound, events, dense) -> Iterator[Solution]:
 
 def solve(fun: Rhs, t0: float, y0: Sequence[float], t_bound: float,
           events: Sequence = ()) -> Solution:
-    """`steps` run to its end, with dense output: the final `Solution`, whose
-    `at` evaluates the solution over the whole run. The run keeps each step's
-    data, and `at` builds the step's interpolant on its first read, so output
-    that nothing reads costs no right-hand side evaluation; `Solution.nfev`
-    counts only the interpolants built during the run, those of the steps
-    with an event."""
-    for sol in _start(fun, t0, y0, t_bound, events, True):
+    """`steps` run to its end: the final `Solution`, whose `at` evaluates the
+    solution over the whole run. A step underflow raises
+    `errors.StepSizeUnderflow` with the failed run."""
+    for sol in steps(fun, t0, y0, t_bound, events):
         pass
     return sol

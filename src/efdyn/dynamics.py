@@ -18,8 +18,7 @@ import math
 from enum import Enum
 
 from ._record import record
-from .errors import (EfdynError, Inconclusive, NotApplicable, PreconditionViolated,
-                     SeriesInvalid, StepSizeUnderflow)
+from .errors import EfdynError, Inconclusive, NotApplicable, PreconditionViolated, SeriesInvalid
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
                     regular_initial_values, to_phase)
@@ -103,14 +102,6 @@ class EventSpec:
     fn: Callable[[float, Sequence[float]], float]
     terminal: bool = False
     direction: float = 0.0
-
-
-def _checked(sol):
-    """The final solution of a run; a collapsed step size raises with it."""
-    if sol.status == -1:
-        raise StepSizeUnderflow("Required step size is less than spacing between numbers.",
-                                run=sol)
-    return sol
 
 
 def _ended_by(name: str) -> Termination:
@@ -197,7 +188,7 @@ def integrate_m(params: SystemParams, initial: PhaseState,
     CAPTURE_STEPS steps.
     """
     from . import dop853
-    sol = _checked(dop853.solve(*_phase_problem(params, initial, horizon, events)))
+    sol = dop853.solve(*_phase_problem(params, initial, horizon, events))
     t, states = tuple(sol.t), tuple(sol.y)
     if sol.status == 1:         # the run's one terminal event is the last one found
         term = _ended_by(sol.events[-1][1])
@@ -258,12 +249,12 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
     start as U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V),
     which is exact to the order needed at r0 ~ 1e-6. Integration stops once
     neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP
-    (kind "blow-up", as `integrate_m` reports it), or at r_max. A run that
-    stops at its second zero records both zeros; its termination names the
-    first.
+    (kind "blow-up", as `integrate_m` reports it), or at r_max, which must be
+    a finite radius above r0 (PreconditionViolated). A run that stops at its
+    second zero records both zeros; its termination names the first.
     """
     from . import dop853
-    sol = _checked(dop853.solve(*_radial_problem(params, u0, v0, r_max)))
+    sol = dop853.solve(*_radial_problem(params, u0, v0, r_max))
     events = sorted(ev for ev in sol.events if ev[1] != "both-zero")
     if len(events) < len(sol.events):
         # the run ended at its both-zero root, and the kernel drops a zero
@@ -283,12 +274,17 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
 def _radial_problem(params, u0, v0, r_max):
     """A radial run's arguments of the kernel, (rhs, t0, y0, t_bound, events):
     the startup series at RADIAL_R0, and the events u-zero, v-zero, both-zero
-    and blow-up. integrate_radial and oracle_compare run it."""
+    and blow-up. integrate_radial and oracle_compare run it. The run goes
+    outward from RADIAL_R0: an r_max that is not a finite radius above it,
+    NaN included, raises PreconditionViolated."""
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
     if not (0.0 < u0 < math.inf and 0.0 < v0 < math.inf):
         raise PreconditionViolated("u0 and v0 must be positive and finite")
+    if not RADIAL_R0 < r_max < math.inf:
+        raise PreconditionViolated(f"need RADIAL_R0 = {RADIAL_R0} < r_max < inf, "
+                                   f"got r_max = {r_max!r}")
     r0 = RADIAL_R0
     try:
         cu = (u0 ** P.s * v0 ** P.delta / (P.N + P.a)) ** (1 / (P.p - 1))
@@ -354,7 +350,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     read_end = EventSpec(name="read-end", fn=lambda t, v: t - t_read, terminal=True,
                          direction=1.0)
     rhs, t0, y0, t_bound, evs = _radial_problem(params, u0h, v0h, math.exp(T_END))
-    rad = _checked(dop853.solve(rhs, t0, y0, t_bound, (*evs, read_end)))
+    rad = dop853.solve(rhs, t0, y0, t_bound, (*evs, read_end))
 
     def rad_phase(t):
         return to_phase(params, _radial_state(params, t, rad.at(t)))
@@ -486,7 +482,7 @@ class ShotOutcome:
     and its face gap.
 
     `gap` is the face gap ln((Y x_bound)/(X y_bound)) in the state at the
-    first face crossing (the kernel's event state): < 0 on S1, > 0 on S2,
+    first face crossing (the run's dense output there): < 0 on S1, > 0 on S2,
     0 where both faces are reached at once (S3). It crosses 0 continuously
     at a Dirichlet flip and jumps at a ground-state flip. A shot with no
     crossing state has gap None."""
@@ -507,12 +503,12 @@ class ShotOutcome:
 class ShotReport:
     """One regular seed's shot run to its end (`read_shot`): its seed, its
     S-class, its M-class and the first time of each of its events x-bound,
-    y-bound and blow-up that it reached, in that order."""
+    y-bound and blow-up that it reached, as (name, t) pairs in that order."""
 
     seed: tuple[float, float]
     s_class: SClass
     m_class: MClass
-    hit_times: dict
+    hit_times: tuple[tuple[str, float], ...]
 
     def exchanged(self) -> ShotReport:
         """The report at the exchange image of the seed, for a system with
@@ -520,11 +516,12 @@ class ShotReport:
         swap = _EXCHANGED.get
         return ShotReport(self.seed[::-1], swap(self.s_class, self.s_class),
                           swap(self.m_class, self.m_class),
-                          _first_times((t, swap(name, name)) for name, t in self.hit_times.items()))
+                          tuple(_first_times((t, swap(name, name))
+                                             for name, t in self.hit_times).items()))
 
     def to_dict(self) -> dict:
         return {"seed": list(self.seed), "sClass": self.s_class.value,
-                "mClass": self.m_class.value, "hitTimes": self.hit_times}
+                "mClass": self.m_class.value, "hitTimes": dict(self.hit_times)}
 
 
 def check_shot_params(params: SystemParams) -> None:
@@ -573,7 +570,6 @@ def _read_end(seed, sol) -> tuple[SClass, MClass, dict]:
     blow-up the larger of X and Y names the M-class, M1 for X and M2 for Y,
     and an exact tie, as on the pi/4 shot of an exchange-symmetric system,
     M3."""
-    sol = _checked(sol)
     hit = _first_times(sol.events)
     blew = "blow-up" in hit
     if "x-bound" not in hit and "y-bound" not in hit:
@@ -614,8 +610,8 @@ def classify_shot(params: SystemParams, x: float, y: float,
     else:
         s_class = _read_end((x, y), sol)[0]
     # the face gap in the state at the first crossing
-    _, X, Y = min(((t, v[0], v[1]) for (t, name), v in zip(sol.events, sol.event_states)
-                   if name in ("x-bound", "y-bound")), default=(0.0, 0.0, 0.0))
+    t_face = min((t for t, name in sol.events if name in ("x-bound", "y-bound")), default=None)
+    X, Y = (0.0, 0.0) if t_face is None else sol.at(t_face)[:2]
     gap = math.log(Y * params.x_bound / (X * params.y_bound)) if X > 0.0 and Y > 0.0 else None
     return ShotOutcome((x, y), s_class, gap)
 
@@ -629,9 +625,8 @@ def read_shot(params: SystemParams, x: float, y: float,
     naming the seed. Outside 1 < p, q < N it raises NotApplicable.
     """
     from . import dop853
-    for sol in dop853.steps(*_shot_problem(params, x, y, rho)):
-        pass
-    return ShotReport((x, y), *_read_end((x, y), sol))
+    s_class, m_class, hit = _read_end((x, y), dop853.solve(*_shot_problem(params, x, y, rho)))
+    return ShotReport((x, y), s_class, m_class, tuple(hit.items()))
 
 
 # -- searches --------------------------------------------------------------------

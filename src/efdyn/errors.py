@@ -38,11 +38,10 @@ class DegenerateState(EfdynError):
 
 
 class StepSizeUnderflow(EfdynError):
-    """The integrator step size collapsed (stiffness near blow-up). `run` is
-    the failed kernel run, a `dop853.Solution` with status -1: its points
-    `t` and states `y` up to the collapse, and the dense output (`at`) of a
-    `dop853.solve` run. A shot's failed run, a `dop853.steps` run, carries
-    no dense output: its `pieces` is None."""
+    """The integrator step size collapsed (stiffness near blow-up); the kernel
+    (`dop853`) raises it. `run` is the failed run, a `dop853.Solution` with
+    status -1: its points `t` and states `y` up to the collapse, and its
+    dense output (`at`) over them, a shot's run as any other."""
 
     def __init__(self, message, run=None):
         super().__init__(message)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 
-from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853
+from efdyn import _step_diagonal, _step_generic, _step_phase, _step_radial, dop853, dynamics
 from efdyn.dynamics import (_radial_problem, _radial_rhs, _seed, _shot_problem, oracle_compare,
                             read_shot, search_dirichlet, search_ground_state)
 from efdyn.model import (SystemParams, hamiltonian_params, nonvariational_params, phase_rhs,
@@ -150,10 +150,8 @@ DIAGONAL_STEP_STATES = [
 
 def shot_run(params, x, y, rho):
     """The kernel run of the shot at (x, y), the one that classify_shot stops
-    at its S-decision and read_shot reads, drained to its end."""
-    for sol in dop853.steps(*_shot_problem(params, x, y, rho)):
-        pass
-    return sol
+    at its S-decision and read_shot reads, run to its end."""
+    return dop853.solve(*_shot_problem(params, x, y, rho))
 
 
 def _counts(sol) -> tuple[int, int, int]:
@@ -164,7 +162,7 @@ def same_bits_hits() -> dict[str, str]:
     """The pinned shot's hit times, as float.hex."""
     seed = _seed(SAME_BITS_THETA, SAME_BITS_RHO)
     return {k: v.hex() for k, v in read_shot(SAME_BITS_PARAMS, *seed, SAME_BITS_RHO)
-            .hit_times.items()}
+            .hit_times}
 
 
 def same_bits_counts() -> tuple[int, int, int]:
@@ -185,21 +183,29 @@ def m0_basin_counts() -> tuple[int, int, int]:
 
 def _search_work(search):
     """search(), the number of shots it takes and the steps that their runs
-    attempt (n_accepted + n_rejected), counted on the `dop853.steps` runs
-    that it starts: every shot's, and no other run."""
-    runs, real = [], dop853.steps
+    attempt (n_accepted + n_rejected), counted on the kernel runs of the
+    problems that `dynamics._shot_problem` makes: every shot's, and no other
+    run."""
+    fields, runs = [], []
+    real_problem, real_steps = dynamics._shot_problem, dop853.steps
+
+    def shot_problem(*args):
+        problem = real_problem(*args)
+        fields.append(problem[0])
+        return problem
 
     def counted(*args):
-        sols = real(*args)
-        sol = next(sols)
-        runs.append(sol)
-        yield sol
+        sols = real_steps(*args)
+        if any(args[0] is rhs for rhs in fields):
+            sol = next(sols)
+            runs.append(sol)
+            yield sol
         yield from sols
-    dop853.steps = counted
+    dynamics._shot_problem, dop853.steps = shot_problem, counted
     try:
         res = search()
     finally:
-        dop853.steps = real
+        dynamics._shot_problem, dop853.steps = real_problem, real_steps
     return res, len(runs), sum(sol.n_accepted + sol.n_rejected for sol in runs)
 
 

@@ -69,6 +69,18 @@ def _report_sweep(params, n_angles):
 SQUARES_Y0 = [1.0, 0.5, -0.5, -0.0]
 
 
+def _drained(run, sol=None):
+    """The final Solution of the `dop853.steps` run `run`, drained from where
+    it stands, `sol` its last yield if it has yielded; where its step size
+    collapses, the failed run (status -1) that StepSizeUnderflow carries."""
+    try:
+        for sol in run:
+            pass
+    except StepSizeUnderflow as exc:
+        return exc.run
+    return sol
+
+
 class TestIntegrateM:
     def test_equilibrium_stays_put(self):
         st = PhaseState(0.0, 4.0, 4.0, 0.0, 0.0)
@@ -177,7 +189,7 @@ class TestRadialOracle:
 
     def test_consistency_with_phase_system(self):
         # chart image of the radial trajectory satisfies the phase ODE
-        sol = dynamics._checked(dop853.solve(*dynamics._radial_problem(HAM6, 1.0, 1.0, 50.0)))
+        sol = dop853.solve(*dynamics._radial_problem(HAM6, 1.0, 1.0, 50.0))
 
         def phase_at(t):
             return to_phase(HAM6, dynamics._radial_state(HAM6, t, sol.at(t)))
@@ -274,8 +286,9 @@ class TestClassification:
         axis, face = (read_shot(P, *seed, RHO) for seed in seeds)
         assert (face.s_class, face.m_class) == (SClass.S2, MClass.M2)
         assert (axis.s_class, axis.m_class) == (SClass.S1, MClass.M1)
-        assert face.hit_times == {"y-bound": axis.hit_times["x-bound"],
-                                  "blow-up": axis.hit_times["blow-up"]}
+        axis_hit = dict(axis.hit_times)
+        assert face.hit_times == (("y-bound", axis_hit["x-bound"]),
+                                  ("blow-up", axis_hit["blow-up"]))
         assert face == axis.exchanged()
         axis_run, face_run = (shot_run(P, *seed, RHO) for seed in seeds)
         assert face_run.t == axis_run.t
@@ -422,7 +435,7 @@ class TestSearches:
     @pytest.mark.parametrize("u0", [-1.0, 0.0, math.nan, math.inf])
     def test_dirichlet_refuses_u0_before_any_shot(self, monkeypatch, u0):
         # (1.5, 1.5) has a Dirichlet solution: u0 is refused before the search
-        starts = _steps_reporting(monkeypatch, lambda pairs: None)
+        starts = _steps_reporting(monkeypatch, lambda events, states: None)
         with pytest.raises(PreconditionViolated,
                            match=re.escape(f"need u0 > 0 and finite, got {u0!r}")):
             search_dirichlet(hamiltonian_params(6.0, 1.5, 1.5), u0=u0, n_angles=9)
@@ -508,7 +521,7 @@ class TestFlipReplay:
         """The kind of the grid's one flip, and the shots that bisection alone
         and `_bisect_boundary` take on it, after checking that they agree."""
         ((th_lo, th_hi, lo, hi),) = _flips(params)
-        starts = _steps_reporting(monkeypatch, lambda pairs: None)
+        starts = _shots_started(monkeypatch)
         alone = _bisection_alone(params, th_lo, th_hi, lo.s_class)
         n_alone = len(starts)
         hit = dynamics._bisect_boundary(params, th_lo, th_hi, lo, hi)
@@ -687,20 +700,36 @@ class TestOracleEquivalence:
 
 
 def _steps_reporting(monkeypatch, edit) -> list:
-    """The arguments of each kernel run started from now on; `edit` rewrites
-    the events of every run, as (t, name) pairs with the state at each, as it
-    is yielded: `Solution.events` and `Solution.event_states` stay in step."""
+    """The arguments of each kernel run started from now on; `edit(events,
+    states)` rewrites the (t, name) pairs of every run as it is yielded, and
+    may put a state at a time into the dict `states`: the run's `at` answers
+    that state there."""
     starts, real = [], dop853.steps
 
     def steps(*args):
         starts.append(args)
+        states = {}
+
+        class Edited(dop853.Solution):
+            __slots__ = ()
+
+            def at(self, t):
+                return states[t] if t in states else super().at(t)
+
         for sol in real(*args):
-            pairs = list(zip(sol.events, sol.event_states))
-            edit(pairs)
-            sol.events[:] = [event for event, _ in pairs]
-            sol.event_states[:] = [state for _, state in pairs]
+            sol.__class__ = Edited
+            edit(sol.events, states)
             yield sol
     monkeypatch.setattr(dop853, "steps", steps)
+    return starts
+
+
+def _shots_started(monkeypatch) -> list:
+    """The arguments of each shot started from now on: of each call of
+    `dynamics._shot_problem`, which makes a shot's kernel problem."""
+    starts, real = [], dynamics._shot_problem
+    monkeypatch.setattr(dynamics, "_shot_problem",
+                        lambda *args: starts.append(args) or real(*args))
     return starts
 
 
@@ -844,8 +873,8 @@ class TestPausedShot:
     def test_blow_up_without_a_crossing_raises_at_once(self, monkeypatch):
         # a run that leaves the box with no face crossing recorded is not
         # rerun on a wider horizon: the same steps would end the same way
-        def no_crossing(pairs):
-            pairs[:] = [(ev, y) for ev, y in pairs if ev[1] == "blow-up"]
+        def no_crossing(events, states):
+            events[:] = [ev for ev in events if ev[1] == "blow-up"]
         starts = _steps_reporting(monkeypatch, no_crossing)
         x, y = RHO * math.cos(0.3), RHO * math.sin(0.3)
         with pytest.raises(Inconclusive, match=re.escape(f"seed {(x, y)}: left the box")):
@@ -858,9 +887,10 @@ class TestPausedShot:
         # diagonal shot of a supercritical point stays in the box to T_END;
         # its run reports an x-bound crossing at t = 0.5, in a state on the
         # face X = x_bound = 4
-        def crossing_at_half(pairs):
-            if not pairs:
-                pairs.append(((0.5, "x-bound"), (4.0, 0.5, 1.0, 1.0)))
+        def crossing_at_half(events, states):
+            if not events:
+                events.append((0.5, "x-bound"))
+                states[0.5] = (4.0, 0.5, 1.0, 1.0)
         starts = _steps_reporting(monkeypatch, crossing_at_half)
         x, y = RHO * math.cos(math.pi / 4), RHO * math.sin(math.pi / 4)
         P = hamiltonian_params(6.0, 2.5, 2.5)
@@ -921,7 +951,7 @@ class TestEndRule:
                                                  mirrored):
         _steps_ending(monkeypatch, X_end, Y_end)
         out = read_shot(hamiltonian_params(6.0, 1.5, 1.5), *dynamics._seed(0.3, RHO), RHO)
-        assert out.s_class is SClass.S1 and "blow-up" in out.hit_times
+        assert out.s_class is SClass.S1 and "blow-up" in dict(out.hit_times)
         assert out.m_class is m_class
         assert out.exchanged().m_class is mirrored
 
@@ -1169,7 +1199,7 @@ class TestM0Basin:
         seed = dynamics._seed(math.pi / 4, RHO)
         assert shot_run(P, *seed, RHO).events[-1][1] == "m0-basin"
         out = read_shot(P, *seed)
-        assert (out.s_class, out.m_class, out.hit_times) == (SClass.S, MClass.GS, {})
+        assert (out.s_class, out.m_class, out.hit_times) == (SClass.S, MClass.GS, ())
 
     def test_other_shots_carry_no_basin_event(self, monkeypatch):
         # off the diagonal of the seed plane, and on the diagonal of a point
@@ -1358,8 +1388,8 @@ class TestExchangeMirror:
         assert [(o.s_class, o.m_class) for o in reports] == \
             [(o.s_class, o.m_class) for o in direct]
         for o, r in zip(reports, direct):
-            assert list(o.hit_times) == list(r.hit_times)
-            assert o.hit_times == pytest.approx(r.hit_times, rel=1e-9, abs=0.0)
+            assert list(dict(o.hit_times)) == list(dict(r.hit_times))
+            assert dict(o.hit_times) == pytest.approx(dict(r.hit_times), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n_angles", [8, 9, 33])
     @pytest.mark.parametrize("params", SYMMETRIC_POINTS, ids=SYMMETRIC_IDS)
@@ -1560,7 +1590,7 @@ class TestKernelAgainstScipy:
 
     def test_step_size_underflow_keeps_partial_trajectory(self):
         with pytest.raises(StepSizeUnderflow) as err:
-            dynamics._checked(dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0))
+            dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
         partial = err.value.run
         assert abs(partial.t[-1] - 1.0) < 1e-9
         assert np.asarray(partial.y).shape == (len(partial.t), 4)
@@ -1833,7 +1863,9 @@ class TestPhaseStep:
         bits = []
         for fun in (rhs, wrap(rhs)):
             generic = _step_calls(monkeypatch, "_step")
-            sol = dop853.solve(fun, 0.0, y0, 40.0, events)
+            with pytest.raises(StepSizeUnderflow) as err:
+                dop853.solve(fun, 0.0, y0, 40.0, events)
+            sol = err.value.run
             ts = _inner_points(sol.t[:20])
             bits.append((generic[0], sol.status, _hex(sol.t), _hex(sol.y),
                          [(t.hex(), name) for t, name in sol.events],
@@ -2312,10 +2344,11 @@ class TestKernelPauseResume:
     @staticmethod
     def _bits(sol):
         return (sol.status, _hex(sol.t), _hex(sol.y), [(t.hex(), n) for t, n in sol.events],
-                _hex(sol.event_states), sol.nfev, sol.n_accepted, sol.n_rejected)
+                [_hex(sol.at(t)) for t, _ in sol.events], sol.nfev, sol.n_accepted,
+                sol.n_rejected)
 
     def _assert_pauses_are_invisible(self, rhs, t0, y0, t_bound, events):
-        ref = dop853.solve(rhs, t0, y0, t_bound, events)
+        ref = _drained(dop853.steps(rhs, t0, y0, t_bound, events))
         n = ref.n_accepted
         assert n > 10
         for pause in sorted({1, 2, n // 3, n // 2, n - 1}):
@@ -2325,11 +2358,11 @@ class TestKernelPauseResume:
             # the paused run holds the first `pause` steps of the whole run
             assert sol.status is None and sol.n_accepted == pause
             assert _hex(sol.t) == _hex(ref.t[:pause + 1])
-            # another run in between shares no state with the paused one
-            dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 3.0)
-            for sol in run:
-                pass
-            assert self._bits(sol) == self._bits(ref)
+            # another run in between, one that underflows, shares no state
+            # with the paused one
+            with pytest.raises(StepSizeUnderflow):
+                dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 3.0)
+            assert self._bits(_drained(run)) == self._bits(ref)
 
     @pytest.mark.parametrize("params,xy", SCIPY_SHOTS)
     def test_paused_shot_equals_solve(self, monkeypatch, params, xy):
@@ -2395,7 +2428,9 @@ class TestKernelCounts:
 
     def test_counts_on_step_size_underflow(self):
         rhs, calls = self._counting(_squares)
-        sol = dop853.solve(rhs, 0.0, SQUARES_Y0, 2.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(rhs, 0.0, SQUARES_Y0, 2.0)
+        sol = err.value.run
         assert sol.status == -1
         assert sol.nfev == calls[0]
         assert sol.n_accepted == len(sol.t) - 1
@@ -2404,25 +2439,19 @@ class TestKernelCounts:
         # the run of tests/pinned_bits.py: (n_accepted, n_rejected, nfev)
         assert radial_counts() == RADIAL_COUNTS
 
-    def test_event_states_are_the_dense_output_at_each_root(self, monkeypatch):
-        # the state recorded at each located root is the step interpolant
-        # there, read as `Solution.at` reads it; recording it evaluates no
-        # field, and the pinned counts above hold with it
-        starts = _steps_reporting(monkeypatch, lambda pairs: None)
-        shot = shot_run(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.9, RHO), RHO)
-        (args,) = starts
-        runs = [dop853.solve(*args),
+    def test_terminal_state_is_the_dense_output_at_its_root(self):
+        # a terminal event ends the run on the step interpolant at its root:
+        # the run's last point is the root and its last state `at` there
+        runs = [shot_run(hamiltonian_params(6.0, 1.6, 2.1), *dynamics._seed(0.9, RHO), RHO),
                 dop853.solve(*dynamics._radial_problem(RADIAL_PARAMS, 1.0, 1.0, 1e12)),
                 dop853.solve(phase_rhs(HAM6), 0.0, [0.05, 0.07, 5.5, 5.4], 40.0,
                              [EventSpec("x", lambda t, y: y[0] - 0.25),
                               EventSpec("blow-up", lambda t, y: abs(y[1]) - 1e6,
                                         terminal=True)])]
-        assert _hex(shot.event_states) == _hex(runs[0].event_states)
         for sol in runs:
-            assert sol.status == 1 and len(sol.event_states) == len(sol.events) >= 2
-            assert _hex(sol.event_states) == [_hex(sol.at(t)) for t, _ in sol.events]
-            # a terminal root is the run's last point
-            assert _hex(sol.event_states[-1]) == _hex(sol.y[-1])
+            assert sol.status == 1 and len(sol.events) >= 2
+            assert sol.events[-1][0] == sol.t[-1]
+            assert _hex(sol.at(sol.t[-1])) == _hex(sol.y[-1])
 
     def test_m0_basin_shot_counts(self):
         # the diagonal shot of tests/pinned_bits.py, ended on entering M0's
@@ -2475,7 +2504,9 @@ class TestControllerBranches:
         # the `_squares` run: rejections near the blow-up at t = 1 until the
         # step underflows; its estimates stay finite
         errs = self._estimates(monkeypatch)
-        sol = dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        sol = err.value.run
         assert all(math.isfinite(e) for e in errs) and len(errs) == 493
         assert (sol.status, sol.n_accepted, sol.n_rejected, sol.nfev) == (-1, 248, 245, 5673)
         assert sol.t[-1].hex() == "0x1.0000000012e9fp+0"
@@ -2486,7 +2517,9 @@ class TestControllerBranches:
         # every step that crosses t = 0.5 has a NaN estimate, rejected with
         # MIN_FACTOR (scipy's max(MIN_FACTOR, nan)), until the step underflows
         errs = self._estimates(monkeypatch)
-        sol = dop853.solve(_wall, 0.0, (0.0, 1.0, 1.0, 2.0), 2.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(_wall, 0.0, (0.0, 1.0, 1.0, 2.0), 2.0)
+        sol = err.value.run
         assert sum(e != e for e in errs) == 42
         assert (sol.status, sol.n_accepted, sol.n_rejected, sol.nfev) == (-1, 41, 42, 956)
         assert sol.t[-1].hex() == "0x1.ffffffffffffcp-2"
@@ -2508,7 +2541,7 @@ def test_blow_up_value_is_max_of_abs():
 def _eager_solve(rhs, t0, y0, t_bound, events):
     """`dop853.solve` with each step's interpolant built when its step is
     taken: the run is read at its newest point after every step."""
-    for sol in dop853._start(rhs, t0, y0, t_bound, events, True):
+    for sol in dop853.steps(rhs, t0, y0, t_bound, events):
         sol.at(sol.t[-1])
     return sol
 
@@ -2559,7 +2592,9 @@ class TestLazyInterpolant:
     def test_event_step_is_built_during_the_run(self):
         rhs, calls = TestKernelCounts._counting(phase_rhs(HAM6))
         events = [EventSpec("x", lambda t, y: y[0] - 0.25)]
-        sol = dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(rhs, 0.0, [0.05, 0.07, 5.5, 5.4], 40.0, events)
+        sol = err.value.run
         ((t_ev, _),) = sol.events
         assert sol.nfev == calls[0] == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3
         run = calls[0]
@@ -2580,9 +2615,20 @@ class _CountedInterpolant(dop853.StepInterpolant):
         self.built[0] += 1
 
 
-class TestDenseOutputOnlyInSolve:
-    """Only `solve` keeps dense output: a `steps` run, a shot's, carries no
-    `pieces` and builds a step interpolant only where it locates an event."""
+def _solved(*problem):
+    """`dop853.solve`'s run of `problem`; where its step size collapses, the
+    failed run (status -1) that StepSizeUnderflow carries."""
+    try:
+        return dop853.solve(*problem)
+    except StepSizeUnderflow as exc:
+        return exc.run
+
+
+class TestEveryRunKeepsDenseOutput:
+    """Every kernel run keeps each step's data: a `steps` run answers `at`
+    with `solve`'s bits wherever it stands, a shot paused at its S-decision
+    and a failed run included. It builds a step interpolant during the run
+    only where it locates an event, and on a read of `at`."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -2599,30 +2645,76 @@ class TestDenseOutputOnlyInSolve:
         (_squares, (0.0, 2.0), SQUARES_Y0),
         (_squares, (1.0, 1.0), SQUARES_Y0),
     ], ids=["ascending-radial", "descending-phase", "underflow", "empty-span"])
-    def test_steps_run_keeps_no_interpolant(self, built, rhs, span, y0):
-        for sol in dop853.steps(rhs, span[0], y0, span[1]):
-            assert sol.pieces is None
-        assert built[0] == 0
-        # the same run through solve keeps one piece per step: the data of its
-        # interpolant, or the constant of the empty span; reading every step
-        # builds each interpolant once
-        ref = dop853.solve(rhs, span[0], y0, span[1])
-        assert _hex(ref.t) == _hex(sol.t) and ref.nfev == sol.nfev
-        assert len(ref.pieces) == len(ref.t) - 1
-        assert built[0] == 0
-        for t in _inner_points(ref.t):
-            ref.at(t)
-        assert built[0] == (0 if span[0] == span[1] else len(ref.t) - 1)
+    def test_steps_run_answers_at_as_solve(self, built, rhs, span, y0):
+        # one piece per step: the data of its interpolant, or the constant of
+        # the empty span; none is built until it is read
+        ref = _solved(rhs, span[0], y0, span[1])
+        assert len(ref.pieces) == len(ref.t) - 1 and built[0] == 0
+        run = dop853.steps(rhs, span[0], y0, span[1])
+        for _ in range(max(1, ref.n_accepted // 2)):
+            sol = next(run)
+        # paused halfway, the run answers over the steps that it has taken
+        ts = _inner_points(sol.t)
+        assert _hex([sol.at(t) for t in ts]) == _hex([ref.at(t) for t in ts])
+        sol = _drained(run, sol)
+        assert (sol.status, _hex(sol.t), sol.nfev) == (ref.status, _hex(ref.t), ref.nfev)
+        ts = _inner_points(ref.t)
+        assert _hex([sol.at(t) for t in ts]) == _hex([ref.at(t) for t in ts])
+        # reading every step builds each interpolant of each run once
+        assert built[0] == (0 if span[0] == span[1] else 2 * (len(ref.t) - 1))
 
-    def test_shot_builds_interpolants_at_its_events_only(self, monkeypatch, built):
-        # a shot's run, read to its end: one piece per step that locates a
-        # face crossing or the blow-up, and no dense output
+    def test_paused_shot_answers_at_as_its_whole_run(self, monkeypatch, built):
+        # a shot stopped at its S-decision holds one piece per step; during
+        # the run it builds the pieces of the steps that locate an event only,
+        # and nfev counts their three extra stages each
         P = hamiltonian_params(6.0, 1.6, 2.1)
-        sol = shot_run(P, *dynamics._seed(0.3, RHO), RHO)
-        assert sol.status == 1 and sol.pieces is None
-        assert 0 < built[0] <= len(sol.events) < sol.n_accepted
-        # nfev counts each built piece's three extra stages
-        assert sol.nfev == 2 + 12 * sol.n_accepted + 11 * sol.n_rejected + 3 * built[0]
+        seed = dynamics._seed(0.3, RHO)
+        runs, real = [], dop853.steps
+
+        def steps(*args):
+            run = real(*args)
+            runs.append(next(run))
+            yield runs[-1]
+            yield from run
+        with monkeypatch.context() as patch:
+            patch.setattr(dop853, "steps", steps)
+            classify_shot(P, *seed, RHO)
+        (paused,) = runs
+        assert paused.status is None and len(paused.pieces) == len(paused.t) - 1
+        assert 0 < built[0] <= len(paused.events) < paused.n_accepted
+        assert paused.nfev == 2 + 12 * paused.n_accepted + 11 * paused.n_rejected + 3 * built[0]
+        built[0] = 0
+        whole = shot_run(P, *seed, RHO)
+        assert whole.status == 1 and len(whole.pieces) == len(whole.t) - 1
+        assert whole.nfev == 2 + 12 * whole.n_accepted + 11 * whole.n_rejected + 3 * built[0]
+        n = len(paused.t)
+        assert n < len(whole.t) and _hex(paused.t) == _hex(whole.t[:n])
+        ts = _inner_points(paused.t) + [t for t, _ in paused.events]
+        assert _hex([paused.at(t) for t in ts]) == _hex([whole.at(t) for t in ts])
+
+    def test_failed_shot_answers_at(self, monkeypatch):
+        # a shot whose field turns NaN at t = 3 stalls there: the run that its
+        # StepSizeUnderflow carries answers `at` over its steps, with the bits
+        # of the sound run on the steps that the two share
+        P = hamiltonian_params(6.0, 1.6, 2.1)
+        seed = dynamics._seed(0.3, RHO)
+        sound = shot_run(P, *seed, RHO)
+        real = dynamics.phase_rhs
+
+        def faulty(params):
+            rhs = real(params)
+            return lambda t, y: (math.nan,) * 4 if t >= 3.0 else rhs(t, y)
+        monkeypatch.setattr(dynamics, "phase_rhs", faulty)
+        with pytest.raises(StepSizeUnderflow) as err:
+            classify_shot(P, *seed, RHO)
+        failed = err.value.run
+        assert failed.status == -1 and len(failed.pieces) == len(failed.t) - 1
+        assert failed.t[-1] < 3.0
+        shared = next(k for k, (a, b) in enumerate(zip(failed.t, sound.t)) if a != b)
+        assert shared > 5
+        ts = _inner_points(failed.t[:shared])
+        assert _hex([failed.at(t) for t in ts]) == _hex([sound.at(t) for t in ts])
+        failed.at(failed.t[-1])
 
     def test_solve_keeps_dense_output(self):
         # a backward run reads its points as descending; the underflow run and
@@ -2631,7 +2723,9 @@ class TestDenseOutputOnlyInSolve:
         assert sol.status == 0 and sol.t[-1] < sol.t[0]
         assert len(sol.pieces) == len(sol.t) - 1
         assert _hex(sol.at(sol.t[7])) == _hex(sol.y[7])
-        failed = dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(_squares, 0.0, SQUARES_Y0, 2.0)
+        failed = err.value.run
         assert failed.status == -1 and len(failed.pieces) == len(failed.t) - 1
         assert dop853.solve(_squares, 1.0, SQUARES_Y0, 1.0).at(1.0) == tuple(SQUARES_Y0)
 
@@ -2770,7 +2864,9 @@ class TestKernelNonFinite:
         (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
     ], ids=["nan-y0", "inf-y0", "nan-rhs"])
     def test_run_ends_with_status_minus_1(self, deadline, fun, y0):
-        sol = dop853.solve(fun, 0.0, y0, 1.0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            dop853.solve(fun, 0.0, y0, 1.0)
+        sol = err.value.run
         assert sol.status == -1
         assert sol.t == [0.0] and sol.n_accepted == 0
 
@@ -2779,11 +2875,14 @@ class TestKernelNonFinite:
         (lambda t, y: (math.nan, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
     ], ids=["nan-y0", "nan-rhs"])
     def test_dense_output_without_a_step_holds_the_initial_point(self, deadline, fun, y0):
-        # the run's own `at`, and that of the failed run that
-        # StepSizeUnderflow carries: y0 at t0, a ValueError elsewhere
+        # the `at` of the failed run that StepSizeUnderflow carries, from
+        # `solve` and from a paused `steps` run: y0 at t0, a ValueError
+        # elsewhere
         with pytest.raises(StepSizeUnderflow) as err:
-            dynamics._checked(dop853.solve(fun, 0.0, y0, 1.0))
-        for dense in (dop853.solve(fun, 0.0, y0, 1.0).at, err.value.run.at):
+            dop853.solve(fun, 0.0, y0, 1.0)
+        with pytest.raises(StepSizeUnderflow) as paused:
+            next(dop853.steps(fun, 0.0, y0, 1.0))
+        for dense in (err.value.run.at, paused.value.run.at):
             assert dense(0.0) == y0
             for t in (0.5, -1.0, 1.0):
                 with pytest.raises(ValueError, match="no accepted step"):
@@ -2793,6 +2892,13 @@ class TestKernelNonFinite:
     def test_radial_data_must_be_positive_and_finite(self, deadline, u0, v0):
         with pytest.raises(PreconditionViolated):
             integrate_radial(HAM6, u0, v0, 1e4)
+
+    @pytest.mark.parametrize("r_max", [1e-7, RADIAL_R0, 0.0, -1.0, math.inf, math.nan])
+    def test_radial_run_refuses_r_max_not_above_its_start(self, deadline, r_max):
+        # the run starts at RADIAL_R0 and goes outward: toward a smaller
+        # r_max it would run backward and end as if at its horizon
+        with pytest.raises(PreconditionViolated, match="r_max"):
+            integrate_radial(HAM6, 1.0, 1.0, r_max)
 
     @pytest.mark.parametrize("params,u0", [
         # a power of the startup series overflows and raises OverflowError

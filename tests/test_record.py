@@ -195,6 +195,22 @@ def test_shot_outcome_is_a_value():
     assert r.s_class is a.s_class and r.to_dict()["seed"] == [1e-4, 0.0]
 
 
+def test_shot_report_is_a_value():
+    # a report keeps its hit times as (name, t) pairs: two reports of one seed
+    # are equal and hash alike, also across a pickle round trip and in a set
+    P = model.hamiltonian_params(6.0, 1.5, 1.5)
+    seed = dynamics._seed(0.3, 1e-4)
+    r, t = dynamics.read_shot(P, *seed), dynamics.read_shot(P, *seed)
+    assert r is not t and r == t and hash(r) == hash(t)
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and hash(back) == hash(r) and len({r, t, back}) == 1
+    assert [name for name, _ in r.hit_times] == ["x-bound", "blow-up"]
+    assert r.to_dict()["hitTimes"] == dict(r.hit_times)
+    image = r.exchanged()
+    assert hash(image.exchanged()) == hash(r)
+    assert [name for name, _ in image.hit_times] == ["y-bound", "blow-up"]
+
+
 def test_every_field_of_an_exchange_image_reads():
     # an image is built field by field: it reads as any shot does
     P = model.hamiltonian_params(6.0, 1.5, 1.5)
@@ -203,8 +219,8 @@ def test_every_field_of_an_exchange_image_reads():
     image = out.exchanged()
     assert (image.seed, image.s_class, image.gap) == (seed[::-1], dynamics.SClass.S2, -out.gap)
     assert image.exchanged() == out
-    mirror = report.exchanged()
+    mirror, hit = report.exchanged(), dict(report.hit_times)
     assert mirror.to_dict() == {"seed": [seed[1], seed[0]], "sClass": "S2", "mClass": "M2",
-                                "hitTimes": {"y-bound": report.hit_times["x-bound"],
-                                             "blow-up": report.hit_times["blow-up"]}}
+                                "hitTimes": {"y-bound": hit["x-bound"],
+                                             "blow-up": hit["blow-up"]}}
     assert mirror.exchanged() == report

@@ -68,9 +68,9 @@ def test_blow_up_is_decided_in_one_place():
 
 
 def test_only_a_shot_pauses_the_kernel():
-    # every kernel run but a shot's runs to its end through dop853.solve: two
-    # functions outside the kernel step a run themselves, classify_shot, which
-    # stops it at the S-decision, and read_shot, which drains it
+    # every kernel run but a shot's runs to its end through dop853.solve: one
+    # function outside the kernel steps a run itself, classify_shot, which
+    # stops it at the S-decision
     def calls_steps(node):
         return any(isinstance(sub, ast.Attribute) and sub.attr == "steps"
                    and isinstance(sub.value, ast.Name) and sub.value.id == "dop853"
@@ -86,7 +86,38 @@ def test_only_a_shot_pauses_the_kernel():
                  if isinstance(cls, ast.ClassDef)
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
         callers += [f"{path.stem}.{name}" for name, fn in defs if calls_steps(fn)]
-    assert callers == ["dynamics.classify_shot", "dynamics.read_shot"]
+    assert callers == ["dynamics.classify_shot"]
+
+
+def _is_minus_one(node) -> bool:
+    try:
+        return ast.literal_eval(node) == -1
+    except (ValueError, TypeError):
+        return False
+
+
+def test_only_the_kernel_decides_a_step_underflow():
+    # the kernel raises StepSizeUnderflow with its failed run: no other
+    # module raises it or compares a run's status with -1, and no module
+    # reads a state at a root but through the run's dense output, `at`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr == "event_states":
+                found.append(f"{where} reads event_states")
+            if path.stem == "dop853":
+                continue
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(sub, ast.Name) and sub.id == "StepSizeUnderflow"
+                    for sub in ast.walk(node)):
+                found.append(f"{where} raises StepSizeUnderflow")
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "status"
+                    for sub in ast.walk(node)) \
+                    and any(_is_minus_one(side) for side in (node.left, *node.comparators)):
+                found.append(f"{where} compares a status with -1")
+    assert found == []
 
 
 def test_searches_read_s_classes_only():
