@@ -33,7 +33,7 @@ import os
 import sys
 
 from ._record import record
-from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated
+from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated, SeriesInvalid
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
 from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
 
@@ -312,17 +312,23 @@ def _run_integrate(rc: RunConfig) -> ReportBundle:
         raise ConfigError("integrate.r_max", f"need a radius > {RADIAL_R0}, got {r_max!r}")
     try:
         rad = integrate_radial(P, u0, v0, r_max)
+    except SeriesInvalid as exc:    # no series for the exponents, or one that starts at or below 0
+        path = "params" if min(P.p + P.a, P.q + P.b) <= 0.0 else "integrate.u0"
+        raise ConfigError(path, str(exc)) from None
     except PreconditionViolated as exc:     # the startup series leaves the floats
         raise ConfigError("integrate.u0", str(exc)) from None
     rows = [["r", "u", "v", "du", "dv"]]
     for i in range(len(rad.r)):
         rows.append([_fmt(rad.r[i]), _fmt(rad.u[i]), _fmt(rad.v[i]),
                      _fmt(rad.du[i]), _fmt(rad.dv[i])])
+    # the end as kind "blow-up", "max-time" or "event" with the event's name
+    end = rad.termination
+    kind = end if end in ("blow-up", "max-time") else "event"
     report = {"command": "integrate", "params": P.to_dict(), "mode": mode,
-              "termination": rad.termination.to_dict(),
+              "termination": {"kind": kind, "label": None,
+                              "event": end if kind == "event" else None},
               "events": [[t, name] for t, name in rad.events]}
-    summary = [f"integrate radial: {len(rad.r)} samples, "
-               f"termination {rad.termination.kind}"]
+    summary = [f"integrate radial: {len(rad.r)} samples, termination {kind}"]
     return ReportBundle(report=report, csv_files={"trajectory.csv": rows}, summary=summary)
 
 
@@ -447,7 +453,7 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
     sp = _need_scalar(rc)
     try:
         rep = scalar_classify(sp.N, sp.p, sp.a, sp.Q, sp.eps)
-    except NotApplicable as exc:    # a point outside the theory, not a failure
+    except (NotApplicable, SeriesInvalid) as exc:   # a point outside the theory, not a failure
         raise ConfigError("scalar", str(exc))
     report = {"command": "scalar", "report": rep.to_dict()}
     summary = [f"scalar N={_fmt(sp.N)} p={_fmt(sp.p)} a={_fmt(sp.a)} Q={_fmt(sp.Q)} "
@@ -486,7 +492,7 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
                for name, pt in fps.items()]
     traj = diagonal_trajectory(sp, regular_seed(sp, MANIFOLD_RHO), (0.0, T_END), events=capture)
     trows = [["trajectory", "t", "X", "Z"]]
-    for t, row in zip(traj.t, traj.states):
+    for t, row in zip(traj.t, traj.y):
         trows.append(["0", _fmt(t), _fmt(row[0]), _fmt(row[2])])
     report = {"command": "portrait", "scalar": sp.to_dict(),
               "fixed_points": {k: list(v) for k, v in fps.items()}}

@@ -27,37 +27,13 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, MANIFOLD
 
 # Annotations stay strings (from __future__ import annotations), so their
 # names are not imported: Callable and Sequence are collections.abc's,
-# FixedPointLabel is efdyn.equilibria's.
+# Solution is efdyn.dop853's.
 
 # efdyn.dop853, the integrator, is imported by the functions that use it: a
 # command that integrates nothing (analyze) does not load it. The
 # fixed-point catalog (efdyn.equilibria) is imported by its two readers,
-# _detect_convergence and _m0_basin: a radial run does not load it.
-
-
-@record
-class Termination:
-    kind: str                                  # "blow-up" | "converged" | "max-time" | "event"
-    label: FixedPointLabel | None = None       # for "converged"
-    event: str | None = None                   # for "event"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "label": self.label.value if self.label else None,
-                "event": self.event}
-
-
-@record
-class Trajectory:
-    """A phase run: its accepted step points and the states there, as the
-    integrator's tuples of floats, and its events as time-sorted (t, name)
-    pairs, `blow-up` among them."""
-
-    t: tuple[float, ...]
-    states: tuple[tuple[float, float, float, float], ...]
-    termination: Termination
-    events: tuple[tuple[float, str], ...]
-    dense: Callable                             # interpolant t -> coords
+# _ended and _m0_basin: a radial run does not load it. Every run is read
+# straight off its kernel run, a dop853.Solution.
 
 
 def _signed_root(x: float, e: float) -> float:
@@ -83,7 +59,7 @@ class RadialTrajectory:
     v: tuple[float, ...]
     du: tuple[float, ...]
     dv: tuple[float, ...]
-    termination: Termination
+    termination: str                             # its first event's name, or "max-time"
     events: tuple[tuple[float, str], ...] = ()   # times are t = ln r
 
     def first_event(self, name: str) -> float | None:
@@ -102,13 +78,6 @@ class EventSpec:
     fn: Callable[[float, Sequence[float]], float]
     terminal: bool = False
     direction: float = 0.0
-
-
-def _ended_by(name: str) -> Termination:
-    """The termination of a run that ends by its event `name`."""
-    if name == "blow-up":
-        return Termination(kind="blow-up")
-    return Termination(kind="event", event=name)
 
 
 def _first_times(events) -> dict:
@@ -159,43 +128,38 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return xs
 
 
-def _detect_convergence(params, t, states) -> Termination | None:
-    """Converged to the first catalog point that the last CAPTURE_STEPS
-    states all lie within CAPTURE_DIST of, in the max norm."""
-    if len(t) < CAPTURE_STEPS:
-        return None
-    from .equilibria import fixed_point_catalog
-    tail = states[-CAPTURE_STEPS:]
-    for fp in fixed_point_catalog(params):
-        # every component below the bound: a NaN component fails, as it
-        # fails the bound on the row's maximum
-        if fp.defined and all(abs(a - b) < CAPTURE_DIST
-                              for row in tail for a, b in zip(row, fp.coords)):
-            return Termination(kind="converged", label=fp.label)
-    return None
+def _ended(params: SystemParams, sol: Solution) -> str:
+    """How a phase run ended: the name of the terminal event that stopped it
+    (`blow-up` among them); else `converged:<label>` for the first catalog
+    point that its last CAPTURE_STEPS states all lie within CAPTURE_DIST of,
+    in the max norm; else `max-time`."""
+    if sol.status == 1:         # the run's one terminal event is the last one found
+        return sol.events[-1][1]
+    if len(sol.t) >= CAPTURE_STEPS:
+        from .equilibria import fixed_point_catalog
+        tail = sol.y[-CAPTURE_STEPS:]
+        for fp in fixed_point_catalog(params):
+            # every component below the bound: a NaN component fails, as it
+            # fails the bound on the row's maximum
+            if fp.defined and all(abs(a - b) < CAPTURE_DIST
+                                  for row in tail for a, b in zip(row, fp.coords)):
+                return f"converged:{fp.label.value}"
+    return "max-time"
 
 
 def integrate_m(params: SystemParams, initial: PhaseState,
                 horizon: tuple[float, float],
-                events: Sequence[EventSpec] = ()) -> Trajectory:
-    """Integrate the phase system with an adaptive embedded Runge-Kutta pair.
+                events: Sequence[EventSpec] = ()) -> Solution:
+    """Integrate the phase system with an adaptive embedded Runge-Kutta pair:
+    the kernel run itself (`dop853.Solution`).
 
-    A coordinate beyond BLOW_UP terminates the run with kind "blow-up"
-    (`_blow_up`), a terminal one of `events` with kind "event" and its name;
-    every event root is located by Brent's method on the step's interpolant
-    (`dop853.find_root`). A convergence termination is reported when the
-    accepted steps sit within CAPTURE_DIST of a catalog point for
-    CAPTURE_STEPS steps.
+    A coordinate beyond BLOW_UP stops the run at its blow-up event
+    (`_blow_up`), as a terminal one of `events` stops it; every event root is
+    located by Brent's method on the step's interpolant (`dop853.find_root`).
+    `_ended` reads how the run ended.
     """
     from . import dop853
-    sol = dop853.solve(*_phase_problem(params, initial, horizon, events))
-    t, states = tuple(sol.t), tuple(sol.y)
-    if sol.status == 1:         # the run's one terminal event is the last one found
-        term = _ended_by(sol.events[-1][1])
-    else:
-        term = _detect_convergence(params, t, states) or Termination(kind="max-time")
-    return Trajectory(t=t, states=states, termination=term,
-                      events=tuple(sorted(sol.events)), dense=sol.at)
+    return dop853.solve(*_phase_problem(params, initial, horizon, events))
 
 
 def _phase_problem(params, initial, horizon, events):
@@ -247,11 +211,13 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
 
     Startup at r0 = RADIAL_R0 uses the first-order series: the flux potentials
     start as U = -eps1 r^{1+a} u0^s v0^delta/(N+a) (and symmetrically for V),
-    which is exact to the order needed at r0 ~ 1e-6. Integration stops once
+    which is exact to the order needed at r0 ~ 1e-6 where the profiles start
+    positive; a series that starts u or v at or below zero, as a small
+    (p+a)/(p-1) can, raises SeriesInvalid. Integration stops once
     neither profile is positive, when |u|, |v|, |U| or |V| exceeds BLOW_UP
-    (kind "blow-up", as `integrate_m` reports it), or at r_max, which must be
-    a finite radius above r0 (PreconditionViolated). A run that stops at its
-    second zero records both zeros; its termination names the first.
+    (termination "blow-up"), or at r_max (termination "max-time"), which must
+    be a finite radius above r0 (PreconditionViolated). A run that stops at
+    its second zero records both zeros; its termination names the first.
     """
     from . import dop853
     sol = dop853.solve(*_radial_problem(params, u0, v0, r_max))
@@ -261,14 +227,14 @@ def integrate_radial(params: SystemParams, u0: float, v0: float,
         # whose root falls at or past it: that zero is the run's end
         seen = {name for _, name in events}
         events += [(sol.t[-1], zero) for zero in ("u-zero", "v-zero") if zero not in seen]
-    term = _ended_by(events[0][1]) if events else Termination(kind="max-time")
     u, v, U, V = zip(*sol.y)
     P = params
     ep, eq = 1 / (P.p - 1), 1 / (P.q - 1)
     return RadialTrajectory(r=tuple(math.exp(t) for t in sol.t), u=u, v=v,
                             du=tuple(_signed_root(x, ep) for x in U),
                             dv=tuple(_signed_root(x, eq) for x in V),
-                            termination=term, events=tuple(events))
+                            termination=events[0][1] if events else "max-time",
+                            events=tuple(events))
 
 
 def _radial_problem(params, u0, v0, r_max):
@@ -276,7 +242,8 @@ def _radial_problem(params, u0, v0, r_max):
     the startup series at RADIAL_R0, and the events u-zero, v-zero, both-zero
     and blow-up. integrate_radial and oracle_compare run it. The run goes
     outward from RADIAL_R0: an r_max that is not a finite radius above it,
-    NaN included, raises PreconditionViolated."""
+    NaN included, raises PreconditionViolated. A series that starts a profile
+    at or below zero raises SeriesInvalid, as min(p+a, q+b) <= 0 does."""
     P = params
     if min(P.p + P.a, P.q + P.b) <= 0.0:
         raise SeriesInvalid("startup series needs min(p+a, q+b) > 0")
@@ -299,6 +266,9 @@ def _radial_problem(params, u0, v0, r_max):
     if y0 is None or not all(isinstance(c, float) and math.isfinite(c) for c in y0):
         raise PreconditionViolated(f"u0 = {u0!r}, v0 = {v0!r}: the startup series at "
                                    f"r0 = {r0} has no finite initial state")
+    if not (u_init > 0.0 and v_init > 0.0):
+        raise SeriesInvalid(f"u0 = {u0!r}, v0 = {v0!r}: the startup series at r0 = {r0} "
+                            f"starts at u = {u_init!r}, v = {v_init!r}, not both positive")
 
     # u-zero, v-zero: sign changes; both-zero: neither profile positive any
     # more; blow-up: a profile or a flux that diverges (absorption, or past a
@@ -341,9 +311,8 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     window = EventSpec(name="window-end", fn=lambda t, v: max(v[0] - xw, v[1] - yw),
                        terminal=True, direction=1.0)
     ph = integrate_m(params, seed, horizon=(0.0, T_END), events=(window,))
-    term = ph.termination
-    if term.event != "window-end":
-        ended = term.kind if term.label is None else f"{term.kind} to {term.label.value}"
+    ended = _ended(params, ph)
+    if ended != "window-end":
         raise Inconclusive(f"seed {(x, y)}: the phase run ended by {ended} at t = {ph.t[-1]} "
                            f"inside 60% of the box: no oracle window")
     t_read = ph.t[-1] - tau + 0.5 + 1e-6
@@ -362,7 +331,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
         raise Inconclusive("no overlap window for the oracle comparison")
 
     # refine the shift so X agrees exactly at the end of the window
-    x_target = float(ph.dense(t_hi)[0])
+    x_target = float(ph.at(t_hi)[0])
 
     def shift_residual(dt):
         return float(rad_phase(t_hi - tau + dt).X) - x_target
@@ -380,7 +349,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
         if not rad_lo + 1e-9 <= t - shift <= rad_hi - 1e-9:
             continue
         ref = rad_phase(t - shift).coords
-        devs = [abs(g - r) / (1.0 + abs(r)) for g, r in zip(ph.dense(t), ref)]
+        devs = [abs(g - r) / (1.0 + abs(r)) for g, r in zip(ph.at(t), ref)]
         if all(d == d for d in devs):       # a sample with a NaN deviation is skipped
             worst = max(worst, *devs)
     return worst

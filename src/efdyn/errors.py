@@ -49,14 +49,16 @@ class StepSizeUnderflow(EfdynError):
 
 
 class SeriesInvalid(EfdynError):
-    """The regular-solution startup series does not apply (min(p+a, q+b) <= 0)."""
+    """The regular-solution startup series does not apply: min(p+a, q+b) <= 0,
+    or at its start radius it puts u or v at or below zero, where the series
+    term is not small next to u0 or v0."""
 
 
 class Inconclusive(EfdynError):
     """No verdict from the numbers at hand: a shot that leaves the box without
     crossing a face, or crosses one but does not blow up by its horizon T_END,
-    or an oracle comparison whose phase run never leaves 60% of the box or
-    that has no overlap window."""
+    an oracle comparison whose phase run never leaves 60% of the box or that
+    has no overlap window, or a scalar amplitude fit with no sample to fit."""
 
 
 class ConfigError(EfdynError):

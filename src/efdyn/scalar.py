@@ -25,13 +25,14 @@ import math
 from enum import Enum
 
 from ._record import record
-from .errors import NotApplicable, PreconditionViolated
+from .errors import Inconclusive, NotApplicable, PreconditionViolated
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
 from .numerics import MANIFOLD_RHO, SCALAR_R_MAX, T_END
 
 # efdyn.dynamics, the integrator, is imported by the three functions that
 # integrate: efdyn.energies reads only the closed forms of this module.
-# Trajectory and Termination in the annotations are its classes.
+# Solution in the annotations is efdyn.dop853's class: a phase run is read
+# straight off its kernel run.
 
 
 def threshold_q1(N, p, a) -> float:
@@ -148,23 +149,15 @@ def explicit_critical_solution(sp: ScalarParams, c: float = 1.0):
 
 # -- integration on the diagonal ---------------------------------------------
 
-def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Trajectory:
+def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Solution:
     """The plane orbit from start = (X, Z), run as (X, X, Z, Z) in the symmetric
-    system; columns 0 and 2 of the states are (X, Z). integrate_m's blow-up
-    event stops it where X or Z (absorption quadrants) blows up."""
+    system: integrate_m's kernel run, whose states `y` hold (X, Z) in
+    columns 0 and 2. Its blow-up event stops it where X or Z (absorption
+    quadrants) blows up."""
     from .dynamics import integrate_m
     X, Z = start
     return integrate_m(sp.system, PhaseState(t_span[0], X, X, Z, Z),
                        horizon=tuple(t_span), events=events)
-
-
-def _termination(term: Termination) -> str:
-    """Evidence string of a diagonal run's end: the event its termination
-    names ("u-zero", "stopped:x"), "converged:<label>", or else its kind
-    ("blow-up", "max-time")."""
-    if term.kind == "converged":
-        return f"converged:{term.label.value}"
-    return term.event or term.kind
 
 
 def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
@@ -195,7 +188,7 @@ def poincare_returns(sp: ScalarParams, start_offset: float = 0.05) -> list[float
     traj = diagonal_trajectory(sp, (X0, Z0 + start_offset), (0.0, 200.0), events=[section])
     offsets = []
     for t_ev in (t for t, name in traj.events if name == "section"):
-        z_ev = traj.dense(t_ev)[2]
+        z_ev = traj.at(t_ev)[2]
         if t_ev > 1e-9 and z_ev > Z0:
             offsets.append(float(z_ev - Z0))
         if len(offsets) >= 6:
@@ -250,8 +243,11 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     The verdict is keyed by Q against the thresholds Q1, Q2 (source sign) or Q1
     (absorption sign); the evidence dict carries the integration findings:
     zero radii, amplitude fits, invariant-line drift, Poincare return offsets.
+    A radial startup series that puts u at or below zero raises SeriesInvalid;
+    for Q > Q2, a radial run that ends before 0.3 SCALAR_R_MAX leaves no
+    amplitude to fit and raises Inconclusive.
     """
-    from .dynamics import EventSpec, integrate_radial
+    from .dynamics import EventSpec, _ended, integrate_radial
     sp = ScalarParams(N=N, p=p, a=a, Q=Q, eps=eps)
     tol = 1e-12 * (1 + abs(Q))
     evidence: dict = {}
@@ -273,7 +269,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             rad = radial()
             t_zero = rad.first_event("u-zero")
             evidence["zero_radius"] = math.exp(t_zero) if t_zero is not None else None
-            evidence["termination"] = _termination(rad.termination)
+            evidence["termination"] = rad.termination
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.SIGN_CHANGING, evidence)
         if abs(Q - sp.Q2) <= tol:
@@ -284,27 +280,31 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             stop = EventSpec(name="stopped:x", fn=lambda t, y: y[0] - 0.98 * sp.x_bound,
                              terminal=True, direction=1.0)
             traj = diagonal_trajectory(sp, (x0, z0), (0.0, T_END), events=[stop])
-            drift = max(abs(line_quantity(sp, X, Z)) for X, _, Z, _ in traj.states)
+            drift = max(abs(line_quantity(sp, X, Z)) for X, _, Z, _ in traj.y)
             evidence["line_drift"] = drift
-            evidence["termination"] = _termination(traj.termination)
+            evidence["termination"] = _ended(sp.system, traj)
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
         rad = radial()
         logs = [math.log(u) + sp.gamma * math.log(r)
                 for r, u in zip(rad.r, rad.u) if r > 0.3 * SCALAR_R_MAX]
+        if not logs:
+            raise Inconclusive(f"the radial run ended by {rad.termination} at r = {rad.r[-1]!r}, "
+                               f"before any sample beyond r = {0.3 * SCALAR_R_MAX!r}: "
+                               f"no amplitude fit")
         evidence["amplitude_fit"] = math.exp(math.fsum(logs) / len(logs))
         try:
             evidence["amplitude_exact"] = particular_amplitude(sp)
         except NotApplicable:
             pass
-        evidence["termination"] = _termination(rad.termination)
+        evidence["termination"] = rad.termination
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                             ScalarBehavior.ALL_REGULAR_ARE_GS, evidence)
 
     # absorption sign
     if Q > sp.Q1 + tol:
-        evidence["termination"] = _termination(radial().termination)
+        evidence["termination"] = radial().termination
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                             ScalarBehavior.ABSORPTION_ALL_REGULAR, evidence)
     if abs(Q - sp.Q1) <= tol:
@@ -322,8 +322,8 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
     # X = -r u'/u: the slope of ln u against ln r is -X, read at the run's
     # backward end (r -> 0) and at its start next to M0 (r -> infinity)
-    evidence["slope_origin"] = -traj.states[-1][0]
-    evidence["slope_infinity"] = -traj.states[0][0]
-    evidence["termination"] = _termination(traj.termination)
+    evidence["slope_origin"] = -traj.y[-1][0]
+    evidence["slope_infinity"] = -traj.y[0][0]
+    evidence["termination"] = _ended(sp.system, traj)
     return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                         ScalarBehavior.ABSORPTION_CONNECTION, evidence)

@@ -127,7 +127,7 @@ def test_criterion_03_closed_form_solutions():
 def _energy_drift_along_shot(P, spec, seed, t_end=20.0):
     traj = integrate_m(P, launch_regular(P, seed[0], seed[1], 1e-4), horizon=(0.0, t_end))
     vals, scales = [], []
-    for t, st in zip(traj.t, traj.states):
+    for t, st in zip(traj.t, traj.y):
         if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * P.x_bound or st[1] > 0.95 * P.y_bound:
             break
         ph = PhaseState(t, *st)

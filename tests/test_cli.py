@@ -170,6 +170,23 @@ class TestCommands:
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "r,u,v,du,dv"
 
+    @pytest.mark.parametrize("changes,block,termination,samples", [
+        (dict(delta=1.5, mu=1.5), {}, {"kind": "event", "label": None, "event": "u-zero"}, 144),
+        (dict(delta=1.5, mu=1.5), {"v0": 0.5},
+         {"kind": "event", "label": None, "event": "v-zero"}, 203),
+        (dict(eps1=-1, eps2=-1), {}, {"kind": "blow-up", "label": None, "event": None}, 186),
+    ], ids=["u-zero", "v-zero", "blow-up"])
+    def test_integrate_reports_how_the_run_ended(self, tmp_path, capsys, changes, block,
+                                                 termination, samples):
+        # the shipped config pins the max-time end; these are the other three
+        raw = {"params": dict(HAM_CONFIG["params"], **changes), "integrate": block}
+        cfg = write_config(tmp_path, raw)
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["termination"] == termination
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert summary == f"integrate radial: {samples} samples, termination {termination['kind']}\n"
+
     def test_shoot(self, tmp_path):
         raw = dict(HAM_CONFIG, shoot={"theta": 0.3, "rho": 1e-4})
         raw["params"] = dict(raw["params"], delta=1.5, mu=1.5)
@@ -522,6 +539,19 @@ class TestExitCodes:
             f"config error: integrate.u0: u0 = {u0!r}, v0 = {u0!r}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("changes,path,message", [
+        (dict(a=-2.5), "params", "startup series needs min(p+a, q+b) > 0"),
+        (dict(N=4.0, p=3.0, q=3.0, a=-2.9, b=-2.9), "integrate.u0",
+         "u0 = 1.0, v0 = 1.0: the startup series at r0 = 1e-06 starts at "
+         "u = -8.55726554942188, v = -8.55726554942188, not both positive"),
+    ], ids=["no-series", "start-below-zero"])
+    def test_integrate_invalid_series_exit_2(self, tmp_path, capsys, changes, path, message):
+        # SeriesInvalid is the config's point, not an internal failure (exit 3 before)
+        cfg = write_config(tmp_path, {"params": dict(HAM_CONFIG["params"], **changes)})
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_portrait_without_scalar_exit_2(self, tmp_path, capsys):
         # portrait draws the scalar plane only; system parameters alone do not do
         cfg = write_config(tmp_path, dict(HAM_CONFIG, portrait={"grid": [5, 5]}))
@@ -643,6 +673,24 @@ class TestExitCodes:
             "config error: scalar: Q = 0.5 < p - 1 = 1.0: M0 is no saddle, "
             "there is no connection to follow\n")
         assert not (tmp_path / "out").exists()
+
+    def test_scalar_series_that_starts_below_zero_exit_2(self, tmp_path, capsys):
+        raw = {"scalar": {"N": 3.0, "p": 2.0, "a": -1.9, "Q": 7.0}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["scalar", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scalar: u0 = 1.0, v0 = 1.0: the startup series at r0 = 1e-06 "
+            "starts at u = -1.2835331195541588, v = -1.2835331195541588, not both positive\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_scalar_amplitude_fit_without_samples_exit_3(self, tmp_path, capsys):
+        raw = {"scalar": {"N": 4.802210480965609, "p": 3.9829484180064085,
+                          "a": -3.5483541884636005, "Q": 9.414240922040428}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["scalar", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal error: Inconclusive: the radial run ended by u-zero at r = "
+            "4.354893159692437e-06, before any sample beyond r = 30000.0: no amplitude fit\n")
 
     def test_non_string_out_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(HAM_CONFIG, out=5))

@@ -10,6 +10,7 @@ import sys
 from functools import reduce, wraps
 from operator import add, mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from efdyn.model import (PhaseState, SystemParams, derive_exponents, hamiltonian
                          potential_params, regular_initial_values,
                          symmetric_scalar_embedding, to_phase)
 from efdyn.numerics import BLOW_UP, ODE_ATOL, ODE_RTOL, RADIAL_R0
-from efdyn.scalar import ScalarBehavior, ScalarParams, regular_seed, scalar_classify
+from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory, regular_seed,
+                          scalar_classify, scalar_fixed_points, scalar_jacobian)
 
 from conftest import SCALAR_CASES, field
 from pinned_bits import (DIAGONAL_STEP_STATES, DIRICHLET_WORK, FUSED_STEP_H,
@@ -85,19 +87,19 @@ class TestIntegrateM:
     def test_equilibrium_stays_put(self):
         st = PhaseState(0.0, 4.0, 4.0, 0.0, 0.0)
         traj = integrate_m(HAM6, st, horizon=(0.0, 10.0))
-        assert traj.termination.kind in ("max-time", "converged")
-        assert np.max(np.abs(np.asarray(traj.states) - st.coords)) == 0.0
+        assert dynamics._ended(HAM6, traj).partition(":")[0] in ("max-time", "converged")
+        assert np.max(np.abs(np.asarray(traj.y) - st.coords)) == 0.0
 
     def test_invariant_hyperplane_exact(self):
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
-        assert np.max(np.abs(np.asarray(traj.states)[:, 1])) < 1e-12
+        assert np.max(np.abs(np.asarray(traj.y)[:, 1])) < 1e-12
 
     def test_blow_up_termination_consistent(self):
         seed = launch_regular(HAM6, RHO, 0.0)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0))
-        assert traj.termination.kind == "blow-up"
-        assert abs(np.asarray(traj.states)[-1, 0]) >= BLOW_UP * (1 - 1e-9)
+        assert dynamics._ended(HAM6, traj) == "blow-up"
+        assert abs(np.asarray(traj.y)[-1, 0]) >= BLOW_UP * (1 - 1e-9)
 
     def test_event_detection(self):
         seed = launch_regular(HAM6, RHO, 0.0)
@@ -105,12 +107,12 @@ class TestIntegrateM:
         traj = integrate_m(HAM6, seed, horizon=(0.0, 30.0), events=[ev])
         t_cross = _first_event(traj, "x-cross")
         assert t_cross is not None
-        assert abs(float(traj.dense(t_cross)[0]) - 1.0) < 1e-9
+        assert abs(float(traj.at(t_cross)[0]) - 1.0) < 1e-9
 
     def test_monotone_departure_from_regular_corner(self):
         seed = launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO)
         traj = integrate_m(HAM6, seed, horizon=(0.0, 2.0))
-        head = np.asarray(traj.states[:6])
+        head = np.asarray(traj.y[:6])
         assert np.all(np.diff(head[:, 0]) > 0)
         assert np.all(np.diff(head[:, 1]) > 0)
         assert np.all(np.diff(head[:, 2]) < 0)
@@ -124,7 +126,7 @@ class TestIntegrateM:
         seed = launch_regular(HAM6, 0.6 * rho, 0.4 * rho, rho)
         traj = integrate_m(HAM6, seed, horizon=(0.0, -4.0))
         corner = np.array([0.0, 0.0, 6.0, 6.0])
-        d = np.max(np.abs(traj.states - corner), axis=1)
+        d = np.max(np.abs(traj.y - corner), axis=1)
         i_min = int(np.argmin(d))
         assert d[i_min] < 1e-6
         assert np.all(np.diff(d[:i_min + 1]) < 1e-12)   # monotone shrink to the dip
@@ -141,7 +143,7 @@ class TestIntegrateM:
         traj = integrate_m(symmetric_scalar_embedding(N, p, Q, a, eps),
                            PhaseState(0.0, x, x, z, z), horizon=(0.0, 30.0))
         assert len(traj.t) > 10
-        states = np.asarray(traj.states)
+        states = np.asarray(traj.y)
         assert np.array_equal(states[:, 0], states[:, 1])
         assert np.array_equal(states[:, 2], states[:, 3])
 
@@ -149,7 +151,7 @@ class TestIntegrateM:
         seed = launch_regular(HAM6, RHO / math.sqrt(2), RHO / math.sqrt(2))
         traj = integrate_m(HAM6, seed, horizon=(0.0, 12.0))
         corner = np.array([4.0, 4.0, 0.0, 0.0])
-        assert np.min(np.max(np.abs(traj.states - corner), axis=1)) < 5e-3
+        assert np.min(np.max(np.abs(traj.y - corner), axis=1)) < 5e-3
 
 
 class TestLaunch:
@@ -182,7 +184,7 @@ class TestRadialOracle:
 
     def test_critical_symmetric_profile_stays_positive(self):
         rad = integrate_radial(HAM6, 1.0, 1.0, r_max=1e4)
-        assert rad.termination.kind == "max-time"
+        assert rad.termination == "max-time"
         u, v = np.asarray(rad.u), np.asarray(rad.v)
         assert np.all(u > 0) and np.all(v > 0)
         assert np.max(np.abs(u - v)) < 1e-12   # symmetric data stays symmetric
@@ -205,7 +207,7 @@ class TestRadialOracle:
     def test_absorption_profile_stops_at_blow_up(self):
         P = symmetric_scalar_embedding(3.0, 2.0, 4.0, eps=-1)
         rad = integrate_radial(P, 1.0, 1.0, 1e5)
-        assert rad.termination.kind == "blow-up"
+        assert rad.termination == "blow-up"
         # the flux U = u' (p = 2) diverges before u and ends the run: the
         # last state has crossed the event's threshold
         assert rad.du[-1] >= BLOW_UP * (1 - 1e-9) > rad.u[-1]
@@ -262,8 +264,7 @@ class TestRadialOracle:
         assert math.exp(tv) == rad.r[-1]             # the run's end
         assert abs(tu - tv) < 1e-12                  # |ln(R_u/R_v)|
         assert abs(rad.u[-1]) < 1e-12 and abs(rad.v[-1]) < 1e-12
-        assert rad.termination.to_dict() == {"kind": "event", "label": None,
-                                             "event": "u-zero"}
+        assert rad.termination == "u-zero"
 
 
 class TestClassification:
@@ -322,14 +323,14 @@ class TestClassification:
         P = hamiltonian_params(6.0, 1.5, 1.5)
         traj = integrate_m(P, launch_regular(P, *dynamics._seed(math.pi / 4, RHO), RHO),
                            horizon=(0.0, 40.0))
-        X, Y = traj.states[-1][:2]
-        assert traj.termination.kind == "blow-up" and X == Y
+        X, Y = traj.y[-1][:2]
+        assert dynamics._ended(P, traj) == "blow-up" and X == Y
 
     def test_box_invariance_of_staying_shot(self):
         P = hamiltonian_params(6.0, 2.5, 2.5)
         seed = launch_regular(P, RHO / math.sqrt(2), RHO / math.sqrt(2), RHO)
         traj = integrate_m(P, seed, horizon=(0.0, 40.0))
-        for X, Y, Z, W in traj.states:
+        for X, Y, Z, W in traj.y:
             assert 0.0 < X < P.x_bound and 0.0 < Y < P.y_bound
             assert 0.0 < Z < P.N + P.a and 0.0 < W < P.N + P.b
 
@@ -361,7 +362,7 @@ class TestClassification:
             with pytest.raises(NotApplicable, match=re.escape(failed)):
                 run()
         rad = integrate_radial(P, 1.0, 1.0, 1e4)
-        assert len(rad.r) > 10 and rad.termination.kind in ("max-time", "event", "blow-up")
+        assert len(rad.r) > 10 and rad.termination in ("max-time", "u-zero", "v-zero", "blow-up")
 
     def test_derived_profile_bounds_along_global_solution(self):
         # u^{s-p+1} v^delta <= (N+a) ((N-p)/(p-1))^{p-1} r^{-(p+a)} pointwise
@@ -619,12 +620,12 @@ def _numpy_detect_convergence(params, t, states):
     pts = [(fp.label, np.array(fp.coords)) for fp in fixed_point_catalog(params)
            if fp.defined]
     if len(t) < dynamics.CAPTURE_STEPS:
-        return None
+        return "max-time"
     for label, pt in pts:
         d = np.max(np.abs(np.array(states) - pt), axis=1)
         if np.all(d[-dynamics.CAPTURE_STEPS:] < dynamics.CAPTURE_DIST):
-            return dynamics.Termination(kind="converged", label=label)
-    return None
+            return f"converged:{label.value}"
+    return "max-time"
 
 
 # (system, initial state, horizon, converges); the scalar system's sink M0 is
@@ -643,27 +644,53 @@ CONVERGENCE_RUNS = [
 ]
 
 
+def _scanned(params, t, states):
+    """`_ended` of a run with points t and states `states` that no terminal
+    event stopped: its scan of the fixed-point catalog."""
+    return dynamics._ended(params, SimpleNamespace(t=t, y=states, status=0, events=[]))
+
+
 class TestDetectConvergence:
     @pytest.mark.parametrize("params,initial,horizon,converges", CONVERGENCE_RUNS)
     def test_matches_numpy_version(self, params, initial, horizon, converges):
         traj = integrate_m(params, initial, horizon=horizon)
-        got = dynamics._detect_convergence(params, traj.t, traj.states)
-        assert got == _numpy_detect_convergence(params, traj.t, traj.states)
-        assert (got is not None) == converges
+        got = _scanned(params, traj.t, traj.y)
+        assert got == _numpy_detect_convergence(params, traj.t, traj.y)
+        assert got.startswith("converged:") == converges
         # and on prefixes of the run, which end on other rows
         for n in range(1, len(traj.t) + 1, max(1, len(traj.t) // 20)):
-            assert dynamics._detect_convergence(params, traj.t[:n], traj.states[:n]) == \
-                _numpy_detect_convergence(params, traj.t[:n], traj.states[:n])
+            assert _scanned(params, traj.t[:n], traj.y[:n]) == \
+                _numpy_detect_convergence(params, traj.t[:n], traj.y[:n])
+
+    def test_ended_reads_each_end(self):
+        # a caller's terminal event, blow-up, convergence and the horizon
+        sp = ScalarParams(N=3.0, p=2.0, a=0.0, Q=5.0)
+        stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * sp.x_bound,
+                         terminal=True, direction=1.0)
+        traj = diagonal_trajectory(sp, regular_seed(sp, RHO), (0.0, 40.0), events=[stop])
+        assert traj.status == 1 and dynamics._ended(sp.system, traj) == "stopped:x"
+        traj = integrate_m(HAM6, launch_regular(HAM6, RHO, 0.0), horizon=(0.0, 30.0))
+        assert traj.status == 1 and dynamics._ended(HAM6, traj) == "blow-up"
+        # the backward run of scalar_classify's absorption connection at
+        # N = 3, p = 2, Q = 1.1, eps = -1 settles at A0 before t = -60
+        sp = ScalarParams(N=3.0, p=2.0, a=0.0, Q=1.1, eps=-1)
+        X0, Z0 = scalar_fixed_points(sp)["M0"]
+        v = efdyn.scalar._stable_direction(scalar_jacobian(sp, (X0, Z0)))
+        eta = 1e-7 * (1 + abs(X0) + abs(Z0))
+        traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
+        assert traj.status == 0 and dynamics._ended(sp.system, traj) == "converged:A0"
+        traj = integrate_m(HAM6, launch_regular(HAM6, 0.6 * RHO, 0.4 * RHO), horizon=(0.0, 2.0))
+        assert traj.status == 0 and dynamics._ended(HAM6, traj) == "max-time"
 
     def test_nan_row_is_not_converged(self):
         params, initial, horizon, _ = CONVERGENCE_RUNS[0]
         traj = integrate_m(params, initial, horizon=horizon)
         for k in range(4):
-            row = list(traj.states[-1])
+            row = list(traj.y[-1])
             row[k] = math.nan
-            states = traj.states[:-1] + (tuple(row),)
-            assert _numpy_detect_convergence(params, traj.t, states) is None
-            assert dynamics._detect_convergence(params, traj.t, states) is None
+            states = traj.y[:-1] + [tuple(row)]
+            assert _numpy_detect_convergence(params, traj.t, states) == "max-time"
+            assert _scanned(params, traj.t, states) == "max-time"
 
 
 class TestOracleEquivalence:
@@ -770,7 +797,7 @@ def _eager_classify(params, x, y, rho):
         hit["x-bound"] = t_x
     if t_y is not None:
         hit["y-bound"] = t_y
-    blew = traj.termination.kind.startswith("blow-up")
+    blew = _first_event(traj, "blow-up") is not None
     if blew:
         hit["blow-up"] = float(traj.t[-1])
 
@@ -786,7 +813,7 @@ def _eager_classify(params, x, y, rho):
         s_class = "S1" if t_y is None else "S2"
     if not blew:
         raise Inconclusive(f"seed ({x}, {y}): crossed but no blow-up within t = {dynamics.T_END}")
-    X_end, Y_end = traj.states[-1][:2]
+    X_end, Y_end = traj.y[-1][:2]
     m_class = "M1" if X_end > Y_end else "M2" if X_end < Y_end else "M3"
     return {"seed": [x, y], "sClass": s_class, "mClass": m_class, "hitTimes": hit}
 
@@ -2827,8 +2854,8 @@ class TestOracleStop:
         P = hamiltonian_params(6.0, 2.5, 2.5)
         x = y = 0.5e-6
         traj = integrate_m(P, launch_regular(P, x, y, 1e-6), horizon=(0.0, dynamics.T_END))
-        assert traj.t[-1] == dynamics.T_END and traj.termination.kind == "max-time"
-        assert all(s[0] < 0.6 * P.x_bound and s[1] < 0.6 * P.y_bound for s in traj.states)
+        assert traj.t[-1] == dynamics.T_END and dynamics._ended(P, traj) == "max-time"
+        assert all(s[0] < 0.6 * P.x_bound and s[1] < 0.6 * P.y_bound for s in traj.y)
         ended = re.escape(f"seed {(x, y)}: the phase run ended by max-time at t = 40.0 ")
         with pytest.raises(Inconclusive, match=ended):
             oracle_compare(P, x, y, 1e-6)

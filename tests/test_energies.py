@@ -116,7 +116,7 @@ class TestDerivatives:
         sol = None
         # re-integrate densely over the in-box stretch
         t_end = traj.t[-1]
-        for t, st in zip(traj.t, traj.states):
+        for t, st in zip(traj.t, traj.y):
             if np.any(np.asarray(st) <= 0) or st[0] > 0.9 * params.x_bound \
                     or st[1] > 0.9 * params.y_bound:
                 t_end = t
@@ -125,13 +125,13 @@ class TestDerivatives:
                             horizon=(0.0, t_end))
 
         def energy_of_t(t):
-            return energy_value(spec, params, PhaseState(t, *dense.dense(t)))
+            return energy_value(spec, params, PhaseState(t, *dense.at(t)))
 
         for t in np.linspace(1.0, t_end - 0.5, 12):
             r = math.exp(t)
             dEdt = fd_derivative(energy_of_t, t, 1e-4)
             want = dEdt / r
-            got = energy_derivative(spec, params, PhaseState(t, *dense.dense(t)))
+            got = energy_derivative(spec, params, PhaseState(t, *dense.at(t)))
             assert got == pytest.approx(want, rel=1e-6, abs=1e-10)
 
     def test_scalar_derivative_both_sigmas(self, rng):
@@ -387,7 +387,7 @@ class TestConservation:
         spec = EnergySpec.hamiltonian()
         traj = integrate_m(HAM6, launch_regular(HAM6, 7e-5, 5e-5, 1e-4), horizon=(0.0, 20.0))
         vals, scales = [], []
-        for t, st in zip(traj.t, traj.states):
+        for t, st in zip(traj.t, traj.y):
             if np.any(np.asarray(st) <= 0) or st[0] > 0.95 * HAM6.x_bound \
                     or st[1] > 0.95 * HAM6.y_bound:
                 break
@@ -402,6 +402,6 @@ class TestConservation:
         P17 = hamiltonian_params(6.0, 1.7, 1.7)
         traj = integrate_m(P17, launch_regular(P17, 7e-5, 7e-5, 1e-4), horizon=(0.0, 20.0))
         vals = [energy_value(spec, P17, PhaseState(t, *st))
-                for t, st in zip(traj.t, traj.states)
+                for t, st in zip(traj.t, traj.y)
                 if np.all(np.asarray(st) > 0) and st[0] < 0.95 * P17.x_bound]
         assert np.all(np.diff(vals) > -1e-18)     # coefficient > 0: nondecreasing

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import efdyn.scalar
 from efdyn.dynamics import EventSpec, integrate_radial
-from efdyn.errors import NotApplicable
+from efdyn.errors import Inconclusive, NotApplicable, SeriesInvalid
 from efdyn.model import phase_rhs
 from efdyn.numerics import BLOW_UP, SCALAR_R_MAX
 from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
@@ -42,11 +43,11 @@ class TestBasics:
     def test_z_blow_up_ends_a_diagonal_run(self):
         # in the absorption quadrant Z goes to -infinity while X tends to 0:
         # integrate_m's one blow-up event watches Z too
-        traj = diagonal_trajectory(ScalarParams(3, 2, 0, 2, eps=-1), (0.1, -1.0), (0, 10))
-        assert traj.termination.kind == "blow-up"
-        assert efdyn.scalar._termination(traj.termination) == "blow-up"
+        sp = ScalarParams(3, 2, 0, 2, eps=-1)
+        traj = diagonal_trajectory(sp, (0.1, -1.0), (0, 10))
+        assert efdyn.dynamics._ended(sp.system, traj) == "blow-up"
         assert traj.t[-1].hex() == "0x1.e2ea7feb5abcep-2"
-        X, _, Z, _ = traj.states[-1]
+        X, _, Z, _ = traj.y[-1]
         assert abs(Z) >= BLOW_UP > abs(X)
 
 
@@ -59,7 +60,7 @@ class TestExplicitCriticalSolution:
         rad = integrate_radial(SC.system, u(0.0), u(0.0), r_max=100.0)
         for i in range(0, len(rad.r), 4):
             assert rad.u[i] == pytest.approx(u(rad.r[i]), rel=1e-8)
-        assert rad.termination.kind == "max-time"
+        assert rad.termination == "max-time"
 
     def test_on_invariant_line(self):
         c = 1.7
@@ -76,11 +77,31 @@ class TestExplicitCriticalSolution:
         stop = EventSpec("stopped:x", lambda t, y: y[0] - 0.98 * SC.x_bound,
                          terminal=True, direction=1.0)
         traj = diagonal_trajectory(SC, (x0, z0), (0.0, 40.0), events=[stop])
-        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in np.asarray(traj.states)[:, [0, 2]])
+        drift = max(abs(line_quantity(SC, X, Z)) for X, Z in np.asarray(traj.y)[:, [0, 2]])
         assert drift < 1e-8
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("point,start", [
+        ((3.0, 2.0, -1.9, 7.0), -1.2835331195541588),
+        # reported SIGN_CHANGING with zero_radius None before
+        ((3.7044079476468283, 2.758708738988629, -2.648960638206861, 1.9628792994749502),
+         -5.562282990052435)])
+    def test_radial_start_at_or_below_zero_is_refused(self, point, start):
+        with pytest.raises(SeriesInvalid, match=re.escape(
+                f"u0 = 1.0, v0 = 1.0: the startup series at r0 = 1e-06 starts at "
+                f"u = {start!r}, v = {start!r}, not both positive")):
+            scalar_classify(*point)
+
+    def test_amplitude_fit_without_samples_is_inconclusive(self):
+        # 1 + a < 0 starts U at -1.6e15: u vanishes at r = 4.35e-6, before any
+        # sample beyond 0.3 SCALAR_R_MAX (a ZeroDivisionError before)
+        with pytest.raises(Inconclusive, match=re.escape(
+                "the radial run ended by u-zero at r = 4.354893159692437e-06, before any "
+                f"sample beyond r = {0.3 * SCALAR_R_MAX!r}: no amplitude fit")):
+            scalar_classify(4.802210480965609, 3.9829484180064085, -3.5483541884636005,
+                            9.414240922040428)
+
     def test_subcritical_sign_change(self):
         for Q in (2.5, 4.0):
             rep = scalar_classify(3.0, 2.0, 0.0, Q)
