@@ -35,7 +35,7 @@ import sys
 from ._record import record
 from .errors import ConfigError, EfdynError, NotApplicable, PreconditionViolated, SeriesInvalid
 from .model import PARAM_KEYS, SystemParams, derive_exponents, phase_rhs, validate_params
-from .numerics import CAPTURE_DIST, MANIFOLD_RHO, RADIAL_R0, T_END
+from .numerics import MANIFOLD_RHO, RADIAL_R0, T_END
 
 # Each command imports the modules only it reads (dynamics, energies,
 # equilibria, spectra, scalar), so a run loads what it uses: analyze, which
@@ -465,8 +465,8 @@ def _run_scalar(rc: RunConfig) -> ReportBundle:
 
 def _run_portrait(rc: RunConfig) -> ReportBundle:
     """The scalar phase plane: the vector field on a grid plus the regular orbit."""
-    from .dynamics import EventSpec, linspace
-    from .scalar import diagonal_trajectory, regular_seed, scalar_fixed_points
+    from .dynamics import linspace
+    from .scalar import capture_events, diagonal_trajectory, regular_seed, scalar_fixed_points
     sp = _need_scalar(rc)
     block = rc.block
     grid = _numbers(block.get("grid", [21, 21]), "portrait.grid", 2, _whole)
@@ -484,13 +484,8 @@ def _run_portrait(rc: RunConfig) -> ReportBundle:
         for zv in zs:
             d = rhs(0.0, (xv, xv, zv, zv))
             rows.append([_fmt(xv), _fmt(zv), _fmt(d[0]), _fmt(d[2])])
-    # the orbit ends once it comes within CAPTURE_DIST of a fixed point:
-    # past a saddle such as A0, which way it leaves is decided by roundoff
-    capture = [EventSpec(name=f"capture:{name}",
-                         fn=lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
-                         - CAPTURE_DIST, terminal=True, direction=-1.0)
-               for name, pt in fps.items()]
-    traj = diagonal_trajectory(sp, regular_seed(sp, MANIFOLD_RHO), (0.0, T_END), events=capture)
+    traj = diagonal_trajectory(sp, regular_seed(sp, MANIFOLD_RHO), (0.0, T_END),
+                               events=capture_events(sp))
     trows = [["trajectory", "t", "X", "Z"]]
     for t, row in zip(traj.t, traj.y):
         trows.append(["0", _fmt(t), _fmt(row[0]), _fmt(row[2])])

@@ -22,8 +22,7 @@ from .errors import EfdynError, Inconclusive, NotApplicable, PreconditionViolate
 from .model import (PhaseState, RadialState, SystemParams, derive_exponents,
                     exchange_params, normalized_regular_data, phase_rhs,
                     regular_initial_values, to_phase)
-from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, MANIFOLD_RHO,
-                       RADIAL_R0, SIM_WINDOW, T_END)
+from .numerics import ANGLE_TOL, BLOW_UP, MANIFOLD_RHO, RADIAL_R0, SIM_WINDOW, T_END
 
 # Annotations stay strings (from __future__ import annotations), so their
 # names are not imported: Callable and Sequence are collections.abc's,
@@ -31,8 +30,8 @@ from .numerics import (ANGLE_TOL, BLOW_UP, CAPTURE_DIST, CAPTURE_STEPS, MANIFOLD
 
 # efdyn.dop853, the integrator, is imported by the functions that use it: a
 # command that integrates nothing (analyze) does not load it. The
-# fixed-point catalog (efdyn.equilibria) is imported by its two readers,
-# _ended and _m0_basin: a radial run does not load it. Every run is read
+# fixed-point catalog (efdyn.equilibria) is imported by its one reader,
+# _m0_basin: a radial or a scalar run does not load it. Every run is read
 # straight off its kernel run, a dop853.Solution.
 
 
@@ -128,23 +127,11 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return xs
 
 
-def _ended(params: SystemParams, sol: Solution) -> str:
+def _ended(sol: Solution) -> str:
     """How a phase run ended: the name of the terminal event that stopped it
-    (`blow-up` among them); else `converged:<label>` for the first catalog
-    point that its last CAPTURE_STEPS states all lie within CAPTURE_DIST of,
-    in the max norm; else `max-time`."""
-    if sol.status == 1:         # the run's one terminal event is the last one found
-        return sol.events[-1][1]
-    if len(sol.t) >= CAPTURE_STEPS:
-        from .equilibria import fixed_point_catalog
-        tail = sol.y[-CAPTURE_STEPS:]
-        for fp in fixed_point_catalog(params):
-            # every component below the bound: a NaN component fails, as it
-            # fails the bound on the row's maximum
-            if fp.defined and all(abs(a - b) < CAPTURE_DIST
-                                  for row in tail for a, b in zip(row, fp.coords)):
-                return f"converged:{fp.label.value}"
-    return "max-time"
+    (`blow-up`, a caller's event, or a plane orbit's capture at a fixed point,
+    `scalar.capture_events`), else `max-time`."""
+    return sol.events[-1][1] if sol.status == 1 else "max-time"
 
 
 def integrate_m(params: SystemParams, initial: PhaseState,
@@ -311,7 +298,7 @@ def oracle_compare(params: SystemParams, x: float, y: float,
     window = EventSpec(name="window-end", fn=lambda t, v: max(v[0] - xw, v[1] - yw),
                        terminal=True, direction=1.0)
     ph = integrate_m(params, seed, horizon=(0.0, T_END), events=(window,))
-    ended = _ended(params, ph)
+    ended = _ended(ph)
     if ended != "window-end":
         raise Inconclusive(f"seed {(x, y)}: the phase run ended by {ended} at t = {ph.t[-1]} "
                            f"inside 60% of the box: no oracle window")

@@ -28,11 +28,10 @@ T_END = 40.0
 MANIFOLD_RHO = 1e-4             # seed radius on the regular manifold
 SIM_WINDOW = 1e-6               # |tX - tY| below this counts as simultaneous
 ANGLE_TOL = 1e-10               # bisection tolerance on the seed angle
-CAPTURE_DIST = 1e-8             # fixed-point convergence distance
-CAPTURE_STEPS = 5               # consecutive accepted steps within CAPTURE_DIST
 
 # radial oracle
 RADIAL_R0 = 1e-6                # startup radius for the series initialisation
 
 # scalar classification
 SCALAR_R_MAX = 1e5              # radius the regular scalar solution is followed to
+CAPTURE_DIST = 1e-8             # a plane orbit within it of a fixed point is captured there

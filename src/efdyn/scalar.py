@@ -25,12 +25,12 @@ import math
 from enum import Enum
 
 from ._record import record
-from .errors import Inconclusive, NotApplicable, PreconditionViolated
+from .errors import Inconclusive, NotApplicable, PreconditionViolated, StepSizeUnderflow
 from .model import PhaseState, SystemParams, symmetric_scalar_embedding
-from .numerics import MANIFOLD_RHO, SCALAR_R_MAX, T_END
+from .numerics import CAPTURE_DIST, MANIFOLD_RHO, SCALAR_R_MAX, T_END
 
-# efdyn.dynamics, the integrator, is imported by the three functions that
-# integrate: efdyn.energies reads only the closed forms of this module.
+# efdyn.dynamics, the integrator, is imported by the functions that use it:
+# efdyn.energies reads only the closed forms of this module.
 # Solution in the annotations is efdyn.dop853's class: a phase run is read
 # straight off its kernel run.
 
@@ -160,6 +160,18 @@ def diagonal_trajectory(sp: ScalarParams, start, t_span, events=()) -> Solution:
                        horizon=tuple(t_span), events=events)
 
 
+def capture_events(sp: ScalarParams) -> list:
+    """A plane orbit's terminal capture events, one per point of
+    `scalar_fixed_points` in its order: `converged:<label>` fires where the
+    orbit enters the point's max-norm CAPTURE_DIST ball, past which (at a
+    saddle such as A0) roundoff would decide where it goes."""
+    from .dynamics import EventSpec
+    return [EventSpec(name=f"converged:{label}",
+                      fn=lambda t, y, pt=pt: max(abs(y[0] - pt[0]), abs(y[2] - pt[1]))
+                      - CAPTURE_DIST, terminal=True, direction=-1.0)
+            for label, pt in scalar_fixed_points(sp).items()]
+
+
 def regular_seed(sp: ScalarParams, rho: float) -> tuple[float, float]:
     """Point at parameter rho on the one-dimensional regular manifold leaving N0.
 
@@ -245,7 +257,8 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     zero radii, amplitude fits, invariant-line drift, Poincare return offsets.
     A radial startup series that puts u at or below zero raises SeriesInvalid;
     for Q > Q2, a radial run that ends before 0.3 SCALAR_R_MAX leaves no
-    amplitude to fit and raises Inconclusive.
+    amplitude to fit and raises Inconclusive. An absorption radial run (Q > Q1)
+    whose step collapses records termination "step-underflow".
     """
     from .dynamics import EventSpec, _ended, integrate_radial
     sp = ScalarParams(N=N, p=p, a=a, Q=Q, eps=eps)
@@ -282,7 +295,7 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
             traj = diagonal_trajectory(sp, (x0, z0), (0.0, T_END), events=[stop])
             drift = max(abs(line_quantity(sp, X, Z)) for X, _, Z, _ in traj.y)
             evidence["line_drift"] = drift
-            evidence["termination"] = _ended(sp.system, traj)
+            evidence["termination"] = _ended(traj)
             return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                                 ScalarBehavior.GROUND_STATE_ON_LINE, evidence)
         # Q > Q2: regular trajectory converges to the sink M0
@@ -304,7 +317,10 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
 
     # absorption sign
     if Q > sp.Q1 + tol:
-        evidence["termination"] = radial().termination
+        try:
+            evidence["termination"] = radial().termination
+        except StepSizeUnderflow:
+            evidence["termination"] = "step-underflow"
         return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                             ScalarBehavior.ABSORPTION_ALL_REGULAR, evidence)
     if abs(Q - sp.Q1) <= tol:
@@ -319,11 +335,12 @@ def scalar_classify(N: float, p: float, a: float, Q: float, eps: int = 1) -> Sca
     X0, Z0 = scalar_fixed_points(sp)["M0"]
     v = _stable_direction(scalar_jacobian(sp, (X0, Z0)))
     eta = 1e-7 * (1 + abs(X0) + abs(Z0))
-    traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0))
+    traj = diagonal_trajectory(sp, (X0 + eta * v[0], Z0 + eta * v[1]), (0.0, -60.0),
+                               events=capture_events(sp))
     # X = -r u'/u: the slope of ln u against ln r is -X, read at the run's
     # backward end (r -> 0) and at its start next to M0 (r -> infinity)
     evidence["slope_origin"] = -traj.y[-1][0]
     evidence["slope_infinity"] = -traj.y[0][0]
-    evidence["termination"] = _ended(sp.system, traj)
+    evidence["termination"] = _ended(traj)
     return ScalarReport(sp, sp.Q1, sp.Q2, sp.gamma,
                         ScalarBehavior.ABSORPTION_CONNECTION, evidence)

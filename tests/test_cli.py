@@ -692,6 +692,18 @@ class TestExitCodes:
             "internal error: Inconclusive: the radial run ended by u-zero at r = "
             "4.354893159692437e-06, before any sample beyond r = 30000.0: no amplitude fit\n")
 
+    def test_scalar_absorption_step_underflow_exit_0(self, tmp_path, capsys):
+        # Q > Q1 with the absorption sign: the verdict is the theory's, and
+        # the radial run whose step collapses at r = 3.86 is recorded in the
+        # report, not an internal error
+        raw = {"scalar": {"N": 6.0, "p": 1.25, "a": 0.0, "Q": 5.0, "eps": -1}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["scalar", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["behavior"] == "all solutions near 0 regular; they blow up at finite radius"
+        assert report["evidence"] == {"termination": "step-underflow"}
+
     def test_non_string_out_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(HAM_CONFIG, out=5))
         assert main(["analyze", "--config", cfg]) == 2

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,11 @@ import efdyn.scalar
 from efdyn.dynamics import EventSpec, integrate_radial
 from efdyn.errors import Inconclusive, NotApplicable, SeriesInvalid
 from efdyn.model import phase_rhs
-from efdyn.numerics import BLOW_UP, SCALAR_R_MAX
+from efdyn.numerics import BLOW_UP, CAPTURE_DIST, SCALAR_R_MAX
 from efdyn.scalar import (ScalarBehavior, ScalarParams, diagonal_trajectory,
                           explicit_critical_solution, line_quantity, particular_amplitude,
                           poincare_returns, regular_seed, scalar_classify,
-                          scalar_fixed_points, scalar_jacobian)
+                          scalar_fixed_points, scalar_jacobian, threshold_q1)
 
 from conftest import SCALAR_CASES, scalar_to_phase
 
@@ -45,7 +47,7 @@ class TestBasics:
         # integrate_m's one blow-up event watches Z too
         sp = ScalarParams(3, 2, 0, 2, eps=-1)
         traj = diagonal_trajectory(sp, (0.1, -1.0), (0, 10))
-        assert efdyn.dynamics._ended(sp.system, traj) == "blow-up"
+        assert efdyn.dynamics._ended(traj) == "blow-up"
         assert traj.t[-1].hex() == "0x1.e2ea7feb5abcep-2"
         X, _, Z, _ = traj.y[-1]
         assert abs(Z) >= BLOW_UP > abs(X)
@@ -135,6 +137,13 @@ class TestCatalog:
         # decay exponent (N-p)/(p-1) = 1 at the origin, gamma = 2 at infinity
         assert rep.evidence["slope_origin"] == pytest.approx(-1.0, rel=0.02)
         assert rep.evidence["slope_infinity"] == pytest.approx(-2.0, rel=0.02)
+
+    def test_absorption_step_underflow_is_recorded(self):
+        # the radial run's step collapses at r = 3.86, where max|y| = 1.06e4
+        # is below BLOW_UP; the verdict reads only how the run ended
+        rep = scalar_classify(6.0, 1.25, 0.0, 5.0, eps=-1)
+        assert rep.behavior is ScalarBehavior.ABSORPTION_ALL_REGULAR
+        assert rep.evidence == {"termination": "step-underflow"}
 
     def test_poincare_returns_monotone_off_critical(self):
         offs = poincare_returns(ScalarParams(N=3.0, p=2.0, a=0.0, Q=4.0),
@@ -251,6 +260,46 @@ class TestAbsorptionConnection:
         # u ~ r^{-(N-p)/(p-1)} = r^-1 at the origin, u ~ A r^-gamma at infinity
         assert rep.evidence["slope_origin"] == pytest.approx(-1.0, rel=0.02)
         assert rep.evidence["slope_infinity"] == pytest.approx(-rep.gamma, rel=1e-5)
+
+    def test_run_ends_where_it_is_captured_at_a0(self):
+        # oracle-scalar seed 2's absorption point: the run enters A0's capture
+        # ball before t = -60 and ends there, its slope CAPTURE_DIST from the
+        # origin exponent
+        rep = scalar_classify(3.7384386607146647, 2.0686005096824145, 0.04417349204699528,
+                              1.9135102244786077, eps=-1)
+        assert rep.behavior is ScalarBehavior.ABSORPTION_CONNECTION
+        assert rep.evidence["termination"] == "converged:A0"
+        assert abs(rep.evidence["slope_origin"] + rep.params.x_bound) <= \
+            CAPTURE_DIST * (1 + 1e-6)
+
+    def test_every_capture_reads_the_origin_exponent(self):
+        # the absorption connections of oracle-scalar seeds 1-20: each run
+        # captured at A0 reads -(N-p)/(p-1) to CAPTURE_DIST
+        draws = [d for d in _oracle_scalar_draws(range(1, 21))
+                 if d[4] == -1 and d[3] < threshold_q1(*d[:3])]
+        assert len(draws) == 20
+        captured = 0
+        for draw in draws:
+            rep = scalar_classify(*draw)
+            assert rep.behavior is ScalarBehavior.ABSORPTION_CONNECTION
+            if rep.evidence["termination"] == "converged:A0":
+                captured += 1
+                assert abs(rep.evidence["slope_origin"] + rep.params.x_bound) <= \
+                    CAPTURE_DIST * (1 + 1e-6)
+            else:
+                assert rep.evidence["termination"] == "max-time"
+        assert captured >= 13
+
+    def test_classification_loads_no_fixed_point_catalog(self):
+        # the capture events are the plane's own fixed points: an absorption
+        # classification in a fresh interpreter does not import efdyn.equilibria
+        code = ("import sys; from efdyn import scalar_classify; "
+                "scalar_classify(3.0, 2.0, 0.0, 1.1, eps=-1); "
+                "print('efdyn.equilibria' in sys.modules)")
+        src = str(Path(efdyn.scalar.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src}).stdout
+        assert out == "False\n"
 
     @pytest.mark.parametrize("sp", [STABLE_NODE, FOCUS], ids=["node", "focus"])
     def test_no_saddle_below_p_minus_one(self, sp):

@@ -45,7 +45,7 @@ PINNED = {
     "IDENTITY_RTOL": 1e-10, "CENTER_TOL": 1e-9, "DEGENERACY_BAND": 1e-8,
     "ODE_RTOL": 1e-10, "ODE_ATOL": 1e-12, "BLOW_UP": 1e6, "T_END": 40.0,
     "MANIFOLD_RHO": 1e-4, "SIM_WINDOW": 1e-6,
-    "ANGLE_TOL": 1e-10, "CAPTURE_DIST": 1e-8, "CAPTURE_STEPS": 5,
+    "ANGLE_TOL": 1e-10, "CAPTURE_DIST": 1e-8,
     "RADIAL_R0": 1e-6, "SCALAR_R_MAX": 1e5,
 }
 
@@ -443,8 +443,9 @@ def test_start_up_loads_no_numpy(config, tmp_path):
 # step, the shipped shoot, scalar and portrait runs, on the invariant
 # diagonal, the diagonal step, and sweep the phase and diagonal steps; no
 # command takes the generic step. Only the runs that read the fixed-point
-# catalog (convergence, M0's basin) load equilibria: integrate, scalar and
-# portrait do not. efdyn.cli itself runs as __main__.
+# catalog (M0's basin) load equilibria: integrate, scalar and portrait, whose
+# plane orbits end at the plane's own fixed points, do not. efdyn.cli itself
+# runs as __main__.
 _STEP_MODULES = {path.stem for path in SRC.glob("_step_*.py")}
 _CORE = {"_record", "errors", "model", "numerics"}
 _KERNEL = _CORE | {"dynamics", "dop853"}
